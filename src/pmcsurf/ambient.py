@@ -58,10 +58,6 @@ def norm3(v, eps):
     return np.sqrt(inner3(v, v, eps))
 
 
-def norm6(v, eps):
-    return np.sqrt(inner(v, v, eps))
-
-
 def cross_eps(a, b, eps):
     """Signed cross product: the vector with <cross_eps(a,b), c>_eps = det(a,b,c).
 

@@ -10,6 +10,7 @@ matching.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,6 +32,7 @@ from .diffgeo import (
 
 PARALLELISM_GATE = 1e-4
 DATA_TOL = 1e-3
+_BLOCK_ROWS = 8  # rows of the half-step grid per field evaluation
 
 
 def _ip4(eps):
@@ -290,7 +292,6 @@ def pmc_to_cmc(data, j, mixed_tol=1e-5):
 
     fields = None
     if pf is not None:
-        x0, y0 = data.x[0, 0], data.y[0, 0]
 
         def fields(xs, ys, _pf=pf, _j=j):
             F = _pf(xs, ys)
@@ -569,23 +570,6 @@ def _project_cmc_state(eps, S, u_val):
     return np.concatenate([Psi, eu[..., None] * e1, eu[..., None] * e2, keep[..., None] * n], axis=-1)
 
 
-def _march(state0, t0, t1, n_steps, rhs, project):
-    """RK4 with per-step projection from t0 to t1; returns states at the nodes."""
-    h = (t1 - t0) / n_steps
-    states = [state0]
-    S = state0
-    for k in range(n_steps):
-        t = t0 + k * h
-        k1 = rhs(t, S)
-        k2 = rhs(t + 0.5 * h, S + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, S + 0.5 * h * k2)
-        k4 = rhs(t + h, S + h * k3)
-        S = S + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        S = project(t + h, S)
-        states.append(S)
-    return states
-
-
 def _grid_fields(data):
     """Dense field evaluation, from the data's own closure or spline fallback."""
     if data.fields is not None:
@@ -621,82 +605,122 @@ def _grid_fields(data):
     return fields
 
 
-def integrate_cmc_frenet(data, init=None, resid_tol=DATA_TOL, substeps=1, recertify=True):
-    """Rebuild the CMC immersion from its data by integrating the Frenet system.
+def _half_step_axis(t):
+    """Nodes t interleaved with the midpoints t_i + dt/2, formed as ``_path_integrate`` forms them."""
+    h = np.empty(2 * len(t) - 1)
+    h[::2] = t
+    h[1::2] = t[:-1] + 0.5 * (t[1] - t[0])
+    return h
 
-    Marches the bottom row first, then all columns in parallel; the top row is
-    marched independently and the loop-closure defect reported.  Returns the
-    reconstructed chart (quintic-spline evaluate with Frenet-exact jets) and a
-    report dictionary.
+
+def _sample_half_step(fields, x, y):
+    """The fields on the (2nx-1) x (2ny-1) half-step grid of the node grid (x, y).
+
+    Even entries are the nodes, odd entries the midpoints; together they hold
+    every point an RK4 stage, a projection or a Simpson increment reads.  The
+    grid is evaluated in blocks of rows, which bounds the memory the
+    evaluation's intermediates take.
     """
+    xh = _half_step_axis(x[:, 0])
+    yh = _half_step_axis(y[0, :])
+    blocks = [
+        fields(*np.meshgrid(xh[i:i + _BLOCK_ROWS], yh, indexing="ij"))
+        for i in range(0, len(xh), _BLOCK_ROWS)
+    ]
+    return {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
+
+
+def _frenet_input(data, resid_tol):
+    """Gate the data residuals; return the off-grid evaluator and the half-step samples."""
     worst = max(v for k, v in data.residuals.items() if k != "parallelism")
     if worst > resid_tol:
         raise PreconditionError(f"data residuals too large to integrate: {worst:.2e}")
     fields = _grid_fields(data)
+    return fields, _sample_half_step(fields, data.x, data.y)
+
+
+@dataclass(frozen=True)
+class _FrenetSystem:
+    """A first-order Frenet system as the grid marcher sees it.
+
+    The state packs (P, P_x, P_y, normal part) with P in R^dim.  ``blocks(S, F)``
+    gives (P_xx, P_xy, P_yy, normal_x, normal_y), the normal parts packed as in
+    S; ``project(S, u)`` restores the constraints at conformal factor u.
+    """
+
+    dim: int
+    blocks: Callable
+    project: Callable
+
+
+def _march_line(system, S, t, F, along_x):
+    """RK4 with per-step projection over the nodes t; returns the states at the nodes.
+
+    F holds the data on the half-step points of t along its first axis, so the
+    step from t[i] reads its stages at 2i, 2i+1 and 2i+2.
+    """
+    d = system.dim
+
+    def rhs(S, m):
+        Pxx, Pxy, Pyy, Nx, Ny = system.blocks(S, {k: v[m] for k, v in F.items()})
+        if along_x:
+            return np.concatenate([S[..., d:2 * d], Pxx, Pxy, Nx], axis=-1)
+        return np.concatenate([S[..., 2 * d:3 * d], Pxy, Pyy, Ny], axis=-1)
+
+    states = [S]
+    for i in range(len(t) - 1):
+        h = t[i + 1] - t[i]
+        k1 = rhs(S, 2 * i)
+        k2 = rhs(S + 0.5 * h * k1, 2 * i + 1)
+        k3 = rhs(S + 0.5 * h * k2, 2 * i + 1)
+        k4 = rhs(S + h * k3, 2 * i + 2)
+        S = system.project(S + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), F["u"][2 * i + 2])
+        states.append(S)
+    return np.stack(states)
+
+
+def _march_grid(system, init, G, x, y):
+    """March a Frenet system over the node grid from ``init`` at its corner.
+
+    Marches the bottom row first, then all columns in parallel; the top row is
+    marched again from its left end, and its largest distance from the
+    columns' ends is the loop closure.  G holds the data on the half-step grid.
+    Returns the states (nx, ny, width) and the loop closure.
+    """
+    row = _march_line(system, init, x[:, 0], {k: v[:, 0] for k, v in G.items()}, True)
+    cols = _march_line(system, row, y[0, :], {k: v[::2].T for k, v in G.items()}, False)
+    states = cols.transpose(1, 0, 2)
+    top = _march_line(system, states[0, -1], x[:, -1], {k: v[:, -1] for k, v in G.items()}, True)
+    d = system.dim
+    closure = float(np.max(np.linalg.norm(top[:, :d] - states[:, -1, :d], axis=-1)))
+    return states, closure
+
+
+def integrate_cmc_frenet(data, init=None, resid_tol=DATA_TOL, recertify=True):
+    """Rebuild the CMC immersion from its data by integrating the Frenet system.
+
+    The data are sampled once on the half-step grid (the nodes and the
+    midpoints between them), from ``data.fields`` or, when that is None, from
+    quintic splines of the node arrays; every RK4 stage and projection reads
+    those samples.  Marches the bottom row first, then all columns in
+    parallel; the top row is marched independently and the loop-closure
+    defect reported.  Returns the reconstructed chart (quintic-spline
+    evaluate with Frenet-exact jets) and a report dictionary.
+    """
+    fields, G = _frenet_input(data, resid_tol)
     eps = data.eps
     X, Y = data.x, data.y
     nx, ny = X.shape
     if init is None:
-        F0 = {k: np.asarray(v).reshape(()) for k, v in fields(X[0, 0], Y[0, 0]).items()}
         init = initial_cmc_state(
-            eps, float(F0["u"]), float(F0["nu"]), float(F0["eta_x"]), float(F0["eta_y"]),
+            eps, float(G["u"][0, 0]), float(G["nu"][0, 0]), float(G["eta_x"][0, 0]), float(G["eta_y"][0, 0]),
             eta0=float(data.eta[0, 0]),
         )
-
-    def rhs_x(xv, S, y_fixed):
-        F = fields(np.full(S.shape[:-1], xv), np.full(S.shape[:-1], y_fixed))
-        Pxx, Pxy, _, Nx, _ = _cmc_rhs_blocks(eps, S, F, data.Hval)
-        return np.concatenate([S[..., 4:8], Pxx, Pxy, Nx], axis=-1)
-
-    def rhs_y(yv, S, x_arr):
-        F = fields(x_arr, np.full_like(x_arr, yv))
-        _, Pxy, Pyy, _, Ny = _cmc_rhs_blocks(eps, S, F, data.Hval)
-        return np.concatenate([S[..., 8:12], Pxy, Pyy, Ny], axis=-1)
-
-    def proj_x(xv, S, y_fixed):
-        u_val = fields(np.full(S.shape[:-1], xv), np.full(S.shape[:-1], y_fixed))["u"]
-        return _project_cmc_state(eps, S, u_val)
-
-    def proj_y(yv, S, x_arr):
-        u_val = fields(x_arr, np.full_like(x_arr, yv))["u"]
-        return _project_cmc_state(eps, S, u_val)
-
-    # bottom row
-    row = [np.asarray(init, dtype=float)]
-    for i in range(nx - 1):
-        seg = _march(
-            row[-1], X[i, 0], X[i + 1, 0], substeps,
-            lambda t, S: rhs_x(t, S, Y[0, 0]), lambda t, S: proj_x(t, S, Y[0, 0]),
-        )
-        row.append(seg[-1])
-    row = np.stack(row)  # (nx, 16)
-
-    # all columns at once
-    states = np.empty((nx, ny, 16))
-    states[:, 0, :] = row
-    S = row
-    xs_row = X[:, 0]
-    for jcol in range(ny - 1):
-        seg = _march(
-            S, Y[0, jcol], Y[0, jcol + 1], substeps,
-            lambda t, S_: rhs_y(t, S_, xs_row), lambda t, S_: proj_y(t, S_, xs_row),
-        )
-        S = seg[-1]
-        states[:, jcol + 1, :] = S
-
-    # loop closure: march the top row from its left end
-    top = [states[0, -1, :]]
-    for i in range(nx - 1):
-        seg = _march(
-            top[-1], X[i, -1], X[i + 1, -1], substeps,
-            lambda t, S_: rhs_x(t, S_, Y[0, -1]), lambda t, S_: proj_x(t, S_, Y[0, -1]),
-        )
-        top.append(seg[-1])
-    top = np.stack(top)
-    closure = float(np.max(np.linalg.norm(top[:, 0:4] - states[:, -1, 0:4], axis=-1)))
+    system = _FrenetSystem(4, partial(_cmc_rhs_blocks, eps, Hval=data.Hval), partial(_project_cmc_state, eps))
+    states, closure = _march_grid(system, np.asarray(init, dtype=float), G, X, Y)
 
     # assemble jets from the Frenet right-hand side at the nodes
-    Fg = fields(X, Y)
+    Fg = {k: v[::2, ::2] for k, v in G.items()}
     Pxx, Pxy, Pyy, _, _ = _cmc_rhs_blocks(eps, states, Fg, data.Hval)
     chart = _spline_chart(
         X, Y,
@@ -726,8 +750,13 @@ def integrate_cmc_frenet(data, init=None, resid_tol=DATA_TOL, substeps=1, recert
 # ---------------------------------------------------------------------------
 
 
-def _pmc_rhs_blocks(eps, Phi, Px, Py, xi, F, Hval):
-    """Second derivatives of Phi and first derivatives of xi from the Frenet system."""
+def _pmc_rhs_blocks(eps, S, F, Hval):
+    """Second derivatives of Phi and first derivatives of xi from the Frenet system.
+
+    S is the packed state (Phi, Phi_x, Phi_y, Re xi, Im xi); xi_x and xi_y
+    come back packed as (Re, Im).
+    """
+    Phi, Px, Py, xi = _unpack_pmc(S)
     Phi_hat = np.concatenate([Phi[..., :3], -Phi[..., 3:]], axis=-1)
     Phi_z = 0.5 * (Px - 1j * Py)
     u_z = 0.5 * (F["ux"] - 1j * F["uy"])
@@ -760,7 +789,11 @@ def _pmc_rhs_blocks(eps, Phi, Px, Py, xi, F, Hval):
     Pxy = -2.0 * A.imag
     xi_x = xi_z + xi_zbar
     xi_y = 1j * (xi_z - xi_zbar)
-    return Pxx, Pxy, Pyy, xi_x, xi_y
+    return (
+        Pxx, Pxy, Pyy,
+        np.concatenate([xi_x.real, xi_x.imag], axis=-1),
+        np.concatenate([xi_y.real, xi_y.imag], axis=-1),
+    )
 
 
 def _pack_pmc(Phi, Px, Py, xi):
@@ -795,77 +828,28 @@ def _project_pmc_state(eps, S, u_val):
     return _pack_pmc(Phi, eu[..., None] * e1, eu[..., None] * e2, xi)
 
 
-def integrate_pmc_frenet(data, init=None, resid_tol=DATA_TOL, substeps=1, recertify=True):
-    """Rebuild the PMC immersion from its data by integrating the Frenet system."""
-    worst = max(v for k, v in data.residuals.items() if k != "parallelism")
-    if worst > resid_tol:
-        raise PreconditionError(f"data residuals too large to integrate: {worst:.2e}")
-    fields = _grid_fields(data)
+def integrate_pmc_frenet(data, init=None, resid_tol=DATA_TOL, recertify=True):
+    """Rebuild the PMC immersion from its data by integrating the Frenet system.
+
+    The data are sampled once on the half-step grid and marched as in
+    ``integrate_cmc_frenet``.
+    """
+    fields, G = _frenet_input(data, resid_tol)
     eps = data.eps
     X, Y = data.x, data.y
     nx, ny = X.shape
     if init is None:
-        F0 = {k: np.asarray(v).reshape(()) for k, v in fields(X[0, 0], Y[0, 0]).items()}
         Phi0, Px0, Py0, xi0 = initial_pmc_state(
-            eps, float(F0["u"]), float(F0["C1"]), float(F0["C2"]),
-            complex(F0["gamma1"]), complex(F0["gamma2"]),
+            eps, float(G["u"][0, 0]), float(G["C1"][0, 0]), float(G["C2"][0, 0]),
+            complex(G["gamma1"][0, 0]), complex(G["gamma2"][0, 0]),
         )
         init = _pack_pmc(Phi0, Px0, Py0, xi0)
+    system = _FrenetSystem(6, partial(_pmc_rhs_blocks, eps, Hval=data.Hnorm), partial(_project_pmc_state, eps))
+    states, closure = _march_grid(system, np.asarray(init, dtype=float), G, X, Y)
 
-    def rhs_x(xv, S, y_fixed):
-        F = fields(np.full(S.shape[:-1], xv), np.full(S.shape[:-1], y_fixed))
-        Phi, Px, Py, xi = _unpack_pmc(S)
-        Pxx, Pxy, _, xi_x, _ = _pmc_rhs_blocks(eps, Phi, Px, Py, xi, F, data.Hnorm)
-        return _pack_pmc(Px, Pxx, Pxy, xi_x)
-
-    def rhs_y(yv, S, x_arr):
-        F = fields(x_arr, np.full_like(x_arr, yv))
-        Phi, Px, Py, xi = _unpack_pmc(S)
-        _, Pxy, Pyy, _, xi_y = _pmc_rhs_blocks(eps, Phi, Px, Py, xi, F, data.Hnorm)
-        return _pack_pmc(Py, Pxy, Pyy, xi_y)
-
-    def proj_x(xv, S, y_fixed):
-        u_val = fields(np.full(S.shape[:-1], xv), np.full(S.shape[:-1], y_fixed))["u"]
-        return _project_pmc_state(eps, S, u_val)
-
-    def proj_y(yv, S, x_arr):
-        u_val = fields(x_arr, np.full_like(x_arr, yv))["u"]
-        return _project_pmc_state(eps, S, u_val)
-
-    row = [np.asarray(init, dtype=float)]
-    for i in range(nx - 1):
-        seg = _march(
-            row[-1], X[i, 0], X[i + 1, 0], substeps,
-            lambda t, S: rhs_x(t, S, Y[0, 0]), lambda t, S: proj_x(t, S, Y[0, 0]),
-        )
-        row.append(seg[-1])
-    row = np.stack(row)
-
-    states = np.empty((nx, ny, 30))
-    states[:, 0, :] = row
-    S = row
-    xs_row = X[:, 0]
-    for jcol in range(ny - 1):
-        seg = _march(
-            S, Y[0, jcol], Y[0, jcol + 1], substeps,
-            lambda t, S_: rhs_y(t, S_, xs_row), lambda t, S_: proj_y(t, S_, xs_row),
-        )
-        S = seg[-1]
-        states[:, jcol + 1, :] = S
-
-    top = [states[0, -1, :]]
-    for i in range(nx - 1):
-        seg = _march(
-            top[-1], X[i, -1], X[i + 1, -1], substeps,
-            lambda t, S_: rhs_x(t, S_, Y[0, -1]), lambda t, S_: proj_x(t, S_, Y[0, -1]),
-        )
-        top.append(seg[-1])
-    top = np.stack(top)
-    closure = float(np.max(np.linalg.norm(top[:, 0:6] - states[:, -1, 0:6], axis=-1)))
-
-    Fg = fields(X, Y)
-    Phi, Px, Py, xi = _unpack_pmc(states)
-    Pxx, Pxy, Pyy, _, _ = _pmc_rhs_blocks(eps, Phi, Px, Py, xi, Fg, data.Hnorm)
+    Fg = {k: v[::2, ::2] for k, v in G.items()}
+    Phi, Px, Py, _ = _unpack_pmc(states)
+    Pxx, Pxy, Pyy, _, _ = _pmc_rhs_blocks(eps, states, Fg, data.Hnorm)
     chart = _spline_chart(
         X, Y,
         {"p": Phi, "px": Px, "py": Py, "pxx": Pxx, "pxy": Pxy, "pyy": Pyy},

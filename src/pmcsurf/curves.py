@@ -13,6 +13,7 @@ the package-wide orientation of J.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -177,12 +178,16 @@ class SampledCurve:
     psi: np.ndarray
     T: np.ndarray
 
-    def _interp(self, x):
+    @cached_property
+    def _node_slopes(self):
+        """(psi', T') at the nodes, from the Frenet equations of the curve."""
         s = np.asarray(self.spec.speed(self.x))[:, None]
         k = np.asarray(self.spec.curvature(self.x))[:, None]
         N = cross_eps(self.psi, self.T, self.spec.eps)
-        psi_p = s * self.T
-        T_p = s * (k * N - self.spec.eps * self.psi)
+        return s * self.T, s * (k * N - self.spec.eps * self.psi)
+
+    def _interp(self, x):
+        psi_p, T_p = self._node_slopes
         p = hermite_interp(self.x, self.psi, psi_p, x)
         t = hermite_interp(self.x, self.T, T_p, x)
         return p, t

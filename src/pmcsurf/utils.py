@@ -35,7 +35,6 @@ class CumulativeIntegral:
     """
 
     def __init__(self, g_fn, lo, hi, x0=None, n=4001):
-        self.g_fn = g_fn
         self.x = np.linspace(lo, hi, n)
         step = self.x[1] - self.x[0]
         g_nodes = np.asarray(g_fn(self.x), dtype=float)
@@ -50,6 +49,3 @@ class CumulativeIntegral:
 
     def __call__(self, x):
         return hermite_interp(self.x, self.F, self.g_nodes, x)
-
-    def derivative(self, x):
-        return np.asarray(self.g_fn(x), dtype=float)

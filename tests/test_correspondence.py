@@ -398,3 +398,56 @@ def test_data_csv_exports(tmp_path):
     f2 = tmp_path / "cmc.csv"
     d1.to_csv(f2)
     assert f2.read_text().splitlines()[0] == "x,y,u,nu,p_re,p_im,eta,eta_x,eta_y"
+
+
+def test_half_step_sampler_nodes_and_midpoints():
+    import dataclasses
+
+    from pmcsurf.correspondence import _grid_fields, _path_integrate, _sample_half_step
+
+    data = prop4_data(33, 33)
+    G = _sample_half_step(data.fields, data.x, data.y)
+    assert G["u"].shape == (65, 65)
+    for key, arr in data.grids().items():
+        assert np.array_equal(G[key][::2, ::2], arr), key
+    # the odd entries are the points _path_integrate evaluates for its Simpson increments
+    seen = []
+
+    def record(xs, ys):
+        seen.append((xs, ys))
+        return np.zeros(np.shape(xs))
+
+    _path_integrate(data.x, data.y, np.zeros_like(data.u), np.zeros_like(data.u), record, record)
+    coords = _sample_half_step(lambda X, Y: {"x": X, "y": Y}, data.x, data.y)
+    for (xs, ys), at in zip(seen, [(slice(1, None, 2), 0), (slice(None, None, 2), slice(1, None, 2))]):
+        assert np.array_equal(coords["x"][at], xs) and np.array_equal(coords["y"][at], ys)
+        F = data.fields(xs, ys)
+        for key in data.grids():
+            assert np.array_equal(G[key][at], F[key]), key
+    # node-only data are sampled from quintic splines through the nodes
+    nodes_only = dataclasses.replace(data, fields=None)
+    S = _sample_half_step(_grid_fields(nodes_only), data.x, data.y)
+    for key, arr in data.grids().items():
+        assert np.max(np.abs(S[key][::2, ::2] - arr)) < 1e-12, key
+    _, rep = integrate_pmc_frenet(nodes_only, recertify=False)
+    assert rep["loop_closure"] < 0.1
+
+
+def test_round_trip_evaluates_the_chart_once_per_row_block(monkeypatch):
+    # every RK4 stage reads the half-step samples; evaluating the chart per
+    # stage instead takes 1,932 jet calls on this round trip
+    chart = prop4_chart()
+    data = prop4_data(33, 33)
+    jet = chart.jet
+    calls = []
+
+    def counted(x, y):
+        calls.append(np.size(x))
+        return jet(x, y)
+
+    monkeypatch.setattr(chart, "jet", counted)
+    d1, d2 = pmc_to_cmc(data, 1), pmc_to_cmc(data, 2)
+    integrate_cmc_frenet(d1, recertify=False)
+    integrate_cmc_frenet(d2, recertify=False)
+    integrate_pmc_frenet(cmc_to_pmc(d1, d2), recertify=False)
+    assert len(calls) < 100
