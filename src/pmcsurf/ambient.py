@@ -10,10 +10,10 @@ J(1,0,0) = (0,1,0) at the point p = (0,0,1) for both signatures.  All signs of
 Kaehler functions and Hopf coefficients downstream inherit this choice.
 
 All operations broadcast over leading array axes; points are rows of shape
-(..., 3) and ambient vectors rows of shape (..., 6).
+(..., 3) and ambient vectors rows of shape (..., 6), or (..., 4) in M2(eps) x R.
 """
 
-from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -31,31 +31,36 @@ def check_eps(eps):
     return eps
 
 
+@cache
 def metric_diag(eps, dim=3):
-    """Diagonal of the flat metric: (+,+,eps) per 3-block."""
-    eps = check_eps(eps)
-    block = np.array([1.0, 1.0, float(eps)])
-    if dim == 3:
-        return block
-    if dim == 6:
-        return np.concatenate([block, block])
-    raise DomainError(f"unsupported dimension {dim}")
+    """Diagonal of the flat metric: (+,+,eps) per factor block, then +1 for the R factor.
 
-
-def inner3(v, w, eps):
-    """Factor inner product, Euclidean for eps=+1 and Lorentz (+,+,-) for eps=-1."""
-    g = metric_diag(eps, 3)
-    return np.einsum("...i,...i->...", np.asarray(v) * g, np.asarray(w))
+    dim 3 is the factor, 4 the factor times R and 6 the product.  Each
+    diagonal is built once and shared read-only, since ``inner`` asks for it
+    on every call.
+    """
+    block = [1.0, 1.0, float(check_eps(eps))]
+    rows = {3: block, 4: block + [1.0], 6: block + block}
+    if dim not in rows:
+        raise DomainError(f"unsupported dimension {dim}")
+    g = np.array(rows[dim])
+    g.flags.writeable = False
+    return g
 
 
 def inner(v, w, eps):
-    """Product metric on R^6: the sum of two factor blocks."""
-    g = metric_diag(eps, 6)
-    return np.einsum("...i,...i->...", np.asarray(v) * g, np.asarray(w))
+    """Bilinear signature-weighted product (no conjugation) on R^3, R^4 or R^6.
+
+    The weights follow the last axis of v: the factor M2(eps), the factor
+    times R, or the product M2(eps) x M2(eps).
+    """
+    v = np.asarray(v)
+    g = metric_diag(eps, v.shape[-1])
+    return np.einsum("...i,...i->...", v * g, np.asarray(w))
 
 
 def norm3(v, eps):
-    return np.sqrt(inner3(v, v, eps))
+    return np.sqrt(inner(v, v, eps))
 
 
 def cross_eps(a, b, eps):
@@ -72,7 +77,7 @@ def cross_eps(a, b, eps):
 
 def tangent_project3(p, v, eps):
     """Project v onto the tangent plane of M2(eps) at p."""
-    coef = inner3(v, p, eps)
+    coef = inner(v, p, eps)
     return np.asarray(v) - check_eps(eps) * coef[..., None] * np.asarray(p)
 
 
@@ -85,7 +90,7 @@ def factor_j(p, v, eps, check=True, tol=TANGENCY_TOL):
     p = np.asarray(p, dtype=float)
     v = np.asarray(v)
     if check:
-        defect = np.abs(inner3(p, v, eps))
+        defect = np.abs(inner(p, v, eps))
         if np.any(defect > tol):
             raise PreconditionError(
                 f"vector not tangent: max |<p,v>_eps| = {float(np.max(defect)):.3e} > {tol:.1e}"
@@ -108,13 +113,13 @@ def product_j(which, P, V, eps, check=True, tol=TANGENCY_TOL):
 
 def factor_constraint(p, eps):
     """Residual <p,p>_eps - eps of the quadric constraint."""
-    return inner3(p, p, eps) - check_eps(eps)
+    return inner(p, p, eps) - check_eps(eps)
 
 
 def project_to_factor(p, eps):
     """Rescale p radially onto M2(eps); for eps=-1 the point must have x3 > 0."""
     p = np.asarray(p, dtype=float)
-    q = check_eps(eps) * inner3(p, p, eps)
+    q = check_eps(eps) * inner(p, p, eps)
     if np.any(q <= 0):
         raise DomainError("point cannot be projected onto the quadric (wrong causal type)")
     return p / np.sqrt(q)[..., None]
@@ -125,52 +130,12 @@ def tangent_basis(p, eps):
     p = np.asarray(p, dtype=float)
     seeds = np.eye(3)
     # pick the seed axis least aligned with p, then project and normalize
-    scores = np.stack([np.abs(inner3(np.broadcast_to(s, p.shape), p, eps)) for s in seeds], axis=-1)
+    scores = np.stack([np.abs(inner(np.broadcast_to(s, p.shape), p, eps)) for s in seeds], axis=-1)
     idx = np.argmin(scores, axis=-1)
     seed = seeds[idx]
     e = tangent_project3(p, seed, eps)
     e = e / norm3(e, eps)[..., None]
     return e, factor_j(p, e, eps, check=False)
-
-
-@dataclass(frozen=True)
-class FactorPoint:
-    """A validated point of M2(eps) in its quadric model."""
-
-    coords: np.ndarray
-    eps: int
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (3,):
-            raise DomainError(f"factor point must have 3 coordinates, got shape {coords.shape}")
-        eps = check_eps(self.eps)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "eps", eps)
-        if abs(inner3(coords, coords, eps) - eps) > 1e-10:
-            raise DomainError(f"point violates <p,p>_eps = eps: {coords}")
-        if eps == -1 and coords[2] <= 0:
-            raise DomainError("hyperbolic points live on the upper sheet (x3 > 0)")
-
-
-@dataclass(frozen=True)
-class ProductPoint:
-    """A validated point of M2(eps) x M2(eps)."""
-
-    first: FactorPoint
-    second: FactorPoint
-
-    def __post_init__(self):
-        if self.first.eps != self.second.eps:
-            raise DomainError("both factors must share the same eps")
-
-    @property
-    def eps(self):
-        return self.first.eps
-
-    @property
-    def coords(self):
-        return np.concatenate([self.first.coords, self.second.coords])
 
 
 def two_form_wedge(alpha, beta, frame):
@@ -198,9 +163,9 @@ def orientation_form(P, v1, v2, v3, v4, eps):
     P = np.asarray(P, dtype=float)
 
     def om1(a, b):
-        return inner3(cross_eps(P[..., :3], np.asarray(a)[..., :3], eps), np.asarray(b)[..., :3], eps)
+        return inner(cross_eps(P[..., :3], np.asarray(a)[..., :3], eps), np.asarray(b)[..., :3], eps)
 
     def om2(a, b):
-        return inner3(cross_eps(P[..., 3:], np.asarray(a)[..., 3:], eps), np.asarray(b)[..., 3:], eps)
+        return inner(cross_eps(P[..., 3:], np.asarray(a)[..., 3:], eps), np.asarray(b)[..., 3:], eps)
 
     return two_form_wedge(om1, om2, (v1, v2, v3, v4))

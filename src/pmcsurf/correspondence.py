@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .ambient import cross_eps, inner3, metric_diag, project_to_factor
+from .ambient import cross_eps, inner, project_to_factor
 from .errors import DomainError, PreconditionError, VerificationError
 from .families import TARGET_LINE, TARGET_PRODUCT, ImmersionChart
 from .diffgeo import (
@@ -29,28 +29,11 @@ from .diffgeo import (
     parallelism_residual,
     sample_jet,
 )
+from .utils import write_columns_csv
 
 PARALLELISM_GATE = 1e-4
 DATA_TOL = 1e-3
 _BLOCK_ROWS = 8  # rows of the half-step grid per field evaluation
-
-
-def _ip4(eps):
-    g = np.concatenate([metric_diag(eps, 3), [1.0]])
-
-    def ip(v, w):
-        return np.einsum("...i,...i->...", v * g, w)
-
-    return ip
-
-
-def _ip6(eps):
-    g = metric_diag(eps, 6)
-
-    def ip(v, w):
-        return np.einsum("...i,...i->...", v * g, w)
-
-    return ip
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +71,12 @@ class PmcFrenetData:
         }
 
     def to_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["x", "y", "u", "C1", "C2", "gamma1_re", "gamma1_im", "gamma2_re", "gamma2_im",
-                 "f1_re", "f1_im", "f2_re", "f2_im"]
-            )
-            cols = [self.x, self.y, self.u, self.C1, self.C2,
-                    self.gamma1.real, self.gamma1.imag, self.gamma2.real, self.gamma2.imag,
-                    self.f1.real, self.f1.imag, self.f2.real, self.f2.imag]
-            for row in zip(*[np.asarray(c).ravel() for c in cols]):
-                w.writerow([f"{v:.12e}" for v in row])
+        write_columns_csv(path, {
+            "x": self.x, "y": self.y, "u": self.u, "C1": self.C1, "C2": self.C2,
+            "gamma1_re": self.gamma1.real, "gamma1_im": self.gamma1.imag,
+            "gamma2_re": self.gamma2.real, "gamma2_im": self.gamma2.imag,
+            "f1_re": self.f1.real, "f1_im": self.f1.imag, "f2_re": self.f2.real, "f2_im": self.f2.imag,
+        })
 
 
 @dataclass
@@ -124,15 +100,10 @@ class CmcFrenetData:
         return 0.5 * (self.eta_x - 1j * self.eta_y)
 
     def to_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "y", "u", "nu", "p_re", "p_im", "eta", "eta_x", "eta_y"])
-            cols = [self.x, self.y, self.u, self.nu, self.p.real, self.p.imag,
-                    self.eta, self.eta_x, self.eta_y]
-            for row in zip(*[np.asarray(c).ravel() for c in cols]):
-                w.writerow([f"{v:.12e}" for v in row])
+        write_columns_csv(path, {
+            "x": self.x, "y": self.y, "u": self.u, "nu": self.nu, "p_re": self.p.real, "p_im": self.p.imag,
+            "eta": self.eta, "eta_x": self.eta_x, "eta_y": self.eta_y,
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -167,23 +138,23 @@ def pmc_compatibility_residuals(data):
     dy = data.y[0, 1] - data.y[0, 0]
     e2u = np.exp(2 * data.u)
     H = data.Hnorm
-    inner = (slice(1, -1), slice(1, -1))
+    interior = (slice(1, -1), slice(1, -1))
     out = {}
     for j, (C, gamma, f) in ((1, (data.C1, data.gamma1, data.f1)), (2, (data.C2, data.gamma2, data.f2))):
         gx, gy = grid_d(gamma, dx, dy)
         g_zbar = 0.5 * (gx + 1j * gy)
         rhs = -1j * H * C * e2u / np.sqrt(2.0)
-        out[f"gamma{j}_zbar"] = normalized_mismatch(g_zbar[inner], rhs[inner], terms=(H * e2u[inner],))
+        out[f"gamma{j}_zbar"] = normalized_mismatch(g_zbar[interior], rhs[interior], terms=(H * e2u[interior],))
         fx, fy = grid_d(f, dx, dy)
         f_zbar = 0.5 * (fx + 1j * fy)
         rhs = 1j * data.eps * e2u * C * gamma / 4.0
         out[f"f{j}_zbar"] = normalized_mismatch(
-            f_zbar[inner], rhs[inner], terms=((e2u * np.abs(gamma))[inner],)
+            f_zbar[interior], rhs[interior], terms=((e2u * np.abs(gamma))[interior],)
         )
         Cx, Cy = grid_d(C, dx, dy)
         C_z = 0.5 * (Cx - 1j * Cy)
         rhs = 2j * np.exp(-2 * data.u) * f * np.conj(gamma) - 1j * H / np.sqrt(2.0) * gamma
-        out[f"C{j}_z"] = normalized_mismatch(C_z[inner], rhs[inner], terms=(H * np.abs(gamma)[inner],))
+        out[f"C{j}_z"] = normalized_mismatch(C_z[interior], rhs[interior], terms=(H * np.abs(gamma)[interior],))
         out[f"gamma{j}_norm"] = normalized_mismatch(
             np.abs(gamma) ** 2, e2u * (1 - C**2) / 2.0, terms=(e2u / 2.0,)
         )
@@ -327,22 +298,22 @@ def cmc_compatibility_residuals(data):
     e2u = np.exp(2 * data.u)
     H = data.Hval
     eta_z = data.eta_z()
-    inner = (slice(1, -1), slice(1, -1))
+    interior = (slice(1, -1), slice(1, -1))
     out = {}
     px, py = grid_d(data.p, dx, dy)
     p_zbar = 0.5 * (px + 1j * py)
     out["p_zbar"] = normalized_mismatch(
-        p_zbar[inner], (data.eps * e2u / 2.0 * data.nu * eta_z)[inner], terms=(e2u[inner],)
+        p_zbar[interior], (data.eps * e2u / 2.0 * data.nu * eta_z)[interior], terms=(e2u[interior],)
     )
     nx_, ny_ = grid_d(data.nu, dx, dy)
     nu_z = 0.5 * (nx_ - 1j * ny_)
     rhs = -H * eta_z - 2.0 * np.exp(-2 * data.u) * data.p * np.conj(eta_z)
-    out["nu_z"] = normalized_mismatch(nu_z[inner], rhs[inner], terms=(H * np.abs(eta_z)[inner] + 1.0,))
+    out["nu_z"] = normalized_mismatch(nu_z[interior], rhs[interior], terms=(H * np.abs(eta_z)[interior] + 1.0,))
     ex_x, _ = grid_d(data.eta_x, dx, dy)
     _, ey_y = grid_d(data.eta_y, dx, dy)
     eta_lap = 0.25 * (ex_x + ey_y)
     out["eta_zzbar"] = normalized_mismatch(
-        eta_lap[inner], (e2u / 2.0 * H * data.nu)[inner], terms=(e2u[inner] * H,)
+        eta_lap[interior], (e2u / 2.0 * H * data.nu)[interior], terms=(e2u[interior] * H,)
     )
     out["eta_z_norm"] = normalized_mismatch(
         np.abs(eta_z) ** 2, e2u / 4.0 * (1 - data.nu**2), terms=(e2u / 4.0,)
@@ -435,7 +406,7 @@ def initial_cmc_state(eps, u0, nu0, eta_x0, eta_y0, eta0=0.0):
     Psi_x = np.concatenate([psi_x, [eta_x0]])
     Psi_y = np.concatenate([psi_y, [eta_y0]])
     # unit normal in T(M2 x R), sign chosen to match the vertical component nu
-    ip = _ip4(eps)
+    ip = partial(inner, eps=eps)
     cands = []
     for f in (np.concatenate([F1, [0.0]]), np.concatenate([F2, [0.0]]), np.array([0.0, 0, 0, 1.0])):
         v = f - ip(f, Psi_x) * Psi_x / e2u - ip(f, Psi_y) * Psi_y / e2u
@@ -550,7 +521,7 @@ def _cmc_rhs_blocks(eps, S, F, Hval):
 
 def _project_cmc_state(eps, S, u_val):
     """Restore the quadric, tangency and Gram constraints of a CMC state."""
-    ip = _ip4(eps)
+    ip = partial(inner, eps=eps)
     Psi, Px, Py, N = S[..., 0:4], S[..., 4:8], S[..., 8:12], S[..., 12:16]
     psi = project_to_factor(Psi[..., :3], eps)
     Psi = np.concatenate([psi, Psi[..., 3:]], axis=-1)
@@ -571,7 +542,11 @@ def _project_cmc_state(eps, S, u_val):
 
 
 def _grid_fields(data):
-    """Dense field evaluation, from the data's own closure or spline fallback."""
+    """Dense field evaluation, from the data's own closure or spline fallback.
+
+    The fallback fits quintic splines to the node arrays and takes u_x and u_y
+    from the derivatives of u's spline.
+    """
     if data.fields is not None:
         return data.fields
     xs = data.x[:, 0]
@@ -584,11 +559,7 @@ def _grid_fields(data):
     else:
         names = {"u": data.u, "C1": data.C1, "C2": data.C2}
         complexes = {"gamma1": data.gamma1, "gamma2": data.gamma2, "f1": data.f1, "f2": data.f2}
-    dx, dy = xs[1] - xs[0], ys[1] - ys[0]
-    ux, uy = grid_d(names["u"], dx, dy)
     sp = {k: RectBivariateSpline(xs, ys, v, kx=kx, ky=ky) for k, v in names.items()}
-    sp["ux"] = RectBivariateSpline(xs, ys, ux, kx=kx, ky=ky)
-    sp["uy"] = RectBivariateSpline(xs, ys, uy, kx=kx, ky=ky)
     spc = {
         k: (RectBivariateSpline(xs, ys, v.real, kx=kx, ky=ky), RectBivariateSpline(xs, ys, v.imag, kx=kx, ky=ky))
         for k, v in complexes.items()
@@ -598,6 +569,8 @@ def _grid_fields(data):
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         out = {k: s.ev(X, Y) for k, s in sp.items()}
+        out["ux"] = sp["u"].ev(X, Y, dx=1)
+        out["uy"] = sp["u"].ev(X, Y, dy=1)
         for k, (sr, si) in spc.items():
             out[k] = sr.ev(X, Y) + 1j * si.ev(X, Y)
         return out
@@ -805,7 +778,7 @@ def _unpack_pmc(S):
 
 
 def _project_pmc_state(eps, S, u_val):
-    ip = _ip6(eps)
+    ip = partial(inner, eps=eps)
     Phi, Px, Py, xi = _unpack_pmc(S)
     phi = project_to_factor(Phi[..., :3], eps)
     psi = project_to_factor(Phi[..., 3:], eps)
@@ -880,7 +853,7 @@ def integrate_pmc_frenet(data, init=None, resid_tol=DATA_TOL, recertify=True):
 
 
 def _factor_frame_matrix(p, v, eps, reflect=False):
-    e = v / np.sqrt(inner3(v, v, eps))
+    e = v / np.sqrt(inner(v, v, eps))
     je = cross_eps(p, e, eps)
     if reflect:
         je = -je
@@ -941,7 +914,7 @@ def weak_congruence_check(chartA, chartB, nx=41, ny=41, tol=1e-3):
             continue
         vA = jA.px[i0, j0, :3]
         vB = jB.px[i0, j0, :3]
-        if inner3(vA, vA, eps) < 1e-12 or inner3(vB, vB, eps) < 1e-12:
+        if inner(vA, vA, eps) < 1e-12 or inner(vB, vB, eps) < 1e-12:
             continue
         for reflect in (False, True):
             L = factor_isometry_from_frames(
@@ -981,7 +954,7 @@ def product_alignment_distance(chartA, chartB, nx=25, ny=25, shrink=0.05):
             # the second factor of profile charts is a curve: use its x-velocity
             vA2 = jA.px[i0, j0, 3:]
             vB2 = jB.px[i0, j0, 3:]
-            if inner3(vA2, vA2, eps) < 1e-10:
+            if inner(vA2, vA2, eps) < 1e-10:
                 vA2 = jA.py[i0, j0, 3:]
                 vB2 = jB.py[i0, j0, 3:]
             L2 = factor_isometry_from_frames(PA[i0, j0, 3:], vA2, PB[i0, j0, 3:], vB2, eps, reflect=r2)

@@ -22,20 +22,20 @@ from .ambient import (
     check_eps,
     cross_eps,
     factor_constraint,
-    inner3,
+    inner,
     norm3,
     project_to_factor,
     tangent_project3,
 )
 from .errors import DomainError, PreconditionError
-from .utils import hermite_interp
+from .utils import hermite_interp, write_columns_csv
 
 
 def extract_curvature(vel, acc, point, eps):
     """Geodesic curvature <psi'', J psi'> / |psi'|^3 from a 2-jet of the curve."""
     jv = cross_eps(point, vel, eps)
     speed = norm3(vel, eps)
-    return inner3(acc, jv, eps) / speed**3
+    return inner(acc, jv, eps) / speed**3
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def constant_curvature_curve(eps, k, p0=None, T0=None):
         _, _, kind = _canonical_start(eps, k)
         if abs(factor_constraint(p0, eps)) > 1e-10 or (eps == -1 and p0[2] <= 0):
             raise PreconditionError("p0 is not a point of M2(eps)")
-        if abs(inner3(p0, T0, eps)) > 1e-10 or abs(inner3(T0, T0, eps) - 1.0) > 1e-10:
+        if abs(inner(p0, T0, eps)) > 1e-10 or abs(inner(T0, T0, eps) - 1.0) > 1e-10:
             raise PreconditionError("T0 must be a unit tangent vector at p0")
     N0 = cross_eps(p0, T0, eps)
     acc0 = k * N0 - eps * p0
@@ -157,9 +157,9 @@ class CurveSpec:
             raise PreconditionError("p0 is not on M2(eps)")
         if self.eps == -1 and self.p0[2] <= 0:
             raise PreconditionError("p0 must lie on the upper sheet")
-        if abs(inner3(self.p0, self.T0, self.eps)) > 1e-10:
+        if abs(inner(self.p0, self.T0, self.eps)) > 1e-10:
             raise PreconditionError("T0 is not tangent at p0")
-        if abs(inner3(self.T0, self.T0, self.eps) - 1.0) > 1e-10:
+        if abs(inner(self.T0, self.T0, self.eps) - 1.0) > 1e-10:
             raise PreconditionError("T0 is not a unit vector")
 
     def speed_derivative(self, x):
@@ -216,18 +216,13 @@ class SampledCurve:
 
     def constraint_defect(self):
         quad = np.max(np.abs(factor_constraint(self.psi, self.spec.eps)))
-        tang = np.max(np.abs(inner3(self.psi, self.T, self.spec.eps)))
-        unit = np.max(np.abs(inner3(self.T, self.T, self.spec.eps) - 1.0))
+        tang = np.max(np.abs(inner(self.psi, self.T, self.spec.eps)))
+        unit = np.max(np.abs(inner(self.T, self.T, self.spec.eps) - 1.0))
         return float(max(quad, tang, unit))
 
     def to_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "p1", "p2", "p3"])
-            for xi, pi in zip(self.x, self.psi):
-                writer.writerow([f"{xi:.16e}"] + [f"{v:.16e}" for v in pi])
+        psi = self.psi
+        write_columns_csv(path, {"x": self.x, "p1": psi[:, 0], "p2": psi[:, 1], "p3": psi[:, 2]}, fmt=".16e")
 
 
 def _curve_rhs(spec, x, y):

@@ -19,9 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import metric_diag, orientation_form, product_j
+from .ambient import inner, metric_diag, orientation_form, product_j
 from .errors import DomainError, VerificationError
 from .families import TARGET_CIRCLE, TARGET_LINE, TARGET_PRODUCT, ImmersionChart
+from .utils import write_columns_csv
 
 EPS_FLOOR = 1e-12
 
@@ -54,15 +55,9 @@ class JetSample:
     def dim(self):
         return self.p.shape[-1]
 
-    def weights(self):
-        g = metric_diag(self.eps, 3)
-        if self.dim == 6:
-            return np.concatenate([g, g])
-        return np.concatenate([g, [1.0]])
-
     def ip(self, v, w):
         """Bilinear inner product of the chart's ambient (no conjugation)."""
-        return np.einsum("...i,...i->...", v * self.weights(), w)
+        return inner(v, w, self.eps)
 
 
 def sample_jet(chart, x, y, fd_step=None, numeric=False):
@@ -166,7 +161,7 @@ def _metric_complement(jet, vectors):
         minor = A[..., :, cols != i]
         n[..., i] = (-1) ** (i + 1) * np.linalg.det(minor)
     # raise the index: G^{-1} = G for a signature diagonal of +-1
-    return n * jet.weights()
+    return n * metric_diag(jet.eps, 6)
 
 
 def normal_frame(jet, min_h=1e-10):
@@ -260,14 +255,10 @@ def hopf_definitional(jet, frame):
 def ambient_curvature(jet, X, Y, Z, W):
     """Curvature tensor of M2(eps) x M2(eps): blockwise space-form curvature."""
     eps = jet.eps
-    g = metric_diag(eps, 3)
-
-    def block(v, w, sl):
-        return np.einsum("...i,...i->...", v[..., sl] * g, w[..., sl])
-
     total = 0.0
     for sl in (slice(0, 3), slice(3, 6)):
-        total = total + block(X, W, sl) * block(Y, Z, sl) - block(X, Z, sl) * block(Y, W, sl)
+        x, y, z, w = X[..., sl], Y[..., sl], Z[..., sl], W[..., sl]
+        total = total + inner(x, w, eps) * inner(y, z, eps) - inner(x, z, eps) * inner(y, w, eps)
     return eps * total
 
 
@@ -413,9 +404,7 @@ class SurfaceInvariants:
         return "\n".join(lines)
 
     def to_csv(self, path):
-        import csv
-
-        cols = {
+        write_columns_csv(path, {
             "x": self.x,
             "y": self.y,
             "u": self.u,
@@ -438,13 +427,7 @@ class SurfaceInvariants:
             "theta1_im": self.theta1.imag,
             "theta2_re": self.theta2.real,
             "theta2_im": self.theta2.imag,
-        }
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols.keys())
-            flat = [np.asarray(v).ravel() for v in cols.values()]
-            for row in zip(*flat):
-                writer.writerow([f"{v:.12e}" for v in row])
+        })
 
 
 def parallelism_residual(chart, X, Y, delta, fd_step=None, numeric=False):

@@ -2,7 +2,8 @@
 and CMC charts in M2(eps) x R (or x S1).
 
 Every constructor returns an ``ImmersionChart`` whose ``evaluate`` broadcasts
-over coordinate arrays and whose ``jet`` supplies first and second partials.
+over coordinate arrays and whose ``jet`` supplies first and second partials;
+``evaluate`` defaults to the jet's ``p``.
 Charts backed by closed forms carry exact jets; charts backed by a profile
 solution or an integrated curve inherit the dense-output accuracy of those
 solvers, which is far below the verification tolerances.
@@ -36,18 +37,27 @@ class ImmersionChart:
 
     evaluate(x, y) -> (..., dim) points, dim = 6 (product) or 4 (x R / x S1);
     jet(x, y) -> dict with keys p, px, py, pxx, pxy, pyy of the same shape.
+    Without ``evaluate`` the chart evaluates through the jet's ``p``.
     """
 
     name: str
     eps: int
     target: str
     domain: tuple
-    evaluate: Callable
+    evaluate: Optional[Callable] = None
     jet: Optional[Callable] = None
     metadata: dict = field(default_factory=dict)
     circle_radius: Optional[float] = None
     periods: Optional[tuple] = None
     embed_circle: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.evaluate is None:
+            if self.jet is None:
+                raise DomainError(f"chart '{self.name}' needs evaluate or jet")
+            # bind the jet given here, so a later swap of self.jet leaves evaluate alone
+            jet = self.jet
+            self.evaluate = lambda x, y: jet(x, y)["p"]
 
     @property
     def dim(self):
@@ -78,6 +88,13 @@ def _stack_blocks(first, second):
 
 def _jet_dict(p, px, py, pxx, pxy, pyy):
     return {"p": p, "px": px, "py": py, "pxx": pxx, "pxy": pxy, "pyy": pyy}
+
+
+def _with_height(jet3, eta, eta_x, eta_y, eta_xx):
+    """Append the height column to a 3-block jet; the height is affine in y."""
+    zero = np.zeros_like(eta)
+    height = _jet_dict(eta, eta_x, eta_y, eta_xx, zero, zero)
+    return {k: np.concatenate([jet3[k], height[k][..., None]], axis=-1) for k in height}
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +270,6 @@ def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
             pyy=_stack_blocks(first["pyy"], zero),
         )
 
-    def evaluate(x, y):
-        return jet(x, y)["p"]
-
     lo, hi = h.span
     pad = 0.01 * (hi - lo)
     # constant Hopf pair; the j-labels follow the package orientation convention,
@@ -270,7 +284,6 @@ def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
         eps=params.eps,
         target=TARGET_PRODUCT,
         domain=(lo + pad, hi - pad, y_span[0], y_span[1]),
-        evaluate=evaluate,
         jet=jet,
         metadata={
             "params": params,
@@ -335,15 +348,11 @@ def pmc_phi0(h_abs, y_span=(-1.5, 1.5), x_frac=0.6):
             pyy=_stack_blocks(pyy, zero3),
         )
 
-    def evaluate(x, y):
-        return jet(x, y)["p"]
-
     return ImmersionChart(
         name="phi0",
         eps=-1,
         target=TARGET_PRODUCT,
         domain=(-x_frac * half * 0.98, x_frac * half * 0.98, y_span[0], y_span[1]),
-        evaluate=evaluate,
         jet=jet,
         metadata={
             "H": H,
@@ -485,17 +494,7 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0), x0=None, name="prop6"):
         eta_x = sqb * (hv - c)
         eta_y = np.full_like(hv, sqb)
         eta_xx = sqb * hp
-        return _jet_dict(
-            p=np.concatenate([p, eta[..., None]], axis=-1),
-            px=np.concatenate([px, eta_x[..., None]], axis=-1),
-            py=np.concatenate([py, eta_y[..., None]], axis=-1),
-            pxx=np.concatenate([pxx, eta_xx[..., None]], axis=-1),
-            pxy=np.concatenate([pxy, zeros[..., None]], axis=-1),
-            pyy=np.concatenate([pyy, zeros[..., None]], axis=-1),
-        )
-
-    def evaluate(x, y):
-        return jet(x, y)["p"]
+        return _with_height(_jet_dict(p, px, py, pxx, pxy, pyy), eta, eta_x, eta_y, eta_xx)
 
     pad = 0.01 * (hi - lo)
     theta_ar = (eps * b / 8.0) * (a + 1 - c**2 - 2j * c)
@@ -504,7 +503,6 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0), x0=None, name="prop6"):
         eps=eps,
         target=TARGET_LINE,
         domain=(lo + pad, hi - pad, y_span[0], y_span[1]),
-        evaluate=evaluate,
         jet=jet,
         metadata={
             "params": params,
@@ -547,24 +545,13 @@ def cmc_sinh_chart(lam, domain=(-1.5, 1.5, -1.5, 1.5)):
         eta_x = r * shx / lam
         eta_y = np.full_like(x, 1.0 / lam)
         eta_xx = r * chx / lam
-        return _jet_dict(
-            p=np.concatenate([p, eta[..., None]], axis=-1),
-            px=np.concatenate([px, eta_x[..., None]], axis=-1),
-            py=np.concatenate([py, eta_y[..., None]], axis=-1),
-            pxx=np.concatenate([pxx, eta_xx[..., None]], axis=-1),
-            pxy=np.concatenate([pxy, zeros[..., None]], axis=-1),
-            pyy=np.concatenate([pyy, zeros[..., None]], axis=-1),
-        )
-
-    def evaluate(x, y):
-        return jet(x, y)["p"]
+        return _with_height(_jet_dict(p, px, py, pxx, pxy, pyy), eta, eta_x, eta_y, eta_xx)
 
     return ImmersionChart(
         name="example4",
         eps=-1,
         target=TARGET_LINE,
         domain=domain,
-        evaluate=evaluate,
         jet=jet,
         metadata={"lam": lam, "H_sq": 0.25, "theta_ar_expected": 0.125 + 0j},
     )
@@ -602,24 +589,13 @@ def cmc_leite_chart(h_scalar, y_span=(-1.2, 1.2), x_frac=0.88):
         eta_x = (2.0 * H / s) * tn
         eta_y = np.full_like(x, 2.0 * H / s)
         eta_xx = (2.0 * H / s) * sec**2
-        return _jet_dict(
-            p=np.concatenate([p, eta[..., None]], axis=-1),
-            px=np.concatenate([px, eta_x[..., None]], axis=-1),
-            py=np.concatenate([py, eta_y[..., None]], axis=-1),
-            pxx=np.concatenate([pxx, eta_xx[..., None]], axis=-1),
-            pxy=np.concatenate([pxy, zeros[..., None]], axis=-1),
-            pyy=np.concatenate([pyy, zeros[..., None]], axis=-1),
-        )
-
-    def evaluate(x, y):
-        return jet(x, y)["p"]
+        return _with_height(_jet_dict(p, px, py, pxx, pxy, pyy), eta, eta_x, eta_y, eta_xx)
 
     return ImmersionChart(
         name="example5",
         eps=-1,
         target=TARGET_LINE,
         domain=(-x_frac * half, x_frac * half, y_span[0], y_span[1]),
-        evaluate=evaluate,
         jet=jet,
         metadata={"H": H, "H_sq": H * H, "theta_ar_expected": 0j, "K_expected": 4 * H * H - 1},
     )
@@ -687,9 +663,6 @@ def cmc_torus(a, b):
             pyy=pack(Wyy, zeros, zeros),
         )
 
-    def evaluate(x, y):
-        return jet(x, y)["p"]
-
     def embed_circle(x, y):
         p = jet(x, y)["p"]
         ang = p[..., 3] / radius
@@ -704,7 +677,6 @@ def cmc_torus(a, b):
         eps=+1,
         target=TARGET_CIRCLE,
         domain=(0.0, periods[0], 0.0, periods[1]),
-        evaluate=evaluate,
         jet=jet,
         metadata={
             "a": a,
@@ -773,9 +745,6 @@ def geodesic_inclusion(chart):
             pyy=_stack_blocks(J["pyy"][..., :3], tyy[..., None] * gd + (ty * ty)[..., None] * gdd),
         )
 
-    def evaluate(x, y):
-        return jet(x, y)["p"]
-
     meta = dict(chart.metadata)
     meta["included_from"] = chart.name
     return ImmersionChart(
@@ -783,7 +752,6 @@ def geodesic_inclusion(chart):
         eps=eps,
         target=TARGET_PRODUCT,
         domain=chart.domain,
-        evaluate=evaluate,
         jet=jet,
         metadata=meta,
         periods=chart.periods,

@@ -8,14 +8,13 @@ closed-form solution families (sinh, Jacobi sn, tan) are available with exact
 derivatives.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .elliptic import complete_k, jacobi_sncndn
 from .errors import DomainError, InfeasibleParameters
-from .utils import hermite_interp
+from .utils import hermite_interp, write_columns_csv
 
 DRIFT_TOL = 1e-8
 
@@ -141,11 +140,7 @@ class ProfileSolution:
         return float(np.max(np.abs(self.hp**2 - self.params.pq(self.h))))
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "h", "hprime"])
-            for xi, hi, hpi in zip(self.x, self.h, self.hp):
-                writer.writerow([f"{xi:.16e}", f"{hi:.16e}", f"{hpi:.16e}"])
+        write_columns_csv(path, {"x": self.x, "h": self.h, "hprime": self.hp}, fmt=".16e")
 
 
 def _rk4_profile(params, h0, v0, x0, step, n_steps, h_max):

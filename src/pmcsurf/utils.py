@@ -1,5 +1,7 @@
 """Small numerical helpers shared across modules."""
 
+import csv
+
 import numpy as np
 
 
@@ -49,3 +51,17 @@ class CumulativeIntegral:
 
     def __call__(self, x):
         return hermite_interp(self.x, self.F, self.g_nodes, x)
+
+
+def write_columns_csv(path, columns, fmt=".12e"):
+    """Write named columns, each flattened in C order, as CSV rows under a header.
+
+    ``columns`` maps header names to arrays of equal size; every value is
+    written with the format spec ``fmt``.
+    """
+    flat = [np.asarray(c).ravel() for c in columns.values()]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in zip(*flat):
+            writer.writerow([format(v, fmt) for v in row])

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from pmcsurf.ambient import (
-    FactorPoint,
-    ProductPoint,
     cross_eps,
     factor_j,
     inner,
-    inner3,
     norm3,
     orientation_form,
     product_j,
@@ -65,7 +62,7 @@ def test_factor_j_lorentz_cross_oracle():
         for _ in range(100):
             a, b, c = rng.normal(size=(3, 3))
             det = np.linalg.det(np.stack([a, b, c]))
-            assert inner3(cross_eps(a, b, eps), c, eps) == pytest.approx(det, rel=1e-10, abs=1e-10)
+            assert inner(cross_eps(a, b, eps), c, eps) == pytest.approx(det, rel=1e-10, abs=1e-10)
 
 
 @pytest.mark.parametrize("eps", [+1, -1])
@@ -75,8 +72,8 @@ def test_factor_j_is_complex_structure(eps):
         p = random_factor_point(rng, eps)
         v = random_tangent(rng, p, eps)
         jv = factor_j(p, v, eps)
-        assert inner3(jv, v, eps) == pytest.approx(0.0, abs=1e-10)
-        assert inner3(jv, jv, eps) == pytest.approx(inner3(v, v, eps), rel=1e-10, abs=1e-12)
+        assert inner(jv, v, eps) == pytest.approx(0.0, abs=1e-10)
+        assert inner(jv, jv, eps) == pytest.approx(inner(v, v, eps), rel=1e-10, abs=1e-12)
         assert np.allclose(factor_j(p, jv, eps), -v, atol=1e-12 * max(1.0, norm3(v, eps)))
 
 
@@ -146,20 +143,6 @@ def test_orientation_form_sign_convention(eps):
         w22 = two_form_wedge(omega_j(2), omega_j(2), frame)
         assert w11 == pytest.approx(2.0 * base, abs=1e-10)
         assert w22 == pytest.approx(-2.0 * base, abs=1e-10)
-
-
-def test_point_validation():
-    FactorPoint(np.array([0.0, 0, 1]), +1)
-    FactorPoint(np.array([0.0, 0, 1]), -1)
-    with pytest.raises(DomainError):
-        FactorPoint(np.array([0.0, 0, 1.1]), +1)
-    with pytest.raises(DomainError):
-        FactorPoint(np.array([0.0, 0, -1]), -1)  # lower sheet
-    p = FactorPoint(np.array([1.0, 0, 0]), +1)
-    q = FactorPoint(np.array([0.0, 1, 0]), +1)
-    assert ProductPoint(p, q).coords.shape == (6,)
-    with pytest.raises(DomainError):
-        ProductPoint(p, FactorPoint(np.array([0.0, 0, 1]), -1))
 
 
 def test_project_to_factor():

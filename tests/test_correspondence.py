@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pmcsurf.correspondence import (
+    PARALLELISM_GATE,
     CmcFrenetData,
     cmc_to_pmc,
     extract_pmc_data,
@@ -431,6 +432,17 @@ def test_half_step_sampler_nodes_and_midpoints():
         assert np.max(np.abs(S[key][::2, ::2] - arr)) < 1e-12, key
     _, rep = integrate_pmc_frenet(nodes_only, recertify=False)
     assert rep["loop_closure"] < 0.1
+
+
+def test_node_only_reconstruction_differentiates_the_spline_of_u():
+    # u_x, u_y from splined second-order grid differences gave loop closure
+    # 4.3e-2 and parallelism 1.8e-3 here
+    import dataclasses
+
+    nodes_only = dataclasses.replace(prop4_data(33, 33), fields=None)
+    _, rep = integrate_pmc_frenet(nodes_only)
+    assert rep["loop_closure"] < 1e-3
+    assert rep["parallelism"] < PARALLELISM_GATE
 
 
 def test_round_trip_evaluates_the_chart_once_per_row_block(monkeypatch):

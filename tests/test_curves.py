@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pmcsurf.ambient import factor_constraint, inner3, norm3
+from pmcsurf.ambient import factor_constraint, inner, norm3
 from pmcsurf.curves import (
     CurveSpec,
     constant_curvature_curve,
@@ -111,7 +111,7 @@ def test_integrate_prop4_psi_curve():
     x = np.linspace(-1.1, 1.1, 37)
     # |psi'|^2 = 1 + 2 sinh^2 x for these parameters
     v = curve.velocity(x)
-    assert np.max(np.abs(inner3(v, v, -1) - (1.0 + 2.0 * np.sinh(x) ** 2))) < 1e-7
+    assert np.max(np.abs(inner(v, v, -1) - (1.0 + 2.0 * np.sinh(x) ** 2))) < 1e-7
     # curvature recovered by finite differences matches the prescription
     rec = fd_curvature(curve.point, 0.35, -1)
     assert rec == pytest.approx(float(curvature(0.35)), abs=1e-6)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from pmcsurf.ambient import inner3
+from pmcsurf.ambient import inner
 from pmcsurf.diffgeo import normal_frame, sample_jet
 from pmcsurf.errors import DomainError
 from pmcsurf.families import (
+    TARGET_PRODUCT,
+    ImmersionChart,
     cmc_leite_chart,
     cmc_profile_family,
     cmc_sinh_chart,
@@ -260,7 +262,7 @@ def test_torus_parameters_and_closure():
     x = rng.uniform(0, ch.periods[0], size=1000)
     y = rng.uniform(0, ch.periods[1], size=1000)
     p = ch.evaluate(x, y)
-    assert np.max(np.abs(inner3(p[..., :3], p[..., :3], +1) - 1.0)) < 1e-12
+    assert np.max(np.abs(inner(p[..., :3], p[..., :3], +1) - 1.0)) < 1e-12
     # seam closure in the S1 embedding
     e0 = ch.embed_circle(x, y)
     assert np.max(np.abs(e0 - ch.embed_circle(x + ch.periods[0], y))) < 1e-8
@@ -356,3 +358,34 @@ def test_chart_grid_and_domain():
     x0, x1, y0, y1 = ch.domain
     assert X.min() == pytest.approx(x0) and X.max() == pytest.approx(x1)
     assert Y.min() == pytest.approx(y0) and Y.max() == pytest.approx(y1)
+
+
+def test_evaluate_is_the_jet_point_for_every_family():
+    params = ProfileParams(-1, -2.0, 1.0, 0.0)
+    h = closed_form("sinh_family", params, x_span=(-1.2, 1.2))
+    charts = [
+        product_of_curves(-1, 1.0, 1.0),
+        example1_chart("T", a=0.6, ahat=0.8),
+        pmc_profile_family(params, h),
+        pmc_phi0(0.25),
+        pmc_sinh_family(1.0),
+        cmc_profile_family(params, h),
+        cmc_sinh_chart(1.0),
+        cmc_leite_chart(0.25),
+        cmc_torus(2.0, 1.0),
+        geodesic_inclusion(cmc_sinh_chart(1.0, domain=(-1.0, 1.0, -1.0, 1.0))),
+    ]
+    for ch in charts:
+        X, Y = ch.grid(7, 5, shrink=0.05)
+        assert np.array_equal(ch.evaluate(X, Y), ch.jet(X, Y)["p"]), ch.name
+
+
+def test_chart_needs_evaluate_or_jet():
+    with pytest.raises(DomainError):
+        ImmersionChart(name="empty", eps=-1, target=TARGET_PRODUCT, domain=(0.0, 1.0, 0.0, 1.0))
+    # the derived evaluate keeps the jet the chart was built with
+    ch = cmc_sinh_chart(1.0)
+    jet, calls = ch.jet, []
+    ch.jet = lambda x, y: calls.append(1) or jet(x, y)
+    ch.evaluate(0.0, 0.0)
+    assert calls == []
