@@ -140,7 +140,12 @@ def constant_curvature_curve(eps, k, p0=None, T0=None):
 
 @dataclass
 class CurveSpec:
-    """Prescription of a curve by speed and curvature plus an initial frame."""
+    """Prescription of a curve by speed and curvature plus an initial frame.
+
+    ``speed`` and ``curvature`` take an array of abscissae and return an
+    array of the same shape.  ``integrate_curve`` calls each once per march
+    direction, on all of its RK4 stage abscissae.
+    """
 
     eps: int
     speed: Callable
@@ -225,12 +230,28 @@ class SampledCurve:
         write_columns_csv(path, {"x": self.x, "p1": psi[:, 0], "p2": psi[:, 1], "p3": psi[:, 2]}, fmt=".16e")
 
 
-def _curve_rhs(spec, x, y):
+def _sample_stages(spec, n, h):
+    """Speed and curvature at i h, i h + h/2 and i h + h (row i), one call each.
+
+    These are the floats the march steps through: ``i h + h`` is kept apart
+    from ``(i + 1) h``, which can differ from it by one rounding.
+    """
+    xi = np.arange(n) * h
+    xs = np.stack([xi, xi + 0.5 * h, xi + h], axis=-1).ravel()
+    s = np.asarray(spec.speed(xs), dtype=float)
+    k = np.asarray(spec.curvature(xs), dtype=float)
+    bad_s = ~((s > 0) & np.isfinite(s))
+    bad = bad_s | ~np.isfinite(k)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        if bad_s[j]:
+            raise DomainError(f"speed must stay positive and finite, got {s[j]} at x={xs[j]}")
+        raise DomainError(f"curvature must stay finite, got {k[j]} at x={xs[j]}")
+    return s.reshape(n, 3).tolist(), k.reshape(n, 3).tolist()
+
+
+def _curve_rhs(spec, s, k, y):
     psi, T = y[:3], y[3:]
-    s = float(spec.speed(x))
-    if s <= 0:
-        raise DomainError(f"speed must stay positive, got {s} at x={x}")
-    k = float(spec.curvature(x))
     N = cross_eps(psi, T, spec.eps)
     return np.concatenate([s * T, s * (k * N - spec.eps * psi)])
 
@@ -248,6 +269,12 @@ def integrate_curve(spec, x_span=(-1.0, 1.0), step=None):
     Fourth-order one-step integration of psi' = s T, T' = s (k N - eps psi),
     N = J T, with per-step projection of (psi, T) back onto the quadric and
     its tangent plane.  x = 0 anchors the initial frame (p0, T0).
+
+    The march runs forward from 0, then backward.  Before each direction,
+    ``spec.speed`` and ``spec.curvature`` are called once, on one flat array
+    of the 3n stage abscissae i h, i h + h/2 and i h + h of that direction.
+    A speed that is not positive and finite, or a curvature that is not
+    finite, raises ``DomainError`` naming the first such x in march order.
     """
     x0, x1 = float(x_span[0]), float(x_span[1])
     if not (x0 <= 0.0 <= x1) or x1 <= x0:
@@ -261,12 +288,12 @@ def integrate_curve(spec, x_span=(-1.0, 1.0), step=None):
         ys = np.empty((n + 1, 6))
         ys[0] = y0
         y = y0.copy()
-        for i in range(n):
-            xi = i * h
-            k1 = _curve_rhs(spec, xi, y)
-            k2 = _curve_rhs(spec, xi + 0.5 * h, y + 0.5 * h * k1)
-            k3 = _curve_rhs(spec, xi + 0.5 * h, y + 0.5 * h * k2)
-            k4 = _curve_rhs(spec, xi + h, y + h * k3)
+        speeds, curvatures = _sample_stages(spec, n, h)
+        for i, ((s1, s2, s4), (c1, c2, c4)) in enumerate(zip(speeds, curvatures)):
+            k1 = _curve_rhs(spec, s1, c1, y)
+            k2 = _curve_rhs(spec, s2, c2, y + 0.5 * h * k1)
+            k3 = _curve_rhs(spec, s2, c2, y + 0.5 * h * k2)
+            k4 = _curve_rhs(spec, s4, c4, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             y = _renormalize(spec, y)
             ys[i + 1] = y

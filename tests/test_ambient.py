@@ -65,6 +65,32 @@ def test_factor_j_lorentz_cross_oracle():
             assert inner(cross_eps(a, b, eps), c, eps) == pytest.approx(det, rel=1e-10, abs=1e-10)
 
 
+def _numpy_cross_eps(a, b, eps):
+    c = np.cross(np.asarray(a), np.asarray(b))
+    return c * np.array([1.0, 1.0, -1.0]) if eps == -1 else c
+
+
+@pytest.mark.parametrize("eps", [+1, -1])
+@pytest.mark.parametrize("complex_b", [False, True])
+@pytest.mark.parametrize("shapes", [((3,), (3,)), ((57, 3), (57, 3)), ((3,), (57, 3))])
+def test_cross_eps_bitwise_equals_numpy_cross(eps, complex_b, shapes):
+    # the chart artifacts are byte-identical only if the written-out
+    # components round exactly as numpy's cross does, signed zeros included
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=shapes[0])
+    b = rng.normal(size=shapes[1])
+    a.flat[::4] = 0.0
+    b.flat[::5] = -0.0
+    if complex_b:
+        b = b + 1j * rng.normal(size=shapes[1])
+        b.flat[::3] = -0.0
+    got, ref = cross_eps(a, b, eps), _numpy_cross_eps(a, b, eps)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got.real), np.signbit(ref.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
+
+
 @pytest.mark.parametrize("eps", [+1, -1])
 def test_factor_j_is_complex_structure(eps):
     rng = np.random.default_rng(2 if eps == 1 else 3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,68 @@ def test_speed_positive_required():
     )
     with pytest.raises(DomainError):
         integrate_curve(spec, x_span=(-0.1, 1.0))
+
+
+def _named_x(excinfo):
+    return float(re.search(r"at x=(\S+)$", str(excinfo.value)).group(1))
+
+
+def test_integrate_curve_rejects_non_finite_data():
+    # a NaN speed would otherwise fill psi with NaN without a word
+    step = 2e-3
+    spec = CurveSpec(
+        +1,
+        speed=lambda x: np.where(np.asarray(x) > 0.5, np.nan, 1.0),
+        curvature=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        p0=np.array([1.0, 0.0, 0.0]),
+        T0=np.array([0.0, 1.0, 0.0]),
+    )
+    with pytest.raises(DomainError, match="speed") as excinfo:
+        integrate_curve(spec, x_span=(-1.0, 1.0), step=step)
+    # the first offending stage abscissa of the forward march is named
+    assert 0.5 < _named_x(excinfo) <= 0.5 + step / 2
+
+    spec.speed = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    spec.curvature = lambda x: np.where(np.asarray(x) < -0.25, np.inf, 0.0)
+    with pytest.raises(DomainError, match="curvature") as excinfo:
+        integrate_curve(spec, x_span=(-1.0, 1.0), step=step)
+    assert -0.25 - step / 2 <= _named_x(excinfo) < -0.25
+
+
+def test_integrate_curve_rejects_speed_crossing_zero():
+    step = 2e-3
+    spec = CurveSpec(
+        -1,
+        speed=lambda x: 0.3 - np.asarray(x, dtype=float),
+        curvature=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        p0=np.array([0.0, 0.0, 1.0]),
+        T0=np.array([1.0, 0.0, 0.0]),
+    )
+    with pytest.raises(DomainError, match="speed") as excinfo:
+        integrate_curve(spec, x_span=(-1.0, 1.0), step=step)
+    assert 0.3 <= _named_x(excinfo) <= 0.3 + step / 2
+
+
+def test_integrate_curve_samples_speed_and_curvature_once_per_direction():
+    calls = {"speed": 0, "curvature": 0}
+
+    def counting(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(np.asarray(x, dtype=float))
+
+        return wrapped
+
+    spec = CurveSpec(
+        -1,
+        speed=counting("speed", lambda x: 1.0 + 0.3 * np.cos(x)),
+        curvature=counting("curvature", lambda x: 0.8 * np.sin(x)),
+        p0=np.array([0.0, 0.0, 1.0]),
+        T0=np.array([0.0, 1.0, 0.0]),
+    )
+    curve = integrate_curve(spec, x_span=(-1.0, 1.0), step=2e-3)
+    assert len(curve.x) == 1001
+    assert calls["speed"] <= 2 and calls["curvature"] <= 2
 
 
 def test_curve_csv_export(tmp_path):
