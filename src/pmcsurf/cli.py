@@ -209,7 +209,7 @@ def cmd_generate(args):
     # a one-line invariant summary in the side-car
     try:
         if chart.target == fam.TARGET_PRODUCT:
-            inv = surface_invariants(chart, nx=min(nx, 41), ny=min(ny, 41), resid_refine=2)
+            inv = surface_invariants(chart, nx=min(nx, 41), ny=min(ny, 41), resid_refine=1)
             meta["H_sq"] = f"{float(np.mean(inv.Hnorm**2)):.12g}"
             meta["max_conformal_defect"] = f"{float(np.max(inv.conformal_defect)):.3e}"
             meta["parallelism_residual"] = f"{inv.parallelism_residual:.3e}"
@@ -432,8 +432,8 @@ def _add_common(sub):
     sub.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sub.add_argument("--hnorm", type=float, default=0.25)
     sub.add_argument("--lift", action="store_true", help="compose with the totally geodesic inclusion")
-    sub.add_argument("--nx", type=int, default=81)
-    sub.add_argument("--ny", type=int, default=81)
+    sub.add_argument("--nx", type=_grid_size, default=81)
+    sub.add_argument("--ny", type=_grid_size, default=81)
     sub.add_argument(
         "--domain", type=_parse_domain, default=None, metavar="x0,x1,y0,y1",
         help="chart rectangle; use --domain=-1,1,-1,1 when values start with a minus sign",
@@ -442,6 +442,14 @@ def _add_common(sub):
     sub.add_argument("--tol", type=float, default=1e-4)
     sub.add_argument("--poincare", action="store_true")
     sub.add_argument("--out", default="out")
+
+
+def _grid_size(text):
+    """Points per grid axis: the holomorphy residual's stencil needs five."""
+    n = int(text)
+    if n < 5:
+        raise argparse.ArgumentTypeError(f"a grid needs at least 5 points per axis, got {n}")
+    return n
 
 
 def _parse_domain(text):

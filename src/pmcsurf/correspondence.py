@@ -112,9 +112,16 @@ class CmcFrenetData:
 
 
 def _pmc_point_fields(chart):
-    """Dense pointwise Frenet data of a PMC chart."""
+    """Dense pointwise Frenet data of a PMC chart.
+
+    A repeat of the last samples returns the last result: the ``fields`` of
+    ``cmc_to_pmc`` asks for the same samples once for each CMC data set.
+    """
+    last = {}
 
     def fields(x, y):
+        if last and np.array_equal(x, last["x"]) and np.array_equal(y, last["y"]):
+            return last["out"]
         jet = sample_jet(chart, x, y)
         u, _ = conformal_data(jet)
         frame = normal_frame(jet)
@@ -123,11 +130,13 @@ def _pmc_point_fields(chart):
         e2u = np.exp(2 * u)
         ux = jet.ip(jet.pxx, jet.px) / e2u
         uy = jet.ip(jet.pxy, jet.px) / e2u
-        return {
+        out = {
             "u": u, "ux": ux, "uy": uy, "C1": C1, "C2": C2,
             "gamma1": gamma1, "gamma2": gamma2, "f1": f1, "f2": f2,
             "Hnorm": frame.Hnorm,
         }
+        last.update(x=np.array(x), y=np.array(y), out=out)
+        return out
 
     return fields
 

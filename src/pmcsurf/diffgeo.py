@@ -4,9 +4,9 @@ All computations happen in the chart's isothermal coordinates on a rectangular
 grid.  Derivatives of the immersion come from the chart's 2-jet (analytic when
 the family provides one, centered second-order differences otherwise);
 derivatives of derived scalar fields (u, C_j, theta_j, ...) come from centered
-differences on the grid, Richardson-extrapolated and evaluated on an
-internally refined grid inside the residual engine so that the reported
-identity residuals measure the chart itself, not the differentiation.
+differences, Richardson-extrapolated on the power-of-two refined grid that
+``surface_invariants`` samples once, so that the identity residuals measure the
+chart itself, not the differentiation; the requested grid is a stride of it.
 
 Sign conventions inherit from :mod:`pmcsurf.ambient`: the normal companion
 Htilde of the mean curvature vector is oriented so that
@@ -15,7 +15,7 @@ form pi1*omega ^ pi2*omega, and xi = (H - i Htilde)/(sqrt(2) |H|).
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def conformal_data(jet):
 
 @dataclass
 class NormalFrame:
-    """Orthonormal data along a product chart: tangents, H, Htilde, xi."""
+    """Orthonormal data along a product chart: tangents, H, Htilde, xi, normal projector."""
 
     e1: np.ndarray
     e2: np.ndarray
@@ -122,11 +122,12 @@ class NormalFrame:
     Htilde: np.ndarray
     Hnorm: np.ndarray
     xi: np.ndarray
+    proj: Callable
 
 
-def _normal_projector(jet):
-    """Return a function projecting ambient vectors onto the normal plane of the surface
-    inside T(M2 x M2)."""
+def _mean_curvature(jet):
+    """H = normal projection of (Phi_xx + Phi_yy) / (2 e^{2u}), the projector onto the
+    normal plane of the surface inside T(M2 x M2), and the tangent frame e1, e2."""
     eps = jet.eps
     P = jet.p
     Phat = np.concatenate([P[..., :3], -P[..., 3:]], axis=-1)
@@ -145,7 +146,7 @@ def _normal_projector(jet):
         out = out - jet.ip(out, e2)[..., None] * e2
         return out
 
-    return proj, e1, e2
+    return proj((jet.pxx + jet.pyy) / (2.0 * gxx)[..., None]), proj, e1, e2
 
 
 def _metric_complement(jet, vectors):
@@ -175,9 +176,7 @@ def normal_frame(jet, min_h=1e-10):
     if jet.dim != 6:
         raise DomainError("normal_frame expects a product chart")
     eps = jet.eps
-    proj, e1, e2 = _normal_projector(jet)
-    e2u = jet.ip(jet.px, jet.px)
-    H = proj((jet.pxx + jet.pyy) / (2.0 * e2u)[..., None])
+    H, proj, e1, e2 = _mean_curvature(jet)
     Hsq = jet.ip(H, H)
     if np.any(Hsq < min_h**2):
         raise DomainError("minimal surface: H is (numerically) null, Htilde undefined")
@@ -195,7 +194,7 @@ def normal_frame(jet, min_h=1e-10):
     sign = np.where(orient >= 0, 1.0, -1.0)
     Htilde = sign[..., None] * Hnorm[..., None] * n
     xi = (H - 1j * Htilde) / (np.sqrt(2.0) * Hnorm[..., None])
-    return NormalFrame(e1=e1, e2=e2, H=H, Htilde=Htilde, Hnorm=Hnorm, xi=xi)
+    return NormalFrame(e1=e1, e2=e2, H=H, Htilde=Htilde, Hnorm=Hnorm, xi=xi, proj=proj)
 
 
 def kaehler_functions(jet):
@@ -238,10 +237,9 @@ def hopf_definitional(jet, frame):
     theta_j = 2 <sigma(dz, dz), H +- i Htilde> + (eps / 4|H|^2) <J_j Phi_z, H +- i Htilde>^2
     with sigma the second fundamental form (normal projection of Phi_zz).
     """
-    proj, _, _ = _normal_projector(jet)
     phi_z = 0.5 * (jet.px - 1j * jet.py)
     phi_zz = 0.25 * (jet.pxx - jet.pyy - 2j * jet.pxy)
-    sigma_zz = proj(phi_zz)
+    sigma_zz = frame.proj(phi_zz)
     Hsq = jet.ip(frame.H, frame.H)
     out = []
     for j, s in ((1, +1), (2, -1)):
@@ -369,7 +367,7 @@ class SurfaceInvariants:
     C2: np.ndarray
     jac_phi: np.ndarray
     jac_psi: np.ndarray
-    K: np.ndarray  # NaN on the boundary ring (finite differences of u)
+    K: Optional[np.ndarray]  # NaN on the boundary ring; None on the refined pass
     Kbar: np.ndarray
     Kbar_perp: np.ndarray
     Kbar_direct: np.ndarray
@@ -388,10 +386,6 @@ class SurfaceInvariants:
     parallelism_residual: float
     identity_residuals: dict = field(default_factory=dict)
     holomorphy: dict = field(default_factory=dict)
-
-    @property
-    def interior(self):
-        return (slice(1, -1), slice(1, -1))
 
     def summary(self):
         lines = [f"family {self.chart.name}: grid {self.u.shape[0]}x{self.u.shape[1]}"]
@@ -434,16 +428,12 @@ def parallelism_residual(chart, X, Y, delta, fd_step=None, numeric=False):
     """Max normalized normal-derivative of H over the samples: certifies PMC."""
 
     def h_at(xs, ys):
-        jet = sample_jet(chart, xs, ys, fd_step=fd_step, numeric=numeric)
-        proj, _, _ = _normal_projector(jet)
-        e2u = jet.ip(jet.px, jet.px)
-        return proj((jet.pxx + jet.pyy) / (2.0 * e2u)[..., None])
+        return _mean_curvature(sample_jet(chart, xs, ys, fd_step=fd_step, numeric=numeric))[0]
 
     jet0 = sample_jet(chart, X, Y, fd_step=fd_step, numeric=numeric)
-    proj0, _, _ = _normal_projector(jet0)
+    Hc, proj0, _, _ = _mean_curvature(jet0)
     dHx = (h_at(X + delta, Y) - h_at(X - delta, Y)) / (2 * delta)
     dHy = (h_at(X, Y + delta) - h_at(X, Y - delta)) / (2 * delta)
-    Hc = h_at(X, Y)
     hn = np.sqrt(jet0.ip(Hc, Hc))
     rx = np.sqrt(np.abs(jet0.ip(proj0(dHx), proj0(dHx))))
     ry = np.sqrt(np.abs(jet0.ip(proj0(dHy), proj0(dHy))))
@@ -459,21 +449,23 @@ def surface_invariants(
     numeric=False,
     parallelism_delta=5e-4,
     resid_refine=4,
-    with_parallelism=True,
 ):
     """Compute the full invariant record of a product chart on an nx x ny grid.
 
-    The identity residuals (which differentiate derived scalar fields on the
-    grid) are evaluated on a ``resid_refine`` times finer copy of the grid, so
-    the second-order field differentiation does not dominate them; all other
-    entries live on the requested grid.
+    The chart is sampled once, on r(nx-1)+1 x r(ny-1)+1 points (r = ``resid_refine``);
+    the identity residuals differentiate the derived fields there, finely enough that
+    the differentiation does not dominate them.  The record holds every r-th point of
+    that pass, with K and the holomorphy and parallelism residuals computed on it.
+    r must be a power of two, for which the stride is bitwise the nx x ny grid; 1 means
+    no refinement.
     """
     if chart.target != TARGET_PRODUCT:
         raise DomainError("surface_invariants expects a product chart; see abresch_rosenberg")
-    X, Y = chart.grid(nx, ny, shrink=shrink)
-    dx = X[1, 0] - X[0, 0]
-    dy = Y[0, 1] - Y[0, 0]
-    jet = sample_jet(chart, X, Y, fd_step=fd_step, numeric=numeric)
+    r = resid_refine
+    if r < 1 or r & (r - 1):
+        raise DomainError(f"resid_refine must be a power of two, got {r}")
+    Xr, Yr = chart.grid(r * (nx - 1) + 1, r * (ny - 1) + 1, shrink=shrink)
+    jet = sample_jet(chart, Xr, Yr, fd_step=fd_step, numeric=numeric)
 
     u, defect = conformal_data(jet)
     frame = normal_frame(jet)
@@ -483,32 +475,23 @@ def surface_invariants(
     theta1, theta2 = hopf_coefficients(jet, frame, scalars)
     theta1_def, theta2_def = hopf_definitional(jet, frame)
 
-    e2u = np.exp(2 * u)
-    K = -np.exp(-2 * u) * grid_laplacian(u, dx, dy)
     eps = chart.eps
-    Kbar = eps * (C1**2 + C2**2) / 2.0
-    Kbar_perp = eps * (C1**2 - C2**2) / 2.0
     Hn = frame.Hnorm
     e3 = frame.Htilde / Hn[..., None]
     e4 = frame.H / Hn[..., None]
-    Kbar_direct = ambient_curvature(jet, frame.e1, frame.e2, frame.e2, frame.e1)
-    Kbar_perp_direct = ambient_curvature(jet, frame.e1, frame.e2, e3, e4)
-
-    inv = SurfaceInvariants(
-        chart=chart,
-        x=X,
-        y=Y,
+    pointwise = dict(
+        x=Xr,
+        y=Yr,
         u=u,
         conformal_defect=defect,
         C1=C1,
         C2=C2,
         jac_phi=jac_phi,
         jac_psi=jac_psi,
-        K=K,
-        Kbar=Kbar,
-        Kbar_perp=Kbar_perp,
-        Kbar_direct=Kbar_direct,
-        Kbar_perp_direct=Kbar_perp_direct,
+        Kbar=eps * (C1**2 + C2**2) / 2.0,
+        Kbar_perp=eps * (C1**2 - C2**2) / 2.0,
+        Kbar_direct=ambient_curvature(jet, frame.e1, frame.e2, frame.e2, frame.e1),
+        Kbar_perp_direct=ambient_curvature(jet, frame.e1, frame.e2, e3, e4),
         H=frame.H,
         Htilde=frame.Htilde,
         Hnorm=Hn,
@@ -520,55 +503,45 @@ def surface_invariants(
         theta2=theta2,
         theta1_def=theta1_def,
         theta2_def=theta2_def,
-        parallelism_residual=(
-            parallelism_residual(chart, X, Y, parallelism_delta, fd_step=fd_step, numeric=numeric)
-            if with_parallelism
-            else np.nan
-        ),
     )
-    if resid_refine and resid_refine > 1:
-        nx_r = resid_refine * (nx - 1) + 1
-        ny_r = resid_refine * (ny - 1) + 1
-        inv.identity_residuals = identity_residuals(
-            chart, nx=nx_r, ny=ny_r, shrink=shrink, fd_step=fd_step, numeric=numeric
-        )
-    else:
-        inv.identity_residuals = _identity_residuals_from(inv, jet)
-    for j, (theta, f_j, gamma_j) in ((1, (theta1, f1, gamma1)), (2, (theta2, f2, gamma2))):
+    refined = SurfaceInvariants(chart=chart, K=None, parallelism_residual=np.nan, **pointwise)
+    residuals = identity_residuals(refined, jet)
+
+    pointwise = {k: np.ascontiguousarray(v[::r, ::r]) for k, v in pointwise.items()}
+    X, Y, u = pointwise["x"], pointwise["y"], pointwise["u"]
+    dx = X[1, 0] - X[0, 0]
+    dy = Y[0, 1] - Y[0, 0]
+    inv = SurfaceInvariants(
+        chart=chart,
+        K=-np.exp(-2 * u) * grid_laplacian(u, dx, dy),
+        parallelism_residual=parallelism_residual(
+            chart, X, Y, parallelism_delta, fd_step=fd_step, numeric=numeric
+        ),
+        identity_residuals=residuals,
+        **pointwise,
+    )
+    for j in (1, 2):
+        theta, f_j, gamma_j = pointwise[f"theta{j}"], pointwise[f"f{j}"], pointwise[f"gamma{j}"]
         absolute, normalized = holomorphy_residual(theta, dx, dy)
         inv.holomorphy[f"dzbar_theta{j}_abs"] = absolute
         inv.holomorphy[f"dzbar_theta{j}_norm"] = normalized
         # scale by the Hopf ingredients so identically-zero theta stays testable
-        ingredient = float(np.max(2 * np.sqrt(2) * Hn * np.abs(f_j) + 0.5 * np.abs(gamma_j) ** 2))
+        ingredient = float(np.max(2 * np.sqrt(2) * inv.Hnorm * np.abs(f_j) + 0.5 * np.abs(gamma_j) ** 2))
         inv.holomorphy[f"dzbar_theta{j}_scaled"] = absolute / (
             float(np.max(np.abs(theta))) + ingredient + EPS_FLOOR
         )
     return inv
 
 
-def identity_residuals(chart, nx=161, ny=161, shrink=0.02, fd_step=None, numeric=False):
+def identity_residuals(inv, jet):
     """Normalized residuals of the scalar identities of a product chart.
 
+    ``inv`` holds the pointwise fields of ``jet`` on its uniform grid (K is not read).
     Keys: frame_gamma (|gamma_j|^2 law), eq5 (|f_j|^2 law), eq6 (gradient law),
     eq7 (Laplacian law), eq12 (div X_j), eq14 (gradient-X law), plus the
     two-path checks kbar_paths and hopf_paths.
     """
-    inv = surface_invariants(
-        chart,
-        nx=nx,
-        ny=ny,
-        shrink=shrink,
-        fd_step=fd_step,
-        numeric=numeric,
-        resid_refine=0,
-        with_parallelism=False,
-    )
-    return inv.identity_residuals
-
-
-def _identity_residuals_from(inv, jet):
-    chart = inv.chart
-    eps = chart.eps
+    eps = jet.eps
     X, Y = inv.x, inv.y
     dx = X[1, 0] - X[0, 0]
     dy = Y[0, 1] - Y[0, 0]

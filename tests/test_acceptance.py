@@ -256,7 +256,7 @@ def test_criterion_08_curvature_bounds():
         ("sinh member", pmc_sinh_family(1.0)),
         ("Ptilde", example1_chart("Ptilde")),
     ):
-        inv = surface_invariants(chart, nx=81, ny=81, resid_refine=0, with_parallelism=False)
+        inv = surface_invariants(chart, nx=81, ny=81, resid_refine=1)
         excess = curvature_bound_excess(inv)
         bound = "|H|^2+1" if chart.eps == +1 else "|H|^2"
         checks.append((f"{name}: K <= {bound} + 1e-6", excess <= 1e-6, f"max excess {excess:.2e}"))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from pmcsurf.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VERIFICATION, main
 
@@ -153,3 +154,11 @@ def test_report_battery(tmp_path):
     lines = (tmp_path / "battery_report.txt").read_text().strip().splitlines()
     assert len(lines) == 11
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_grids_below_five_points_are_rejected(tmp_path, capsys):
+    for command in ("verify", "generate"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "T", "--a", "0.6", "--b", "0.8", "--nx", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "at least 5 points" in capsys.readouterr().err

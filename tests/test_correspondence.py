@@ -461,5 +461,8 @@ def test_round_trip_evaluates_the_chart_once_per_row_block(monkeypatch):
     d1, d2 = pmc_to_cmc(data, 1), pmc_to_cmc(data, 2)
     integrate_cmc_frenet(d1, recertify=False)
     integrate_cmc_frenet(d2, recertify=False)
+    before = len(calls)
     integrate_pmc_frenet(cmc_to_pmc(d1, d2), recertify=False)
     assert len(calls) < 100
+    # both CMC closures read each row block; one jet answers the two (18 without)
+    assert len(calls) - before == 9

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,45 @@ def test_identity_residuals_battery():
         jet = sample_jet(inv.chart, inv.x, inv.y)
         assert np.max(np.abs(jet.ip(inv.Htilde, inv.Htilde) - inv.Hnorm**2)) < 1e-7, key
         assert np.max(np.abs(jet.ip(inv.H, inv.Htilde))) < 1e-7, key
+
+
+def test_one_chart_pass_per_record(monkeypatch):
+    # the refined pass, then parallelism's centre and four shifted jets; a
+    # separate pass on the requested grid made this 8
+    ch = chart("prop4_hyp")
+    jet = ch.jet
+    shapes = []
+
+    def counted(x, y):
+        shapes.append(np.shape(x))
+        return jet(x, y)
+
+    monkeypatch.setattr(ch, "jet", counted)
+    inv = surface_invariants(ch, nx=33, ny=33)
+    assert len(shapes) == 6 and shapes[0] == (129, 129)
+    X, Y = ch.grid(33, 33, shrink=0.02)
+    assert np.array_equal(inv.x, X) and np.array_equal(inv.y, Y)
+
+
+def test_refined_record_slices_to_the_unrefined_one():
+    base = chart("prop4_hyp")
+    scale = np.array([1.0, 1.0, 1.0, 1.01, 1.01, 1.01])
+    corrupted = dataclasses.replace(
+        base, name="corrupted", jet=None, evaluate=lambda x, y: base.evaluate(x, y) * scale
+    )
+    cases = [(chart(key), {}) for key in ("prop4_hyp", "prop4_sph", "phi0")]
+    for ch, kw in cases + [(corrupted, {"fd_step": 1e-3, "numeric": True})]:
+        refined = surface_invariants(ch, nx=33, ny=33, resid_refine=4, **kw)
+        plain = surface_invariants(ch, nx=33, ny=33, resid_refine=1, **kw)
+        for f in dataclasses.fields(plain):
+            value = getattr(plain, f.name)
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(refined, f.name), value, equal_nan=True), (ch.name, f.name)
+        assert refined.holomorphy == plain.holomorphy, ch.name
+        assert refined.parallelism_residual == plain.parallelism_residual, ch.name
+    # linspace over 3(n-1) intervals does not hit the n-point grid exactly
+    with pytest.raises(DomainError):
+        surface_invariants(base, nx=9, ny=9, resid_refine=3)
 
 
 def test_curvature_bounds():
