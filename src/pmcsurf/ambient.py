@@ -168,11 +168,12 @@ def orientation_form(P, v1, v2, v3, v4, eps):
     means (v1, v2, v3, v4) is positively oriented.
     """
     P = np.asarray(P, dtype=float)
+    frame = [np.asarray(v) for v in (v1, v2, v3, v4)]
 
-    def om1(a, b):
-        return inner(cross_eps(P[..., :3], np.asarray(a)[..., :3], eps), np.asarray(b)[..., :3], eps)
+    def factor_form(sl):
+        # the forms take frame indices; a first argument is always v1, v2 or v3,
+        # so J is applied to each of those once rather than once per pair
+        Jv = [cross_eps(P[..., sl], v[..., sl], eps) for v in frame[:3]]
+        return lambda i, j: inner(Jv[i], frame[j][..., sl], eps)
 
-    def om2(a, b):
-        return inner(cross_eps(P[..., 3:], np.asarray(a)[..., 3:], eps), np.asarray(b)[..., 3:], eps)
-
-    return two_form_wedge(om1, om2, (v1, v2, v3, v4))
+    return two_form_wedge(factor_form(slice(0, 3)), factor_form(slice(3, 6)), range(4))

@@ -29,7 +29,7 @@ from .diffgeo import (
     curvature_bound_excess,
     surface_invariants,
 )
-from .errors import DomainError, InfeasibleParameters, VerificationError
+from .errors import DomainError, InfeasibleParameters, PreconditionError, VerificationError
 from .profile import ProfileParams, check_restrictions, closed_form, solve_profile
 
 EXIT_OK = 0
@@ -484,7 +484,7 @@ def main(argv=None):
     except InfeasibleParameters as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DomainError, VerificationError) as exc:
+    except (DomainError, PreconditionError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except OSError as exc:

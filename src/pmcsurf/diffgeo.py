@@ -64,7 +64,10 @@ def sample_jet(chart, x, y, fd_step=None, numeric=False):
     """2-jet of the chart at samples (x, y), analytic when available.
 
     With ``numeric=True`` (or when the chart has no analytic jet) centered
-    second-order differences of ``evaluate`` with step ``fd_step`` are used.
+    second-order differences of ``evaluate`` with step ``fd_step`` are used:
+    nine ``evaluate`` calls, at (x, y), the four axis shifts by +-fd_step
+    (each shared by the first and second difference along its axis) and the
+    four diagonal shifts of the mixed difference.
     Samples must stay inside the chart domain with an fd_step margin.
     """
     x = np.asarray(x, dtype=float)
@@ -87,10 +90,12 @@ def sample_jet(chart, x, y, fd_step=None, numeric=False):
     ev = chart.evaluate
     d = float(fd_step)
     p = ev(x, y)
-    px = (ev(x + d, y) - ev(x - d, y)) / (2 * d)
-    py = (ev(x, y + d) - ev(x, y - d)) / (2 * d)
-    pxx = (ev(x + d, y) - 2 * p + ev(x - d, y)) / d**2
-    pyy = (ev(x, y + d) - 2 * p + ev(x, y - d)) / d**2
+    p_xp, p_xm = ev(x + d, y), ev(x - d, y)
+    p_yp, p_ym = ev(x, y + d), ev(x, y - d)
+    px = (p_xp - p_xm) / (2 * d)
+    py = (p_yp - p_ym) / (2 * d)
+    pxx = (p_xp - 2 * p + p_xm) / d**2
+    pyy = (p_yp - 2 * p + p_ym) / d**2
     pxy = (ev(x + d, y + d) - ev(x + d, y - d) - ev(x - d, y + d) + ev(x - d, y - d)) / (4 * d**2)
     return JetSample(chart, x, y, p, px, py, pxx, pxy, pyy, fd_step=d)
 

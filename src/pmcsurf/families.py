@@ -90,6 +90,19 @@ def _jet_dict(p, px, py, pxx, pxy, pyy):
     return {"p": p, "px": px, "py": py, "pxx": pxx, "pxy": pxy, "pyy": pyy}
 
 
+def _distinct(t):
+    """The distinct values of ``t`` and the indices that gather them back onto t.shape.
+
+    One-variable data evaluated on the distinct values and gathered with the
+    indices is that data evaluated on every sample: values are told apart by
+    their bit patterns (so -0.0 and 0.0 stay apart), and each result is the
+    same elementwise function of the same float.
+    """
+    t = np.asarray(t, dtype=float)
+    bits, inverse = np.unique(t.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), inverse.reshape(t.shape)
+
+
 def _with_height(jet3, eta, eta_x, eta_y, eta_xx):
     """Append the height column to a 3-block jet; the height is affine in y."""
     zero = np.zeros_like(eta)
@@ -103,22 +116,29 @@ def _with_height(jet3, eta, eta_x, eta_y, eta_xx):
 
 
 def product_chart_from_curves(alpha, beta, eps, domain, name="curves_product", metadata=None, periods=None):
-    """Chart (alpha(x), beta(y)) from two curve objects exposing point/velocity/acceleration."""
+    """Chart (alpha(x), beta(y)) from two curve objects exposing point/velocity/acceleration.
+
+    alpha is evaluated once per distinct x and beta once per distinct y.
+    """
+
+    def on_lines(x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return _distinct(x), _distinct(y)
 
     def evaluate(x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return _stack_blocks(alpha.point(x), beta.point(y))
+        (xs, ix), (ys, iy) = on_lines(x, y)
+        return _stack_blocks(alpha.point(xs)[ix], beta.point(ys)[iy])
 
     def jet(x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        zero = np.zeros(x.shape + (3,))
+        (xs, ix), (ys, iy) = on_lines(x, y)
+        zero = np.zeros(ix.shape + (3,))
         return _jet_dict(
-            p=_stack_blocks(alpha.point(x), beta.point(y)),
-            px=_stack_blocks(alpha.velocity(x), zero),
-            py=_stack_blocks(zero, beta.velocity(y)),
-            pxx=_stack_blocks(alpha.acceleration(x), zero),
+            p=_stack_blocks(alpha.point(xs)[ix], beta.point(ys)[iy]),
+            px=_stack_blocks(alpha.velocity(xs)[ix], zero),
+            py=_stack_blocks(zero, beta.velocity(ys)[iy]),
+            pxx=_stack_blocks(alpha.acceleration(xs)[ix], zero),
             pxy=_stack_blocks(zero, zero),
-            pyy=_stack_blocks(zero, beta.acceleration(y)),
+            pyy=_stack_blocks(zero, beta.acceleration(ys)[iy]),
         )
 
     return ImmersionChart(
@@ -166,12 +186,17 @@ def product_of_curves(eps, k_alpha, k_beta, require_pmc=True, domain=None):
 # ---------------------------------------------------------------------------
 
 
-def _first_factor_jet(params, h, x, y):
-    """Analytic 2-jet of the first factor of the invariant PMC family."""
+def _first_factor_jet(params, h, xs, ix, ys, iy):
+    """Analytic 2-jet of the first factor of the invariant PMC family.
+
+    h, R and their derivatives are evaluated on the distinct abscissae ``xs``
+    and the rotation on the distinct ordinates ``ys``; the gathers ``ix`` and
+    ``iy`` carry them onto the samples, where only their products are formed.
+    """
     eps, a = params.eps, params.a
-    hv = h.h_at(x)
-    hp = h.hp_at(x)
-    hpp = h.hpp_at(x)
+    hv = h.h_at(xs)
+    hp = h.hp_at(xs)
+    hpp = h.hpp_at(xs)
     uc = eps * (a - hv**2)
     ucp = -2.0 * eps * hv * hp
     ucpp = -2.0 * eps * (hp**2 + hv * hpp)
@@ -183,7 +208,8 @@ def _first_factor_jet(params, h, x, y):
 
     if a > 0:
         w = np.sqrt(a)
-        cw, sw = np.cos(w * y), np.sin(w * y)
+        cw, sw = np.cos(w * ys)[iy], np.sin(w * ys)[iy]
+        hv, hp, hpp, R, Rp, Rpp = (v[ix] for v in (hv, hp, hpp, R, Rp, Rpp))
         inv = 1.0 / w
         p = inv * np.stack([R * cw, R * sw, hv], axis=-1)
         px = inv * np.stack([Rp * cw, Rp * sw, hp], axis=-1)
@@ -193,7 +219,8 @@ def _first_factor_jet(params, h, x, y):
         pyy = inv * np.stack([-R * w * w * cw, -R * w * w * sw, np.zeros_like(hv)], axis=-1)
     elif a < 0:
         m = np.sqrt(-a)
-        ch, sh = np.cosh(m * y), np.sinh(m * y)
+        ch, sh = np.cosh(m * ys)[iy], np.sinh(m * ys)[iy]
+        hv, hp, hpp, R, Rp, Rpp = (v[ix] for v in (hv, hp, hpp, R, Rp, Rpp))
         inv = 1.0 / m
         zeros = np.zeros_like(hv)
         p = inv * np.stack([hv, R * sh, R * ch], axis=-1)
@@ -207,6 +234,8 @@ def _first_factor_jet(params, h, x, y):
         g = 1.0 / (2.0 * hv)
         gp = -hp / (2.0 * hv**2)
         gpp = (-hpp + 2.0 * hp**2 / hv) / (2.0 * hv**2)
+        hv, hp, hpp, g, gp, gpp = (v[ix] for v in (hv, hp, hpp, g, gp, gpp))
+        y = ys[iy]
         y2 = y * y
         zeros = np.zeros_like(hv)
         p = np.stack([(y2 - 1) * hv / 2 + g, y * hv, (y2 + 1) * hv / 2 + g], axis=-1)
@@ -259,13 +288,14 @@ def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
 
     def jet(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        first = _first_factor_jet(params, h, x, y)
+        (xs, ix), (ys, iy) = _distinct(x), _distinct(y)
+        first = _first_factor_jet(params, h, xs, ix, ys, iy)
         zero = np.zeros(x.shape + (3,))
         return _jet_dict(
-            p=_stack_blocks(first["p"], psi.point(x)),
-            px=_stack_blocks(first["px"], psi.velocity(x)),
+            p=_stack_blocks(first["p"], psi.point(xs)[ix]),
+            px=_stack_blocks(first["px"], psi.velocity(xs)[ix]),
             py=_stack_blocks(first["py"], zero),
-            pxx=_stack_blocks(first["pxx"], psi.acceleration(x)),
+            pxx=_stack_blocks(first["pxx"], psi.acceleration(xs)[ix]),
             pxy=_stack_blocks(first["pxy"], zero),
             pyy=_stack_blocks(first["pyy"], zero),
         )
@@ -325,25 +355,28 @@ def pmc_phi0(h_abs, y_span=(-1.5, 1.5), x_frac=0.6):
 
     def jet(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        sec = 1.0 / np.cos(x)
-        tn = np.tan(x)
-        Y = y / s
-        shY, chY = np.sinh(Y), np.cosh(Y)
+        (xs, ix), (ys, iy) = _distinct(x), _distinct(y)
+        sec = 1.0 / np.cos(xs)
+        tn = np.tan(xs)
+        Y = ys / s
+        shY, chY = np.sinh(Y)[iy], np.cosh(Y)[iy]
         zeros = np.zeros_like(x)
-        dsec = np.sin(x) * sec**2  # d/dx sec x
-        d2sec = (1.0 + np.sin(x) ** 2) * sec**3  # d^2/dx^2 sec x
+        dsec = np.sin(xs) * sec**2  # d/dx sec x
+        d2sec = (1.0 + np.sin(xs) ** 2) * sec**3  # d^2/dx^2 sec x
+        dtan, d2tan = (sec**2)[ix], (2 * sec**2 * tn)[ix]
+        sec, tn, dsec, d2sec = sec[ix], tn[ix], dsec[ix], d2sec[ix]
         p1 = np.stack([tn, shY * sec, chY * sec], axis=-1)
-        px = np.stack([sec**2, shY * dsec, chY * dsec], axis=-1)
+        px = np.stack([dtan, shY * dsec, chY * dsec], axis=-1)
         py = np.stack([zeros, chY * sec / s, shY * sec / s], axis=-1)
-        pxx = np.stack([2 * sec**2 * tn, shY * d2sec, chY * d2sec], axis=-1)
+        pxx = np.stack([d2tan, shY * d2sec, chY * d2sec], axis=-1)
         pxy = np.stack([zeros, chY * dsec / s, shY * dsec / s], axis=-1)
         pyy = np.stack([zeros, shY * sec / s**2, chY * sec / s**2], axis=-1)
         zero3 = np.zeros(x.shape + (3,))
         return _jet_dict(
-            p=_stack_blocks(p1, psi.point(x)),
-            px=_stack_blocks(px, psi.velocity(x)),
+            p=_stack_blocks(p1, psi.point(xs)[ix]),
+            px=_stack_blocks(px, psi.velocity(xs)[ix]),
             py=_stack_blocks(py, zero3),
-            pxx=_stack_blocks(pxx, psi.acceleration(x)),
+            pxx=_stack_blocks(pxx, psi.acceleration(xs)[ix]),
             pxy=_stack_blocks(pxy, zero3),
             pyy=_stack_blocks(pyy, zero3),
         )

@@ -8,6 +8,7 @@ closed-form solution families (sinh, Jacobi sn, tan) are available with exact
 derivatives.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,12 @@ DRIFT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ProfileParams:
+    """Parameters (eps, a, b, c); p, q, pq and pq' take a Python float or an array.
+
+    Squares are written t * t, which rounds the same on both (a float's t**2
+    goes through libm pow).
+    """
+
     eps: int
     a: float
     b: float
@@ -37,18 +44,16 @@ class ProfileParams:
         object.__setattr__(self, "c", float(self.c))
 
     def p(self, t):
-        return self.a - np.asarray(t) ** 2
+        return self.a - t * t
 
     def q(self, t):
-        t = np.asarray(t)
         eb = self.eps * self.b
-        return -(1.0 + eb) * t**2 + 2.0 * eb * self.c * t - eb * (1.0 + self.c**2) + self.a
+        return -(1.0 + eb) * (t * t) + 2.0 * eb * self.c * t - eb * (1.0 + self.c**2) + self.a
 
     def pq(self, t):
         return self.p(t) * self.q(t)
 
     def pq_prime(self, t):
-        t = np.asarray(t)
         eb = self.eps * self.b
         qp = -2.0 * (1.0 + eb) * t + 2.0 * eb * self.c
         return -2.0 * t * self.q(t) + self.p(t) * qp
@@ -144,11 +149,14 @@ class ProfileSolution:
 
 
 def _rk4_profile(params, h0, v0, x0, step, n_steps, h_max):
-    """March (h, h') with the regularized second-order form h'' = (pq)'(h)/2."""
+    """March (h, h') with the regularized second-order form h'' = (pq)'(h)/2.
+
+    The march runs on Python floats: one pq' call costs a few float operations.
+    """
     hs = np.empty(n_steps + 1)
     vs = np.empty(n_steps + 1)
     hs[0], vs[0] = h0, v0
-    h, v = h0, v0
+    h, v = float(h0), float(v0)
     admissible = n_steps
     for k in range(n_steps):
         k1h, k1v = v, 0.5 * params.pq_prime(h)
@@ -162,7 +170,7 @@ def _rk4_profile(params, h0, v0, x0, step, n_steps, h_max):
         v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         hs[k + 1], vs[k + 1] = h, v
         # stop past the admissible band or when the solution escapes to infinity
-        if params.eps * params.p(h) <= 0 or not np.isfinite(h) or abs(h) > h_max:
+        if params.eps * params.p(h) <= 0 or not math.isfinite(h) or abs(h) > h_max:
             admissible = k + 1
             break
     return hs[: admissible + 1], vs[: admissible + 1], admissible < n_steps

@@ -162,3 +162,10 @@ def test_grids_below_five_points_are_rejected(tmp_path, capsys):
             main([command, "--family", "T", "--a", "0.6", "--b", "0.8", "--nx", "1", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "at least 5 points" in capsys.readouterr().err
+
+
+def test_failed_precondition_is_a_typed_exit(tmp_path, capsys):
+    # 9 x 9 is too coarse for the Frenet data: integrate_cmc_frenet refuses them
+    code = main(["correspond", "--nx", "9", "--ny", "9", "--out", str(tmp_path)])
+    assert code == EXIT_VERIFICATION
+    assert "error: data residuals too large to integrate" in capsys.readouterr().err

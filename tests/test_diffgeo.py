@@ -307,6 +307,34 @@ def test_refined_record_slices_to_the_unrefined_one():
         surface_invariants(base, nx=9, ny=9, resid_refine=3)
 
 
+def test_numeric_jet_takes_nine_evaluations():
+    # each axis shift serves both its first and its second difference
+    base = chart("prop4_hyp")
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return base.evaluate(x, y)
+
+    ch = dataclasses.replace(base, name="evaluate-only", jet=None, evaluate=counted)
+    X, Y = ch.grid(9, 9, shrink=0.05)
+    d = 1e-3
+    jet = sample_jet(ch, X, Y, fd_step=d, numeric=True)
+    assert len(calls) == 9
+    ev = base.evaluate
+    p = ev(X, Y)
+    expected = {
+        "p": p,
+        "px": (ev(X + d, Y) - ev(X - d, Y)) / (2 * d),
+        "py": (ev(X, Y + d) - ev(X, Y - d)) / (2 * d),
+        "pxx": (ev(X + d, Y) - 2 * p + ev(X - d, Y)) / d**2,
+        "pyy": (ev(X, Y + d) - 2 * p + ev(X, Y - d)) / d**2,
+        "pxy": (ev(X + d, Y + d) - ev(X + d, Y - d) - ev(X - d, Y + d) + ev(X - d, Y - d)) / (4 * d**2),
+    }
+    for key, value in expected.items():
+        assert np.array_equal(getattr(jet, key), value), key
+
+
 def test_curvature_bounds():
     for key in ("prop4_sph", "T68", "circ11"):
         inv = small_inv(key)

@@ -389,3 +389,47 @@ def test_chart_needs_evaluate_or_jet():
     ch.jet = lambda x, y: calls.append(1) or jet(x, y)
     ch.evaluate(0.0, 0.0)
     assert calls == []
+
+
+@pytest.mark.parametrize("key", ["prop4_hyp", "prop4_sph", "phi0", "example2", "T_0.6_0.8"])
+def test_grid_jet_equals_single_point_jets(key):
+    # one-variable data are evaluated once per grid line and gathered: each
+    # node must carry bitwise the jet of that node alone
+    ch = pmc_sinh_family(1.0) if key == "example2" else get_chart(key)
+    X, Y = ch.grid(9, 7, shrink=0.05)
+    J = ch.jet(X, Y)
+    for i, j in [(0, 0), (0, 6), (8, 0), (8, 6), (3, 2), (4, 5), (7, 1)]:
+        single = ch.jet(X[i, j], Y[i, j])
+        for k in J:
+            assert np.array_equal(J[k][i, j], single[k]), (key, k, i, j)
+
+
+def test_signed_zero_abscissae_stay_apart():
+    # distinct values are told apart by bit pattern: tan(-0.0) = -0.0
+    ch = get_chart("phi0")
+    J = ch.jet(np.array([0.0, -0.0, 0.0]), np.array([0.1, 0.1, -0.0]))
+    assert np.signbit(J["p"][:, 0]).tolist() == [False, True, False]
+    assert np.signbit(J["p"][:, 1]).tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("solved", [False, True])
+def test_profile_data_evaluated_once_per_grid_line(monkeypatch, solved):
+    params = ProfileParams(-1, -2.0, 0.5, 0.3) if solved else ProfileParams(-1, -2.0, 1.0, 0.0)
+    if solved:
+        h = solve_profile(params, x_span=(-1.0, 1.0))
+    else:
+        h = closed_form("sinh_family", params, x_span=(-1.2, 1.2))
+    ch = pmc_profile_family(params, h)
+    ch.jet(0.0, 0.0)  # the curve factor computes its node slopes on first use
+    sizes = []
+    for name in ("h_at", "hp_at", "hpp_at"):
+        fn = getattr(h, name)
+
+        def counted(x, fn=fn):
+            sizes.append(np.size(x))
+            return fn(x)
+
+        monkeypatch.setattr(h, name, counted)
+    X, Y = ch.grid(129, 129, shrink=0.02)
+    ch.jet(X, Y)
+    assert sizes and max(sizes) <= 129
