@@ -102,7 +102,23 @@ def build_chart(args):
     if args.lift:
         chart = fam.geodesic_inclusion(chart)
     if dom is not None and name not in ("prop4", "prop6"):
+        own = chart.domain
         chart.domain = tuple(dom)
+        x0, x1, y0, y1 = dom
+        # the corners reach the rectangle's x and y extremes, where a sampled
+        # curve ends and past which a closed form's singularity leaves no value
+        try:
+            with np.errstate(all="ignore"):
+                corners = chart.evaluate(np.array([x0, x1, x0, x1]), np.array([y0, y0, y1, y1]))
+            if not np.all(np.isfinite(corners)):
+                raise DomainError("the chart is not finite at the rectangle's corners")
+        except DomainError as exc:
+            own_text = ",".join(f"{v:.6g}" for v in own)
+            raise InfeasibleParameters(
+                f"--domain reaches past what the {name} chart can evaluate"
+                f" (its own domain is {own_text}): {exc}",
+                "domain",
+            ) from exc
     return chart
 
 

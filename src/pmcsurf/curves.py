@@ -12,6 +12,7 @@ factor.  The curvature sign convention is k = <psi'', J psi'> / |psi'|^3 with
 the package-wide orientation of J.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -176,7 +177,12 @@ class CurveSpec:
 
 @dataclass
 class SampledCurve:
-    """Dense-output curve from ``integrate_curve``: psi with its moving frame."""
+    """Dense-output curve from ``integrate_curve``: psi with its moving frame.
+
+    ``point`` and ``frame`` (so also ``velocity`` and ``acceleration``) raise
+    ``DomainError`` at any x outside the node span [x[0], x[-1]]: the Hermite
+    interpolant is not extended past the data.
+    """
 
     spec: CurveSpec
     x: np.ndarray
@@ -192,6 +198,11 @@ class SampledCurve:
         return s * self.T, s * (k * N - self.spec.eps * self.psi)
 
     def _interp(self, x):
+        x = np.asarray(x, dtype=float)
+        if np.any((x < self.x[0]) | (x > self.x[-1])):
+            raise DomainError(
+                f"curve evaluated outside its sampled span [{self.x[0]:.6g}, {self.x[-1]:.6g}]"
+            )
         psi_p, T_p = self._node_slopes
         p = hermite_interp(self.x, self.psi, psi_p, x)
         t = hermite_interp(self.x, self.T, T_p, x)
@@ -250,17 +261,48 @@ def _sample_stages(spec, n, h):
     return s.reshape(n, 3).tolist(), k.reshape(n, 3).tolist()
 
 
-def _curve_rhs(spec, s, k, y):
-    psi, T = y[:3], y[3:]
-    N = cross_eps(psi, T, spec.eps)
-    return np.concatenate([s * T, s * (k * N - spec.eps * psi)])
+def _dot3(x0, x1, x2, y0, y1, y2, g):
+    """``inner`` of two 3-vectors of floats (g = eps), bitwise: einsum's summation order."""
+    return (x0 * y0 + (x2 * g) * y2) + x1 * y1
 
 
-def _renormalize(spec, y):
-    psi = project_to_factor(y[:3], spec.eps)
-    T = tangent_project3(psi, y[3:], spec.eps)
-    T = T / norm3(T, spec.eps)
-    return np.concatenate([psi, T])
+def _march(spec, n, h):
+    """The states (psi, T) at the nodes 0, h, ..., n h, as n + 1 tuples of six floats.
+
+    N = J T takes ``cross_eps``'s components; the projections are those of
+    ``project_to_factor``, ``tangent_project3`` and ``norm3``.
+    """
+    e, h = float(spec.eps), float(h)
+    hh, h6 = 0.5 * h, h / 6.0
+
+    def rhs(s, k, p0, p1, p2, t0, t1, t2):
+        n0 = p1 * t2 - p2 * t1
+        n1 = p2 * t0 - p0 * t2
+        n2 = (p0 * t1 - p1 * t0) * e
+        return (s * t0, s * t1, s * t2, s * (k * n0 - e * p0), s * (k * n1 - e * p1), s * (k * n2 - e * p2))
+
+    y = (*spec.p0.tolist(), *spec.T0.tolist())
+    states = [y]
+    speeds, curvatures = _sample_stages(spec, n, h)
+    for (s1, s2, s4), (c1, c2, c4) in zip(speeds, curvatures):
+        k1 = rhs(s1, c1, *y)
+        k2 = rhs(s2, c2, *[u + hh * v for u, v in zip(y, k1)])
+        k3 = rhs(s2, c2, *[u + hh * v for u, v in zip(y, k2)])
+        k4 = rhs(s4, c4, *[u + h * v for u, v in zip(y, k3)])
+        p0, p1, p2, t0, t1, t2 = [
+            u + h6 * (((a + 2.0 * b) + 2.0 * c) + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)
+        ]
+        q = e * _dot3(p0, p1, p2, p0, p1, p2, e)
+        if q <= 0:
+            raise DomainError("point cannot be projected onto the quadric (wrong causal type)")
+        r = math.sqrt(q)
+        p0, p1, p2 = p0 / r, p1 / r, p2 / r
+        w = e * _dot3(t0, t1, t2, p0, p1, p2, e)
+        t0, t1, t2 = t0 - w * p0, t1 - w * p1, t2 - w * p2
+        r = math.sqrt(_dot3(t0, t1, t2, t0, t1, t2, e))
+        y = (p0, p1, p2, t0 / r, t1 / r, t2 / r)
+        states.append(y)
+    return states
 
 
 def integrate_curve(spec, x_span=(-1.0, 1.0), step=None):
@@ -269,6 +311,15 @@ def integrate_curve(spec, x_span=(-1.0, 1.0), step=None):
     Fourth-order one-step integration of psi' = s T, T' = s (k N - eps psi),
     N = J T, with per-step projection of (psi, T) back onto the quadric and
     its tangent plane.  x = 0 anchors the initial frame (p0, T0).
+
+    The march carries (psi, T) as six Python floats, since numpy's per-call
+    overhead dominates on single 3-vectors.  It performs the operations of
+    the array formulas in their order, and sums each dot product as
+    (x0 y0 + x2 eps y2) + x1 y1, the order in which ``inner``'s einsum
+    reduces a 3-vector, so every node is bitwise what the array formulas of
+    ``ambient`` give (``tests/test_curves.py`` keeps that array march as its
+    oracle).  A point that cannot be projected onto the quadric raises
+    ``DomainError``, as in ``project_to_factor``.
 
     The march runs forward from 0, then backward.  Before each direction,
     ``spec.speed`` and ``spec.curvature`` are called once, on one flat array
@@ -282,27 +333,10 @@ def integrate_curve(spec, x_span=(-1.0, 1.0), step=None):
     if step is None:
         step = (x1 - x0) / 4000.0
 
-    y0 = np.concatenate([spec.p0, spec.T0])
-
-    def march(n, h):
-        ys = np.empty((n + 1, 6))
-        ys[0] = y0
-        y = y0.copy()
-        speeds, curvatures = _sample_stages(spec, n, h)
-        for i, ((s1, s2, s4), (c1, c2, c4)) in enumerate(zip(speeds, curvatures)):
-            k1 = _curve_rhs(spec, s1, c1, y)
-            k2 = _curve_rhs(spec, s2, c2, y + 0.5 * h * k1)
-            k3 = _curve_rhs(spec, s2, c2, y + 0.5 * h * k2)
-            k4 = _curve_rhs(spec, s4, c4, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            y = _renormalize(spec, y)
-            ys[i + 1] = y
-        return ys
-
     n1 = int(np.ceil(x1 / step - 1e-12)) if x1 > 0 else 0
     n0 = int(np.ceil(-x0 / step - 1e-12)) if x0 < 0 else 0
-    fwd = march(n1, step)
-    bwd = march(n0, -step)
+    fwd = np.array(_march(spec, n1, step))
+    bwd = np.array(_march(spec, n0, -step))
     x = np.concatenate([-step * np.arange(n0, 0, -1), step * np.arange(0, n1 + 1)])
     y = np.vstack([bwd[:0:-1], fwd])
     return SampledCurve(spec, x, y[:, :3], y[:, 3:])

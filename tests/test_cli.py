@@ -169,3 +169,37 @@ def test_failed_precondition_is_a_typed_exit(tmp_path, capsys):
     code = main(["correspond", "--nx", "9", "--ny", "9", "--out", str(tmp_path)])
     assert code == EXIT_VERIFICATION
     assert "error: data residuals too large to integrate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family, domain, own",
+    [
+        # the second factor is a sampled curve: past its nodes there is nothing to verify
+        (["--family", "phi0", "--hnorm", "0.25"], "--domain=-1.4,1.4,-1,1", "-0.923628,0.923628,-1.5,1.5"),
+        (["--family", "example2"], "--domain=-1.4,1.4,-1,1", "-1.176,1.176,-1.2,1.2"),
+        # the height -log cos x has no value past x = pi/2, yet every residual
+        # that verify checks reads only its derivatives
+        (["--family", "example5"], "--domain=-1.8,1.8,-1,1", "-1.3823,1.3823,-1.2,1.2"),
+    ],
+)
+def test_domain_the_chart_cannot_evaluate_is_infeasible(tmp_path, capsys, family, domain, own):
+    code = main(["verify", *family, domain, "--nx", "17", "--ny", "17", "--out", str(tmp_path)])
+    assert code == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert f"its own domain is {own}" in err
+    assert not list(tmp_path.glob("verify_*.txt"))
+
+
+@pytest.mark.parametrize(
+    "family, domain",
+    [
+        (["--family", "phi0", "--hnorm", "0.25"], "--domain=-0.9,0.9,-1,1"),
+        (["--family", "T", "--a", "0.6", "--b", "0.8"], "--domain=-9,9,-9,9"),
+    ],
+)
+def test_domain_overrides_the_chart_can_evaluate_still_verify(tmp_path, family, domain):
+    # narrower than the sampled curve, or any rectangle of a closed-form family
+    code = main(["verify", *family, domain, "--nx", "33", "--ny", "33", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    report = next(tmp_path.glob("verify_*.txt")).read_text()
+    assert "verdict=PASS" in report

@@ -3,15 +3,25 @@ import re
 import numpy as np
 import pytest
 
-from pmcsurf.ambient import factor_constraint, inner, norm3
+from pmcsurf import families as fam
+from pmcsurf.ambient import (
+    cross_eps,
+    factor_constraint,
+    inner,
+    norm3,
+    project_to_factor,
+    tangent_project3,
+)
 from pmcsurf.curves import (
     CurveSpec,
+    _dot3,
+    _sample_stages,
     constant_curvature_curve,
     extract_curvature,
     integrate_curve,
 )
 from pmcsurf.errors import DomainError, PreconditionError
-from pmcsurf.profile import ProfileParams, solve_profile
+from pmcsurf.profile import ProfileParams, closed_form, solve_profile
 
 
 def fd_curvature(point_fn, x, eps, d=2e-4):
@@ -254,3 +264,175 @@ def test_spec_validation():
         CurveSpec(+1, ones, ones, p0=np.array([1.0, 0.0, 0.1]), T0=np.array([0.0, 1.0, 0.0]))
     with pytest.raises(PreconditionError):
         CurveSpec(+1, ones, ones, p0=np.array([1.0, 0.0, 0.0]), T0=np.array([0.1, 1.0, 0.0]))
+
+
+# --- the float march against the array march it replaced -------------------
+#
+# The reference below is the numpy RK4 step that integrate_curve used before
+# it marched on Python floats.  Every node of the float march must equal it
+# bitwise: the chart builds, and through them the CLI artifacts, rest on it.
+
+
+def _reference_rhs(spec, s, k, y):
+    psi, T = y[:3], y[3:]
+    N = cross_eps(psi, T, spec.eps)
+    return np.concatenate([s * T, s * (k * N - spec.eps * psi)])
+
+
+def _reference_renormalize(spec, y):
+    psi = project_to_factor(y[:3], spec.eps)
+    T = tangent_project3(psi, y[3:], spec.eps)
+    T = T / norm3(T, spec.eps)
+    return np.concatenate([psi, T])
+
+
+def _reference_integrate(spec, x_span, step):
+    """(x, psi, T) from the array RK4 march, forward from 0 and then backward."""
+    x0, x1 = float(x_span[0]), float(x_span[1])
+    y0 = np.concatenate([spec.p0, spec.T0])
+
+    def march(n, h):
+        ys = np.empty((n + 1, 6))
+        ys[0] = y0
+        y = y0.copy()
+        speeds, curvatures = _sample_stages(spec, n, h)
+        for i, ((s1, s2, s4), (c1, c2, c4)) in enumerate(zip(speeds, curvatures)):
+            k1 = _reference_rhs(spec, s1, c1, y)
+            k2 = _reference_rhs(spec, s2, c2, y + 0.5 * h * k1)
+            k3 = _reference_rhs(spec, s2, c2, y + 0.5 * h * k2)
+            k4 = _reference_rhs(spec, s4, c4, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            y = _reference_renormalize(spec, y)
+            ys[i + 1] = y
+        return ys
+
+    n1 = int(np.ceil(x1 / step - 1e-12)) if x1 > 0 else 0
+    n0 = int(np.ceil(-x0 / step - 1e-12)) if x0 < 0 else 0
+    fwd = march(n1, step)
+    bwd = march(n0, -step)
+    x = np.concatenate([-step * np.arange(n0, 0, -1), step * np.arange(0, n1 + 1)])
+    y = np.vstack([bwd[:0:-1], fwd])
+    return x, y[:, :3], y[:, 3:]
+
+
+def _family_curve(build):
+    """The (spec, x_span, step) with which a family builder integrates its curve."""
+    calls = []
+    original = fam.integrate_curve
+
+    def recording(spec, x_span=(-1.0, 1.0), step=None):
+        calls.append((spec, x_span, step))
+        return original(spec, x_span=x_span, step=step)
+
+    fam.integrate_curve = recording
+    try:
+        build()
+    finally:
+        fam.integrate_curve = original
+    assert len(calls) == 1
+    return calls[0]
+
+
+def _profile_member(eps, a, b, c, kind, x_span=(-1.2, 1.2)):
+    params = ProfileParams(eps, a, b, c)
+    h = closed_form(kind, params, x_span=x_span) if kind else solve_profile(params, x_span=x_span)
+    return lambda: fam.pmc_profile_family(params, h)
+
+
+def _random_spec(eps, seed):
+    rng = np.random.default_rng(seed)
+    a0, a1, b0, b1 = rng.uniform(0.3, 1.5), rng.uniform(-0.8, 0.8), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)
+    p0 = np.array([1.0, 0.0, 0.0]) if eps == 1 else np.array([0.0, 0.0, 1.0])
+    return CurveSpec(
+        eps,
+        speed=lambda x: a0 + 0.2 * np.sin(a1 + x),
+        curvature=lambda x: b0 + 0.5 * np.cos(b1 + 2 * x),
+        p0=p0,
+        T0=np.array([0.0, 1.0, 0.0]),
+    )
+
+
+ORACLE_CASES = {
+    # the report battery's sinh, sn (--domain=-1.6,1.6) and phi0 curves
+    "sinh": lambda: _family_curve(_profile_member(-1, -2.0, 1.0, 0.0, "sinh_family")),
+    "sn": lambda: _family_curve(_profile_member(1, 2.0, 1.0, 0.0, "sn_family", (-1.6, 1.6))),
+    "phi0": lambda: _family_curve(lambda: fam.pmc_phi0(0.25)),
+    "solved": lambda: _family_curve(_profile_member(-1, -2.0, 0.5, 0.3, None)),
+    "tan": lambda: _family_curve(_profile_member(-1, -1.0, 0.5, 0.0, "tan_family")),
+    "random_sphere": lambda: (_random_spec(1, 11), (-1.0, 1.0), 2e-3),
+    "random_hyperbolic": lambda: (_random_spec(-1, 12), (-1.0, 1.0), 2e-3),
+    # neither end is a multiple of the step
+    "ragged_span": lambda: (_random_spec(-1, 13), (-0.3717, 0.8123), 3e-3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_float_march_bitwise_equals_array_march(case):
+    spec, x_span, step = ORACLE_CASES[case]()
+    if step is None:
+        step = (x_span[1] - x_span[0]) / 4000.0
+    curve = integrate_curve(spec, x_span=x_span, step=step)
+    x, psi, T = _reference_integrate(spec, x_span, step)
+    assert np.array_equal(curve.x, x)
+    assert np.array_equal(curve.psi, psi)
+    assert np.array_equal(curve.T, T)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_inner_sums_in_the_float_march_order(eps):
+    # the float march sums its dot products as (x0 y0 + x2 g y2) + x1 y1, the order
+    # of inner's einsum reduction; a numpy whose einsum sums otherwise fails here
+    rng = np.random.default_rng(20 + eps)
+    X = rng.standard_normal((10_000, 3)) * rng.uniform(0.1, 10.0, size=(10_000, 1))
+    Y = rng.standard_normal((10_000, 3))
+    scalar = np.array([_dot3(*x, *y, float(eps)) for x, y in zip(X.tolist(), Y.tolist())])
+    assert np.array_equal(inner(X, Y, eps), scalar)
+    # the march's reference took inner of single 3-vectors
+    assert np.array_equal(np.array([inner(x, y, eps) for x, y in zip(X[:1000], Y[:1000])]), scalar[:1000])
+
+
+def test_sampled_curve_refuses_points_outside_its_span():
+    spec = _random_spec(-1, 14)
+    curve = integrate_curve(spec, x_span=(-0.5, 0.5), step=1e-2)
+    ends = np.array([curve.x[0], curve.x[-1]])
+    assert np.all(np.isfinite(curve.point(ends)))
+    for outside in (curve.x[0] - 1e-3, curve.x[-1] + 1e-3):
+        with pytest.raises(DomainError, match="sampled span"):
+            curve.point(np.array([0.0, outside]))
+        with pytest.raises(DomainError, match="sampled span"):
+            curve.frame(outside)
+        with pytest.raises(DomainError, match="sampled span"):
+            curve.acceleration(outside)
+
+
+# --- constant speed and curvature: the march against the closed form --------
+
+PROPERTY_STEP = 2e-3
+# Fourth order: at the worst corner of the strategy (s = 2, |k| = 3) the march
+# errs by 28.5 step^4 on x in [-1, 1]; the bound allows 64 step^4 (1.0e-9).
+PROPERTY_BOUND = 64 * PROPERTY_STEP**4
+
+
+def test_constant_data_march_matches_closed_form():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(s=st.floats(0.5, 2.0), k=st.floats(-3.0, 3.0), eps=st.sampled_from([1, -1]))
+    def check(s, k, eps):
+        p0 = np.array([1.0, 0.0, 0.0]) if eps == 1 else np.array([0.0, 0.0, 1.0])
+        T0 = np.array([0.0, 1.0, 0.0]) if eps == 1 else np.array([1.0, 0.0, 0.0])
+        spec = CurveSpec(
+            eps,
+            speed=lambda x: np.full(np.shape(x), s),
+            curvature=lambda x: np.full(np.shape(x), k),
+            p0=p0,
+            T0=T0,
+        )
+        curve = integrate_curve(spec, x_span=(-1.0, 1.0), step=PROPERTY_STEP)
+        assert curve.constraint_defect() <= 1e-12
+        # the closed form is arclength-parametrized: x covers arclength s x
+        exact = constant_curvature_curve(eps, k, p0=p0, T0=T0).point(s * curve.x)
+        assert np.max(np.abs(curve.psi - exact)) <= PROPERTY_BOUND
+
+    check()
