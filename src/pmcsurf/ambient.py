@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 
-# Default tolerance for tangency / on-manifold preconditions.
+# Tolerance for tangency / on-manifold preconditions.
 TANGENCY_TOL = 1e-8
 
 
@@ -88,7 +88,7 @@ def tangent_project3(p, v, eps):
     return np.asarray(v) - check_eps(eps) * coef[..., None] * np.asarray(p)
 
 
-def factor_j(p, v, eps, check=True, tol=TANGENCY_TOL):
+def factor_j(p, v, eps, check=True):
     """Rotation by +90 degrees in T_p M2(eps): J v = cross_eps(p, v).
 
     Satisfies J(Jv) = -v, |Jv| = |v| and <Jv, v> = 0 on tangent vectors.
@@ -98,22 +98,22 @@ def factor_j(p, v, eps, check=True, tol=TANGENCY_TOL):
     v = np.asarray(v)
     if check:
         defect = np.abs(inner(p, v, eps))
-        if np.any(defect > tol):
+        if np.any(defect > TANGENCY_TOL):
             raise PreconditionError(
-                f"vector not tangent: max |<p,v>_eps| = {float(np.max(defect)):.3e} > {tol:.1e}"
+                f"vector not tangent: max |<p,v>_eps| = {float(np.max(defect)):.3e} > {TANGENCY_TOL:.1e}"
             )
     return cross_eps(p, v, eps)
 
 
-def product_j(which, P, V, eps, check=True, tol=TANGENCY_TOL):
+def product_j(which, P, V, eps, check=True):
     """The product complex structures J1 = (J, J) and J2 = (J, -J), blockwise."""
     if which not in (1, 2):
         raise DomainError(f"which must be 1 or 2, got {which}")
     P = np.asarray(P, dtype=float)
     V = np.asarray(V)
     out = np.empty_like(V)
-    out[..., :3] = factor_j(P[..., :3], V[..., :3], eps, check=check, tol=tol)
-    second = factor_j(P[..., 3:], V[..., 3:], eps, check=check, tol=tol)
+    out[..., :3] = factor_j(P[..., :3], V[..., :3], eps, check=check)
+    second = factor_j(P[..., 3:], V[..., 3:], eps, check=check)
     out[..., 3:] = second if which == 1 else -second
     return out
 

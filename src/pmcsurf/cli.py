@@ -167,7 +167,7 @@ def write_obj(path, vertices, nx, ny):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _disk_projection(pts3, eps, poincare):
+def _disk_projection(pts3, poincare):
     """2D picture of a factor point: Poincare disk / stereographic projection."""
     if not poincare:
         return pts3
@@ -201,14 +201,14 @@ def cmd_generate(args):
     stem = chart.name.replace("(", "_").replace(")", "")
     files = []
     if chart.target == fam.TARGET_PRODUCT:
-        first = _disk_projection(P[..., :3], chart.eps, args.poincare and chart.eps == -1)
-        second = _disk_projection(P[..., 3:], chart.eps, args.poincare and chart.eps == -1)
+        first = _disk_projection(P[..., :3], args.poincare and chart.eps == -1)
+        second = _disk_projection(P[..., 3:], args.poincare and chart.eps == -1)
         for tag, pts in (("factor1", first), ("factor2", second)):
             path = out / f"{stem}_{tag}.obj"
             write_obj(path, pts.reshape(-1, 3), nx, ny)
             files.append(path)
     else:
-        flat = _disk_projection(P[..., :3], chart.eps, True)
+        flat = _disk_projection(P[..., :3], True)
         mesh = np.concatenate([flat[..., :2], P[..., 3:4]], axis=-1)
         path = out / f"{stem}.obj"
         write_obj(path, mesh.reshape(-1, 3), nx, ny)
@@ -256,13 +256,7 @@ def cmd_generate(args):
 
 def _verify_product(chart, args):
     checks = []
-    inv = surface_invariants(
-        chart,
-        nx=args.nx,
-        ny=args.ny,
-        fd_step=args.fd_step,
-        numeric=args.fd_step is not None or chart.jet is None,
-    )
+    inv = surface_invariants(chart, nx=args.nx, ny=args.ny, fd_step=args.fd_step)
     checks.append(("conformal_defect", float(np.max(inv.conformal_defect)), 1e-6))
     checks.append(("parallelism", inv.parallelism_residual, 1e-5))
     for key in sorted(inv.identity_residuals):
@@ -292,7 +286,6 @@ def _verify_cmc(chart, args):
         nx=args.nx,
         ny=args.ny,
         fd_step=args.fd_step,
-        numeric=args.fd_step is not None or chart.jet is None,
         h_const_tol=1e-2 if args.fd_step else 1e-6,
     )
     checks = [
@@ -377,7 +370,7 @@ def cmd_correspond(args):
         ar = abresch_rosenberg(rec, nx=min(args.nx, 41), ny=min(args.ny, 41), shrink=0.04, h_const_tol=1e-3)
         X, Y = rec.grid(args.nx, args.ny, shrink=0.02)
         P = rec.evaluate(X, Y)
-        flat = _disk_projection(P[..., :3], chart.eps, True)
+        flat = _disk_projection(P[..., :3], True)
         mesh = np.concatenate([flat[..., :2], P[..., 3:4]], axis=-1)
         write_obj(out / f"cmc_chart_j{j}.obj", mesh.reshape(-1, 3), args.nx, args.ny)
         report.append(f"reconstruction_{j}_H={float(np.mean(ar.H_scalar)):.12g}")
@@ -454,7 +447,7 @@ def _add_common(sub):
         "--domain", type=_parse_domain, default=None, metavar="x0,x1,y0,y1",
         help="chart rectangle; use --domain=-1,1,-1,1 when values start with a minus sign",
     )
-    sub.add_argument("--fd-step", dest="fd_step", type=float, default=None)
+    sub.add_argument("--fd-step", dest="fd_step", type=_fd_step, default=None)
     sub.add_argument("--tol", type=float, default=1e-4)
     sub.add_argument("--poincare", action="store_true")
     sub.add_argument("--out", default="out")
@@ -468,10 +461,26 @@ def _grid_size(text):
     return n
 
 
+def _fd_step(text):
+    """Step of the numeric jets: a positive, finite number."""
+    d = float(text)
+    if not (np.isfinite(d) and d > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return d
+
+
 def _parse_domain(text):
+    """Rectangle x0,x1,y0,y1 with finite ends, x0 < x1 and y0 < y1."""
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("domain needs four numbers x0,x1,y0,y1")
+    x0, x1, y0, y1 = parts
+    if not np.all(np.isfinite(parts)):
+        raise argparse.ArgumentTypeError(f"domain ends must be finite, got {text}")
+    if not x0 < x1:
+        raise argparse.ArgumentTypeError(f"domain needs x0 < x1, got {text}")
+    if not y0 < y1:
+        raise argparse.ArgumentTypeError(f"domain needs y0 < y1, got {text}")
     return tuple(parts)
 
 

@@ -33,6 +33,8 @@ from .utils import write_columns_csv
 
 PARALLELISM_GATE = 1e-4
 DATA_TOL = 1e-3
+MIXED_TOL = 1e-5  # gate on the mixed-partial residual of the eta integrands
+CONGRUENCE_TOL = 1e-3  # aligned distance below which two charts count as congruent
 _BLOCK_ROWS = 8  # rows of the half-step grid per field evaluation
 
 
@@ -170,16 +172,16 @@ def pmc_compatibility_residuals(data):
     return out
 
 
-def extract_pmc_data(chart, nx=81, ny=81, shrink=0.02, parallelism_gate=PARALLELISM_GATE):
+def extract_pmc_data(chart, nx=81, ny=81):
     """Sample the Frenet data of a PMC chart, refusing non-parallel charts."""
     if chart.target != TARGET_PRODUCT:
         raise DomainError("extract_pmc_data expects a product chart")
-    X, Y = chart.grid(nx, ny, shrink=shrink)
+    X, Y = chart.grid(nx, ny, shrink=0.02)
     resid = parallelism_residual(chart, X[:: max(1, nx // 16), :: max(1, ny // 16)],
                                  Y[:: max(1, nx // 16), :: max(1, ny // 16)], 5e-4)
-    if resid > parallelism_gate:
+    if resid > PARALLELISM_GATE:
         raise PreconditionError(
-            f"chart is not PMC: parallelism residual {resid:.2e} > {parallelism_gate:.1e}"
+            f"chart is not PMC: parallelism residual {resid:.2e} > {PARALLELISM_GATE:.1e}"
         )
     fields = _pmc_point_fields(chart)
     F = fields(X, Y)
@@ -236,7 +238,7 @@ def _path_integrate(x, y, gx, gy, gx_fn=None, gy_fn=None):
     return eta
 
 
-def pmc_to_cmc(data, j, mixed_tol=1e-5):
+def pmc_to_cmc(data, j):
     """Forward data map of the correspondence: (u, C_j, gamma_j, f_j) to (u, nu, p, eta).
 
     eta comes from path integration of eta_x = -sqrt(2) Im gamma_j,
@@ -257,7 +259,7 @@ def pmc_to_cmc(data, j, mixed_tol=1e-5):
     mixed = normalized_mismatch(
         cross1[1:-1, 1:-1], cross2[1:-1, 1:-1], terms=(np.abs(gx) + np.abs(gy),)
     )
-    if mixed > mixed_tol:
+    if mixed > MIXED_TOL:
         raise VerificationError(
             f"eta path integration inconsistent: mixed-partial residual {mixed:.2e}"
         )
@@ -273,12 +275,12 @@ def pmc_to_cmc(data, j, mixed_tol=1e-5):
     fields = None
     if pf is not None:
 
-        def fields(xs, ys, _pf=pf, _j=j):
-            F = _pf(xs, ys)
-            g = F[f"gamma{_j}"]
+        def fields(xs, ys):
+            F = pf(xs, ys)
+            g = F[f"gamma{j}"]
             return {
                 "u": F["u"], "ux": F["ux"], "uy": F["uy"],
-                "nu": F[f"C{_j}"], "p": np.sqrt(2.0) * F[f"f{_j}"],
+                "nu": F[f"C{j}"], "p": np.sqrt(2.0) * F[f"f{j}"],
                 "eta_x": -np.sqrt(2.0) * g.imag, "eta_y": -np.sqrt(2.0) * g.real,
             }
 
@@ -330,7 +332,7 @@ def cmc_compatibility_residuals(data):
     return out
 
 
-def cmc_to_pmc(data1, data2, tol=DATA_TOL):
+def cmc_to_pmc(data1, data2):
     """Inverse data map: two CMC data sets with equal (u, H) assemble to PMC data."""
     if data1.eps != data2.eps:
         raise DomainError("signatures differ")
@@ -338,18 +340,19 @@ def cmc_to_pmc(data1, data2, tol=DATA_TOL):
         np.abs(data1.y - data2.y)
     ) > 1e-12:
         raise DomainError("grids differ")
-    if np.max(np.abs(data1.u - data2.u)) > tol:
+    if np.max(np.abs(data1.u - data2.u)) > DATA_TOL:
         raise DomainError("induced metrics differ: the data do not describe one surface")
-    if abs(data1.Hval - data2.Hval) > tol:
+    if abs(data1.Hval - data2.Hval) > DATA_TOL:
         raise DomainError("mean curvatures differ")
 
     def gamma_of(d):
         return -1j * np.sqrt(2.0) * d.eta_z()
 
+    f1, f2 = data1.fields, data2.fields
     fields = None
-    if data1.fields is not None and data2.fields is not None:
+    if f1 is not None and f2 is not None:
 
-        def fields(xs, ys, f1=data1.fields, f2=data2.fields):
+        def fields(xs, ys):
             F1 = f1(xs, ys)
             F2 = f2(xs, ys)
             def gm(F):
@@ -467,7 +470,7 @@ def initial_pmc_state(eps, u0, C1, C2, gamma1, gamma2):
 # ---------------------------------------------------------------------------
 
 
-def _spline_chart(x, y, fields_by_name, eps, target, name, metadata, domain_pad=0.0):
+def _spline_chart(x, y, fields_by_name, eps, target, name, metadata):
     """Wrap gridded jet fields into an ImmersionChart via quintic splines."""
     xs = x[:, 0]
     ys = y[0, :]
@@ -493,9 +496,9 @@ def _spline_chart(x, y, fields_by_name, eps, target, name, metadata, domain_pad=
     def jet(X, Y):
         return {key: eval_field(key, X, Y) for key in ("p", "px", "py", "pxx", "pxy", "pyy")}
 
-    domain = (xs[0] + domain_pad, xs[-1] - domain_pad, ys[0] + domain_pad, ys[-1] - domain_pad)
     return ImmersionChart(
-        name=name, eps=eps, target=target, domain=domain, evaluate=evaluate, jet=jet, metadata=metadata
+        name=name, eps=eps, target=target, domain=(xs[0], xs[-1], ys[0], ys[-1]),
+        evaluate=evaluate, jet=jet, metadata=metadata,
     )
 
 
@@ -678,7 +681,7 @@ def _march_grid(system, init, G, x, y):
     return states, closure
 
 
-def integrate_cmc_frenet(data, init=None, resid_tol=DATA_TOL, recertify=True):
+def integrate_cmc_frenet(data, resid_tol=DATA_TOL, recertify=True):
     """Rebuild the CMC immersion from its data by integrating the Frenet system.
 
     The data are sampled once on the half-step grid (the nodes and the
@@ -693,13 +696,12 @@ def integrate_cmc_frenet(data, init=None, resid_tol=DATA_TOL, recertify=True):
     eps = data.eps
     X, Y = data.x, data.y
     nx, ny = X.shape
-    if init is None:
-        init = initial_cmc_state(
-            eps, float(G["u"][0, 0]), float(G["nu"][0, 0]), float(G["eta_x"][0, 0]), float(G["eta_y"][0, 0]),
-            eta0=float(data.eta[0, 0]),
-        )
+    init = initial_cmc_state(
+        eps, float(G["u"][0, 0]), float(G["nu"][0, 0]), float(G["eta_x"][0, 0]), float(G["eta_y"][0, 0]),
+        eta0=float(data.eta[0, 0]),
+    )
     system = _FrenetSystem(4, partial(_cmc_rhs_blocks, eps, Hval=data.Hval), partial(_project_cmc_state, eps))
-    states, closure = _march_grid(system, np.asarray(init, dtype=float), G, X, Y)
+    states, closure = _march_grid(system, init, G, X, Y)
 
     # assemble jets from the Frenet right-hand side at the nodes
     Fg = {k: v[::2, ::2] for k, v in G.items()}
@@ -810,7 +812,7 @@ def _project_pmc_state(eps, S, u_val):
     return _pack_pmc(Phi, eu[..., None] * e1, eu[..., None] * e2, xi)
 
 
-def integrate_pmc_frenet(data, init=None, resid_tol=DATA_TOL, recertify=True):
+def integrate_pmc_frenet(data, resid_tol=DATA_TOL, recertify=True):
     """Rebuild the PMC immersion from its data by integrating the Frenet system.
 
     The data are sampled once on the half-step grid and marched as in
@@ -820,14 +822,12 @@ def integrate_pmc_frenet(data, init=None, resid_tol=DATA_TOL, recertify=True):
     eps = data.eps
     X, Y = data.x, data.y
     nx, ny = X.shape
-    if init is None:
-        Phi0, Px0, Py0, xi0 = initial_pmc_state(
-            eps, float(G["u"][0, 0]), float(G["C1"][0, 0]), float(G["C2"][0, 0]),
-            complex(G["gamma1"][0, 0]), complex(G["gamma2"][0, 0]),
-        )
-        init = _pack_pmc(Phi0, Px0, Py0, xi0)
+    init = _pack_pmc(*initial_pmc_state(
+        eps, float(G["u"][0, 0]), float(G["C1"][0, 0]), float(G["C2"][0, 0]),
+        complex(G["gamma1"][0, 0]), complex(G["gamma2"][0, 0]),
+    ))
     system = _FrenetSystem(6, partial(_pmc_rhs_blocks, eps, Hval=data.Hnorm), partial(_project_pmc_state, eps))
-    states, closure = _march_grid(system, np.asarray(init, dtype=float), G, X, Y)
+    states, closure = _march_grid(system, init, G, X, Y)
 
     Fg = {k: v[::2, ::2] for k, v in G.items()}
     Phi, Px, Py, _ = _unpack_pmc(states)
@@ -895,7 +895,7 @@ class CongruenceVerdict:
     details: dict = field(default_factory=dict)
 
 
-def weak_congruence_check(chartA, chartB, nx=41, ny=41, tol=1e-3):
+def weak_congruence_check(chartA, chartB, nx=41, ny=41):
     """Weak congruence of two charts into M2(eps) x R.
 
     Searches over the domain reflection z -> zbar composed with ambient
@@ -935,7 +935,7 @@ def weak_congruence_check(chartA, chartB, nx=41, ny=41, tol=1e-3):
             dist = max(dist_factor, dist_h)
             if best is None or dist < best.distance:
                 best = CongruenceVerdict(
-                    congruent=bool(dist <= tol),
+                    congruent=bool(dist <= CONGRUENCE_TOL),
                     distance=float(dist),
                     domain_map=domain_map,
                     details={"reflect": reflect, "height_sign": s, "height_offset": c},
@@ -945,10 +945,10 @@ def weak_congruence_check(chartA, chartB, nx=41, ny=41, tol=1e-3):
     return best
 
 
-def product_alignment_distance(chartA, chartB, nx=25, ny=25, shrink=0.05):
+def product_alignment_distance(chartA, chartB, nx=25, ny=25):
     """Aligned max distance between two product charts (per-factor frame matching)."""
     eps = chartA.eps
-    X, Y = chartA.grid(nx, ny, shrink=shrink)
+    X, Y = chartA.grid(nx, ny, shrink=0.05)
     PA = chartA.evaluate(X, Y)
     PB = chartB.evaluate(X, Y)
     jA = sample_jet(chartA, X, Y)

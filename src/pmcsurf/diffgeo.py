@@ -25,6 +25,9 @@ from .families import TARGET_CIRCLE, TARGET_LINE, TARGET_PRODUCT, ImmersionChart
 from .utils import write_columns_csv
 
 EPS_FLOOR = 1e-12
+MIN_HNORM = 1e-10  # below this |H| the surface counts as minimal and Htilde is undefined
+SHRINK = 0.02  # margin fraction cut from each side of the chart rectangle before sampling
+PARALLELISM_DELTA = 5e-4  # step of the centered difference of H in the parallelism residual
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +48,6 @@ class JetSample:
     pxx: np.ndarray
     pxy: np.ndarray
     pyy: np.ndarray
-    fd_step: Optional[float] = None  # None means the analytic jet was used
 
     @property
     def eps(self):
@@ -60,14 +62,14 @@ class JetSample:
         return inner(v, w, self.eps)
 
 
-def sample_jet(chart, x, y, fd_step=None, numeric=False):
-    """2-jet of the chart at samples (x, y), analytic when available.
+def sample_jet(chart, x, y, fd_step=None):
+    """2-jet of the chart at samples (x, y): the analytic one unless ``fd_step`` is given.
 
-    With ``numeric=True`` (or when the chart has no analytic jet) centered
-    second-order differences of ``evaluate`` with step ``fd_step`` are used:
-    nine ``evaluate`` calls, at (x, y), the four axis shifts by +-fd_step
-    (each shared by the first and second difference along its axis) and the
-    four diagonal shifts of the mixed difference.
+    A given ``fd_step`` (required when the chart has no analytic jet) selects
+    centered second-order differences of ``evaluate`` with that step, which
+    must be positive and finite: nine ``evaluate`` calls, at (x, y), the four
+    axis shifts by +-fd_step (each shared by the first and second difference
+    along its axis) and the four diagonal shifts of the mixed difference.
     Samples must stay inside the chart domain with an fd_step margin.
     """
     x = np.asarray(x, dtype=float)
@@ -81,14 +83,16 @@ def sample_jet(chart, x, y, fd_step=None, numeric=False):
     ):
         raise DomainError("samples fall outside the chart domain")
 
-    if chart.jet is not None and not numeric:
+    if fd_step is None:
+        if chart.jet is None:
+            raise DomainError("numeric jets need an explicit fd_step")
         J = chart.jet(x, y)
         return JetSample(chart, x, y, J["p"], J["px"], J["py"], J["pxx"], J["pxy"], J["pyy"])
 
-    if fd_step is None:
-        raise DomainError("numeric jets need an explicit fd_step")
-    ev = chart.evaluate
     d = float(fd_step)
+    if not (np.isfinite(d) and d > 0):
+        raise DomainError(f"fd_step must be positive and finite, got {fd_step}")
+    ev = chart.evaluate
     p = ev(x, y)
     p_xp, p_xm = ev(x + d, y), ev(x - d, y)
     p_yp, p_ym = ev(x, y + d), ev(x, y - d)
@@ -97,7 +101,7 @@ def sample_jet(chart, x, y, fd_step=None, numeric=False):
     pxx = (p_xp - 2 * p + p_xm) / d**2
     pyy = (p_yp - 2 * p + p_ym) / d**2
     pxy = (ev(x + d, y + d) - ev(x + d, y - d) - ev(x - d, y + d) + ev(x - d, y - d)) / (4 * d**2)
-    return JetSample(chart, x, y, p, px, py, pxx, pxy, pyy, fd_step=d)
+    return JetSample(chart, x, y, p, px, py, pxx, pxy, pyy)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +174,7 @@ def _metric_complement(jet, vectors):
     return n * metric_diag(jet.eps, 6)
 
 
-def normal_frame(jet, min_h=1e-10):
+def normal_frame(jet):
     """Mean curvature vector H, its oriented normal companion Htilde, and xi.
 
     H is the normal projection of (Phi_xx + Phi_yy) / (2 e^{2u}); Htilde the
@@ -183,7 +187,7 @@ def normal_frame(jet, min_h=1e-10):
     eps = jet.eps
     H, proj, e1, e2 = _mean_curvature(jet)
     Hsq = jet.ip(H, H)
-    if np.any(Hsq < min_h**2):
+    if np.any(Hsq < MIN_HNORM**2):
         raise DomainError("minimal surface: H is (numerically) null, Htilde undefined")
     Hnorm = np.sqrt(Hsq)
 
@@ -321,8 +325,8 @@ def grid_laplacian_richardson(f, dx, dy):
     return out
 
 
-def normalized_mismatch(lhs, rhs, region=None, terms=()):
-    """max |lhs - rhs| over the region, divided by the natural equation scale.
+def normalized_mismatch(lhs, rhs, terms=()):
+    """max |lhs - rhs|, divided by the natural equation scale.
 
     The scale is max(|lhs|, |rhs|, |terms...|) + floor; passing the individual
     summands of an identity as ``terms`` keeps the normalization meaningful
@@ -330,9 +334,6 @@ def normalized_mismatch(lhs, rhs, region=None, terms=()):
     """
     lhs = np.asarray(lhs)
     rhs = np.asarray(rhs)
-    if region is not None:
-        lhs = lhs[region]
-        rhs = rhs[region]
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     for t in terms:
         scale = max(scale, float(np.max(np.abs(np.asarray(t)))))
@@ -429,13 +430,13 @@ class SurfaceInvariants:
         })
 
 
-def parallelism_residual(chart, X, Y, delta, fd_step=None, numeric=False):
+def parallelism_residual(chart, X, Y, delta, fd_step=None):
     """Max normalized normal-derivative of H over the samples: certifies PMC."""
 
     def h_at(xs, ys):
-        return _mean_curvature(sample_jet(chart, xs, ys, fd_step=fd_step, numeric=numeric))[0]
+        return _mean_curvature(sample_jet(chart, xs, ys, fd_step=fd_step))[0]
 
-    jet0 = sample_jet(chart, X, Y, fd_step=fd_step, numeric=numeric)
+    jet0 = sample_jet(chart, X, Y, fd_step=fd_step)
     Hc, proj0, _, _ = _mean_curvature(jet0)
     dHx = (h_at(X + delta, Y) - h_at(X - delta, Y)) / (2 * delta)
     dHy = (h_at(X, Y + delta) - h_at(X, Y - delta)) / (2 * delta)
@@ -445,16 +446,7 @@ def parallelism_residual(chart, X, Y, delta, fd_step=None, numeric=False):
     return float(np.max(np.maximum(rx, ry) / hn))
 
 
-def surface_invariants(
-    chart,
-    nx=81,
-    ny=81,
-    shrink=0.02,
-    fd_step=None,
-    numeric=False,
-    parallelism_delta=5e-4,
-    resid_refine=4,
-):
+def surface_invariants(chart, nx=81, ny=81, fd_step=None, resid_refine=4):
     """Compute the full invariant record of a product chart on an nx x ny grid.
 
     The chart is sampled once, on r(nx-1)+1 x r(ny-1)+1 points (r = ``resid_refine``);
@@ -469,8 +461,8 @@ def surface_invariants(
     r = resid_refine
     if r < 1 or r & (r - 1):
         raise DomainError(f"resid_refine must be a power of two, got {r}")
-    Xr, Yr = chart.grid(r * (nx - 1) + 1, r * (ny - 1) + 1, shrink=shrink)
-    jet = sample_jet(chart, Xr, Yr, fd_step=fd_step, numeric=numeric)
+    Xr, Yr = chart.grid(r * (nx - 1) + 1, r * (ny - 1) + 1, shrink=SHRINK)
+    jet = sample_jet(chart, Xr, Yr, fd_step=fd_step)
 
     u, defect = conformal_data(jet)
     frame = normal_frame(jet)
@@ -519,9 +511,7 @@ def surface_invariants(
     inv = SurfaceInvariants(
         chart=chart,
         K=-np.exp(-2 * u) * grid_laplacian(u, dx, dy),
-        parallelism_residual=parallelism_residual(
-            chart, X, Y, parallelism_delta, fd_step=fd_step, numeric=numeric
-        ),
+        parallelism_residual=parallelism_residual(chart, X, Y, PARALLELISM_DELTA, fd_step=fd_step),
         identity_residuals=residuals,
         **pointwise,
     )
@@ -704,7 +694,7 @@ class CmcData:
     residuals: dict = field(default_factory=dict)
 
 
-def abresch_rosenberg(chart, nx=81, ny=81, shrink=0.02, fd_step=None, numeric=False, h_const_tol=1e-6):
+def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK, fd_step=None, h_const_tol=1e-6):
     """Abresch-Rosenberg data theta_AR = H p - (eps/2) eta_z^2 of a CMC chart.
 
     The unit normal N is aligned with the mean curvature vector, so the scalar
@@ -716,7 +706,7 @@ def abresch_rosenberg(chart, nx=81, ny=81, shrink=0.02, fd_step=None, numeric=Fa
     X, Y = chart.grid(nx, ny, shrink=shrink)
     dx = X[1, 0] - X[0, 0]
     dy = Y[0, 1] - Y[0, 0]
-    jet = sample_jet(chart, X, Y, fd_step=fd_step, numeric=numeric)
+    jet = sample_jet(chart, X, Y, fd_step=fd_step)
     eps = chart.eps
 
     u, defect = conformal_data(jet)

@@ -247,7 +247,7 @@ def _first_factor_jet(params, h, xs, ix, ys, iy):
     return _jet_dict(p, px, py, pxx, pxy, pyy)
 
 
-def _profile_psi_curve(params, h, step=None):
+def _profile_psi_curve(params, h):
     """Second-factor curve of the invariant families: |psi'|^2 = b (1 + (h-c)^2)."""
     eps, b, c = params.eps, params.b, params.c
 
@@ -264,9 +264,7 @@ def _profile_psi_curve(params, h, step=None):
     T0 = np.array([0.0, 1.0, 0.0]) if eps == +1 else np.array([1.0, 0.0, 0.0])
     spec = CurveSpec(eps, speed, curvature, p0=p0, T0=T0, speed_prime=speed_prime)
     lo, hi = h.span
-    if step is None:
-        step = min(1e-3, (hi - lo) / 2000.0)
-    return integrate_curve(spec, x_span=(lo, hi), step=step)
+    return integrate_curve(spec, x_span=(lo, hi), step=min(1e-3, (hi - lo) / 2000.0))
 
 
 def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
@@ -402,9 +400,9 @@ def pmc_phi0(h_abs, y_span=(-1.5, 1.5), x_frac=0.6):
 # ---------------------------------------------------------------------------
 
 
-def _truncate_admissible(params, h, margin=1e-9):
-    """Largest x-interval around 0 where eps (a - h^2) > b holds on h's grid."""
-    ok = params.eps * (params.a - h.h**2) > params.b + margin
+def _truncate_admissible(params, h):
+    """Largest x-interval around 0 where eps (a - h^2) > b + 1e-9 holds on h's grid."""
+    ok = params.eps * (params.a - h.h**2) > params.b + 1e-9
     if not np.any(ok):
         raise DomainError("eps (a - h^2) > b holds nowhere on the profile span")
     i0 = np.searchsorted(h.x, 0.0)
@@ -421,12 +419,13 @@ def _truncate_admissible(params, h, margin=1e-9):
     return float(h.x[lo]), float(h.x[hi]), truncated
 
 
-def cmc_profile_family(params, h, y_span=(-1.0, 1.0), x0=None, name="prop6"):
+def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
     """CMC chart in M2(eps) x R built on a profile solution h.
 
     4 |H|^2 = b, conformal factor eps (a - h^2), Abresch-Rosenberg coefficient
     (eps b / 8)(a + 1 - c^2 - 2 i c).  The x-domain is truncated to the band
-    where eps (a - h^2) > b.
+    where eps (a - h^2) > b, and the antiderivatives in the chart start at its
+    left end.
     """
     if h.params != params:
         raise DomainError("profile solution was built for different parameters")
@@ -435,8 +434,6 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0), x0=None, name="prop6"):
     if E < 0 and eps != -1:
         raise DomainError("the E < 0 branch requires eps = -1")
     lo, hi, truncated = _truncate_admissible(params, h)
-    if x0 is None:
-        x0 = lo
 
     def f_integrand(t):
         ht = h.h_at(t)
@@ -445,8 +442,8 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0), x0=None, name="prop6"):
     def eta_integrand(t):
         return h.h_at(t) - c
 
-    F = CumulativeIntegral(f_integrand, lo, hi, x0=x0)
-    G = CumulativeIntegral(eta_integrand, lo, hi, x0=x0)
+    F = CumulativeIntegral(f_integrand, lo, hi, x0=lo)
+    G = CumulativeIntegral(eta_integrand, lo, hi, x0=lo)
     sqb = np.sqrt(b)
 
     def jet(x, y):
@@ -532,7 +529,7 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0), x0=None, name="prop6"):
     pad = 0.01 * (hi - lo)
     theta_ar = (eps * b / 8.0) * (a + 1 - c**2 - 2j * c)
     return ImmersionChart(
-        name=name,
+        name="prop6",
         eps=eps,
         target=TARGET_LINE,
         domain=(lo + pad, hi - pad, y_span[0], y_span[1]),
@@ -542,7 +539,7 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0), x0=None, name="prop6"):
             "H_sq": b / 4.0,
             "theta_ar_expected": theta_ar,
             "truncated": truncated,
-            "x0": x0,
+            "x0": lo,
         },
     )
 
@@ -812,7 +809,7 @@ def example1_chart(which, **kw):
     raise DomainError(f"unknown example-1 chart '{which}'")
 
 
-def pmc_sinh_family(lam, x_span=(-1.2, 1.2), y_span=(-1.2, 1.2)):
+def pmc_sinh_family(lam):
     """The 1-parameter PMC family with 4|H|^2 = 1 and Hopf coefficient lam^2/4.
 
     The induced metric is (1+lam^2) cosh^2(lam x) (dx^2+dy^2), with curvature
@@ -822,7 +819,7 @@ def pmc_sinh_family(lam, x_span=(-1.2, 1.2), y_span=(-1.2, 1.2)):
     params = ProfileParams(-1, a=-(1.0 + lam * lam), b=1.0, c=0.0)
     from .profile import closed_form
 
-    h = closed_form("sinh_family", params, x_span=x_span)
-    chart = pmc_profile_family(params, h, y_span=y_span, name="example2")
+    h = closed_form("sinh_family", params, x_span=(-1.2, 1.2))
+    chart = pmc_profile_family(params, h, y_span=(-1.2, 1.2), name="example2")
     chart.metadata["lam"] = lam
     return chart

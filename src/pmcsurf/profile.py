@@ -18,6 +18,8 @@ from .errors import DomainError, InfeasibleParameters
 from .utils import hermite_interp, write_columns_csv
 
 DRIFT_TOL = 1e-8
+MAX_HALVINGS = 6  # step halvings ``solve_profile`` tries before it gives up
+H_MAX = 1e3  # |h| past which a solution counts as escaped to infinity
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ class ProfileSolution:
         write_columns_csv(path, {"x": self.x, "h": self.h, "hprime": self.hp}, fmt=".16e")
 
 
-def _rk4_profile(params, h0, v0, x0, step, n_steps, h_max):
+def _rk4_profile(params, h0, v0, step, n_steps):
     """March (h, h') with the regularized second-order form h'' = (pq)'(h)/2.
 
     The march runs on Python floats: one pq' call costs a few float operations.
@@ -170,30 +172,22 @@ def _rk4_profile(params, h0, v0, x0, step, n_steps, h_max):
         v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         hs[k + 1], vs[k + 1] = h, v
         # stop past the admissible band or when the solution escapes to infinity
-        if params.eps * params.p(h) <= 0 or not math.isfinite(h) or abs(h) > h_max:
+        if params.eps * params.p(h) <= 0 or not math.isfinite(h) or abs(h) > H_MAX:
             admissible = k + 1
             break
     return hs[: admissible + 1], vs[: admissible + 1], admissible < n_steps
 
 
-def solve_profile(
-    params,
-    h0=0.0,
-    sign0=+1,
-    x_span=(-1.0, 1.0),
-    step=None,
-    drift_tol=DRIFT_TOL,
-    max_halvings=6,
-    h_max=1e3,
-):
+def solve_profile(params, h0=0.0, sign0=+1, x_span=(-1.0, 1.0), drift_tol=DRIFT_TOL):
     """Integrate the profile equation with h(0) = h0, sign0 the initial sign of h'.
 
     The admissibility condition eps (a - h^2) > 0 must hold at h0 and
     p(h0) q(h0) >= 0.  The span is truncated at the first sample violating
-    admissibility or escaping past |h| = h_max; the uniform step is halved
-    until the first-integral drift |h'^2 - p(h) q(h)| stays below ``drift_tol``
-    relative to the first-integral scale of the span (floored at 1, so the
-    criterion is absolute on order-one solutions).
+    admissibility or escaping past |h| = H_MAX; the uniform step, (x1 - x0)/2000
+    at first, is halved (at most MAX_HALVINGS times) until the first-integral
+    drift |h'^2 - p(h) q(h)| stays below ``drift_tol`` relative to the
+    first-integral scale of the span (floored at 1, so the criterion is
+    absolute on order-one solutions).
     """
     x0, x1 = float(x_span[0]), float(x_span[1])
     if not (x0 <= 0.0 <= x1) or x1 <= x0:
@@ -207,21 +201,19 @@ def solve_profile(
 
     if pq0 == 0.0 and abs(params.pq_prime(h0)) < 1e-13:
         # double root of p q: the constant solution
-        step = step or (x1 - x0) / 400
+        step = (x1 - x0) / 400
         n0 = int(round(-x0 / step))
         n1 = int(round(x1 / step))
         x = step * np.arange(-n0, n1 + 1)
         return ProfileSolution(params, x, np.full_like(x, h0), np.zeros_like(x), nonconstant=False)
 
-    if step is None:
-        step = (x1 - x0) / 2000.0
-
-    for _ in range(max_halvings + 1):
+    step = (x1 - x0) / 2000.0
+    for _ in range(MAX_HALVINGS + 1):
         v0 = sign0 * np.sqrt(pq0)
         n1 = int(np.ceil(x1 / step - 1e-12)) if x1 > 0 else 0
         n0 = int(np.ceil(-x0 / step - 1e-12)) if x0 < 0 else 0
-        hf, vf, trunc_f = _rk4_profile(params, h0, v0, 0.0, step, n1, h_max)
-        hb, vb, trunc_b = _rk4_profile(params, h0, v0, 0.0, -step, n0, h_max)
+        hf, vf, trunc_f = _rk4_profile(params, h0, v0, step, n1)
+        hb, vb, trunc_b = _rk4_profile(params, h0, v0, -step, n0)
         x = np.concatenate([-step * np.arange(len(hb) - 1, 0, -1), step * np.arange(0, len(hf))])
         h = np.concatenate([hb[:0:-1], hf])
         hp = np.concatenate([vb[:0:-1], vf])
@@ -236,7 +228,7 @@ def solve_profile(
     )
 
 
-def closed_form(kind, params, x_span=None, n_samples=2001):
+def closed_form(kind, params, x_span=None):
     """Exact solution families of the profile equation, with exact derivatives.
 
     kind = "sinh_family":  eps=-1, b=1, c=0, a <= -1, h = sqrt(-a) sinh(lam x)
@@ -287,7 +279,7 @@ def closed_form(kind, params, x_span=None, n_samples=2001):
     else:
         raise DomainError(f"unknown closed form kind '{kind}'")
 
-    x = np.linspace(span[0], span[1], n_samples)
+    x = np.linspace(span[0], span[1], 2001)
     h = h_fn(x)
     nonconstant = bool(np.max(np.abs(h - h[0])) > 0)
     return ProfileSolution(

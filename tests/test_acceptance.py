@@ -233,7 +233,7 @@ def test_criterion_07_holomorphy_decay():
             X, Y = chart.grid(n, n, shrink=0.02)
             dx = X[1, 0] - X[0, 0]
             dy = Y[0, 1] - Y[0, 0]
-            jet = sample_jet(chart, X, Y, fd_step=min(dx, dy), numeric=True)
+            jet = sample_jet(chart, X, Y, fd_step=min(dx, dy))
             frame = normal_frame(jet)
             t1, t2 = hopf_coefficients(jet, frame)
             levels.append(max(holomorphy_residual(t1, dx, dy)[0], holomorphy_residual(t2, dx, dy)[0]))

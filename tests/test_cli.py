@@ -203,3 +203,37 @@ def test_domain_overrides_the_chart_can_evaluate_still_verify(tmp_path, family, 
     assert code == EXIT_OK
     report = next(tmp_path.glob("verify_*.txt")).read_text()
     assert "verdict=PASS" in report
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "inf"])
+def test_fd_step_must_be_positive_and_finite(tmp_path, capsys, step):
+    # a zero step divides by zero, and a verdict on the NaN residuals would mean nothing
+    for family in (["--family", "T", "--a", "0.6", "--b", "0.8"], ["--family", "example4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *family, f"--fd-step={step}", "--nx", "9", "--ny", "9", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --fd-step: must be positive and finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("verify_*.txt"))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [pytest.param(["--family", "T", "--a", "0.6", "--b", "0.8"], id="T"), pytest.param(["--family", "prop4"], id="prop4")],
+)
+@pytest.mark.parametrize(
+    "domain, message",
+    [
+        pytest.param("1,-1,-1,1", "x0 < x1", id="x-reversed"),
+        pytest.param("1,1,-1,1", "x0 < x1", id="x-empty"),
+        pytest.param("-1,1,1,-1", "y0 < y1", id="y-reversed"),
+        pytest.param("-1,1,0,0", "y0 < y1", id="y-empty"),
+        pytest.param("0,nan,-1,1", "finite", id="nan"),
+        pytest.param("-inf,1,-1,1", "finite", id="inf"),
+    ],
+)
+def test_reversed_empty_or_infinite_domain_is_a_usage_error(tmp_path, capsys, family, domain, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *family, f"--domain={domain}", "--nx", "9", "--ny", "9", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("verify_*.txt"))

@@ -223,7 +223,7 @@ def test_holomorphy_decay_numeric_jets():
         X, Y = ch.grid(n, n, shrink=0.02)
         dx = X[1, 0] - X[0, 0]
         dy = Y[0, 1] - Y[0, 0]
-        jet = sample_jet(ch, X, Y, fd_step=min(dx, dy), numeric=True)
+        jet = sample_jet(ch, X, Y, fd_step=min(dx, dy))
         frame = normal_frame(jet)
         t1, _ = hopf_coefficients(jet, frame)
         levels.append(holomorphy_residual(t1, dx, dy)[0])
@@ -293,7 +293,7 @@ def test_refined_record_slices_to_the_unrefined_one():
         base, name="corrupted", jet=None, evaluate=lambda x, y: base.evaluate(x, y) * scale
     )
     cases = [(chart(key), {}) for key in ("prop4_hyp", "prop4_sph", "phi0")]
-    for ch, kw in cases + [(corrupted, {"fd_step": 1e-3, "numeric": True})]:
+    for ch, kw in cases + [(corrupted, {"fd_step": 1e-3})]:
         refined = surface_invariants(ch, nx=33, ny=33, resid_refine=4, **kw)
         plain = surface_invariants(ch, nx=33, ny=33, resid_refine=1, **kw)
         for f in dataclasses.fields(plain):
@@ -305,6 +305,19 @@ def test_refined_record_slices_to_the_unrefined_one():
     # linspace over 3(n-1) intervals does not hit the n-point grid exactly
     with pytest.raises(DomainError):
         surface_invariants(base, nx=9, ny=9, resid_refine=3)
+
+
+def nine_point_jet(ev, X, Y, d):
+    """The centered second-order differences of ``ev`` with step d, written out."""
+    p = ev(X, Y)
+    return {
+        "p": p,
+        "px": (ev(X + d, Y) - ev(X - d, Y)) / (2 * d),
+        "py": (ev(X, Y + d) - ev(X, Y - d)) / (2 * d),
+        "pxx": (ev(X + d, Y) - 2 * p + ev(X - d, Y)) / d**2,
+        "pyy": (ev(X, Y + d) - 2 * p + ev(X, Y - d)) / d**2,
+        "pxy": (ev(X + d, Y + d) - ev(X + d, Y - d) - ev(X - d, Y + d) + ev(X - d, Y - d)) / (4 * d**2),
+    }
 
 
 def test_numeric_jet_takes_nine_evaluations():
@@ -319,20 +332,31 @@ def test_numeric_jet_takes_nine_evaluations():
     ch = dataclasses.replace(base, name="evaluate-only", jet=None, evaluate=counted)
     X, Y = ch.grid(9, 9, shrink=0.05)
     d = 1e-3
-    jet = sample_jet(ch, X, Y, fd_step=d, numeric=True)
+    jet = sample_jet(ch, X, Y, fd_step=d)
     assert len(calls) == 9
-    ev = base.evaluate
-    p = ev(X, Y)
-    expected = {
-        "p": p,
-        "px": (ev(X + d, Y) - ev(X - d, Y)) / (2 * d),
-        "py": (ev(X, Y + d) - ev(X, Y - d)) / (2 * d),
-        "pxx": (ev(X + d, Y) - 2 * p + ev(X - d, Y)) / d**2,
-        "pyy": (ev(X, Y + d) - 2 * p + ev(X, Y - d)) / d**2,
-        "pxy": (ev(X + d, Y + d) - ev(X + d, Y - d) - ev(X - d, Y + d) + ev(X - d, Y - d)) / (4 * d**2),
-    }
-    for key, value in expected.items():
+    for key, value in nine_point_jet(base.evaluate, X, Y, d).items():
         assert np.array_equal(getattr(jet, key), value), key
+
+
+def test_fd_step_selects_the_numeric_jet_on_a_jet_chart():
+    # a given fd_step means differences of evaluate, even where an analytic jet exists
+    ch = chart("prop4_hyp")
+    X, Y = ch.grid(9, 9, shrink=0.05)
+    d = 1e-3
+    jet = sample_jet(ch, X, Y, fd_step=d)
+    for key, value in nine_point_jet(ch.evaluate, X, Y, d).items():
+        assert np.array_equal(getattr(jet, key), value), key
+    assert not np.array_equal(jet.pxx, sample_jet(ch, X, Y).pxx)
+
+
+@pytest.mark.parametrize("fd_step", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("jet", ["analytic", "none"])
+def test_fd_step_must_be_positive_and_finite(fd_step, jet):
+    base = chart("prop4_hyp")
+    ch = base if jet == "analytic" else dataclasses.replace(base, jet=None)
+    X, Y = ch.grid(5, 5, shrink=0.05)
+    with pytest.raises(DomainError, match="fd_step must be positive and finite"):
+        sample_jet(ch, X, Y, fd_step=fd_step)
 
 
 def test_curvature_bounds():
@@ -416,14 +440,14 @@ def test_jet_richardson_and_boundary():
     ana = sample_jet(ch, X, Y)
     devs = []
     for d in (1e-2, 5e-3):
-        num = sample_jet(ch, X, Y, fd_step=d, numeric=True)
+        num = sample_jet(ch, X, Y, fd_step=d)
         devs.append(max(np.max(np.abs(getattr(num, k) - getattr(ana, k))) for k in ("px", "py", "pxx", "pxy", "pyy")))
     assert devs[0] < 5e-4  # second-order error at fd_step 1e-2
     assert devs[1] < devs[0] / 3.0
     with pytest.raises(DomainError):
         sample_jet(ch, np.array([-1.0]), np.array([0.0]))  # outside domain
-    with pytest.raises(DomainError):
-        sample_jet(ch, X, Y, numeric=True)  # numeric jets need fd_step
+    with pytest.raises(DomainError, match="need an explicit fd_step"):
+        sample_jet(dataclasses.replace(ch, jet=None), X, Y)  # an evaluate-only chart needs fd_step
 
 
 def test_product_separated_mixed_partial():
