@@ -81,11 +81,21 @@ def build_chart(args):
             )
         x_span = (dom[0], dom[1]) if dom else (-1.2, 1.2)
         y_span = (dom[2], dom[3]) if dom else (-1.0, 1.0)
-        h = _profile_solution(params, x_span)
-        if name == "prop4":
-            chart = fam.pmc_profile_family(params, h, y_span=y_span)
-        else:
-            chart = fam.cmc_profile_family(params, h, y_span=y_span)
+        try:
+            h = _profile_solution(params, x_span)
+            if name == "prop4":
+                chart = fam.pmc_profile_family(params, h, y_span=y_span)
+            else:
+                chart = fam.cmc_profile_family(params, h, y_span=y_span)
+        except DomainError as exc:
+            if x_span[0] <= 0.0 <= x_span[1]:
+                raise
+            # the solved profile and the second-factor curve both start at x = 0
+            raise InfeasibleParameters(
+                f"--domain x-span [{x_span[0]:.6g}, {x_span[1]:.6g}] leaves out x = 0, where the {name}"
+                f" profile or its curve starts: x = 0 must lie in the span ({exc})",
+                "domain",
+            ) from exc
         chart.metadata["profile"] = h
     elif name == "example2":
         chart = fam.pmc_sinh_family(args.lam)
@@ -327,6 +337,11 @@ def cmd_verify(args):
             checks = _verify_product(chart, args)
         else:
             checks = _verify_cmc(chart, args)
+    except InfeasibleParameters as exc:
+        # only the difference stencil refuses here: a step, not a verdict
+        raise InfeasibleParameters(
+            f"--fd-step {args.fd_step:g} is too large for this grid: {exc}", exc.clause
+        ) from exc
     except (DomainError, VerificationError) as exc:
         lines.append(f"FAIL construction: {exc}")
         path = out / f"verify_{_config_slug(args)}.txt"

@@ -58,19 +58,15 @@ class PmcFrenetData:
     gamma2: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
-    fields: Optional[Callable] = None  # dense evaluation (x, y) -> dict
+    # dense (x, y) -> dict of the grids() keys plus ux, uy; None for node-only
+    # data.  The node arrays are its values at (x, y): extract_pmc_data samples
+    # it there, cmc_to_pmc applies _pmc_map to the fields and to the grids
+    fields: Optional[Callable] = None
     residuals: dict = field(default_factory=dict)
 
     def grids(self):
-        return {
-            "u": self.u,
-            "C1": self.C1,
-            "C2": self.C2,
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "f1": self.f1,
-            "f2": self.f2,
-        }
+        return {"u": self.u, "C1": self.C1, "C2": self.C2, "gamma1": self.gamma1, "gamma2": self.gamma2,
+                "f1": self.f1, "f2": self.f2}
 
     def to_csv(self, path):
         write_columns_csv(path, {
@@ -95,8 +91,14 @@ class CmcFrenetData:
     eta: np.ndarray
     eta_x: np.ndarray
     eta_y: np.ndarray
+    # dense (x, y) -> dict of the grids() keys plus ux, uy; None for node-only
+    # data.  The node arrays are its values at (x, y): pmc_to_cmc applies
+    # _cmc_map to the PMC record's fields and to its grids
     fields: Optional[Callable] = None
     residuals: dict = field(default_factory=dict)
+
+    def grids(self):
+        return {"u": self.u, "nu": self.nu, "p": self.p, "eta_x": self.eta_x, "eta_y": self.eta_y}
 
     def eta_z(self):
         return 0.5 * (self.eta_x - 1j * self.eta_y)
@@ -187,18 +189,8 @@ def extract_pmc_data(chart, nx=81, ny=81):
     F = fields(X, Y)
     Hgrid = F["Hnorm"]
     data = PmcFrenetData(
-        eps=chart.eps,
-        Hnorm=float(np.mean(Hgrid)),
-        x=X,
-        y=Y,
-        u=F["u"],
-        C1=F["C1"],
-        C2=F["C2"],
-        gamma1=F["gamma1"],
-        gamma2=F["gamma2"],
-        f1=F["f1"],
-        f2=F["f2"],
-        fields=fields,
+        eps=chart.eps, Hnorm=float(np.mean(Hgrid)), x=X, y=Y, fields=fields,
+        **{k: F[k] for k in ("u", "C1", "C2", "gamma1", "gamma2", "f1", "f2")},
     )
     data.residuals = pmc_compatibility_residuals(data)
     data.residuals["H_spread"] = float(np.max(Hgrid) - np.min(Hgrid))
@@ -211,47 +203,96 @@ def extract_pmc_data(chart, nx=81, ny=81):
 # ---------------------------------------------------------------------------
 
 
-def _path_integrate(x, y, gx, gy, gx_fn=None, gy_fn=None):
+def _cmc_map(F, j):
+    """Forward map on a dict of PMC data: (u, C_j, gamma_j, f_j) to (u, nu, p, eta_x, eta_y).
+
+    u_x and u_y pass through when F holds them.
+    """
+    g = F[f"gamma{j}"]
+    return {
+        **{k: F[k] for k in ("u", "ux", "uy") if k in F},
+        "nu": F[f"C{j}"], "p": np.sqrt(2.0) * F[f"f{j}"],
+        "eta_x": -np.sqrt(2.0) * g.imag, "eta_y": -np.sqrt(2.0) * g.real,
+    }
+
+
+def _pmc_map(F1, F2):
+    """Inverse map on two dicts of CMC data with one u: PMC data (u, C_j, gamma_j, f_j).
+
+    u (and u_x, u_y when F1 holds them) come from F1.
+    """
+    out = {k: F1[k] for k in ("u", "ux", "uy") if k in F1}
+    for j, F in ((1, F1), (2, F2)):
+        out[f"C{j}"] = F["nu"]
+        out[f"gamma{j}"] = -1j * np.sqrt(2.0) * (0.5 * (F["eta_x"] - 1j * F["eta_y"]))
+        out[f"f{j}"] = F["p"] / np.sqrt(2.0)
+    return out
+
+
+def _grid_fields(data):
+    """Dense evaluation of a record's data: its ``fields``, or splines of its node arrays.
+
+    For node-only data (``fields`` None) every entry of ``data.grids()`` gets
+    a quintic spline, a complex entry one for its real and one for its
+    imaginary part, and u_x, u_y are the derivatives of u's spline.
+    """
+    if data.fields is not None:
+        return data.fields
+    xs = data.x[:, 0]
+    ys = data.y[0, :]
+    kx = min(5, len(xs) - 1)
+    ky = min(5, len(ys) - 1)
+
+    def spline(v):
+        return RectBivariateSpline(xs, ys, v, kx=kx, ky=ky)
+
+    sp = {
+        k: (spline(v.real), spline(v.imag)) if np.iscomplexobj(v) else (spline(v),)
+        for k, v in data.grids().items()
+    }
+
+    def fields(X, Y):
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        out = {k: s[0].ev(X, Y) if len(s) == 1 else s[0].ev(X, Y) + 1j * s[1].ev(X, Y) for k, s in sp.items()}
+        out["ux"] = sp["u"][0].ev(X, Y, dx=1)
+        out["uy"] = sp["u"][0].ev(X, Y, dy=1)
+        return out
+
+    return fields
+
+
+def _path_integrate(x, y, gx, gy, fields):
     """Potential eta on a grid with eta_x = gx, eta_y = gy (bottom row, then columns).
 
-    Uses Simpson increments with midpoint values from the dense integrands
-    when available, trapezoid increments otherwise.
+    Simpson increments: the node values are gx and gy, the midpoint values
+    the ``eta_x`` and ``eta_y`` of the dense source ``fields``, read in one
+    call for the bottom row and one for the columns.
     """
-    nx, ny = gx.shape
     dx = x[1, 0] - x[0, 0]
     dy = y[0, 1] - y[0, 0]
     eta = np.zeros_like(gx)
-    # bottom row
-    if gx_fn is not None:
-        mid = gx_fn(x[:-1, 0] + 0.5 * dx, y[:-1, 0])
-        inc = (dx / 6.0) * (gx[:-1, 0] + 4.0 * mid + gx[1:, 0])
-    else:
-        inc = 0.5 * dx * (gx[:-1, 0] + gx[1:, 0])
-    eta[1:, 0] = np.cumsum(inc)
-    # columns
-    if gy_fn is not None:
-        mid = gy_fn(x[:, :-1], y[:, :-1] + 0.5 * dy)
-        inc = (dy / 6.0) * (gy[:, :-1] + 4.0 * mid + gy[:, 1:])
-    else:
-        inc = 0.5 * dy * (gy[:, :-1] + gy[:, 1:])
-    eta[:, 1:] = eta[:, [0]] + np.cumsum(inc, axis=1)
+    mid = fields(x[:-1, 0] + 0.5 * dx, y[:-1, 0])["eta_x"]
+    eta[1:, 0] = np.cumsum((dx / 6.0) * (gx[:-1, 0] + 4.0 * mid + gx[1:, 0]))
+    mid = fields(x[:, :-1], y[:, :-1] + 0.5 * dy)["eta_y"]
+    eta[:, 1:] = eta[:, [0]] + np.cumsum((dy / 6.0) * (gy[:, :-1] + 4.0 * mid + gy[:, 1:]), axis=1)
     return eta
 
 
 def pmc_to_cmc(data, j):
     """Forward data map of the correspondence: (u, C_j, gamma_j, f_j) to (u, nu, p, eta).
 
-    eta comes from path integration of eta_x = -sqrt(2) Im gamma_j,
-    eta_y = -sqrt(2) Re gamma_j; the mixed-partial consistency of these
-    integrands is reported (and gates) as ``eta_mixed``.
+    The node arrays are ``_cmc_map`` of ``data.grids()``, and the dense
+    ``fields`` (None for node-only data) is ``_cmc_map`` composed onto
+    ``data.fields``.  eta comes from path integration of
+    eta_x = -sqrt(2) Im gamma_j, eta_y = -sqrt(2) Re gamma_j, with midpoints
+    from ``_grid_fields`` of the new record; the mixed-partial consistency
+    of these integrands is reported (and gates) as ``eta_mixed``.
     """
     if j not in (1, 2):
         raise DomainError("j must be 1 or 2")
-    gamma = data.gamma1 if j == 1 else data.gamma2
-    C = data.C1 if j == 1 else data.C2
-    f = data.f1 if j == 1 else data.f2
-    gx = -np.sqrt(2.0) * gamma.imag
-    gy = -np.sqrt(2.0) * gamma.real
+    G = _cmc_map(data.grids(), j)
+    gx, gy = G["eta_x"], G["eta_y"]
     dx = data.x[1, 0] - data.x[0, 0]
     dy = data.y[0, 1] - data.y[0, 0]
     cross1 = np.gradient(gx, dy, axis=1, edge_order=2)
@@ -265,38 +306,12 @@ def pmc_to_cmc(data, j):
         )
 
     pf = data.fields
-    gx_fn = gy_fn = None
-    if pf is not None:
-        key = f"gamma{j}"
-        gx_fn = lambda xs, ys: -np.sqrt(2.0) * pf(xs, ys)[key].imag
-        gy_fn = lambda xs, ys: -np.sqrt(2.0) * pf(xs, ys)[key].real
-    eta = _path_integrate(data.x, data.y, gx, gy, gx_fn, gy_fn)
-
-    fields = None
-    if pf is not None:
-
-        def fields(xs, ys):
-            F = pf(xs, ys)
-            g = F[f"gamma{j}"]
-            return {
-                "u": F["u"], "ux": F["ux"], "uy": F["uy"],
-                "nu": F[f"C{j}"], "p": np.sqrt(2.0) * F[f"f{j}"],
-                "eta_x": -np.sqrt(2.0) * g.imag, "eta_y": -np.sqrt(2.0) * g.real,
-            }
-
     out = CmcFrenetData(
-        eps=data.eps,
-        Hval=data.Hnorm,
-        x=data.x,
-        y=data.y,
-        u=data.u,
-        nu=C,
-        p=np.sqrt(2.0) * f,
-        eta=eta,
-        eta_x=gx,
-        eta_y=gy,
-        fields=fields,
+        eps=data.eps, Hval=data.Hnorm, x=data.x, y=data.y, eta=None,
+        fields=None if pf is None else lambda xs, ys: _cmc_map(pf(xs, ys), j),
+        **G,
     )
+    out.eta = _path_integrate(data.x, data.y, gx, gy, _grid_fields(out))
     out.residuals = cmc_compatibility_residuals(out)
     out.residuals["eta_mixed"] = mixed
     return out
@@ -333,7 +348,12 @@ def cmc_compatibility_residuals(data):
 
 
 def cmc_to_pmc(data1, data2):
-    """Inverse data map: two CMC data sets with equal (u, H) assemble to PMC data."""
+    """Inverse data map: two CMC data sets with equal (u, H) assemble to PMC data.
+
+    The node arrays are ``_pmc_map`` of the two records' ``grids()``, and the
+    dense ``fields`` is ``_pmc_map`` composed onto their ``fields`` (None
+    unless both have one).
+    """
     if data1.eps != data2.eps:
         raise DomainError("signatures differ")
     if data1.x.shape != data2.x.shape or np.max(np.abs(data1.x - data2.x)) > 1e-12 or np.max(
@@ -345,39 +365,11 @@ def cmc_to_pmc(data1, data2):
     if abs(data1.Hval - data2.Hval) > DATA_TOL:
         raise DomainError("mean curvatures differ")
 
-    def gamma_of(d):
-        return -1j * np.sqrt(2.0) * d.eta_z()
-
     f1, f2 = data1.fields, data2.fields
-    fields = None
-    if f1 is not None and f2 is not None:
-
-        def fields(xs, ys):
-            F1 = f1(xs, ys)
-            F2 = f2(xs, ys)
-            def gm(F):
-                return -1j * np.sqrt(2.0) * 0.5 * (F["eta_x"] - 1j * F["eta_y"])
-            return {
-                "u": F1["u"], "ux": F1["ux"], "uy": F1["uy"],
-                "C1": F1["nu"], "C2": F2["nu"],
-                "gamma1": gm(F1), "gamma2": gm(F2),
-                "f1": F1["p"] / np.sqrt(2.0), "f2": F2["p"] / np.sqrt(2.0),
-                "Hnorm": np.full_like(F1["u"], 0.5 * (data1.Hval + data2.Hval)),
-            }
-
     out = PmcFrenetData(
-        eps=data1.eps,
-        Hnorm=0.5 * (data1.Hval + data2.Hval),
-        x=data1.x,
-        y=data1.y,
-        u=data1.u,
-        C1=data1.nu,
-        C2=data2.nu,
-        gamma1=gamma_of(data1),
-        gamma2=gamma_of(data2),
-        f1=data1.p / np.sqrt(2.0),
-        f2=data2.p / np.sqrt(2.0),
-        fields=fields,
+        eps=data1.eps, Hnorm=0.5 * (data1.Hval + data2.Hval), x=data1.x, y=data1.y,
+        fields=None if f1 is None or f2 is None else lambda xs, ys: _pmc_map(f1(xs, ys), f2(xs, ys)),
+        **_pmc_map(data1.grids(), data2.grids()),
     )
     out.residuals = pmc_compatibility_residuals(out)
     return out
@@ -553,43 +545,6 @@ def _project_cmc_state(eps, S, u_val):
     return np.concatenate([Psi, eu[..., None] * e1, eu[..., None] * e2, keep[..., None] * n], axis=-1)
 
 
-def _grid_fields(data):
-    """Dense field evaluation, from the data's own closure or spline fallback.
-
-    The fallback fits quintic splines to the node arrays and takes u_x and u_y
-    from the derivatives of u's spline.
-    """
-    if data.fields is not None:
-        return data.fields
-    xs = data.x[:, 0]
-    ys = data.y[0, :]
-    kx = min(5, len(xs) - 1)
-    ky = min(5, len(ys) - 1)
-    if isinstance(data, CmcFrenetData):
-        names = {"u": data.u, "nu": data.nu, "eta_x": data.eta_x, "eta_y": data.eta_y}
-        complexes = {"p": data.p}
-    else:
-        names = {"u": data.u, "C1": data.C1, "C2": data.C2}
-        complexes = {"gamma1": data.gamma1, "gamma2": data.gamma2, "f1": data.f1, "f2": data.f2}
-    sp = {k: RectBivariateSpline(xs, ys, v, kx=kx, ky=ky) for k, v in names.items()}
-    spc = {
-        k: (RectBivariateSpline(xs, ys, v.real, kx=kx, ky=ky), RectBivariateSpline(xs, ys, v.imag, kx=kx, ky=ky))
-        for k, v in complexes.items()
-    }
-
-    def fields(X, Y):
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        out = {k: s.ev(X, Y) for k, s in sp.items()}
-        out["ux"] = sp["u"].ev(X, Y, dx=1)
-        out["uy"] = sp["u"].ev(X, Y, dy=1)
-        for k, (sr, si) in spc.items():
-            out[k] = sr.ev(X, Y) + 1j * si.ev(X, Y)
-        return out
-
-    return fields
-
-
 def _half_step_axis(t):
     """Nodes t interleaved with the midpoints t_i + dt/2, formed as ``_path_integrate`` forms them."""
     h = np.empty(2 * len(t) - 1)
@@ -613,15 +568,6 @@ def _sample_half_step(fields, x, y):
         for i in range(0, len(xh), _BLOCK_ROWS)
     ]
     return {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
-
-
-def _frenet_input(data, resid_tol):
-    """Gate the data residuals; return the off-grid evaluator and the half-step samples."""
-    worst = max(v for k, v in data.residuals.items() if k != "parallelism")
-    if worst > resid_tol:
-        raise PreconditionError(f"data residuals too large to integrate: {worst:.2e}")
-    fields = _grid_fields(data)
-    return fields, _sample_half_step(fields, data.x, data.y)
 
 
 @dataclass(frozen=True)
@@ -681,6 +627,32 @@ def _march_grid(system, init, G, x, y):
     return states, closure
 
 
+def _integrate_frenet(data, resid_tol, system, start, target, name, metadata):
+    """Rebuild a chart from its data: the body both Frenet integrators share.
+
+    Gates the data residuals, samples ``_grid_fields(data)`` once on the
+    half-step grid, marches ``system`` from the state ``start(F0)`` (F0 the
+    data at the grid corner) and wraps the states, with the second
+    derivatives the system gives at the nodes, as a quintic-spline chart.
+    Returns the chart, the loop closure and the dense source.
+    """
+    worst = max(v for k, v in data.residuals.items() if k != "parallelism")
+    if worst > resid_tol:
+        raise PreconditionError(f"data residuals too large to integrate: {worst:.2e}")
+    fields = _grid_fields(data)
+    G = _sample_half_step(fields, data.x, data.y)
+    states, closure = _march_grid(system, start({k: v[0, 0] for k, v in G.items()}), G, data.x, data.y)
+    Pxx, Pxy, Pyy, _, _ = system.blocks(states, {k: v[::2, ::2] for k, v in G.items()})
+    d = system.dim
+    chart = _spline_chart(
+        data.x, data.y,
+        {"p": states[..., :d], "px": states[..., d:2 * d], "py": states[..., 2 * d:3 * d],
+         "pxx": Pxx, "pxy": Pxy, "pyy": Pyy},
+        data.eps, target, name, metadata,
+    )
+    return chart, closure, fields
+
+
 def integrate_cmc_frenet(data, resid_tol=DATA_TOL, recertify=True):
     """Rebuild the CMC immersion from its data by integrating the Frenet system.
 
@@ -692,25 +664,15 @@ def integrate_cmc_frenet(data, resid_tol=DATA_TOL, recertify=True):
     defect reported.  Returns the reconstructed chart (quintic-spline
     evaluate with Frenet-exact jets) and a report dictionary.
     """
-    fields, G = _frenet_input(data, resid_tol)
     eps = data.eps
-    X, Y = data.x, data.y
-    nx, ny = X.shape
-    init = initial_cmc_state(
-        eps, float(G["u"][0, 0]), float(G["nu"][0, 0]), float(G["eta_x"][0, 0]), float(G["eta_y"][0, 0]),
-        eta0=float(data.eta[0, 0]),
-    )
-    system = _FrenetSystem(4, partial(_cmc_rhs_blocks, eps, Hval=data.Hval), partial(_project_cmc_state, eps))
-    states, closure = _march_grid(system, init, G, X, Y)
-
-    # assemble jets from the Frenet right-hand side at the nodes
-    Fg = {k: v[::2, ::2] for k, v in G.items()}
-    Pxx, Pxy, Pyy, _, _ = _cmc_rhs_blocks(eps, states, Fg, data.Hval)
-    chart = _spline_chart(
-        X, Y,
-        {"p": states[..., 0:4], "px": states[..., 4:8], "py": states[..., 8:12],
-         "pxx": Pxx, "pxy": Pxy, "pyy": Pyy},
-        eps, TARGET_LINE, "cmc_reconstruction", {"Hval": data.Hval},
+    nx, ny = data.x.shape
+    chart, closure, fields = _integrate_frenet(
+        data, resid_tol,
+        _FrenetSystem(4, partial(_cmc_rhs_blocks, eps, Hval=data.Hval), partial(_project_cmc_state, eps)),
+        lambda F0: initial_cmc_state(
+            eps, float(F0["u"]), float(F0["nu"]), float(F0["eta_x"]), float(F0["eta_y"]), eta0=float(data.eta[0, 0])
+        ),
+        TARGET_LINE, "cmc_reconstruction", {"Hval": data.Hval},
     )
     report = {"loop_closure": closure}
     if recertify:
@@ -818,24 +780,15 @@ def integrate_pmc_frenet(data, resid_tol=DATA_TOL, recertify=True):
     The data are sampled once on the half-step grid and marched as in
     ``integrate_cmc_frenet``.
     """
-    fields, G = _frenet_input(data, resid_tol)
     eps = data.eps
-    X, Y = data.x, data.y
-    nx, ny = X.shape
-    init = _pack_pmc(*initial_pmc_state(
-        eps, float(G["u"][0, 0]), float(G["C1"][0, 0]), float(G["C2"][0, 0]),
-        complex(G["gamma1"][0, 0]), complex(G["gamma2"][0, 0]),
-    ))
-    system = _FrenetSystem(6, partial(_pmc_rhs_blocks, eps, Hval=data.Hnorm), partial(_project_pmc_state, eps))
-    states, closure = _march_grid(system, init, G, X, Y)
-
-    Fg = {k: v[::2, ::2] for k, v in G.items()}
-    Phi, Px, Py, _ = _unpack_pmc(states)
-    Pxx, Pxy, Pyy, _, _ = _pmc_rhs_blocks(eps, states, Fg, data.Hnorm)
-    chart = _spline_chart(
-        X, Y,
-        {"p": Phi, "px": Px, "py": Py, "pxx": Pxx, "pxy": Pxy, "pyy": Pyy},
-        eps, TARGET_PRODUCT, "pmc_reconstruction", {"Hnorm": data.Hnorm},
+    nx, ny = data.x.shape
+    chart, closure, fields = _integrate_frenet(
+        data, resid_tol,
+        _FrenetSystem(6, partial(_pmc_rhs_blocks, eps, Hval=data.Hnorm), partial(_project_pmc_state, eps)),
+        lambda F0: _pack_pmc(*initial_pmc_state(
+            eps, float(F0["u"]), float(F0["C1"]), float(F0["C2"]), complex(F0["gamma1"]), complex(F0["gamma2"])
+        )),
+        TARGET_PRODUCT, "pmc_reconstruction", {"Hnorm": data.Hnorm},
     )
     report = {"loop_closure": closure}
     if recertify:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ambient import inner, metric_diag, orientation_form, product_j
-from .errors import DomainError, VerificationError
+from .errors import DomainError, InfeasibleParameters, VerificationError
 from .families import TARGET_CIRCLE, TARGET_LINE, TARGET_PRODUCT, ImmersionChart
 from .utils import write_columns_csv
 
@@ -62,6 +62,17 @@ class JetSample:
         return inner(v, w, self.eps)
 
 
+def _leaves_domain(domain, x, y, margin):
+    """Whether some sample, moved by +-margin along either axis, lies outside the domain."""
+    x0, x1, y0, y1 = domain
+    return bool(
+        np.any(x - margin < x0 - 1e-12)
+        or np.any(x + margin > x1 + 1e-12)
+        or np.any(y - margin < y0 - 1e-12)
+        or np.any(y + margin > y1 + 1e-12)
+    )
+
+
 def sample_jet(chart, x, y, fd_step=None):
     """2-jet of the chart at samples (x, y): the analytic one unless ``fd_step`` is given.
 
@@ -70,17 +81,14 @@ def sample_jet(chart, x, y, fd_step=None):
     must be positive and finite: nine ``evaluate`` calls, at (x, y), the four
     axis shifts by +-fd_step (each shared by the first and second difference
     along its axis) and the four diagonal shifts of the mixed difference.
-    Samples must stay inside the chart domain with an fd_step margin.
+    Samples, and with ``fd_step`` the stencil points x +- fd_step and
+    y +- fd_step, must stay inside the chart domain up to a 1e-12 slack; a
+    stencil that leaves it raises ``InfeasibleParameters`` (clause
+    ``"fd_step"``), the step being too large for where the samples lie.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    x0, x1, y0, y1 = chart.domain
-    if (
-        np.any(x < x0 - 1e-12)
-        or np.any(x > x1 + 1e-12)
-        or np.any(y < y0 - 1e-12)
-        or np.any(y > y1 + 1e-12)
-    ):
+    if _leaves_domain(chart.domain, x, y, 0.0):
         raise DomainError("samples fall outside the chart domain")
 
     if fd_step is None:
@@ -92,6 +100,12 @@ def sample_jet(chart, x, y, fd_step=None):
     d = float(fd_step)
     if not (np.isfinite(d) and d > 0):
         raise DomainError(f"fd_step must be positive and finite, got {fd_step}")
+    if _leaves_domain(chart.domain, x, y, d):
+        raise InfeasibleParameters(
+            f"the difference stencil of fd_step {d:g} leaves the chart domain"
+            f" [{chart.domain[0]:.6g}, {chart.domain[1]:.6g}] x [{chart.domain[2]:.6g}, {chart.domain[3]:.6g}]",
+            "fd_step",
+        )
     ev = chart.evaluate
     p = ev(x, y)
     p_xp, p_xm = ev(x + d, y), ev(x - d, y)

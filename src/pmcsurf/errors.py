@@ -10,7 +10,7 @@ class PreconditionError(ValueError):
 
 
 class InfeasibleParameters(DomainError):
-    """Profile parameters violate the feasibility restrictions.
+    """Parameters the construction cannot take: a profile restriction, a domain, a step.
 
     Carries the restriction clause that fired, for error reporting.
     """

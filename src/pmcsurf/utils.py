@@ -4,18 +4,24 @@ import csv
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def hermite_interp(xg, y, yp, x):
     """Cubic Hermite interpolation on a uniform grid xg.
 
     ``y`` and ``yp`` hold node values and slopes, shaped (n,) or (n, d);
-    ``x`` may be any array.  Evaluation outside the grid continues the end
-    segments (callers keep margins small).
+    ``x`` may be any array.  An x outside [xg[0], xg[-1]] by more than a
+    round-off slack of 1e-9 node spacings raises ``DomainError``: the end
+    cubics are not extended past the data.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     yp = np.asarray(yp)
     dx = xg[1] - xg[0]
+    slack = 1e-9 * dx
+    if np.any(x < xg[0] - slack) or np.any(x > xg[-1] + slack):
+        raise DomainError(f"interpolation outside the node span [{xg[0]:.6g}, {xg[-1]:.6g}]")
     i = np.clip(((x - xg[0]) / dx).astype(int), 0, len(xg) - 2)
     t = (x - xg[i]) / dx
     if y.ndim == 2:

@@ -190,11 +190,23 @@ def test_domain_the_chart_cannot_evaluate_is_infeasible(tmp_path, capsys, family
     assert not list(tmp_path.glob("verify_*.txt"))
 
 
+@pytest.mark.parametrize("profile", [["--b", "0.5", "--c", "0.3"], ["--b", "1", "--c", "0"]], ids=["solved", "closed"])
+def test_profile_domain_without_x0_is_infeasible(tmp_path, capsys, profile):
+    # the solved profile and the second-factor curve both start at x = 0
+    args = ["verify", "--family", "prop4", "--eps", "-1", "--a", "-2", *profile, "--domain=0.2,1,-1,1"]
+    code = main([*args, "--nx", "9", "--ny", "9", "--out", str(tmp_path)])
+    assert code == EXIT_INFEASIBLE
+    assert "x = 0 must lie in the span" in capsys.readouterr().err
+    assert not list(tmp_path.glob("verify_*.txt"))
+
+
 @pytest.mark.parametrize(
     "family, domain",
     [
         (["--family", "phi0", "--hnorm", "0.25"], "--domain=-0.9,0.9,-1,1"),
         (["--family", "T", "--a", "0.6", "--b", "0.8"], "--domain=-9,9,-9,9"),
+        # a closed-form profile and no second-factor curve: nothing starts at x = 0
+        (["--family", "prop6", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"], "--domain=0.2,1,-1,1"),
     ],
 )
 def test_domain_overrides_the_chart_can_evaluate_still_verify(tmp_path, family, domain):
@@ -203,6 +215,29 @@ def test_domain_overrides_the_chart_can_evaluate_still_verify(tmp_path, family, 
     assert code == EXIT_OK
     report = next(tmp_path.glob("verify_*.txt")).read_text()
     assert "verdict=PASS" in report
+
+
+@pytest.mark.parametrize(
+    "family, step",
+    [
+        # the stencil reaches past the sampled curve of the second factor
+        (["--family", "phi0", "--hnorm", "0.25"], "0.2"),
+        # past the closed form's domain, where its values mean nothing
+        (["--family", "T", "--a", "0.6", "--b", "0.8"], "0.5"),
+    ],
+)
+def test_fd_step_whose_stencil_leaves_the_domain_is_infeasible(tmp_path, capsys, family, step):
+    code = main(["verify", *family, f"--fd-step={step}", "--nx", "9", "--ny", "9", "--out", str(tmp_path)])
+    assert code == EXIT_INFEASIBLE
+    assert f"--fd-step {step} is too large for this grid" in capsys.readouterr().err
+    assert not list(tmp_path.glob("verify_*.txt"))
+
+
+def test_small_fd_step_still_verifies(tmp_path):
+    code = main(["verify", "--family", "T", "--a", "0.6", "--b", "0.8", "--fd-step=1e-3", "--nx", "9", "--ny", "9",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert "verdict=PASS" in next(tmp_path.glob("verify_*.txt")).read_text()
 
 
 @pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "inf"])

@@ -416,9 +416,9 @@ def test_half_step_sampler_nodes_and_midpoints():
 
     def record(xs, ys):
         seen.append((xs, ys))
-        return np.zeros(np.shape(xs))
+        return {"eta_x": np.zeros(np.shape(xs)), "eta_y": np.zeros(np.shape(xs))}
 
-    _path_integrate(data.x, data.y, np.zeros_like(data.u), np.zeros_like(data.u), record, record)
+    _path_integrate(data.x, data.y, np.zeros_like(data.u), np.zeros_like(data.u), record)
     coords = _sample_half_step(lambda X, Y: {"x": X, "y": Y}, data.x, data.y)
     for (xs, ys), at in zip(seen, [(slice(1, None, 2), 0), (slice(None, None, 2), slice(1, None, 2))]):
         assert np.array_equal(coords["x"][at], xs) and np.array_equal(coords["y"][at], ys)
@@ -432,6 +432,28 @@ def test_half_step_sampler_nodes_and_midpoints():
         assert np.max(np.abs(S[key][::2, ::2] - arr)) < 1e-12, key
     _, rep = integrate_pmc_frenet(nodes_only, recertify=False)
     assert rep["loop_closure"] < 0.1
+
+
+def test_node_only_eta_reads_its_midpoints_from_splines():
+    # trapezoid increments on node-only data put eta 2.7e-4 off the dense eta here
+    import dataclasses
+
+    data = prop4_data()
+    for j in (1, 2):
+        dense = pmc_to_cmc(data, j)
+        nodes_only = pmc_to_cmc(dataclasses.replace(data, fields=None), j)
+        assert np.max(np.abs(nodes_only.eta - dense.eta)) < 1e-8, j
+
+
+def test_round_trip_fields_at_the_nodes_are_the_node_arrays():
+    # node arrays and dense fields come from one map per direction: a formula
+    # copied into a closure and changed there fails here by name
+    data = prop4_data()
+    d1, d2 = pmc_to_cmc(data, 1), pmc_to_cmc(data, 2)
+    for name, rec in (("pmc_to_cmc j=1", d1), ("pmc_to_cmc j=2", d2), ("cmc_to_pmc", cmc_to_pmc(d1, d2))):
+        F = rec.fields(rec.x, rec.y)
+        for key, arr in rec.grids().items():
+            assert np.array_equal(F[key], arr), (name, key)
 
 
 def test_node_only_reconstruction_differentiates_the_spline_of_u():

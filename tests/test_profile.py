@@ -53,6 +53,18 @@ def test_solve_matches_sinh_closed_form():
     assert np.max(np.abs(sol.hp_at(x) - np.sqrt(2) * np.cosh(x))) < 1e-8
 
 
+def test_solved_profile_refuses_points_past_its_span():
+    # the Hermite end cubics are not continued past the last node
+    params = ProfileParams(-1, a=-2.0, b=1.0, c=0.0)
+    sol = solve_profile(params, x_span=(-0.5, 0.5))
+    step = sol.x[1] - sol.x[0]
+    assert np.all(np.isfinite(sol.h_at(sol.x[[0, -1]])))
+    for x in (sol.x[-1] + step, sol.x[0] - step):
+        for at in (sol.h_at, sol.hp_at):
+            with pytest.raises(DomainError, match="outside the node span"):
+                at(x)
+
+
 def test_solve_matches_sn_closed_form():
     # eps=+1, a=2, b=1, c=0: h = sqrt(1/2) sn(2x) with kappa^2 = 1/4
     params = ProfileParams(+1, a=2.0, b=1.0, c=0.0)
