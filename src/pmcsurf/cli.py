@@ -12,6 +12,7 @@ byte-identical files.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -30,15 +31,12 @@ from .diffgeo import (
     surface_invariants,
 )
 from .errors import DomainError, InfeasibleParameters, PreconditionError, VerificationError
-from .profile import ProfileParams, check_restrictions, closed_form, solve_profile
+from .profile import ProfileParams, closed_form, require_feasible, solve_profile
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
-
-FAMILIES = ("product", "T", "That", "Chat", "Ptilde", "prop4", "prop6",
-            "example2", "example4", "example5", "phi0", "torus")
 
 
 # ---------------------------------------------------------------------------
@@ -58,60 +56,56 @@ def _profile_solution(params, x_span):
     return solve_profile(params, x_span=x_span)
 
 
+def _profile_chart(args, construct):
+    """prop4 or prop6 member (eps, a, b, c): its profile h solved on the --domain x-span."""
+    params = ProfileParams(args.eps, args.a, args.b, args.c)
+    require_feasible(params)
+    dom = args.domain
+    x_span = (dom[0], dom[1]) if dom else (-1.2, 1.2)
+    y_span = (dom[2], dom[3]) if dom else (-1.0, 1.0)
+    try:
+        h = _profile_solution(params, x_span)
+        chart = construct(params, h, y_span=y_span)
+    except DomainError as exc:
+        if x_span[0] <= 0.0 <= x_span[1]:
+            raise
+        # the solved profile and the second-factor curve both start at x = 0
+        raise InfeasibleParameters(
+            f"--domain x-span [{x_span[0]:.6g}, {x_span[1]:.6g}] leaves out x = 0, where the {args.family}"
+            f" profile or its curve starts: x = 0 must lie in the span ({exc})",
+            "domain",
+        ) from exc
+    chart.metadata["profile"] = h
+    return chart
+
+
+# each constructor is looked up in ``fam`` at call time, so that a wrapper
+# installed on the module attribute sees every build
+_CHARTS = {
+    "product": lambda a: fam.product_of_curves(a.eps, a.a, a.b, domain=a.domain),
+    "T": lambda a: fam.example1_chart("T", a=a.a, ahat=a.b),
+    "That": lambda a: fam.example1_chart("That", a=a.a, ahat=a.b),
+    "Chat": lambda a: fam.example1_chart("Chat", a=a.a),
+    "Ptilde": lambda a: fam.example1_chart("Ptilde"),
+    "prop4": lambda a: _profile_chart(a, fam.pmc_profile_family),
+    "prop6": lambda a: _profile_chart(a, fam.cmc_profile_family),
+    "example2": lambda a: fam.pmc_sinh_family(a.lam),
+    "example4": lambda a: fam.cmc_sinh_chart(a.lam),
+    "example5": lambda a: fam.cmc_leite_chart(a.hnorm),
+    "phi0": lambda a: fam.pmc_phi0(a.hnorm),
+    "torus": lambda a: fam.cmc_torus(a.a, a.b),
+}
+
+
 def build_chart(args):
     """Construct the requested family chart, validating feasibility."""
     name = args.family
     dom = args.domain
-    if name == "product":
-        chart = fam.product_of_curves(args.eps, args.a, args.b, domain=dom)
-    elif name == "T":
-        chart = fam.example1_chart("T", a=args.a, ahat=args.b)
-    elif name == "That":
-        chart = fam.example1_chart("That", a=args.a, ahat=args.b)
-    elif name == "Chat":
-        chart = fam.example1_chart("Chat", a=args.a)
-    elif name == "Ptilde":
-        chart = fam.example1_chart("Ptilde")
-    elif name in ("prop4", "prop6"):
-        params = ProfileParams(args.eps, args.a, args.b, args.c)
-        verdict = check_restrictions(params)
-        if not verdict:
-            raise InfeasibleParameters(
-                f"parameters violate the restriction {verdict.clause}", verdict.clause
-            )
-        x_span = (dom[0], dom[1]) if dom else (-1.2, 1.2)
-        y_span = (dom[2], dom[3]) if dom else (-1.0, 1.0)
-        try:
-            h = _profile_solution(params, x_span)
-            if name == "prop4":
-                chart = fam.pmc_profile_family(params, h, y_span=y_span)
-            else:
-                chart = fam.cmc_profile_family(params, h, y_span=y_span)
-        except DomainError as exc:
-            if x_span[0] <= 0.0 <= x_span[1]:
-                raise
-            # the solved profile and the second-factor curve both start at x = 0
-            raise InfeasibleParameters(
-                f"--domain x-span [{x_span[0]:.6g}, {x_span[1]:.6g}] leaves out x = 0, where the {name}"
-                f" profile or its curve starts: x = 0 must lie in the span ({exc})",
-                "domain",
-            ) from exc
-        chart.metadata["profile"] = h
-    elif name == "example2":
-        chart = fam.pmc_sinh_family(args.lam)
-    elif name == "example4":
-        chart = fam.cmc_sinh_chart(args.lam)
-    elif name == "example5":
-        chart = fam.cmc_leite_chart(args.hnorm)
-    elif name == "phi0":
-        chart = fam.pmc_phi0(args.hnorm)
-    elif name == "torus":
-        chart = fam.cmc_torus(args.a, args.b)
-    else:
-        raise DomainError(f"unknown family '{name}' (choose from {', '.join(FAMILIES)})")
+    chart = _CHARTS[name](args)
     if args.lift:
         chart = fam.geodesic_inclusion(chart)
-    if dom is not None and name not in ("prop4", "prop6"):
+    # a profile chart solved its h on the --domain already, and pads its x-span
+    if dom is not None and "profile" not in chart.metadata:
         own = chart.domain
         chart.domain = tuple(dom)
         x0, x1, y0, y1 = dom
@@ -143,16 +137,13 @@ def _corrupt_chart(chart, factor):
             p[..., 3] = factor * p[..., 3]
         return p
 
-    return fam.ImmersionChart(
+    return dataclasses.replace(
+        chart,
         name=f"{chart.name}(corrupted x{factor})",
-        eps=chart.eps,
-        target=chart.target,
-        domain=chart.domain,
         evaluate=evaluate,
         jet=None,
         metadata=dict(chart.metadata),
-        circle_radius=chart.circle_radius,
-        periods=chart.periods,
+        embed_circle=None,
     )
 
 
@@ -183,6 +174,13 @@ def _disk_projection(pts3, poincare):
         return pts3
     denom = 1.0 + pts3[..., 2:3]
     return np.concatenate([pts3[..., :2] / denom, np.zeros_like(denom)], axis=-1)
+
+
+def _write_cmc_obj(path, P, nx, ny):
+    """OBJ of a chart into M2(eps) x R: the factor's disk picture, lifted by the height."""
+    flat = _disk_projection(P[..., :3], True)
+    mesh = np.concatenate([flat[..., :2], P[..., 3:4]], axis=-1)
+    write_obj(path, mesh.reshape(-1, 3), nx, ny)
 
 
 def write_metadata(path, entries):
@@ -218,10 +216,8 @@ def cmd_generate(args):
             write_obj(path, pts.reshape(-1, 3), nx, ny)
             files.append(path)
     else:
-        flat = _disk_projection(P[..., :3], True)
-        mesh = np.concatenate([flat[..., :2], P[..., 3:4]], axis=-1)
         path = out / f"{stem}.obj"
-        write_obj(path, mesh.reshape(-1, 3), nx, ny)
+        _write_cmc_obj(path, P, nx, ny)
         files.append(path)
         if chart.target == fam.TARGET_CIRCLE:
             meta["circle_radius"] = f"{chart.circle_radius:.12g}"
@@ -313,11 +309,7 @@ def _verify_cmc(chart, args):
 
 
 def _config_slug(args):
-    bits = [args.family]
-    for key in ("eps", "a", "b", "c", "lam", "hnorm"):
-        val = getattr(args, key, None)
-        if val is not None:
-            bits.append(f"{key}{val:g}")
+    bits = [args.family] + [f"{key}{getattr(args, key):g}" for key in ("eps", "a", "b", "c", "lam", "hnorm")]
     if args.lift:
         bits.append("lift")
     return "_".join(bits)
@@ -384,10 +376,7 @@ def cmd_correspond(args):
         dj.to_csv(out / f"cmc_data_j{j}.csv")
         ar = abresch_rosenberg(rec, nx=min(args.nx, 41), ny=min(args.ny, 41), shrink=0.04, h_const_tol=1e-3)
         X, Y = rec.grid(args.nx, args.ny, shrink=0.02)
-        P = rec.evaluate(X, Y)
-        flat = _disk_projection(P[..., :3], True)
-        mesh = np.concatenate([flat[..., :2], P[..., 3:4]], axis=-1)
-        write_obj(out / f"cmc_chart_j{j}.obj", mesh.reshape(-1, 3), args.nx, args.ny)
+        _write_cmc_obj(out / f"cmc_chart_j{j}.obj", rec.evaluate(X, Y), args.nx, args.ny)
         report.append(f"reconstruction_{j}_H={float(np.mean(ar.H_scalar)):.12g}")
         report.append(f"reconstruction_{j}_loop_closure={rep['loop_closure']:.3e}")
         report.append(f"reconstruction_{j}_H_match={rep['H_match']:.3e}")
@@ -405,7 +394,7 @@ def cmd_correspond(args):
     text = "\n".join(report)
     (out / "correspondence_report.txt").write_text(text + "\n")
     print(text)
-    return EXIT_OK
+    return EXIT_OK if verdict.congruent else EXIT_VERIFICATION
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +436,8 @@ def cmd_report(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--family", required=False, default="prop4", choices=FAMILIES)
+def _add_chart_options(sub):
+    sub.add_argument("--family", default="prop4", choices=_CHARTS)
     sub.add_argument("--eps", type=int, default=-1, choices=(-1, 1))
     sub.add_argument("--a", type=float, default=-2.0)
     sub.add_argument("--b", type=float, default=1.0)
@@ -456,16 +445,10 @@ def _add_common(sub):
     sub.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sub.add_argument("--hnorm", type=float, default=0.25)
     sub.add_argument("--lift", action="store_true", help="compose with the totally geodesic inclusion")
-    sub.add_argument("--nx", type=_grid_size, default=81)
-    sub.add_argument("--ny", type=_grid_size, default=81)
     sub.add_argument(
         "--domain", type=_parse_domain, default=None, metavar="x0,x1,y0,y1",
         help="chart rectangle; use --domain=-1,1,-1,1 when values start with a minus sign",
     )
-    sub.add_argument("--fd-step", dest="fd_step", type=_fd_step, default=None)
-    sub.add_argument("--tol", type=float, default=1e-4)
-    sub.add_argument("--poincare", action="store_true")
-    sub.add_argument("--out", default="out")
 
 
 def _grid_size(text):
@@ -509,8 +492,16 @@ def build_parser():
         ("report", cmd_report),
     ):
         sub = subs.add_parser(name)
-        _add_common(sub)
+        if name != "report":
+            _add_chart_options(sub)
+        sub.add_argument("--nx", type=_grid_size, default=81)
+        sub.add_argument("--ny", type=_grid_size, default=81)
+        sub.add_argument("--out", default="out")
+        if name == "generate":
+            sub.add_argument("--poincare", action="store_true")
         if name == "verify":
+            sub.add_argument("--fd-step", dest="fd_step", type=_fd_step, default=None)
+            sub.add_argument("--tol", type=float, default=1e-4)
             sub.add_argument("--corrupt-height", dest="corrupt_height", type=float, default=1.0)
         sub.set_defaults(func=fn)
     return parser

@@ -10,7 +10,7 @@ class PreconditionError(ValueError):
 
 
 class InfeasibleParameters(DomainError):
-    """Parameters the construction cannot take: a profile restriction, a domain, a step.
+    """Parameters the construction cannot take: a range, a profile restriction, a domain, a step.
 
     Carries the restriction clause that fired, for error reporting.
     """

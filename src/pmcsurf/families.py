@@ -22,7 +22,7 @@ import numpy as np
 from .ambient import check_eps, factor_constraint
 from .curves import CurveSpec, constant_curvature_curve, integrate_curve
 from .elliptic import complete_k, jacobi_sncndn
-from .errors import DomainError
+from .errors import DomainError, InfeasibleParameters
 from .profile import ProfileParams
 from .utils import CumulativeIntegral
 
@@ -161,7 +161,8 @@ def product_of_curves(eps, k_alpha, k_beta, require_pmc=True, domain=None):
     """
     eps = check_eps(eps)
     if require_pmc and k_alpha == 0.0 and k_beta == 0.0:
-        raise DomainError("two geodesics give a minimal chart: H is null, not a PMC chart")
+        clause = "k_alpha != 0 or k_beta != 0"
+        raise InfeasibleParameters(f"two geodesics give a minimal chart, not a PMC chart: needs {clause}", clause)
     alpha = constant_curvature_curve(eps, k_alpha)
     beta = constant_curvature_curve(eps, k_beta)
     periods = None
@@ -333,7 +334,7 @@ def pmc_phi0(h_abs, y_span=(-1.5, 1.5), x_frac=0.6):
     """
     H = float(h_abs)
     if not 0.0 < H < 0.5:
-        raise DomainError("pmc_phi0 requires 0 < |H| < 1/2")
+        raise InfeasibleParameters(f"pmc_phi0 requires 0 < |H| < 1/2, got {H:g}", "0 < |H| < 1/2")
     s = np.sqrt(1.0 - 4.0 * H * H)
 
     def speed(x):
@@ -556,7 +557,7 @@ def cmc_sinh_chart(lam, domain=(-1.5, 1.5, -1.5, 1.5)):
     """
     lam = float(lam)
     if lam <= 0:
-        raise DomainError("cmc_sinh_chart needs lam > 0")
+        raise InfeasibleParameters(f"cmc_sinh_chart needs lam > 0, got {lam:g}", "lam > 0")
     r = np.sqrt(1.0 + lam * lam)
 
     def jet(x, y):
@@ -594,7 +595,7 @@ def cmc_leite_chart(h_scalar, y_span=(-1.2, 1.2), x_frac=0.88):
     """
     H = float(h_scalar)
     if not 0.0 < H < 0.5:
-        raise DomainError("cmc_leite_chart requires 0 < H < 1/2")
+        raise InfeasibleParameters(f"cmc_leite_chart requires 0 < H < 1/2, got {H:g}", "0 < H < 1/2")
     s = np.sqrt(1.0 - 4.0 * H * H)
     half = np.pi / 2.0
 
@@ -646,7 +647,7 @@ def cmc_torus(a, b):
     """
     a, b = float(a), float(b)
     if not 0.0 < b < a:
-        raise DomainError("cmc_torus requires 0 < b < a")
+        raise InfeasibleParameters(f"cmc_torus requires 0 < b < a, got a={a:g}, b={b:g}", "0 < b < a")
     kappa_sq = (a - b) / (a * (1.0 + b))
     kappa = np.sqrt(kappa_sq)
     Kk = complete_k(kappa)
@@ -793,16 +794,30 @@ def geodesic_inclusion(chart):
 # ---------------------------------------------------------------------------
 
 
+def _require_catalog_range(which, clause, holds):
+    if not holds:
+        raise InfeasibleParameters(f"the example-1 chart {which} needs {clause}", clause)
+
+
 def example1_chart(which, **kw):
-    """Product-of-curves charts of the catalog: T_{a,ahat}, C_{a,b}, Chat_a, P..., Ptilde."""
+    """Product-of-curves charts of the catalog: T_{a,ahat}, C_{a,b}, Chat_a, P..., Ptilde.
+
+    T needs |a| < 1 and |ahat| < 1, That |a| > 1 and |ahat| > 1, Chat |a| > 1:
+    outside these the curvatures a/sqrt(1 - a^2) and a/sqrt(a^2 - 1) have no value.
+    """
     if which == "T":
         a, ahat = kw["a"], kw["ahat"]
+        _require_catalog_range(which, "|a| < 1", abs(a) < 1)
+        _require_catalog_range(which, "|ahat| < 1", abs(ahat) < 1)
         return product_of_curves(+1, a / np.sqrt(1 - a * a), ahat / np.sqrt(1 - ahat * ahat))
     if which == "That":
         a, ahat = kw["a"], kw["ahat"]
+        _require_catalog_range(which, "|a| > 1", abs(a) > 1)
+        _require_catalog_range(which, "|ahat| > 1", abs(ahat) > 1)
         return product_of_curves(-1, a / np.sqrt(a * a - 1), ahat / np.sqrt(ahat * ahat - 1))
     if which == "Chat":
         a = kw["a"]
+        _require_catalog_range(which, "|a| > 1", abs(a) > 1)
         return product_of_curves(-1, a / np.sqrt(a * a - 1), 1.0)
     if which == "Ptilde":
         return product_of_curves(-1, 1.0, 1.0)

@@ -272,3 +272,62 @@ def test_reversed_empty_or_infinite_domain_is_a_usage_error(tmp_path, capsys, fa
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("verify_*.txt"))
+
+
+@pytest.mark.parametrize(
+    "argv, clause",
+    [
+        (["verify", "--family", "T", "--a", "1.5", "--b", "0.8"], "|a| < 1"),
+        (["generate", "--family", "T", "--a", "1.5", "--b", "0.8"], "|a| < 1"),
+        (["verify", "--family", "T", "--a", "0.6", "--b", "-1"], "|ahat| < 1"),
+        (["verify", "--family", "That", "--a", "2", "--b", "0.5"], "|ahat| > 1"),
+        (["generate", "--family", "Chat", "--a", "0.5"], "|a| > 1"),
+        (["verify", "--family", "phi0", "--hnorm", "0.5"], "0 < |H| < 1/2"),
+        (["generate", "--family", "example5", "--hnorm", "0"], "0 < H < 1/2"),
+        (["verify", "--family", "torus", "--a", "1", "--b", "2"], "0 < b < a"),
+        (["verify", "--family", "example4", "--lambda", "0"], "lam > 0"),
+        (["generate", "--family", "product", "--a", "0", "--b", "0"], "k_alpha != 0 or k_beta != 0"),
+    ],
+    ids=["T-a-verify", "T-a-generate", "T-ahat", "That-ahat", "Chat-a", "phi0", "example5", "torus", "example4",
+         "product"],
+)
+def test_family_parameters_out_of_range_are_infeasible(tmp_path, capsys, argv, clause):
+    # at these values the chart's formulas give NaN, or no surface of the family
+    out = tmp_path / "out"
+    code = main([*argv, "--nx", "9", "--ny", "9", "--out", str(out)])
+    assert code == EXIT_INFEASIBLE
+    assert clause in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_correspond_exits_one_when_the_reconstructions_are_not_congruent(tmp_path, monkeypatch):
+    from pmcsurf import cli
+    from pmcsurf.correspondence import CongruenceVerdict
+
+    monkeypatch.setattr(cli, "weak_congruence_check", lambda *args, **kw: CongruenceVerdict(False, 1.0, "id"))
+    code = main(["correspond", "--family", "product", "--eps", "1", "--a", "1", "--b", "1",
+                 "--domain=0,1.5,0,1.5", "--nx", "25", "--ny", "25", "--out", str(tmp_path)])
+    assert code == EXIT_VERIFICATION
+    assert "weak_congruence=False" in (tmp_path / "correspondence_report.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--fd-step", "0.5"],
+        ["generate", "--tol", "1"],
+        ["correspond", "--fd-step", "0.5"],
+        ["correspond", "--poincare"],
+        ["verify", "--poincare"],
+        ["report", "--family", "T"],
+        ["report", "--lift"],
+    ],
+    ids="_".join,
+)
+def test_an_option_the_subcommand_does_not_read_is_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--nx", "9", "--ny", "9", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
