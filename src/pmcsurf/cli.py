@@ -439,11 +439,11 @@ def cmd_report(args):
 def _add_chart_options(sub):
     sub.add_argument("--family", default="prop4", choices=_CHARTS)
     sub.add_argument("--eps", type=int, default=-1, choices=(-1, 1))
-    sub.add_argument("--a", type=float, default=-2.0)
-    sub.add_argument("--b", type=float, default=1.0)
-    sub.add_argument("--c", type=float, default=0.0)
-    sub.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sub.add_argument("--hnorm", type=float, default=0.25)
+    sub.add_argument("--a", type=_finite, default=-2.0)
+    sub.add_argument("--b", type=_finite, default=1.0)
+    sub.add_argument("--c", type=_finite, default=0.0)
+    sub.add_argument("--lambda", dest="lam", type=_finite, default=1.0)
+    sub.add_argument("--hnorm", type=_finite, default=0.25)
     sub.add_argument("--lift", action="store_true", help="compose with the totally geodesic inclusion")
     sub.add_argument(
         "--domain", type=_parse_domain, default=None, metavar="x0,x1,y0,y1",
@@ -459,12 +459,20 @@ def _grid_size(text):
     return n
 
 
-def _fd_step(text):
-    """Step of the numeric jets: a positive, finite number."""
-    d = float(text)
-    if not (np.isfinite(d) and d > 0):
+def _finite(text):
+    """A chart parameter: any finite number."""
+    v = float(text)
+    if not np.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return v
+
+
+def _positive(text):
+    """A step or a tolerance: a positive, finite number."""
+    v = float(text)
+    if not (np.isfinite(v) and v > 0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return d
+    return v
 
 
 def _parse_domain(text):
@@ -500,9 +508,9 @@ def build_parser():
         if name == "generate":
             sub.add_argument("--poincare", action="store_true")
         if name == "verify":
-            sub.add_argument("--fd-step", dest="fd_step", type=_fd_step, default=None)
-            sub.add_argument("--tol", type=float, default=1e-4)
-            sub.add_argument("--corrupt-height", dest="corrupt_height", type=float, default=1.0)
+            sub.add_argument("--fd-step", dest="fd_step", type=_positive, default=None)
+            sub.add_argument("--tol", type=_positive, default=1e-4)
+            sub.add_argument("--corrupt-height", dest="corrupt_height", type=_finite, default=1.0)
         sub.set_defaults(func=fn)
     return parser
 

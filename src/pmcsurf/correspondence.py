@@ -14,7 +14,6 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .ambient import cross_eps, inner, project_to_factor
 from .errors import DomainError, PreconditionError, VerificationError
@@ -229,6 +228,17 @@ def _pmc_map(F1, F2):
     return out
 
 
+def _spline(xs, ys, v):
+    """Quintic spline of v on the grid xs x ys, of lower degree on an axis of fewer than six nodes.
+
+    scipy is imported here, on the first spline build, so that a run that
+    builds none (chart certification) never loads it.
+    """
+    from scipy.interpolate import RectBivariateSpline
+
+    return RectBivariateSpline(xs, ys, v, kx=min(5, len(xs) - 1), ky=min(5, len(ys) - 1))
+
+
 def _grid_fields(data):
     """Dense evaluation of a record's data: its ``fields``, or splines of its node arrays.
 
@@ -238,14 +248,7 @@ def _grid_fields(data):
     """
     if data.fields is not None:
         return data.fields
-    xs = data.x[:, 0]
-    ys = data.y[0, :]
-    kx = min(5, len(xs) - 1)
-    ky = min(5, len(ys) - 1)
-
-    def spline(v):
-        return RectBivariateSpline(xs, ys, v, kx=kx, ky=ky)
-
+    spline = partial(_spline, data.x[:, 0], data.y[0, :])
     sp = {
         k: (spline(v.real), spline(v.imag)) if np.iscomplexobj(v) else (spline(v),)
         for k, v in data.grids().items()
@@ -466,10 +469,8 @@ def _spline_chart(x, y, fields_by_name, eps, target, name, metadata):
     """Wrap gridded jet fields into an ImmersionChart via quintic splines."""
     xs = x[:, 0]
     ys = y[0, :]
-    kx = min(5, len(xs) - 1)
-    ky = min(5, len(ys) - 1)
     splines = {
-        key: [RectBivariateSpline(xs, ys, comp, kx=kx, ky=ky) for comp in np.moveaxis(arr, -1, 0)]
+        key: [_spline(xs, ys, comp) for comp in np.moveaxis(arr, -1, 0)]
         for key, arr in fields_by_name.items()
     }
     dim = fields_by_name["p"].shape[-1]

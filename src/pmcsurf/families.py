@@ -825,12 +825,14 @@ def example1_chart(which, **kw):
 
 
 def pmc_sinh_family(lam):
-    """The 1-parameter PMC family with 4|H|^2 = 1 and Hopf coefficient lam^2/4.
+    """The 1-parameter PMC family with 4|H|^2 = 1 and Hopf coefficient lam^2/4, lam > 0.
 
     The induced metric is (1+lam^2) cosh^2(lam x) (dx^2+dy^2), with curvature
     K = -lam^2 / ((1+lam^2) cosh^4(lam x)); so K(0) = -lam^2/(1+lam^2).
     """
     lam = float(lam)
+    if lam <= 0:
+        raise InfeasibleParameters(f"pmc_sinh_family needs lam > 0, got {lam:g}", "lam > 0")
     params = ProfileParams(-1, a=-(1.0 + lam * lam), b=1.0, c=0.0)
     from .profile import closed_form
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pmcsurf
 from pmcsurf.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VERIFICATION, main
 
 
@@ -252,6 +258,40 @@ def test_fd_step_must_be_positive_and_finite(tmp_path, capsys, step):
 
 
 @pytest.mark.parametrize(
+    "option, value",
+    [(option, value) for option in ("--a", "--b", "--c", "--lambda", "--hnorm", "--corrupt-height", "--tol")
+     for value in ("nan", "inf", "-inf")] + [("--tol", "0"), ("--tol", "-1")],
+)
+def test_malformed_number_option_is_a_usage_error(tmp_path, capsys, option, value):
+    # a NaN parameter gives NaN residuals, and a NaN or non-positive tolerance fails every residual
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "product", "--a", "1", "--b", "1", f"{option}={value}",
+              "--nx", "9", "--ny", "9", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be" in capsys.readouterr().err
+    assert not list(tmp_path.glob("verify_*.txt"))
+
+
+def test_certification_never_loads_scipy(tmp_path):
+    # scipy builds the correspondence's splines only; a fresh interpreter that
+    # imports the CLI and certifies a chart must not load it
+    probe = (
+        "import sys\n"
+        "from pmcsurf import cli\n"
+        "code = cli.main(['verify', '--family', 'product', '--a', '1', '--b', '1',"
+        " '--nx', '9', '--ny', '9', '--out', sys.argv[1]])\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(pmcsurf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
     "family",
     [pytest.param(["--family", "T", "--a", "0.6", "--b", "0.8"], id="T"), pytest.param(["--family", "prop4"], id="prop4")],
 )
@@ -287,9 +327,11 @@ def test_reversed_empty_or_infinite_domain_is_a_usage_error(tmp_path, capsys, fa
         (["verify", "--family", "torus", "--a", "1", "--b", "2"], "0 < b < a"),
         (["verify", "--family", "example4", "--lambda", "0"], "lam > 0"),
         (["generate", "--family", "product", "--a", "0", "--b", "0"], "k_alpha != 0 or k_beta != 0"),
+        (["verify", "--family", "example2", "--lambda", "0"], "lam > 0"),
+        (["verify", "--family", "example2", "--lambda=-1"], "lam > 0"),
     ],
     ids=["T-a-verify", "T-a-generate", "T-ahat", "That-ahat", "Chat-a", "phi0", "example5", "torus", "example4",
-         "product"],
+         "product", "example2-lam0", "example2-lam-1"],
 )
 def test_family_parameters_out_of_range_are_infeasible(tmp_path, capsys, argv, clause):
     # at these values the chart's formulas give NaN, or no surface of the family
