@@ -70,15 +70,22 @@ def cross_eps(a, b, eps):
     cross product with the third component negated.  The components are
     written out: the same products and differences, in the same order, as
     numpy's cross, without its per-call overhead, which dominates on single
-    3-vectors.  Real and complex inputs broadcast over leading axes.
+    3-vectors.  Real and complex inputs broadcast over leading axes.  The
+    components are written into one array, and eps = -1 multiplies it in place
+    by (1, 1, -1): a product, not a negation of the third component, because
+    a complex component times 1 + 0j is not itself when its parts are signed
+    zeros, and numpy's cross followed by that product is the reference.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    c = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    c = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b, 1.0))
+    np.subtract(a1 * b2, a2 * b1, out=c[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=c[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=c[..., 2])
     if check_eps(eps) == -1:
-        c = c * np.array([1.0, 1.0, -1.0])
+        np.multiply(c, metric_diag(-1), out=c)
     return c
 
 
@@ -105,17 +112,27 @@ def factor_j(p, v, eps, check=True):
     return cross_eps(p, v, eps)
 
 
-def product_j(which, P, V, eps, check=True):
-    """The product complex structures J1 = (J, J) and J2 = (J, -J), blockwise."""
-    if which not in (1, 2):
-        raise DomainError(f"which must be 1 or 2, got {which}")
+def product_j_pair(P, V, eps, check=True):
+    """(J1 V, J2 V) for the product complex structures J1 = (J, J) and J2 = (J, -J).
+
+    One ``factor_j`` per factor block serves both: J2 V is J1 V with its second
+    block negated, which is exact.
+    """
     P = np.asarray(P, dtype=float)
     V = np.asarray(V)
-    out = np.empty_like(V)
-    out[..., :3] = factor_j(P[..., :3], V[..., :3], eps, check=check)
-    second = factor_j(P[..., 3:], V[..., 3:], eps, check=check)
-    out[..., 3:] = second if which == 1 else -second
-    return out
+    j1 = np.empty_like(V)
+    j1[..., :3] = factor_j(P[..., :3], V[..., :3], eps, check=check)
+    j1[..., 3:] = factor_j(P[..., 3:], V[..., 3:], eps, check=check)
+    j2 = j1.copy()
+    np.negative(j1[..., 3:], out=j2[..., 3:])
+    return j1, j2
+
+
+def product_j(which, P, V, eps, check=True):
+    """The product complex structure J1 = (J, J) or J2 = (J, -J), blockwise."""
+    if which not in (1, 2):
+        raise DomainError(f"which must be 1 or 2, got {which}")
+    return product_j_pair(P, V, eps, check=check)[which - 1]
 
 
 def factor_constraint(p, eps):

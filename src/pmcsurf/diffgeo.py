@@ -7,6 +7,10 @@ derivatives of derived scalar fields (u, C_j, theta_j, ...) come from centered
 differences, Richardson-extrapolated on the power-of-two refined grid that
 ``surface_invariants`` samples once, so that the identity residuals measure the
 chart itself, not the differentiation; the requested grid is a stride of it.
+The pointwise fields are built in blocks of whole refined rows (about
+``BLOCK_POINTS`` samples each), so the jet, the frame and the determinant
+stacks of one block are alive at a time; every pointwise operation acts per
+sample, so the blocked fields are bitwise those of one pass over the grid.
 
 Sign conventions inherit from :mod:`pmcsurf.ambient`: the normal companion
 Htilde of the mean curvature vector is oriented so that
@@ -15,11 +19,12 @@ form pi1*omega ^ pi2*omega, and xi = (H - i Htilde)/(sqrt(2) |H|).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .ambient import inner, metric_diag, orientation_form, product_j
+from .ambient import inner, metric_diag, orientation_form, product_j_pair
 from .errors import DomainError, InfeasibleParameters, VerificationError
 from .families import TARGET_CIRCLE, TARGET_LINE, TARGET_PRODUCT, ImmersionChart
 from .utils import write_columns_csv
@@ -28,6 +33,9 @@ EPS_FLOOR = 1e-12
 MIN_HNORM = 1e-10  # below this |H| the surface counts as minimal and Htilde is undefined
 SHRINK = 0.02  # margin fraction cut from each side of the chart rectangle before sampling
 PARALLELISM_DELTA = 5e-4  # step of the centered difference of H in the parallelism residual
+# samples per block of the pointwise pass in surface_invariants: much larger
+# blocks raise its peak memory, much smaller ones add per-call overhead
+BLOCK_POINTS = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +68,23 @@ class JetSample:
     def ip(self, v, w):
         """Bilinear inner product of the chart's ambient (no conjugation)."""
         return inner(v, w, self.eps)
+
+    # Phi_z, Phi_zz and J_j Phi_z are built once per jet: the Frenet scalars
+    # and the definitional Hopf path both read them
+    @cached_property
+    def phi_z(self):
+        """Phi_z = (Phi_x - i Phi_y) / 2."""
+        return 0.5 * (self.px - 1j * self.py)
+
+    @cached_property
+    def phi_zz(self):
+        """Phi_zz = (Phi_xx - Phi_yy - 2i Phi_xy) / 4."""
+        return 0.25 * (self.pxx - self.pyy - 2j * self.pxy)
+
+    @cached_property
+    def j_phi_z(self):
+        """(J_1 Phi_z, J_2 Phi_z)."""
+        return product_j_pair(self.p, self.phi_z, self.eps, check=False)
 
 
 def _leaves_domain(domain, x, y, margin):
@@ -225,21 +250,21 @@ def kaehler_functions(jet):
     if jet.dim != 6:
         raise DomainError("Kaehler functions live on product charts")
     e2u = jet.ip(jet.px, jet.px)
-    C1 = jet.ip(product_j(1, jet.p, jet.px, jet.eps, check=False), jet.py) / e2u
-    C2 = jet.ip(product_j(2, jet.p, jet.px, jet.eps, check=False), jet.py) / e2u
+    J1px, J2px = product_j_pair(jet.p, jet.px, jet.eps, check=False)
+    C1 = jet.ip(J1px, jet.py) / e2u
+    C2 = jet.ip(J2px, jet.py) / e2u
     return C1, C2, 0.5 * (C1 + C2), 0.5 * (C1 - C2)
 
 
 def frenet_scalars(jet, frame):
     """The complex Frenet scalars gamma_j (frame relations) and f_j (second order)."""
-    phi_z = 0.5 * (jet.px - 1j * jet.py)
-    phi_zz = 0.25 * (jet.pxx - jet.pyy - 2j * jet.pxy)
+    J1phi_z, J2phi_z = jet.j_phi_z
     xi = frame.xi
     xibar = np.conj(xi)
-    gamma1 = jet.ip(product_j(1, jet.p, phi_z, jet.eps, check=False), xibar)
-    gamma2 = jet.ip(product_j(2, jet.p, phi_z, jet.eps, check=False), xi)
-    f1 = jet.ip(phi_zz, xibar)
-    f2 = jet.ip(phi_zz, xi)
+    gamma1 = jet.ip(J1phi_z, xibar)
+    gamma2 = jet.ip(J2phi_z, xi)
+    f1 = jet.ip(jet.phi_zz, xibar)
+    f2 = jet.ip(jet.phi_zz, xi)
     return gamma1, gamma2, f1, f2
 
 
@@ -260,15 +285,13 @@ def hopf_definitional(jet, frame):
     theta_j = 2 <sigma(dz, dz), H +- i Htilde> + (eps / 4|H|^2) <J_j Phi_z, H +- i Htilde>^2
     with sigma the second fundamental form (normal projection of Phi_zz).
     """
-    phi_z = 0.5 * (jet.px - 1j * jet.py)
-    phi_zz = 0.25 * (jet.pxx - jet.pyy - 2j * jet.pxy)
-    sigma_zz = frame.proj(phi_zz)
+    sigma_zz = frame.proj(jet.phi_zz)
     Hsq = jet.ip(frame.H, frame.H)
     out = []
-    for j, s in ((1, +1), (2, -1)):
+    for Jphi_z, s in zip(jet.j_phi_z, (+1, -1)):
         w = frame.H + s * 1j * frame.Htilde
         term1 = 2.0 * jet.ip(sigma_zz, w)
-        pair = jet.ip(product_j(j, jet.p, phi_z, jet.eps, check=False), w)
+        pair = jet.ip(Jphi_z, w)
         out.append(term1 + jet.eps / (4.0 * Hsq) * pair**2)
     return tuple(out)
 
@@ -392,8 +415,8 @@ class SurfaceInvariants:
     Kbar_perp: np.ndarray
     Kbar_direct: np.ndarray
     Kbar_perp_direct: np.ndarray
-    H: np.ndarray
-    Htilde: np.ndarray
+    H: Optional[np.ndarray]  # None on the refined pass
+    Htilde: Optional[np.ndarray]  # None on the refined pass
     Hnorm: np.ndarray
     gamma1: np.ndarray
     gamma2: np.ndarray
@@ -403,6 +426,8 @@ class SurfaceInvariants:
     theta2: np.ndarray
     theta1_def: np.ndarray
     theta2_def: np.ndarray
+    X1: np.ndarray  # (<X_1, Phi_x>, <X_1, Phi_y>) on the last axis; X_j the tangential part of J_j Htilde
+    X2: np.ndarray
     parallelism_residual: float
     identity_residuals: dict = field(default_factory=dict)
     holomorphy: dict = field(default_factory=dict)
@@ -460,24 +485,9 @@ def parallelism_residual(chart, X, Y, delta, fd_step=None):
     return float(np.max(np.maximum(rx, ry) / hn))
 
 
-def surface_invariants(chart, nx=81, ny=81, fd_step=None, resid_refine=4):
-    """Compute the full invariant record of a product chart on an nx x ny grid.
-
-    The chart is sampled once, on r(nx-1)+1 x r(ny-1)+1 points (r = ``resid_refine``);
-    the identity residuals differentiate the derived fields there, finely enough that
-    the differentiation does not dominate them.  The record holds every r-th point of
-    that pass, with K and the holomorphy and parallelism residuals computed on it.
-    r must be a power of two, for which the stride is bitwise the nx x ny grid; 1 means
-    no refinement.
-    """
-    if chart.target != TARGET_PRODUCT:
-        raise DomainError("surface_invariants expects a product chart; see abresch_rosenberg")
-    r = resid_refine
-    if r < 1 or r & (r - 1):
-        raise DomainError(f"resid_refine must be a power of two, got {r}")
-    Xr, Yr = chart.grid(r * (nx - 1) + 1, r * (ny - 1) + 1, shrink=SHRINK)
-    jet = sample_jet(chart, Xr, Yr, fd_step=fd_step)
-
+def _pointwise_block(chart, x, y, fd_step):
+    """Every pointwise field of the invariant record on one block of samples."""
+    jet = sample_jet(chart, x, y, fd_step=fd_step)
     u, defect = conformal_data(jet)
     frame = normal_frame(jet)
     C1, C2, jac_phi, jac_psi = kaehler_functions(jet)
@@ -490,9 +500,11 @@ def surface_invariants(chart, nx=81, ny=81, fd_step=None, resid_refine=4):
     Hn = frame.Hnorm
     e3 = frame.Htilde / Hn[..., None]
     e4 = frame.H / Hn[..., None]
-    pointwise = dict(
-        x=Xr,
-        y=Yr,
+    X1, X2 = (
+        np.stack([jet.ip(JH, jet.px), jet.ip(JH, jet.py)], axis=-1)
+        for JH in product_j_pair(jet.p, frame.Htilde, eps, check=False)
+    )
+    return dict(
         u=u,
         conformal_defect=defect,
         C1=C1,
@@ -514,11 +526,49 @@ def surface_invariants(chart, nx=81, ny=81, fd_step=None, resid_refine=4):
         theta2=theta2,
         theta1_def=theta1_def,
         theta2_def=theta2_def,
+        X1=X1,
+        X2=X2,
     )
-    refined = SurfaceInvariants(chart=chart, K=None, parallelism_residual=np.nan, **pointwise)
-    residuals = identity_residuals(refined, jet)
 
-    pointwise = {k: np.ascontiguousarray(v[::r, ::r]) for k, v in pointwise.items()}
+
+def surface_invariants(chart, nx=81, ny=81, fd_step=None, resid_refine=4):
+    """Compute the full invariant record of a product chart on an nx x ny grid.
+
+    The chart is sampled once, on r(nx-1)+1 x r(ny-1)+1 points (r = ``resid_refine``);
+    the identity residuals differentiate the derived fields there, finely enough that
+    the differentiation does not dominate them.  The record holds every r-th point of
+    that pass, with K and the holomorphy and parallelism residuals computed on it.
+    r must be a power of two, for which the stride is bitwise the nx x ny grid; 1 means
+    no refinement.
+
+    The pass walks blocks of a whole number of r rows, about ``BLOCK_POINTS``
+    samples each, so every block starts on a row of the requested grid.  The
+    scalar fields are written into arrays of the refined grid; H and Htilde are
+    kept on the requested grid only, since no identity differentiates them.
+    """
+    if chart.target != TARGET_PRODUCT:
+        raise DomainError("surface_invariants expects a product chart; see abresch_rosenberg")
+    r = resid_refine
+    if r < 1 or r & (r - 1):
+        raise DomainError(f"resid_refine must be a power of two, got {r}")
+    Xr, Yr = chart.grid(r * (nx - 1) + 1, r * (ny - 1) + 1, shrink=SHRINK)
+    rows = max(1, BLOCK_POINTS // (r * Xr.shape[1])) * r
+    fine, coarse = {}, {"H": [], "Htilde": []}
+    for i0 in range(0, Xr.shape[0], rows):
+        block = _pointwise_block(chart, Xr[i0 : i0 + rows], Yr[i0 : i0 + rows], fd_step)
+        for k, parts in coarse.items():
+            parts.append(block.pop(k)[::r, ::r].copy())  # a copy, so the block's H is freed
+        for k, v in block.items():
+            if k not in fine:
+                fine[k] = np.empty(Xr.shape + v.shape[2:], dtype=v.dtype)
+            fine[k][i0 : i0 + rows] = v
+    fine.update(x=Xr, y=Yr)
+
+    refined = SurfaceInvariants(chart=chart, K=None, H=None, Htilde=None, parallelism_residual=np.nan, **fine)
+    residuals = identity_residuals(refined)
+
+    pointwise = {k: np.ascontiguousarray(v[::r, ::r]) for k, v in fine.items()}
+    pointwise.update({k: np.concatenate(parts) for k, parts in coarse.items()})
     X, Y, u = pointwise["x"], pointwise["y"], pointwise["u"]
     dx = X[1, 0] - X[0, 0]
     dy = Y[0, 1] - Y[0, 0]
@@ -542,15 +592,15 @@ def surface_invariants(chart, nx=81, ny=81, fd_step=None, resid_refine=4):
     return inv
 
 
-def identity_residuals(inv, jet):
+def identity_residuals(inv):
     """Normalized residuals of the scalar identities of a product chart.
 
-    ``inv`` holds the pointwise fields of ``jet`` on its uniform grid (K is not read).
+    ``inv`` holds the pointwise fields on its uniform grid (K, H and Htilde are not read).
     Keys: frame_gamma (|gamma_j|^2 law), eq5 (|f_j|^2 law), eq6 (gradient law),
     eq7 (Laplacian law), eq12 (div X_j), eq14 (gradient-X law), plus the
     two-path checks kbar_paths and hopf_paths.
     """
-    eps = jet.eps
+    eps = inv.chart.eps
     X, Y = inv.x, inv.y
     dx = X[1, 0] - X[0, 0]
     dy = Y[0, 1] - Y[0, 0]
@@ -562,8 +612,9 @@ def identity_residuals(inv, jet):
     K = -np.exp(-2 * inv.u) * grid_laplacian_richardson(inv.u, dx, dy)
     out = {}
 
-    for j, (C, gamma, f, theta) in enumerate(
-        [(inv.C1, inv.gamma1, inv.f1, inv.theta1), (inv.C2, inv.gamma2, inv.f2, inv.theta2)], start=1
+    for j, (C, gamma, f, theta, Xj) in enumerate(
+        [(inv.C1, inv.gamma1, inv.f1, inv.theta1, inv.X1), (inv.C2, inv.gamma2, inv.f2, inv.theta2, inv.X2)],
+        start=1,
     ):
         sgn = (-1.0) ** j
         # frame relation |gamma_j|^2 = e^{2u}(1 - C_j^2)/2
@@ -593,10 +644,7 @@ def identity_residuals(inv, jet):
         out[f"eq7_j{j}"] = normalized_mismatch(
             lapC[interior], rhs7[interior], terms=(scale7[interior],)
         )
-        # X_j: tangential part of J_j Htilde
-        JH = product_j(j, jet.p, inv.Htilde, eps, check=False)
-        a1 = jet.ip(JH, jet.px)
-        a2 = jet.ip(JH, jet.py)
+        a1, a2 = Xj[..., 0], Xj[..., 1]
         # eq12: div X_j = (-1)^{j+1} 2 C_j |H|^2
         a1x, _ = grid_d_richardson(a1, dx, dy)
         _, a2y = grid_d_richardson(a2, dx, dy)
@@ -665,8 +713,8 @@ def torus_integrals(chart, nx=128, ny=128):
     Hsq = frame.Hnorm**2
     dx = Px / nx
     dy = Py / ny
-    for j, C in ((1, C1), (2, C2)):
-        JH = product_j(j, jet.p, frame.Htilde, chart.eps, check=False)
+    JH_pair = product_j_pair(jet.p, frame.Htilde, chart.eps, check=False)
+    for j, (C, JH) in enumerate(zip((C1, C2), JH_pair), start=1):
         a1 = jet.ip(JH, jet.px)
         a2 = jet.ip(JH, jet.py)
         # fourth-order periodic centered differences on the fundamental domain

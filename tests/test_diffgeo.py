@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pmcsurf import diffgeo
 from pmcsurf.ambient import factor_j
 from pmcsurf.curves import CurveSpec, constant_curvature_curve, integrate_curve
 from pmcsurf.diffgeo import (
@@ -270,21 +272,71 @@ def test_identity_residuals_battery():
 
 
 def test_one_chart_pass_per_record(monkeypatch):
-    # the refined pass, then parallelism's centre and four shifted jets; a
-    # separate pass on the requested grid made this 8
+    # the refined pass walks the 129x129 grid once, in blocks of whole rows,
+    # then parallelism takes its centre and four shifted jets on 33x33
     ch = chart("prop4_hyp")
     jet = ch.jet
-    shapes = []
+    calls = []
 
     def counted(x, y):
-        shapes.append(np.shape(x))
+        calls.append((np.copy(x), np.copy(y)))
         return jet(x, y)
 
     monkeypatch.setattr(ch, "jet", counted)
     inv = surface_invariants(ch, nx=33, ny=33)
-    assert len(shapes) == 6 and shapes[0] == (129, 129)
+    blocks, parallelism = calls[:-5], calls[-5:]
+    assert len(blocks) > 1 and all(len(x) % 4 == 0 for x, _ in blocks[:-1])
+    Xr, Yr = ch.grid(129, 129, shrink=0.02)
+    assert np.array_equal(np.concatenate([x for x, _ in blocks]), Xr)
+    assert np.array_equal(np.concatenate([y for _, y in blocks]), Yr)
+    assert all(np.shape(x) == (33, 33) for x, _ in parallelism)
     X, Y = ch.grid(33, 33, shrink=0.02)
     assert np.array_equal(inv.x, X) and np.array_equal(inv.y, Y)
+
+
+def _assert_records_equal(a, b, label):
+    for f in dataclasses.fields(a):
+        value = getattr(a, f.name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(b, f.name), value, equal_nan=True), (label, f.name)
+    assert a.identity_residuals == b.identity_residuals, label
+    assert a.holomorphy == b.holomorphy, label
+    assert a.parallelism_residual == b.parallelism_residual, label
+
+
+def test_blocked_pass_is_bitwise_the_whole_grid(monkeypatch):
+    # every pointwise operation acts per sample, so the block size moves no bit:
+    # the default blocks, one block of r rows at a time and one block for the
+    # whole refined grid give the same record
+    base = chart("prop4_hyp")
+    scale = np.array([1.0, 1.0, 1.0, 1.01, 1.01, 1.01])
+    corrupted = dataclasses.replace(
+        base, name="corrupted", jet=None, evaluate=lambda x, y: base.evaluate(x, y) * scale
+    )
+    cases = [(chart(key), {}) for key in ("prop4_hyp", "prop4_sph", "phi0", "incl_torus")]
+    for ch, kw in cases + [(corrupted, {"fd_step": 1e-3})]:
+        blocked = surface_invariants(ch, nx=33, ny=33, **kw)
+        monkeypatch.setattr(diffgeo, "BLOCK_POINTS", 1)
+        rows = surface_invariants(ch, nx=33, ny=33, **kw)
+        monkeypatch.setattr(diffgeo, "BLOCK_POINTS", 10**9)
+        whole = surface_invariants(ch, nx=33, ny=33, **kw)
+        monkeypatch.undo()
+        _assert_records_equal(whole, blocked, (ch.name, "default blocks"))
+        _assert_records_equal(whole, rows, (ch.name, "blocks of r rows"))
+
+
+def test_surface_invariants_peak_memory():
+    # blocks keep one block's jet, frame and determinant stacks alive at a time;
+    # the whole-grid pass peaked at 141.5 MB on this call
+    p = ProfileParams(+1, 2.0, 1.0, 0.0)
+    ch = pmc_profile_family(p, closed_form("sn_family", p, x_span=(-1.5, 1.5)), y_span=(-1.0, 1.0))
+    tracemalloc.start()
+    try:
+        surface_invariants(ch, nx=81, ny=81)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70e6, peak / 1e6
 
 
 def test_refined_record_slices_to_the_unrefined_one():
