@@ -60,70 +60,36 @@ def _profile_chart(args, construct):
     """prop4 or prop6 member (eps, a, b, c): its profile h solved on the --domain x-span."""
     params = ProfileParams(args.eps, args.a, args.b, args.c)
     require_feasible(params)
-    dom = args.domain
-    x_span = (dom[0], dom[1]) if dom else (-1.2, 1.2)
-    y_span = (dom[2], dom[3]) if dom else (-1.0, 1.0)
-    try:
-        h = _profile_solution(params, x_span)
-        chart = construct(params, h, y_span=y_span)
-    except DomainError as exc:
-        if x_span[0] <= 0.0 <= x_span[1]:
-            raise
-        # the solved profile and the second-factor curve both start at x = 0
-        raise InfeasibleParameters(
-            f"--domain x-span [{x_span[0]:.6g}, {x_span[1]:.6g}] leaves out x = 0, where the {args.family}"
-            f" profile or its curve starts: x = 0 must lie in the span ({exc})",
-            "domain",
-        ) from exc
+    dom = args.domain or (-1.2, 1.2, -1.0, 1.0)
+    h = _profile_solution(params, dom[:2])
+    chart = construct(params, h, y_span=dom[2:])
     chart.metadata["profile"] = h
     return chart
 
 
-# each constructor is looked up in ``fam`` at call time, so that a wrapper
-# installed on the module attribute sees every build
+# each constructor takes the --domain rectangle (None: its own default) and is
+# looked up in ``fam`` at call time, so that a wrapper installed on the module
+# attribute sees every build
 _CHARTS = {
     "product": lambda a: fam.product_of_curves(a.eps, a.a, a.b, domain=a.domain),
-    "T": lambda a: fam.example1_chart("T", a=a.a, ahat=a.b),
-    "That": lambda a: fam.example1_chart("That", a=a.a, ahat=a.b),
-    "Chat": lambda a: fam.example1_chart("Chat", a=a.a),
-    "Ptilde": lambda a: fam.example1_chart("Ptilde"),
+    "T": lambda a: fam.example1_chart("T", a=a.a, ahat=a.b, domain=a.domain),
+    "That": lambda a: fam.example1_chart("That", a=a.a, ahat=a.b, domain=a.domain),
+    "Chat": lambda a: fam.example1_chart("Chat", a=a.a, domain=a.domain),
+    "Ptilde": lambda a: fam.example1_chart("Ptilde", domain=a.domain),
     "prop4": lambda a: _profile_chart(a, fam.pmc_profile_family),
     "prop6": lambda a: _profile_chart(a, fam.cmc_profile_family),
-    "example2": lambda a: fam.pmc_sinh_family(a.lam),
-    "example4": lambda a: fam.cmc_sinh_chart(a.lam),
-    "example5": lambda a: fam.cmc_leite_chart(a.hnorm),
-    "phi0": lambda a: fam.pmc_phi0(a.hnorm),
-    "torus": lambda a: fam.cmc_torus(a.a, a.b),
+    "example2": lambda a: fam.pmc_sinh_family(a.lam, domain=a.domain),
+    "example4": lambda a: fam.cmc_sinh_chart(a.lam, domain=a.domain),
+    "example5": lambda a: fam.cmc_leite_chart(a.hnorm, domain=a.domain),
+    "phi0": lambda a: fam.pmc_phi0(a.hnorm, domain=a.domain),
+    "torus": lambda a: fam.cmc_torus(a.a, a.b, domain=a.domain),
 }
 
 
 def build_chart(args):
-    """Construct the requested family chart, validating feasibility."""
-    name = args.family
-    dom = args.domain
-    chart = _CHARTS[name](args)
-    if args.lift:
-        chart = fam.geodesic_inclusion(chart)
-    # a profile chart solved its h on the --domain already, and pads its x-span
-    if dom is not None and "profile" not in chart.metadata:
-        own = chart.domain
-        chart.domain = tuple(dom)
-        x0, x1, y0, y1 = dom
-        # the corners reach the rectangle's x and y extremes, where a sampled
-        # curve ends and past which a closed form's singularity leaves no value
-        try:
-            with np.errstate(all="ignore"):
-                corners = chart.evaluate(np.array([x0, x1, x0, x1]), np.array([y0, y0, y1, y1]))
-            if not np.all(np.isfinite(corners)):
-                raise DomainError("the chart is not finite at the rectangle's corners")
-        except DomainError as exc:
-            own_text = ",".join(f"{v:.6g}" for v in own)
-            raise InfeasibleParameters(
-                f"--domain reaches past what the {name} chart can evaluate"
-                f" (its own domain is {own_text}): {exc}",
-                "domain",
-            ) from exc
-    return chart
+    """Construct the requested family chart on its --domain, validating feasibility."""
+    chart = _CHARTS[args.family](args)
+    return fam.geodesic_inclusion(chart) if args.lift else chart
 
 
 def _corrupt_chart(chart, factor):

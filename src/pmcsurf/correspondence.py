@@ -22,6 +22,7 @@ from .diffgeo import (
     conformal_data,
     frenet_scalars,
     grid_d,
+    grid_dz_bar,
     kaehler_functions,
     normal_frame,
     normalized_mismatch,
@@ -153,12 +154,10 @@ def pmc_compatibility_residuals(data):
     interior = (slice(1, -1), slice(1, -1))
     out = {}
     for j, (C, gamma, f) in ((1, (data.C1, data.gamma1, data.f1)), (2, (data.C2, data.gamma2, data.f2))):
-        gx, gy = grid_d(gamma, dx, dy)
-        g_zbar = 0.5 * (gx + 1j * gy)
+        g_zbar = grid_dz_bar(gamma, dx, dy)
         rhs = -1j * H * C * e2u / np.sqrt(2.0)
         out[f"gamma{j}_zbar"] = normalized_mismatch(g_zbar[interior], rhs[interior], terms=(H * e2u[interior],))
-        fx, fy = grid_d(f, dx, dy)
-        f_zbar = 0.5 * (fx + 1j * fy)
+        f_zbar = grid_dz_bar(f, dx, dy)
         rhs = 1j * data.eps * e2u * C * gamma / 4.0
         out[f"f{j}_zbar"] = normalized_mismatch(
             f_zbar[interior], rhs[interior], terms=((e2u * np.abs(gamma))[interior],)
@@ -329,8 +328,7 @@ def cmc_compatibility_residuals(data):
     eta_z = data.eta_z()
     interior = (slice(1, -1), slice(1, -1))
     out = {}
-    px, py = grid_d(data.p, dx, dy)
-    p_zbar = 0.5 * (px + 1j * py)
+    p_zbar = grid_dz_bar(data.p, dx, dy)
     out["p_zbar"] = normalized_mismatch(
         p_zbar[interior], (data.eps * e2u / 2.0 * data.nu * eta_z)[interior], terms=(e2u[interior],)
     )
@@ -830,6 +828,14 @@ def factor_isometry_from_frames(pA, vA, pB, vB, eps, reflect=False):
     return MB @ np.linalg.inv(MA)
 
 
+def _aligned_factor_distance(pA, vA, pB, vB, eps, reflect):
+    """Max distance from factor block pB to pA moved by the isometry matching the centre frames."""
+    i0, j0 = pA.shape[0] // 2, pA.shape[1] // 2
+    L = factor_isometry_from_frames(pA[i0, j0], vA, pB[i0, j0], vB, eps, reflect=reflect)
+    mapped = np.einsum("ij,...j->...i", L, pA)
+    return np.max(np.linalg.norm(mapped - pB, axis=-1))
+
+
 def _height_alignment(hA, hB):
     """Best s in {+1, -1} and offset c with hB ~ s hA + c."""
     best = None
@@ -863,7 +869,6 @@ def weak_congruence_check(chartA, chartB, nx=41, ny=41):
     XA, YA = chartA.grid(nx, ny, shrink=0.05)
     PA = chartA.evaluate(XA, YA)
     jA = sample_jet(chartA, XA, YA)
-    y0A, y1A = chartA.domain[2], chartA.domain[3]
 
     best = None
     i0, j0 = nx // 2, ny // 2
@@ -880,11 +885,7 @@ def weak_congruence_check(chartA, chartB, nx=41, ny=41):
         if inner(vA, vA, eps) < 1e-12 or inner(vB, vB, eps) < 1e-12:
             continue
         for reflect in (False, True):
-            L = factor_isometry_from_frames(
-                PA[i0, j0, :3], vA, PB[i0, j0, :3], vB, eps, reflect=reflect
-            )
-            mapped = np.einsum("ij,...j->...i", L, PA[..., :3])
-            dist_factor = np.max(np.linalg.norm(mapped - PB[..., :3], axis=-1))
+            dist_factor = _aligned_factor_distance(PA[..., :3], vA, PB[..., :3], vB, eps, reflect)
             s, c, dist_h = _height_alignment(PA[..., 3], PB[..., 3])
             dist = max(dist_factor, dist_h)
             if best is None or dist < best.distance:
@@ -911,21 +912,15 @@ def product_alignment_distance(chartA, chartB, nx=25, ny=25):
     best = None
     for r1 in (False, True):
         for r2 in (False, True):
-            L1 = factor_isometry_from_frames(
-                PA[i0, j0, :3], jA.px[i0, j0, :3], PB[i0, j0, :3], jB.px[i0, j0, :3], eps, reflect=r1
-            )
             # the second factor of profile charts is a curve: use its x-velocity
             vA2 = jA.px[i0, j0, 3:]
             vB2 = jB.px[i0, j0, 3:]
             if inner(vA2, vA2, eps) < 1e-10:
                 vA2 = jA.py[i0, j0, 3:]
                 vB2 = jB.py[i0, j0, 3:]
-            L2 = factor_isometry_from_frames(PA[i0, j0, 3:], vA2, PB[i0, j0, 3:], vB2, eps, reflect=r2)
-            mapped1 = np.einsum("ij,...j->...i", L1, PA[..., :3])
-            mapped2 = np.einsum("ij,...j->...i", L2, PA[..., 3:])
             dist = max(
-                np.max(np.linalg.norm(mapped1 - PB[..., :3], axis=-1)),
-                np.max(np.linalg.norm(mapped2 - PB[..., 3:], axis=-1)),
+                _aligned_factor_distance(PA[..., :3], jA.px[i0, j0, :3], PB[..., :3], jB.px[i0, j0, :3], eps, r1),
+                _aligned_factor_distance(PA[..., 3:], vA2, PB[..., 3:], vB2, eps, r2),
             )
             if best is None or dist < best:
                 best = float(dist)

@@ -29,7 +29,7 @@ from .ambient import (
     tangent_project3,
 )
 from .errors import DomainError, PreconditionError
-from .utils import hermite_interp, write_columns_csv
+from .utils import hermite_interp, span_from_zero, write_columns_csv
 
 
 def extract_curvature(vel, acc, point, eps):
@@ -180,8 +180,9 @@ class SampledCurve:
     """Dense-output curve from ``integrate_curve``: psi with its moving frame.
 
     ``point`` and ``frame`` (so also ``velocity`` and ``acceleration``) raise
-    ``DomainError`` at any x outside the node span [x[0], x[-1]]: the Hermite
-    interpolant is not extended past the data.
+    ``DomainError`` at any x outside the node span [x[0], x[-1]], beyond
+    ``hermite_interp``'s round-off slack: the interpolant is not extended past
+    the data.
     """
 
     spec: CurveSpec
@@ -198,11 +199,6 @@ class SampledCurve:
         return s * self.T, s * (k * N - self.spec.eps * self.psi)
 
     def _interp(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any((x < self.x[0]) | (x > self.x[-1])):
-            raise DomainError(
-                f"curve evaluated outside its sampled span [{self.x[0]:.6g}, {self.x[-1]:.6g}]"
-            )
         psi_p, T_p = self._node_slopes
         p = hermite_interp(self.x, self.psi, psi_p, x)
         t = hermite_interp(self.x, self.T, T_p, x)
@@ -310,7 +306,8 @@ def integrate_curve(spec, x_span=(-1.0, 1.0), step=None):
 
     Fourth-order one-step integration of psi' = s T, T' = s (k N - eps psi),
     N = J T, with per-step projection of (psi, T) back onto the quadric and
-    its tangent plane.  x = 0 anchors the initial frame (p0, T0).
+    its tangent plane.  x = 0 anchors the initial frame (p0, T0), so a span
+    without 0 raises ``InfeasibleParameters``.
 
     The march carries (psi, T) as six Python floats, since numpy's per-call
     overhead dominates on single 3-vectors.  It performs the operations of
@@ -327,14 +324,13 @@ def integrate_curve(spec, x_span=(-1.0, 1.0), step=None):
     A speed that is not positive and finite, or a curvature that is not
     finite, raises ``DomainError`` naming the first such x in march order.
     """
-    x0, x1 = float(x_span[0]), float(x_span[1])
-    if not (x0 <= 0.0 <= x1) or x1 <= x0:
-        raise DomainError(f"x_span must contain 0, got {x_span}")
+    x0, x1 = span_from_zero(x_span, "curve march")
     if step is None:
         step = (x1 - x0) / 4000.0
 
-    n1 = int(np.ceil(x1 / step - 1e-12)) if x1 > 0 else 0
-    n0 = int(np.ceil(-x0 / step - 1e-12)) if x0 < 0 else 0
+    # at least one step on each side of 0 that the span reaches past
+    n1 = max(1, int(np.ceil(x1 / step - 1e-12))) if x1 > 0 else 0
+    n0 = max(1, int(np.ceil(-x0 / step - 1e-12))) if x0 < 0 else 0
     fwd = np.array(_march(spec, n1, step))
     bwd = np.array(_march(spec, n0, -step))
     x = np.concatenate([-step * np.arange(n0, 0, -1), step * np.arange(0, n1 + 1)])

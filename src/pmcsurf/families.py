@@ -23,7 +23,7 @@ from .ambient import check_eps, factor_constraint
 from .curves import CurveSpec, constant_curvature_curve, integrate_curve
 from .elliptic import complete_k, jacobi_sncndn
 from .errors import DomainError, InfeasibleParameters
-from .profile import ProfileParams
+from .profile import ProfileParams, closed_form
 from .utils import CumulativeIntegral
 
 TARGET_PRODUCT = "product"
@@ -153,14 +153,15 @@ def product_chart_from_curves(alpha, beta, eps, domain, name="curves_product", m
     )
 
 
-def product_of_curves(eps, k_alpha, k_beta, require_pmc=True, domain=None):
+def product_of_curves(eps, k_alpha, k_beta, domain=None):
     """Flat PMC chart (alpha(x), beta(y)) from two constant-curvature curves.
 
     4 |H|^2 = k_alpha^2 + k_beta^2; both curvatures zero gives a minimal chart
-    with null mean curvature, rejected when a PMC chart is demanded.
+    with null mean curvature, which is refused.  Any rectangle is taken; ``domain``
+    defaults to one period of each circle for eps = +1 and to [-2, 2]^2 for eps = -1.
     """
     eps = check_eps(eps)
-    if require_pmc and k_alpha == 0.0 and k_beta == 0.0:
+    if k_alpha == 0.0 and k_beta == 0.0:
         clause = "k_alpha != 0 or k_beta != 0"
         raise InfeasibleParameters(f"two geodesics give a minimal chart, not a PMC chart: needs {clause}", clause)
     alpha = constant_curvature_curve(eps, k_alpha)
@@ -325,16 +326,38 @@ def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
     )
 
 
-def pmc_phi0(h_abs, y_span=(-1.5, 1.5), x_frac=0.6):
+def _require_x_range(which, domain, bound, bound_text):
+    """Refuse a rectangle whose x-range reaches |x| >= bound."""
+    if not (-bound < domain[0] and domain[1] < bound):
+        clause = f"|x| < {bound_text}"
+        got = f"got x in [{domain[0]:.6g}, {domain[1]:.6g}]"
+        raise InfeasibleParameters(f"the {which} chart needs {clause}, {got}", clause)
+
+
+def pmc_phi0(h_abs, domain=None):
     """The complete PMC chart with vanishing Hopf differentials in H2 x H2.
 
     Defined for 0 < |H| < 1/2 on (-pi/2, pi/2) x R; induced metric
     (1 - 4|H|^2)^{-1} cos^{-2} x (dx^2 + dy^2), constant curvature 4|H|^2 - 1,
     C1^2 = C2^2 = 1 - 4|H|^2.
+
+    The second factor is a curve marched from x = 0 in steps of 5e-4 over the
+    x-range of ``domain``, extended to reach 0.  Its speed has a pole at
+    |x| = pi/2 and the march can overrun the range by one step, so the x-range
+    must keep |x| < pi/2 - 5e-4.  The default rectangle is 0.98 of a march over
+    |x| <= 0.6 pi/2, by |y| <= 1.5.
     """
     H = float(h_abs)
     if not 0.0 < H < 0.5:
         raise InfeasibleParameters(f"pmc_phi0 requires 0 < |H| < 1/2, got {H:g}", "0 < |H| < 1/2")
+    half = np.pi / 2.0
+    step = 5e-4
+    if domain is None:
+        x_span = (-0.6 * half, 0.6 * half)
+        domain = (0.98 * x_span[0], 0.98 * x_span[1], -1.5, 1.5)
+    else:
+        _require_x_range("phi0", domain, half - step, f"pi/2 - {step:g}")
+        x_span = (min(domain[0], 0.0), max(domain[1], 0.0))
     s = np.sqrt(1.0 - 4.0 * H * H)
 
     def speed(x):
@@ -346,11 +369,10 @@ def pmc_phi0(h_abs, y_span=(-1.5, 1.5), x_frac=0.6):
     def curvature(x):
         return -np.cos(x) / (2.0 * H)
 
-    half = np.pi / 2.0
     spec = CurveSpec(
         -1, speed, curvature, p0=np.array([0.0, 0.0, 1.0]), T0=np.array([1.0, 0.0, 0.0]), speed_prime=speed_prime
     )
-    psi = integrate_curve(spec, x_span=(-x_frac * half, x_frac * half), step=5e-4)
+    psi = integrate_curve(spec, x_span=x_span, step=step)
 
     def jet(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -384,7 +406,7 @@ def pmc_phi0(h_abs, y_span=(-1.5, 1.5), x_frac=0.6):
         name="phi0",
         eps=-1,
         target=TARGET_PRODUCT,
-        domain=(-x_frac * half * 0.98, x_frac * half * 0.98, y_span[0], y_span[1]),
+        domain=domain,
         jet=jet,
         metadata={
             "H": H,
@@ -550,10 +572,11 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
 # ---------------------------------------------------------------------------
 
 
-def cmc_sinh_chart(lam, domain=(-1.5, 1.5, -1.5, 1.5)):
+def cmc_sinh_chart(lam, domain=None):
     """Closed-form CMC embedding of (R^2, (1+lam^2)/lam^2 cosh^2 x (dx^2+dy^2)) in H2 x R.
 
     H = 1/2 and the Abresch-Rosenberg coefficient is 1/8 for every lam > 0.
+    Any rectangle is taken; ``domain`` defaults to [-1.5, 1.5]^2.
     """
     lam = float(lam)
     if lam <= 0:
@@ -582,22 +605,26 @@ def cmc_sinh_chart(lam, domain=(-1.5, 1.5, -1.5, 1.5)):
         name="example4",
         eps=-1,
         target=TARGET_LINE,
-        domain=domain,
+        domain=domain or (-1.5, 1.5, -1.5, 1.5),
         jet=jet,
         metadata={"lam": lam, "H_sq": 0.25, "theta_ar_expected": 0.125 + 0j},
     )
 
 
-def cmc_leite_chart(h_scalar, y_span=(-1.2, 1.2), x_frac=0.88):
+def cmc_leite_chart(h_scalar, domain=None):
     """Closed-form CMC embedding of the hyperbolic plane of curvature 4H^2 - 1 in H2 x R.
 
-    Vanishing Abresch-Rosenberg differential; defined for 0 < H < 1/2.
+    Vanishing Abresch-Rosenberg differential; defined for 0 < H < 1/2 on
+    |x| < pi/2, where the height -log cos x has a value.  ``domain``
+    defaults to |x| <= 0.88 pi/2 by |y| <= 1.2.
     """
     H = float(h_scalar)
     if not 0.0 < H < 0.5:
         raise InfeasibleParameters(f"cmc_leite_chart requires 0 < H < 1/2, got {H:g}", "0 < H < 1/2")
     s = np.sqrt(1.0 - 4.0 * H * H)
     half = np.pi / 2.0
+    domain = domain or (-0.88 * half, 0.88 * half, -1.2, 1.2)
+    _require_x_range("example5", domain, half, "pi/2")
 
     def jet(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -626,7 +653,7 @@ def cmc_leite_chart(h_scalar, y_span=(-1.2, 1.2), x_frac=0.88):
         name="example5",
         eps=-1,
         target=TARGET_LINE,
-        domain=(-x_frac * half, x_frac * half, y_span[0], y_span[1]),
+        domain=domain,
         jet=jet,
         metadata={"H": H, "H_sq": H * H, "theta_ar_expected": 0j, "K_expected": 4 * H * H - 1},
     )
@@ -637,13 +664,14 @@ def cmc_leite_chart(h_scalar, y_span=(-1.2, 1.2), x_frac=0.88):
 # ---------------------------------------------------------------------------
 
 
-def cmc_torus(a, b):
+def cmc_torus(a, b, domain=None):
     """Doubly periodic CMC chart in S2 x S1(sqrt(b)/sqrt(a-b)) for 0 < b < a.
 
     kappa^2 = (a-b)/(a(1+b)); fundamental domain [0, 4K(kappa)] x [0, 2 pi/kappa];
     H = sqrt(b)/2 and the Abresch-Rosenberg coefficient is b(1+a)/(8a(1+b)).
     The fourth coordinate of ``evaluate`` is the multivalued height lift;
-    ``embed_circle`` gives the genuine S1 embedding in R^5.
+    ``embed_circle`` gives the genuine S1 embedding in R^5.  Any rectangle
+    is taken; ``domain`` defaults to the fundamental domain.
     """
     a, b = float(a), float(b)
     if not 0.0 < b < a:
@@ -707,7 +735,7 @@ def cmc_torus(a, b):
         name="torus",
         eps=+1,
         target=TARGET_CIRCLE,
-        domain=(0.0, periods[0], 0.0, periods[1]),
+        domain=domain or (0.0, periods[0], 0.0, periods[1]),
         jet=jet,
         metadata={
             "a": a,
@@ -799,44 +827,46 @@ def _require_catalog_range(which, clause, holds):
         raise InfeasibleParameters(f"the example-1 chart {which} needs {clause}", clause)
 
 
-def example1_chart(which, **kw):
+def example1_chart(which, domain=None, **kw):
     """Product-of-curves charts of the catalog: T_{a,ahat}, C_{a,b}, Chat_a, P..., Ptilde.
 
     T needs |a| < 1 and |ahat| < 1, That |a| > 1 and |ahat| > 1, Chat |a| > 1:
     outside these the curvatures a/sqrt(1 - a^2) and a/sqrt(a^2 - 1) have no value.
+    ``domain`` is passed to ``product_of_curves``.
     """
     if which == "T":
         a, ahat = kw["a"], kw["ahat"]
         _require_catalog_range(which, "|a| < 1", abs(a) < 1)
         _require_catalog_range(which, "|ahat| < 1", abs(ahat) < 1)
-        return product_of_curves(+1, a / np.sqrt(1 - a * a), ahat / np.sqrt(1 - ahat * ahat))
+        return product_of_curves(+1, a / np.sqrt(1 - a * a), ahat / np.sqrt(1 - ahat * ahat), domain)
     if which == "That":
         a, ahat = kw["a"], kw["ahat"]
         _require_catalog_range(which, "|a| > 1", abs(a) > 1)
         _require_catalog_range(which, "|ahat| > 1", abs(ahat) > 1)
-        return product_of_curves(-1, a / np.sqrt(a * a - 1), ahat / np.sqrt(ahat * ahat - 1))
+        return product_of_curves(-1, a / np.sqrt(a * a - 1), ahat / np.sqrt(ahat * ahat - 1), domain)
     if which == "Chat":
         a = kw["a"]
         _require_catalog_range(which, "|a| > 1", abs(a) > 1)
-        return product_of_curves(-1, a / np.sqrt(a * a - 1), 1.0)
+        return product_of_curves(-1, a / np.sqrt(a * a - 1), 1.0, domain)
     if which == "Ptilde":
-        return product_of_curves(-1, 1.0, 1.0)
+        return product_of_curves(-1, 1.0, 1.0, domain)
     raise DomainError(f"unknown example-1 chart '{which}'")
 
 
-def pmc_sinh_family(lam):
+def pmc_sinh_family(lam, domain=None):
     """The 1-parameter PMC family with 4|H|^2 = 1 and Hopf coefficient lam^2/4, lam > 0.
 
     The induced metric is (1+lam^2) cosh^2(lam x) (dx^2+dy^2), with curvature
     K = -lam^2 / ((1+lam^2) cosh^4(lam x)); so K(0) = -lam^2/(1+lam^2).
+    The closed-form profile is taken on the x-span of ``domain`` (default
+    [-1.2, 1.2]^2), which must contain 0, and padded by ``pmc_profile_family``.
     """
     lam = float(lam)
     if lam <= 0:
         raise InfeasibleParameters(f"pmc_sinh_family needs lam > 0, got {lam:g}", "lam > 0")
     params = ProfileParams(-1, a=-(1.0 + lam * lam), b=1.0, c=0.0)
-    from .profile import closed_form
-
-    h = closed_form("sinh_family", params, x_span=(-1.2, 1.2))
-    chart = pmc_profile_family(params, h, y_span=(-1.2, 1.2), name="example2")
+    domain = domain or (-1.2, 1.2, -1.2, 1.2)
+    h = closed_form("sinh_family", params, x_span=domain[:2])
+    chart = pmc_profile_family(params, h, y_span=domain[2:], name="example2")
     chart.metadata["lam"] = lam
     return chart

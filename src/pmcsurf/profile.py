@@ -15,7 +15,7 @@ import numpy as np
 
 from .elliptic import complete_k, jacobi_sncndn
 from .errors import DomainError, InfeasibleParameters
-from .utils import hermite_interp, write_columns_csv
+from .utils import hermite_interp, span_from_zero, write_columns_csv
 
 DRIFT_TOL = 1e-8
 MAX_HALVINGS = 6  # step halvings ``solve_profile`` tries before it gives up
@@ -182,16 +182,15 @@ def solve_profile(params, h0=0.0, sign0=+1, x_span=(-1.0, 1.0), drift_tol=DRIFT_
     """Integrate the profile equation with h(0) = h0, sign0 the initial sign of h'.
 
     The admissibility condition eps (a - h^2) > 0 must hold at h0 and
-    p(h0) q(h0) >= 0.  The span is truncated at the first sample violating
+    p(h0) q(h0) >= 0, and the span must contain 0 (``InfeasibleParameters``
+    otherwise).  The span is truncated at the first sample violating
     admissibility or escaping past |h| = H_MAX; the uniform step, (x1 - x0)/2000
     at first, is halved (at most MAX_HALVINGS times) until the first-integral
     drift |h'^2 - p(h) q(h)| stays below ``drift_tol`` relative to the
     first-integral scale of the span (floored at 1, so the criterion is
     absolute on order-one solutions).
     """
-    x0, x1 = float(x_span[0]), float(x_span[1])
-    if not (x0 <= 0.0 <= x1) or x1 <= x0:
-        raise DomainError(f"x_span must contain 0, got {x_span}")
+    x0, x1 = span_from_zero(x_span, "profile march")
     if params.eps * params.p(h0) <= 0:
         raise DomainError(f"initial value h0={h0} violates eps (a - h0^2) > 0")
     pq0 = float(params.pq(h0))

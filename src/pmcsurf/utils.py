@@ -4,7 +4,16 @@ import csv
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InfeasibleParameters
+
+
+def span_from_zero(x_span, march):
+    """The ends (x0, x1) of a span ``march`` runs over from x = 0; InfeasibleParameters without 0."""
+    x0, x1 = float(x_span[0]), float(x_span[1])
+    if not x0 <= 0.0 <= x1 or x1 <= x0:
+        msg = f"the {march} starts at x = 0, so x = 0 must lie in the span and x0 < x1; got [{x0:.6g}, {x1:.6g}]"
+        raise InfeasibleParameters(msg, "x0 <= 0 <= x1, x0 < x1")
+    return x0, x1
 
 
 def hermite_interp(xg, y, yp, x):

@@ -132,7 +132,7 @@ def test_criterion_03_sinh_member_curvature():
 
 
 def test_criterion_04_vanishing_hopf_chart():
-    chart = pmc_phi0(0.25, x_frac=0.42)
+    chart = pmc_phi0(0.25, domain=(-0.646, 0.646, -1.5, 1.5))
     inv = surface_invariants(chart, nx=81, ny=81)
     K_dev = float(np.nanmax(np.abs(inv.K + 0.75)))
     C_dev = max(float(np.max(np.abs(inv.C1**2 - 0.75))), float(np.max(np.abs(inv.C2**2 - 0.75))))
@@ -221,7 +221,7 @@ def test_criterion_07_holomorphy_decay():
         "Ptilde": example1_chart("Ptilde"),
         "invariant family (-1,-2,1,0)": get("prop4_hyp"),
         "invariant family (+1,2,1,0)": get("prop4_sph"),
-        "vanishing-Hopf chart": pmc_phi0(0.25, x_frac=0.42),
+        "vanishing-Hopf chart": pmc_phi0(0.25, domain=(-0.646, 0.646, -1.5, 1.5)),
         "lifted torus": get("lifted_torus"),
         "sinh member": pmc_sinh_family(1.0),
     }

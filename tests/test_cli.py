@@ -178,29 +178,45 @@ def test_failed_precondition_is_a_typed_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "family, domain, own",
+    "family, domain, clause",
     [
-        # the second factor is a sampled curve: past its nodes there is nothing to verify
-        (["--family", "phi0", "--hnorm", "0.25"], "--domain=-1.4,1.4,-1,1", "-0.923628,0.923628,-1.5,1.5"),
-        (["--family", "example2"], "--domain=-1.4,1.4,-1,1", "-1.176,1.176,-1.2,1.2"),
         # the height -log cos x has no value past x = pi/2, yet every residual
         # that verify checks reads only its derivatives
-        (["--family", "example5"], "--domain=-1.8,1.8,-1,1", "-1.3823,1.3823,-1.2,1.2"),
+        pytest.param(["--family", "example5"], "--domain=-1.8,1.8,-1,1", "|x| < pi/2", id="example5"),
+        # the speed of the second-factor curve has a pole at x = pi/2
+        pytest.param(["--family", "phi0", "--hnorm", "0.25"], "--domain=-1.6,1.6,-1,1", "|x| < pi/2 - 0.0005",
+                     id="phi0"),
     ],
 )
-def test_domain_the_chart_cannot_evaluate_is_infeasible(tmp_path, capsys, family, domain, own):
+def test_domain_the_chart_cannot_evaluate_is_infeasible(tmp_path, capsys, family, domain, clause):
     code = main(["verify", *family, domain, "--nx", "17", "--ny", "17", "--out", str(tmp_path)])
     assert code == EXIT_INFEASIBLE
-    err = capsys.readouterr().err
-    assert f"its own domain is {own}" in err
+    assert f"needs {clause}" in capsys.readouterr().err
     assert not list(tmp_path.glob("verify_*.txt"))
 
 
-@pytest.mark.parametrize("profile", [["--b", "0.5", "--c", "0.3"], ["--b", "1", "--c", "0"]], ids=["solved", "closed"])
-def test_profile_domain_without_x0_is_infeasible(tmp_path, capsys, profile):
+@pytest.mark.parametrize(
+    "family", [["--family", "phi0", "--hnorm", "0.25"], ["--family", "example2"]], ids=["phi0", "example2"]
+)
+def test_second_factor_curve_is_marched_over_the_domain(tmp_path, family):
+    # both default rectangles end near |x| = 1; the curve is marched to 1.4
+    code = main(["verify", *family, "--domain=-1.4,1.4,-1,1", "--nx", "41", "--ny", "41", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert "verdict=PASS" in next(tmp_path.glob("verify_*.txt")).read_text()
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        ["--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "0.5", "--c", "0.3"],
+        ["--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"],
+        ["--family", "example2"],
+    ],
+    ids=["solved", "closed", "example2"],
+)
+def test_profile_domain_without_x0_is_infeasible(tmp_path, capsys, family):
     # the solved profile and the second-factor curve both start at x = 0
-    args = ["verify", "--family", "prop4", "--eps", "-1", "--a", "-2", *profile, "--domain=0.2,1,-1,1"]
-    code = main([*args, "--nx", "9", "--ny", "9", "--out", str(tmp_path)])
+    code = main(["verify", *family, "--domain=0.2,1,-1,1", "--nx", "9", "--ny", "9", "--out", str(tmp_path)])
     assert code == EXIT_INFEASIBLE
     assert "x = 0 must lie in the span" in capsys.readouterr().err
     assert not list(tmp_path.glob("verify_*.txt"))
@@ -373,3 +389,67 @@ def test_an_option_the_subcommand_does_not_read_is_refused(tmp_path, capsys, arg
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Each family's stated x-range for --domain (None: the whole line) and the clause
+# that refuses a rectangle reaching past it.  The whole line, and every y-range,
+# is drawn over |t| <= PLANE: past |t| of about 355 the product cosh x cosh y of
+# example4's closed form overflows, a bound no constructor states.
+PLANE = 300.0
+DOMAIN_RANGES = [
+    pytest.param(["--family", "product", "--eps", "-1", "--a", "0.5", "--b", "2"], None, None, id="product"),
+    pytest.param(["--family", "T", "--a", "0.6", "--b", "0.8"], None, None, id="T"),
+    pytest.param(["--family", "That", "--a", "2", "--b", "3"], None, None, id="That"),
+    pytest.param(["--family", "Chat", "--a", "1.5"], None, None, id="Chat"),
+    pytest.param(["--family", "Ptilde"], None, None, id="Ptilde"),
+    pytest.param(["--family", "example4"], None, None, id="example4"),
+    pytest.param(["--family", "example5"], np.pi / 2, "|x| < pi/2", id="example5"),
+    pytest.param(["--family", "phi0"], np.pi / 2 - 5e-4, "|x| < pi/2 - 0.0005", id="phi0"),
+    pytest.param(["--family", "torus", "--a", "2", "--b", "1"], None, None, id="torus"),
+    pytest.param(["--family", "torus", "--a", "2", "--b", "1", "--lift"], None, None, id="torus-lift"),
+]
+
+
+@pytest.mark.parametrize("family, x_bound, clause", DOMAIN_RANGES)
+def test_every_family_builds_on_the_rectangle_it_is_given(family, x_bound, clause):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from pmcsurf.cli import build_chart, build_parser
+    from pmcsurf.errors import InfeasibleParameters
+
+    parser = build_parser()
+
+    def span(bound, exclude):
+        ends = st.floats(-bound, bound, exclude_min=exclude, exclude_max=exclude)
+        return st.lists(ends, min_size=2, max_size=2, unique=True).map(sorted)
+
+    def chart_on(x, y):
+        request = (*x, *y)
+        args = parser.parse_args(["verify", *family, "--domain=" + ",".join(map(repr, request))])
+        return request, build_chart(args)
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(x=span(x_bound or PLANE, x_bound is not None), y=span(PLANE, False))
+    def inside(x, y):
+        request, chart = chart_on(x, y)
+        assert chart.domain == request
+        xs = np.array([x[0], x[1], x[0], x[1], 0.5 * (x[0] + x[1])])
+        ys = np.array([y[0], y[0], y[1], y[1], 0.5 * (y[0] + y[1])])
+        for value in chart.jet(xs, ys).values():
+            assert np.all(np.isfinite(value))
+
+    inside()
+    if x_bound is None:
+        return
+
+    # one end at or past the bound, on either side; the other anywhere below it
+    @hypothesis.settings(max_examples=20, deadline=None, database=None)
+    @hypothesis.given(beyond=st.floats(x_bound, PLANE), other=st.floats(-PLANE, PLANE), flip=st.booleans(),
+                      y=span(PLANE, False))
+    def outside(beyond, other, flip, y):
+        hypothesis.assume(other < beyond)
+        with pytest.raises(InfeasibleParameters) as exc:
+            chart_on((-beyond, -other) if flip else (other, beyond), y)
+        assert exc.value.clause == clause
+
+    outside()

@@ -379,9 +379,9 @@ def test_vanishing_hopf_chart_maps_to_leite_recorded():
     # from the vanishing-Hopf PMC chart land on the Leite-type chart
     from pmcsurf.families import cmc_leite_chart, pmc_phi0
 
-    phi0 = pmc_phi0(0.25, y_span=(-1.2, 1.2))
+    phi0 = pmc_phi0(0.25, domain=(-0.92, 0.92, -1.2, 1.2))
     data = extract_pmc_data(phi0, nx=81, ny=81)
-    leite = cmc_leite_chart(0.25, y_span=(-1.6, 1.6))
+    leite = cmc_leite_chart(0.25, domain=(-0.88 * np.pi / 2, 0.88 * np.pi / 2, -1.6, 1.6))
     for j in (1, 2):
         rec, _ = integrate_cmc_frenet(pmc_to_cmc(data, j), resid_tol=2e-3)
         verdict = weak_congruence_check(rec, leite, nx=17, ny=17)

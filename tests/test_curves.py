@@ -397,13 +397,20 @@ def test_sampled_curve_refuses_points_outside_its_span():
     ends = np.array([curve.x[0], curve.x[-1]])
     assert np.all(np.isfinite(curve.point(ends)))
     for outside in (curve.x[0] - 1e-3, curve.x[-1] + 1e-3):
-        with pytest.raises(DomainError, match="sampled span"):
+        with pytest.raises(DomainError, match="outside the node span"):
             curve.point(np.array([0.0, outside]))
-        with pytest.raises(DomainError, match="sampled span"):
+        with pytest.raises(DomainError, match="outside the node span"):
             curve.frame(outside)
-        with pytest.raises(DomainError, match="sampled span"):
+        with pytest.raises(DomainError, match="outside the node span"):
             curve.acceleration(outside)
 
+
+
+def test_span_end_next_to_zero_gets_one_step():
+    # x1 / step is below the 1e-12 slack of the node count, yet x1 > 0 must be covered
+    curve = integrate_curve(_random_spec(-1, 14), x_span=(0.0, 1e-20), step=1e-2)
+    assert curve.x.tolist() == [0.0, 1e-2]
+    assert np.all(np.isfinite(curve.point(np.array([0.0, 1e-20]))))
 
 # --- constant speed and curvature: the march against the closed form --------
 

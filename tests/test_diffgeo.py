@@ -116,7 +116,9 @@ def test_normal_frame_product_formula():
 
 
 def test_normal_frame_rejects_minimal():
-    ch = product_of_curves(+1, 0.0, 0.0, require_pmc=False)
+    # two great circles: product_of_curves refuses this minimal chart, so it is built directly
+    geodesic = constant_curvature_curve(+1, 0.0)
+    ch = product_chart_from_curves(geodesic, geodesic, +1, (0.0, 2 * np.pi, 0.0, 2 * np.pi))
     X, Y = ch.grid(5, 5, shrink=0.1)
     with pytest.raises(DomainError):
         normal_frame(sample_jet(ch, X, Y))

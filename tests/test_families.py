@@ -88,7 +88,6 @@ def test_example1_mean_curvature_constants():
 def test_product_minimal_rejected():
     with pytest.raises(DomainError):
         product_of_curves(+1, 0.0, 0.0)
-    product_of_curves(+1, 0.0, 0.0, require_pmc=False)  # allowed when not demanding PMC
 
 
 def test_product_manifold_and_flatness():
@@ -326,7 +325,7 @@ def test_geodesic_inclusion_basics():
 
 def test_leite_chart_constant_curvature_metric():
     # induced metric of the H = 1/4 chart has constant curvature 4H^2 - 1
-    ch = cmc_leite_chart(0.25, x_frac=0.5)
+    ch = cmc_leite_chart(0.25, domain=(-np.pi / 4, np.pi / 4, -1.2, 1.2))
     from pmcsurf.diffgeo import abresch_rosenberg, grid_laplacian_richardson
 
     ar = abresch_rosenberg(ch, nx=81, ny=81)
