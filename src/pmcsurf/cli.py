@@ -239,16 +239,12 @@ def _verify_product(chart, args):
     expected = chart.metadata.get("hopf_expected")
     if expected is not None:
         # compare as an unordered pair: the labels are orientation-gauge
-        d_keep = max(
-            float(np.max(np.abs(inv.theta1 - expected[0]))),
-            float(np.max(np.abs(inv.theta2 - expected[1]))),
-        )
-        d_swap = max(
-            float(np.max(np.abs(inv.theta1 - expected[1]))),
-            float(np.max(np.abs(inv.theta2 - expected[0]))),
+        distance = min(
+            max(float(np.max(np.abs(inv.theta1 - e1))), float(np.max(np.abs(inv.theta2 - e2))))
+            for e1, e2 in (expected, expected[::-1])
         )
         tol = 1e-7 if expected[0] == 0 and expected[1] == 0 else 1e-5
-        checks.append(("hopf_values", min(d_keep, d_swap), tol))
+        checks.append(("hopf_values", distance, tol))
     return checks
 
 
@@ -344,9 +340,7 @@ def cmd_correspond(args):
         X, Y = rec.grid(args.nx, args.ny, shrink=0.02)
         _write_cmc_obj(out / f"cmc_chart_j{j}.obj", rec.evaluate(X, Y), args.nx, args.ny)
         report.append(f"reconstruction_{j}_H={float(np.mean(ar.H_scalar)):.12g}")
-        report.append(f"reconstruction_{j}_loop_closure={rep['loop_closure']:.3e}")
-        report.append(f"reconstruction_{j}_H_match={rep['H_match']:.3e}")
-        report.append(f"reconstruction_{j}_theta_ar_match={rep['theta_ar_match']:.3e}")
+        report += [f"reconstruction_{j}_{key}={rep[key]:.3e}" for key in ("loop_closure", "H_match", "theta_ar_match")]
         # 2 Theta_AR against the source Hopf coefficient
         F = data.fields(ar.x, ar.y)
         amp = 2.0 * np.sqrt(2.0) * data.Hnorm
@@ -354,9 +348,8 @@ def cmd_correspond(args):
         mismatch = float(np.max(np.abs(2.0 * ar.theta_ar - theta_j)))
         report.append(f"two_theta_ar_vs_theta_{j}={mismatch:.3e}")
     verdict = weak_congruence_check(recs[0], recs[1], nx=min(args.nx, 21), ny=min(args.ny, 21))
-    report.append(f"weak_congruence={verdict.congruent}")
-    report.append(f"weak_congruence_distance={verdict.distance:.3e}")
-    report.append(f"weak_congruence_domain_map={verdict.domain_map}")
+    report += [f"weak_congruence={verdict.congruent}", f"weak_congruence_distance={verdict.distance:.3e}",
+               f"weak_congruence_domain_map={verdict.domain_map}"]
     text = "\n".join(report)
     (out / "correspondence_report.txt").write_text(text + "\n")
     print(text)

@@ -909,19 +909,11 @@ def product_alignment_distance(chartA, chartB, nx=25, ny=25):
     jA = sample_jet(chartA, X, Y)
     jB = sample_jet(chartB, X, Y)
     i0, j0 = nx // 2, ny // 2
-    best = None
-    for r1 in (False, True):
-        for r2 in (False, True):
-            # the second factor of profile charts is a curve: use its x-velocity
-            vA2 = jA.px[i0, j0, 3:]
-            vB2 = jB.px[i0, j0, 3:]
-            if inner(vA2, vA2, eps) < 1e-10:
-                vA2 = jA.py[i0, j0, 3:]
-                vB2 = jB.py[i0, j0, 3:]
-            dist = max(
-                _aligned_factor_distance(PA[..., :3], jA.px[i0, j0, :3], PB[..., :3], jB.px[i0, j0, :3], eps, r1),
-                _aligned_factor_distance(PA[..., 3:], vA2, PB[..., 3:], vB2, eps, r2),
-            )
-            if best is None or dist < best:
-                best = float(dist)
-    return best
+    # the second factor of profile charts is a curve: use its x-velocity
+    vA2, vB2 = jA.px[i0, j0, 3:], jB.px[i0, j0, 3:]
+    if inner(vA2, vA2, eps) < 1e-10:
+        vA2, vB2 = jA.py[i0, j0, 3:], jB.py[i0, j0, 3:]
+    vA1, vB1 = jA.px[i0, j0, :3], jB.px[i0, j0, :3]
+    d1 = [_aligned_factor_distance(PA[..., :3], vA1, PB[..., :3], vB1, eps, r) for r in (False, True)]
+    d2 = [_aligned_factor_distance(PA[..., 3:], vA2, PB[..., 3:], vB2, eps, r) for r in (False, True)]
+    return float(min(max(a, b) for a in d1 for b in d2))

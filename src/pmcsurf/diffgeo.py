@@ -692,6 +692,7 @@ def torus_integrals(chart, nx=128, ny=128):
     if chart.periods is None:
         raise DomainError("chart carries no periods: not a torus fundamental domain")
     Px, Py = chart.periods
+    dx, dy = Px / nx, Py / ny
     xs = np.linspace(0.0, Px, nx, endpoint=False)
     ys = np.linspace(0.0, Py, ny, endpoint=False)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -699,7 +700,7 @@ def torus_integrals(chart, nx=128, ny=128):
     u, _ = conformal_data(jet)
     C1, C2, jac_phi, jac_psi = kaehler_functions(jet)
     e2u = np.exp(2 * u)
-    w = (Px / nx) * (Py / ny)
+    w = dx * dy
     area = float(np.sum(e2u) * w)
     out = {
         "intC1": float(np.sum(C1 * e2u) * w),
@@ -711,20 +712,17 @@ def torus_integrals(chart, nx=128, ny=128):
     # optional integral identity: int <grad C_j, X_j> dA = (-1)^j 2 |H|^2 int C_j^2 dA
     frame = normal_frame(jet)
     Hsq = frame.Hnorm**2
-    dx = Px / nx
-    dy = Py / ny
+
+    # fourth-order periodic centered differences on the fundamental domain
+    def pd(f, step, axis):
+        d1 = (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * step)
+        d2 = (np.roll(f, -2, axis=axis) - np.roll(f, 2, axis=axis)) / (4 * step)
+        return (4.0 * d1 - d2) / 3.0
+
     JH_pair = product_j_pair(jet.p, frame.Htilde, chart.eps, check=False)
     for j, (C, JH) in enumerate(zip((C1, C2), JH_pair), start=1):
-        a1 = jet.ip(JH, jet.px)
-        a2 = jet.ip(JH, jet.py)
-        # fourth-order periodic centered differences on the fundamental domain
-        def pd(f, step, axis):
-            d1 = (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * step)
-            d2 = (np.roll(f, -2, axis=axis) - np.roll(f, 2, axis=axis)) / (4 * step)
-            return (4.0 * d1 - d2) / 3.0
-
-        Cx = pd(C, dx, 0)
-        Cy = pd(C, dy, 1)
+        a1, a2 = jet.ip(JH, jet.px), jet.ip(JH, jet.py)
+        Cx, Cy = pd(C, dx, 0), pd(C, dy, 1)
         pair = np.exp(-2 * u) * (a1 * Cx + a2 * Cy)
         lhs = float(np.sum(pair * e2u) * w)
         rhs = float((-1.0) ** j * 2.0 * np.sum(Hsq * C**2 * e2u) * w)

@@ -30,6 +30,14 @@ TARGET_PRODUCT = "product"
 TARGET_LINE = "factor_times_line"
 TARGET_CIRCLE = "factor_times_circle"
 
+# Where the hyperboloid coordinates of a chart outgrow its metric scale by e^g,
+# its invariants keep about 2.2e-16 e^(2g) relative accuracy, which the grid
+# differences of the verification divide by their steps.  Each constructor
+# refuses a rectangle past g = GROWTH_BOUND; on the rectangles tried at that
+# edge the residuals stay below a fifth of their gates on 81x81 grids.
+GROWTH_BOUND = 6.0
+PLANE = 1e6  # bound on |x| and |y| of every rectangle: float spacing there is 1.2e-10
+
 
 @dataclass
 class ImmersionChart:
@@ -58,6 +66,7 @@ class ImmersionChart:
             # bind the jet given here, so a later swap of self.jet leaves evaluate alone
             jet = self.jet
             self.evaluate = lambda x, y: jet(x, y)["p"]
+        _require(self.name, f"|x|, |y| <= {PLANE:g}", max(map(abs, self.domain)) <= PLANE, self.domain)
 
     @property
     def dim(self):
@@ -80,6 +89,18 @@ class ImmersionChart:
             d2 = np.abs(factor_constraint(p[..., 3:], self.eps))
             return float(max(d1.max(), d2.max()))
         return float(d1.max())
+
+
+def _require(which, clause, holds, got):
+    """Refuse what the ``which`` chart cannot be built on, naming ``clause`` and the values it got."""
+    if not holds:
+        shown = ",".join(f"{v:.6g}" for v in np.atleast_1d(got))
+        raise InfeasibleParameters(f"the {which} chart needs {clause}, got {shown}", clause)
+
+
+def _extent(domain):
+    """max |x| and max |y| over the rectangle."""
+    return max(-domain[0], domain[1]), max(-domain[2], domain[3])
 
 
 def _stack_blocks(first, second):
@@ -153,17 +174,31 @@ def product_chart_from_curves(alpha, beta, eps, domain, name="curves_product", m
     )
 
 
+def _factor_reach(eps, k):
+    """Largest |t| at which the canonical curve of curvature k keeps x3 <= cosh(GROWTH_BOUND).
+
+    In H2 a circle has constant x3 = |k| / sqrt(k^2 - 1), the horocycle
+    x3 = 1 + t^2/2 and a hypercycle x3 = cosh(mu t) / mu, mu = sqrt(1 - k^2).
+    """
+    top = np.cosh(GROWTH_BOUND)
+    if eps == +1 or abs(k) > 1:
+        return np.inf if eps == +1 or k * k <= top**2 * (k * k - 1) else 0.0
+    if abs(k) == 1:
+        return np.sqrt(2.0 * (top - 1.0))
+    mu = np.sqrt(1.0 - k * k)
+    return np.arccosh(max(mu * top, 1.0)) / mu
+
+
 def product_of_curves(eps, k_alpha, k_beta, domain=None):
     """Flat PMC chart (alpha(x), beta(y)) from two constant-curvature curves.
 
     4 |H|^2 = k_alpha^2 + k_beta^2; both curvatures zero gives a minimal chart
-    with null mean curvature, which is refused.  Any rectangle is taken; ``domain``
-    defaults to one period of each circle for eps = +1 and to [-2, 2]^2 for eps = -1.
+    with null mean curvature, which is refused.  ``domain`` defaults to one
+    period of each circle for eps = +1 and to [-2, 2]^2 for eps = -1; a
+    hypercycle or horocycle factor takes |t| up to ``_factor_reach``.
     """
     eps = check_eps(eps)
-    if k_alpha == 0.0 and k_beta == 0.0:
-        clause = "k_alpha != 0 or k_beta != 0"
-        raise InfeasibleParameters(f"two geodesics give a minimal chart, not a PMC chart: needs {clause}", clause)
+    _require("product", "k_alpha != 0 or k_beta != 0", k_alpha != 0.0 or k_beta != 0.0, (k_alpha, k_beta))
     alpha = constant_curvature_curve(eps, k_alpha)
     beta = constant_curvature_curve(eps, k_beta)
     periods = None
@@ -173,6 +208,9 @@ def product_of_curves(eps, k_alpha, k_beta, domain=None):
             domain = (0.0, periods[0], 0.0, periods[1])
     if domain is None:
         domain = (-2.0, 2.0, -2.0, 2.0)
+    for axis, (t0, t1), k in (("x", domain[:2], k_alpha), ("y", domain[2:], k_beta)):
+        reach = _factor_reach(eps, k)
+        _require("product", f"|{axis}| <= {reach:.6g}", max(-t0, t1) <= reach, domain)
     return product_chart_from_curves(
         alpha,
         beta,
@@ -326,14 +364,6 @@ def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
     )
 
 
-def _require_x_range(which, domain, bound, bound_text):
-    """Refuse a rectangle whose x-range reaches |x| >= bound."""
-    if not (-bound < domain[0] and domain[1] < bound):
-        clause = f"|x| < {bound_text}"
-        got = f"got x in [{domain[0]:.6g}, {domain[1]:.6g}]"
-        raise InfeasibleParameters(f"the {which} chart needs {clause}, {got}", clause)
-
-
 def pmc_phi0(h_abs, domain=None):
     """The complete PMC chart with vanishing Hopf differentials in H2 x H2.
 
@@ -344,21 +374,22 @@ def pmc_phi0(h_abs, domain=None):
     The second factor is a curve marched from x = 0 in steps of 5e-4 over the
     x-range of ``domain``, extended to reach 0.  Its speed has a pole at
     |x| = pi/2 and the march can overrun the range by one step, so the x-range
-    must keep |x| < pi/2 - 5e-4.  The default rectangle is 0.98 of a march over
+    must keep |x| < pi/2 - 5e-4; the first factor is a boost by y / sqrt(1 - 4|H|^2),
+    kept within GROWTH_BOUND.  The default rectangle is 0.98 of a march over
     |x| <= 0.6 pi/2, by |y| <= 1.5.
     """
     H = float(h_abs)
-    if not 0.0 < H < 0.5:
-        raise InfeasibleParameters(f"pmc_phi0 requires 0 < |H| < 1/2, got {H:g}", "0 < |H| < 1/2")
+    _require("phi0", "0 < |H| < 1/2", 0.0 < H < 0.5, H)
     half = np.pi / 2.0
     step = 5e-4
     if domain is None:
         x_span = (-0.6 * half, 0.6 * half)
         domain = (0.98 * x_span[0], 0.98 * x_span[1], -1.5, 1.5)
     else:
-        _require_x_range("phi0", domain, half - step, f"pi/2 - {step:g}")
+        _require("phi0", f"|x| < pi/2 - {step:g}", _extent(domain)[0] < half - step, domain)
         x_span = (min(domain[0], 0.0), max(domain[1], 0.0))
     s = np.sqrt(1.0 - 4.0 * H * H)
+    _require("phi0", f"|y| <= {GROWTH_BOUND * s:.6g}", _extent(domain)[1] <= GROWTH_BOUND * s, domain)
 
     def speed(x):
         return 2.0 * H / (s * np.cos(x))
@@ -506,14 +537,8 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
             Ami = W * np.exp(-m * f)
             Apl_x = (Wp + W * m * fx) * np.exp(m * f)
             Ami_x = (Wp - W * m * fx) * np.exp(-m * f)
-            Apl_y = m * Apl
-            Ami_y = -m * Ami
             Apl_xx = (Wpp + 2 * Wp * m * fx + W * m * fxx + W * m**2 * fx**2) * np.exp(m * f)
             Ami_xx = (Wpp - 2 * Wp * m * fx - W * m * fxx + W * m**2 * fx**2) * np.exp(-m * f)
-            Apl_xy = m * Apl_x
-            Ami_xy = -m * Ami_x
-            Apl_yy = m**2 * Apl
-            Ami_yy = m**2 * Ami
             inv = 1.0 / m
 
             def assemble(ap, am, dh):
@@ -521,10 +546,10 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
 
             p = assemble(Apl, Ami, hv)
             px = assemble(Apl_x, Ami_x, hp)
-            py = assemble(Apl_y, Ami_y, zeros)
+            py = assemble(m * Apl, -m * Ami, zeros)
             pxx = assemble(Apl_xx, Ami_xx, hpp)
-            pxy = assemble(Apl_xy, Ami_xy, zeros)
-            pyy = assemble(Apl_yy, Ami_yy, zeros)
+            pxy = assemble(m * Apl_x, -m * Ami_x, zeros)
+            pyy = assemble(m**2 * Apl, m**2 * Ami, zeros)
         else:
             # E = 0 (eps = -1): psi = (h f^2 - h/4 + 1/h, h f, h f^2 + h/4 + 1/h)
             g = 1.0 / hv
@@ -561,6 +586,7 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
             "params": params,
             "H_sq": b / 4.0,
             "theta_ar_expected": theta_ar,
+            "height_range": (sqb * (y_span[0] + G.F.min()), sqb * (y_span[1] + G.F.max())),
             "truncated": truncated,
             "x0": lo,
         },
@@ -576,12 +602,16 @@ def cmc_sinh_chart(lam, domain=None):
     """Closed-form CMC embedding of (R^2, (1+lam^2)/lam^2 cosh^2 x (dx^2+dy^2)) in H2 x R.
 
     H = 1/2 and the Abresch-Rosenberg coefficient is 1/8 for every lam > 0.
-    Any rectangle is taken; ``domain`` defaults to [-1.5, 1.5]^2.
+    The H2 coordinates outgrow the metric by e^(|x| + |y|), so the rectangle
+    needs |x| + |y| <= GROWTH_BOUND; ``domain`` defaults to [-1.5, 1.5]^2.
     """
     lam = float(lam)
-    if lam <= 0:
-        raise InfeasibleParameters(f"cmc_sinh_chart needs lam > 0, got {lam:g}", "lam > 0")
+    _require("example4", "lam > 0", lam > 0, lam)
     r = np.sqrt(1.0 + lam * lam)
+    domain = domain or (-1.5, 1.5, -1.5, 1.5)
+    X, Y = _extent(domain)
+    _require("example4", f"|x| + |y| <= {GROWTH_BOUND:g}", X + Y <= GROWTH_BOUND, domain)
+    xm = max(0.0, domain[0], -domain[1])  # min |x| on the rectangle
 
     def jet(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -605,9 +635,10 @@ def cmc_sinh_chart(lam, domain=None):
         name="example4",
         eps=-1,
         target=TARGET_LINE,
-        domain=domain or (-1.5, 1.5, -1.5, 1.5),
+        domain=domain,
         jet=jet,
-        metadata={"lam": lam, "H_sq": 0.25, "theta_ar_expected": 0.125 + 0j},
+        metadata={"lam": lam, "H_sq": 0.25, "theta_ar_expected": 0.125 + 0j,
+                  "height_range": ((domain[2] + r * np.cosh(xm)) / lam, (domain[3] + r * np.cosh(X)) / lam)},
     )
 
 
@@ -615,16 +646,20 @@ def cmc_leite_chart(h_scalar, domain=None):
     """Closed-form CMC embedding of the hyperbolic plane of curvature 4H^2 - 1 in H2 x R.
 
     Vanishing Abresch-Rosenberg differential; defined for 0 < H < 1/2 on
-    |x| < pi/2, where the height -log cos x has a value.  ``domain``
-    defaults to |x| <= 0.88 pi/2 by |y| <= 1.2.
+    |x| < pi/2, where the height -log cos x has a value; y boosts the H2
+    factor, so |y| <= GROWTH_BOUND.  ``domain`` defaults to |x| <= 0.88 pi/2
+    by |y| <= 1.2.
     """
     H = float(h_scalar)
-    if not 0.0 < H < 0.5:
-        raise InfeasibleParameters(f"cmc_leite_chart requires 0 < H < 1/2, got {H:g}", "0 < H < 1/2")
+    _require("example5", "0 < H < 1/2", 0.0 < H < 0.5, H)
     s = np.sqrt(1.0 - 4.0 * H * H)
     half = np.pi / 2.0
     domain = domain or (-0.88 * half, 0.88 * half, -1.2, 1.2)
-    _require_x_range("example5", domain, half, "pi/2")
+    X, Y = _extent(domain)
+    _require("example5", "|x| < pi/2", X < half, domain)
+    _require("example5", f"|y| <= {GROWTH_BOUND:g}", Y <= GROWTH_BOUND, domain)
+    xm = max(0.0, domain[0], -domain[1])
+    height_range = (2.0 * H / s * (domain[2] - np.log(np.cos(xm))), 2.0 * H / s * (domain[3] - np.log(np.cos(X))))
 
     def jet(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -655,7 +690,8 @@ def cmc_leite_chart(h_scalar, domain=None):
         target=TARGET_LINE,
         domain=domain,
         jet=jet,
-        metadata={"H": H, "H_sq": H * H, "theta_ar_expected": 0j, "K_expected": 4 * H * H - 1},
+        metadata={"H": H, "H_sq": H * H, "theta_ar_expected": 0j, "K_expected": 4 * H * H - 1,
+                  "height_range": height_range},
     )
 
 
@@ -671,11 +707,10 @@ def cmc_torus(a, b, domain=None):
     H = sqrt(b)/2 and the Abresch-Rosenberg coefficient is b(1+a)/(8a(1+b)).
     The fourth coordinate of ``evaluate`` is the multivalued height lift;
     ``embed_circle`` gives the genuine S1 embedding in R^5.  Any rectangle
-    is taken; ``domain`` defaults to the fundamental domain.
+    within PLANE is taken; ``domain`` defaults to the fundamental domain.
     """
     a, b = float(a), float(b)
-    if not 0.0 < b < a:
-        raise InfeasibleParameters(f"cmc_torus requires 0 < b < a, got a={a:g}, b={b:g}", "0 < b < a")
+    _require("torus", "0 < b < a", 0.0 < b < a, (a, b))
     kappa_sq = (a - b) / (a * (1.0 + b))
     kappa = np.sqrt(kappa_sq)
     Kk = complete_k(kappa)
@@ -760,41 +795,32 @@ def geodesic_inclusion(chart):
 
     (p, t) maps to (p, (cos t, sin t, 0)) for eps = +1 and to
     (p, (0, sinh t, cosh t)) for eps = -1.  The composite is a PMC chart with
-    C1 = C2 and Hopf differentials twice the Abresch-Rosenberg one.
+    C1 = C2 and Hopf differentials twice the Abresch-Rosenberg one.  For
+    eps = -1 the height is a boost, so a chart that states its
+    ``height_range`` needs |height| <= GROWTH_BOUND.
     """
     if chart.target not in (TARGET_LINE, TARGET_CIRCLE):
         raise DomainError("geodesic_inclusion expects a chart into M2(eps) x R")
     eps = chart.eps
+    lo, hi = chart.metadata.get("height_range", (0.0, 0.0)) if eps == -1 else (0.0, 0.0)
+    _require(f"incl({chart.name})", f"|height| <= {GROWTH_BOUND:g}", max(-lo, hi) <= GROWTH_BOUND, chart.domain)
     src = chart.jet
 
-    if eps == +1:
-
-        def geo(t):
-            return np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
-
-        def geo_d(t):
-            return np.stack([-np.sin(t), np.cos(t), np.zeros_like(t)], axis=-1)
-
-        def geo_dd(t):
-            return -geo(t)
-
-    else:
-
-        def geo(t):
-            return np.stack([np.zeros_like(t), np.sinh(t), np.cosh(t)], axis=-1)
-
-        def geo_d(t):
-            return np.stack([np.zeros_like(t), np.cosh(t), np.sinh(t)], axis=-1)
-
-        def geo_dd(t):
-            return geo(t)
+    def geodesic(t):
+        """The factor geodesic at heights t, its velocity and its acceleration."""
+        z = np.zeros_like(t)
+        if eps == +1:
+            g = np.stack([np.cos(t), np.sin(t), z], axis=-1)
+            return g, np.stack([-np.sin(t), np.cos(t), z], axis=-1), -g
+        g = np.stack([z, np.sinh(t), np.cosh(t)], axis=-1)
+        return g, np.stack([z, np.cosh(t), np.sinh(t)], axis=-1), g
 
     def jet(x, y):
         J = src(x, y)
         t = J["p"][..., 3]
         tx, ty = J["px"][..., 3], J["py"][..., 3]
         txx, txy, tyy = J["pxx"][..., 3], J["pxy"][..., 3], J["pyy"][..., 3]
-        g, gd, gdd = geo(t), geo_d(t), geo_dd(t)
+        g, gd, gdd = geodesic(t)
         return _jet_dict(
             p=_stack_blocks(J["p"][..., :3], g),
             px=_stack_blocks(J["px"][..., :3], tx[..., None] * gd),
@@ -822,11 +848,6 @@ def geodesic_inclusion(chart):
 # ---------------------------------------------------------------------------
 
 
-def _require_catalog_range(which, clause, holds):
-    if not holds:
-        raise InfeasibleParameters(f"the example-1 chart {which} needs {clause}", clause)
-
-
 def example1_chart(which, domain=None, **kw):
     """Product-of-curves charts of the catalog: T_{a,ahat}, C_{a,b}, Chat_a, P..., Ptilde.
 
@@ -836,17 +857,17 @@ def example1_chart(which, domain=None, **kw):
     """
     if which == "T":
         a, ahat = kw["a"], kw["ahat"]
-        _require_catalog_range(which, "|a| < 1", abs(a) < 1)
-        _require_catalog_range(which, "|ahat| < 1", abs(ahat) < 1)
+        _require(which, "|a| < 1", abs(a) < 1, a)
+        _require(which, "|ahat| < 1", abs(ahat) < 1, ahat)
         return product_of_curves(+1, a / np.sqrt(1 - a * a), ahat / np.sqrt(1 - ahat * ahat), domain)
     if which == "That":
         a, ahat = kw["a"], kw["ahat"]
-        _require_catalog_range(which, "|a| > 1", abs(a) > 1)
-        _require_catalog_range(which, "|ahat| > 1", abs(ahat) > 1)
+        _require(which, "|a| > 1", abs(a) > 1, a)
+        _require(which, "|ahat| > 1", abs(ahat) > 1, ahat)
         return product_of_curves(-1, a / np.sqrt(a * a - 1), ahat / np.sqrt(ahat * ahat - 1), domain)
     if which == "Chat":
         a = kw["a"]
-        _require_catalog_range(which, "|a| > 1", abs(a) > 1)
+        _require(which, "|a| > 1", abs(a) > 1, a)
         return product_of_curves(-1, a / np.sqrt(a * a - 1), 1.0, domain)
     if which == "Ptilde":
         return product_of_curves(-1, 1.0, 1.0, domain)
@@ -860,12 +881,17 @@ def pmc_sinh_family(lam, domain=None):
     K = -lam^2 / ((1+lam^2) cosh^4(lam x)); so K(0) = -lam^2/(1+lam^2).
     The closed-form profile is taken on the x-span of ``domain`` (default
     [-1.2, 1.2]^2), which must contain 0, and padded by ``pmc_profile_family``.
+    The second factor, of speed at most m cosh(lam x) with m = sqrt(1 + lam^2),
+    and the boost by m y of the first are kept within GROWTH_BOUND.
     """
     lam = float(lam)
-    if lam <= 0:
-        raise InfeasibleParameters(f"pmc_sinh_family needs lam > 0, got {lam:g}", "lam > 0")
+    _require("example2", "lam > 0", lam > 0, lam)
     params = ProfileParams(-1, a=-(1.0 + lam * lam), b=1.0, c=0.0)
     domain = domain or (-1.2, 1.2, -1.2, 1.2)
+    m, (X, Y) = np.sqrt(1.0 + lam * lam), _extent(domain)
+    x_reach = np.arcsinh(GROWTH_BOUND * lam / m) / lam
+    _require("example2", f"|x| <= {x_reach:.6g}", X <= x_reach, domain)
+    _require("example2", f"|y| <= {GROWTH_BOUND / m:.6g}", Y <= GROWTH_BOUND / m, domain)
     h = closed_form("sinh_family", params, x_span=domain[:2])
     chart = pmc_profile_family(params, h, y_span=domain[2:], name="example2")
     chart.metadata["lam"] = lam

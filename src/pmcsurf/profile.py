@@ -40,10 +40,8 @@ class ProfileParams:
             raise DomainError(f"eps must be +1 or -1, got {self.eps}")
         if not self.b > 0:
             raise DomainError(f"parameter b must be positive, got {self.b}")
-        object.__setattr__(self, "eps", int(self.eps))
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
+        for name, cast in (("eps", int), ("a", float), ("b", float), ("c", float)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
     def p(self, t):
         return self.a - t * t
@@ -78,14 +76,11 @@ def check_restrictions(params):
     """
     a, b, c = params.a, params.b, params.c
     if params.eps == +1:
-        ok = (1.0 + b) * (a - b) >= b * c**2
-        return FeasibilityVerdict(ok, "(1+b)(a-b) >= b*c^2")
+        return FeasibilityVerdict((1.0 + b) * (a - b) >= b * c**2, "(1+b)(a-b) >= b*c^2")
     if b > 1.0:
-        ok = b * c**2 >= (b - 1.0) * (a + b)
-        return FeasibilityVerdict(ok, "b*c^2 >= (b-1)(a+b)")
+        return FeasibilityVerdict(b * c**2 >= (b - 1.0) * (a + b), "b*c^2 >= (b-1)(a+b)")
     if b == 1.0:
-        ok = (c != 0.0) or (a <= -1.0)
-        return FeasibilityVerdict(ok, "c != 0 or a <= -1")
+        return FeasibilityVerdict((c != 0.0) or (a <= -1.0), "c != 0 or a <= -1")
     return FeasibilityVerdict(True, "unconstrained")
 
 

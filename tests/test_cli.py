@@ -186,6 +186,19 @@ def test_failed_precondition_is_a_typed_exit(tmp_path, capsys):
         # the speed of the second-factor curve has a pole at x = pi/2
         pytest.param(["--family", "phi0", "--hnorm", "0.25"], "--domain=-1.6,1.6,-1,1", "|x| < pi/2 - 0.0005",
                      id="phi0"),
+        # past the growth bound rounding spoils the verdict long before the closed forms overflow
+        pytest.param(["--family", "example4"], "--domain=-400,400,-400,400", "|x| + |y| <= 6", id="example4"),
+        pytest.param(["--family", "example4", "--lift"], "--domain=-8,8,-1,1", "|x| + |y| <= 6",
+                     id="example4-lift"),
+        pytest.param(["--family", "example4", "--lift"], "--domain=-4,4,-1,1", "|height| <= 6", id="lifted-height"),
+        pytest.param(["--family", "product", "--eps", "-1", "--a", "0.5", "--b", "2"], "--domain=-900,900,-1,1",
+                     "|x| <= 6.76211", id="hypercycle"),
+        pytest.param(["--family", "Ptilde"], "--domain=-1,1,-30,30", "|y| <= 20.0357", id="horocycle"),
+        pytest.param(["--family", "example2"], "--domain=-3,3,-1,1", "|x| <= 2.15194", id="example2"),
+        pytest.param(["--family", "example5"], "--domain=-1,1,-9,9", "|y| <= 6", id="example5-y"),
+        pytest.param(["--family", "phi0", "--hnorm", "0.25"], "--domain=-1,1,-8,8", "|y| <= 5.19615", id="phi0-y"),
+        pytest.param(["--family", "T", "--a", "0.6", "--b", "0.8"], "--domain=-1e7,1,0,1", "|x|, |y| <= 1e+06",
+                     id="plane"),
     ],
 )
 def test_domain_the_chart_cannot_evaluate_is_infeasible(tmp_path, capsys, family, domain, clause):
@@ -203,6 +216,32 @@ def test_second_factor_curve_is_marched_over_the_domain(tmp_path, family):
     code = main(["verify", *family, "--domain=-1.4,1.4,-1,1", "--nx", "41", "--ny", "41", "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert "verdict=PASS" in next(tmp_path.glob("verify_*.txt")).read_text()
+
+
+@pytest.mark.parametrize(
+    "family, domain",
+    [
+        pytest.param(["--family", "example4"], "--domain=-5.9,5.9,-0.1,0.1", id="example4"),
+        pytest.param(["--family", "product", "--eps", "-1", "--a", "0.5", "--b", "2"], "--domain=-6.7,6.7,-1,1",
+                     id="hypercycle"),
+        pytest.param(["--family", "Ptilde"], "--domain=-20,20,-20,20", id="horocycles"),
+        pytest.param(["--family", "example5"], "--domain=-1.5,1.5,-6,6", id="example5"),
+    ],
+)
+def test_rectangle_at_the_growth_bound_verifies(tmp_path, family, domain):
+    code = main(["verify", *family, domain, "--nx", "41", "--ny", "41", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert "verdict=PASS" in next(tmp_path.glob("verify_*.txt")).read_text()
+
+
+def test_phi0_near_the_pole_fails_parallelism(tmp_path):
+    # a known false FAIL: the chart is PMC by construction, but the parallelism
+    # residual differentiates H with the fixed step 5e-4, whose error passes
+    # the 1e-5 gate near x = pi/2 (halving the step passes)
+    code = main(["verify", "--family", "phi0", "--hnorm", "0.25", "--domain=-1.5,1.5,-1,1", "--out", str(tmp_path)])
+    assert code == EXIT_VERIFICATION
+    report = next(tmp_path.glob("verify_*.txt")).read_text()
+    assert report.splitlines()[-1] == "verdict=FAIL: parallelism"
 
 
 @pytest.mark.parametrize(
@@ -391,65 +430,78 @@ def test_an_option_the_subcommand_does_not_read_is_refused(tmp_path, capsys, arg
     assert not out.exists()
 
 
-# Each family's stated x-range for --domain (None: the whole line) and the clause
-# that refuses a rectangle reaching past it.  The whole line, and every y-range,
-# is drawn over |t| <= PLANE: past |t| of about 355 the product cosh x cosh y of
-# example4's closed form overflows, a bound no constructor states.
-PLANE = 300.0
-DOMAIN_RANGES = [
-    pytest.param(["--family", "product", "--eps", "-1", "--a", "0.5", "--b", "2"], None, None, id="product"),
-    pytest.param(["--family", "T", "--a", "0.6", "--b", "0.8"], None, None, id="T"),
-    pytest.param(["--family", "That", "--a", "2", "--b", "3"], None, None, id="That"),
-    pytest.param(["--family", "Chat", "--a", "1.5"], None, None, id="Chat"),
-    pytest.param(["--family", "Ptilde"], None, None, id="Ptilde"),
-    pytest.param(["--family", "example4"], None, None, id="example4"),
-    pytest.param(["--family", "example5"], np.pi / 2, "|x| < pi/2", id="example5"),
-    pytest.param(["--family", "phi0"], np.pi / 2 - 5e-4, "|x| < pi/2 - 0.0005", id="phi0"),
-    pytest.param(["--family", "torus", "--a", "2", "--b", "1"], None, None, id="torus"),
-    pytest.param(["--family", "torus", "--a", "2", "--b", "1", "--lift"], None, None, id="torus-lift"),
-]
+# Each family's stated rectangle: a scale of its x- and y-ranges to draw around,
+# and the rules its constructor refuses by, in the order it checks them, as
+# (clause, test on the request and on X = max |x|, Y = max |y|).  Every chart
+# also refuses |x| or |y| past PLANE.
+def _family_rules():
+    from pmcsurf import families as fam
+
+    bound = fam.GROWTH_BOUND
+    hyper, horo = fam._factor_reach(-1, 0.5), fam._factor_reach(-1, 1.0)
+    s = np.sqrt(1.0 - 4.0 * 0.25**2)  # phi0 at --hnorm 0.25
+
+    def lifted_height(d, X):
+        xm = max(0.0, d[0], -d[1])  # example4 at lambda 1: height y + sqrt(2) cosh x
+        return max(-(d[2] + np.sqrt(2.0) * np.cosh(xm)), d[3] + np.sqrt(2.0) * np.cosh(X))
+
+    horocycles = [(f"|x| <= {horo:.6g}", lambda d, X, Y: X <= horo), (f"|y| <= {horo:.6g}", lambda d, X, Y: Y <= horo)]
+    sum_rule = [(f"|x| + |y| <= {bound:g}", lambda d, X, Y: X + Y <= bound)]
+    return {
+        "product": (["--family", "product", "--eps", "-1", "--a", "0.5", "--b", "2"], (hyper, 10.0),
+                    [(f"|x| <= {hyper:.6g}", lambda d, X, Y: X <= hyper)]),
+        "T": (["--family", "T", "--a", "0.6", "--b", "0.8"], (10.0, 10.0), []),
+        "That": (["--family", "That", "--a", "2", "--b", "3"], (10.0, 10.0), []),
+        "Chat": (["--family", "Chat", "--a", "1.5"], (10.0, horo), horocycles[1:]),
+        "Ptilde": (["--family", "Ptilde"], (horo, horo), horocycles),
+        "example4": (["--family", "example4"], (bound / 2, bound / 2), sum_rule),
+        "example4-lift": (["--family", "example4", "--lift"], (2.0, 2.0),
+                          sum_rule + [(f"|height| <= {bound:g}", lambda d, X, Y: lifted_height(d, X) <= bound)]),
+        "example5": (["--family", "example5"], (np.pi / 2, bound),
+                     [("|x| < pi/2", lambda d, X, Y: X < np.pi / 2), (f"|y| <= {bound:g}", lambda d, X, Y: Y <= bound)]),
+        "phi0": (["--family", "phi0"], (np.pi / 2, bound * s),
+                 [("|x| < pi/2 - 0.0005", lambda d, X, Y: X < np.pi / 2 - 5e-4),
+                  (f"|y| <= {bound * s:.6g}", lambda d, X, Y: Y <= bound * s)]),
+        "torus": (["--family", "torus", "--a", "2", "--b", "1"], (10.0, 10.0), []),
+        "torus-lift": (["--family", "torus", "--a", "2", "--b", "1", "--lift"], (10.0, 10.0), []),
+    }
 
 
-@pytest.mark.parametrize("family, x_bound, clause", DOMAIN_RANGES)
-def test_every_family_builds_on_the_rectangle_it_is_given(family, x_bound, clause):
+@pytest.mark.parametrize("name", list(_family_rules()))
+def test_every_family_builds_on_the_rectangle_it_is_given(name):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from pmcsurf.cli import build_chart, build_parser
     from pmcsurf.errors import InfeasibleParameters
+    from pmcsurf.families import PLANE
 
+    family, scales, rules = _family_rules()[name]
+    rules = rules + [(f"|x|, |y| <= {PLANE:g}", lambda d, X, Y: max(X, Y) <= PLANE)]
     parser = build_parser()
 
-    def span(bound, exclude):
-        ends = st.floats(-bound, bound, exclude_min=exclude, exclude_max=exclude)
-        return st.lists(ends, min_size=2, max_size=2, unique=True).map(sorted)
+    def span(scale):
+        # both ends within the stated scale, around it, across the plane, or anywhere on the float line
+        ends = [st.floats(-scale, scale), st.floats(-2 * scale, 2 * scale), st.floats(-2 * PLANE, 2 * PLANE),
+                st.floats(allow_nan=False, allow_infinity=False)]
+        return st.one_of(*(st.lists(e, min_size=2, max_size=2, unique=True).map(sorted) for e in ends))
 
-    def chart_on(x, y):
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(x=span(scales[0]), y=span(scales[1]))
+    def check(x, y):
         request = (*x, *y)
+        X, Y = max(-x[0], x[1]), max(-y[0], y[1])
+        refused = next((clause for clause, holds in rules if not holds(request, X, Y)), None)
         args = parser.parse_args(["verify", *family, "--domain=" + ",".join(map(repr, request))])
-        return request, build_chart(args)
-
-    @hypothesis.settings(max_examples=40, deadline=None, database=None)
-    @hypothesis.given(x=span(x_bound or PLANE, x_bound is not None), y=span(PLANE, False))
-    def inside(x, y):
-        request, chart = chart_on(x, y)
+        if refused is not None:
+            with pytest.raises(InfeasibleParameters) as exc:
+                build_chart(args)
+            assert exc.value.clause == refused
+            return
+        chart = build_chart(args)
         assert chart.domain == request
         xs = np.array([x[0], x[1], x[0], x[1], 0.5 * (x[0] + x[1])])
         ys = np.array([y[0], y[0], y[1], y[1], 0.5 * (y[0] + y[1])])
         for value in chart.jet(xs, ys).values():
             assert np.all(np.isfinite(value))
 
-    inside()
-    if x_bound is None:
-        return
-
-    # one end at or past the bound, on either side; the other anywhere below it
-    @hypothesis.settings(max_examples=20, deadline=None, database=None)
-    @hypothesis.given(beyond=st.floats(x_bound, PLANE), other=st.floats(-PLANE, PLANE), flip=st.booleans(),
-                      y=span(PLANE, False))
-    def outside(beyond, other, flip, y):
-        hypothesis.assume(other < beyond)
-        with pytest.raises(InfeasibleParameters) as exc:
-            chart_on((-beyond, -other) if flip else (other, beyond), y)
-        assert exc.value.clause == clause
-
-    outside()
+    check()

@@ -90,6 +90,22 @@ def test_product_minimal_rejected():
         product_of_curves(+1, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("k", [0.0, 0.5, -0.9, 1.0, -1.0, 1.2])
+def test_factor_reach_is_where_the_curve_reaches_the_growth_bound(k):
+    from pmcsurf.curves import constant_curvature_curve
+    from pmcsurf.families import GROWTH_BOUND, _factor_reach
+
+    curve, top = constant_curvature_curve(-1, k), np.cosh(GROWTH_BOUND)
+    reach = _factor_reach(-1, k)
+    if abs(k) > 1:
+        # a circle keeps its x3; this one stays far inside the bound
+        assert reach == np.inf and np.ptp(curve.point(np.linspace(-50, 50, 101))[:, 2]) < 1e-9
+        return
+    x3 = curve.point(np.array([-reach, 0.999 * reach, reach]))[:, 2]
+    assert np.allclose(x3[[0, 2]], top, rtol=1e-12) and x3[1] < top
+    assert _factor_reach(+1, k) == np.inf
+
+
 def test_product_manifold_and_flatness():
     for key in ("T_0.6_0.8", "Chat_sqrt2", "Ptilde"):
         ch = get_chart(key)
