@@ -28,6 +28,7 @@ from .correspondence import (
 from .diffgeo import (
     abresch_rosenberg,
     curvature_bound_excess,
+    hopf_theta,
     surface_invariants,
 )
 from .errors import DomainError, InfeasibleParameters, PreconditionError, VerificationError
@@ -343,8 +344,7 @@ def cmd_correspond(args):
         report += [f"reconstruction_{j}_{key}={rep[key]:.3e}" for key in ("loop_closure", "H_match", "theta_ar_match")]
         # 2 Theta_AR against the source Hopf coefficient
         F = data.fields(ar.x, ar.y)
-        amp = 2.0 * np.sqrt(2.0) * data.Hnorm
-        theta_j = amp * F[f"f{j}"] + 0.5 * chart.eps * F[f"gamma{j}"] ** 2
+        theta_j = hopf_theta(data.Hnorm, F[f"f{j}"], F[f"gamma{j}"], chart.eps)
         mismatch = float(np.max(np.abs(2.0 * ar.theta_ar - theta_j)))
         report.append(f"two_theta_ar_vs_theta_{j}={mismatch:.3e}")
     verdict = weak_congruence_check(recs[0], recs[1], nx=min(args.nx, 21), ny=min(args.ny, 21))

@@ -19,10 +19,14 @@ from .ambient import cross_eps, inner, project_to_factor
 from .errors import DomainError, PreconditionError, VerificationError
 from .families import TARGET_LINE, TARGET_PRODUCT, ImmersionChart
 from .diffgeo import (
+    abresch_rosenberg,
+    ar_theta,
     conformal_data,
     frenet_scalars,
     grid_d,
     grid_dz_bar,
+    hopf_coefficients,
+    hopf_theta,
     kaehler_functions,
     normal_frame,
     normalized_mismatch,
@@ -481,15 +485,12 @@ def _spline_chart(x, y, fields_by_name, eps, target, name, metadata):
             out[..., i] = sp.ev(X, Y)
         return out
 
-    def evaluate(X, Y):
-        return eval_field("p", X, Y)
-
     def jet(X, Y):
         return {key: eval_field(key, X, Y) for key in ("p", "px", "py", "pxx", "pxy", "pyy")}
 
     return ImmersionChart(
         name=name, eps=eps, target=target, domain=(xs[0], xs[-1], ys[0], ys[-1]),
-        evaluate=evaluate, jet=jet, metadata=metadata,
+        jet=jet, metadata=metadata,
     )
 
 
@@ -675,15 +676,12 @@ def integrate_cmc_frenet(data, resid_tol=DATA_TOL, recertify=True):
     )
     report = {"loop_closure": closure}
     if recertify:
-        from .diffgeo import abresch_rosenberg
-
         ar = abresch_rosenberg(chart, nx=min(nx, 41), ny=min(ny, 41), shrink=0.03, h_const_tol=1e-3)
         report["H_match"] = float(np.max(np.abs(ar.H_scalar - data.Hval)))
         xg, yg = ar.x, ar.y
         Fa = fields(xg, yg)
         eta_z = 0.5 * (Fa["eta_x"] - 1j * Fa["eta_y"])
-        theta_data = data.Hval * Fa["p"] - 0.5 * eps * eta_z**2
-        report["theta_ar_match"] = float(np.max(np.abs(ar.theta_ar - theta_data)))
+        report["theta_ar_match"] = float(np.max(np.abs(ar.theta_ar - ar_theta(data.Hval, Fa["p"], eta_z, eps))))
         report["conformal_defect"] = float(np.max(ar.conformal_defect))
         if report["H_match"] > 1e-3:
             raise VerificationError(f"reconstruction failed: |H| off by {report['H_match']:.2e}")
@@ -796,13 +794,9 @@ def integrate_pmc_frenet(data, resid_tol=DATA_TOL, recertify=True):
         jet = sample_jet(chart, Xs, Ys)
         frame = normal_frame(jet)
         scal = frenet_scalars(jet, frame)
-        from .diffgeo import hopf_coefficients
-
         t1, t2 = hopf_coefficients(jet, frame, scal)
         Fa = fields(Xs, Ys)
-        amp = 2.0 * np.sqrt(2.0) * data.Hnorm
-        td1 = amp * Fa["f1"] + 0.5 * eps * Fa["gamma1"] ** 2
-        td2 = amp * Fa["f2"] + 0.5 * eps * Fa["gamma2"] ** 2
+        td1, td2 = (hopf_theta(data.Hnorm, Fa[f"f{j}"], Fa[f"gamma{j}"], eps) for j in (1, 2))
         report["theta_match"] = float(max(np.max(np.abs(t1 - td1)), np.max(np.abs(t2 - td2))))
         report["H_match"] = float(np.max(np.abs(frame.Hnorm - data.Hnorm)))
     return chart, report
@@ -867,8 +861,8 @@ def weak_congruence_check(chartA, chartB, nx=41, ny=41):
         raise DomainError("weak_congruence_check compares charts into M2(eps) x R")
     eps = chartA.eps
     XA, YA = chartA.grid(nx, ny, shrink=0.05)
-    PA = chartA.evaluate(XA, YA)
     jA = sample_jet(chartA, XA, YA)
+    PA = jA.p
 
     best = None
     i0, j0 = nx // 2, ny // 2
@@ -876,10 +870,10 @@ def weak_congruence_check(chartA, chartB, nx=41, ny=41):
         XB = XA.copy()
         YB = YA if domain_map == "id" else (chartB.domain[2] + chartB.domain[3]) - YA
         try:
-            PB = chartB.evaluate(XB, YB)
             jB = sample_jet(chartB, XB, YB)
         except DomainError:
             continue
+        PB = jB.p
         vA = jA.px[i0, j0, :3]
         vB = jB.px[i0, j0, :3]
         if inner(vA, vA, eps) < 1e-12 or inner(vB, vB, eps) < 1e-12:
@@ -904,10 +898,9 @@ def product_alignment_distance(chartA, chartB, nx=25, ny=25):
     """Aligned max distance between two product charts (per-factor frame matching)."""
     eps = chartA.eps
     X, Y = chartA.grid(nx, ny, shrink=0.05)
-    PA = chartA.evaluate(X, Y)
-    PB = chartB.evaluate(X, Y)
     jA = sample_jet(chartA, X, Y)
     jB = sample_jet(chartB, X, Y)
+    PA, PB = jA.p, jB.p
     i0, j0 = nx // 2, ny // 2
     # the second factor of profile charts is a curve: use its x-velocity
     vA2, vB2 = jA.px[i0, j0, 3:], jB.px[i0, j0, 3:]

@@ -28,7 +28,7 @@ from .ambient import (
     project_to_factor,
     tangent_project3,
 )
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, InfeasibleParameters, PreconditionError
 from .utils import hermite_interp, span_from_zero, write_columns_csv
 
 
@@ -52,35 +52,20 @@ class ConstantCurvatureCurve:
     _C: np.ndarray
     _nu: float
 
-    def point(self, t):
+    def jet(self, t):
+        """(point, velocity, acceleration) at the arclength parameters t."""
         t = np.asarray(t, dtype=float)[..., None]
+        A, B, C = self._A, self._B, self._C
         if self._nu > 0:
             w = self._nu
-            return self._A + self._B * np.cos(w * t) + self._C * np.sin(w * t)
+            c, s = np.cos(w * t), np.sin(w * t)
+            return A + B * c + C * s, w * (-B * s + C * c), -w * w * (B * c + C * s)
         if self._nu < 0:
             w = -self._nu
-            return self._A + self._B * np.cosh(w * t) + self._C * np.sinh(w * t)
-        return self._A + self._C * t + self._B * (t * t / 2.0)
-
-    def velocity(self, t):
-        t = np.asarray(t, dtype=float)[..., None]
-        if self._nu > 0:
-            w = self._nu
-            return w * (-self._B * np.sin(w * t) + self._C * np.cos(w * t))
-        if self._nu < 0:
-            w = -self._nu
-            return w * (self._B * np.sinh(w * t) + self._C * np.cosh(w * t))
-        return np.broadcast_to(self._C, t.shape[:-1] + (3,)) + self._B * t
-
-    def acceleration(self, t):
-        t = np.asarray(t, dtype=float)[..., None]
-        if self._nu > 0:
-            w = self._nu
-            return -w * w * (self._B * np.cos(w * t) + self._C * np.sin(w * t))
-        if self._nu < 0:
-            w = -self._nu
-            return w * w * (self._B * np.cosh(w * t) + self._C * np.sinh(w * t))
-        return np.broadcast_to(self._B, t.shape[:-1] + (3,)).copy()
+            c, s = np.cosh(w * t), np.sinh(w * t)
+            return A + B * c + C * s, w * (B * s + C * c), w * w * (B * c + C * s)
+        shape = t.shape[:-1] + (3,)
+        return A + C * t + B * (t * t / 2.0), np.broadcast_to(C, shape) + B * t, np.broadcast_to(B, shape).copy()
 
 
 def _canonical_start(eps, k):
@@ -179,10 +164,9 @@ class CurveSpec:
 class SampledCurve:
     """Dense-output curve from ``integrate_curve``: psi with its moving frame.
 
-    ``point`` and ``frame`` (so also ``velocity`` and ``acceleration``) raise
-    ``DomainError`` at any x outside the node span [x[0], x[-1]], beyond
-    ``hermite_interp``'s round-off slack: the interpolant is not extended past
-    the data.
+    ``jet`` raises ``DomainError`` at any x outside the node span
+    [x[0], x[-1]], beyond ``hermite_interp``'s round-off slack: the
+    interpolant is not extended past the data.
     """
 
     spec: CurveSpec
@@ -198,33 +182,24 @@ class SampledCurve:
         N = cross_eps(self.psi, self.T, self.spec.eps)
         return s * self.T, s * (k * N - self.spec.eps * self.psi)
 
-    def _interp(self, x):
+    def jet(self, x):
+        """(psi, psi', psi'') at x: one interpolation, one re-orthonormalized frame.
+
+        psi is the interpolant itself; the derivatives come from the Frenet
+        equations on the frame (psi, T, N), with T re-orthonormalized against
+        the projection of psi onto M2(eps).
+        """
+        eps = self.spec.eps
         psi_p, T_p = self._node_slopes
         p = hermite_interp(self.x, self.psi, psi_p, x)
-        t = hermite_interp(self.x, self.T, T_p, x)
-        return p, t
-
-    def point(self, x):
-        return self._interp(x)[0]
-
-    def frame(self, x):
-        """(psi, T, N) at x, with T re-orthonormalized against psi."""
-        p, t = self._interp(x)
-        p = project_to_factor(p, self.spec.eps)
-        t = tangent_project3(p, t, self.spec.eps)
-        t = t / norm3(t, self.spec.eps)[..., None]
-        return p, t, cross_eps(p, t, self.spec.eps)
-
-    def velocity(self, x):
-        p, t, _ = self.frame(x)
-        return np.asarray(self.spec.speed(x))[..., None] * t
-
-    def acceleration(self, x):
-        p, t, n = self.frame(x)
+        q = project_to_factor(p, eps)
+        t = tangent_project3(q, hermite_interp(self.x, self.T, T_p, x), eps)
+        t = t / norm3(t, eps)[..., None]
+        n = cross_eps(q, t, eps)
         s = np.asarray(self.spec.speed(x))[..., None]
         sp = np.asarray(self.spec.speed_derivative(x))[..., None]
         k = np.asarray(self.spec.curvature(x))[..., None]
-        return sp * t + s * s * (k * n - self.spec.eps * p)
+        return p, s * t, sp * t + s * s * (k * n - eps * q)
 
     def constraint_defect(self):
         quad = np.max(np.abs(factor_constraint(self.psi, self.spec.eps)))
@@ -307,7 +282,8 @@ def integrate_curve(spec, x_span=(-1.0, 1.0), step=None):
     Fourth-order one-step integration of psi' = s T, T' = s (k N - eps psi),
     N = J T, with per-step projection of (psi, T) back onto the quadric and
     its tangent plane.  x = 0 anchors the initial frame (p0, T0), so a span
-    without 0 raises ``InfeasibleParameters``.
+    without 0 raises ``InfeasibleParameters``, and so does a step that is
+    not positive and finite (a span too short to divide).
 
     The march carries (psi, T) as six Python floats, since numpy's per-call
     overhead dominates on single 3-vectors.  It performs the operations of
@@ -327,6 +303,8 @@ def integrate_curve(spec, x_span=(-1.0, 1.0), step=None):
     x0, x1 = span_from_zero(x_span, "curve march")
     if step is None:
         step = (x1 - x0) / 4000.0
+    if not (np.isfinite(step) and step > 0):
+        raise InfeasibleParameters(f"the curve march needs a positive finite step, got {step:g}", "step > 0")
 
     # at least one step on each side of 0 that the span reaches past
     n1 = max(1, int(np.ceil(x1 / step - 1e-12))) if x1 > 0 else 0

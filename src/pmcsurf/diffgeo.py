@@ -268,15 +268,17 @@ def frenet_scalars(jet, frame):
     return gamma1, gamma2, f1, f2
 
 
+def hopf_theta(hnorm, f, gamma, eps):
+    """Hopf coefficient theta_j = 2 sqrt(2) |H| f_j + (eps/2) gamma_j^2 from the Frenet scalars."""
+    return 2.0 * np.sqrt(2.0) * hnorm * f + 0.5 * eps * gamma**2
+
+
 def hopf_coefficients(jet, frame, scalars=None):
-    """Hopf coefficients theta_j = 2 sqrt(2) |H| f_j + (eps/2) gamma_j^2."""
+    """Hopf coefficients (theta_1, theta_2) of a PMC jet, by ``hopf_theta``."""
     if scalars is None:
         scalars = frenet_scalars(jet, frame)
     gamma1, gamma2, f1, f2 = scalars
-    amp = 2.0 * np.sqrt(2.0) * frame.Hnorm
-    theta1 = amp * f1 + 0.5 * jet.eps * gamma1**2
-    theta2 = amp * f2 + 0.5 * jet.eps * gamma2**2
-    return theta1, theta2
+    return hopf_theta(frame.Hnorm, f1, gamma1, jet.eps), hopf_theta(frame.Hnorm, f2, gamma2, jet.eps)
 
 
 def hopf_definitional(jet, frame):
@@ -754,6 +756,11 @@ class CmcData:
     residuals: dict = field(default_factory=dict)
 
 
+def ar_theta(h_scalar, p, eta_z, eps):
+    """Abresch-Rosenberg coefficient theta_AR = H p - (eps/2) eta_z^2."""
+    return h_scalar * p - 0.5 * eps * eta_z**2
+
+
 def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK, fd_step=None, h_const_tol=1e-6):
     """Abresch-Rosenberg data theta_AR = H p - (eps/2) eta_z^2 of a CMC chart.
 
@@ -793,7 +800,7 @@ def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK, fd_step=None, h_const_
     psi_zz = 0.25 * (jet.pxx - jet.pyy - 2j * jet.pxy)
     p = jet.ip(psi_zz, N)
     eta_z = 0.5 * (jet.px[..., 3] - 1j * jet.py[..., 3])
-    theta_ar = H_scalar * p - 0.5 * eps * eta_z**2
+    theta_ar = ar_theta(H_scalar, p, eta_z, eps)
 
     data = CmcData(
         chart=chart,

@@ -1,9 +1,10 @@
 """Constructors for every explicit surface family: PMC charts in M2(eps) x M2(eps)
 and CMC charts in M2(eps) x R (or x S1).
 
-Every constructor returns an ``ImmersionChart`` whose ``evaluate`` broadcasts
-over coordinate arrays and whose ``jet`` supplies first and second partials;
-``evaluate`` defaults to the jet's ``p``.
+Every constructor returns an ``ImmersionChart`` whose ``jet`` broadcasts over
+coordinate arrays and supplies the point with its first and second partials;
+the chart evaluates through the jet's ``p``, and a product chart's jet is its
+two factor jets stacked by ``_product_jet``.
 Charts backed by closed forms carry exact jets; charts backed by a profile
 solution or an integrated curve inherit the dense-output accuracy of those
 solvers, which is far below the verification tolerances.
@@ -103,12 +104,13 @@ def _extent(domain):
     return max(-domain[0], domain[1]), max(-domain[2], domain[3])
 
 
-def _stack_blocks(first, second):
-    return np.concatenate([first, second], axis=-1)
-
-
 def _jet_dict(p, px, py, pxx, pxy, pyy):
     return {"p": p, "px": px, "py": py, "pxx": pxx, "pxy": pxy, "pyy": pyy}
+
+
+def _product_jet(first, second):
+    """The jet of a map into a product: the two factor jets concatenated key by key."""
+    return {k: np.concatenate([first[k], second[k]], axis=-1) for k in first}
 
 
 def _distinct(t):
@@ -124,11 +126,24 @@ def _distinct(t):
     return bits.view(np.float64), inverse.reshape(t.shape)
 
 
+def _curve_factor(curve, t, gather, along):
+    """3-block factor jet of a curve of x (``along="x"``) or of y (``along="y"``).
+
+    The curve's jet is taken on the distinct coordinate values ``t`` and
+    gathered onto the samples with ``gather`` (see ``_distinct``).
+    """
+    p, v, a = (w[gather] for w in curve.jet(t))
+    zero = np.zeros_like(p)
+    if along == "x":
+        return _jet_dict(p, v, zero, a, zero, zero)
+    return _jet_dict(p, zero, v, zero, zero, a)
+
+
 def _with_height(jet3, eta, eta_x, eta_y, eta_xx):
     """Append the height column to a 3-block jet; the height is affine in y."""
     zero = np.zeros_like(eta)
     height = _jet_dict(eta, eta_x, eta_y, eta_xx, zero, zero)
-    return {k: np.concatenate([jet3[k], height[k][..., None]], axis=-1) for k in height}
+    return _product_jet(jet3, {k: v[..., None] for k, v in height.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -137,37 +152,20 @@ def _with_height(jet3, eta, eta_x, eta_y, eta_xx):
 
 
 def product_chart_from_curves(alpha, beta, eps, domain, name="curves_product", metadata=None, periods=None):
-    """Chart (alpha(x), beta(y)) from two curve objects exposing point/velocity/acceleration.
+    """Chart (alpha(x), beta(y)) from two curves, each answering ``jet``.
 
     alpha is evaluated once per distinct x and beta once per distinct y.
     """
 
-    def on_lines(x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return _distinct(x), _distinct(y)
-
-    def evaluate(x, y):
-        (xs, ix), (ys, iy) = on_lines(x, y)
-        return _stack_blocks(alpha.point(xs)[ix], beta.point(ys)[iy])
-
     def jet(x, y):
-        (xs, ix), (ys, iy) = on_lines(x, y)
-        zero = np.zeros(ix.shape + (3,))
-        return _jet_dict(
-            p=_stack_blocks(alpha.point(xs)[ix], beta.point(ys)[iy]),
-            px=_stack_blocks(alpha.velocity(xs)[ix], zero),
-            py=_stack_blocks(zero, beta.velocity(ys)[iy]),
-            pxx=_stack_blocks(alpha.acceleration(xs)[ix], zero),
-            pxy=_stack_blocks(zero, zero),
-            pyy=_stack_blocks(zero, beta.acceleration(ys)[iy]),
-        )
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return _product_jet(_curve_factor(alpha, *_distinct(x), "x"), _curve_factor(beta, *_distinct(y), "y"))
 
     return ImmersionChart(
         name=name,
         eps=eps,
         target=TARGET_PRODUCT,
         domain=domain,
-        evaluate=evaluate,
         jet=jet,
         metadata=metadata or {},
         periods=periods,
@@ -187,6 +185,16 @@ def _factor_reach(eps, k):
         return np.sqrt(2.0 * (top - 1.0))
     mu = np.sqrt(1.0 - k * k)
     return np.arccosh(max(mu * top, 1.0)) / mu
+
+
+def _y_reach(rate, parabolic):
+    """Largest |s| at which the H2 isometry by rate * s keeps its entries <= cosh(GROWTH_BOUND).
+
+    A boost by rate * s has entries up to cosh(rate s), so |s| <= GROWTH_BOUND / rate.
+    A parabolic translation by rate * s has entries up to 1 + (rate s)^2 / 2, as
+    the horocycle of ``_factor_reach`` grows, so |s| <= sqrt(2 (cosh(GROWTH_BOUND) - 1)) / rate.
+    """
+    return (_factor_reach(-1, 1.0) if parabolic else GROWTH_BOUND) / rate
 
 
 def product_of_curves(eps, k_alpha, k_beta, domain=None):
@@ -313,6 +321,10 @@ def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
     The chart has 4 |H|^2 = b, conformal factor eps (a - h^2), equal Kaehler
     functions with C1^2 = h'^2/(a - h^2)^2 and constant Hopf coefficients
     (eps b / 4)(a + 1 - c^2 + 2 (-1)^j i c).
+
+    y moves the first factor by a rotation (a > 0), a boost by sqrt(-a) y
+    (a < 0) or the parabolic translation by y that fixes the null direction
+    (1, 0, 1) (a = 0); ``_y_reach`` bounds |y| in the last two.
     """
     if h.params != params:
         raise DomainError("profile solution was built for different parameters")
@@ -322,21 +334,16 @@ def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
         raise DomainError("the a = 0 branch needs h > 0 on the span")
     if np.any(params.eps * (params.a - h.h**2) <= 0):
         raise DomainError("profile solution leaves the admissible band eps (a - h^2) > 0")
+    if params.a <= 0:
+        parabolic = params.a == 0.0
+        reach = _y_reach(1.0 if parabolic else np.sqrt(-params.a), parabolic)
+        _require(name, f"|y| <= {reach:.6g}", max(-y_span[0], y_span[1]) <= reach, y_span)
     psi = _profile_psi_curve(params, h)
 
     def jet(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         (xs, ix), (ys, iy) = _distinct(x), _distinct(y)
-        first = _first_factor_jet(params, h, xs, ix, ys, iy)
-        zero = np.zeros(x.shape + (3,))
-        return _jet_dict(
-            p=_stack_blocks(first["p"], psi.point(xs)[ix]),
-            px=_stack_blocks(first["px"], psi.velocity(xs)[ix]),
-            py=_stack_blocks(first["py"], zero),
-            pxx=_stack_blocks(first["pxx"], psi.acceleration(xs)[ix]),
-            pxy=_stack_blocks(first["pxy"], zero),
-            pyy=_stack_blocks(first["pyy"], zero),
-        )
+        return _product_jet(_first_factor_jet(params, h, xs, ix, ys, iy), _curve_factor(psi, xs, ix, "x"))
 
     lo, hi = h.span
     pad = 0.01 * (hi - lo)
@@ -417,21 +424,15 @@ def pmc_phi0(h_abs, domain=None):
         d2sec = (1.0 + np.sin(xs) ** 2) * sec**3  # d^2/dx^2 sec x
         dtan, d2tan = (sec**2)[ix], (2 * sec**2 * tn)[ix]
         sec, tn, dsec, d2sec = sec[ix], tn[ix], dsec[ix], d2sec[ix]
-        p1 = np.stack([tn, shY * sec, chY * sec], axis=-1)
-        px = np.stack([dtan, shY * dsec, chY * dsec], axis=-1)
-        py = np.stack([zeros, chY * sec / s, shY * sec / s], axis=-1)
-        pxx = np.stack([d2tan, shY * d2sec, chY * d2sec], axis=-1)
-        pxy = np.stack([zeros, chY * dsec / s, shY * dsec / s], axis=-1)
-        pyy = np.stack([zeros, shY * sec / s**2, chY * sec / s**2], axis=-1)
-        zero3 = np.zeros(x.shape + (3,))
-        return _jet_dict(
-            p=_stack_blocks(p1, psi.point(xs)[ix]),
-            px=_stack_blocks(px, psi.velocity(xs)[ix]),
-            py=_stack_blocks(py, zero3),
-            pxx=_stack_blocks(pxx, psi.acceleration(xs)[ix]),
-            pxy=_stack_blocks(pxy, zero3),
-            pyy=_stack_blocks(pyy, zero3),
+        first = _jet_dict(
+            p=np.stack([tn, shY * sec, chY * sec], axis=-1),
+            px=np.stack([dtan, shY * dsec, chY * dsec], axis=-1),
+            py=np.stack([zeros, chY * sec / s, shY * sec / s], axis=-1),
+            pxx=np.stack([d2tan, shY * d2sec, chY * d2sec], axis=-1),
+            pxy=np.stack([zeros, chY * dsec / s, shY * dsec / s], axis=-1),
+            pyy=np.stack([zeros, shY * sec / s**2, chY * sec / s**2], axis=-1),
         )
+        return _product_jet(first, _curve_factor(psi, xs, ix, "x"))
 
     return ImmersionChart(
         name="phi0",
@@ -480,6 +481,10 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
     (eps b / 8)(a + 1 - c^2 - 2 i c).  The x-domain is truncated to the band
     where eps (a - h^2) > b, and the antiderivatives in the chart start at its
     left end.
+
+    With f = y + F(x), the first factor moves by a rotation (E = a - eps b > 0),
+    a boost by sqrt(-E) f (E < 0) or the parabolic translation by 2 f that
+    fixes (1, 0, 1) (E = 0); ``_y_reach`` bounds |f| on the rectangle in the last two.
     """
     if h.params != params:
         raise DomainError("profile solution was built for different parameters")
@@ -499,6 +504,12 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
     F = CumulativeIntegral(f_integrand, lo, hi, x0=lo)
     G = CumulativeIntegral(eta_integrand, lo, hi, x0=lo)
     sqb = np.sqrt(b)
+    pad = 0.01 * (hi - lo)
+    if E <= 0:
+        reach = _y_reach(2.0 if E == 0.0 else np.sqrt(-E), E == 0.0)
+        Fr = F(np.clip(F.x, lo + pad, hi - pad))  # F on the rectangle's x-range
+        f_max = max(-(y_span[0] + Fr.min()), y_span[1] + Fr.max())
+        _require("prop6", f"|y + F(x)| <= {reach:.6g}", f_max <= reach, y_span)
 
     def jet(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -574,7 +585,6 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
         eta_xx = sqb * hp
         return _with_height(_jet_dict(p, px, py, pxx, pxy, pyy), eta, eta_x, eta_y, eta_xx)
 
-    pad = 0.01 * (hi - lo)
     theta_ar = (eps * b / 8.0) * (a + 1 - c**2 - 2j * c)
     return ImmersionChart(
         name="prop6",
@@ -821,14 +831,15 @@ def geodesic_inclusion(chart):
         tx, ty = J["px"][..., 3], J["py"][..., 3]
         txx, txy, tyy = J["pxx"][..., 3], J["pxy"][..., 3], J["pyy"][..., 3]
         g, gd, gdd = geodesic(t)
-        return _jet_dict(
-            p=_stack_blocks(J["p"][..., :3], g),
-            px=_stack_blocks(J["px"][..., :3], tx[..., None] * gd),
-            py=_stack_blocks(J["py"][..., :3], ty[..., None] * gd),
-            pxx=_stack_blocks(J["pxx"][..., :3], txx[..., None] * gd + (tx * tx)[..., None] * gdd),
-            pxy=_stack_blocks(J["pxy"][..., :3], txy[..., None] * gd + (tx * ty)[..., None] * gdd),
-            pyy=_stack_blocks(J["pyy"][..., :3], tyy[..., None] * gd + (ty * ty)[..., None] * gdd),
+        second = _jet_dict(
+            p=g,
+            px=tx[..., None] * gd,
+            py=ty[..., None] * gd,
+            pxx=txx[..., None] * gd + (tx * tx)[..., None] * gdd,
+            pxy=txy[..., None] * gd + (tx * ty)[..., None] * gdd,
+            pyy=tyy[..., None] * gd + (ty * ty)[..., None] * gdd,
         )
+        return _product_jet({k: v[..., :3] for k, v in J.items()}, second)
 
     meta = dict(chart.metadata)
     meta["included_from"] = chart.name
@@ -882,16 +893,16 @@ def pmc_sinh_family(lam, domain=None):
     The closed-form profile is taken on the x-span of ``domain`` (default
     [-1.2, 1.2]^2), which must contain 0, and padded by ``pmc_profile_family``.
     The second factor, of speed at most m cosh(lam x) with m = sqrt(1 + lam^2),
-    and the boost by m y of the first are kept within GROWTH_BOUND.
+    is kept within GROWTH_BOUND; so is the boost by m y of the first, which
+    ``pmc_profile_family`` bounds as for every a < 0.
     """
     lam = float(lam)
     _require("example2", "lam > 0", lam > 0, lam)
     params = ProfileParams(-1, a=-(1.0 + lam * lam), b=1.0, c=0.0)
     domain = domain or (-1.2, 1.2, -1.2, 1.2)
-    m, (X, Y) = np.sqrt(1.0 + lam * lam), _extent(domain)
+    m, X = np.sqrt(1.0 + lam * lam), _extent(domain)[0]
     x_reach = np.arcsinh(GROWTH_BOUND * lam / m) / lam
     _require("example2", f"|x| <= {x_reach:.6g}", X <= x_reach, domain)
-    _require("example2", f"|y| <= {GROWTH_BOUND / m:.6g}", Y <= GROWTH_BOUND / m, domain)
     h = closed_form("sinh_family", params, x_span=domain[:2])
     chart = pmc_profile_family(params, h, y_span=domain[2:], name="example2")
     chart.metadata["lam"] = lam

@@ -199,6 +199,16 @@ def test_failed_precondition_is_a_typed_exit(tmp_path, capsys):
         pytest.param(["--family", "phi0", "--hnorm", "0.25"], "--domain=-1,1,-8,8", "|y| <= 5.19615", id="phi0-y"),
         pytest.param(["--family", "T", "--a", "0.6", "--b", "0.8"], "--domain=-1e7,1,0,1", "|x|, |y| <= 1e+06",
                      id="plane"),
+        # y boosts the first factor at rate sqrt(-a) (prop4) and y + F(x) at rate sqrt(-E) (prop6)
+        pytest.param(["--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"],
+                     "--domain=-1,1,-8,8", "|y| <= 4.24264", id="prop4-y"),
+        pytest.param(["--family", "prop6", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"],
+                     "--domain=-1,1,-16,16", "|y + F(x)| <= 6", id="prop6-y"),
+        pytest.param(["--family", "example2"], "--domain=-1,1,-5,5", "|y| <= 4.24264", id="example2-y"),
+        # a subnormal x-span: the curve march's step (hi - lo) / 2000 rounds to 0
+        pytest.param(["--family", "example2"], "--domain=0,5e-324,0,1", "a positive finite step",
+                     id="example2-subnormal"),
+        pytest.param(["--family", "prop4"], "--domain=0,5e-324,0,1", "a positive finite step", id="prop4-subnormal"),
     ],
 )
 def test_domain_the_chart_cannot_evaluate_is_infeasible(tmp_path, capsys, family, domain, clause):
@@ -226,6 +236,10 @@ def test_second_factor_curve_is_marched_over_the_domain(tmp_path, family):
                      id="hypercycle"),
         pytest.param(["--family", "Ptilde"], "--domain=-20,20,-20,20", id="horocycles"),
         pytest.param(["--family", "example5"], "--domain=-1.5,1.5,-6,6", id="example5"),
+        pytest.param(["--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"],
+                     "--domain=-1,1,-4.2,4.2", id="prop4"),
+        pytest.param(["--family", "prop6", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"],
+                     "--domain=-1,1,-5.5,5.5", id="prop6"),
     ],
 )
 def test_rectangle_at_the_growth_bound_verifies(tmp_path, family, domain):

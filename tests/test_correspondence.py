@@ -488,3 +488,19 @@ def test_round_trip_evaluates_the_chart_once_per_row_block(monkeypatch):
     assert len(calls) < 100
     # both CMC closures read each row block; one jet answers the two (18 without)
     assert len(calls) - before == 9
+
+
+def test_congruence_checks_read_their_points_from_the_jets():
+    # one evaluation path: the distances take the points of the jets they sample
+    import dataclasses
+
+    def no_evaluate(x, y):
+        raise AssertionError("evaluate called")
+
+    sinh = cmc_sinh_chart(1.0)
+    ch = dataclasses.replace(sinh, evaluate=no_evaluate)
+    expected = weak_congruence_check(sinh, sinh, nx=15, ny=15).distance
+    assert weak_congruence_check(ch, ch, nx=15, ny=15).distance == expected
+    prod = product_of_curves(-1, 1.0, 1.0)
+    pc = dataclasses.replace(prod, evaluate=no_evaluate)
+    assert product_alignment_distance(pc, pc, nx=9, ny=9) == product_alignment_distance(prod, prod, nx=9, ny=9)

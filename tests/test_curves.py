@@ -20,12 +20,16 @@ from pmcsurf.curves import (
     extract_curvature,
     integrate_curve,
 )
-from pmcsurf.errors import DomainError, PreconditionError
+from pmcsurf.errors import DomainError, InfeasibleParameters, PreconditionError
 from pmcsurf.profile import ProfileParams, closed_form, solve_profile
 
 
-def fd_curvature(point_fn, x, eps, d=2e-4):
-    """Curvature through centered differences of the curve alone (independent path)."""
+def fd_curvature(curve, x, eps, d=2e-4):
+    """Curvature through centered differences of the curve's points alone (independent path)."""
+
+    def point_fn(t):
+        return curve.jet(t)[0]
+
     p = point_fn(x)
     v = (point_fn(x + d) - point_fn(x - d)) / (2 * d)
     a = (point_fn(x + d) - 2 * p + point_fn(x - d)) / d**2
@@ -37,47 +41,47 @@ def test_latitude_circle():
     k = 0.6 / 0.8
     curve = constant_curvature_curve(+1, k)
     t = np.linspace(0, 7, 40)
-    pts = curve.point(t)
+    pts = curve.jet(t)[0]
     assert np.allclose(pts[:, 2], 0.6, atol=1e-12)
     assert np.max(np.abs(factor_constraint(pts, +1))) < 1e-12
-    assert fd_curvature(curve.point, 0.3, +1) == pytest.approx(k, abs=1e-7)
+    assert fd_curvature(curve, 0.3, +1) == pytest.approx(k, abs=1e-7)
 
 
 def test_geodesics():
     for eps in (+1, -1):
         curve = constant_curvature_curve(eps, 0.0)
         assert curve.kind == "geodesic"
-        assert fd_curvature(curve.point, 0.2, eps) == pytest.approx(0.0, abs=1e-7)
+        assert fd_curvature(curve, 0.2, eps) == pytest.approx(0.0, abs=1e-7)
     # the spherical geodesic through (1,0,0) with tangent (0,1,0) is the equator
     eq = constant_curvature_curve(+1, 0.0)
     t = np.linspace(0, 2 * np.pi, 9)
-    assert np.allclose(eq.point(t), np.stack([np.cos(t), np.sin(t), 0 * t], axis=-1), atol=1e-12)
+    assert np.allclose(eq.jet(t)[0], np.stack([np.cos(t), np.sin(t), 0 * t], axis=-1), atol=1e-12)
 
 
 def test_horocycle_on_null_plane():
     curve = constant_curvature_curve(-1, 1.0)
     assert curve.kind == "horocycle"
     t = np.linspace(-3, 3, 25)
-    pts = curve.point(t)
+    pts = curve.jet(t)[0]
     vals = pts[:, 0] - pts[:, 2]
     assert np.allclose(vals, vals[0], atol=1e-12)  # x1 - x3 constant
     assert np.max(np.abs(factor_constraint(pts, -1))) < 1e-12
-    assert fd_curvature(curve.point, 0.7, -1) == pytest.approx(1.0, abs=1e-7)
+    assert fd_curvature(curve, 0.7, -1) == pytest.approx(1.0, abs=1e-7)
     mirrored = constant_curvature_curve(-1, -1.0)
-    assert fd_curvature(mirrored.point, 0.7, -1) == pytest.approx(-1.0, abs=1e-7)
+    assert fd_curvature(mirrored, 0.7, -1) == pytest.approx(-1.0, abs=1e-7)
 
 
 def test_hyperbolic_circle_and_hypercycle():
     circle = constant_curvature_curve(-1, np.sqrt(2.0))
     t = np.linspace(0, 5, 23)
-    pts = circle.point(t)
+    pts = circle.jet(t)[0]
     assert np.allclose(pts[:, 2], pts[0, 2], atol=1e-12)  # x3 = const
-    assert fd_curvature(circle.point, 0.4, -1) == pytest.approx(np.sqrt(2.0), abs=1e-7)
+    assert fd_curvature(circle, 0.4, -1) == pytest.approx(np.sqrt(2.0), abs=1e-7)
 
     hyper = constant_curvature_curve(-1, 0.5)
-    pts = hyper.point(t)
+    pts = hyper.jet(t)[0]
     assert np.allclose(pts[:, 0], 0.5 / np.sqrt(0.75), atol=1e-12)  # x1 = const
-    assert fd_curvature(hyper.point, 0.4, -1) == pytest.approx(0.5, abs=1e-7)
+    assert fd_curvature(hyper, 0.4, -1) == pytest.approx(0.5, abs=1e-7)
     assert np.max(np.abs(factor_constraint(pts, -1))) < 1e-11
 
 
@@ -87,7 +91,7 @@ def test_constant_speed_unit():
         for k in rng.uniform(-2, 2, size=8):
             curve = constant_curvature_curve(eps, float(k))
             t = np.linspace(-2, 2, 17)
-            sp = norm3(curve.velocity(t), eps)
+            sp = norm3(curve.jet(t)[1], eps)
             assert np.allclose(sp, 1.0, atol=1e-11)
 
 
@@ -102,7 +106,7 @@ def test_integrate_great_circle():
     curve = integrate_curve(spec, x_span=(-0.5, 3.0))
     x = np.linspace(-0.4, 2.9, 43)
     ref = np.stack([np.cos(x), np.sin(x), 0 * x], axis=-1)
-    assert np.max(np.abs(curve.point(x) - ref)) < 1e-9
+    assert np.max(np.abs(curve.jet(x)[0] - ref)) < 1e-9
     assert curve.constraint_defect() < 1e-10
 
 
@@ -122,12 +126,12 @@ def test_integrate_prop4_psi_curve():
     curve = integrate_curve(spec, x_span=(-1.2, 1.2), step=1e-3)
     x = np.linspace(-1.1, 1.1, 37)
     # |psi'|^2 = 1 + 2 sinh^2 x for these parameters
-    v = curve.velocity(x)
+    v = curve.jet(x)[1]
     assert np.max(np.abs(inner(v, v, -1) - (1.0 + 2.0 * np.sinh(x) ** 2))) < 1e-7
     # curvature recovered by finite differences matches the prescription
-    rec = fd_curvature(curve.point, 0.35, -1)
+    rec = fd_curvature(curve, 0.35, -1)
     assert rec == pytest.approx(float(curvature(0.35)), abs=1e-6)
-    assert np.max(np.abs(factor_constraint(curve.point(x), -1))) < 1e-8
+    assert np.max(np.abs(factor_constraint(curve.jet(x)[0], -1))) < 1e-8
 
 
 def test_curvature_roundtrip_randomized():
@@ -149,7 +153,7 @@ def test_curvature_roundtrip_randomized():
         curve = integrate_curve(spec, x_span=(-1.0, 1.0), step=2e-3)
         xs = rng.uniform(-0.9, 0.9, size=5)
         for x in xs:
-            rec = fd_curvature(curve.point, float(x), eps)
+            rec = fd_curvature(curve, float(x), eps)
             assert rec == pytest.approx(float(curvature(x)), abs=1e-5)
 
 
@@ -395,14 +399,12 @@ def test_sampled_curve_refuses_points_outside_its_span():
     spec = _random_spec(-1, 14)
     curve = integrate_curve(spec, x_span=(-0.5, 0.5), step=1e-2)
     ends = np.array([curve.x[0], curve.x[-1]])
-    assert np.all(np.isfinite(curve.point(ends)))
+    assert all(np.all(np.isfinite(w)) for w in curve.jet(ends))
     for outside in (curve.x[0] - 1e-3, curve.x[-1] + 1e-3):
         with pytest.raises(DomainError, match="outside the node span"):
-            curve.point(np.array([0.0, outside]))
+            curve.jet(np.array([0.0, outside]))
         with pytest.raises(DomainError, match="outside the node span"):
-            curve.frame(outside)
-        with pytest.raises(DomainError, match="outside the node span"):
-            curve.acceleration(outside)
+            curve.jet(outside)
 
 
 
@@ -410,7 +412,7 @@ def test_span_end_next_to_zero_gets_one_step():
     # x1 / step is below the 1e-12 slack of the node count, yet x1 > 0 must be covered
     curve = integrate_curve(_random_spec(-1, 14), x_span=(0.0, 1e-20), step=1e-2)
     assert curve.x.tolist() == [0.0, 1e-2]
-    assert np.all(np.isfinite(curve.point(np.array([0.0, 1e-20]))))
+    assert np.all(np.isfinite(curve.jet(np.array([0.0, 1e-20]))[0]))
 
 # --- constant speed and curvature: the march against the closed form --------
 
@@ -439,7 +441,14 @@ def test_constant_data_march_matches_closed_form():
         curve = integrate_curve(spec, x_span=(-1.0, 1.0), step=PROPERTY_STEP)
         assert curve.constraint_defect() <= 1e-12
         # the closed form is arclength-parametrized: x covers arclength s x
-        exact = constant_curvature_curve(eps, k, p0=p0, T0=T0).point(s * curve.x)
+        exact = constant_curvature_curve(eps, k, p0=p0, T0=T0).jet(s * curve.x)[0]
         assert np.max(np.abs(curve.psi - exact)) <= PROPERTY_BOUND
 
     check()
+
+
+@pytest.mark.parametrize("step", [5e-324 / 2000.0, -1e-3, np.nan, np.inf])
+def test_step_must_be_positive_and_finite(step):
+    # a subnormal span divided into 2000 steps rounds to a zero step
+    with pytest.raises(InfeasibleParameters, match="positive finite step"):
+        integrate_curve(_random_spec(-1, 14), x_span=(0.0, 5e-324), step=step)

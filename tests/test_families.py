@@ -3,7 +3,7 @@ import pytest
 
 from pmcsurf.ambient import inner
 from pmcsurf.diffgeo import normal_frame, sample_jet
-from pmcsurf.errors import DomainError
+from pmcsurf.errors import DomainError, InfeasibleParameters
 from pmcsurf.families import (
     TARGET_PRODUCT,
     ImmersionChart,
@@ -99,9 +99,9 @@ def test_factor_reach_is_where_the_curve_reaches_the_growth_bound(k):
     reach = _factor_reach(-1, k)
     if abs(k) > 1:
         # a circle keeps its x3; this one stays far inside the bound
-        assert reach == np.inf and np.ptp(curve.point(np.linspace(-50, 50, 101))[:, 2]) < 1e-9
+        assert reach == np.inf and np.ptp(curve.jet(np.linspace(-50, 50, 101))[0][:, 2]) < 1e-9
         return
-    x3 = curve.point(np.array([-reach, 0.999 * reach, reach]))[:, 2]
+    x3 = curve.jet(np.array([-reach, 0.999 * reach, reach]))[0][:, 2]
     assert np.allclose(x3[[0, 2]], top, rtol=1e-12) and x3[1] < top
     assert _factor_reach(+1, k) == np.inf
 
@@ -448,3 +448,28 @@ def test_profile_data_evaluated_once_per_grid_line(monkeypatch, solved):
     X, Y = ch.grid(129, 129, shrink=0.02)
     ch.jet(X, Y)
     assert sizes and max(sizes) <= 129
+
+
+def test_parabolic_branches_bound_y_as_the_horocycle():
+    # a = 0 (prop4) and E = a - eps b = 0 (prop6): y moves the H2 factor by a
+    # parabolic translation, of parameter y and 2 (y + F(x)), whose entries
+    # 1 + s^2/2 reach cosh(GROWTH_BOUND) where the horocycle of _factor_reach does
+    from pmcsurf.families import GROWTH_BOUND, _factor_reach, _y_reach
+
+    horo = _factor_reach(-1, 1.0)
+    assert _y_reach(1.0, True) == horo and 1.0 + horo**2 / 2.0 == pytest.approx(np.cosh(GROWTH_BOUND))
+    assert _y_reach(np.sqrt(2.0), False) == GROWTH_BOUND / np.sqrt(2.0)
+
+    params = ProfileParams(-1, 0.0, 1.0, 0.5)
+    h = solve_profile(params, h0=1.5, x_span=(-0.3, 0.3))
+    assert pmc_profile_family(params, h, y_span=(-20.0, 20.0)).domain[2:] == (-20.0, 20.0)
+    with pytest.raises(InfeasibleParameters) as exc:
+        pmc_profile_family(params, h, y_span=(-20.1, 1.0))
+    assert exc.value.clause == f"|y| <= {horo:.6g}"
+
+    params = ProfileParams(-1, -1.0, 1.0, 0.5)
+    h = solve_profile(params, h0=0.5, x_span=(-0.3, 0.3))
+    assert cmc_profile_family(params, h, y_span=(-9.0, 9.0)).domain[2:] == (-9.0, 9.0)
+    with pytest.raises(InfeasibleParameters) as exc:
+        cmc_profile_family(params, h, y_span=(-10.1, 9.0))
+    assert exc.value.clause == f"|y + F(x)| <= {horo / 2.0:.6g}"
