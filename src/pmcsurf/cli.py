@@ -32,7 +32,7 @@ from .diffgeo import (
     surface_invariants,
 )
 from .errors import DomainError, InfeasibleParameters, PreconditionError, VerificationError
-from .profile import ProfileParams, closed_form, require_feasible, solve_profile
+from .profile import ProfileParams, closed_form, require_feasible, require_start, solve_profile
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -57,11 +57,21 @@ def _profile_solution(params, x_span):
     return solve_profile(params, x_span=x_span)
 
 
-def _profile_chart(args, construct):
-    """prop4 or prop6 member (eps, a, b, c): its profile h solved on the --domain x-span."""
+def _profile_chart(args, construct, band, require_x_span=None):
+    """prop4 or prop6 member (eps, a, b, c): its profile h solved from h(0) = 0 on the --domain x-span.
+
+    Every profile starts at h(0) = 0, the closed forms too.  Before any solve,
+    that start must lie in the chart's band eps (a - h^2) > ``band`` with
+    p(0) q(0) >= 0 (the parabolic branches, a = 0 of prop4 and E = a - eps b = 0
+    of prop6, never do), and the x-span must pass ``require_x_span`` where
+    the family bounds it.
+    """
     params = ProfileParams(args.eps, args.a, args.b, args.c)
     require_feasible(params)
+    require_start(params, 0.0, band)
     dom = args.domain or (-1.2, 1.2, -1.0, 1.0)
+    if require_x_span is not None:
+        require_x_span(args.family, params, dom[:2])
     h = _profile_solution(params, dom[:2])
     chart = construct(params, h, y_span=dom[2:])
     chart.metadata["profile"] = h
@@ -77,8 +87,8 @@ _CHARTS = {
     "That": lambda a: fam.example1_chart("That", a=a.a, ahat=a.b, domain=a.domain),
     "Chat": lambda a: fam.example1_chart("Chat", a=a.a, domain=a.domain),
     "Ptilde": lambda a: fam.example1_chart("Ptilde", domain=a.domain),
-    "prop4": lambda a: _profile_chart(a, fam.pmc_profile_family),
-    "prop6": lambda a: _profile_chart(a, fam.cmc_profile_family),
+    "prop4": lambda a: _profile_chart(a, fam.pmc_profile_family, 0.0, fam.require_profile_x_span),
+    "prop6": lambda a: _profile_chart(a, fam.cmc_profile_family, a.b),
     "example2": lambda a: fam.pmc_sinh_family(a.lam, domain=a.domain),
     "example4": lambda a: fam.cmc_sinh_chart(a.lam, domain=a.domain),
     "example5": lambda a: fam.cmc_leite_chart(a.hnorm, domain=a.domain),

@@ -232,37 +232,56 @@ def _pmc_map(F1, F2):
 
 
 def _spline(xs, ys, v):
-    """Quintic spline of v on the grid xs x ys, of lower degree on an axis of fewer than six nodes.
+    """One tensor B-spline interpolating every component of v, shape (nx, ny, *components), on xs x ys.
+
+    Quintic on each axis, of lower degree on an axis of fewer than six nodes,
+    with FITPACK's interpolation knots: the nodes less three at each end.  The
+    fit runs along x, then along y, each pass solving for every component at
+    once.  One call of the returned ``NdBSpline`` at points of shape (..., 2)
+    gives (..., *components): the basis is computed once per point and
+    contracted with every coefficient array.
 
     scipy is imported here, on the first spline build, so that a run that
     builds none (chart certification) never loads it.
     """
-    from scipy.interpolate import RectBivariateSpline
+    from scipy.interpolate import NdBSpline, make_interp_spline
 
-    return RectBivariateSpline(xs, ys, v, kx=min(5, len(xs) - 1), ky=min(5, len(ys) - 1))
+    def fit(t, c, axis):
+        k = min(5, len(t) - 1)
+        knots = np.r_[[t[0]] * (k + 1), t[3:-3], [t[-1]] * (k + 1)]
+        return make_interp_spline(t, c, k=k, t=knots, axis=axis)
+
+    bx = fit(xs, v, 0)
+    by = fit(ys, bx.c, 1)
+    # make_interp_spline puts its interpolation axis first: (ny, nx, ...) back to (nx, ny, ...)
+    return NdBSpline((bx.t, by.t), np.moveaxis(by.c, 0, 1), (bx.k, by.k))
 
 
 def _grid_fields(data):
-    """Dense evaluation of a record's data: its ``fields``, or splines of its node arrays.
+    """Dense evaluation of a record's data: its ``fields``, or one spline of its node arrays.
 
-    For node-only data (``fields`` None) every entry of ``data.grids()`` gets
-    a quintic spline, a complex entry one for its real and one for its
-    imaginary part, and u_x, u_y are the derivatives of u's spline.
+    For node-only data (``fields`` None) the entries of ``data.grids()`` are
+    stacked, a complex entry as its real and its imaginary part, into one
+    ``_spline``, which each ``fields`` call evaluates once; u_x and u_y are
+    the derivatives of the spline of u.
     """
     if data.fields is not None:
         return data.fields
-    spline = partial(_spline, data.x[:, 0], data.y[0, :])
-    sp = {
-        k: (spline(v.real), spline(v.imag)) if np.iscomplexobj(v) else (spline(v),)
-        for k, v in data.grids().items()
-    }
+    xs, ys = data.x[:, 0], data.y[0, :]
+    cols, stack = {}, []  # key -> (first column in the stack, complex or not)
+    for k, v in data.grids().items():
+        cplx = np.iscomplexobj(v)
+        cols[k] = (len(stack), cplx)
+        stack += [v.real, v.imag] if cplx else [v]
+    sp = _spline(xs, ys, np.stack(stack, axis=-1))
+    sp_u = _spline(xs, ys, data.u)
 
     def fields(X, Y):
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        out = {k: s[0].ev(X, Y) if len(s) == 1 else s[0].ev(X, Y) + 1j * s[1].ev(X, Y) for k, s in sp.items()}
-        out["ux"] = sp["u"][0].ev(X, Y, dx=1)
-        out["uy"] = sp["u"][0].ev(X, Y, dy=1)
+        xi = np.stack([X, Y], axis=-1)
+        vals = sp(xi)
+        out = {k: vals[..., i] + 1j * vals[..., i + 1] if cplx else vals[..., i] for k, (i, cplx) in cols.items()}
+        out["ux"] = sp_u(xi, nu=(1, 0))
+        out["uy"] = sp_u(xi, nu=(0, 1))
         return out
 
     return fields
@@ -468,25 +487,19 @@ def initial_pmc_state(eps, u0, C1, C2, gamma1, gamma2):
 
 
 def _spline_chart(x, y, fields_by_name, eps, target, name, metadata):
-    """Wrap gridded jet fields into an ImmersionChart via quintic splines."""
+    """Wrap gridded jet fields, each (nx, ny, dim), into an ImmersionChart.
+
+    The six jet keys are stacked into one quintic ``_spline``, so a jet call
+    evaluates the spline once and hands out one (..., dim) slice per key.
+    """
     xs = x[:, 0]
     ys = y[0, :]
-    splines = {
-        key: [_spline(xs, ys, comp) for comp in np.moveaxis(arr, -1, 0)]
-        for key, arr in fields_by_name.items()
-    }
-    dim = fields_by_name["p"].shape[-1]
-
-    def eval_field(key, X, Y):
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        out = np.empty(X.shape + (dim,))
-        for i, sp in enumerate(splines[key]):
-            out[..., i] = sp.ev(X, Y)
-        return out
+    keys = ("p", "px", "py", "pxx", "pxy", "pyy")
+    sp = _spline(xs, ys, np.stack([fields_by_name[k] for k in keys], axis=-2))
 
     def jet(X, Y):
-        return {key: eval_field(key, X, Y) for key in ("p", "px", "py", "pxx", "pxy", "pyy")}
+        vals = sp(np.stack([X, Y], axis=-1))
+        return {key: vals[..., i, :] for i, key in enumerate(keys)}
 
     return ImmersionChart(
         name=name, eps=eps, target=target, domain=(xs[0], xs[-1], ys[0], ys[-1]),
@@ -633,7 +646,7 @@ def _integrate_frenet(data, resid_tol, system, start, target, name, metadata):
     Gates the data residuals, samples ``_grid_fields(data)`` once on the
     half-step grid, marches ``system`` from the state ``start(F0)`` (F0 the
     data at the grid corner) and wraps the states, with the second
-    derivatives the system gives at the nodes, as a quintic-spline chart.
+    derivatives the system gives at the nodes, as a ``_spline_chart``.
     Returns the chart, the loop closure and the dense source.
     """
     worst = max(v for k, v in data.residuals.items() if k != "parallelism")
@@ -658,11 +671,12 @@ def integrate_cmc_frenet(data, resid_tol=DATA_TOL, recertify=True):
 
     The data are sampled once on the half-step grid (the nodes and the
     midpoints between them), from ``data.fields`` or, when that is None, from
-    quintic splines of the node arrays; every RK4 stage and projection reads
-    those samples.  Marches the bottom row first, then all columns in
-    parallel; the top row is marched independently and the loop-closure
-    defect reported.  Returns the reconstructed chart (quintic-spline
-    evaluate with Frenet-exact jets) and a report dictionary.
+    one quintic tensor spline of the node arrays; every RK4 stage and
+    projection reads those samples.  Marches the bottom row first, then all
+    columns in parallel; the top row is marched independently and the
+    loop-closure defect reported.  Returns the reconstructed chart, whose jet
+    is one evaluation of a quintic tensor spline through the marched states
+    and the Frenet second derivatives at the nodes, and a report dictionary.
     """
     eps = data.eps
     nx, ny = data.x.shape

@@ -35,7 +35,9 @@ TARGET_CIRCLE = "factor_times_circle"
 # its invariants keep about 2.2e-16 e^(2g) relative accuracy, which the grid
 # differences of the verification divide by their steps.  Each constructor
 # refuses a rectangle past g = GROWTH_BOUND; on the rectangles tried at that
-# edge the residuals stay below a fifth of their gates on 81x81 grids.
+# edge the residuals stay below a fifth of their gates on 81x81 grids.  prop4
+# needs no profile for its x-bound: |x| <= GROWTH_BOUND / sqrt(b)
+# (``require_profile_x_span``).
 GROWTH_BOUND = 6.0
 PLANE = 1e6  # bound on |x| and |y| of every rectangle: float spacing there is 1.2e-10
 
@@ -197,6 +199,20 @@ def _y_reach(rate, parabolic):
     return (_factor_reach(-1, 1.0) if parabolic else GROWTH_BOUND) / rate
 
 
+def require_profile_x_span(name, params, x_span):
+    """Refuse an x-span of the prop4 chart past |x| = GROWTH_BOUND / sqrt(b).
+
+    The second-factor curve has speed sqrt(b (1 + (h - c)^2)) >= sqrt(b), so
+    past that reach its arclength exceeds GROWTH_BOUND, the arclength at which
+    ``pmc_sinh_family`` stops its curve, whatever the profile.  The bound is
+    closed form, so it holds before the profile is solved and the curve
+    marched, with steps of at most 1e-3.  It is necessary, not sufficient:
+    a fast profile can outgrow GROWTH_BOUND well inside it.
+    """
+    reach = GROWTH_BOUND / np.sqrt(params.b)
+    _require(name, f"|x| <= {reach:.6g}", max(-x_span[0], x_span[1]) <= reach, x_span)
+
+
 def product_of_curves(eps, k_alpha, k_beta, domain=None):
     """Flat PMC chart (alpha(x), beta(y)) from two constant-curvature curves.
 
@@ -338,6 +354,7 @@ def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
         parabolic = params.a == 0.0
         reach = _y_reach(1.0 if parabolic else np.sqrt(-params.a), parabolic)
         _require(name, f"|y| <= {reach:.6g}", max(-y_span[0], y_span[1]) <= reach, y_span)
+    require_profile_x_span(name, params, h.span)
     psi = _profile_psi_curve(params, h)
 
     def jet(x, y):

@@ -95,6 +95,22 @@ def require_feasible(params):
     return verdict
 
 
+def require_start(params, h0, band=0.0):
+    """Refuse an initial value h0 outside the band eps (a - h0^2) > band or with p(h0) q(h0) < 0.
+
+    The band is 0 for the PMC family and b for the CMC family.  Raises
+    ``InfeasibleParameters`` with the clause that fails; returns p(h0) q(h0),
+    a rounding-sized negative value floored at 0.
+    """
+    clause = f"eps (a - h0^2) > {band:g}"
+    if not params.eps * params.p(h0) > band:
+        raise InfeasibleParameters(f"initial value h0={h0} violates {clause}", clause)
+    pq0 = float(params.pq(h0))
+    if pq0 < -1e-14 * max(1.0, abs(params.a)) ** 2:
+        raise InfeasibleParameters(f"initial value h0={h0} violates p(h0) q(h0) >= 0: it is {pq0}", "p(h0) q(h0) >= 0")
+    return max(pq0, 0.0)
+
+
 @dataclass
 class ProfileSolution:
     """A sampled (and interpolable) solution h, h' of the profile equation."""
@@ -186,12 +202,7 @@ def solve_profile(params, h0=0.0, sign0=+1, x_span=(-1.0, 1.0), drift_tol=DRIFT_
     absolute on order-one solutions).
     """
     x0, x1 = span_from_zero(x_span, "profile march")
-    if params.eps * params.p(h0) <= 0:
-        raise DomainError(f"initial value h0={h0} violates eps (a - h0^2) > 0")
-    pq0 = float(params.pq(h0))
-    if pq0 < -1e-14 * max(1.0, abs(params.a)) ** 2:
-        raise DomainError(f"initial value h0={h0} has p(h0) q(h0) = {pq0} < 0")
-    pq0 = max(pq0, 0.0)
+    pq0 = require_start(params, h0)
 
     if pq0 == 0.0 and abs(params.pq_prime(h0)) < 1e-13:
         # double root of p q: the constant solution

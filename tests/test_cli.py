@@ -209,6 +209,11 @@ def test_failed_precondition_is_a_typed_exit(tmp_path, capsys):
         pytest.param(["--family", "example2"], "--domain=0,5e-324,0,1", "a positive finite step",
                      id="example2-subnormal"),
         pytest.param(["--family", "prop4"], "--domain=0,5e-324,0,1", "a positive finite step", id="prop4-subnormal"),
+        # the second-factor curve has speed >= sqrt(b): refused before the profile solve and the
+        # curve march, which asked for 7.28 TiB here
+        pytest.param(["--family", "prop4"], "--domain=-1e9,1e9,-1,1", "|x| <= 6", id="prop4-x"),
+        pytest.param(["--family", "prop4", "--eps", "1", "--a", "5", "--b", "4", "--c", "0"], "--domain=-3.1,1,-1,1",
+                     "|x| <= 3", id="prop4-x-sphere"),
     ],
 )
 def test_domain_the_chart_cannot_evaluate_is_infeasible(tmp_path, capsys, family, domain, clause):
@@ -256,6 +261,27 @@ def test_phi0_near_the_pole_fails_parallelism(tmp_path):
     assert code == EXIT_VERIFICATION
     report = next(tmp_path.glob("verify_*.txt")).read_text()
     assert report.splitlines()[-1] == "verdict=FAIL: parallelism"
+
+
+@pytest.mark.parametrize(
+    "family, clause",
+    [
+        # the parabolic branches: a = 0 (prop4) and E = a - eps b = 0 (prop6) put the
+        # start h(0) = 0 of every profile on the edge of the chart's band
+        pytest.param(["--family", "prop4", "--eps", "-1", "--a", "0", "--b", "1", "--c", "2"], "eps (a - h0^2) > 0",
+                     id="prop4-a0"),
+        pytest.param(["--family", "prop6", "--eps", "-1", "--a", "-1", "--b", "1", "--c", "0"], "eps (a - h0^2) > 1",
+                     id="prop6-E0"),
+        # in the band, but where the profile equation has no real slope
+        pytest.param(["--family", "prop4", "--eps", "1", "--a", "2", "--b", "1", "--c", "1.2"], "p(h0) q(h0) >= 0",
+                     id="prop4-pq"),
+    ],
+)
+def test_profile_start_outside_the_band_is_infeasible(tmp_path, capsys, family, clause):
+    code = main(["verify", *family, "--nx", "9", "--ny", "9", "--out", str(tmp_path)])
+    assert code == EXIT_INFEASIBLE
+    assert f"violates {clause}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("verify_*.txt"))
 
 
 @pytest.mark.parametrize(

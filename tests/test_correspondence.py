@@ -504,3 +504,26 @@ def test_congruence_checks_read_their_points_from_the_jets():
     prod = product_of_curves(-1, 1.0, 1.0)
     pc = dataclasses.replace(prod, evaluate=no_evaluate)
     assert product_alignment_distance(pc, pc, nx=9, ny=9) == product_alignment_distance(prod, prod, nx=9, ny=9)
+
+
+@pytest.mark.parametrize("nx, ny", [(41, 29), (5, 12)], ids=["41x29", "five-node-axis"])
+def test_spline_matches_per_component_rect_bivariate_splines(nx, ny):
+    # one tensor spline carries a stack of components; the reference fits each
+    # component alone.  The fit runs along x, then along y, and a non-square grid
+    # catches the coefficient axes of the two passes left swapped
+    from scipy.interpolate import RectBivariateSpline
+
+    from pmcsurf.correspondence import _spline
+
+    xs, ys = np.linspace(-1.2, 1.0, nx), np.linspace(-0.5, 0.7, ny)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    v = np.stack([np.sin(2 * X + Y), np.exp(X * Y), X**2 * Y + 1.0], axis=-1)
+    sp = _spline(xs, ys, v)
+    P = np.random.default_rng(0).uniform([xs[0], ys[0]], [xs[-1], ys[-1]], (200, 2))
+    for nu in ((0, 0), (1, 0), (0, 1)):
+        ref = np.stack([
+            RectBivariateSpline(xs, ys, v[..., i], kx=min(5, nx - 1), ky=min(5, ny - 1)).ev(
+                P[:, 0], P[:, 1], dx=nu[0], dy=nu[1])
+            for i in range(v.shape[-1])
+        ], axis=-1)
+        assert np.max(np.abs(sp(P, nu=nu) - ref)) <= 1e-12 * np.max(np.abs(ref)), nu
