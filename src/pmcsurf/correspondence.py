@@ -19,6 +19,8 @@ from .ambient import cross_eps, inner, project_to_factor
 from .errors import DomainError, PreconditionError, VerificationError
 from .families import TARGET_LINE, TARGET_PRODUCT, ImmersionChart
 from .diffgeo import (
+    PARALLELISM_DELTA,
+    SHRINK,
     abresch_rosenberg,
     ar_theta,
     conformal_data,
@@ -122,14 +124,21 @@ class CmcFrenetData:
 def _pmc_point_fields(chart):
     """Dense pointwise Frenet data of a PMC chart.
 
-    A repeat of the last samples returns the last result: the ``fields`` of
-    ``cmc_to_pmc`` asks for the same samples once for each CMC data set.
+    Every sample set answered is memoised, keyed on the dtype, shape and bytes
+    of x and y: the three records of one round trip (``pmc_to_cmc`` for
+    j = 1, 2 and the ``cmc_to_pmc`` of the two) compose their ``fields`` onto
+    this one and read the same half-step grid, Simpson midpoints and
+    recertification grid, so each set is evaluated once.  The memoised
+    arrays are read-only: an in-place edit of a record built from them
+    raises instead of corrupting a later read.
     """
-    last = {}
+    memo = {}
 
     def fields(x, y):
-        if last and np.array_equal(x, last["x"]) and np.array_equal(y, last["y"]):
-            return last["out"]
+        x, y = np.asarray(x), np.asarray(y)
+        key = (x.dtype.str, x.shape, x.tobytes(), y.dtype.str, y.shape, y.tobytes())
+        if key in memo:
+            return memo[key]
         jet = sample_jet(chart, x, y)
         u, _ = conformal_data(jet)
         frame = normal_frame(jet)
@@ -143,7 +152,10 @@ def _pmc_point_fields(chart):
             "gamma1": gamma1, "gamma2": gamma2, "f1": f1, "f2": f2,
             "Hnorm": frame.Hnorm,
         }
-        last.update(x=np.array(x), y=np.array(y), out=out)
+        for v in out.values():
+            if isinstance(v, np.ndarray):  # scalar samples give immutable numpy scalars
+                v.flags.writeable = False
+        memo[key] = out
         return out
 
     return fields
@@ -180,9 +192,9 @@ def extract_pmc_data(chart, nx=81, ny=81):
     """Sample the Frenet data of a PMC chart, refusing non-parallel charts."""
     if chart.target != TARGET_PRODUCT:
         raise DomainError("extract_pmc_data expects a product chart")
-    X, Y = chart.grid(nx, ny, shrink=0.02)
+    X, Y = chart.grid(nx, ny, shrink=SHRINK)
     resid = parallelism_residual(chart, X[:: max(1, nx // 16), :: max(1, ny // 16)],
-                                 Y[:: max(1, nx // 16), :: max(1, ny // 16)], 5e-4)
+                                 Y[:: max(1, nx // 16), :: max(1, ny // 16)], PARALLELISM_DELTA)
     if resid > PARALLELISM_GATE:
         raise PreconditionError(
             f"chart is not PMC: parallelism residual {resid:.2e} > {PARALLELISM_GATE:.1e}"
@@ -804,7 +816,7 @@ def integrate_pmc_frenet(data, resid_tol=DATA_TOL, recertify=True):
     report = {"loop_closure": closure}
     if recertify:
         Xs, Ys = chart.grid(min(nx, 33), min(ny, 33), shrink=0.03)
-        report["parallelism"] = parallelism_residual(chart, Xs, Ys, 5e-4)
+        report["parallelism"] = parallelism_residual(chart, Xs, Ys, PARALLELISM_DELTA)
         jet = sample_jet(chart, Xs, Ys)
         frame = normal_frame(jet)
         scal = frenet_scalars(jet, frame)

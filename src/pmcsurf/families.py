@@ -25,7 +25,7 @@ from .curves import CurveSpec, constant_curvature_curve, integrate_curve
 from .elliptic import complete_k, jacobi_sncndn
 from .errors import DomainError, InfeasibleParameters
 from .profile import ProfileParams, closed_form
-from .utils import CumulativeIntegral
+from .utils import CumulativeIntegral, span_from_zero
 
 TARGET_PRODUCT = "product"
 TARGET_LINE = "factor_times_line"
@@ -36,8 +36,8 @@ TARGET_CIRCLE = "factor_times_circle"
 # differences of the verification divide by their steps.  Each constructor
 # refuses a rectangle past g = GROWTH_BOUND; on the rectangles tried at that
 # edge the residuals stay below a fifth of their gates on 81x81 grids.  prop4
-# needs no profile for its x-bound: |x| <= GROWTH_BOUND / sqrt(b)
-# (``require_profile_x_span``).
+# and prop6 bound their x-span on the solved profile, prop4 also in closed
+# form before the solve: |x| <= GROWTH_BOUND / sqrt(b) (``require_profile_x_span``).
 GROWTH_BOUND = 6.0
 PLANE = 1e6  # bound on |x| and |y| of every rectangle: float spacing there is 1.2e-10
 
@@ -207,7 +207,8 @@ def require_profile_x_span(name, params, x_span):
     ``pmc_sinh_family`` stops its curve, whatever the profile.  The bound is
     closed form, so it holds before the profile is solved and the curve
     marched, with steps of at most 1e-3.  It is necessary, not sufficient:
-    a fast profile can outgrow GROWTH_BOUND well inside it.
+    a fast profile can outgrow GROWTH_BOUND well inside it, which
+    ``_require_profile_arclength`` refuses on the solved profile.
     """
     reach = GROWTH_BOUND / np.sqrt(params.b)
     _require(name, f"|x| <= {reach:.6g}", max(-x_span[0], x_span[1]) <= reach, x_span)
@@ -311,12 +312,46 @@ def _first_factor_jet(params, h, xs, ix, ys, iy):
     return _jet_dict(p, px, py, pxx, pxy, pyy)
 
 
-def _profile_psi_curve(params, h):
-    """Second-factor curve of the invariant families: |psi'|^2 = b (1 + (h-c)^2)."""
-    eps, b, c = params.eps, params.b, params.c
+def _profile_psi_speed(params, h):
+    """Speed |psi'| = sqrt(b (1 + (h - c)^2)) of the second-factor curve of the invariant families."""
+    b, c = params.b, params.c
 
     def speed(x):
         return np.sqrt(b * (1.0 + (h.h_at(x) - c) ** 2))
+
+    return speed
+
+
+def _require_profile_arclength(name, params, h):
+    """Refuse a profile span on which the H2 second-factor curve runs past arclength GROWTH_BOUND.
+
+    The curve starts at the model centre (0, 0, 1) at x = 0, and at arclength
+    s from there its hyperboloid coordinate x3 is at most cosh s.  So the
+    arclength from 0 to each end of the span, by Simpson's rule on the solved
+    profile, must stay within GROWTH_BOUND.  ``require_profile_x_span`` is the
+    necessary half of this bound, in closed form; this one runs after the
+    solve, before the curve march.  A curve in S2 (eps = +1) has bounded
+    coordinates and is not refused.
+    """
+    if params.eps == +1:
+        return
+    lo, hi = span_from_zero(h.span, "curve march")
+    speed = _profile_psi_speed(params, h)
+
+    def arclength(end):
+        t = np.linspace(0.0, end, 2001)
+        dt = t[1] - t[0]
+        return abs(float(np.sum((dt / 6.0) * (speed(t[:-1]) + 4.0 * speed(t[:-1] + 0.5 * dt) + speed(t[1:])))))
+
+    lengths = [arclength(lo), arclength(hi)]
+    _require(name, f"second-factor arclength from x = 0 <= {GROWTH_BOUND:g}", max(lengths) <= GROWTH_BOUND,
+             lengths)
+
+
+def _profile_psi_curve(params, h):
+    """Second-factor curve of the invariant families: |psi'|^2 = b (1 + (h-c)^2)."""
+    eps, b, c = params.eps, params.b, params.c
+    speed = _profile_psi_speed(params, h)
 
     def speed_prime(x):
         return b * (h.h_at(x) - c) * h.hp_at(x) / speed(x)
@@ -355,6 +390,7 @@ def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
         reach = _y_reach(1.0 if parabolic else np.sqrt(-params.a), parabolic)
         _require(name, f"|y| <= {reach:.6g}", max(-y_span[0], y_span[1]) <= reach, y_span)
     require_profile_x_span(name, params, h.span)
+    _require_profile_arclength(name, params, h)
     psi = _profile_psi_curve(params, h)
 
     def jet(x, y):
@@ -502,6 +538,13 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
     With f = y + F(x), the first factor moves by a rotation (E = a - eps b > 0),
     a boost by sqrt(-E) f (E < 0) or the parabolic translation by 2 f that
     fixes (1, 0, 1) (E = 0); ``_y_reach`` bounds |f| on the rectangle in the last two.
+
+    The x-span is bounded on the solved profile.  The profile curve is where f
+    vanishes; there the first factor in H2 (eps = -1, W^2 = h^2 - E) is
+    (h, 0, W) / sqrt(-E) (E < 0), (W, 0, h) / sqrt(E) (E > 0) or
+    (1/h - h/4, 0, 1/h + h/4) (E = 0), so its hyperboloid coordinate x3, the
+    cosh of its distance from the model centre, grows with |h|.  x3 must stay
+    within cosh(GROWTH_BOUND) over the rectangle's x-range.  In S2, x3 <= 1.
     """
     if h.params != params:
         raise DomainError("profile solution was built for different parameters")
@@ -522,9 +565,10 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
     G = CumulativeIntegral(eta_integrand, lo, hi, x0=lo)
     sqb = np.sqrt(b)
     pad = 0.01 * (hi - lo)
+    xr = np.clip(F.x, lo + pad, hi - pad)  # the rectangle's x-range on F's nodes
     if E <= 0:
         reach = _y_reach(2.0 if E == 0.0 else np.sqrt(-E), E == 0.0)
-        Fr = F(np.clip(F.x, lo + pad, hi - pad))  # F on the rectangle's x-range
+        Fr = F(xr)
         f_max = max(-(y_span[0] + Fr.min()), y_span[1] + Fr.max())
         _require("prop6", f"|y + F(x)| <= {reach:.6g}", f_max <= reach, y_span)
 
@@ -601,6 +645,9 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
         eta_y = np.full_like(hv, sqb)
         eta_xx = sqb * hp
         return _with_height(_jet_dict(p, px, py, pxx, pxy, pyy), eta, eta_x, eta_y, eta_xx)
+
+    x3 = float(np.max(jet(xr, -F(xr))["p"][..., 2]))  # on the profile curve f = 0
+    _require("prop6", f"x3 <= cosh({GROWTH_BOUND:g}) on the profile curve", x3 <= np.cosh(GROWTH_BOUND), x3)
 
     theta_ar = (eps * b / 8.0) * (a + 1 - c**2 - 2j * c)
     return ImmersionChart(

@@ -239,6 +239,12 @@ def closed_form(kind, params, x_span=None):
     kind = "sinh_family":  eps=-1, b=1, c=0, a <= -1, h = sqrt(-a) sinh(lam x)
     kind = "sn_family":    eps=+1, c=0, a > b,       h = m sn(om x; kappa)
     kind = "tan_family":   eps=-1, a=-1, c=0, b < 1, h = tan(mu x) on |x| < pi/(2 mu)
+
+    The sinh family grows without bound, and is refused before it is
+    evaluated on a span where |h| would pass H_MAX, the height at which
+    ``solve_profile`` counts a solution as escaped: sinh is increasing, so
+    |h| <= H_MAX on the span when lam max|x| <= arcsinh(H_MAX / sqrt(-a)).
+    The sn family is bounded, and the tan family is taken inside its poles.
     """
     eps, a, b, c = params.eps, params.a, params.b, params.c
     if kind == "sinh_family":
@@ -250,6 +256,12 @@ def closed_form(kind, params, x_span=None):
         hp_fn = lambda x: amp * lam * np.cosh(lam * x)
         hpp_fn = lambda x: amp * lam**2 * np.sinh(lam * x)
         span = x_span or (-2.0, 2.0)
+        if lam > 0:
+            reach = np.arcsinh(H_MAX / amp) / lam
+            if not max(-span[0], span[1]) <= reach:
+                clause = f"|x| <= {reach:.6g}"
+                msg = f"the sinh_family profile needs {clause} (|h| <= {H_MAX:g}), got {span[0]:.6g},{span[1]:.6g}"
+                raise InfeasibleParameters(msg, clause)
     elif kind == "sn_family":
         if not (eps == +1 and c == 0.0 and a > b):
             raise DomainError("sn_family requires eps=+1, c=0, a > b")

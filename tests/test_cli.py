@@ -214,6 +214,19 @@ def test_failed_precondition_is_a_typed_exit(tmp_path, capsys):
         pytest.param(["--family", "prop4"], "--domain=-1e9,1e9,-1,1", "|x| <= 6", id="prop4-x"),
         pytest.param(["--family", "prop4", "--eps", "1", "--a", "5", "--b", "4", "--c", "0"], "--domain=-3.1,1,-1,1",
                      "|x| <= 3", id="prop4-x-sphere"),
+        # inside |x| <= 6 the sinh profile still outgrows the bound: the curve march ended in
+        # "point cannot be projected onto the quadric" on +-6 and verify FAILed parallelism on +-3
+        pytest.param(["--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"], "--domain=-6,6,-1,1",
+                     "second-factor arclength from x = 0 <= 6", id="prop4-arclength"),
+        pytest.param(["--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"], "--domain=-3,3,-1,1",
+                     "second-factor arclength from x = 0 <= 6", id="prop4-arclength-fail"),
+        # the closed-form sinh profile overflowed on +-1e9; on +-20 verify FAILed construction
+        pytest.param(["--family", "prop6", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"],
+                     "--domain=-1e9,1e9,-1,1", "|x| <= 7.25433", id="prop6-x-overflow"),
+        pytest.param(["--family", "prop6", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"], "--domain=-20,20,-1,1",
+                     "|x| <= 7.25433", id="prop6-x-closed-form"),
+        pytest.param(["--family", "prop6", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"], "--domain=-6,6,-1,1",
+                     "x3 <= cosh(6) on the profile curve", id="prop6-x-profile"),
     ],
 )
 def test_domain_the_chart_cannot_evaluate_is_infeasible(tmp_path, capsys, family, domain, clause):
@@ -245,6 +258,12 @@ def test_second_factor_curve_is_marched_over_the_domain(tmp_path, family):
                      "--domain=-1,1,-4.2,4.2", id="prop4"),
         pytest.param(["--family", "prop6", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"],
                      "--domain=-1,1,-5.5,5.5", id="prop6"),
+        # second-factor arclength 5.78 from x = 0
+        pytest.param(["--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"],
+                     "--domain=-2.2,2.2,-1,1", id="prop4-arclength"),
+        # x3 reaches 188.6 on the profile curve over the rectangle, within cosh(6) = 201.7
+        pytest.param(["--family", "prop6", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"],
+                     "--domain=-5.7,5.7,-1,1", id="prop6-x"),
     ],
 )
 def test_rectangle_at_the_growth_bound_verifies(tmp_path, family, domain):

@@ -30,10 +30,13 @@ CACHE = {}
 
 def prop4_chart():
     if "prop4" not in CACHE:
-        p = ProfileParams(-1, -2.0, 1.0, 0.0)
-        h = closed_form("sinh_family", p, x_span=(-1.2, 1.2))
-        CACHE["prop4"] = pmc_profile_family(p, h, y_span=(-1.0, 1.0))
+        CACHE["prop4"] = fresh_prop4_chart()
     return CACHE["prop4"]
+
+
+def fresh_prop4_chart():
+    p = ProfileParams(-1, -2.0, 1.0, 0.0)
+    return pmc_profile_family(p, closed_form("sinh_family", p, x_span=(-1.2, 1.2)), y_span=(-1.0, 1.0))
 
 
 def prop4_data(nx=41, ny=41):
@@ -469,9 +472,11 @@ def test_node_only_reconstruction_differentiates_the_spline_of_u():
 
 def test_round_trip_evaluates_the_chart_once_per_row_block(monkeypatch):
     # every RK4 stage reads the half-step samples; evaluating the chart per
-    # stage instead takes 1,932 jet calls on this round trip
-    chart = prop4_chart()
-    data = prop4_data(33, 33)
+    # stage instead takes 1,932 jet calls on this round trip.  The chart and
+    # record are the test's own: the records CACHE shares carry a fields memo
+    # that earlier tests have filled
+    chart = fresh_prop4_chart()
+    data = extract_pmc_data(chart, nx=33, ny=33)
     jet = chart.jet
     calls = []
 
@@ -481,13 +486,60 @@ def test_round_trip_evaluates_the_chart_once_per_row_block(monkeypatch):
 
     monkeypatch.setattr(chart, "jet", counted)
     d1, d2 = pmc_to_cmc(data, 1), pmc_to_cmc(data, 2)
-    integrate_cmc_frenet(d1, recertify=False)
-    integrate_cmc_frenet(d2, recertify=False)
-    before = len(calls)
-    integrate_pmc_frenet(cmc_to_pmc(d1, d2), recertify=False)
-    assert len(calls) < 100
-    # both CMC closures read each row block; one jet answers the two (18 without)
-    assert len(calls) - before == 9
+    # the Simpson midpoints of j = 1, answered from the memo for j = 2
+    assert len(calls) == 2
+    counts = []
+    for run in (lambda: integrate_cmc_frenet(d1, recertify=False), lambda: integrate_cmc_frenet(d2, recertify=False),
+                lambda: integrate_pmc_frenet(cmc_to_pmc(d1, d2), recertify=False)):
+        before = len(calls)
+        run()
+        counts.append(len(calls) - before)
+    # one jet per block of 8 rows of the 65-row half-step grid; the second CMC
+    # record and the assembled PMC record read the same blocks (9 each without the memo)
+    assert counts == [9, 0, 0]
+
+
+def test_memoised_fields_are_those_of_a_fresh_closure():
+    # the memo answers a repeated sample set with what the chart would give again
+    from pmcsurf.correspondence import _pmc_point_fields
+
+    chart = fresh_prop4_chart()
+    data = extract_pmc_data(chart, nx=33, ny=33)
+    source = data.fields
+    answered = []
+
+    def recorded(x, y):
+        out = source(x, y)
+        answered.append((np.array(x), np.array(y), out))
+        return out
+
+    data.fields = recorded
+    d1, d2 = pmc_to_cmc(data, 1), pmc_to_cmc(data, 2)
+    integrate_cmc_frenet(d1)
+    integrate_cmc_frenet(d2)
+    integrate_pmc_frenet(cmc_to_pmc(d1, d2))
+    distinct = {(x.tobytes(), y.tobytes()) for x, y, _ in answered}
+    assert len(distinct) < len(answered)
+    for x, y, out in answered:
+        fresh = _pmc_point_fields(chart)(x, y)
+        assert out.keys() == fresh.keys()
+        for key, arr in fresh.items():
+            assert np.array_equal(out[key], arr) and out[key].dtype == arr.dtype, key
+
+
+def test_memoised_fields_are_read_only():
+    chart = fresh_prop4_chart()
+    data = extract_pmc_data(chart, nx=9, ny=9)
+    F = data.fields(data.x, data.y)
+    for arr in F.values():
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    # the record's node arrays are the memoised ones
+    with pytest.raises(ValueError):
+        data.u[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        pmc_to_cmc(data, 1).nu[0, 0] = 0.0
+    assert np.array_equal(data.fields(data.x, data.y)["u"], data.u)
 
 
 def test_congruence_checks_read_their_points_from_the_jets():
