@@ -26,6 +26,7 @@ from .correspondence import (
     weak_congruence_check,
 )
 from .diffgeo import (
+    PARALLELISM_DELTA,
     abresch_rosenberg,
     curvature_bound_excess,
     hopf_theta,
@@ -104,21 +105,22 @@ def build_chart(args):
 
 
 def _corrupt_chart(chart, factor):
-    """Scale the second factor (or the height) of a chart: a negative control."""
+    """Scale the second factor (or the height) of a chart: a negative control.
 
-    def evaluate(x, y):
-        p = chart.evaluate(x, y).copy()
-        if chart.target == fam.TARGET_PRODUCT:
-            p[..., 3:] = factor * p[..., 3:]
-        else:
-            p[..., 3] = factor * p[..., 3]
-        return p
+    The scaling is linear, so the control's 2-jet is the parent's jet with
+    every key scaled on the same components: 3: (the second factor of a
+    product, the height column of a chart into M2 x R).
+    """
+    scale = np.ones(chart.dim)
+    scale[3:] = factor
+
+    def jet(x, y):
+        return {key: v * scale for key, v in chart.jet(x, y).items()}
 
     return dataclasses.replace(
         chart,
         name=f"{chart.name}(corrupted x{factor})",
-        evaluate=evaluate,
-        jet=None,
+        jet=jet,
         metadata=dict(chart.metadata),
         embed_circle=None,
     )
@@ -290,10 +292,12 @@ def _config_slug(args):
 
 def cmd_verify(args):
     chart = build_chart(args)
+    fd_step = "--fd-step"
     if args.corrupt_height != 1.0:
         chart = _corrupt_chart(chart, args.corrupt_height)
         if args.fd_step is None:
-            args.fd_step = 1e-3
+            # the control's report is pinned with the numeric jets of this step
+            args.fd_step, fd_step = 1e-3, "the control's fd_step"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = [f"family={chart.name}", f"config={_config_slug(args)}", f"grid={args.nx}x{args.ny}"]
@@ -303,10 +307,10 @@ def cmd_verify(args):
         else:
             checks = _verify_cmc(chart, args)
     except InfeasibleParameters as exc:
-        # only the difference stencil refuses here: a step, not a verdict
-        raise InfeasibleParameters(
-            f"--fd-step {args.fd_step:g} is too large for this grid: {exc}", exc.clause
-        ) from exc
+        # only a difference stencil refuses here (the fd_step or the parallelism one): a step, not a verdict
+        step = (f"{fd_step} {args.fd_step:g}" if exc.clause == "fd_step"
+                else f"the parallelism step {PARALLELISM_DELTA:g}")
+        raise InfeasibleParameters(f"{step} is too large for this grid: {exc}", exc.clause) from exc
     except (DomainError, VerificationError) as exc:
         lines.append(f"FAIL construction: {exc}")
         path = out / f"verify_{_config_slug(args)}.txt"

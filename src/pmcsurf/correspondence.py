@@ -24,7 +24,9 @@ from .diffgeo import (
     abresch_rosenberg,
     ar_theta,
     conformal_data,
+    eta_z_norm_law,
     frenet_scalars,
+    gamma_norm_law,
     grid_d,
     grid_dz_bar,
     hopf_coefficients,
@@ -182,9 +184,7 @@ def pmc_compatibility_residuals(data):
         C_z = 0.5 * (Cx - 1j * Cy)
         rhs = 2j * np.exp(-2 * data.u) * f * np.conj(gamma) - 1j * H / np.sqrt(2.0) * gamma
         out[f"C{j}_z"] = normalized_mismatch(C_z[interior], rhs[interior], terms=(H * np.abs(gamma)[interior],))
-        out[f"gamma{j}_norm"] = normalized_mismatch(
-            np.abs(gamma) ** 2, e2u * (1 - C**2) / 2.0, terms=(e2u / 2.0,)
-        )
+        out[f"gamma{j}_norm"] = gamma_norm_law(gamma, C, e2u)
     return out
 
 
@@ -377,9 +377,7 @@ def cmc_compatibility_residuals(data):
     out["eta_zzbar"] = normalized_mismatch(
         eta_lap[interior], (e2u / 2.0 * H * data.nu)[interior], terms=(e2u[interior] * H,)
     )
-    out["eta_z_norm"] = normalized_mismatch(
-        np.abs(eta_z) ** 2, e2u / 4.0 * (1 - data.nu**2), terms=(e2u / 4.0,)
-    )
+    out["eta_z_norm"] = eta_z_norm_law(eta_z, data.nu, e2u)
     return out
 
 

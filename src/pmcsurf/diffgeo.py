@@ -1,8 +1,8 @@
 """Numerical verification engine: every invariant and identity a chart must satisfy.
 
 All computations happen in the chart's isothermal coordinates on a rectangular
-grid.  Derivatives of the immersion come from the chart's 2-jet (analytic when
-the family provides one, centered second-order differences otherwise);
+grid.  Derivatives of the immersion come from the 2-jet every chart carries
+(or, when a step is given, from centered second-order differences of its points);
 derivatives of derived scalar fields (u, C_j, theta_j, ...) come from centered
 differences, Richardson-extrapolated on the power-of-two refined grid that
 ``surface_invariants`` samples once, so that the identity residuals measure the
@@ -98,11 +98,20 @@ def _leaves_domain(domain, x, y, margin):
     )
 
 
-def sample_jet(chart, x, y, fd_step=None):
-    """2-jet of the chart at samples (x, y): the analytic one unless ``fd_step`` is given.
+def _require_stencil(domain, x, y, step, clause):
+    """Refuse, naming the step ``clause``, a difference stencil of +-step that leaves the domain."""
+    if _leaves_domain(domain, x, y, step):
+        shown = f"[{domain[0]:.6g}, {domain[1]:.6g}] x [{domain[2]:.6g}, {domain[3]:.6g}]"
+        raise InfeasibleParameters(
+            f"the difference stencil of {clause} {step:g} leaves the chart domain {shown}", clause
+        )
 
-    A given ``fd_step`` (required when the chart has no analytic jet) selects
-    centered second-order differences of ``evaluate`` with that step, which
+
+def sample_jet(chart, x, y, fd_step=None):
+    """2-jet of the chart at samples (x, y): the chart's own unless ``fd_step`` is given.
+
+    A given ``fd_step`` selects centered second-order differences of
+    ``evaluate`` (the ``p`` of the chart's jet) with that step, which
     must be positive and finite: nine ``evaluate`` calls, at (x, y), the four
     axis shifts by +-fd_step (each shared by the first and second difference
     along its axis) and the four diagonal shifts of the mixed difference.
@@ -117,20 +126,12 @@ def sample_jet(chart, x, y, fd_step=None):
         raise DomainError("samples fall outside the chart domain")
 
     if fd_step is None:
-        if chart.jet is None:
-            raise DomainError("numeric jets need an explicit fd_step")
-        J = chart.jet(x, y)
-        return JetSample(chart, x, y, J["p"], J["px"], J["py"], J["pxx"], J["pxy"], J["pyy"])
+        return JetSample(chart, x, y, **chart.jet(x, y))
 
     d = float(fd_step)
     if not (np.isfinite(d) and d > 0):
         raise DomainError(f"fd_step must be positive and finite, got {fd_step}")
-    if _leaves_domain(chart.domain, x, y, d):
-        raise InfeasibleParameters(
-            f"the difference stencil of fd_step {d:g} leaves the chart domain"
-            f" [{chart.domain[0]:.6g}, {chart.domain[1]:.6g}] x [{chart.domain[2]:.6g}, {chart.domain[3]:.6g}]",
-            "fd_step",
-        )
+    _require_stencil(chart.domain, x, y, d, "fd_step")
     ev = chart.evaluate
     p = ev(x, y)
     p_xp, p_xm = ev(x + d, y), ev(x - d, y)
@@ -379,6 +380,16 @@ def normalized_mismatch(lhs, rhs, terms=()):
     return float(np.max(np.abs(lhs - rhs))) / (scale + EPS_FLOOR)
 
 
+def gamma_norm_law(gamma, C, e2u):
+    """Normalized residual of the frame relation |gamma_j|^2 = e^{2u}(1 - C_j^2)/2."""
+    return normalized_mismatch(np.abs(gamma) ** 2, e2u * (1 - C**2) / 2.0, terms=(e2u / 2.0,))
+
+
+def eta_z_norm_law(eta_z, nu, e2u):
+    """Normalized residual of the CMC relation |eta_z|^2 = e^{2u}(1 - nu^2)/4."""
+    return normalized_mismatch(np.abs(eta_z) ** 2, e2u / 4.0 * (1 - nu**2), terms=(e2u / 4.0,))
+
+
 def holomorphy_residual(theta, dx, dy):
     """(absolute, normalized) size of d/dz-bar of a field sampled on a grid.
 
@@ -445,34 +456,18 @@ class SurfaceInvariants:
         return "\n".join(lines)
 
     def to_csv(self, path):
-        write_columns_csv(path, {
-            "x": self.x,
-            "y": self.y,
-            "u": self.u,
-            "conformal_defect": self.conformal_defect,
-            "C1": self.C1,
-            "C2": self.C2,
-            "K": self.K,
-            "Kbar": self.Kbar,
-            "Kbar_perp": self.Kbar_perp,
-            "Hnorm": self.Hnorm,
-            "gamma1_re": self.gamma1.real,
-            "gamma1_im": self.gamma1.imag,
-            "gamma2_re": self.gamma2.real,
-            "gamma2_im": self.gamma2.imag,
-            "f1_re": self.f1.real,
-            "f1_im": self.f1.imag,
-            "f2_re": self.f2.real,
-            "f2_im": self.f2.imag,
-            "theta1_re": self.theta1.real,
-            "theta1_im": self.theta1.imag,
-            "theta2_re": self.theta2.real,
-            "theta2_im": self.theta2.imag,
-        })
+        columns = {k: getattr(self, k) for k in ("x", "y", "u", "conformal_defect", "C1", "C2", "K", "Kbar",
+                                                 "Kbar_perp", "Hnorm")}
+        for k in ("gamma1", "gamma2", "f1", "f2", "theta1", "theta2"):
+            columns[f"{k}_re"], columns[f"{k}_im"] = getattr(self, k).real, getattr(self, k).imag
+        write_columns_csv(path, columns)
 
 
 def parallelism_residual(chart, X, Y, delta, fd_step=None):
-    """Max normalized normal-derivative of H over the samples: certifies PMC."""
+    """Max normalized normal-derivative of H over the samples: certifies PMC.
+
+    H is differenced over +-delta; a stencil off the domain is refused (clause ``"parallelism_delta"``)."""
+    _require_stencil(chart.domain, X, Y, delta, "parallelism_delta")
 
     def h_at(xs, ys):
         return _mean_curvature(sample_jet(chart, xs, ys, fd_step=fd_step))[0]
@@ -619,10 +614,7 @@ def identity_residuals(inv):
         start=1,
     ):
         sgn = (-1.0) ** j
-        # frame relation |gamma_j|^2 = e^{2u}(1 - C_j^2)/2
-        out[f"frame_gamma{j}"] = normalized_mismatch(
-            np.abs(gamma) ** 2, e2u * (1 - C**2) / 2.0, terms=(e2u / 2.0,)
-        )
+        out[f"frame_gamma{j}"] = gamma_norm_law(gamma, C, e2u)
         # eq5: |f_j|^2 = e^{4u}/8 (|H|^2 - K + eps C_j^2)
         out[f"eq5_j{j}"] = normalized_mismatch(
             np.abs(f[interior]) ** 2,
@@ -797,9 +789,8 @@ def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK, fd_step=None, h_const_
     N = Hvec / H_scalar[..., None]
     nu = N[..., 3]
 
-    psi_zz = 0.25 * (jet.pxx - jet.pyy - 2j * jet.pxy)
-    p = jet.ip(psi_zz, N)
-    eta_z = 0.5 * (jet.px[..., 3] - 1j * jet.py[..., 3])
+    p = jet.ip(jet.phi_zz, N)
+    eta_z = jet.phi_z[..., 3]
     theta_ar = ar_theta(H_scalar, p, eta_z, eps)
 
     data = CmcData(
@@ -818,9 +809,7 @@ def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK, fd_step=None, h_const_
     absolute, normalized = holomorphy_residual(theta_ar, dx, dy)
     ingredient = float(np.max(H_scalar * np.abs(p) + 0.5 * np.abs(eta_z) ** 2))
     data.residuals = {
-        "eta_z_law": normalized_mismatch(
-            np.abs(eta_z) ** 2, e2u / 4.0 * (1 - nu**2), terms=(e2u / 4.0,)
-        ),
+        "eta_z_law": eta_z_norm_law(eta_z, nu, e2u),
         "H_spread": spread,
         "dzbar_theta_ar_abs": absolute,
         "dzbar_theta_ar_norm": normalized,

@@ -44,36 +44,32 @@ PLANE = 1e6  # bound on |x| and |y| of every rectangle: float spacing there is 1
 
 @dataclass
 class ImmersionChart:
-    """A parametrized surface patch with optional analytic 2-jet.
+    """A parametrized surface patch, given by its 2-jet.
 
-    evaluate(x, y) -> (..., dim) points, dim = 6 (product) or 4 (x R / x S1);
-    jet(x, y) -> dict with keys p, px, py, pxx, pxy, pyy of the same shape.
-    Without ``evaluate`` the chart evaluates through the jet's ``p``.
+    jet(x, y) -> dict with keys p, px, py, pxx, pxy, pyy, each (..., dim) with
+    dim = 6 (product) or 4 (x R / x S1); the chart evaluates through the jet's ``p``.
     """
 
     name: str
     eps: int
     target: str
     domain: tuple
-    evaluate: Optional[Callable] = None
-    jet: Optional[Callable] = None
+    jet: Callable
     metadata: dict = field(default_factory=dict)
     circle_radius: Optional[float] = None
     periods: Optional[tuple] = None
     embed_circle: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.evaluate is None:
-            if self.jet is None:
-                raise DomainError(f"chart '{self.name}' needs evaluate or jet")
-            # bind the jet given here, so a later swap of self.jet leaves evaluate alone
-            jet = self.jet
-            self.evaluate = lambda x, y: jet(x, y)["p"]
         _require(self.name, f"|x|, |y| <= {PLANE:g}", max(map(abs, self.domain)) <= PLANE, self.domain)
 
     @property
     def dim(self):
         return 6 if self.target == TARGET_PRODUCT else 4
+
+    def evaluate(self, x, y):
+        """Points (..., dim) of the chart: the ``p`` of its current jet."""
+        return self.jet(x, y)["p"]
 
     def grid(self, nx, ny, shrink=0.0):
         """Meshgrid of the domain rectangle, optionally shrunk by a margin fraction."""

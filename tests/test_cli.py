@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import pmcsurf
-from pmcsurf.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VERIFICATION, main
+from pmcsurf.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VERIFICATION, _corrupt_chart, build_chart, build_parser, main
+from pmcsurf.families import TARGET_PRODUCT
 
 
 def read_obj_vertices(path):
@@ -105,6 +106,73 @@ def test_verify_corrupted_chart_fails_parallelism(tmp_path):
     line = [l for l in report.splitlines() if l.startswith("parallelism")][0]
     assert "FAIL" in line
     assert float(line.split("=")[1].split()[0]) >= 1e-2
+
+
+def test_verify_corrupted_height_fails_h_spread(tmp_path):
+    # the height branch of the control: a chart into M2 x R whose height is scaled
+    code = main(["verify", "--family", "example4", "--corrupt-height", "1.01", "--nx", "25", "--ny", "25",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_VERIFICATION
+    report = next(tmp_path.glob("verify_*.txt")).read_text()
+    assert "H_spread" in report.splitlines()[-1]
+    line = [l for l in report.splitlines() if l.startswith("H_spread")][0]
+    assert line.endswith("FAIL")
+
+
+@pytest.mark.parametrize(
+    "family",
+    [["--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"], ["--family", "example4"]],
+    ids=["product", "times-line"],
+)
+def test_control_jet_is_the_parent_jet_with_the_block_scaled(family):
+    parent = build_chart(build_parser().parse_args(["verify", *family]))
+    control = _corrupt_chart(parent, 1.01)
+    X, Y = parent.grid(9, 7, shrink=0.05)
+    J, Jc = parent.jet(X, Y), control.jet(X, Y)
+    assert set(Jc) == set(J)
+    for key, v in J.items():
+        # the first factor is kept; the second factor (or the height) is scaled
+        assert np.array_equal(Jc[key][..., :3], v[..., :3]), key
+        assert np.array_equal(Jc[key][..., 3:], 1.01 * v[..., 3:]), key
+
+    def closure(x, y):
+        """The control as a closure over the parent's points, as it was written before it had a jet."""
+        p = parent.evaluate(x, y).copy()
+        if parent.target == TARGET_PRODUCT:
+            p[..., 3:] = 1.01 * p[..., 3:]
+        else:
+            p[..., 3] = 1.01 * p[..., 3]
+        return p
+
+    assert np.array_equal(control.evaluate(X, Y), closure(X, Y))
+
+
+NARROW_T = ["--family", "T", "--a", "0.6", "--b", "0.8", "--nx", "9", "--ny", "9"]
+
+
+def test_parallelism_stencil_that_leaves_the_domain_is_infeasible(tmp_path, capsys):
+    # SHRINK 0.02 of a 0.02-wide rectangle leaves a 4e-4 margin, less than the 5e-4 parallelism step
+    code = main(["verify", *NARROW_T, "--domain=0,0.02,0,0.02", "--out", str(tmp_path)])
+    assert code == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "the parallelism step 0.0005 is too large for this grid" in err and "--fd-step" not in err
+    assert not list(tmp_path.glob("verify_*.txt"))
+    code = main(["correspond", *NARROW_T, "--domain=0,0.02,0,0.02", "--out", str(tmp_path)])
+    assert code == EXIT_INFEASIBLE
+    assert "parallelism_delta 0.0005 leaves the chart domain" in capsys.readouterr().err
+    assert not list(tmp_path.glob("correspondence_report.txt"))
+    # a 6e-4 margin holds the stencil
+    assert main(["verify", *NARROW_T, "--domain=0,0.03,0,0.03", "--out", str(tmp_path)]) == EXIT_OK
+    assert "verdict=PASS" in next(tmp_path.glob("verify_*.txt")).read_text()
+
+
+def test_control_names_its_own_step_when_its_stencil_leaves_the_domain(tmp_path, capsys):
+    # no --fd-step was given: the step that refuses is the control's default
+    code = main(["verify", *NARROW_T, "--domain=0,0.02,0,0.02", "--corrupt-height", "1.01", "--out", str(tmp_path)])
+    assert code == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "the control's fd_step 0.001 is too large for this grid" in err and "--fd-step" not in err
+    assert not list(tmp_path.glob("verify_*.txt"))
 
 
 def test_correspond_writes_bundles(tmp_path):

@@ -306,15 +306,19 @@ def _assert_records_equal(a, b, label):
     assert a.parallelism_residual == b.parallelism_residual, label
 
 
+def scaled_chart(base):
+    """The chart with its second factor scaled by 1.01: its jet is the scaled jet of ``base``."""
+    scale = np.array([1.0, 1.0, 1.0, 1.01, 1.01, 1.01])
+    return dataclasses.replace(
+        base, name="corrupted", jet=lambda x, y: {k: v * scale for k, v in base.jet(x, y).items()}
+    )
+
+
 def test_blocked_pass_is_bitwise_the_whole_grid(monkeypatch):
     # every pointwise operation acts per sample, so the block size moves no bit:
     # the default blocks, one block of r rows at a time and one block for the
     # whole refined grid give the same record
-    base = chart("prop4_hyp")
-    scale = np.array([1.0, 1.0, 1.0, 1.01, 1.01, 1.01])
-    corrupted = dataclasses.replace(
-        base, name="corrupted", jet=None, evaluate=lambda x, y: base.evaluate(x, y) * scale
-    )
+    corrupted = scaled_chart(chart("prop4_hyp"))
     cases = [(chart(key), {}) for key in ("prop4_hyp", "prop4_sph", "phi0", "incl_torus")]
     for ch, kw in cases + [(corrupted, {"fd_step": 1e-3})]:
         blocked = surface_invariants(ch, nx=33, ny=33, **kw)
@@ -343,10 +347,7 @@ def test_surface_invariants_peak_memory():
 
 def test_refined_record_slices_to_the_unrefined_one():
     base = chart("prop4_hyp")
-    scale = np.array([1.0, 1.0, 1.0, 1.01, 1.01, 1.01])
-    corrupted = dataclasses.replace(
-        base, name="corrupted", jet=None, evaluate=lambda x, y: base.evaluate(x, y) * scale
-    )
+    corrupted = scaled_chart(base)
     cases = [(chart(key), {}) for key in ("prop4_hyp", "prop4_sph", "phi0")]
     for ch, kw in cases + [(corrupted, {"fd_step": 1e-3})]:
         refined = surface_invariants(ch, nx=33, ny=33, resid_refine=4, **kw)
@@ -382,9 +383,9 @@ def test_numeric_jet_takes_nine_evaluations():
 
     def counted(x, y):
         calls.append(1)
-        return base.evaluate(x, y)
+        return base.jet(x, y)
 
-    ch = dataclasses.replace(base, name="evaluate-only", jet=None, evaluate=counted)
+    ch = dataclasses.replace(base, name="counted", jet=counted)
     X, Y = ch.grid(9, 9, shrink=0.05)
     d = 1e-3
     jet = sample_jet(ch, X, Y, fd_step=d)
@@ -405,10 +406,10 @@ def test_fd_step_selects_the_numeric_jet_on_a_jet_chart():
 
 
 @pytest.mark.parametrize("fd_step", [0.0, -1e-3, np.nan, np.inf])
-@pytest.mark.parametrize("jet", ["analytic", "none"])
+@pytest.mark.parametrize("jet", ["analytic", "scaled"])
 def test_fd_step_must_be_positive_and_finite(fd_step, jet):
     base = chart("prop4_hyp")
-    ch = base if jet == "analytic" else dataclasses.replace(base, jet=None)
+    ch = base if jet == "analytic" else scaled_chart(base)
     X, Y = ch.grid(5, 5, shrink=0.05)
     with pytest.raises(DomainError, match="fd_step must be positive and finite"):
         sample_jet(ch, X, Y, fd_step=fd_step)
@@ -459,19 +460,18 @@ def test_abresch_rosenberg_values():
 def test_abresch_rosenberg_rejects_non_cmc():
     base = chart("torus")
 
-    def bad_evaluate(x, y):
-        p = base.evaluate(x, y)
-        q = p.copy()
-        q[..., 3] = p[..., 3] * 1.01  # scaled height: no longer CMC
-        return q
+    def bad_jet(x, y):
+        out = {k: v.copy() for k, v in base.jet(x, y).items()}
+        for v in out.values():
+            v[..., 3] *= 1.01  # scaled height: no longer CMC
+        return out
 
     bad = ImmersionChart(
         name="corrupted",
         eps=+1,
         target=base.target,
         domain=base.domain,
-        evaluate=bad_evaluate,
-        jet=None,
+        jet=bad_jet,
         circle_radius=base.circle_radius,
         periods=base.periods,
     )
@@ -501,8 +501,6 @@ def test_jet_richardson_and_boundary():
     assert devs[1] < devs[0] / 3.0
     with pytest.raises(DomainError):
         sample_jet(ch, np.array([-1.0]), np.array([0.0]))  # outside domain
-    with pytest.raises(DomainError, match="need an explicit fd_step"):
-        sample_jet(dataclasses.replace(ch, jet=None), X, Y)  # an evaluate-only chart needs fd_step
 
 
 def test_product_separated_mixed_partial():
@@ -516,11 +514,13 @@ def test_degenerate_chart_rejected():
     # a rank-deficient chart fails the conformality machinery upstream
     point = np.array([1.0, 0, 0, 0, 0, 1.0])
 
-    def evaluate(x, y):
+    def const_jet(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return np.broadcast_to(point, x.shape + (6,)).copy()
+        p = np.broadcast_to(point, x.shape + (6,)).copy()
+        zero = np.zeros_like(p)
+        return {"p": p, "px": zero, "py": zero, "pxx": zero, "pxy": zero, "pyy": zero}
 
-    const = ImmersionChart("const", +1, "product", (-1, 1, -1, 1), evaluate, jet=None)
+    const = ImmersionChart("const", +1, "product", (-1, 1, -1, 1), const_jet)
     X, Y = const.grid(5, 5, shrink=0.2)
     jet = sample_jet(const, X, Y, fd_step=1e-3)
     with pytest.raises(DomainError):

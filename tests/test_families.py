@@ -395,15 +395,15 @@ def test_evaluate_is_the_jet_point_for_every_family():
         assert np.array_equal(ch.evaluate(X, Y), ch.jet(X, Y)["p"]), ch.name
 
 
-def test_chart_needs_evaluate_or_jet():
-    with pytest.raises(DomainError):
+def test_evaluate_reads_the_current_jet():
+    # a chart is its jet: evaluate is the p of the jet the chart holds when called
+    with pytest.raises(TypeError):
         ImmersionChart(name="empty", eps=-1, target=TARGET_PRODUCT, domain=(0.0, 1.0, 0.0, 1.0))
-    # the derived evaluate keeps the jet the chart was built with
     ch = cmc_sinh_chart(1.0)
     jet, calls = ch.jet, []
     ch.jet = lambda x, y: calls.append(1) or jet(x, y)
-    ch.evaluate(0.0, 0.0)
-    assert calls == []
+    assert np.array_equal(ch.evaluate(0.0, 0.0), jet(0.0, 0.0)["p"])
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("key", ["prop4_hyp", "prop4_sph", "phi0", "example2", "T_0.6_0.8"])
