@@ -29,6 +29,7 @@ from .diffgeo import (
     PARALLELISM_DELTA,
     abresch_rosenberg,
     curvature_bound_excess,
+    fd_chart,
     hopf_theta,
     surface_invariants,
 )
@@ -241,7 +242,7 @@ def cmd_generate(args):
 
 def _verify_product(chart, args):
     checks = []
-    inv = surface_invariants(chart, nx=args.nx, ny=args.ny, fd_step=args.fd_step)
+    inv = surface_invariants(chart, nx=args.nx, ny=args.ny)
     checks.append(("conformal_defect", float(np.max(inv.conformal_defect)), 1e-6))
     checks.append(("parallelism", inv.parallelism_residual, 1e-5))
     for key in sorted(inv.identity_residuals):
@@ -262,13 +263,7 @@ def _verify_product(chart, args):
 
 
 def _verify_cmc(chart, args):
-    ar = abresch_rosenberg(
-        chart,
-        nx=args.nx,
-        ny=args.ny,
-        fd_step=args.fd_step,
-        h_const_tol=1e-2 if args.fd_step else 1e-6,
-    )
+    ar = abresch_rosenberg(chart, nx=args.nx, ny=args.ny, h_const_tol=1e-2 if args.fd_step else 1e-6)
     checks = [
         ("conformal_defect", ar.residuals["conformal_defect"], 1e-6),
         ("H_spread", ar.residuals["H_spread"], 1e-6),
@@ -298,6 +293,8 @@ def cmd_verify(args):
         if args.fd_step is None:
             # the control's report is pinned with the numeric jets of this step
             args.fd_step, fd_step = 1e-3, "the control's fd_step"
+    if args.fd_step is not None:
+        chart = fd_chart(chart, args.fd_step)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = [f"family={chart.name}", f"config={_config_slug(args)}", f"grid={args.nx}x{args.ny}"]
@@ -307,9 +304,13 @@ def cmd_verify(args):
         else:
             checks = _verify_cmc(chart, args)
     except InfeasibleParameters as exc:
-        # only a difference stencil refuses here (the fd_step or the parallelism one): a step, not a verdict
-        step = (f"{fd_step} {args.fd_step:g}" if exc.clause == "fd_step"
-                else f"the parallelism step {PARALLELISM_DELTA:g}")
+        # only a difference stencil refuses here (the fd_step one, the parallelism one, or the
+        # first around the shifts of the second): a step, not a verdict
+        step = f"the parallelism step {PARALLELISM_DELTA:g}"
+        if exc.clause == "fd_step":
+            step = f"{fd_step} {args.fd_step:g}"
+        elif exc.clause == "parallelism_delta+fd_step":
+            step += f" plus {fd_step} {args.fd_step:g}, {PARALLELISM_DELTA + args.fd_step:g} in all,"
         raise InfeasibleParameters(f"{step} is too large for this grid: {exc}", exc.clause) from exc
     except (DomainError, VerificationError) as exc:
         lines.append(f"FAIL construction: {exc}")

@@ -19,7 +19,6 @@ from .ambient import cross_eps, inner, project_to_factor
 from .errors import DomainError, PreconditionError, VerificationError
 from .families import TARGET_LINE, TARGET_PRODUCT, ImmersionChart
 from .diffgeo import (
-    PARALLELISM_DELTA,
     SHRINK,
     abresch_rosenberg,
     ar_theta,
@@ -194,7 +193,7 @@ def extract_pmc_data(chart, nx=81, ny=81):
         raise DomainError("extract_pmc_data expects a product chart")
     X, Y = chart.grid(nx, ny, shrink=SHRINK)
     resid = parallelism_residual(chart, X[:: max(1, nx // 16), :: max(1, ny // 16)],
-                                 Y[:: max(1, nx // 16), :: max(1, ny // 16)], PARALLELISM_DELTA)
+                                 Y[:: max(1, nx // 16), :: max(1, ny // 16)])
     if resid > PARALLELISM_GATE:
         raise PreconditionError(
             f"chart is not PMC: parallelism residual {resid:.2e} > {PARALLELISM_GATE:.1e}"
@@ -676,7 +675,7 @@ def _integrate_frenet(data, resid_tol, system, start, target, name, metadata):
     return chart, closure, fields
 
 
-def integrate_cmc_frenet(data, resid_tol=DATA_TOL, recertify=True):
+def integrate_cmc_frenet(data, resid_tol=DATA_TOL):
     """Rebuild the CMC immersion from its data by integrating the Frenet system.
 
     The data are sampled once on the half-step grid (the nodes and the
@@ -699,16 +698,15 @@ def integrate_cmc_frenet(data, resid_tol=DATA_TOL, recertify=True):
         TARGET_LINE, "cmc_reconstruction", {"Hval": data.Hval},
     )
     report = {"loop_closure": closure}
-    if recertify:
-        ar = abresch_rosenberg(chart, nx=min(nx, 41), ny=min(ny, 41), shrink=0.03, h_const_tol=1e-3)
-        report["H_match"] = float(np.max(np.abs(ar.H_scalar - data.Hval)))
-        xg, yg = ar.x, ar.y
-        Fa = fields(xg, yg)
-        eta_z = 0.5 * (Fa["eta_x"] - 1j * Fa["eta_y"])
-        report["theta_ar_match"] = float(np.max(np.abs(ar.theta_ar - ar_theta(data.Hval, Fa["p"], eta_z, eps))))
-        report["conformal_defect"] = float(np.max(ar.conformal_defect))
-        if report["H_match"] > 1e-3:
-            raise VerificationError(f"reconstruction failed: |H| off by {report['H_match']:.2e}")
+    ar = abresch_rosenberg(chart, nx=min(nx, 41), ny=min(ny, 41), shrink=0.03, h_const_tol=1e-3)
+    report["H_match"] = float(np.max(np.abs(ar.H_scalar - data.Hval)))
+    xg, yg = ar.x, ar.y
+    Fa = fields(xg, yg)
+    eta_z = 0.5 * (Fa["eta_x"] - 1j * Fa["eta_y"])
+    report["theta_ar_match"] = float(np.max(np.abs(ar.theta_ar - ar_theta(data.Hval, Fa["p"], eta_z, eps))))
+    report["conformal_defect"] = float(np.max(ar.conformal_defect))
+    if report["H_match"] > 1e-3:
+        raise VerificationError(f"reconstruction failed: |H| off by {report['H_match']:.2e}")
     return chart, report
 
 
@@ -795,7 +793,7 @@ def _project_pmc_state(eps, S, u_val):
     return _pack_pmc(Phi, eu[..., None] * e1, eu[..., None] * e2, xi)
 
 
-def integrate_pmc_frenet(data, resid_tol=DATA_TOL, recertify=True):
+def integrate_pmc_frenet(data, resid_tol=DATA_TOL):
     """Rebuild the PMC immersion from its data by integrating the Frenet system.
 
     The data are sampled once on the half-step grid and marched as in
@@ -812,17 +810,16 @@ def integrate_pmc_frenet(data, resid_tol=DATA_TOL, recertify=True):
         TARGET_PRODUCT, "pmc_reconstruction", {"Hnorm": data.Hnorm},
     )
     report = {"loop_closure": closure}
-    if recertify:
-        Xs, Ys = chart.grid(min(nx, 33), min(ny, 33), shrink=0.03)
-        report["parallelism"] = parallelism_residual(chart, Xs, Ys, PARALLELISM_DELTA)
-        jet = sample_jet(chart, Xs, Ys)
-        frame = normal_frame(jet)
-        scal = frenet_scalars(jet, frame)
-        t1, t2 = hopf_coefficients(jet, frame, scal)
-        Fa = fields(Xs, Ys)
-        td1, td2 = (hopf_theta(data.Hnorm, Fa[f"f{j}"], Fa[f"gamma{j}"], eps) for j in (1, 2))
-        report["theta_match"] = float(max(np.max(np.abs(t1 - td1)), np.max(np.abs(t2 - td2))))
-        report["H_match"] = float(np.max(np.abs(frame.Hnorm - data.Hnorm)))
+    Xs, Ys = chart.grid(min(nx, 33), min(ny, 33), shrink=0.03)
+    report["parallelism"] = parallelism_residual(chart, Xs, Ys)
+    jet = sample_jet(chart, Xs, Ys)
+    frame = normal_frame(jet)
+    scal = frenet_scalars(jet, frame)
+    t1, t2 = hopf_coefficients(jet, frame, scal)
+    Fa = fields(Xs, Ys)
+    td1, td2 = (hopf_theta(data.Hnorm, Fa[f"f{j}"], Fa[f"gamma{j}"], eps) for j in (1, 2))
+    report["theta_match"] = float(max(np.max(np.abs(t1 - td1)), np.max(np.abs(t2 - td2))))
+    report["H_match"] = float(np.max(np.abs(frame.Hnorm - data.Hnorm)))
     return chart, report
 
 

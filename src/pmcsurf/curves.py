@@ -276,7 +276,7 @@ def _march(spec, n, h):
     return states
 
 
-def integrate_curve(spec, x_span=(-1.0, 1.0), step=None):
+def integrate_curve(spec, x_span, step):
     """Reconstruct the curve with |psi'| = speed and geodesic curvature = curvature.
 
     Fourth-order one-step integration of psi' = s T, T' = s (k N - eps psi),
@@ -301,8 +301,6 @@ def integrate_curve(spec, x_span=(-1.0, 1.0), step=None):
     finite, raises ``DomainError`` naming the first such x in march order.
     """
     x0, x1 = span_from_zero(x_span, "curve march")
-    if step is None:
-        step = (x1 - x0) / 4000.0
     if not (np.isfinite(step) and step > 0):
         raise InfeasibleParameters(f"the curve march needs a positive finite step, got {step:g}", "step > 0")
 

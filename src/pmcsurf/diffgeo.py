@@ -2,7 +2,7 @@
 
 All computations happen in the chart's isothermal coordinates on a rectangular
 grid.  Derivatives of the immersion come from the 2-jet every chart carries
-(or, when a step is given, from centered second-order differences of its points);
+(``fd_chart`` makes one of centered second-order differences of its points);
 derivatives of derived scalar fields (u, C_j, theta_j, ...) come from centered
 differences, Richardson-extrapolated on the power-of-two refined grid that
 ``surface_invariants`` samples once, so that the identity residuals measure the
@@ -18,7 +18,7 @@ Htilde of the mean curvature vector is oriented so that
 form pi1*omega ^ pi2*omega, and xi = (H - i Htilde)/(sqrt(2) |H|).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -107,41 +107,40 @@ def _require_stencil(domain, x, y, step, clause):
         )
 
 
-def sample_jet(chart, x, y, fd_step=None):
-    """2-jet of the chart at samples (x, y): the chart's own unless ``fd_step`` is given.
-
-    A given ``fd_step`` selects centered second-order differences of
-    ``evaluate`` (the ``p`` of the chart's jet) with that step, which
-    must be positive and finite: nine ``evaluate`` calls, at (x, y), the four
-    axis shifts by +-fd_step (each shared by the first and second difference
-    along its axis) and the four diagonal shifts of the mixed difference.
-    Samples, and with ``fd_step`` the stencil points x +- fd_step and
-    y +- fd_step, must stay inside the chart domain up to a 1e-12 slack; a
-    stencil that leaves it raises ``InfeasibleParameters`` (clause
-    ``"fd_step"``), the step being too large for where the samples lie.
-    """
+def sample_jet(chart, x, y):
+    """2-jet of the chart at samples (x, y), which must lie in the chart domain up to a 1e-12 slack."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if _leaves_domain(chart.domain, x, y, 0.0):
         raise DomainError("samples fall outside the chart domain")
+    return JetSample(chart, x, y, **chart.jet(x, y))
 
-    if fd_step is None:
-        return JetSample(chart, x, y, **chart.jet(x, y))
 
-    d = float(fd_step)
+def fd_chart(chart, step):
+    """The chart, with name, domain and metadata kept, whose jet differences ``chart.evaluate``.
+
+    The step must be positive and finite.  The jet makes nine ``evaluate``
+    calls: at (x, y), the four axis shifts by +-step (each shared by the first
+    and second difference along its axis) and the four diagonal shifts of the
+    mixed difference.  A stencil x +- step, y +- step that leaves the chart
+    domain (up to a 1e-12 slack) raises ``InfeasibleParameters`` (clause
+    ``"fd_step"``), the step being too large for where the samples lie.
+    """
+    d = float(step)
     if not (np.isfinite(d) and d > 0):
-        raise DomainError(f"fd_step must be positive and finite, got {fd_step}")
-    _require_stencil(chart.domain, x, y, d, "fd_step")
+        raise DomainError(f"fd_step must be positive and finite, got {step}")
     ev = chart.evaluate
-    p = ev(x, y)
-    p_xp, p_xm = ev(x + d, y), ev(x - d, y)
-    p_yp, p_ym = ev(x, y + d), ev(x, y - d)
-    px = (p_xp - p_xm) / (2 * d)
-    py = (p_yp - p_ym) / (2 * d)
-    pxx = (p_xp - 2 * p + p_xm) / d**2
-    pyy = (p_yp - 2 * p + p_ym) / d**2
-    pxy = (ev(x + d, y + d) - ev(x + d, y - d) - ev(x - d, y + d) + ev(x - d, y - d)) / (4 * d**2)
-    return JetSample(chart, x, y, p, px, py, pxx, pxy, pyy)
+
+    def jet(x, y):
+        _require_stencil(chart.domain, x, y, d, "fd_step")
+        p = ev(x, y)
+        p_xp, p_xm = ev(x + d, y), ev(x - d, y)
+        p_yp, p_ym = ev(x, y + d), ev(x, y - d)
+        pxy = (ev(x + d, y + d) - ev(x + d, y - d) - ev(x - d, y + d) + ev(x - d, y - d)) / (4 * d**2)
+        return dict(p=p, px=(p_xp - p_xm) / (2 * d), py=(p_yp - p_ym) / (2 * d),
+                    pxx=(p_xp - 2 * p + p_xm) / d**2, pxy=pxy, pyy=(p_yp - 2 * p + p_ym) / d**2)
+
+    return replace(chart, jet=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +462,23 @@ class SurfaceInvariants:
         write_columns_csv(path, columns)
 
 
-def parallelism_residual(chart, X, Y, delta, fd_step=None):
+def parallelism_residual(chart, X, Y):
     """Max normalized normal-derivative of H over the samples: certifies PMC.
 
-    H is differenced over +-delta; a stencil off the domain is refused (clause ``"parallelism_delta"``)."""
+    H is differenced over +-``PARALLELISM_DELTA``; a stencil off the domain is refused (clause
+    ``"parallelism_delta"``), and so is a chart's own stencil around the shifted samples (clause
+    ``"parallelism_delta+"`` and the chart's clause, the two steps adding up)."""
+    delta = PARALLELISM_DELTA
     _require_stencil(chart.domain, X, Y, delta, "parallelism_delta")
 
     def h_at(xs, ys):
-        return _mean_curvature(sample_jet(chart, xs, ys, fd_step=fd_step))[0]
+        try:
+            return _mean_curvature(sample_jet(chart, xs, ys))[0]
+        except InfeasibleParameters as exc:
+            raise InfeasibleParameters(f"{exc} around the samples shifted by parallelism_delta {delta:g}",
+                                       f"parallelism_delta+{exc.clause}") from exc
 
-    jet0 = sample_jet(chart, X, Y, fd_step=fd_step)
+    jet0 = sample_jet(chart, X, Y)
     Hc, proj0, _, _ = _mean_curvature(jet0)
     dHx = (h_at(X + delta, Y) - h_at(X - delta, Y)) / (2 * delta)
     dHy = (h_at(X, Y + delta) - h_at(X, Y - delta)) / (2 * delta)
@@ -482,9 +488,9 @@ def parallelism_residual(chart, X, Y, delta, fd_step=None):
     return float(np.max(np.maximum(rx, ry) / hn))
 
 
-def _pointwise_block(chart, x, y, fd_step):
+def _pointwise_block(chart, x, y):
     """Every pointwise field of the invariant record on one block of samples."""
-    jet = sample_jet(chart, x, y, fd_step=fd_step)
+    jet = sample_jet(chart, x, y)
     u, defect = conformal_data(jet)
     frame = normal_frame(jet)
     C1, C2, jac_phi, jac_psi = kaehler_functions(jet)
@@ -528,7 +534,7 @@ def _pointwise_block(chart, x, y, fd_step):
     )
 
 
-def surface_invariants(chart, nx=81, ny=81, fd_step=None, resid_refine=4):
+def surface_invariants(chart, nx=81, ny=81, resid_refine=4):
     """Compute the full invariant record of a product chart on an nx x ny grid.
 
     The chart is sampled once, on r(nx-1)+1 x r(ny-1)+1 points (r = ``resid_refine``);
@@ -552,7 +558,7 @@ def surface_invariants(chart, nx=81, ny=81, fd_step=None, resid_refine=4):
     rows = max(1, BLOCK_POINTS // (r * Xr.shape[1])) * r
     fine, coarse = {}, {"H": [], "Htilde": []}
     for i0 in range(0, Xr.shape[0], rows):
-        block = _pointwise_block(chart, Xr[i0 : i0 + rows], Yr[i0 : i0 + rows], fd_step)
+        block = _pointwise_block(chart, Xr[i0 : i0 + rows], Yr[i0 : i0 + rows])
         for k, parts in coarse.items():
             parts.append(block.pop(k)[::r, ::r].copy())  # a copy, so the block's H is freed
         for k, v in block.items():
@@ -572,7 +578,7 @@ def surface_invariants(chart, nx=81, ny=81, fd_step=None, resid_refine=4):
     inv = SurfaceInvariants(
         chart=chart,
         K=-np.exp(-2 * u) * grid_laplacian(u, dx, dy),
-        parallelism_residual=parallelism_residual(chart, X, Y, PARALLELISM_DELTA, fd_step=fd_step),
+        parallelism_residual=parallelism_residual(chart, X, Y),
         identity_residuals=residuals,
         **pointwise,
     )
@@ -753,7 +759,7 @@ def ar_theta(h_scalar, p, eta_z, eps):
     return h_scalar * p - 0.5 * eps * eta_z**2
 
 
-def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK, fd_step=None, h_const_tol=1e-6):
+def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK, h_const_tol=1e-6):
     """Abresch-Rosenberg data theta_AR = H p - (eps/2) eta_z^2 of a CMC chart.
 
     The unit normal N is aligned with the mean curvature vector, so the scalar
@@ -765,7 +771,7 @@ def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK, fd_step=None, h_const_
     X, Y = chart.grid(nx, ny, shrink=shrink)
     dx = X[1, 0] - X[0, 0]
     dy = Y[0, 1] - Y[0, 0]
-    jet = sample_jet(chart, X, Y, fd_step=fd_step)
+    jet = sample_jet(chart, X, Y)
     eps = chart.eps
 
     u, defect = conformal_data(jet)

@@ -557,8 +557,8 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
     def eta_integrand(t):
         return h.h_at(t) - c
 
-    F = CumulativeIntegral(f_integrand, lo, hi, x0=lo)
-    G = CumulativeIntegral(eta_integrand, lo, hi, x0=lo)
+    F = CumulativeIntegral(f_integrand, lo, hi)
+    G = CumulativeIntegral(eta_integrand, lo, hi)
     sqb = np.sqrt(b)
     pad = 0.01 * (hi - lo)
     xr = np.clip(F.x, lo + pad, hi - pad)  # the rectangle's x-range on F's nodes

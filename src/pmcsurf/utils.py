@@ -6,6 +6,8 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleParameters
 
+CUMULATIVE_NODES = 4001
+
 
 def span_from_zero(x_span, march):
     """The ends (x0, x1) of a span ``march`` runs over from x = 0; InfeasibleParameters without 0."""
@@ -44,25 +46,21 @@ def hermite_interp(xg, y, yp, x):
 
 
 class CumulativeIntegral:
-    """Dense antiderivative F(x) = int_{x0}^x g(t) dt on [lo, hi].
+    """Dense antiderivative F(x) = int_lo^x g(t) dt on [lo, hi].
 
-    Node values come from per-interval Simpson quadrature (global error
-    O(step^4)); between nodes the pair (F, g) is completed by cubic Hermite
-    interpolation, so F' is exactly g at evaluation points.
+    Node values come from per-interval Simpson quadrature on
+    ``CUMULATIVE_NODES`` nodes (global error O(step^4)); between nodes the pair
+    (F, g) is completed by cubic Hermite interpolation, so F' is exactly g at
+    evaluation points.
     """
 
-    def __init__(self, g_fn, lo, hi, x0=None, n=4001):
-        self.x = np.linspace(lo, hi, n)
+    def __init__(self, g_fn, lo, hi):
+        self.x = np.linspace(lo, hi, CUMULATIVE_NODES)
         step = self.x[1] - self.x[0]
-        g_nodes = np.asarray(g_fn(self.x), dtype=float)
+        self.g_nodes = np.asarray(g_fn(self.x), dtype=float)
         g_mid = np.asarray(g_fn(self.x[:-1] + 0.5 * step), dtype=float)
-        increments = (step / 6.0) * (g_nodes[:-1] + 4.0 * g_mid + g_nodes[1:])
-        F = np.concatenate([[0.0], np.cumsum(increments)])
-        if x0 is None:
-            x0 = lo
-        F -= hermite_interp(self.x, F, g_nodes, np.asarray([x0]))[0]
-        self.F = F
-        self.g_nodes = g_nodes
+        increments = (step / 6.0) * (self.g_nodes[:-1] + 4.0 * g_mid + self.g_nodes[1:])
+        self.F = np.concatenate([[0.0], np.cumsum(increments)])
 
     def __call__(self, x):
         return hermite_interp(self.x, self.F, self.g_nodes, x)

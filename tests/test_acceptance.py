@@ -19,6 +19,7 @@ from pmcsurf.correspondence import (
 from pmcsurf.diffgeo import (
     abresch_rosenberg,
     curvature_bound_excess,
+    fd_chart,
     holomorphy_residual,
     hopf_coefficients,
     normal_frame,
@@ -234,7 +235,7 @@ def test_criterion_07_holomorphy_decay():
             X, Y = chart.grid(n, n, shrink=0.03)
             dx = X[1, 0] - X[0, 0]
             dy = Y[0, 1] - Y[0, 0]
-            jet = sample_jet(chart, X, Y, fd_step=min(dx, dy))
+            jet = sample_jet(fd_chart(chart, min(dx, dy)), X, Y)
             frame = normal_frame(jet)
             t1, t2 = hopf_coefficients(jet, frame)
             levels.append(max(holomorphy_residual(t1, dx, dy)[0], holomorphy_residual(t2, dx, dy)[0]))

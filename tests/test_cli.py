@@ -175,6 +175,19 @@ def test_control_names_its_own_step_when_its_stencil_leaves_the_domain(tmp_path,
     assert not list(tmp_path.glob("verify_*.txt"))
 
 
+def test_fd_stencil_around_the_parallelism_shifts_names_both_steps(tmp_path, capsys):
+    # --fd-step 2e-4 fits the 6e-4 margin of a 0.03-wide rectangle, and so does the
+    # 5e-4 parallelism step, but the fd stencil around the shifted samples reaches 7e-4
+    wide = ["verify", *NARROW_T, "--domain=0,0.03,0,0.03", "--out", str(tmp_path)]
+    assert main([*wide, "--fd-step", "2e-4"]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "the parallelism step 0.0005 plus --fd-step 0.0002, 0.0007 in all, is too large for this grid" in err
+    assert not list(tmp_path.glob("verify_*.txt"))
+    # 5e-4 + 1e-4 fits: a report, whatever its verdict
+    assert main([*wide, "--fd-step", "1e-4"]) != EXIT_INFEASIBLE
+    assert "verdict=" in next(tmp_path.glob("verify_*.txt")).read_text()
+
+
 def test_correspond_writes_bundles(tmp_path):
     code = main(["correspond", "--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "1",
                  "--c", "0", "--nx", "33", "--ny", "33", "--out", str(tmp_path)])

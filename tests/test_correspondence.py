@@ -434,7 +434,7 @@ def test_half_step_sampler_nodes_and_midpoints():
     S = _sample_half_step(_grid_fields(nodes_only), data.x, data.y)
     for key, arr in data.grids().items():
         assert np.max(np.abs(S[key][::2, ::2] - arr)) < 1e-12, key
-    _, rep = integrate_pmc_frenet(nodes_only, recertify=False)
+    _, rep = integrate_pmc_frenet(nodes_only)
     assert rep["loop_closure"] < 0.1
 
 
@@ -490,14 +490,15 @@ def test_round_trip_evaluates_the_chart_once_per_row_block(monkeypatch):
     # the Simpson midpoints of j = 1, answered from the memo for j = 2
     assert len(calls) == 2
     counts = []
-    for run in (lambda: integrate_cmc_frenet(d1, recertify=False), lambda: integrate_cmc_frenet(d2, recertify=False),
-                lambda: integrate_pmc_frenet(cmc_to_pmc(d1, d2), recertify=False)):
+    for run in (lambda: integrate_cmc_frenet(d1), lambda: integrate_cmc_frenet(d2),
+                lambda: integrate_pmc_frenet(cmc_to_pmc(d1, d2))):
         before = len(calls)
         run()
         counts.append(len(calls) - before)
-    # one jet per block of 8 rows of the 65-row half-step grid; the second CMC
-    # record and the assembled PMC record read the same blocks (9 each without the memo)
-    assert counts == [9, 0, 0]
+    # one jet per block of 8 rows of the 65-row half-step grid, and one for the
+    # recertification grid of the first CMC record; the second CMC record and the
+    # assembled PMC record read the same sample sets
+    assert counts == [10, 0, 0]
 
 
 def test_memoised_fields_are_those_of_a_fresh_closure():

@@ -103,7 +103,7 @@ def test_integrate_great_circle():
         p0=np.array([1.0, 0.0, 0.0]),
         T0=np.array([0.0, 1.0, 0.0]),
     )
-    curve = integrate_curve(spec, x_span=(-0.5, 3.0))
+    curve = integrate_curve(spec, x_span=(-0.5, 3.0), step=(3.0 - -0.5) / 4000)
     x = np.linspace(-0.4, 2.9, 43)
     ref = np.stack([np.cos(x), np.sin(x), 0 * x], axis=-1)
     assert np.max(np.abs(curve.jet(x)[0] - ref)) < 1e-9
@@ -178,7 +178,7 @@ def test_speed_positive_required():
         T0=np.array([0.0, 1.0, 0.0]),
     )
     with pytest.raises(DomainError):
-        integrate_curve(spec, x_span=(-0.1, 1.0))
+        integrate_curve(spec, x_span=(-0.1, 1.0), step=(1.0 - -0.1) / 4000)
 
 
 def _named_x(excinfo):

@@ -11,6 +11,7 @@ from pmcsurf.diffgeo import (
     abresch_rosenberg,
     conformal_data,
     curvature_bound_excess,
+    fd_chart,
     holomorphy_residual,
     hopf_coefficients,
     hopf_definitional,
@@ -228,7 +229,7 @@ def test_holomorphy_decay_numeric_jets():
         X, Y = ch.grid(n, n, shrink=0.03)
         dx = X[1, 0] - X[0, 0]
         dy = Y[0, 1] - Y[0, 0]
-        jet = sample_jet(ch, X, Y, fd_step=min(dx, dy))
+        jet = sample_jet(fd_chart(ch, min(dx, dy)), X, Y)
         frame = normal_frame(jet)
         t1, _ = hopf_coefficients(jet, frame)
         levels.append(holomorphy_residual(t1, dx, dy)[0])
@@ -240,9 +241,9 @@ def test_holomorphy_decay_numeric_jets():
 
 def test_parallelism_residuals():
     X, Y = chart("prop4_hyp").grid(21, 21, shrink=0.05)
-    assert parallelism_residual(chart("prop4_hyp"), X, Y, 5e-4) < 1e-5
+    assert parallelism_residual(chart("prop4_hyp"), X, Y) < 1e-5
     X, Y = chart("T68").grid(21, 21, shrink=0.05)
-    assert parallelism_residual(chart("T68"), X, Y, 5e-4) < 1e-6
+    assert parallelism_residual(chart("T68"), X, Y) < 1e-6
     # negative control: a product with non-constant curvature is not PMC
     spec = CurveSpec(
         +1,
@@ -255,7 +256,7 @@ def test_parallelism_residuals():
     beta = constant_curvature_curve(+1, 1.0)
     bad = product_chart_from_curves(alpha, beta, +1, (-0.9, 0.9, -0.9, 0.9), name="bad")
     X, Y = bad.grid(15, 15, shrink=0.1)
-    assert parallelism_residual(bad, X, Y, 5e-4) > 1e-2
+    assert parallelism_residual(bad, X, Y) > 1e-2
 
 
 def test_identity_residuals_battery():
@@ -319,13 +320,13 @@ def test_blocked_pass_is_bitwise_the_whole_grid(monkeypatch):
     # the default blocks, one block of r rows at a time and one block for the
     # whole refined grid give the same record
     corrupted = scaled_chart(chart("prop4_hyp"))
-    cases = [(chart(key), {}) for key in ("prop4_hyp", "prop4_sph", "phi0", "incl_torus")]
-    for ch, kw in cases + [(corrupted, {"fd_step": 1e-3})]:
-        blocked = surface_invariants(ch, nx=33, ny=33, **kw)
+    cases = [chart(key) for key in ("prop4_hyp", "prop4_sph", "phi0", "incl_torus")]
+    for ch in cases + [fd_chart(corrupted, 1e-3)]:
+        blocked = surface_invariants(ch, nx=33, ny=33)
         monkeypatch.setattr(diffgeo, "BLOCK_POINTS", 1)
-        rows = surface_invariants(ch, nx=33, ny=33, **kw)
+        rows = surface_invariants(ch, nx=33, ny=33)
         monkeypatch.setattr(diffgeo, "BLOCK_POINTS", 10**9)
-        whole = surface_invariants(ch, nx=33, ny=33, **kw)
+        whole = surface_invariants(ch, nx=33, ny=33)
         monkeypatch.undo()
         _assert_records_equal(whole, blocked, (ch.name, "default blocks"))
         _assert_records_equal(whole, rows, (ch.name, "blocks of r rows"))
@@ -348,10 +349,10 @@ def test_surface_invariants_peak_memory():
 def test_refined_record_slices_to_the_unrefined_one():
     base = chart("prop4_hyp")
     corrupted = scaled_chart(base)
-    cases = [(chart(key), {}) for key in ("prop4_hyp", "prop4_sph", "phi0")]
-    for ch, kw in cases + [(corrupted, {"fd_step": 1e-3})]:
-        refined = surface_invariants(ch, nx=33, ny=33, resid_refine=4, **kw)
-        plain = surface_invariants(ch, nx=33, ny=33, resid_refine=1, **kw)
+    cases = [chart(key) for key in ("prop4_hyp", "prop4_sph", "phi0")]
+    for ch in cases + [fd_chart(corrupted, 1e-3)]:
+        refined = surface_invariants(ch, nx=33, ny=33, resid_refine=4)
+        plain = surface_invariants(ch, nx=33, ny=33, resid_refine=1)
         for f in dataclasses.fields(plain):
             value = getattr(plain, f.name)
             if isinstance(value, np.ndarray):
@@ -388,18 +389,34 @@ def test_numeric_jet_takes_nine_evaluations():
     ch = dataclasses.replace(base, name="counted", jet=counted)
     X, Y = ch.grid(9, 9, shrink=0.05)
     d = 1e-3
-    jet = sample_jet(ch, X, Y, fd_step=d)
+    jet = sample_jet(fd_chart(ch, d), X, Y)
     assert len(calls) == 9
     for key, value in nine_point_jet(base.evaluate, X, Y, d).items():
         assert np.array_equal(getattr(jet, key), value), key
 
 
+def test_fd_chart_jet_is_the_nine_point_formula():
+    # the numeric jet is a chart: its jet is the written-out differences of the
+    # parent's points, and it is the parent in name, domain and metadata
+    ch = chart("prop4_hyp")
+    X, Y = ch.grid(9, 7, shrink=0.05)
+    d = 1e-3
+    numeric = fd_chart(ch, d)
+    jet = numeric.jet(X, Y)
+    oracle = nine_point_jet(ch.evaluate, X, Y, d)
+    assert set(jet) == set(oracle)
+    for key, value in oracle.items():
+        assert np.array_equal(jet[key], value), key
+    assert numeric.name == ch.name and numeric.domain == ch.domain
+    assert numeric.metadata is ch.metadata and numeric.metadata
+
+
 def test_fd_step_selects_the_numeric_jet_on_a_jet_chart():
-    # a given fd_step means differences of evaluate, even where an analytic jet exists
+    # the fd_chart of a chart differences its evaluate, even where an analytic jet exists
     ch = chart("prop4_hyp")
     X, Y = ch.grid(9, 9, shrink=0.05)
     d = 1e-3
-    jet = sample_jet(ch, X, Y, fd_step=d)
+    jet = sample_jet(fd_chart(ch, d), X, Y)
     for key, value in nine_point_jet(ch.evaluate, X, Y, d).items():
         assert np.array_equal(getattr(jet, key), value), key
     assert not np.array_equal(jet.pxx, sample_jet(ch, X, Y).pxx)
@@ -412,7 +429,7 @@ def test_fd_step_must_be_positive_and_finite(fd_step, jet):
     ch = base if jet == "analytic" else scaled_chart(base)
     X, Y = ch.grid(5, 5, shrink=0.05)
     with pytest.raises(DomainError, match="fd_step must be positive and finite"):
-        sample_jet(ch, X, Y, fd_step=fd_step)
+        sample_jet(fd_chart(ch, fd_step), X, Y)
 
 
 def test_curvature_bounds():
@@ -476,7 +493,7 @@ def test_abresch_rosenberg_rejects_non_cmc():
         periods=base.periods,
     )
     with pytest.raises((VerificationError, DomainError)):
-        abresch_rosenberg(bad, nx=17, ny=17, fd_step=1e-3)
+        abresch_rosenberg(fd_chart(bad, 1e-3), nx=17, ny=17)
     with pytest.raises(DomainError):
         abresch_rosenberg(chart("prop4_hyp"))
 
@@ -495,7 +512,7 @@ def test_jet_richardson_and_boundary():
     ana = sample_jet(ch, X, Y)
     devs = []
     for d in (1e-2, 5e-3):
-        num = sample_jet(ch, X, Y, fd_step=d)
+        num = sample_jet(fd_chart(ch, d), X, Y)
         devs.append(max(np.max(np.abs(getattr(num, k) - getattr(ana, k))) for k in ("px", "py", "pxx", "pxy", "pyy")))
     assert devs[0] < 5e-4  # second-order error at fd_step 1e-2
     assert devs[1] < devs[0] / 3.0
@@ -522,7 +539,7 @@ def test_degenerate_chart_rejected():
 
     const = ImmersionChart("const", +1, "product", (-1, 1, -1, 1), const_jet)
     X, Y = const.grid(5, 5, shrink=0.2)
-    jet = sample_jet(const, X, Y, fd_step=1e-3)
+    jet = sample_jet(fd_chart(const, 1e-3), X, Y)
     with pytest.raises(DomainError):
         conformal_data(jet)
 
