@@ -2,7 +2,7 @@
 numerical machinery to certify their invariants and run the PMC <-> CMC
 correspondence."""
 
-from .ambient import factor_j, inner, product_j
+from .ambient import factor_j, inner
 from .correspondence import (
     CmcFrenetData,
     PmcFrenetData,

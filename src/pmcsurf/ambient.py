@@ -128,13 +128,6 @@ def product_j_pair(P, V, eps, check=True):
     return j1, j2
 
 
-def product_j(which, P, V, eps, check=True):
-    """The product complex structure J1 = (J, J) or J2 = (J, -J), blockwise."""
-    if which not in (1, 2):
-        raise DomainError(f"which must be 1 or 2, got {which}")
-    return product_j_pair(P, V, eps, check=check)[which - 1]
-
-
 def factor_constraint(p, eps):
     """Residual <p,p>_eps - eps of the quadric constraint."""
     return inner(p, p, eps) - check_eps(eps)

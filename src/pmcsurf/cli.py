@@ -27,10 +27,15 @@ from .correspondence import (
 )
 from .diffgeo import (
     PARALLELISM_DELTA,
+    SHRINK,
     abresch_rosenberg,
+    conformal_data,
     curvature_bound_excess,
     fd_chart,
     hopf_theta,
+    normal_frame,
+    parallelism_residual,
+    sample_jet,
     surface_invariants,
 )
 from .errors import DomainError, InfeasibleParameters, PreconditionError, VerificationError
@@ -211,10 +216,14 @@ def cmd_generate(args):
     # a one-line invariant summary in the side-car
     try:
         if chart.target == fam.TARGET_PRODUCT:
-            inv = surface_invariants(chart, nx=min(nx, 41), ny=min(ny, 41), resid_refine=1)
-            meta["H_sq"] = f"{float(np.mean(inv.Hnorm**2)):.12g}"
-            meta["max_conformal_defect"] = f"{float(np.max(inv.conformal_defect)):.3e}"
-            meta["parallelism_residual"] = f"{inv.parallelism_residual:.3e}"
+            # the fields of surface_invariants' record that the side-car reads, on its grid
+            Xs, Ys = chart.grid(min(nx, 41), min(ny, 41), shrink=SHRINK)
+            jet = sample_jet(chart, Xs, Ys)
+            _, defect = conformal_data(jet)
+            hnorm = normal_frame(jet).Hnorm
+            meta["H_sq"] = f"{float(np.mean(hnorm**2)):.12g}"
+            meta["max_conformal_defect"] = f"{float(np.max(defect)):.3e}"
+            meta["parallelism_residual"] = f"{parallelism_residual(chart, Xs, Ys):.3e}"
         else:
             ar = abresch_rosenberg(chart, nx=min(nx, 41), ny=min(ny, 41))
             meta["H"] = f"{float(np.mean(ar.H_scalar)):.12g}"

@@ -15,7 +15,7 @@ the package-wide orientation of J.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -128,9 +128,10 @@ def constant_curvature_curve(eps, k, p0=None, T0=None):
 class CurveSpec:
     """Prescription of a curve by speed and curvature plus an initial frame.
 
-    ``speed`` and ``curvature`` take an array of abscissae and return an
-    array of the same shape.  ``integrate_curve`` calls each once per march
-    direction, on all of its RK4 stage abscissae.
+    ``speed``, its derivative ``speed_prime`` and ``curvature`` take an array
+    of abscissae and return an array of the same shape.  ``integrate_curve``
+    calls ``speed`` and ``curvature`` once per march direction, on all of its
+    RK4 stage abscissae; ``SampledCurve.jet`` reads ``speed_prime``.
     """
 
     eps: int
@@ -138,7 +139,7 @@ class CurveSpec:
     curvature: Callable
     p0: np.ndarray
     T0: np.ndarray
-    speed_prime: Optional[Callable] = None
+    speed_prime: Callable
 
     def __post_init__(self):
         self.eps = check_eps(self.eps)
@@ -152,12 +153,6 @@ class CurveSpec:
             raise PreconditionError("T0 is not tangent at p0")
         if abs(inner(self.T0, self.T0, self.eps) - 1.0) > 1e-10:
             raise PreconditionError("T0 is not a unit vector")
-
-    def speed_derivative(self, x):
-        if self.speed_prime is not None:
-            return self.speed_prime(x)
-        d = 1e-6
-        return (self.speed(np.asarray(x) + d) - self.speed(np.asarray(x) - d)) / (2 * d)
 
 
 @dataclass
@@ -197,7 +192,7 @@ class SampledCurve:
         t = t / norm3(t, eps)[..., None]
         n = cross_eps(q, t, eps)
         s = np.asarray(self.spec.speed(x))[..., None]
-        sp = np.asarray(self.spec.speed_derivative(x))[..., None]
+        sp = np.asarray(self.spec.speed_prime(x))[..., None]
         k = np.asarray(self.spec.curvature(x))[..., None]
         return p, s * t, sp * t + s * s * (k * n - eps * q)
 

@@ -4,9 +4,9 @@ All computations happen in the chart's isothermal coordinates on a rectangular
 grid.  Derivatives of the immersion come from the 2-jet every chart carries
 (``fd_chart`` makes one of centered second-order differences of its points);
 derivatives of derived scalar fields (u, C_j, theta_j, ...) come from centered
-differences, Richardson-extrapolated on the power-of-two refined grid that
-``surface_invariants`` samples once, so that the identity residuals measure the
-chart itself, not the differentiation; the requested grid is a stride of it.
+differences, Richardson-extrapolated on the ``RESID_REFINE`` times refined grid
+that ``surface_invariants`` samples once, so that the identity residuals measure
+the chart itself, not the differentiation; the requested grid is a stride of it.
 The pointwise fields are built in blocks of whole refined rows (about
 ``BLOCK_POINTS`` samples each), so the jet, the frame and the determinant
 stacks of one block are alive at a time; every pointwise operation acts per
@@ -18,9 +18,9 @@ Htilde of the mean curvature vector is oriented so that
 form pi1*omega ^ pi2*omega, and xi = (H - i Htilde)/(sqrt(2) |H|).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +33,9 @@ EPS_FLOOR = 1e-12
 MIN_HNORM = 1e-10  # below this |H| the surface counts as minimal and Htilde is undefined
 SHRINK = 0.02  # margin fraction cut from each side of the chart rectangle before sampling
 PARALLELISM_DELTA = 5e-4  # step of the centered difference of H in the parallelism residual
+# refinement of the grid the identity residuals differentiate on: a power of two,
+# so that every RESID_REFINE-th refined point is bitwise a point of the requested grid
+RESID_REFINE = 4
 # samples per block of the pointwise pass in surface_invariants: much larger
 # blocks raise its peak memory, much smaller ones add per-call overhead
 BLOCK_POINTS = 8192
@@ -420,15 +423,11 @@ class SurfaceInvariants:
     conformal_defect: np.ndarray
     C1: np.ndarray
     C2: np.ndarray
-    jac_phi: np.ndarray
-    jac_psi: np.ndarray
-    K: Optional[np.ndarray]  # NaN on the boundary ring; None on the refined pass
+    K: np.ndarray  # NaN on the boundary ring
     Kbar: np.ndarray
     Kbar_perp: np.ndarray
-    Kbar_direct: np.ndarray
-    Kbar_perp_direct: np.ndarray
-    H: Optional[np.ndarray]  # None on the refined pass
-    Htilde: Optional[np.ndarray]  # None on the refined pass
+    H: np.ndarray
+    Htilde: np.ndarray
     Hnorm: np.ndarray
     gamma1: np.ndarray
     gamma2: np.ndarray
@@ -436,10 +435,6 @@ class SurfaceInvariants:
     f2: np.ndarray
     theta1: np.ndarray
     theta2: np.ndarray
-    theta1_def: np.ndarray
-    theta2_def: np.ndarray
-    X1: np.ndarray  # (<X_1, Phi_x>, <X_1, Phi_y>) on the last axis; X_j the tangential part of J_j Htilde
-    X2: np.ndarray
     parallelism_residual: float
     identity_residuals: dict = field(default_factory=dict)
     holomorphy: dict = field(default_factory=dict)
@@ -489,11 +484,15 @@ def parallelism_residual(chart, X, Y):
 
 
 def _pointwise_block(chart, x, y):
-    """Every pointwise field of the invariant record on one block of samples."""
+    """Every pointwise field of the invariant record on one block of samples, plus those
+    only ``identity_residuals`` reads: the direct curvature paths Kbar_direct and
+    Kbar_perp_direct, the definitional Hopf coefficients theta1_def and theta2_def, and
+    X1, X2, which hold (<X_j, Phi_x>, <X_j, Phi_y>) on the last axis, X_j being the
+    tangential part of J_j Htilde."""
     jet = sample_jet(chart, x, y)
     u, defect = conformal_data(jet)
     frame = normal_frame(jet)
-    C1, C2, jac_phi, jac_psi = kaehler_functions(jet)
+    C1, C2, _, _ = kaehler_functions(jet)
     scalars = frenet_scalars(jet, frame)
     gamma1, gamma2, f1, f2 = scalars
     theta1, theta2 = hopf_coefficients(jet, frame, scalars)
@@ -512,8 +511,6 @@ def _pointwise_block(chart, x, y):
         conformal_defect=defect,
         C1=C1,
         C2=C2,
-        jac_phi=jac_phi,
-        jac_psi=jac_psi,
         Kbar=eps * (C1**2 + C2**2) / 2.0,
         Kbar_perp=eps * (C1**2 - C2**2) / 2.0,
         Kbar_direct=ambient_curvature(jet, frame.e1, frame.e2, frame.e2, frame.e1),
@@ -534,15 +531,14 @@ def _pointwise_block(chart, x, y):
     )
 
 
-def surface_invariants(chart, nx=81, ny=81, resid_refine=4):
+def surface_invariants(chart, nx=81, ny=81):
     """Compute the full invariant record of a product chart on an nx x ny grid.
 
-    The chart is sampled once, on r(nx-1)+1 x r(ny-1)+1 points (r = ``resid_refine``);
+    The chart is sampled once, on r(nx-1)+1 x r(ny-1)+1 points (r = ``RESID_REFINE``);
     the identity residuals differentiate the derived fields there, finely enough that
     the differentiation does not dominate them.  The record holds every r-th point of
-    that pass, with K and the holomorphy and parallelism residuals computed on it.
-    r must be a power of two, for which the stride is bitwise the nx x ny grid; 1 means
-    no refinement.
+    that pass, bitwise the nx x ny grid, with K and the holomorphy and parallelism
+    residuals computed on it.
 
     The pass walks blocks of a whole number of r rows, about ``BLOCK_POINTS``
     samples each, so every block starts on a row of the requested grid.  The
@@ -551,9 +547,7 @@ def surface_invariants(chart, nx=81, ny=81, resid_refine=4):
     """
     if chart.target != TARGET_PRODUCT:
         raise DomainError("surface_invariants expects a product chart; see abresch_rosenberg")
-    r = resid_refine
-    if r < 1 or r & (r - 1):
-        raise DomainError(f"resid_refine must be a power of two, got {r}")
+    r = RESID_REFINE
     Xr, Yr = chart.grid(r * (nx - 1) + 1, r * (ny - 1) + 1, shrink=SHRINK)
     rows = max(1, BLOCK_POINTS // (r * Xr.shape[1])) * r
     fine, coarse = {}, {"H": [], "Htilde": []}
@@ -566,11 +560,10 @@ def surface_invariants(chart, nx=81, ny=81, resid_refine=4):
                 fine[k] = np.empty(Xr.shape + v.shape[2:], dtype=v.dtype)
             fine[k][i0 : i0 + rows] = v
     fine.update(x=Xr, y=Yr)
+    residuals = identity_residuals(fine, chart.eps)
 
-    refined = SurfaceInvariants(chart=chart, K=None, H=None, Htilde=None, parallelism_residual=np.nan, **fine)
-    residuals = identity_residuals(refined)
-
-    pointwise = {k: np.ascontiguousarray(v[::r, ::r]) for k, v in fine.items()}
+    kept = {f.name for f in fields(SurfaceInvariants)}
+    pointwise = {k: np.ascontiguousarray(v[::r, ::r]) for k, v in fine.items() if k in kept}
     pointwise.update({k: np.concatenate(parts) for k, parts in coarse.items()})
     X, Y, u = pointwise["x"], pointwise["y"], pointwise["u"]
     dx = X[1, 0] - X[0, 0]
@@ -595,30 +588,28 @@ def surface_invariants(chart, nx=81, ny=81, resid_refine=4):
     return inv
 
 
-def identity_residuals(inv):
-    """Normalized residuals of the scalar identities of a product chart.
+def identity_residuals(fine, eps):
+    """Normalized residuals of the scalar identities of a product chart into M2(eps) x M2(eps).
 
-    ``inv`` holds the pointwise fields on its uniform grid (K, H and Htilde are not read).
-    Keys: frame_gamma (|gamma_j|^2 law), eq5 (|f_j|^2 law), eq6 (gradient law),
-    eq7 (Laplacian law), eq12 (div X_j), eq14 (gradient-X law), plus the
-    two-path checks kbar_paths and hopf_paths.
+    ``fine`` is the field dict of ``surface_invariants``' refined pass: x, y and the
+    fields of ``_pointwise_block`` but H and Htilde, on one uniform grid.  Keys:
+    frame_gamma (|gamma_j|^2 law), eq5 (|f_j|^2 law), eq6 (gradient law), eq7
+    (Laplacian law), eq12 (div X_j), eq14 (gradient-X law), plus the two-path
+    checks kbar_paths and hopf_paths.
     """
-    eps = inv.chart.eps
-    X, Y = inv.x, inv.y
+    X, Y, u = fine["x"], fine["y"], fine["u"]
     dx = X[1, 0] - X[0, 0]
     dy = Y[0, 1] - Y[0, 0]
-    e2u = np.exp(2 * inv.u)
-    Hsq = inv.Hnorm**2
+    e2u = np.exp(2 * u)
+    Hsq = fine["Hnorm"] ** 2
     # K enters several identities; evaluate it at fourth order here so its
     # truncation error does not mask the chart residuals
     interior = (slice(2, -2), slice(2, -2))
-    K = -np.exp(-2 * inv.u) * grid_laplacian_richardson(inv.u, dx, dy)
+    K = -np.exp(-2 * u) * grid_laplacian_richardson(u, dx, dy)
     out = {}
 
-    for j, (C, gamma, f, theta, Xj) in enumerate(
-        [(inv.C1, inv.gamma1, inv.f1, inv.theta1, inv.X1), (inv.C2, inv.gamma2, inv.f2, inv.theta2, inv.X2)],
-        start=1,
-    ):
+    for j in (1, 2):
+        C, gamma, f, theta, Xj = (fine[f"{k}{j}"] for k in ("C", "gamma", "f", "theta", "X"))
         sgn = (-1.0) ** j
         out[f"frame_gamma{j}"] = gamma_norm_law(gamma, C, e2u)
         # eq5: |f_j|^2 = e^{4u}/8 (|H|^2 - K + eps C_j^2)
@@ -629,16 +620,16 @@ def identity_residuals(inv):
         )
         # gradients of C_j
         Cx, Cy = grid_d_richardson(C, dx, dy)
-        grad_sq = np.exp(-2 * inv.u) * (Cx**2 + Cy**2)
+        grad_sq = np.exp(-2 * u) * (Cx**2 + Cy**2)
         # eq6
-        lhs6 = grad_sq + 4.0 * eps * np.exp(-4 * inv.u) * np.abs(theta) ** 2
+        lhs6 = grad_sq + 4.0 * eps * np.exp(-4 * u) * np.abs(theta) ** 2
         rhs6 = (1 - C**2 + 4 * eps * Hsq) * (eps * (1 - C**2) / 4.0 + Hsq + eps * C**2 - K)
         scale6 = np.abs(1 - C**2 + 4 * eps * Hsq) * ((1 - C**2) / 4.0 + Hsq + C**2 + np.abs(K))
         out[f"eq6_j{j}"] = normalized_mismatch(
             lhs6[interior], rhs6[interior], terms=(scale6[interior],)
         )
         # eq7: Laplacian of C_j
-        lapC = np.exp(-2 * inv.u) * grid_laplacian_richardson(C, dx, dy)
+        lapC = np.exp(-2 * u) * grid_laplacian_richardson(C, dx, dy)
         rhs7 = -C * (4 * Hsq - 2 * K + eps * (1 + C**2))
         scale7 = np.abs(C) * (4 * Hsq + 2 * np.abs(K) + 1 + C**2) + Hsq
         out[f"eq7_j{j}"] = normalized_mismatch(
@@ -648,12 +639,12 @@ def identity_residuals(inv):
         # eq12: div X_j = (-1)^{j+1} 2 C_j |H|^2
         a1x, _ = grid_d_richardson(a1, dx, dy)
         _, a2y = grid_d_richardson(a2, dx, dy)
-        div = np.exp(-2 * inv.u) * (a1x + a2y)
+        div = np.exp(-2 * u) * (a1x + a2y)
         out[f"eq12_j{j}"] = normalized_mismatch(
             div[interior], (-sgn) * 2.0 * C[interior] * Hsq[interior], terms=(2.0 * Hsq,)
         )
         # eq14: |grad C_j|^2 = (1 - C_j^2)(eps C_j^2 - K) + (-1)^j 2 <grad C_j, X_j>
-        pair = np.exp(-2 * inv.u) * (a1 * Cx + a2 * Cy)
+        pair = np.exp(-2 * u) * (a1 * Cx + a2 * Cy)
         rhs14 = (1 - C**2) * (eps * C**2 - K) + sgn * 2.0 * pair
         scale14 = (1 - C**2) * (C**2 + np.abs(K)) + 2.0 * np.abs(pair) + Hsq
         out[f"eq14_j{j}"] = normalized_mismatch(
@@ -661,19 +652,19 @@ def identity_residuals(inv):
         )
 
     # joint curvature scale keeps the Kbar_perp check meaningful when it is 0 = 0
-    kbar_terms = (inv.Kbar, inv.Kbar_direct, inv.Kbar_perp, inv.Kbar_perp_direct)
+    kbar_terms = (fine["Kbar"], fine["Kbar_direct"], fine["Kbar_perp"], fine["Kbar_perp_direct"])
     out["kbar_paths"] = max(
-        normalized_mismatch(inv.Kbar, inv.Kbar_direct, terms=kbar_terms),
-        normalized_mismatch(inv.Kbar_perp, inv.Kbar_perp_direct, terms=kbar_terms),
+        normalized_mismatch(fine["Kbar"], fine["Kbar_direct"], terms=kbar_terms),
+        normalized_mismatch(fine["Kbar_perp"], fine["Kbar_perp_direct"], terms=kbar_terms),
     )
     # Hopf two-path check normalized by the size of the ingredients, not of theta
     hopf_scale = (
-        2.0 * np.sqrt(2.0) * inv.Hnorm * (np.abs(inv.f1) + np.abs(inv.f2))
-        + 0.5 * (np.abs(inv.gamma1) ** 2 + np.abs(inv.gamma2) ** 2),
+        2.0 * np.sqrt(2.0) * fine["Hnorm"] * (np.abs(fine["f1"]) + np.abs(fine["f2"]))
+        + 0.5 * (np.abs(fine["gamma1"]) ** 2 + np.abs(fine["gamma2"]) ** 2),
     )
     out["hopf_paths"] = max(
-        normalized_mismatch(inv.theta1, inv.theta1_def, terms=hopf_scale),
-        normalized_mismatch(inv.theta2, inv.theta2_def, terms=hopf_scale),
+        normalized_mismatch(fine["theta1"], fine["theta1_def"], terms=hopf_scale),
+        normalized_mismatch(fine["theta2"], fine["theta2_def"], terms=hopf_scale),
     )
     return out
 

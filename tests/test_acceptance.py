@@ -66,8 +66,13 @@ def get(key):
         val = cmc_torus(2.0, 1.0)
     elif key == "lifted_torus":
         val = geodesic_inclusion(get("torus"))
+    elif key == "sinh":
+        val = pmc_sinh_family(1.0)
     elif key == "prop4_hyp_data":
         val = extract_pmc_data(get("prop4_hyp"), nx=41, ny=41)
+    elif key.startswith("inv81:"):
+        # the 81x81 records of criteria 02-05, read again by criterion 08
+        val = surface_invariants(get(key[len("inv81:"):]), nx=81, ny=81)
     else:
         raise KeyError(key)
     STATE[key] = val
@@ -94,7 +99,7 @@ def test_criterion_01_example1_constants():
 
 @pytest.mark.parametrize("key,eps,a,b,c", [("prop4_hyp", -1, -2.0, 1.0, 0.0), ("prop4_sph", +1, 2.0, 1.0, 0.0)])
 def test_criterion_02_invariant_family_certification(key, eps, a, b, c):
-    inv = surface_invariants(get(key), nx=81, ny=81)
+    inv = get(f"inv81:{key}")
     hopf_expected = eps * b / 4.0 * (a + 1 - c * c)  # c = 0: both labels coincide
     checks = [
         ("conformal defect <= 1e-6", float(np.max(inv.conformal_defect)) <= 1e-6,
@@ -115,8 +120,7 @@ def test_criterion_02_invariant_family_certification(key, eps, a, b, c):
 
 def test_criterion_03_sinh_member_curvature():
     lam = 1.0
-    chart = pmc_sinh_family(lam)
-    inv = surface_invariants(chart, nx=81, ny=81)
+    inv = get("inv81:sinh")
     i0 = np.argmin(np.abs(inv.x[:, 0]))
     j0 = np.argmin(np.abs(inv.y[0, :]))
     K0 = float(inv.K[i0, j0])
@@ -158,7 +162,7 @@ def test_criterion_05_torus_family():
         float(np.max(np.abs(torus.embed_circle(xs, ys) - torus.embed_circle(xs, ys + torus.periods[1])))),
     )
     lifted = get("lifted_torus")
-    inv = surface_invariants(lifted, nx=81, ny=81)
+    inv = get("inv81:lifted_torus")
     lift_dev = max(float(np.max(np.abs(inv.theta1 - 0.1875))), float(np.max(np.abs(inv.theta2 - 0.1875))))
     ints = torus_integrals(lifted, nx=128, ny=128)
     record(5, "torus family (a, b) = (2, 1)", [
@@ -249,18 +253,17 @@ def test_criterion_07_holomorphy_decay():
 
 def test_criterion_08_curvature_bounds():
     checks = []
-    for name, chart in (
-        ("invariant family (+1,2,1,0)", get("prop4_sph")),
-        ("T(0.6,0.8)", example1_chart("T", a=0.6, ahat=0.8)),
-        ("lifted torus", get("lifted_torus")),
-        ("invariant family (-1,-2,1,0)", get("prop4_hyp")),
-        ("vanishing-Hopf chart", pmc_phi0(0.25)),
-        ("sinh member", pmc_sinh_family(1.0)),
-        ("Ptilde", example1_chart("Ptilde")),
+    for name, inv in (
+        ("invariant family (+1,2,1,0)", get("inv81:prop4_sph")),
+        ("T(0.6,0.8)", surface_invariants(example1_chart("T", a=0.6, ahat=0.8), nx=81, ny=81)),
+        ("lifted torus", get("inv81:lifted_torus")),
+        ("invariant family (-1,-2,1,0)", get("inv81:prop4_hyp")),
+        ("vanishing-Hopf chart", surface_invariants(pmc_phi0(0.25), nx=81, ny=81)),
+        ("sinh member", get("inv81:sinh")),
+        ("Ptilde", surface_invariants(example1_chart("Ptilde"), nx=81, ny=81)),
     ):
-        inv = surface_invariants(chart, nx=81, ny=81, resid_refine=1)
         excess = curvature_bound_excess(inv)
-        bound = "|H|^2+1" if chart.eps == +1 else "|H|^2"
+        bound = "|H|^2+1" if inv.chart.eps == +1 else "|H|^2"
         checks.append((f"{name}: K <= {bound} + 1e-6", excess <= 1e-6, f"max excess {excess:.2e}"))
     record(8, "curvature upper bounds at every grid point", checks)
 

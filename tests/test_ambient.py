@@ -7,7 +7,7 @@ from pmcsurf.ambient import (
     inner,
     norm3,
     orientation_form,
-    product_j,
+    product_j_pair,
     project_to_factor,
     tangent_basis,
     tangent_project3,
@@ -116,12 +116,11 @@ def test_product_j_blockwise_and_square(eps):
         q = random_factor_point(rng, eps)
         P = np.concatenate([p, q])
         V = np.concatenate([random_tangent(rng, p, eps), random_tangent(rng, q, eps)])
-        j1 = product_j(1, P, V, eps)
-        j2 = product_j(2, P, V, eps)
+        j1, j2 = product_j_pair(P, V, eps)
         assert np.allclose(j1[:3], j2[:3], atol=1e-14)
         assert np.allclose(j1[3:], -j2[3:], atol=1e-14)
-        for which in (1, 2):
-            jj = product_j(which, P, product_j(which, P, V, eps), eps)
+        for which, jv in enumerate((j1, j2)):
+            jj = product_j_pair(P, jv, eps)[which]
             assert np.allclose(jj, -V, atol=1e-10)
 
 
@@ -133,7 +132,7 @@ def test_second_factor_block_maps_to_minus_j():
     P = np.concatenate([p, q])
     w = random_tangent(rng, q, +1)
     V = np.concatenate([np.zeros(3), w])
-    out = product_j(2, P, V, +1)
+    out = product_j_pair(P, V, +1)[1]
     assert np.allclose(out[3:], -factor_j(q, w, +1), atol=1e-14)
     assert np.allclose(out[:3], 0.0)
 
@@ -159,7 +158,7 @@ def test_orientation_form_sign_convention(eps):
 
         def omega_j(which):
             def form(a, b):
-                return inner(product_j(which, P, a, eps, check=False), b, eps)
+                return inner(product_j_pair(P, a, eps, check=False)[which - 1], b, eps)
 
             return form
 

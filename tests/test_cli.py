@@ -8,6 +8,7 @@ import pytest
 
 import pmcsurf
 from pmcsurf.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VERIFICATION, _corrupt_chart, build_chart, build_parser, main
+from pmcsurf.diffgeo import surface_invariants
 from pmcsurf.families import TARGET_PRODUCT
 
 
@@ -64,6 +65,22 @@ def test_generate_deterministic(tmp_path):
         assert code == EXIT_OK
     assert (a / "example4.obj").read_bytes() == (b / "example4.obj").read_bytes()
     assert (a / "example4_metadata.txt").read_bytes() == (b / "example4_metadata.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "family",
+    [["--family", "phi0"], ["--family", "T", "--a", "0.6", "--b", "0.8"],
+     ["--family", "torus", "--a", "2", "--b", "1", "--lift"]],
+    ids=["phi0", "T", "torus-lift"],
+)
+def test_generate_sidecar_reads_the_invariant_record(tmp_path, family):
+    # the side-car's three invariants are those of surface_invariants' record at 41x41
+    assert main(["generate", *family, "--out", str(tmp_path)]) == EXIT_OK
+    meta = dict(line.split("=", 1) for line in next(tmp_path.glob("*_metadata.txt")).read_text().splitlines())
+    inv = surface_invariants(build_chart(build_parser().parse_args(["generate", *family])), nx=41, ny=41)
+    assert meta["H_sq"] == f"{float(np.mean(inv.Hnorm**2)):.12g}"
+    assert meta["max_conformal_defect"] == f"{float(np.max(inv.conformal_defect)):.3e}"
+    assert meta["parallelism_residual"] == f"{inv.parallelism_residual:.3e}"
 
 
 def test_generate_poincare_projection(tmp_path):

@@ -87,6 +87,7 @@ def test_extract_refuses_non_pmc():
         curvature=lambda x: np.asarray(x, dtype=float),
         p0=np.array([1.0, 0.0, 0.0]),
         T0=np.array([0.0, 1.0, 0.0]),
+        speed_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
     alpha = integrate_curve(spec, x_span=(-1.0, 1.0), step=2e-3)
     beta = constant_curvature_curve(+1, 1.0)
@@ -317,7 +318,7 @@ def test_loop_closure_decays_with_refinement():
 
 def test_initial_pmc_state_satisfies_frame_relations():
     # the closed-form canonical frame solves the J-relations for generic data
-    from pmcsurf.ambient import inner, product_j
+    from pmcsurf.ambient import inner, product_j_pair
 
     rng = np.random.default_rng(3)
     for eps in (+1, -1):
@@ -337,8 +338,9 @@ def test_initial_pmc_state_satisfies_frame_relations():
             assert abs(inner(xi, Phi_z, eps)) < 1e-12
             assert abs(inner(xi, np.conj(Phi_z), eps)) < 1e-12
             # the frame relations J_j Phi_z = i C_j Phi_z + gamma_j xi(bar)
-            r1 = product_j(1, Phi, Phi_z, eps, check=False) - 1j * C1 * Phi_z - g1 * xi
-            r2 = product_j(2, Phi, Phi_z, eps, check=False) - 1j * C2 * Phi_z - g2 * np.conj(xi)
+            J1phi_z, J2phi_z = product_j_pair(Phi, Phi_z, eps, check=False)
+            r1 = J1phi_z - 1j * C1 * Phi_z - g1 * xi
+            r2 = J2phi_z - 1j * C2 * Phi_z - g2 * np.conj(xi)
             assert np.max(np.abs(r1)) < 1e-12
             assert np.max(np.abs(r2)) < 1e-12
 

@@ -102,6 +102,7 @@ def test_integrate_great_circle():
         curvature=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         p0=np.array([1.0, 0.0, 0.0]),
         T0=np.array([0.0, 1.0, 0.0]),
+        speed_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
     curve = integrate_curve(spec, x_span=(-0.5, 3.0), step=(3.0 - -0.5) / 4000)
     x = np.linspace(-0.4, 2.9, 43)
@@ -119,10 +120,14 @@ def test_integrate_prop4_psi_curve():
     def speed(x):
         return np.sqrt(b * (1.0 + (sol.h_at(x) - c) ** 2))
 
+    def speed_prime(x):
+        return b * (sol.h_at(x) - c) * sol.hp_at(x) / speed(x)
+
     def curvature(x):
         return -eps * b * (params.a - sol.h_at(x) ** 2) / speed(x) ** 3
 
-    spec = CurveSpec(-1, speed, curvature, p0=np.array([0.0, 0.0, 1.0]), T0=np.array([1.0, 0.0, 0.0]))
+    spec = CurveSpec(-1, speed, curvature, p0=np.array([0.0, 0.0, 1.0]), T0=np.array([1.0, 0.0, 0.0]),
+                     speed_prime=speed_prime)
     curve = integrate_curve(spec, x_span=(-1.2, 1.2), step=1e-3)
     x = np.linspace(-1.1, 1.1, 37)
     # |psi'|^2 = 1 + 2 sinh^2 x for these parameters
@@ -144,12 +149,15 @@ def test_curvature_roundtrip_randomized():
         def speed(x, a0=a0, a1=a1):
             return a0 + 0.2 * np.sin(a1 + x)
 
+        def speed_prime(x, a1=a1):
+            return 0.2 * np.cos(a1 + x)
+
         def curvature(x, b0=b0, b1=b1):
             return b0 + 0.5 * np.cos(b1 + 2 * x)
 
         p0 = np.array([1.0, 0.0, 0.0]) if eps == 1 else np.array([0.0, 0.0, 1.0])
         T0 = np.array([0.0, 1.0, 0.0])
-        spec = CurveSpec(eps, speed, curvature, p0=p0, T0=T0)
+        spec = CurveSpec(eps, speed, curvature, p0=p0, T0=T0, speed_prime=speed_prime)
         curve = integrate_curve(spec, x_span=(-1.0, 1.0), step=2e-3)
         xs = rng.uniform(-0.9, 0.9, size=5)
         for x in xs:
@@ -164,6 +172,7 @@ def test_frame_gram_stays_orthonormal():
         curvature=lambda x: 0.8 * np.sin(np.asarray(x, dtype=float)),
         p0=np.array([0.0, 0.0, 1.0]),
         T0=np.array([0.0, 1.0, 0.0]),
+        speed_prime=lambda x: -0.3 * np.sin(np.asarray(x, dtype=float)),
     )
     curve = integrate_curve(spec, x_span=(-2.0, 2.0), step=2e-3)
     assert curve.constraint_defect() < 1e-8
@@ -176,6 +185,7 @@ def test_speed_positive_required():
         curvature=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         p0=np.array([1.0, 0.0, 0.0]),
         T0=np.array([0.0, 1.0, 0.0]),
+        speed_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
     )
     with pytest.raises(DomainError):
         integrate_curve(spec, x_span=(-0.1, 1.0), step=(1.0 - -0.1) / 4000)
@@ -194,6 +204,7 @@ def test_integrate_curve_rejects_non_finite_data():
         curvature=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         p0=np.array([1.0, 0.0, 0.0]),
         T0=np.array([0.0, 1.0, 0.0]),
+        speed_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
     with pytest.raises(DomainError, match="speed") as excinfo:
         integrate_curve(spec, x_span=(-1.0, 1.0), step=step)
@@ -215,6 +226,7 @@ def test_integrate_curve_rejects_speed_crossing_zero():
         curvature=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         p0=np.array([0.0, 0.0, 1.0]),
         T0=np.array([1.0, 0.0, 0.0]),
+        speed_prime=lambda x: -np.ones_like(np.asarray(x, dtype=float)),
     )
     with pytest.raises(DomainError, match="speed") as excinfo:
         integrate_curve(spec, x_span=(-1.0, 1.0), step=step)
@@ -237,6 +249,7 @@ def test_integrate_curve_samples_speed_and_curvature_once_per_direction():
         curvature=counting("curvature", lambda x: 0.8 * np.sin(x)),
         p0=np.array([0.0, 0.0, 1.0]),
         T0=np.array([0.0, 1.0, 0.0]),
+        speed_prime=lambda x: -0.3 * np.sin(np.asarray(x, dtype=float)),
     )
     curve = integrate_curve(spec, x_span=(-1.0, 1.0), step=2e-3)
     assert len(curve.x) == 1001
@@ -251,6 +264,7 @@ def test_curve_csv_export(tmp_path):
             curvature=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             p0=np.array([1.0, 0.0, 0.0]),
             T0=np.array([0.0, 1.0, 0.0]),
+            speed_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         ),
         x_span=(0.0, 1.0),
         step=0.01,
@@ -264,10 +278,11 @@ def test_curve_csv_export(tmp_path):
 
 def test_spec_validation():
     ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    zeros = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     with pytest.raises(PreconditionError):
-        CurveSpec(+1, ones, ones, p0=np.array([1.0, 0.0, 0.1]), T0=np.array([0.0, 1.0, 0.0]))
+        CurveSpec(+1, ones, ones, p0=np.array([1.0, 0.0, 0.1]), T0=np.array([0.0, 1.0, 0.0]), speed_prime=zeros)
     with pytest.raises(PreconditionError):
-        CurveSpec(+1, ones, ones, p0=np.array([1.0, 0.0, 0.0]), T0=np.array([0.1, 1.0, 0.0]))
+        CurveSpec(+1, ones, ones, p0=np.array([1.0, 0.0, 0.0]), T0=np.array([0.1, 1.0, 0.0]), speed_prime=zeros)
 
 
 # --- the float march against the array march it replaced -------------------
@@ -353,6 +368,7 @@ def _random_spec(eps, seed):
         curvature=lambda x: b0 + 0.5 * np.cos(b1 + 2 * x),
         p0=p0,
         T0=np.array([0.0, 1.0, 0.0]),
+        speed_prime=lambda x: 0.2 * np.cos(a1 + x),
     )
 
 
@@ -437,6 +453,7 @@ def test_constant_data_march_matches_closed_form():
             curvature=lambda x: np.full(np.shape(x), k),
             p0=p0,
             T0=T0,
+            speed_prime=lambda x: np.zeros(np.shape(x)),
         )
         curve = integrate_curve(spec, x_span=(-1.0, 1.0), step=PROPERTY_STEP)
         assert curve.constraint_defect() <= 1e-12

@@ -8,6 +8,7 @@ from pmcsurf import diffgeo
 from pmcsurf.ambient import factor_j
 from pmcsurf.curves import CurveSpec, constant_curvature_curve, integrate_curve
 from pmcsurf.diffgeo import (
+    _pointwise_block,
     abresch_rosenberg,
     conformal_data,
     curvature_bound_excess,
@@ -251,6 +252,7 @@ def test_parallelism_residuals():
         curvature=lambda x: np.asarray(x, dtype=float),
         p0=np.array([1.0, 0.0, 0.0]),
         T0=np.array([0.0, 1.0, 0.0]),
+        speed_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
     alpha = integrate_curve(spec, x_span=(-1.0, 1.0), step=1e-3)
     beta = constant_curvature_curve(+1, 1.0)
@@ -347,21 +349,24 @@ def test_surface_invariants_peak_memory():
 
 
 def test_refined_record_slices_to_the_unrefined_one():
-    base = chart("prop4_hyp")
-    corrupted = scaled_chart(base)
+    # every RESID_REFINE-th point of the refined pass is bitwise the requested grid:
+    # the record is one pointwise pass over that grid, with its residuals
+    corrupted = scaled_chart(chart("prop4_hyp"))
     cases = [chart(key) for key in ("prop4_hyp", "prop4_sph", "phi0")]
     for ch in cases + [fd_chart(corrupted, 1e-3)]:
-        refined = surface_invariants(ch, nx=33, ny=33, resid_refine=4)
-        plain = surface_invariants(ch, nx=33, ny=33, resid_refine=1)
-        for f in dataclasses.fields(plain):
-            value = getattr(plain, f.name)
-            if isinstance(value, np.ndarray):
-                assert np.array_equal(getattr(refined, f.name), value, equal_nan=True), (ch.name, f.name)
-        assert refined.holomorphy == plain.holomorphy, ch.name
-        assert refined.parallelism_residual == plain.parallelism_residual, ch.name
-    # linspace over 3(n-1) intervals does not hit the n-point grid exactly
-    with pytest.raises(DomainError):
-        surface_invariants(base, nx=9, ny=9, resid_refine=3)
+        inv = surface_invariants(ch, nx=33, ny=33)
+        X, Y = ch.grid(33, 33, shrink=diffgeo.SHRINK)
+        block = _pointwise_block(ch, X, Y)
+        assert np.array_equal(inv.x, X) and np.array_equal(inv.y, Y), ch.name
+        for f in dataclasses.fields(inv):
+            if f.name in block:
+                assert np.array_equal(getattr(inv, f.name), block[f.name], equal_nan=True), (ch.name, f.name)
+        assert inv.parallelism_residual == parallelism_residual(ch, X, Y), ch.name
+        dx, dy = X[1, 0] - X[0, 0], Y[0, 1] - Y[0, 0]
+        for j in (1, 2):
+            absolute, normalized = holomorphy_residual(block[f"theta{j}"], dx, dy)
+            assert inv.holomorphy[f"dzbar_theta{j}_abs"] == absolute, ch.name
+            assert inv.holomorphy[f"dzbar_theta{j}_norm"] == normalized, ch.name
 
 
 def nine_point_jet(ev, X, Y, d):
