@@ -155,35 +155,38 @@ def tangent_basis(p, eps):
     return e, factor_j(p, e, eps, check=False)
 
 
-def two_form_wedge(alpha, beta, frame):
-    """Evaluate (alpha ^ beta)(v1, v2, v3, v4) for 2-forms given as callables.
+def orientation_dual(P, v1, v2, v3, eps):
+    """The vector n with <n, w> = (pi1*omega ^ pi2*omega)(v1, v2, v3, w) for every w.
 
-    ``frame`` is a sequence of four vectors; alpha and beta take two vectors.
+    omega is the factor Kaehler form omega(X, Y) = <JX, Y>, and omega_k its
+    pull-back to factor block k.  Expanding the wedge along w pairs each
+    block's J v_i with the other block's two-form on the remaining two
+    vectors, so block k of n is
+
+        omega_l(v2, v3) J v1 - omega_l(v1, v3) J v2 + omega_l(v1, v2) J v3,
+
+    l the other block.  Every J v_i is tangent to its factor, so n is tangent
+    to the product, and g-orthogonal to v1, v2 and v3.
     """
-    v1, v2, v3, v4 = frame
-    return (
-        alpha(v1, v2) * beta(v3, v4)
-        - alpha(v1, v3) * beta(v2, v4)
-        + alpha(v1, v4) * beta(v2, v3)
-        + alpha(v3, v4) * beta(v1, v2)
-        - alpha(v2, v4) * beta(v1, v3)
-        + alpha(v2, v3) * beta(v1, v4)
-    )
+    P = np.asarray(P, dtype=float)
+    vs = [np.asarray(v) for v in (v1, v2, v3)]
+
+    def factor(sl):
+        # J v_i on the block, and omega_k(v2, v3), omega_k(v1, v3), omega_k(v1, v2)
+        Jv = [cross_eps(P[..., sl], v[..., sl], eps) for v in vs]
+        return Jv, [inner(Jv[i], vs[j][..., sl], eps)[..., None] for i, j in ((1, 2), (0, 2), (0, 1))]
+
+    (J1, w1), (J2, w2) = factor(slice(0, 3)), factor(slice(3, 6))
+
+    def block(Jv, w):
+        return w[0] * Jv[0] - w[1] * Jv[1] + w[2] * Jv[2]
+
+    return np.concatenate([block(J1, w2), block(J2, w1)], axis=-1)
 
 
 def orientation_form(P, v1, v2, v3, v4, eps):
     """The orientation 4-form pi1*omega ^ pi2*omega of the product, evaluated on a frame.
 
-    omega is the factor Kaehler form omega(X, Y) = <JX, Y>.  A positive value
-    means (v1, v2, v3, v4) is positively oriented.
+    A positive value means (v1, v2, v3, v4) is positively oriented.
     """
-    P = np.asarray(P, dtype=float)
-    frame = [np.asarray(v) for v in (v1, v2, v3, v4)]
-
-    def factor_form(sl):
-        # the forms take frame indices; a first argument is always v1, v2 or v3,
-        # so J is applied to each of those once rather than once per pair
-        Jv = [cross_eps(P[..., sl], v[..., sl], eps) for v in frame[:3]]
-        return lambda i, j: inner(Jv[i], frame[j][..., sl], eps)
-
-    return two_form_wedge(factor_form(slice(0, 3)), factor_form(slice(3, 6)), range(4))
+    return inner(orientation_dual(P, v1, v2, v3, eps), v4, eps)

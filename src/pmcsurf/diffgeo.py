@@ -8,9 +8,9 @@ differences, Richardson-extrapolated on the ``RESID_REFINE`` times refined grid
 that ``surface_invariants`` samples once, so that the identity residuals measure
 the chart itself, not the differentiation; the requested grid is a stride of it.
 The pointwise fields are built in blocks of whole refined rows (about
-``BLOCK_POINTS`` samples each), so the jet, the frame and the determinant
-stacks of one block are alive at a time; every pointwise operation acts per
-sample, so the blocked fields are bitwise those of one pass over the grid.
+``BLOCK_POINTS`` samples each), so the jet and the frame of one block are
+alive at a time; every pointwise operation acts per sample, so the blocked
+fields are bitwise those of one pass over the grid.
 
 Sign conventions inherit from :mod:`pmcsurf.ambient`: the normal companion
 Htilde of the mean curvature vector is oriented so that
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import inner, metric_diag, orientation_form, product_j_pair
+from .ambient import inner, orientation_dual, product_j_pair
 from .errors import DomainError, InfeasibleParameters, VerificationError
 from .families import TARGET_CIRCLE, TARGET_LINE, TARGET_PRODUCT, ImmersionChart
 from .utils import write_columns_csv
@@ -200,50 +200,29 @@ def _mean_curvature(jet):
     return proj((jet.pxx + jet.pyy) / (2.0 * gxx)[..., None]), proj, e1, e2
 
 
-def _metric_complement(jet, vectors):
-    """The direction g-orthogonal to five given 6-vectors (generalized cross).
-
-    Returns n with <n, w>_g = det([v1, ..., v5, w]) for every w; smooth in the
-    inputs, unlike any seed-and-project construction.
-    """
-    A = np.stack(vectors, axis=-2)  # (..., 5, 6)
-    cols = np.arange(6)
-    n = np.empty(A.shape[:-2] + (6,))
-    for i in range(6):
-        minor = A[..., :, cols != i]
-        n[..., i] = (-1) ** (i + 1) * np.linalg.det(minor)
-    # raise the index: G^{-1} = G for a signature diagonal of +-1
-    return n * metric_diag(jet.eps, 6)
-
-
 def normal_frame(jet):
     """Mean curvature vector H, its oriented normal companion Htilde, and xi.
 
     H is the normal projection of (Phi_xx + Phi_yy) / (2 e^{2u}); Htilde the
     rotation of H by 90 degrees in the normal plane, oriented so that
     {e1, e2, Htilde/|H|, H/|H|} is positively oriented; xi = (H - i Htilde) /
-    (sqrt(2) |H|).
+    (sqrt(2) |H|).  Htilde is -|H| n/|n| for n the orientation dual of
+    (e1, e2, H/|H|): n is normal and orthogonal to H, and
+    vol(e1, e2, n, H/|H|) = -<n, n> < 0, so the orientation holds by construction.
     """
     if jet.dim != 6:
         raise DomainError("normal_frame expects a product chart")
-    eps = jet.eps
     H, proj, e1, e2 = _mean_curvature(jet)
     Hsq = jet.ip(H, H)
     if np.any(Hsq < MIN_HNORM**2):
         raise DomainError("minimal surface: H is (numerically) null, Htilde undefined")
     Hnorm = np.sqrt(Hsq)
 
-    P = jet.p
-    Phat = np.concatenate([P[..., :3], -P[..., 3:]], axis=-1)
-    n = _metric_complement(jet, (e1, e2, H / Hnorm[..., None], P, Phat))
+    n = orientation_dual(jet.p, e1, e2, H / Hnorm[..., None], jet.eps)
     nsq = jet.ip(n, n)
     if np.any(nsq <= 0):
         raise DomainError("could not span the normal plane")
-    n = n / np.sqrt(nsq)[..., None]
-
-    orient = orientation_form(jet.p, e1, e2, n, H / Hnorm[..., None], eps=eps)
-    sign = np.where(orient >= 0, 1.0, -1.0)
-    Htilde = sign[..., None] * Hnorm[..., None] * n
+    Htilde = -(Hnorm / np.sqrt(nsq))[..., None] * n
     xi = (H - 1j * Htilde) / (np.sqrt(2.0) * Hnorm[..., None])
     return NormalFrame(e1=e1, e2=e2, H=H, Htilde=Htilde, Hnorm=Hnorm, xi=xi, proj=proj)
 

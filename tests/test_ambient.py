@@ -6,6 +6,7 @@ from pmcsurf.ambient import (
     factor_j,
     inner,
     norm3,
+    orientation_dual,
     orientation_form,
     product_j_pair,
     project_to_factor,
@@ -137,6 +138,41 @@ def test_second_factor_block_maps_to_minus_j():
     assert np.allclose(out[:3], 0.0)
 
 
+def two_form_wedge(alpha, beta, frame):
+    """Evaluate (alpha ^ beta)(v1, v2, v3, v4) for 2-forms given as callables.
+
+    ``frame`` is a sequence of four vectors; alpha and beta take two vectors.
+    """
+    v1, v2, v3, v4 = frame
+    return (
+        alpha(v1, v2) * beta(v3, v4)
+        - alpha(v1, v3) * beta(v2, v4)
+        + alpha(v1, v4) * beta(v2, v3)
+        + alpha(v3, v4) * beta(v1, v2)
+        - alpha(v2, v4) * beta(v1, v3)
+        + alpha(v2, v3) * beta(v1, v4)
+    )
+
+
+@pytest.mark.parametrize("eps", [+1, -1])
+def test_orientation_dual_is_the_wedge_of_the_factor_forms(eps):
+    # <orientation_dual(P, v1, v2, v3), w> = (pi1*omega ^ pi2*omega)(v1, v2, v3, w) on
+    # tangent vectors that are neither unit nor orthogonal
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        p = random_factor_point(rng, eps)
+        q = random_factor_point(rng, eps)
+        P = np.concatenate([p, q])
+        frame = [np.concatenate([random_tangent(rng, p, eps), random_tangent(rng, q, eps)]) for _ in range(4)]
+
+        def omega(sl):
+            return lambda a, b: inner(cross_eps(P[sl], a[sl], eps), b[sl], eps)
+
+        wedge = two_form_wedge(omega(slice(0, 3)), omega(slice(3, 6)), frame)
+        dual = inner(orientation_dual(P, *frame[:3], eps), frame[3], eps)
+        assert dual == pytest.approx(wedge, rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("eps", [+1, -1])
 def test_orientation_form_sign_convention(eps):
     # omega_1 ^ omega_1 = -omega_2 ^ omega_2 = 2 (pi1* omega ^ pi2* omega)
@@ -161,8 +197,6 @@ def test_orientation_form_sign_convention(eps):
                 return inner(product_j_pair(P, a, eps, check=False)[which - 1], b, eps)
 
             return form
-
-        from pmcsurf.ambient import two_form_wedge
 
         w11 = two_form_wedge(omega_j(1), omega_j(1), frame)
         w22 = two_form_wedge(omega_j(2), omega_j(2), frame)

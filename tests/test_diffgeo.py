@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pmcsurf import diffgeo
-from pmcsurf.ambient import factor_j
+from pmcsurf.ambient import factor_j, metric_diag, orientation_form
+from pmcsurf.cli import BATTERY, build_chart, build_parser
 from pmcsurf.curves import CurveSpec, constant_curvature_curve, integrate_curve
 from pmcsurf.diffgeo import (
     _pointwise_block,
@@ -26,6 +27,7 @@ from pmcsurf.diffgeo import (
 )
 from pmcsurf.errors import DomainError, VerificationError
 from pmcsurf.families import (
+    TARGET_PRODUCT,
     ImmersionChart,
     cmc_leite_chart,
     cmc_profile_family,
@@ -115,6 +117,44 @@ def test_normal_frame_product_formula():
     xi = frame.xi
     assert np.max(np.abs(jet.ip(xi, np.conj(xi)) - 1.0)) < 1e-10
     assert np.max(np.abs(jet.ip(xi, xi))) < 1e-10
+
+
+def determinant_htilde(jet, frame):
+    """Htilde by six 5x5 determinants: the oracle of the orientation-dual normal.
+
+    n is g-orthogonal to (e1, e2, H/|H|, P, Phat), with <n, w> = det([e1, e2, h, P, Phat, w]),
+    then signed by the orientation form so that {e1, e2, Htilde/|H|, H/|H|} is positive.
+    """
+    e1, e2, Hnorm = frame.e1, frame.e2, frame.Hnorm
+    h = frame.H / Hnorm[..., None]
+    P = jet.p
+    Phat = np.concatenate([P[..., :3], -P[..., 3:]], axis=-1)
+    A = np.stack([e1, e2, h, P, Phat], axis=-2)
+    cols = np.arange(6)
+    n = np.empty(A.shape[:-2] + (6,))
+    for i in range(6):
+        n[..., i] = (-1) ** (i + 1) * np.linalg.det(A[..., :, cols != i])
+    n = n * metric_diag(jet.eps, 6)
+    n = n / np.sqrt(jet.ip(n, n))[..., None]
+    sign = np.where(orientation_form(P, e1, e2, n, h, jet.eps) >= 0, 1.0, -1.0)
+    return sign[..., None] * Hnorm[..., None] * n
+
+
+def test_htilde_matches_the_determinant_path_on_the_battery():
+    parser = build_parser()
+    product = [c for c in (build_chart(parser.parse_args(["verify", *extra])) for extra in BATTERY)
+               if c.target == TARGET_PRODUCT]
+    assert len(product) == 7
+    for ch in product:
+        X, Y = ch.grid(41, 41, shrink=diffgeo.SHRINK)
+        jet = sample_jet(ch, X, Y)
+        frame = normal_frame(jet)
+        oracle = determinant_htilde(jet, frame)
+        err = np.max(np.abs(frame.Htilde - oracle)) / np.max(np.abs(oracle))
+        assert err < 1e-13, (ch.name, err)
+        orient = orientation_form(jet.p, frame.e1, frame.e2, frame.Htilde / frame.Hnorm[..., None],
+                                  frame.H / frame.Hnorm[..., None], jet.eps)
+        assert np.all(orient > 0), ch.name
 
 
 def test_normal_frame_rejects_minimal():
@@ -335,7 +375,7 @@ def test_blocked_pass_is_bitwise_the_whole_grid(monkeypatch):
 
 
 def test_surface_invariants_peak_memory():
-    # blocks keep one block's jet, frame and determinant stacks alive at a time;
+    # blocks keep one block's jet and frame alive at a time;
     # the whole-grid pass peaked at 141.5 MB on this call
     p = ProfileParams(+1, 2.0, 1.0, 0.0)
     ch = pmc_profile_family(p, closed_form("sn_family", p, x_span=(-1.5, 1.5)), y_span=(-1.0, 1.0))
