@@ -142,19 +142,6 @@ def project_to_factor(p, eps):
     return p / np.sqrt(q)[..., None]
 
 
-def tangent_basis(p, eps):
-    """An orthonormal oriented tangent basis (e, Je) at each point p."""
-    p = np.asarray(p, dtype=float)
-    seeds = np.eye(3)
-    # pick the seed axis least aligned with p, then project and normalize
-    scores = np.stack([np.abs(inner(np.broadcast_to(s, p.shape), p, eps)) for s in seeds], axis=-1)
-    idx = np.argmin(scores, axis=-1)
-    seed = seeds[idx]
-    e = tangent_project3(p, seed, eps)
-    e = e / norm3(e, eps)[..., None]
-    return e, factor_j(p, e, eps, check=False)
-
-
 def orientation_dual(P, v1, v2, v3, eps):
     """The vector n with <n, w> = (pi1*omega ^ pi2*omega)(v1, v2, v3, w) for every w.
 

@@ -32,13 +32,6 @@ from .errors import DomainError, InfeasibleParameters, PreconditionError
 from .utils import hermite_interp, span_from_zero, write_columns_csv
 
 
-def extract_curvature(vel, acc, point, eps):
-    """Geodesic curvature <psi'', J psi'> / |psi'|^3 from a 2-jet of the curve."""
-    jv = cross_eps(point, vel, eps)
-    speed = norm3(vel, eps)
-    return inner(acc, jv, eps) / speed**3
-
-
 @dataclass(frozen=True)
 class ConstantCurvatureCurve:
     """Arclength-parametrized curve of constant geodesic curvature k in M2(eps)."""

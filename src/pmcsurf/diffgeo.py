@@ -2,15 +2,12 @@
 
 All computations happen in the chart's isothermal coordinates on a rectangular
 grid.  Derivatives of the immersion come from the 2-jet every chart carries
-(``fd_chart`` makes one of centered second-order differences of its points);
-derivatives of derived scalar fields (u, C_j, theta_j, ...) come from centered
-differences, Richardson-extrapolated on the ``RESID_REFINE`` times refined grid
-that ``surface_invariants`` samples once, so that the identity residuals measure
-the chart itself, not the differentiation; the requested grid is a stride of it.
-The pointwise fields are built in blocks of whole refined rows (about
-``BLOCK_POINTS`` samples each), so the jet and the frame of one block are
-alive at a time; every pointwise operation acts per sample, so the blocked
-fields are bitwise those of one pass over the grid.
+(``fd_chart`` makes one of centered second-order differences of its points).
+The identity residuals differentiate the derived scalar fields (u, C_j and the
+components of X_j) spectrally: ``surface_invariants`` samples the chart a
+second time, on the ``CHEB_N`` + 1 squared Chebyshev tensor grid of the same
+rectangle, and applies the differentiation matrix of ``chebyshev`` there, so
+that the residuals measure the chart itself, not the differentiation.
 
 Sign conventions inherit from :mod:`pmcsurf.ambient`: the normal companion
 Htilde of the mean curvature vector is oriented so that
@@ -33,12 +30,9 @@ EPS_FLOOR = 1e-12
 MIN_HNORM = 1e-10  # below this |H| the surface counts as minimal and Htilde is undefined
 SHRINK = 0.02  # margin fraction cut from each side of the chart rectangle before sampling
 PARALLELISM_DELTA = 5e-4  # step of the centered difference of H in the parallelism residual
-# refinement of the grid the identity residuals differentiate on: a power of two,
-# so that every RESID_REFINE-th refined point is bitwise a point of the requested grid
-RESID_REFINE = 4
-# samples per block of the pointwise pass in surface_invariants: much larger
-# blocks raise its peak memory, much smaller ones add per-call overhead
-BLOCK_POINTS = 8192
+# degree of the Chebyshev grid the identity residuals differentiate on: the charts are
+# analytic, so 48 resolves their derivatives to about N^4 eps_mach, the round-off floor
+CHEB_N = 48
 
 
 # ---------------------------------------------------------------------------
@@ -317,33 +311,33 @@ def grid_laplacian(f, dx, dy):
     return out
 
 
-def grid_d_richardson(f, dx, dy):
-    """Richardson-extrapolated first derivatives (fourth order, NaN 2-ring)."""
-    fx = np.full_like(np.asarray(f, dtype=float), np.nan)
-    fy = np.full_like(np.asarray(f, dtype=float), np.nan)
-    c = (slice(2, -2), slice(2, -2))
-    fx_h = (f[3:-1, 2:-2] - f[1:-3, 2:-2]) / (2 * dx)
-    fx_2h = (f[4:, 2:-2] - f[:-4, 2:-2]) / (4 * dx)
-    fy_h = (f[2:-2, 3:-1] - f[2:-2, 1:-3]) / (2 * dy)
-    fy_2h = (f[2:-2, 4:] - f[2:-2, :-4]) / (4 * dy)
-    fx[c] = (4.0 * fx_h - fx_2h) / 3.0
-    fy[c] = (4.0 * fy_h - fy_2h) / 3.0
-    return fx, fy
+def chebyshev(a, b):
+    """The ``CHEB_N`` + 1 Chebyshev-Lobatto points of [a, b], ascending, and their
+    differentiation matrix D (Trefethen, *Spectral Methods in MATLAB*, ch. 6, ``cheb.m``).
 
-
-def grid_laplacian_richardson(f, dx, dy):
-    """Richardson extrapolation of the centered Laplacian over strides h and 2h.
-
-    Fourth-order accurate; NaN on a boundary ring of width two.
+    D @ f is the derivative, at the points, of the polynomial that interpolates f
+    there, and D @ D its second derivative: exact up to round-off for degree <= N.
+    The ends are a and b exactly.
     """
-    lap_h = grid_laplacian(f, dx, dy)
-    out = np.full_like(np.asarray(f, dtype=float), np.nan)
-    c = (slice(2, -2), slice(2, -2))
-    lap_2h = (f[4:, 2:-2] - 2 * f[c] + f[:-4, 2:-2]) / (2 * dx) ** 2 + (
-        f[2:-2, 4:] - 2 * f[c] + f[2:-2, :-4]
-    ) / (2 * dy) ** 2
-    out[c] = (4.0 * lap_h[c] - lap_2h) / 3.0
-    return out
+    n = CHEB_N
+    k = np.arange(n + 1)
+    t = np.cos(np.pi * k / n)
+    x = a * (1 + t) / 2 + b * (1 - t) / 2
+    c = np.where((k == 0) | (k == n), 2.0, 1.0) * (-1.0) ** k
+    D = np.outer(c, 1 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))  # the rows of D annihilate constants
+    return x, D
+
+
+def apply_along(D, f, axis):
+    """The matrix D applied to a 2-D field along ``axis``: D @ f for axis 0, f @ D.T for 1.
+
+    The sum runs in a fixed order, with no BLAS call, so its bits do not depend
+    on the matrix kernel that BLAS picks for the CPU at run time.
+    """
+    if axis == 1:
+        return apply_along(D, f.T, 0).T
+    return np.sum(D[:, :, None] * f[None], axis=1)
 
 
 def normalized_mismatch(lhs, rhs, terms=()):
@@ -463,8 +457,8 @@ def parallelism_residual(chart, X, Y):
 
 
 def _pointwise_block(chart, x, y):
-    """Every pointwise field of the invariant record on one block of samples, plus those
-    only ``identity_residuals`` reads: the direct curvature paths Kbar_direct and
+    """Every pointwise field of the invariant record on one sample set, plus those only
+    the identity residuals read: the direct curvature paths Kbar_direct and
     Kbar_perp_direct, the definitional Hopf coefficients theta1_def and theta2_def, and
     X1, X2, which hold (<X_j, Phi_x>, <X_j, Phi_y>) on the last axis, X_j being the
     tangential part of J_j Htilde."""
@@ -513,42 +507,36 @@ def _pointwise_block(chart, x, y):
 def surface_invariants(chart, nx=81, ny=81):
     """Compute the full invariant record of a product chart on an nx x ny grid.
 
-    The chart is sampled once, on r(nx-1)+1 x r(ny-1)+1 points (r = ``RESID_REFINE``);
-    the identity residuals differentiate the derived fields there, finely enough that
-    the differentiation does not dominate them.  The record holds every r-th point of
-    that pass, bitwise the nx x ny grid, with K and the holomorphy and parallelism
-    residuals computed on it.
-
-    The pass walks blocks of a whole number of r rows, about ``BLOCK_POINTS``
-    samples each, so every block starts on a row of the requested grid.  The
-    scalar fields are written into arrays of the refined grid; H and Htilde are
-    kept on the requested grid only, since no identity differentiates them.
+    The chart is sampled twice, each time by one ``_pointwise_block``.  The first
+    pass is the requested grid: the record, with K and the holomorphy and
+    parallelism residuals computed on it.  The second is the ``CHEB_N`` + 1 squared
+    Chebyshev tensor grid of the same rectangle, where ``identity_residuals``
+    differentiates the derived fields spectrally.  The pointwise identities
+    (``_pointwise_residuals``) take the larger of their values on the two passes,
+    so every sample the record holds is checked too.
     """
     if chart.target != TARGET_PRODUCT:
         raise DomainError("surface_invariants expects a product chart; see abresch_rosenberg")
-    r = RESID_REFINE
-    Xr, Yr = chart.grid(r * (nx - 1) + 1, r * (ny - 1) + 1, shrink=SHRINK)
-    rows = max(1, BLOCK_POINTS // (r * Xr.shape[1])) * r
-    fine, coarse = {}, {"H": [], "Htilde": []}
-    for i0 in range(0, Xr.shape[0], rows):
-        block = _pointwise_block(chart, Xr[i0 : i0 + rows], Yr[i0 : i0 + rows])
-        for k, parts in coarse.items():
-            parts.append(block.pop(k)[::r, ::r].copy())  # a copy, so the block's H is freed
-        for k, v in block.items():
-            if k not in fine:
-                fine[k] = np.empty(Xr.shape + v.shape[2:], dtype=v.dtype)
-            fine[k][i0 : i0 + rows] = v
-    fine.update(x=Xr, y=Yr)
-    residuals = identity_residuals(fine, chart.eps)
+    X, Y = chart.grid(nx, ny, shrink=SHRINK)
+    record = _pointwise_block(chart, X, Y)
+    xs, _ = chebyshev(X[0, 0], X[-1, 0])
+    ys, _ = chebyshev(Y[0, 0], Y[0, -1])
+    Xc, Yc = np.meshgrid(xs, ys, indexing="ij")
+    spectral = _pointwise_block(chart, Xc, Yc)
+    spectral.update(x=Xc, y=Yc)
+    residuals = identity_residuals(spectral, chart.eps)
+    for key, value in _pointwise_residuals(record).items():
+        residuals[key] = max(residuals[key], value)
 
     kept = {f.name for f in fields(SurfaceInvariants)}
-    pointwise = {k: np.ascontiguousarray(v[::r, ::r]) for k, v in fine.items() if k in kept}
-    pointwise.update({k: np.concatenate(parts) for k, parts in coarse.items()})
-    X, Y, u = pointwise["x"], pointwise["y"], pointwise["u"]
+    pointwise = {k: v for k, v in record.items() if k in kept}
+    u = pointwise["u"]
     dx = X[1, 0] - X[0, 0]
     dy = Y[0, 1] - Y[0, 0]
     inv = SurfaceInvariants(
         chart=chart,
+        x=X,
+        y=Y,
         K=-np.exp(-2 * u) * grid_laplacian(u, dx, dy),
         parallelism_residual=parallelism_residual(chart, X, Y),
         identity_residuals=residuals,
@@ -567,84 +555,82 @@ def surface_invariants(chart, nx=81, ny=81):
     return inv
 
 
-def identity_residuals(fine, eps):
+def _pointwise_residuals(fields):
+    """The identities that need no derivative, on one sample set of ``_pointwise_block``:
+    frame_gamma (|gamma_j|^2 law) and the two-path checks kbar_paths and hopf_paths."""
+    e2u = np.exp(2 * fields["u"])
+    out = {f"frame_gamma{j}": gamma_norm_law(fields[f"gamma{j}"], fields[f"C{j}"], e2u) for j in (1, 2)}
+    # joint curvature scale keeps the Kbar_perp check meaningful when it is 0 = 0
+    kbar_terms = (fields["Kbar"], fields["Kbar_direct"], fields["Kbar_perp"], fields["Kbar_perp_direct"])
+    out["kbar_paths"] = max(
+        normalized_mismatch(fields["Kbar"], fields["Kbar_direct"], terms=kbar_terms),
+        normalized_mismatch(fields["Kbar_perp"], fields["Kbar_perp_direct"], terms=kbar_terms),
+    )
+    # Hopf two-path check normalized by the size of the ingredients, not of theta
+    hopf_scale = (
+        2.0 * np.sqrt(2.0) * fields["Hnorm"] * (np.abs(fields["f1"]) + np.abs(fields["f2"]))
+        + 0.5 * (np.abs(fields["gamma1"]) ** 2 + np.abs(fields["gamma2"]) ** 2),
+    )
+    out["hopf_paths"] = max(
+        normalized_mismatch(fields["theta1"], fields["theta1_def"], terms=hopf_scale),
+        normalized_mismatch(fields["theta2"], fields["theta2_def"], terms=hopf_scale),
+    )
+    return out
+
+
+def identity_residuals(fields, eps):
     """Normalized residuals of the scalar identities of a product chart into M2(eps) x M2(eps).
 
-    ``fine`` is the field dict of ``surface_invariants``' refined pass: x, y and the
-    fields of ``_pointwise_block`` but H and Htilde, on one uniform grid.  Keys:
-    frame_gamma (|gamma_j|^2 law), eq5 (|f_j|^2 law), eq6 (gradient law), eq7
-    (Laplacian law), eq12 (div X_j), eq14 (gradient-X law), plus the two-path
-    checks kbar_paths and hopf_paths.
+    ``fields`` is the field dict of ``surface_invariants``' Chebyshev pass: x, y and
+    the fields of ``_pointwise_block`` on the tensor grid of ``chebyshev``, whose
+    differentiation matrices give every derivative, at every point, boundary
+    included.  Keys: eq5 (|f_j|^2 law), eq6 (gradient law), eq7 (Laplacian law),
+    eq12 (div X_j), eq14 (gradient-X law), plus those of ``_pointwise_residuals``.
     """
-    X, Y, u = fine["x"], fine["y"], fine["u"]
-    dx = X[1, 0] - X[0, 0]
-    dy = Y[0, 1] - Y[0, 0]
+    X, Y, u = fields["x"], fields["y"], fields["u"]
+    _, Dx = chebyshev(X[0, 0], X[-1, 0])
+    _, Dy = chebyshev(Y[0, 0], Y[0, -1])
+    Dxx, Dyy = apply_along(Dx, Dx, 0), apply_along(Dy, Dy, 0)
+
+    def lap(f):
+        return apply_along(Dxx, f, 0) + apply_along(Dyy, f, 1)
+
     e2u = np.exp(2 * u)
-    Hsq = fine["Hnorm"] ** 2
-    # K enters several identities; evaluate it at fourth order here so its
-    # truncation error does not mask the chart residuals
-    interior = (slice(2, -2), slice(2, -2))
-    K = -np.exp(-2 * u) * grid_laplacian_richardson(u, dx, dy)
-    out = {}
+    Hsq = fields["Hnorm"] ** 2
+    K = -np.exp(-2 * u) * lap(u)
+    out = _pointwise_residuals(fields)
 
     for j in (1, 2):
-        C, gamma, f, theta, Xj = (fine[f"{k}{j}"] for k in ("C", "gamma", "f", "theta", "X"))
+        C, f, theta, Xj = (fields[f"{k}{j}"] for k in ("C", "f", "theta", "X"))
         sgn = (-1.0) ** j
-        out[f"frame_gamma{j}"] = gamma_norm_law(gamma, C, e2u)
         # eq5: |f_j|^2 = e^{4u}/8 (|H|^2 - K + eps C_j^2)
         out[f"eq5_j{j}"] = normalized_mismatch(
-            np.abs(f[interior]) ** 2,
-            (e2u**2 / 8.0 * (Hsq - K + eps * C**2))[interior],
-            terms=((e2u**2 / 8.0 * (Hsq + np.abs(K) + C**2))[interior],),
+            np.abs(f) ** 2,
+            e2u**2 / 8.0 * (Hsq - K + eps * C**2),
+            terms=(e2u**2 / 8.0 * (Hsq + np.abs(K) + C**2),),
         )
         # gradients of C_j
-        Cx, Cy = grid_d_richardson(C, dx, dy)
+        Cx, Cy = apply_along(Dx, C, 0), apply_along(Dy, C, 1)
         grad_sq = np.exp(-2 * u) * (Cx**2 + Cy**2)
         # eq6
         lhs6 = grad_sq + 4.0 * eps * np.exp(-4 * u) * np.abs(theta) ** 2
         rhs6 = (1 - C**2 + 4 * eps * Hsq) * (eps * (1 - C**2) / 4.0 + Hsq + eps * C**2 - K)
         scale6 = np.abs(1 - C**2 + 4 * eps * Hsq) * ((1 - C**2) / 4.0 + Hsq + C**2 + np.abs(K))
-        out[f"eq6_j{j}"] = normalized_mismatch(
-            lhs6[interior], rhs6[interior], terms=(scale6[interior],)
-        )
+        out[f"eq6_j{j}"] = normalized_mismatch(lhs6, rhs6, terms=(scale6,))
         # eq7: Laplacian of C_j
-        lapC = np.exp(-2 * u) * grid_laplacian_richardson(C, dx, dy)
+        lapC = np.exp(-2 * u) * lap(C)
         rhs7 = -C * (4 * Hsq - 2 * K + eps * (1 + C**2))
         scale7 = np.abs(C) * (4 * Hsq + 2 * np.abs(K) + 1 + C**2) + Hsq
-        out[f"eq7_j{j}"] = normalized_mismatch(
-            lapC[interior], rhs7[interior], terms=(scale7[interior],)
-        )
+        out[f"eq7_j{j}"] = normalized_mismatch(lapC, rhs7, terms=(scale7,))
         a1, a2 = Xj[..., 0], Xj[..., 1]
         # eq12: div X_j = (-1)^{j+1} 2 C_j |H|^2
-        a1x, _ = grid_d_richardson(a1, dx, dy)
-        _, a2y = grid_d_richardson(a2, dx, dy)
-        div = np.exp(-2 * u) * (a1x + a2y)
-        out[f"eq12_j{j}"] = normalized_mismatch(
-            div[interior], (-sgn) * 2.0 * C[interior] * Hsq[interior], terms=(2.0 * Hsq,)
-        )
+        div = np.exp(-2 * u) * (apply_along(Dx, a1, 0) + apply_along(Dy, a2, 1))
+        out[f"eq12_j{j}"] = normalized_mismatch(div, (-sgn) * 2.0 * C * Hsq, terms=(2.0 * Hsq,))
         # eq14: |grad C_j|^2 = (1 - C_j^2)(eps C_j^2 - K) + (-1)^j 2 <grad C_j, X_j>
         pair = np.exp(-2 * u) * (a1 * Cx + a2 * Cy)
         rhs14 = (1 - C**2) * (eps * C**2 - K) + sgn * 2.0 * pair
         scale14 = (1 - C**2) * (C**2 + np.abs(K)) + 2.0 * np.abs(pair) + Hsq
-        out[f"eq14_j{j}"] = normalized_mismatch(
-            grad_sq[interior], rhs14[interior], terms=(scale14[interior],)
-        )
-
-    # joint curvature scale keeps the Kbar_perp check meaningful when it is 0 = 0
-    kbar_terms = (fine["Kbar"], fine["Kbar_direct"], fine["Kbar_perp"], fine["Kbar_perp_direct"])
-    out["kbar_paths"] = max(
-        normalized_mismatch(fine["Kbar"], fine["Kbar_direct"], terms=kbar_terms),
-        normalized_mismatch(fine["Kbar_perp"], fine["Kbar_perp_direct"], terms=kbar_terms),
-    )
-    # Hopf two-path check normalized by the size of the ingredients, not of theta
-    hopf_scale = (
-        2.0 * np.sqrt(2.0) * fine["Hnorm"] * (np.abs(fine["f1"]) + np.abs(fine["f2"]))
-        + 0.5 * (np.abs(fine["gamma1"]) ** 2 + np.abs(fine["gamma2"]) ** 2),
-    )
-    out["hopf_paths"] = max(
-        normalized_mismatch(fine["theta1"], fine["theta1_def"], terms=hopf_scale),
-        normalized_mismatch(fine["theta2"], fine["theta2_def"], terms=hopf_scale),
-    )
+        out[f"eq14_j{j}"] = normalized_mismatch(grad_sq, rhs14, terms=(scale14,))
     return out
 
 

@@ -303,9 +303,3 @@ def closed_form(kind, params, x_span=None):
         params, x, h, hp_fn(x), nonconstant=nonconstant, _analytic=(h_fn, hp_fn, hpp_fn)
     )
 
-
-def sn_family_period(params):
-    """Period of the sn_family profile solution, 4 K(kappa) / sqrt(a (1 + b))."""
-    om = np.sqrt(params.a * (1.0 + params.b))
-    kappa = np.sqrt((params.a - params.b) / (params.a * (1.0 + params.b)))
-    return 4.0 * complete_k(kappa) / om

@@ -10,7 +10,6 @@ from pmcsurf.ambient import (
     orientation_form,
     product_j_pair,
     project_to_factor,
-    tangent_basis,
     tangent_project3,
 )
 from pmcsurf.errors import DomainError, PreconditionError
@@ -22,6 +21,15 @@ def random_factor_point(rng, eps):
         return v / np.linalg.norm(v)
     xy = rng.normal(size=2)
     return np.array([xy[0], xy[1], np.sqrt(1.0 + xy @ xy)])
+
+
+def tangent_basis(p, eps):
+    """An orthonormal oriented tangent basis (e, Je) at a point p: the seed axis least
+    aligned with p, projected and normalized, and its J."""
+    seed = np.eye(3)[np.argmin([abs(inner(s, p, eps)) for s in np.eye(3)])]
+    e = tangent_project3(p, seed, eps)
+    e = e / norm3(e, eps)
+    return e, factor_j(p, e, eps, check=False)
 
 
 def random_tangent(rng, p, eps):

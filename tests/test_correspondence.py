@@ -13,7 +13,7 @@ from pmcsurf.correspondence import (
     product_alignment_distance,
     weak_congruence_check,
 )
-from pmcsurf.curves import extract_curvature
+from pmcsurf.ambient import cross_eps, inner, norm3
 from pmcsurf.diffgeo import abresch_rosenberg, sample_jet
 from pmcsurf.errors import DomainError, PreconditionError
 from pmcsurf.families import (
@@ -269,7 +269,8 @@ def test_flat_data_reconstructs_cylinder():
         - 2 * alpha * beta * jet.pxy[..., :3]
         + alpha**2 * jet.pyy[..., :3]
     )
-    k = extract_curvature(vel, acc, pts[..., :3], +1)
+    # geodesic curvature <psi'', J psi'> / |psi'|^3 of the factor image
+    k = inner(acc, cross_eps(pts[..., :3], vel, +1), +1) / norm3(vel, +1) ** 3
     assert np.max(np.abs(np.abs(k) - 2.0 * H)) < 1e-6
 
 

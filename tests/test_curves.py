@@ -17,11 +17,15 @@ from pmcsurf.curves import (
     _dot3,
     _sample_stages,
     constant_curvature_curve,
-    extract_curvature,
     integrate_curve,
 )
 from pmcsurf.errors import DomainError, InfeasibleParameters, PreconditionError
 from pmcsurf.profile import ProfileParams, closed_form, solve_profile
+
+
+def extract_curvature(vel, acc, point, eps):
+    """Geodesic curvature <psi'', J psi'> / |psi'|^3 from a 2-jet of the curve."""
+    return inner(acc, cross_eps(point, vel, eps), eps) / norm3(vel, eps) ** 3
 
 
 def fd_curvature(curve, x, eps, d=2e-4):

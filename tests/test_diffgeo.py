@@ -11,6 +11,8 @@ from pmcsurf.curves import CurveSpec, constant_curvature_curve, integrate_curve
 from pmcsurf.diffgeo import (
     _pointwise_block,
     abresch_rosenberg,
+    apply_along,
+    chebyshev,
     conformal_data,
     curvature_bound_excess,
     fd_chart,
@@ -307,6 +309,8 @@ def test_identity_residuals_battery():
         inv = small_inv(key, nx=81, ny=81)
         for name, val in inv.identity_residuals.items():
             assert val < 1e-4, (key, name, val)
+            # the spectral differentiation resolves the identities to the round-off floor
+            assert val < 1e-9, (key, name, val)
         assert inv.parallelism_residual < 1e-5, key
         assert np.max(inv.conformal_defect) < 1e-6, key
         # record-level invariants
@@ -316,9 +320,49 @@ def test_identity_residuals_battery():
         assert np.max(np.abs(jet.ip(inv.H, inv.Htilde))) < 1e-7, key
 
 
+def test_chebyshev_differentiates_polynomials_exactly():
+    # D and D @ D are exact on polynomials of degree <= N, up to round-off
+    a, b = -0.3, 1.7
+    x, D = chebyshev(a, b)
+    n = diffgeo.CHEB_N
+    assert x.shape == (n + 1,) and D.shape == (n + 1, n + 1)
+    assert x[0] == a and x[-1] == b and np.all(np.diff(x) > 0)
+    rng = np.random.default_rng(0)
+    poly = np.polynomial.Polynomial(rng.standard_normal(n + 1) / np.arange(1, n + 2), domain=[a, b])
+    for d, f in ((1, D @ poly(x)), (2, D @ D @ poly(x))):
+        exact = poly.deriv(d)(x)
+        assert np.max(np.abs(f - exact)) < 1e-11 * np.max(np.abs(exact)), d
+    # on a 2-D field, apply_along differentiates along the axis it is given
+    F = poly(x)[:, None] * np.cos(x)[None, :]
+    assert np.allclose(apply_along(D, F, 0), poly.deriv()(x)[:, None] * np.cos(x)[None, :], rtol=0, atol=1e-9)
+    assert np.allclose(apply_along(D, F, 1), poly(x)[:, None] * -np.sin(x)[None, :], rtol=0, atol=1e-9)
+
+
+DERIVATIVE_CHECKS = ("eq5", "eq6", "eq7", "eq12", "eq14")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "prop4", "--eps", "1", "--a", "2", "--b", "1", "--c", "0", "--domain=-1.6,1.6,-1,1"],
+    ["--family", "torus", "--a", "2", "--b", "1", "--lift"],
+], ids=["sn", "torus_lift"])
+def test_chebyshev_residuals_converge_spectrally(monkeypatch, argv):
+    # the derivative identities are truncation-limited at N = 32 and at the
+    # round-off floor at the default N: the worst of them falls at least 100x
+    ch = build_chart(build_parser().parse_args(["verify", *argv]))
+
+    def worst():
+        res = surface_invariants(ch, nx=9, ny=9).identity_residuals
+        return max(v for k, v in res.items() if k.startswith(DERIVATIVE_CHECKS))
+
+    default = worst()
+    monkeypatch.setattr(diffgeo, "CHEB_N", 32)
+    coarse = worst()
+    assert default < coarse / 100, (coarse, default)
+
+
 def test_one_chart_pass_per_record(monkeypatch):
-    # the refined pass walks the 129x129 grid once, in blocks of whole rows,
-    # then parallelism takes its centre and four shifted jets on 33x33
+    # one jet call on the requested 33x33 grid, one on the Chebyshev grid of the
+    # same rectangle, then parallelism's centre and four shifted jets on 33x33
     ch = chart("prop4_hyp")
     jet = ch.jet
     calls = []
@@ -329,24 +373,16 @@ def test_one_chart_pass_per_record(monkeypatch):
 
     monkeypatch.setattr(ch, "jet", counted)
     inv = surface_invariants(ch, nx=33, ny=33)
-    blocks, parallelism = calls[:-5], calls[-5:]
-    assert len(blocks) > 1 and all(len(x) % 4 == 0 for x, _ in blocks[:-1])
-    Xr, Yr = ch.grid(129, 129, shrink=0.02)
-    assert np.array_equal(np.concatenate([x for x, _ in blocks]), Xr)
-    assert np.array_equal(np.concatenate([y for _, y in blocks]), Yr)
-    assert all(np.shape(x) == (33, 33) for x, _ in parallelism)
-    X, Y = ch.grid(33, 33, shrink=0.02)
+    assert len(calls) == 7
+    X, Y = ch.grid(33, 33, shrink=diffgeo.SHRINK)
+    assert np.array_equal(calls[0][0], X) and np.array_equal(calls[0][1], Y)
+    n = diffgeo.CHEB_N + 1
+    xs, _ = chebyshev(X[0, 0], X[-1, 0])
+    ys, _ = chebyshev(Y[0, 0], Y[0, -1])
+    assert np.shape(calls[1][0]) == (n, n)
+    assert np.array_equal(calls[1][0][:, 0], xs) and np.array_equal(calls[1][1][0], ys)
+    assert all(np.shape(x) == (33, 33) for x, _ in calls[2:])
     assert np.array_equal(inv.x, X) and np.array_equal(inv.y, Y)
-
-
-def _assert_records_equal(a, b, label):
-    for f in dataclasses.fields(a):
-        value = getattr(a, f.name)
-        if isinstance(value, np.ndarray):
-            assert np.array_equal(getattr(b, f.name), value, equal_nan=True), (label, f.name)
-    assert a.identity_residuals == b.identity_residuals, label
-    assert a.holomorphy == b.holomorphy, label
-    assert a.parallelism_residual == b.parallelism_residual, label
 
 
 def scaled_chart(base):
@@ -357,26 +393,8 @@ def scaled_chart(base):
     )
 
 
-def test_blocked_pass_is_bitwise_the_whole_grid(monkeypatch):
-    # every pointwise operation acts per sample, so the block size moves no bit:
-    # the default blocks, one block of r rows at a time and one block for the
-    # whole refined grid give the same record
-    corrupted = scaled_chart(chart("prop4_hyp"))
-    cases = [chart(key) for key in ("prop4_hyp", "prop4_sph", "phi0", "incl_torus")]
-    for ch in cases + [fd_chart(corrupted, 1e-3)]:
-        blocked = surface_invariants(ch, nx=33, ny=33)
-        monkeypatch.setattr(diffgeo, "BLOCK_POINTS", 1)
-        rows = surface_invariants(ch, nx=33, ny=33)
-        monkeypatch.setattr(diffgeo, "BLOCK_POINTS", 10**9)
-        whole = surface_invariants(ch, nx=33, ny=33)
-        monkeypatch.undo()
-        _assert_records_equal(whole, blocked, (ch.name, "default blocks"))
-        _assert_records_equal(whole, rows, (ch.name, "blocks of r rows"))
-
-
 def test_surface_invariants_peak_memory():
-    # blocks keep one block's jet and frame alive at a time;
-    # the whole-grid pass peaked at 141.5 MB on this call
+    # two passes of a few thousand samples each: about 12 MB on this call
     p = ProfileParams(+1, 2.0, 1.0, 0.0)
     ch = pmc_profile_family(p, closed_form("sn_family", p, x_span=(-1.5, 1.5)), y_span=(-1.0, 1.0))
     tracemalloc.start()
@@ -388,9 +406,8 @@ def test_surface_invariants_peak_memory():
     assert peak < 70e6, peak / 1e6
 
 
-def test_refined_record_slices_to_the_unrefined_one():
-    # every RESID_REFINE-th point of the refined pass is bitwise the requested grid:
-    # the record is one pointwise pass over that grid, with its residuals
+def test_record_is_the_pointwise_pass_of_the_requested_grid():
+    # the record is one pointwise pass over the requested grid, with its residuals
     corrupted = scaled_chart(chart("prop4_hyp"))
     cases = [chart(key) for key in ("prop4_hyp", "prop4_sph", "phi0")]
     for ch in cases + [fd_chart(corrupted, 1e-3)]:

