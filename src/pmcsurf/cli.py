@@ -26,7 +26,6 @@ from .correspondence import (
     weak_congruence_check,
 )
 from .diffgeo import (
-    PARALLELISM_DELTA,
     SHRINK,
     abresch_rosenberg,
     conformal_data,
@@ -313,14 +312,9 @@ def cmd_verify(args):
         else:
             checks = _verify_cmc(chart, args)
     except InfeasibleParameters as exc:
-        # only a difference stencil refuses here (the fd_step one, the parallelism one, or the
-        # first around the shifts of the second): a step, not a verdict
-        step = f"the parallelism step {PARALLELISM_DELTA:g}"
-        if exc.clause == "fd_step":
-            step = f"{fd_step} {args.fd_step:g}"
-        elif exc.clause == "parallelism_delta+fd_step":
-            step += f" plus {fd_step} {args.fd_step:g}, {PARALLELISM_DELTA + args.fd_step:g} in all,"
-        raise InfeasibleParameters(f"{step} is too large for this grid: {exc}", exc.clause) from exc
+        # only the fd_step difference stencil refuses here: a step, not a verdict
+        raise InfeasibleParameters(f"{fd_step} {args.fd_step:g} is too large for this grid: {exc}",
+                                   exc.clause) from exc
     except (DomainError, VerificationError) as exc:
         lines.append(f"FAIL construction: {exc}")
         path = out / f"verify_{_config_slug(args)}.txt"

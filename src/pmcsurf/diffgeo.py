@@ -3,11 +3,11 @@
 All computations happen in the chart's isothermal coordinates on a rectangular
 grid.  Derivatives of the immersion come from the 2-jet every chart carries
 (``fd_chart`` makes one of centered second-order differences of its points).
-The identity residuals differentiate the derived scalar fields (u, C_j and the
-components of X_j) spectrally: ``surface_invariants`` samples the chart a
-second time, on the ``CHEB_N`` + 1 squared Chebyshev tensor grid of the same
-rectangle, and applies the differentiation matrix of ``chebyshev`` there, so
-that the residuals measure the chart itself, not the differentiation.
+The identity and parallelism residuals differentiate derived fields (u, C_j,
+the components of X_j, and H) spectrally: each samples the chart on the
+``CHEB_N`` + 1 squared Chebyshev tensor grid of the rectangle it checks and
+applies the differentiation matrix of ``chebyshev`` there, so that the
+residuals measure the chart itself, not the differentiation.
 
 Sign conventions inherit from :mod:`pmcsurf.ambient`: the normal companion
 Htilde of the mean curvature vector is oriented so that
@@ -29,9 +29,8 @@ from .utils import write_columns_csv
 EPS_FLOOR = 1e-12
 MIN_HNORM = 1e-10  # below this |H| the surface counts as minimal and Htilde is undefined
 SHRINK = 0.02  # margin fraction cut from each side of the chart rectangle before sampling
-PARALLELISM_DELTA = 5e-4  # step of the centered difference of H in the parallelism residual
-# degree of the Chebyshev grid the identity residuals differentiate on: the charts are
-# analytic, so 48 resolves their derivatives to about N^4 eps_mach, the round-off floor
+# degree of the Chebyshev grid the identity and parallelism residuals differentiate on: the
+# charts are analytic, so 48 resolves their derivatives to about N^4 eps_mach, the round-off floor
 CHEB_N = 48
 
 
@@ -95,15 +94,6 @@ def _leaves_domain(domain, x, y, margin):
     )
 
 
-def _require_stencil(domain, x, y, step, clause):
-    """Refuse, naming the step ``clause``, a difference stencil of +-step that leaves the domain."""
-    if _leaves_domain(domain, x, y, step):
-        shown = f"[{domain[0]:.6g}, {domain[1]:.6g}] x [{domain[2]:.6g}, {domain[3]:.6g}]"
-        raise InfeasibleParameters(
-            f"the difference stencil of {clause} {step:g} leaves the chart domain {shown}", clause
-        )
-
-
 def sample_jet(chart, x, y):
     """2-jet of the chart at samples (x, y), which must lie in the chart domain up to a 1e-12 slack."""
     x = np.asarray(x, dtype=float)
@@ -129,7 +119,11 @@ def fd_chart(chart, step):
     ev = chart.evaluate
 
     def jet(x, y):
-        _require_stencil(chart.domain, x, y, d, "fd_step")
+        if _leaves_domain(chart.domain, x, y, d):
+            x0, x1, y0, y1 = chart.domain
+            shown = f"[{x0:.6g}, {x1:.6g}] x [{y0:.6g}, {y1:.6g}]"
+            raise InfeasibleParameters(f"the difference stencil of fd_step {d:g} leaves the chart domain {shown}",
+                                       "fd_step")
         p = ev(x, y)
         p_xp, p_xm = ev(x + d, y), ev(x - d, y)
         p_yp, p_ym = ev(x, y + d), ev(x, y - d)
@@ -329,6 +323,14 @@ def chebyshev(a, b):
     return x, D
 
 
+def _chebyshev_grid(X, Y):
+    """The Chebyshev tensor grid of the rectangle that the grid X, Y spans, ends included,
+    and the differentiation matrices Dx, Dy of its two axes."""
+    xs, Dx = chebyshev(X[0, 0], X[-1, 0])
+    ys, Dy = chebyshev(Y[0, 0], Y[0, -1])
+    return (*np.meshgrid(xs, ys, indexing="ij"), Dx, Dy)
+
+
 def apply_along(D, f, axis):
     """The matrix D applied to a 2-D field along ``axis``: D @ f for axis 0, f @ D.T for 1.
 
@@ -431,29 +433,22 @@ class SurfaceInvariants:
 
 
 def parallelism_residual(chart, X, Y):
-    """Max normalized normal-derivative of H over the samples: certifies PMC.
+    """Max normalized normal derivative of H over the rectangle of the samples: certifies PMC.
 
-    H is differenced over +-``PARALLELISM_DELTA``; a stencil off the domain is refused (clause
-    ``"parallelism_delta"``), and so is a chart's own stencil around the shifted samples (clause
-    ``"parallelism_delta+"`` and the chart's clause, the two steps adding up)."""
-    delta = PARALLELISM_DELTA
-    _require_stencil(chart.domain, X, Y, delta, "parallelism_delta")
-
-    def h_at(xs, ys):
-        try:
-            return _mean_curvature(sample_jet(chart, xs, ys))[0]
-        except InfeasibleParameters as exc:
-            raise InfeasibleParameters(f"{exc} around the samples shifted by parallelism_delta {delta:g}",
-                                       f"parallelism_delta+{exc.clause}") from exc
-
-    jet0 = sample_jet(chart, X, Y)
-    Hc, proj0, _, _ = _mean_curvature(jet0)
-    dHx = (h_at(X + delta, Y) - h_at(X - delta, Y)) / (2 * delta)
-    dHy = (h_at(X, Y + delta) - h_at(X, Y - delta)) / (2 * delta)
-    hn = np.sqrt(jet0.ip(Hc, Hc))
-    rx = np.sqrt(np.abs(jet0.ip(proj0(dHx), proj0(dHx))))
-    ry = np.sqrt(np.abs(jet0.ip(proj0(dHy), proj0(dHy))))
-    return float(np.max(np.maximum(rx, ry) / hn))
+    H is sampled on the ``CHEB_N`` + 1 squared Chebyshev tensor grid of the
+    rectangle that X and Y span, ends included, and each component is
+    differentiated along both axes by ``chebyshev``'s D.  The residual is the
+    max over that grid of max(|(H_x)^perp|, |(H_y)^perp|) / |H|, with the normal
+    projector of the same jet."""
+    Xc, Yc, Dx, Dy = _chebyshev_grid(X, Y)
+    jet = sample_jet(chart, Xc, Yc)
+    H, proj, _, _ = _mean_curvature(jet)
+    hn = np.sqrt(jet.ip(H, H))
+    worst = 0.0
+    for D, axis in ((Dx, 0), (Dy, 1)):
+        dH = proj(np.stack([apply_along(D, H[..., k], axis) for k in range(H.shape[-1])], axis=-1))
+        worst = np.maximum(worst, np.sqrt(np.abs(jet.ip(dH, dH))))
+    return float(np.max(worst / hn))
 
 
 def _pointwise_block(chart, x, y):
@@ -507,21 +502,20 @@ def _pointwise_block(chart, x, y):
 def surface_invariants(chart, nx=81, ny=81):
     """Compute the full invariant record of a product chart on an nx x ny grid.
 
-    The chart is sampled twice, each time by one ``_pointwise_block``.  The first
-    pass is the requested grid: the record, with K and the holomorphy and
-    parallelism residuals computed on it.  The second is the ``CHEB_N`` + 1 squared
-    Chebyshev tensor grid of the same rectangle, where ``identity_residuals``
-    differentiates the derived fields spectrally.  The pointwise identities
-    (``_pointwise_residuals``) take the larger of their values on the two passes,
-    so every sample the record holds is checked too.
+    The chart is sampled twice by ``_pointwise_block``.  The first pass is the
+    requested grid: the record, with K and the holomorphy residuals computed on
+    it.  The second is the ``CHEB_N`` + 1 squared Chebyshev tensor grid of the
+    same rectangle, where ``identity_residuals`` differentiates the derived fields
+    spectrally.  The pointwise identities (``_pointwise_residuals``) take the
+    larger of their values on the two passes, so every sample the record holds
+    is checked too.  ``parallelism_residual`` of the rectangle samples the chart
+    a third time.
     """
     if chart.target != TARGET_PRODUCT:
         raise DomainError("surface_invariants expects a product chart; see abresch_rosenberg")
     X, Y = chart.grid(nx, ny, shrink=SHRINK)
     record = _pointwise_block(chart, X, Y)
-    xs, _ = chebyshev(X[0, 0], X[-1, 0])
-    ys, _ = chebyshev(Y[0, 0], Y[0, -1])
-    Xc, Yc = np.meshgrid(xs, ys, indexing="ij")
+    Xc, Yc, _, _ = _chebyshev_grid(X, Y)
     spectral = _pointwise_block(chart, Xc, Yc)
     spectral.update(x=Xc, y=Yc)
     residuals = identity_residuals(spectral, chart.eps)
@@ -587,9 +581,8 @@ def identity_residuals(fields, eps):
     included.  Keys: eq5 (|f_j|^2 law), eq6 (gradient law), eq7 (Laplacian law),
     eq12 (div X_j), eq14 (gradient-X law), plus those of ``_pointwise_residuals``.
     """
-    X, Y, u = fields["x"], fields["y"], fields["u"]
-    _, Dx = chebyshev(X[0, 0], X[-1, 0])
-    _, Dy = chebyshev(Y[0, 0], Y[0, -1])
+    u = fields["u"]
+    _, _, Dx, Dy = _chebyshev_grid(fields["x"], fields["y"])
     Dxx, Dyy = apply_along(Dx, Dx, 0), apply_along(Dy, Dy, 0)
 
     def lap(f):

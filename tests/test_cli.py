@@ -167,20 +167,15 @@ def test_control_jet_is_the_parent_jet_with_the_block_scaled(family):
 NARROW_T = ["--family", "T", "--a", "0.6", "--b", "0.8", "--nx", "9", "--ny", "9"]
 
 
-def test_parallelism_stencil_that_leaves_the_domain_is_infeasible(tmp_path, capsys):
-    # SHRINK 0.02 of a 0.02-wide rectangle leaves a 4e-4 margin, less than the 5e-4 parallelism step
+def test_narrow_rectangle_verifies_and_corresponds(tmp_path):
+    # the parallelism residual differentiates H on the Chebyshev grid of the sampled
+    # rectangle, so it needs no margin beyond it: a 0.02-wide rectangle PASSes (4.4e-11)
     code = main(["verify", *NARROW_T, "--domain=0,0.02,0,0.02", "--out", str(tmp_path)])
-    assert code == EXIT_INFEASIBLE
-    err = capsys.readouterr().err
-    assert "the parallelism step 0.0005 is too large for this grid" in err and "--fd-step" not in err
-    assert not list(tmp_path.glob("verify_*.txt"))
-    code = main(["correspond", *NARROW_T, "--domain=0,0.02,0,0.02", "--out", str(tmp_path)])
-    assert code == EXIT_INFEASIBLE
-    assert "parallelism_delta 0.0005 leaves the chart domain" in capsys.readouterr().err
-    assert not list(tmp_path.glob("correspondence_report.txt"))
-    # a 6e-4 margin holds the stencil
-    assert main(["verify", *NARROW_T, "--domain=0,0.03,0,0.03", "--out", str(tmp_path)]) == EXIT_OK
+    assert code == EXIT_OK
     assert "verdict=PASS" in next(tmp_path.glob("verify_*.txt")).read_text()
+    code = main(["correspond", *NARROW_T, "--domain=0,0.02,0,0.02", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert (tmp_path / "correspondence_report.txt").exists()
 
 
 def test_control_names_its_own_step_when_its_stencil_leaves_the_domain(tmp_path, capsys):
@@ -192,17 +187,15 @@ def test_control_names_its_own_step_when_its_stencil_leaves_the_domain(tmp_path,
     assert not list(tmp_path.glob("verify_*.txt"))
 
 
-def test_fd_stencil_around_the_parallelism_shifts_names_both_steps(tmp_path, capsys):
-    # --fd-step 2e-4 fits the 6e-4 margin of a 0.03-wide rectangle, and so does the
-    # 5e-4 parallelism step, but the fd stencil around the shifted samples reaches 7e-4
-    wide = ["verify", *NARROW_T, "--domain=0,0.03,0,0.03", "--out", str(tmp_path)]
-    assert main([*wide, "--fd-step", "2e-4"]) == EXIT_INFEASIBLE
-    err = capsys.readouterr().err
-    assert "the parallelism step 0.0005 plus --fd-step 0.0002, 0.0007 in all, is too large for this grid" in err
-    assert not list(tmp_path.glob("verify_*.txt"))
-    # 5e-4 + 1e-4 fits: a report, whatever its verdict
-    assert main([*wide, "--fd-step", "1e-4"]) != EXIT_INFEASIBLE
-    assert "verdict=" in next(tmp_path.glob("verify_*.txt")).read_text()
+def test_fd_step_within_the_margin_writes_a_report(tmp_path):
+    # --fd-step 2e-4 and 1e-4 fit the 6e-4 margin of a 0.03-wide rectangle: a report,
+    # whatever its verdict (the numeric jet's round-off, differentiated across so
+    # narrow a rectangle, can fail parallelism)
+    for step in ("2e-4", "1e-4"):
+        out = tmp_path / step
+        code = main(["verify", *NARROW_T, "--domain=0,0.03,0,0.03", "--fd-step", step, "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_VERIFICATION), step
+        assert "verdict=" in next(out.glob("verify_*.txt")).read_text(), step
 
 
 def test_correspond_writes_bundles(tmp_path):
@@ -370,14 +363,25 @@ def test_rectangle_at_the_growth_bound_verifies(tmp_path, family, domain):
     assert "verdict=PASS" in next(tmp_path.glob("verify_*.txt")).read_text()
 
 
-def test_phi0_near_the_pole_fails_parallelism(tmp_path):
-    # a known false FAIL: the chart is PMC by construction, but the parallelism
-    # residual differentiates H with the fixed step 5e-4, whose error passes
-    # the 1e-5 gate near x = pi/2 (halving the step passes)
+def test_phi0_near_the_pole_passes_parallelism(tmp_path):
+    # the chart is PMC by construction and varies fast near x = pi/2; the spectral
+    # derivative of H resolves it (6.9e-07), where a centered difference of step 5e-4
+    # read a false FAIL (2.8e-05)
     code = main(["verify", "--family", "phi0", "--hnorm", "0.25", "--domain=-1.5,1.5,-1,1", "--out", str(tmp_path)])
-    assert code == EXIT_VERIFICATION
+    assert code == EXIT_OK
     report = next(tmp_path.glob("verify_*.txt")).read_text()
-    assert report.splitlines()[-1] == "verdict=FAIL: parallelism"
+    assert report.splitlines()[-1] == "verdict=PASS"
+
+
+def test_example2_lambda5_passes_parallelism(tmp_path):
+    # a centered difference of step 5e-4 read a false FAIL here (1.84e-05); the spectral
+    # derivative reads 2.2e-06.  That value stays between 1.0e-06 and 2.2e-06 for
+    # CHEB_N from 32 to 64, so it comes from the Hermite pieces of the sampled psi
+    # curve that the chart is built on, not from the differentiation
+    code = main(["verify", "--family", "example2", "--lambda", "5", "--domain=-0.4,0.4,-1,1", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    report = next(tmp_path.glob("verify_*.txt")).read_text()
+    assert report.splitlines()[-1] == "verdict=PASS"
 
 
 @pytest.mark.parametrize(

@@ -360,9 +360,30 @@ def test_chebyshev_residuals_converge_spectrally(monkeypatch, argv):
     assert default < coarse / 100, (coarse, default)
 
 
+def test_parallelism_converges_spectrally_and_a_defect_does_not(monkeypatch):
+    # phi0 near the pole is truncation-limited at N = 24 and falls more than 100x by
+    # the default N; the x1.01 control is not PMC, and its residual is the defect
+    # itself, the same at both degrees
+    def mk(argv):
+        return build_chart(build_parser().parse_args(["verify", *argv]))
+
+    phi0 = mk(["--family", "phi0", "--hnorm", "0.25", "--domain=-1.5,1.5,-1,1"])
+    control = scaled_chart(mk(["--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"]))
+
+    def residuals():
+        return [parallelism_residual(ch, *ch.grid(9, 9, shrink=diffgeo.SHRINK)) for ch in (phi0, control)]
+
+    default = residuals()
+    monkeypatch.setattr(diffgeo, "CHEB_N", 24)
+    coarse = residuals()
+    assert default[0] < coarse[0] / 100, (coarse[0], default[0])
+    assert default[0] < 1e-5
+    assert default[1] == pytest.approx(coarse[1], rel=1e-6) and default[1] > 1e-2, (coarse[1], default[1])
+
+
 def test_one_chart_pass_per_record(monkeypatch):
     # one jet call on the requested 33x33 grid, one on the Chebyshev grid of the
-    # same rectangle, then parallelism's centre and four shifted jets on 33x33
+    # same rectangle, then the parallelism residual's on that Chebyshev grid again
     ch = chart("prop4_hyp")
     jet = ch.jet
     calls = []
@@ -373,15 +394,15 @@ def test_one_chart_pass_per_record(monkeypatch):
 
     monkeypatch.setattr(ch, "jet", counted)
     inv = surface_invariants(ch, nx=33, ny=33)
-    assert len(calls) == 7
+    assert len(calls) == 3
     X, Y = ch.grid(33, 33, shrink=diffgeo.SHRINK)
     assert np.array_equal(calls[0][0], X) and np.array_equal(calls[0][1], Y)
     n = diffgeo.CHEB_N + 1
     xs, _ = chebyshev(X[0, 0], X[-1, 0])
     ys, _ = chebyshev(Y[0, 0], Y[0, -1])
-    assert np.shape(calls[1][0]) == (n, n)
-    assert np.array_equal(calls[1][0][:, 0], xs) and np.array_equal(calls[1][1][0], ys)
-    assert all(np.shape(x) == (33, 33) for x, _ in calls[2:])
+    for x, y in calls[1:]:
+        assert np.shape(x) == (n, n)
+        assert np.array_equal(x[:, 0], xs) and np.array_equal(y[0], ys)
     assert np.array_equal(inv.x, X) and np.array_equal(inv.y, Y)
 
 
