@@ -192,8 +192,7 @@ def extract_pmc_data(chart, nx=81, ny=81):
     if chart.target != TARGET_PRODUCT:
         raise DomainError("extract_pmc_data expects a product chart")
     X, Y = chart.grid(nx, ny, shrink=SHRINK)
-    resid = parallelism_residual(chart, X[:: max(1, nx // 16), :: max(1, ny // 16)],
-                                 Y[:: max(1, nx // 16), :: max(1, ny // 16)])
+    resid = parallelism_residual(chart, X, Y)
     if resid > PARALLELISM_GATE:
         raise PreconditionError(
             f"chart is not PMC: parallelism residual {resid:.2e} > {PARALLELISM_GATE:.1e}"
@@ -516,26 +515,40 @@ def _spline_chart(x, y, fields_by_name, eps, target, name, metadata):
     )
 
 
-def _cmc_rhs_blocks(eps, S, F, Hval):
-    """Second derivatives and N derivatives from the CMC Frenet system.
+def _cmc_coefficients(eps, Hval, F):
+    """The data-only factors of the CMC Frenet system on the points of the dict F.
 
-    S holds rows (Psi, Psi_x, Psi_y, N) flattened to (..., 16); F is the dict
-    of data fields at the evaluation points.
+    Each entry multiplies one state-linear term of ``_cmc_rhs_blocks``, so the
+    system is real-linear in each entry; the constant H is spread over the
+    points like the others.
     """
-    Psi, Px, Py, N = S[..., 0:4], S[..., 4:8], S[..., 8:12], S[..., 12:16]
-    Psi_hat = np.concatenate([Psi[..., :3], np.zeros_like(Psi[..., :1])], axis=-1)
-    Psi_z = 0.5 * (Px - 1j * Py)
     u_z = 0.5 * (F["ux"] - 1j * F["uy"])
     eta_z = 0.5 * (F["eta_x"] - 1j * F["eta_y"])
     e2u = np.exp(2 * F["u"])
     p = F["p"]
-    nu = F["nu"]
-    A = 2.0 * u_z[..., None] * Psi_z + p[..., None] * N + eps * (eta_z**2)[..., None] * Psi_hat
-    B = (e2u / 2.0 * Hval)[..., None] * N + eps * (np.abs(eta_z) ** 2 - e2u / 2.0)[..., None] * Psi_hat
+    return {
+        "u_z": u_z, "p": p, "eps_eta_z2": eps * eta_z**2,
+        "e2u_H": e2u / 2.0 * Hval, "eps_eta_abs": eps * (np.abs(eta_z) ** 2 - e2u / 2.0),
+        "H": np.full_like(e2u, Hval), "p_over_e2u": 2.0 * np.exp(-2 * F["u"]) * p,
+        "eps_nu_eta_z": eps * F["nu"] * eta_z,
+    }
+
+
+def _cmc_rhs_blocks(S, c):
+    """Second derivatives and N derivatives from the CMC Frenet system.
+
+    S holds rows (Psi, Psi_x, Psi_y, N) flattened to (..., 16); c is the dict
+    of ``_cmc_coefficients`` at the evaluation points.
+    """
+    Psi, Px, Py, N = S[..., 0:4], S[..., 4:8], S[..., 8:12], S[..., 12:16]
+    Psi_hat = np.concatenate([Psi[..., :3], np.zeros_like(Psi[..., :1])], axis=-1)
+    Psi_z = 0.5 * (Px - 1j * Py)
+    A = 2.0 * c["u_z"][..., None] * Psi_z + c["p"][..., None] * N + c["eps_eta_z2"][..., None] * Psi_hat
+    B = c["e2u_H"][..., None] * N + c["eps_eta_abs"][..., None] * Psi_hat
     Nz = (
-        -Hval * Psi_z
-        - (2.0 * np.exp(-2 * F["u"]) * p)[..., None] * np.conj(Psi_z)
-        + (eps * nu * eta_z)[..., None] * Psi_hat
+        -c["H"][..., None] * Psi_z
+        - c["p_over_e2u"][..., None] * np.conj(Psi_z)
+        + c["eps_nu_eta_z"][..., None] * Psi_hat
     )
     Pxx = 2.0 * (A.real + B.real)
     Pyy = 2.0 * (B.real - A.real)
@@ -596,54 +609,94 @@ def _sample_half_step(fields, x, y):
 class _FrenetSystem:
     """A first-order Frenet system as the grid marcher sees it.
 
-    The state packs (P, P_x, P_y, normal part) with P in R^dim.  ``blocks(S, F)``
-    gives (P_xx, P_xy, P_yy, normal_x, normal_y), the normal parts packed as in
-    S; ``project(S, u)`` restores the constraints at conformal factor u.
+    The state packs (P, P_x, P_y, normal part) with P in R^dim.
+    ``coefficients(F)`` turns a dict of data fields into the dict c of the
+    system's data-only factors, on the same points; ``blocks(S, c)`` gives
+    (P_xx, P_xy, P_yy, normal_x, normal_y), the normal parts packed as in S,
+    by state arithmetic alone, linear in S and real-linear in each entry of c;
+    ``project(S, u)`` restores the constraints at conformal factor u.
     """
 
     dim: int
+    coefficients: Callable
     blocks: Callable
     project: Callable
 
 
-def _march_line(system, S, t, F, along_x):
-    """RK4 with per-step projection over the nodes t; returns the states at the nodes.
+def _stage_operators(system, c, width):
+    """The stage operators of a march along x and along y, probed from one ``blocks`` call.
 
-    F holds the data on the half-step points of t along its first axis, so the
-    step from t[i] reads its stages at 2i, 2i+1 and 2i+2.
+    Along either axis the state derivative is dS = M S, where
+    M = L_0 + sum_k (Re c_k) L_k' + (Im c_k) L_k''.  Returns the real
+    coefficients (1, Re c_k ..., Im c_k of the complex c_k ...) on a last
+    axis of c's grid, and per direction the constant matrices in that order.
+    These come from ``blocks`` on the identity basis of the states of that
+    width, with every c_k zero (L_0: only the P_x or P_y rows, which pass the
+    state through), then c_k = 1 and, for a complex c_k, c_k = i, each in
+    turn.  Each operator is (rows, cols, L) with L of shape (terms, nnz): the
+    matrices at the union of their nonzero positions, so that a march builds
+    M from those entries only.
     """
     d = system.dim
+    units = [(k, 1.0) for k in c] + [(k, 1j) for k, v in c.items() if np.iscomplexobj(v)]
+    ones = np.ones(next(iter(c.values())).shape)
+    coef = np.stack([ones, *(c[k].real if unit == 1.0 else c[k].imag for k, unit in units)], axis=-1)
+    probe = {k: np.zeros((len(units) + 1, 1), v.dtype) for k, v in c.items()}
+    for t, (k, unit) in enumerate(units, 1):
+        probe[k][t] = unit
+    basis = np.broadcast_to(np.eye(width), (len(units) + 1, width, width))
+    Pxx, Pxy, Pyy, Nx, Ny = system.blocks(basis, probe)
+    ops = []
+    for dS in (np.concatenate([basis[..., d:2 * d], Pxx, Pxy, Nx], axis=-1),
+               np.concatenate([basis[..., 2 * d:3 * d], Pxy, Pyy, Ny], axis=-1)):
+        L = dS.transpose(0, 2, 1)  # L[t, i, j]: component i of the derivative of basis state j
+        L = np.concatenate([L[:1], L[1:] - L[:1]])
+        rows, cols = np.nonzero(np.any(L != 0, axis=0))
+        ops.append((rows, cols, np.ascontiguousarray(L[:, rows, cols])))
+    return coef, ops
 
-    def rhs(S, m):
-        Pxx, Pxy, Pyy, Nx, Ny = system.blocks(S, {k: v[m] for k, v in F.items()})
-        if along_x:
-            return np.concatenate([S[..., d:2 * d], Pxx, Pxy, Nx], axis=-1)
-        return np.concatenate([S[..., 2 * d:3 * d], Pxy, Pyy, Ny], axis=-1)
 
+def _march_line(system, op, S, t, coef, u):
+    """RK4 with per-step projection over the nodes t; returns the states at the nodes.
+
+    Every stage derivative is one mat-vec k = M S with the stage operator
+    op = (rows, cols, L) of ``_stage_operators``.  coef holds its coefficient
+    columns and u the conformal factor on the half-step points of t along
+    their first axis, so the step from t[i] builds M at 2i, 2i+1 and 2i+2 from
+    its nonzero entries, the midpoint M serving stages two and three.  The
+    build and the mat-vecs are einsums, with no BLAS call, so the states do
+    not depend on the BLAS kernel.
+    """
+    rows, cols, L = op
+    M = np.zeros((3, *S.shape, S.shape[-1]))
+    matvec = partial(np.einsum, "...ij,...j->...i")
     states = [S]
     for i in range(len(t) - 1):
         h = t[i + 1] - t[i]
-        k1 = rhs(S, 2 * i)
-        k2 = rhs(S + 0.5 * h * k1, 2 * i + 1)
-        k3 = rhs(S + 0.5 * h * k2, 2 * i + 1)
-        k4 = rhs(S + h * k3, 2 * i + 2)
-        S = system.project(S + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), F["u"][2 * i + 2])
+        M[..., rows, cols] = np.einsum("...k,kn->...n", coef[2 * i:2 * i + 3], L)
+        k1 = matvec(M[0], S)
+        k2 = matvec(M[1], S + 0.5 * h * k1)
+        k3 = matvec(M[1], S + 0.5 * h * k2)
+        k4 = matvec(M[2], S + h * k3)
+        S = system.project(S + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), u[2 * i + 2])
         states.append(S)
     return np.stack(states)
 
 
-def _march_grid(system, init, G, x, y):
+def _march_grid(system, init, c, u, x, y):
     """March a Frenet system over the node grid from ``init`` at its corner.
 
     Marches the bottom row first, then all columns in parallel; the top row is
     marched again from its left end, and its largest distance from the
-    columns' ends is the loop closure.  G holds the data on the half-step grid.
-    Returns the states (nx, ny, width) and the loop closure.
+    columns' ends is the loop closure.  c holds the system's coefficients and
+    u the conformal factor on the half-step grid.  Returns the states
+    (nx, ny, width) and the loop closure.
     """
-    row = _march_line(system, init, x[:, 0], {k: v[:, 0] for k, v in G.items()}, True)
-    cols = _march_line(system, row, y[0, :], {k: v[::2].T for k, v in G.items()}, False)
+    coef, (along_x, along_y) = _stage_operators(system, c, len(init))
+    row = _march_line(system, along_x, init, x[:, 0], coef[:, 0], u[:, 0])
+    cols = _march_line(system, along_y, row, y[0, :], coef[::2].transpose(1, 0, 2), u[::2].T)
     states = cols.transpose(1, 0, 2)
-    top = _march_line(system, states[0, -1], x[:, -1], {k: v[:, -1] for k, v in G.items()}, True)
+    top = _march_line(system, along_x, states[0, -1], x[:, -1], coef[:, -1], u[:, -1])
     d = system.dim
     closure = float(np.max(np.linalg.norm(top[:, :d] - states[:, -1, :d], axis=-1)))
     return states, closure
@@ -653,18 +706,20 @@ def _integrate_frenet(data, resid_tol, system, start, target, name, metadata):
     """Rebuild a chart from its data: the body both Frenet integrators share.
 
     Gates the data residuals, samples ``_grid_fields(data)`` once on the
-    half-step grid, marches ``system`` from the state ``start(F0)`` (F0 the
-    data at the grid corner) and wraps the states, with the second
-    derivatives the system gives at the nodes, as a ``_spline_chart``.
-    Returns the chart, the loop closure and the dense source.
+    half-step grid and computes the system's coefficients there, marches
+    ``system`` from the state ``start(F0)`` (F0 the data at the grid corner)
+    and wraps the states, with the second derivatives the system gives at
+    the nodes, as a ``_spline_chart``.  Returns the chart, the loop closure
+    and the dense source.
     """
     worst = max(v for k, v in data.residuals.items() if k != "parallelism")
     if worst > resid_tol:
         raise PreconditionError(f"data residuals too large to integrate: {worst:.2e}")
     fields = _grid_fields(data)
     G = _sample_half_step(fields, data.x, data.y)
-    states, closure = _march_grid(system, start({k: v[0, 0] for k, v in G.items()}), G, data.x, data.y)
-    Pxx, Pxy, Pyy, _, _ = system.blocks(states, {k: v[::2, ::2] for k, v in G.items()})
+    c = system.coefficients(G)
+    states, closure = _march_grid(system, start({k: v[0, 0] for k, v in G.items()}), c, G["u"], data.x, data.y)
+    Pxx, Pxy, Pyy, _, _ = system.blocks(states, {k: v[::2, ::2] for k, v in c.items()})
     d = system.dim
     chart = _spline_chart(
         data.x, data.y,
@@ -680,18 +735,23 @@ def integrate_cmc_frenet(data, resid_tol=DATA_TOL):
 
     The data are sampled once on the half-step grid (the nodes and the
     midpoints between them), from ``data.fields`` or, when that is None, from
-    one quintic tensor spline of the node arrays; every RK4 stage and
-    projection reads those samples.  Marches the bottom row first, then all
-    columns in parallel; the top row is marched independently and the
-    loop-closure defect reported.  Returns the reconstructed chart, whose jet
-    is one evaluation of a quintic tensor spline through the marched states
-    and the Frenet second derivatives at the nodes, and a report dictionary.
+    one quintic tensor spline of the node arrays, and the system's data-only
+    coefficients are computed there once.  The system is linear in the
+    state, so every RK4 stage is one mat-vec with the stage operator built
+    from those coefficients, and every projection reads u from the samples.
+    Marches the bottom row first, then all columns in parallel; the top row
+    is marched independently and the loop-closure defect reported.  Returns
+    the reconstructed chart, whose jet is one evaluation of a quintic tensor
+    spline through the marched states and the Frenet second derivatives at
+    the nodes, and a report dictionary.
     """
     eps = data.eps
     nx, ny = data.x.shape
     chart, closure, fields = _integrate_frenet(
         data, resid_tol,
-        _FrenetSystem(4, partial(_cmc_rhs_blocks, eps, Hval=data.Hval), partial(_project_cmc_state, eps)),
+        _FrenetSystem(
+            4, partial(_cmc_coefficients, eps, data.Hval), _cmc_rhs_blocks, partial(_project_cmc_state, eps)
+        ),
         lambda F0: initial_cmc_state(
             eps, float(F0["u"]), float(F0["nu"]), float(F0["eta_x"]), float(F0["eta_y"]), eta0=float(data.eta[0, 0])
         ),
@@ -715,39 +775,59 @@ def integrate_cmc_frenet(data, resid_tol=DATA_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _pmc_rhs_blocks(eps, S, F, Hval):
-    """Second derivatives of Phi and first derivatives of xi from the Frenet system.
+def _pmc_coefficients(eps, Hval, F):
+    """The data-only factors of the PMC Frenet system on the points of the dict F.
 
-    S is the packed state (Phi, Phi_x, Phi_y, Re xi, Im xi); xi_x and xi_y
-    come back packed as (Re, Im).
+    Each entry multiplies one state-linear term of ``_pmc_rhs_blocks``, so the
+    system is real-linear in each entry; the constant |H|/sqrt(2) is spread
+    over the points like the others, and ``e2u_H`` is e^{2u}/2 times it: the
+    mean curvature vector is |H|/sqrt(2) (xi + conj(xi)).
     """
-    Phi, Px, Py, xi = _unpack_pmc(S)
-    Phi_hat = np.concatenate([Phi[..., :3], -Phi[..., 3:]], axis=-1)
-    Phi_z = 0.5 * (Px - 1j * Py)
     u_z = 0.5 * (F["ux"] - 1j * F["uy"])
     e2u = np.exp(2 * F["u"])
     C1, C2 = F["C1"], F["C2"]
     g1, g2, f1, f2 = F["gamma1"], F["gamma2"], F["f1"], F["f2"]
+    H = Hval / np.sqrt(2.0)
+    return {
+        "u_z": u_z, "f1": f1, "f2": f2, "eps_g1g2": eps * g1 * g2 / 2.0,
+        "e2u_H": e2u / 2.0 * H, "eps_e2u": eps * e2u / 4.0, "eps_e2u_C1C2": eps * e2u / 4.0 * C1 * C2,
+        "H": np.full_like(e2u, H), "f2_over_e2u": 2.0 * np.exp(-2 * F["u"]) * f2,
+        "f1bar_over_e2u": 2.0 * np.exp(-2 * F["u"]) * np.conj(f1),
+        "eps_C1g2": eps * 1j * C1 * g2 / 2.0, "eps_C2g1bar": eps * 1j * C2 * np.conj(g1) / 2.0,
+    }
+
+
+def _pmc_rhs_blocks(S, c):
+    """Second derivatives of Phi and first derivatives of xi from the Frenet system.
+
+    S is the packed state (Phi, Phi_x, Phi_y, Re xi, Im xi) and c the dict of
+    ``_pmc_coefficients`` at the evaluation points; xi_x and xi_y come back
+    packed as (Re, Im).
+    """
+    Phi, Px, Py, xi = _unpack_pmc(S)
+    Phi_hat = np.concatenate([Phi[..., :3], -Phi[..., 3:]], axis=-1)
+    Phi_z = 0.5 * (Px - 1j * Py)
     xibar = np.conj(xi)
-    H = Hval / np.sqrt(2.0) * (xi + xibar)
     A = (
-        2.0 * u_z[..., None] * Phi_z
-        + f1[..., None] * xi
-        + f2[..., None] * xibar
-        - (eps * g1 * g2 / 2.0)[..., None] * Phi_hat
+        2.0 * c["u_z"][..., None] * Phi_z
+        + c["f1"][..., None] * xi
+        + c["f2"][..., None] * xibar
+        - c["eps_g1g2"][..., None] * Phi_hat
     )
-    B = (e2u / 2.0)[..., None] * H - (eps * e2u / 4.0)[..., None] * Phi - (
-        eps * e2u / 4.0 * C1 * C2
-    )[..., None] * Phi_hat
+    B = (
+        c["e2u_H"][..., None] * (xi + xibar)
+        - c["eps_e2u"][..., None] * Phi
+        - c["eps_e2u_C1C2"][..., None] * Phi_hat
+    )
     xi_z = (
-        -(Hval / np.sqrt(2.0)) * Phi_z
-        - (2.0 * np.exp(-2 * F["u"]) * f2)[..., None] * np.conj(Phi_z)
-        + (eps * 1j * C1 * g2 / 2.0)[..., None] * Phi_hat
+        -c["H"][..., None] * Phi_z
+        - c["f2_over_e2u"][..., None] * np.conj(Phi_z)
+        + c["eps_C1g2"][..., None] * Phi_hat
     )
     xi_zbar = (
-        -(Hval / np.sqrt(2.0)) * np.conj(Phi_z)
-        - (2.0 * np.exp(-2 * F["u"]) * np.conj(f1))[..., None] * Phi_z
-        - (eps * 1j * C2 * np.conj(g1) / 2.0)[..., None] * Phi_hat
+        -c["H"][..., None] * np.conj(Phi_z)
+        - c["f1bar_over_e2u"][..., None] * Phi_z
+        - c["eps_C2g1bar"][..., None] * Phi_hat
     )
     Pxx = 2.0 * (A.real + B.real)
     Pyy = 2.0 * (B.real - A.real)
@@ -803,7 +883,9 @@ def integrate_pmc_frenet(data, resid_tol=DATA_TOL):
     nx, ny = data.x.shape
     chart, closure, fields = _integrate_frenet(
         data, resid_tol,
-        _FrenetSystem(6, partial(_pmc_rhs_blocks, eps, Hval=data.Hnorm), partial(_project_pmc_state, eps)),
+        _FrenetSystem(
+            6, partial(_pmc_coefficients, eps, data.Hnorm), _pmc_rhs_blocks, partial(_project_pmc_state, eps)
+        ),
         lambda F0: _pack_pmc(*initial_pmc_state(
             eps, float(F0["u"]), float(F0["C1"]), float(F0["C2"]), complex(F0["gamma1"]), complex(F0["gamma2"])
         )),

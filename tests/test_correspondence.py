@@ -96,6 +96,24 @@ def test_extract_refuses_non_pmc():
         extract_pmc_data(bad, nx=17, ny=17)
 
 
+def test_extract_checks_parallelism_on_the_sampled_rectangle(monkeypatch):
+    # parallelism_residual reads only the corners of its grid, so those must be
+    # the sampled rectangle's; at 50 nodes a stride of nx // 16 = 3 would end
+    # at index 48 and leave out its last row and column
+    import pmcsurf.correspondence as corr
+
+    residual = corr.parallelism_residual
+    corners = []
+
+    def recorded(chart, X, Y):
+        corners.append((X[0, 0], X[-1, 0], Y[0, 0], Y[0, -1]))
+        return residual(chart, X, Y)
+
+    monkeypatch.setattr(corr, "parallelism_residual", recorded)
+    data = extract_pmc_data(prop4_chart(), nx=50, ny=50)
+    assert corners == [(data.x[0, 0], data.x[-1, 0], data.y[0, 0], data.y[0, -1])]
+
+
 def test_pmc_to_cmc_eta_matches_family_display():
     # eta_j = s (-2|H|) (+-y + int_0^x h dt) for an overall orientation sign s
     data = prop4_data()
@@ -583,3 +601,117 @@ def test_spline_matches_per_component_rect_bivariate_splines(nx, ny):
             for i in range(v.shape[-1])
         ], axis=-1)
         assert np.max(np.abs(sp(P, nu=nu) - ref)) <= 1e-12 * np.max(np.abs(ref)), nu
+
+
+# ---------------------------------------------------------------------------
+# the Frenet march: stage operators against the blocks they are probed from
+# ---------------------------------------------------------------------------
+
+
+def _blocks_march_line(system, S, t, c, u, along_x):
+    """RK4 with per-step projection, every stage one ``blocks`` call on the
+    coefficients at its point: the oracle of the stage-operator march."""
+    d = system.dim
+
+    def rhs(S, m):
+        Pxx, Pxy, Pyy, Nx, Ny = system.blocks(S, {k: v[m] for k, v in c.items()})
+        if along_x:
+            return np.concatenate([S[..., d:2 * d], Pxx, Pxy, Nx], axis=-1)
+        return np.concatenate([S[..., 2 * d:3 * d], Pxy, Pyy, Ny], axis=-1)
+
+    states = [S]
+    for i in range(len(t) - 1):
+        h = t[i + 1] - t[i]
+        k1 = rhs(S, 2 * i)
+        k2 = rhs(S + 0.5 * h * k1, 2 * i + 1)
+        k3 = rhs(S + 0.5 * h * k2, 2 * i + 1)
+        k4 = rhs(S + h * k3, 2 * i + 2)
+        S = system.project(S + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), u[2 * i + 2])
+        states.append(S)
+    return np.stack(states)
+
+
+def _blocks_march_grid(system, init, c, u, x, y):
+    """The row, the columns and the top row of ``_march_grid``, marched by the oracle."""
+    row = _blocks_march_line(system, init, x[:, 0], {k: v[:, 0] for k, v in c.items()}, u[:, 0], True)
+    cols = _blocks_march_line(system, row, y[0, :], {k: v[::2].T for k, v in c.items()}, u[::2].T, False)
+    states = cols.transpose(1, 0, 2)
+    top = _blocks_march_line(system, states[0, -1], x[:, -1], {k: v[:, -1] for k, v in c.items()}, u[:, -1], True)
+    d = system.dim
+    return states, float(np.max(np.linalg.norm(top[:, :d] - states[:, -1, :d], axis=-1)))
+
+
+def _marches(monkeypatch, data):
+    """The arguments and results of the ``_march_grid`` calls of both integrators on data."""
+    import pmcsurf.correspondence as corr
+
+    march = corr._march_grid
+    seen = []
+
+    def recorded(*args):
+        out = march(*args)
+        seen.append((args, out))
+        return out
+
+    monkeypatch.setattr(corr, "_march_grid", recorded)
+    integrate_cmc_frenet(pmc_to_cmc(data, 1))
+    integrate_pmc_frenet(data)
+    return dict(zip(("cmc", "pmc"), seen))
+
+
+def test_stage_operator_march_matches_the_blocks_march(monkeypatch):
+    for name, (args, (states, closure)) in _marches(monkeypatch, prop4_data()).items():
+        oracle_states, oracle_closure = _blocks_march_grid(*args)
+        assert np.max(np.abs(states - oracle_states)) < 1e-10, name
+        assert abs(closure - oracle_closure) < 1e-11, name
+
+
+def test_stage_operator_is_the_blocks_derivative(monkeypatch):
+    # M(point) S against the blocks at every half-step point, for random states
+    from pmcsurf.correspondence import _stage_operators
+
+    rng = np.random.default_rng(7)
+    for name, (args, _) in _marches(monkeypatch, prop4_data()).items():
+        system, init, c, _, _, _ = args
+        d, width = system.dim, len(init)
+        coef, ops = _stage_operators(system, c, width)
+        S = rng.standard_normal(coef.shape[:-1] + (width,))
+        Pxx, Pxy, Pyy, Nx, Ny = system.blocks(S, c)
+        derivs = (np.concatenate([S[..., d:2 * d], Pxx, Pxy, Nx], axis=-1),
+                  np.concatenate([S[..., 2 * d:3 * d], Pxy, Pyy, Ny], axis=-1))
+        for axis, (rows, cols, L), dS in zip("xy", ops, derivs):
+            dense = np.zeros((len(L), width, width))
+            dense[:, rows, cols] = L
+            MS = np.einsum("...t,tij,...j->...i", coef, dense, S)
+            err = np.max(np.abs(MS - dS), axis=-1) / np.max(np.abs(dS), axis=-1)
+            assert np.max(err) < 1e-13, (name, axis, np.max(err))
+
+
+def test_march_calls_no_formula_per_stage(monkeypatch):
+    # the blocks are called to probe the stage operators and for the nodes'
+    # second derivatives, a number of calls that does not grow with the grid
+    import ast
+    import inspect
+
+    import pmcsurf.correspondence as corr
+
+    counts = {}
+    for name in ("_cmc_rhs_blocks", "_pmc_rhs_blocks"):
+        def counted(S, c, blocks=getattr(corr, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return blocks(S, c)
+
+        monkeypatch.setattr(corr, name, counted)
+    per_grid = []
+    for n in (21, 41):
+        counts.clear()
+        data = prop4_data(n, n)
+        integrate_cmc_frenet(pmc_to_cmc(data, 1), resid_tol=1e-2)
+        integrate_pmc_frenet(data, resid_tol=1e-2)
+        per_grid.append(dict(counts))
+    assert per_grid[0] == per_grid[1] == {"_cmc_rhs_blocks": 2, "_pmc_rhs_blocks": 2}
+    # and the march makes no BLAS call: no @, matmul or dot
+    for fn in (corr._march_line, corr._march_grid, corr._stage_operators):
+        for node in ast.walk(ast.parse(inspect.getsource(fn))):
+            assert not isinstance(node, ast.MatMult), fn.__name__
+            assert not (isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot", "tensordot")), fn.__name__
