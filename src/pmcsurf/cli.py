@@ -224,7 +224,7 @@ def cmd_generate(args):
             meta["max_conformal_defect"] = f"{float(np.max(defect)):.3e}"
             meta["parallelism_residual"] = f"{parallelism_residual(chart, Xs, Ys):.3e}"
         else:
-            ar = abresch_rosenberg(chart, nx=min(nx, 41), ny=min(ny, 41))
+            ar = abresch_rosenberg(chart, nx=min(nx, 41), ny=min(ny, 41)).require_cmc(1e-6)
             meta["H"] = f"{float(np.mean(ar.H_scalar)):.12g}"
             meta["theta_ar_mean_re"] = f"{float(np.mean(ar.theta_ar.real)):.12g}"
             meta["theta_ar_mean_im"] = f"{float(np.mean(ar.theta_ar.imag)):.12g}"
@@ -271,7 +271,7 @@ def _verify_product(chart, args):
 
 
 def _verify_cmc(chart, args):
-    ar = abresch_rosenberg(chart, nx=args.nx, ny=args.ny, h_const_tol=1e-2 if args.fd_step else 1e-6)
+    ar = abresch_rosenberg(chart, nx=args.nx, ny=args.ny)
     checks = [
         ("conformal_defect", ar.residuals["conformal_defect"], 1e-6),
         ("H_spread", ar.residuals["H_spread"], 1e-6),
@@ -295,12 +295,8 @@ def _config_slug(args):
 
 def cmd_verify(args):
     chart = build_chart(args)
-    fd_step = "--fd-step"
     if args.corrupt_height != 1.0:
         chart = _corrupt_chart(chart, args.corrupt_height)
-        if args.fd_step is None:
-            # the control's report is pinned with the numeric jets of this step
-            args.fd_step, fd_step = 1e-3, "the control's fd_step"
     if args.fd_step is not None:
         chart = fd_chart(chart, args.fd_step)
     out = Path(args.out)
@@ -312,10 +308,9 @@ def cmd_verify(args):
         else:
             checks = _verify_cmc(chart, args)
     except InfeasibleParameters as exc:
-        # only the fd_step difference stencil refuses here: a step, not a verdict
-        raise InfeasibleParameters(f"{fd_step} {args.fd_step:g} is too large for this grid: {exc}",
-                                   exc.clause) from exc
-    except (DomainError, VerificationError) as exc:
+        # only the --fd-step difference stencil refuses here: a step, not a verdict
+        raise InfeasibleParameters(f"--fd-step {args.fd_step:g} is too large for this grid: {exc}", exc.clause) from exc
+    except DomainError as exc:
         lines.append(f"FAIL construction: {exc}")
         path = out / f"verify_{_config_slug(args)}.txt"
         path.write_text("\n".join(lines) + "\n")
@@ -355,7 +350,7 @@ def cmd_correspond(args):
         rec, rep = integrate_cmc_frenet(dj)
         recs.append(rec)
         dj.to_csv(out / f"cmc_data_j{j}.csv")
-        ar = abresch_rosenberg(rec, nx=min(args.nx, 41), ny=min(args.ny, 41), shrink=0.04, h_const_tol=1e-3)
+        ar = abresch_rosenberg(rec, nx=min(args.nx, 41), ny=min(args.ny, 41), shrink=0.04).require_cmc(1e-3)
         X, Y = rec.grid(args.nx, args.ny, shrink=0.02)
         _write_cmc_obj(out / f"cmc_chart_j{j}.obj", rec.evaluate(X, Y), args.nx, args.ny)
         report.append(f"reconstruction_{j}_H={float(np.mean(ar.H_scalar)):.12g}")
@@ -445,7 +440,7 @@ def _finite(text):
 
 
 def _positive(text):
-    """A step or a tolerance: a positive, finite number."""
+    """A step, a tolerance or a control's scale factor: a positive, finite number."""
     v = float(text)
     if not (np.isfinite(v) and v > 0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
@@ -487,7 +482,7 @@ def build_parser():
         if name == "verify":
             sub.add_argument("--fd-step", dest="fd_step", type=_positive, default=None)
             sub.add_argument("--tol", type=_positive, default=1e-4)
-            sub.add_argument("--corrupt-height", dest="corrupt_height", type=_finite, default=1.0)
+            sub.add_argument("--corrupt-height", dest="corrupt_height", type=_positive, default=1.0)
         sub.set_defaults(func=fn)
     return parser
 

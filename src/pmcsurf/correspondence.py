@@ -758,7 +758,7 @@ def integrate_cmc_frenet(data, resid_tol=DATA_TOL):
         TARGET_LINE, "cmc_reconstruction", {"Hval": data.Hval},
     )
     report = {"loop_closure": closure}
-    ar = abresch_rosenberg(chart, nx=min(nx, 41), ny=min(ny, 41), shrink=0.03, h_const_tol=1e-3)
+    ar = abresch_rosenberg(chart, nx=min(nx, 41), ny=min(ny, 41), shrink=0.03).require_cmc(1e-3)
     report["H_match"] = float(np.max(np.abs(ar.H_scalar - data.Hval)))
     xg, yg = ar.x, ar.y
     Fa = fields(xg, yg)

@@ -702,18 +702,26 @@ class CmcData:
     theta_ar: np.ndarray
     residuals: dict = field(default_factory=dict)
 
+    def require_cmc(self, tol):
+        """This record, once its |H| spread is at most ``tol``; raises otherwise (the chart is not CMC)."""
+        spread = self.residuals["H_spread"]
+        if spread > tol:
+            raise VerificationError(f"|H| varies by {spread:.3e} > {tol:.1e}: chart is not CMC")
+        return self
+
 
 def ar_theta(h_scalar, p, eta_z, eps):
     """Abresch-Rosenberg coefficient theta_AR = H p - (eps/2) eta_z^2."""
     return h_scalar * p - 0.5 * eps * eta_z**2
 
 
-def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK, h_const_tol=1e-6):
+def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK):
     """Abresch-Rosenberg data theta_AR = H p - (eps/2) eta_z^2 of a CMC chart.
 
     The unit normal N is aligned with the mean curvature vector, so the scalar
-    mean curvature is positive.  Raises when |H| varies beyond ``h_const_tol``
-    (the chart is not CMC).
+    mean curvature is positive.  The spread of |H| is measured, as
+    ``residuals["H_spread"]``, and not gated: each caller gates it at its own
+    tolerance with ``CmcData.require_cmc``.  Raises where H vanishes.
     """
     if chart.target not in (TARGET_LINE, TARGET_CIRCLE):
         raise DomainError("abresch_rosenberg expects a chart into M2(eps) x R")
@@ -738,9 +746,6 @@ def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK, h_const_tol=1e-6):
     if np.any(Hsq <= 0):
         raise DomainError("mean curvature vector vanishes somewhere: not a CMC chart with H != 0")
     H_scalar = np.sqrt(Hsq)
-    spread = float(np.max(H_scalar) - np.min(H_scalar))
-    if spread > h_const_tol:
-        raise VerificationError(f"|H| varies by {spread:.3e} > {h_const_tol:.1e}: chart is not CMC")
     N = Hvec / H_scalar[..., None]
     nu = N[..., 3]
 
@@ -765,7 +770,7 @@ def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK, h_const_tol=1e-6):
     ingredient = float(np.max(H_scalar * np.abs(p) + 0.5 * np.abs(eta_z) ** 2))
     data.residuals = {
         "eta_z_law": eta_z_norm_law(eta_z, nu, e2u),
-        "H_spread": spread,
+        "H_spread": float(np.max(H_scalar) - np.min(H_scalar)),
         "dzbar_theta_ar_abs": absolute,
         "dzbar_theta_ar_norm": normalized,
         "dzbar_theta_ar_scaled": absolute / (float(np.max(np.abs(theta_ar))) + ingredient + EPS_FLOOR),

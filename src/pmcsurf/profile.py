@@ -146,7 +146,7 @@ class ProfileSolution:
     def hpp_at(self, x):
         if not self.nonconstant:
             return np.zeros_like(np.asarray(x, dtype=float))
-        if self._analytic is not None and len(self._analytic) > 2:
+        if self._analytic is not None:
             return self._analytic[2](np.asarray(x, dtype=float))
         return 0.5 * self.params.pq_prime(self.h_at(x))
 

@@ -193,7 +193,7 @@ def test_criterion_06_correspondence_roundtrip():
     h_dev = 0.0
     theta_dev = 0.0
     for j, rec in ((1, rec1), (2, rec2)):
-        ar = abresch_rosenberg(rec, nx=33, ny=33, shrink=0.04, h_const_tol=1e-3)
+        ar = abresch_rosenberg(rec, nx=33, ny=33, shrink=0.04)
         h_dev = max(h_dev, float(np.max(np.abs(ar.H_scalar - 0.5))))
         F = data.fields(ar.x, ar.y)
         theta_src = 2 * np.sqrt(2) * data.Hnorm * F[f"f{j}"] - 0.5 * F[f"gamma{j}"] ** 2

@@ -125,15 +125,19 @@ def test_verify_corrupted_chart_fails_parallelism(tmp_path):
     assert float(line.split("=")[1].split()[0]) >= 1e-2
 
 
-def test_verify_corrupted_height_fails_h_spread(tmp_path):
-    # the height branch of the control: a chart into M2 x R whose height is scaled
-    code = main(["verify", "--family", "example4", "--corrupt-height", "1.01", "--nx", "25", "--ny", "25",
+@pytest.mark.parametrize("factor", ["1.01", "1.05"])
+def test_verify_corrupted_height_fails_h_spread(tmp_path, factor):
+    # the height branch of the control: a chart into M2 x R whose height is scaled.
+    # Its |H| spread is a check line at every factor, not a construction failure
+    code = main(["verify", "--family", "example4", "--corrupt-height", factor, "--nx", "25", "--ny", "25",
                  "--out", str(tmp_path)])
     assert code == EXIT_VERIFICATION
-    report = next(tmp_path.glob("verify_*.txt")).read_text()
-    assert "H_spread" in report.splitlines()[-1]
-    line = [l for l in report.splitlines() if l.startswith("H_spread")][0]
-    assert line.endswith("FAIL")
+    report = next(tmp_path.glob("verify_*.txt")).read_text().splitlines()
+    assert not [l for l in report if l.startswith("FAIL construction")]
+    checks = {l.split(" = ")[0]: l for l in report if " = " in l}
+    assert list(checks) == ["conformal_defect", "H_spread", "eta_z_law", "dzbar_theta_ar", "theta_ar_value"]
+    assert all(line.endswith("FAIL") for line in checks.values())
+    assert report[-1] == "verdict=FAIL: " + ", ".join(checks)
 
 
 @pytest.mark.parametrize(
@@ -178,13 +182,39 @@ def test_narrow_rectangle_verifies_and_corresponds(tmp_path):
     assert (tmp_path / "correspondence_report.txt").exists()
 
 
-def test_control_names_its_own_step_when_its_stencil_leaves_the_domain(tmp_path, capsys):
-    # no --fd-step was given: the step that refuses is the control's default
+def test_control_on_a_narrow_rectangle_writes_a_report(tmp_path):
+    # the control samples its own scaled jet, so it takes no difference stencil that
+    # could leave the rectangle: a report, whose verdict names the conformal defect
+    # (a scaled product of curves keeps H parallel, so parallelism PASSes here)
     code = main(["verify", *NARROW_T, "--domain=0,0.02,0,0.02", "--corrupt-height", "1.01", "--out", str(tmp_path)])
-    assert code == EXIT_INFEASIBLE
-    err = capsys.readouterr().err
-    assert "the control's fd_step 0.001 is too large for this grid" in err and "--fd-step" not in err
-    assert not list(tmp_path.glob("verify_*.txt"))
+    assert code == EXIT_VERIFICATION
+    verdict = next(tmp_path.glob("verify_*.txt")).read_text().splitlines()[-1]
+    assert verdict.startswith("verdict=FAIL: ") and "conformal_defect" in verdict
+
+
+def test_generate_and_correspond_gate_the_h_spread_they_read(tmp_path, monkeypatch, capsys):
+    # abresch_rosenberg measures the |H| spread; generate gates it at 1e-6 (the
+    # side-car's invariants_error) and correspond at 1e-3, on each reconstruction
+    import pmcsurf.cli as cli
+
+    measure = cli.abresch_rosenberg
+
+    def spread(value):
+        def measured(chart, **kw):
+            ar = measure(chart, **kw)
+            ar.residuals["H_spread"] = value
+            return ar
+
+        return measured
+
+    monkeypatch.setattr(cli, "abresch_rosenberg", spread(2e-6))
+    assert main(["generate", "--family", "example4", "--nx", "9", "--ny", "9", "--out", str(tmp_path)]) == EXIT_OK
+    meta = next(tmp_path.glob("*_metadata.txt")).read_text().splitlines()
+    assert "invariants_error=|H| varies by 2.000e-06 > 1.0e-06: chart is not CMC" in meta
+    monkeypatch.setattr(cli, "abresch_rosenberg", spread(2e-3))
+    code = main(["correspond", *NARROW_T, "--domain=0,0.02,0,0.02", "--out", str(tmp_path)])
+    assert code == EXIT_VERIFICATION
+    assert "error: |H| varies by 2.000e-03 > 1.0e-03: chart is not CMC" in capsys.readouterr().err
 
 
 def test_fd_step_within_the_margin_writes_a_report(tmp_path):
@@ -476,7 +506,9 @@ def test_fd_step_must_be_positive_and_finite(tmp_path, capsys, step):
 @pytest.mark.parametrize(
     "option, value",
     [(option, value) for option in ("--a", "--b", "--c", "--lambda", "--hnorm", "--corrupt-height", "--tol")
-     for value in ("nan", "inf", "-inf")] + [("--tol", "0"), ("--tol", "-1")],
+     for value in ("nan", "inf", "-inf")] + [("--tol", "0"), ("--tol", "-1")]
+    # a factor of -1 is an isometry and 0 collapses the factor: neither is a control
+    + [("--corrupt-height", "0"), ("--corrupt-height", "-1")],
 )
 def test_malformed_number_option_is_a_usage_error(tmp_path, capsys, option, value):
     # a NaN parameter gives NaN residuals, and a NaN or non-positive tolerance fails every residual

@@ -15,7 +15,7 @@ from pmcsurf.correspondence import (
 )
 from pmcsurf.ambient import cross_eps, inner, norm3
 from pmcsurf.diffgeo import abresch_rosenberg, sample_jet
-from pmcsurf.errors import DomainError, PreconditionError
+from pmcsurf.errors import DomainError, PreconditionError, VerificationError
 from pmcsurf.families import (
     ImmersionChart,
     cmc_profile_family,
@@ -212,7 +212,7 @@ def test_two_cmc_charts_weakly_congruent():
     assert verdict.domain_map == "conj"
     # 2 theta_AR = theta_j against the source Hopf coefficients (both 1/4 here)
     for rec in (rec1, rec2):
-        ar = abresch_rosenberg(rec, nx=21, ny=21, shrink=0.05, h_const_tol=1e-3)
+        ar = abresch_rosenberg(rec, nx=21, ny=21, shrink=0.05)
         assert np.max(np.abs(2.0 * ar.theta_ar - 0.25)) < 1e-4
 
 
@@ -320,7 +320,7 @@ def test_complex_hopf_pair_under_correspondence():
     expected = {1: 0.3125 + 0.25j, 2: 0.3125 - 0.25j}
     for j in (1, 2):
         rec, _ = integrate_cmc_frenet(pmc_to_cmc(data, j), resid_tol=5e-3)
-        ar = abresch_rosenberg(rec, nx=21, ny=21, shrink=0.05, h_const_tol=1e-3)
+        ar = abresch_rosenberg(rec, nx=21, ny=21, shrink=0.05)
         assert np.max(np.abs(2.0 * ar.theta_ar - expected[j])) < 1e-4
 
 
@@ -376,6 +376,22 @@ def test_integrators_refuse_bad_data():
     noisy.residuals = cmc_compatibility_residuals(noisy)
     with pytest.raises(PreconditionError):
         integrate_cmc_frenet(noisy)
+
+
+def test_cmc_reconstruction_refuses_an_h_spread_past_its_gate(monkeypatch):
+    # abresch_rosenberg measures the spread of |H|; integrate_cmc_frenet gates it at 1e-3
+    import pmcsurf.correspondence as corr
+
+    measure = corr.abresch_rosenberg
+
+    def spread(chart, **kw):
+        ar = measure(chart, **kw)
+        ar.residuals["H_spread"] = 2e-3
+        return ar
+
+    monkeypatch.setattr(corr, "abresch_rosenberg", spread)
+    with pytest.raises(VerificationError, match=r"^\|H\| varies by 2\.000e-03 > 1\.0e-03: chart is not CMC$"):
+        integrate_cmc_frenet(pmc_to_cmc(prop4_data(), 1))
 
 
 def test_initial_cmc_state_consistency_gate():

@@ -575,8 +575,11 @@ def test_abresch_rosenberg_rejects_non_cmc():
         circle_radius=base.circle_radius,
         periods=base.periods,
     )
-    with pytest.raises((VerificationError, DomainError)):
-        abresch_rosenberg(fd_chart(bad, 1e-3), nx=17, ny=17)
+    # the record measures the spread of |H|; the caller's gate refuses it
+    ar = abresch_rosenberg(bad, nx=17, ny=17)
+    assert ar.residuals["H_spread"] > 1e-6
+    with pytest.raises(VerificationError, match=r"^\|H\| varies by [0-9.]+e-0[0-9] > 1\.0e-06: chart is not CMC$"):
+        ar.require_cmc(1e-6)
     with pytest.raises(DomainError):
         abresch_rosenberg(chart("prop4_hyp"))
 
