@@ -4,10 +4,11 @@ All computations happen in the chart's isothermal coordinates on a rectangular
 grid.  Derivatives of the immersion come from the 2-jet every chart carries
 (``fd_chart`` makes one of centered second-order differences of its points).
 The identity and parallelism residuals differentiate derived fields (u, C_j,
-the components of X_j, and H) spectrally: each samples the chart on the
-``CHEB_N`` + 1 squared Chebyshev tensor grid of the rectangle it checks and
-applies the differentiation matrix of ``chebyshev`` there, so that the
-residuals measure the chart itself, not the differentiation.
+the components of X_j, and H) spectrally: they sample the chart on the
+``CHEB_N`` + 1 squared Chebyshev tensor grid of the rectangle they check (once
+for both in ``surface_invariants``) and apply the differentiation matrix of
+``chebyshev`` to field stacks there, so that the residuals measure the chart
+itself, not the differentiation.
 
 Sign conventions inherit from :mod:`pmcsurf.ambient`: the normal companion
 Htilde of the mean curvature vector is oriented so that
@@ -331,15 +332,13 @@ def _chebyshev_grid(X, Y):
     return (*np.meshgrid(xs, ys, indexing="ij"), Dx, Dy)
 
 
-def apply_along(D, f, axis):
-    """The matrix D applied to a 2-D field along ``axis``: D @ f for axis 0, f @ D.T for 1.
-
-    The sum runs in a fixed order, with no BLAS call, so its bits do not depend
-    on the matrix kernel that BLAS picks for the CPU at run time.
-    """
-    if axis == 1:
-        return apply_along(D, f.T, 0).T
-    return np.sum(D[:, :, None] * f[None], axis=1)
+def apply_along(D, F, axis):
+    """The matrix D applied along grid axis 0 or 1 of a field stack F of shape (n, n, *components),
+    by one ``np.einsum`` that sums in a fixed order, with no BLAS call, so its bits do not depend on
+    the matrix kernel that BLAS picks for the CPU at run time.  Axis 1 reads a copy of F with its
+    grid axes swapped: the inner loop runs along a grid line, not over the few components."""
+    G = np.ascontiguousarray(np.swapaxes(F, 0, axis))
+    return np.swapaxes(np.einsum("ij,j...->i...", D, G), 0, axis)
 
 
 def normalized_mismatch(lhs, rhs, terms=()):
@@ -432,48 +431,44 @@ class SurfaceInvariants:
         write_columns_csv(path, columns)
 
 
+def _parallelism(jet, H, proj, Dx, Dy):
+    """max over the jet's Chebyshev grid of max(|(H_x)^perp|, |(H_y)^perp|) / |H|, H differentiated
+    as one stack of six components per axis and projected by the jet's normal projector ``proj``."""
+    worst = 0.0
+    for D, axis in ((Dx, 0), (Dy, 1)):
+        dH = proj(apply_along(D, H, axis))
+        worst = np.maximum(worst, np.sqrt(np.abs(jet.ip(dH, dH))))
+    return float(np.max(worst / np.sqrt(jet.ip(H, H))))
+
+
 def parallelism_residual(chart, X, Y):
     """Max normalized normal derivative of H over the rectangle of the samples: certifies PMC.
 
-    H is sampled on the ``CHEB_N`` + 1 squared Chebyshev tensor grid of the
-    rectangle that X and Y span, ends included, and each component is
-    differentiated along both axes by ``chebyshev``'s D.  The residual is the
-    max over that grid of max(|(H_x)^perp|, |(H_y)^perp|) / |H|, with the normal
-    projector of the same jet."""
+    H is sampled on the ``CHEB_N`` + 1 squared Chebyshev tensor grid of the rectangle that X
+    and Y span, ends included, and differentiated along both axes by ``chebyshev``'s D.  The
+    residual is the max over that grid of max(|(H_x)^perp|, |(H_y)^perp|) / |H|, with the normal
+    projector of the same jet; ``surface_invariants`` takes it from its own Chebyshev pass."""
     Xc, Yc, Dx, Dy = _chebyshev_grid(X, Y)
     jet = sample_jet(chart, Xc, Yc)
     H, proj, _, _ = _mean_curvature(jet)
-    hn = np.sqrt(jet.ip(H, H))
-    worst = 0.0
-    for D, axis in ((Dx, 0), (Dy, 1)):
-        dH = proj(np.stack([apply_along(D, H[..., k], axis) for k in range(H.shape[-1])], axis=-1))
-        worst = np.maximum(worst, np.sqrt(np.abs(jet.ip(dH, dH))))
-    return float(np.max(worst / hn))
+    return _parallelism(jet, H, proj, Dx, Dy)
 
 
-def _pointwise_block(chart, x, y):
-    """Every pointwise field of the invariant record on one sample set, plus those only
-    the identity residuals read: the direct curvature paths Kbar_direct and
-    Kbar_perp_direct, the definitional Hopf coefficients theta1_def and theta2_def, and
-    X1, X2, which hold (<X_j, Phi_x>, <X_j, Phi_y>) on the last axis, X_j being the
-    tangential part of J_j Htilde."""
-    jet = sample_jet(chart, x, y)
+def _pointwise_block(jet, frame):
+    """Every pointwise field of the invariant record on one jet and its normal frame, plus
+    those only the identity residuals read: the direct curvature paths Kbar_direct and
+    Kbar_perp_direct, and the definitional Hopf coefficients theta1_def and theta2_def."""
     u, defect = conformal_data(jet)
-    frame = normal_frame(jet)
     C1, C2, _, _ = kaehler_functions(jet)
     scalars = frenet_scalars(jet, frame)
     gamma1, gamma2, f1, f2 = scalars
     theta1, theta2 = hopf_coefficients(jet, frame, scalars)
     theta1_def, theta2_def = hopf_definitional(jet, frame)
 
-    eps = chart.eps
+    eps = jet.eps
     Hn = frame.Hnorm
     e3 = frame.Htilde / Hn[..., None]
     e4 = frame.H / Hn[..., None]
-    X1, X2 = (
-        np.stack([jet.ip(JH, jet.px), jet.ip(JH, jet.py)], axis=-1)
-        for JH in product_j_pair(jet.p, frame.Htilde, eps, check=False)
-    )
     return dict(
         u=u,
         conformal_defect=defect,
@@ -494,30 +489,33 @@ def _pointwise_block(chart, x, y):
         theta2=theta2,
         theta1_def=theta1_def,
         theta2_def=theta2_def,
-        X1=X1,
-        X2=X2,
     )
 
 
 def surface_invariants(chart, nx=81, ny=81):
     """Compute the full invariant record of a product chart on an nx x ny grid.
 
-    The chart is sampled twice by ``_pointwise_block``.  The first pass is the
-    requested grid: the record, with K and the holomorphy residuals computed on
-    it.  The second is the ``CHEB_N`` + 1 squared Chebyshev tensor grid of the
-    same rectangle, where ``identity_residuals`` differentiates the derived fields
-    spectrally.  The pointwise identities (``_pointwise_residuals``) take the
-    larger of their values on the two passes, so every sample the record holds
-    is checked too.  ``parallelism_residual`` of the rectangle samples the chart
-    a third time.
+    The chart is sampled twice, and ``_pointwise_block`` runs on each jet.  The first
+    pass is the requested grid: the record, with K and the holomorphy residuals computed
+    on it.  The second is the ``CHEB_N`` + 1 squared Chebyshev tensor grid of the same
+    rectangle, where ``identity_residuals`` differentiates the derived fields and X1, X2
+    spectrally, and the parallelism residual that pass's H, as ``parallelism_residual``
+    of the rectangle would.  The pointwise identities (``_pointwise_residuals``) take the
+    larger of their values on the two passes, so every sample the record holds is checked too.
     """
     if chart.target != TARGET_PRODUCT:
         raise DomainError("surface_invariants expects a product chart; see abresch_rosenberg")
     X, Y = chart.grid(nx, ny, shrink=SHRINK)
-    record = _pointwise_block(chart, X, Y)
-    Xc, Yc, _, _ = _chebyshev_grid(X, Y)
-    spectral = _pointwise_block(chart, Xc, Yc)
-    spectral.update(x=Xc, y=Yc)
+    jet = sample_jet(chart, X, Y)
+    record = _pointwise_block(jet, normal_frame(jet))
+    Xc, Yc, Dx, Dy = _chebyshev_grid(X, Y)
+    jet = sample_jet(chart, Xc, Yc)
+    frame = normal_frame(jet)
+    spectral = dict(_pointwise_block(jet, frame), x=Xc, y=Yc)
+    for j, JH in enumerate(product_j_pair(jet.p, frame.Htilde, chart.eps, check=False), start=1):
+        spectral[f"X{j}"] = np.stack([jet.ip(JH, jet.px), jet.ip(JH, jet.py)], axis=-1)
+    parallelism = _parallelism(jet, frame.H, frame.proj, Dx, Dy)
+    del jet, frame  # the record outlives neither
     residuals = identity_residuals(spectral, chart.eps)
     for key, value in _pointwise_residuals(record).items():
         residuals[key] = max(residuals[key], value)
@@ -532,7 +530,7 @@ def surface_invariants(chart, nx=81, ny=81):
         x=X,
         y=Y,
         K=-np.exp(-2 * u) * grid_laplacian(u, dx, dy),
-        parallelism_residual=parallelism_residual(chart, X, Y),
+        parallelism_residual=parallelism,
         identity_residuals=residuals,
         **pointwise,
     )
@@ -575,22 +573,24 @@ def _pointwise_residuals(fields):
 def identity_residuals(fields, eps):
     """Normalized residuals of the scalar identities of a product chart into M2(eps) x M2(eps).
 
-    ``fields`` is the field dict of ``surface_invariants``' Chebyshev pass: x, y and
-    the fields of ``_pointwise_block`` on the tensor grid of ``chebyshev``, whose
-    differentiation matrices give every derivative, at every point, boundary
-    included.  Keys: eq5 (|f_j|^2 law), eq6 (gradient law), eq7 (Laplacian law),
-    eq12 (div X_j), eq14 (gradient-X law), plus those of ``_pointwise_residuals``.
+    ``fields`` is the field dict of ``surface_invariants``' Chebyshev pass: x, y, the
+    fields of ``_pointwise_block`` and X1, X2, which hold (<X_j, Phi_x>, <X_j, Phi_y>)
+    on the last axis, X_j being the tangential part of J_j Htilde, on the tensor grid
+    of ``chebyshev``.  The stack (u, C1, C2, X1, X2) is differentiated, at every point,
+    boundary included, in four contractions: Dx, Dy, and Dxx, Dyy on u and C_j.  Keys:
+    eq5 (|f_j|^2 law), eq6 (gradient law), eq7 (Laplacian law), eq12 (div X_j), eq14
+    (gradient-X law), plus those of ``_pointwise_residuals``.
     """
     u = fields["u"]
     _, _, Dx, Dy = _chebyshev_grid(fields["x"], fields["y"])
     Dxx, Dyy = apply_along(Dx, Dx, 0), apply_along(Dy, Dy, 0)
-
-    def lap(f):
-        return apply_along(Dxx, f, 0) + apply_along(Dyy, f, 1)
+    S = np.concatenate([np.stack([u, fields["C1"], fields["C2"]], axis=-1), fields["X1"], fields["X2"]], axis=-1)
+    Sx, Sy = apply_along(Dx, S, 0), apply_along(Dy, S, 1)
+    lap = apply_along(Dxx, S[..., :3], 0) + apply_along(Dyy, S[..., :3], 1)
 
     e2u = np.exp(2 * u)
     Hsq = fields["Hnorm"] ** 2
-    K = -np.exp(-2 * u) * lap(u)
+    K = -np.exp(-2 * u) * lap[..., 0]
     out = _pointwise_residuals(fields)
 
     for j in (1, 2):
@@ -603,7 +603,7 @@ def identity_residuals(fields, eps):
             terms=(e2u**2 / 8.0 * (Hsq + np.abs(K) + C**2),),
         )
         # gradients of C_j
-        Cx, Cy = apply_along(Dx, C, 0), apply_along(Dy, C, 1)
+        Cx, Cy = Sx[..., j], Sy[..., j]
         grad_sq = np.exp(-2 * u) * (Cx**2 + Cy**2)
         # eq6
         lhs6 = grad_sq + 4.0 * eps * np.exp(-4 * u) * np.abs(theta) ** 2
@@ -611,13 +611,13 @@ def identity_residuals(fields, eps):
         scale6 = np.abs(1 - C**2 + 4 * eps * Hsq) * ((1 - C**2) / 4.0 + Hsq + C**2 + np.abs(K))
         out[f"eq6_j{j}"] = normalized_mismatch(lhs6, rhs6, terms=(scale6,))
         # eq7: Laplacian of C_j
-        lapC = np.exp(-2 * u) * lap(C)
+        lapC = np.exp(-2 * u) * lap[..., j]
         rhs7 = -C * (4 * Hsq - 2 * K + eps * (1 + C**2))
         scale7 = np.abs(C) * (4 * Hsq + 2 * np.abs(K) + 1 + C**2) + Hsq
         out[f"eq7_j{j}"] = normalized_mismatch(lapC, rhs7, terms=(scale7,))
         a1, a2 = Xj[..., 0], Xj[..., 1]
         # eq12: div X_j = (-1)^{j+1} 2 C_j |H|^2
-        div = np.exp(-2 * u) * (apply_along(Dx, a1, 0) + apply_along(Dy, a2, 1))
+        div = np.exp(-2 * u) * (Sx[..., 2 * j + 1] + Sy[..., 2 * j + 2])
         out[f"eq12_j{j}"] = normalized_mismatch(div, (-sgn) * 2.0 * C * Hsq, terms=(2.0 * Hsq,))
         # eq14: |grad C_j|^2 = (1 - C_j^2)(eps C_j^2 - K) + (-1)^j 2 <grad C_j, X_j>
         pair = np.exp(-2 * u) * (a1 * Cx + a2 * Cy)

@@ -336,6 +336,73 @@ def test_chebyshev_differentiates_polynomials_exactly():
     F = poly(x)[:, None] * np.cos(x)[None, :]
     assert np.allclose(apply_along(D, F, 0), poly.deriv()(x)[:, None] * np.cos(x)[None, :], rtol=0, atol=1e-9)
     assert np.allclose(apply_along(D, F, 1), poly(x)[:, None] * -np.sin(x)[None, :], rtol=0, atol=1e-9)
+    # and on a stack, each component along the axis it is given: the products
+    # p_c(x) q_c(y) of two polynomials of degree <= N, real and complex, and D @ D
+    polys = [np.polynomial.Polynomial(rng.standard_normal(n + 1) / np.arange(1, n + 2), domain=[a, b])
+             for _ in range(6)]
+    pairs = [(polys[0], polys[1]), (polys[2], polys[3]), (polys[4], polys[5] * 1j + polys[0])]
+
+    def stack(dx, dy):
+        return np.stack([p.deriv(dx)(x)[:, None] * q.deriv(dy)(x)[None, :] for p, q in pairs], axis=-1)
+
+    F = stack(0, 0)
+    DD = apply_along(D, D, 0)
+    for got, exact in ((apply_along(D, F, 0), stack(1, 0)), (apply_along(D, F, 1), stack(0, 1)),
+                       (apply_along(DD, F, 0), stack(2, 0)), (apply_along(DD, F, 1), stack(0, 2))):
+        assert got.shape == F.shape
+        assert np.max(np.abs(got - exact)) < 1e-10 * np.max(np.abs(exact))
+
+
+def _broadcast_apply_along(D, f, axis):
+    """D along ``axis`` of a 2-D field, as one broadcast product summed over the
+    middle axis of an (n, n, n) temporary: the oracle of ``apply_along``."""
+    if axis == 1:
+        return _broadcast_apply_along(D, f.T, 0).T
+    return np.sum(D[:, :, None] * f[None], axis=1)
+
+
+def test_apply_along_matches_the_broadcast_sum():
+    # the stacked einsum against the broadcast sum, one component at a time, on
+    # random stacks and rectangles: bitwise along axis 0; along axis 1 the
+    # broadcast sum reduces a transposed temporary in another order
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    n = diffgeo.CHEB_N + 1
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(a=st.floats(-10, 10), width=st.floats(1e-3, 10), components=st.sampled_from([1, 2, 6]),
+                      complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def check(a, width, components, complex_, seed):
+        _, D = chebyshev(a, a + width)
+        rng = np.random.default_rng(seed)
+        F = rng.standard_normal((n, n, components))
+        if complex_:
+            F = F + 1j * rng.standard_normal(F.shape)
+        for axis in (0, 1):
+            got = apply_along(D, F, axis)
+            oracle = np.stack([_broadcast_apply_along(D, F[..., c], axis) for c in range(components)], axis=-1)
+            assert got.shape == oracle.shape and got.dtype == oracle.dtype
+            if axis == 0:
+                assert np.array_equal(got, oracle)
+            else:
+                assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    check()
+
+
+def test_spectral_layer_makes_no_blas_call():
+    # the spectral residuals' bits do not depend on the BLAS kernel: no @,
+    # matmul, dot, tensordot or linalg, and no einsum path optimization, which
+    # may hand a contraction to tensordot
+    import ast
+    import inspect
+
+    banned = ("matmul", "dot", "tensordot", "linalg")
+    for fn in (apply_along, diffgeo._parallelism, parallelism_residual, diffgeo.identity_residuals):
+        for node in ast.walk(ast.parse(inspect.getsource(fn))):
+            assert not isinstance(node, ast.MatMult), fn.__name__
+            assert getattr(node, "attr", None) not in banned and getattr(node, "id", None) not in banned, fn.__name__
+            assert not (isinstance(node, ast.keyword) and node.arg == "optimize"), fn.__name__
 
 
 DERIVATIVE_CHECKS = ("eq5", "eq6", "eq7", "eq12", "eq14")
@@ -382,8 +449,8 @@ def test_parallelism_converges_spectrally_and_a_defect_does_not(monkeypatch):
 
 
 def test_one_chart_pass_per_record(monkeypatch):
-    # one jet call on the requested 33x33 grid, one on the Chebyshev grid of the
-    # same rectangle, then the parallelism residual's on that Chebyshev grid again
+    # one jet call on the requested 33x33 grid and one on the Chebyshev grid of the
+    # same rectangle, which serves both the identity and the parallelism residuals
     ch = chart("prop4_hyp")
     jet = ch.jet
     calls = []
@@ -394,7 +461,7 @@ def test_one_chart_pass_per_record(monkeypatch):
 
     monkeypatch.setattr(ch, "jet", counted)
     inv = surface_invariants(ch, nx=33, ny=33)
-    assert len(calls) == 3
+    assert len(calls) == 2
     X, Y = ch.grid(33, 33, shrink=diffgeo.SHRINK)
     assert np.array_equal(calls[0][0], X) and np.array_equal(calls[0][1], Y)
     n = diffgeo.CHEB_N + 1
@@ -415,7 +482,8 @@ def scaled_chart(base):
 
 
 def test_surface_invariants_peak_memory():
-    # two passes of a few thousand samples each: about 12 MB on this call
+    # two passes of a few thousand samples each, the Chebyshev jet and frame dropped
+    # after their last use: about 10 MB on this call
     p = ProfileParams(+1, 2.0, 1.0, 0.0)
     ch = pmc_profile_family(p, closed_form("sn_family", p, x_span=(-1.5, 1.5)), y_span=(-1.0, 1.0))
     tracemalloc.start()
@@ -424,7 +492,7 @@ def test_surface_invariants_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 70e6, peak / 1e6
+    assert peak < 20e6, peak / 1e6
 
 
 def test_record_is_the_pointwise_pass_of_the_requested_grid():
@@ -434,7 +502,8 @@ def test_record_is_the_pointwise_pass_of_the_requested_grid():
     for ch in cases + [fd_chart(corrupted, 1e-3)]:
         inv = surface_invariants(ch, nx=33, ny=33)
         X, Y = ch.grid(33, 33, shrink=diffgeo.SHRINK)
-        block = _pointwise_block(ch, X, Y)
+        jet = sample_jet(ch, X, Y)
+        block = _pointwise_block(jet, normal_frame(jet))
         assert np.array_equal(inv.x, X) and np.array_equal(inv.y, Y), ch.name
         for f in dataclasses.fields(inv):
             if f.name in block:
