@@ -137,19 +137,20 @@ def _corrupt_chart(chart, factor):
 
 
 def write_obj(path, vertices, nx, ny):
-    """ASCII OBJ of a structured grid of vertices (nx*ny, 3), quads split in two."""
-    lines = []
-    for v in vertices:
-        lines.append(f"v {v[0]:.12e} {v[1]:.12e} {v[2]:.12e}")
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            a = i * ny + j + 1
-            b = (i + 1) * ny + j + 1
-            c = (i + 1) * ny + j + 2
-            d = i * ny + j + 2
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """ASCII OBJ of a structured grid of vertices (nx*ny, 3), quads split in two.
+
+    Quad (i, j) has the corners a = i ny + j + 1, b = a + ny, b + 1 and
+    a + 1 (1-based), written as the faces (a, b, b + 1) and (a, b + 1, a + 1).
+    The text comes from one format template per section, filled with
+    Python floats and ints.
+    """
+    i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
+    a = (i * ny + j + 1).ravel()
+    b = a + ny
+    faces = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1).ravel().tolist()
+    coords = np.asarray(vertices).ravel().tolist()
+    text = ("v %.12e %.12e %.12e\n" * (len(coords) // 3)) % tuple(coords)
+    Path(path).write_text(text + ("f %d %d %d\n" * (len(faces) // 3)) % tuple(faces))
 
 
 def _disk_projection(pts3, poincare):

@@ -12,7 +12,6 @@ factor.  The curvature sign convention is k = <psi'', J psi'> / |psi'|^3 with
 the package-wide orientation of J.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -203,7 +202,7 @@ class SampledCurve:
 def _sample_stages(spec, n, h):
     """Speed and curvature at i h, i h + h/2 and i h + h (row i), one call each.
 
-    These are the floats the march steps through: ``i h + h`` is kept apart
+    These are the RK4 stage abscissae of step i: ``i h + h`` is kept apart
     from ``(i + 1) h``, which can differ from it by one rounding.
     """
     xi = np.arange(n) * h
@@ -217,76 +216,78 @@ def _sample_stages(spec, n, h):
         if bad_s[j]:
             raise DomainError(f"speed must stay positive and finite, got {s[j]} at x={xs[j]}")
         raise DomainError(f"curvature must stay finite, got {k[j]} at x={xs[j]}")
-    return s.reshape(n, 3).tolist(), k.reshape(n, 3).tolist()
+    return s.reshape(n, 3), k.reshape(n, 3)
 
 
-def _dot3(x0, x1, x2, y0, y1, y2, g):
-    """``inner`` of two 3-vectors of floats (g = eps), bitwise: einsum's summation order."""
-    return (x0 * y0 + (x2 * g) * y2) + x1 * y1
+def _mul3(A, B):
+    """A B for stacks of 3x3 matrices on a (3, 3, ...) layout, the stack on the trailing axes.
 
-
-def _march(spec, n, h):
-    """The states (psi, T) at the nodes 0, h, ..., n h, as n + 1 tuples of six floats.
-
-    N = J T takes ``cross_eps``'s components; the projections are those of
-    ``project_to_factor``, ``tangent_project3`` and ``norm3``.
+    Each entry sums A[i, j] B[j, l] over j = 0, 1, 2 in that order, with
+    three multiplies and two adds on whole arrays, so no BLAS kernel is
+    involved.
     """
-    e, h = float(spec.eps), float(h)
-    hh, h6 = 0.5 * h, h / 6.0
+    return (A[:, 0, None] * B[None, 0] + A[:, 1, None] * B[None, 1]) + A[:, 2, None] * B[None, 2]
 
-    def rhs(s, k, p0, p1, p2, t0, t1, t2):
-        n0 = p1 * t2 - p2 * t1
-        n1 = p2 * t0 - p0 * t2
-        n2 = (p0 * t1 - p1 * t0) * e
-        return (s * t0, s * t1, s * t2, s * (k * n0 - e * p0), s * (k * n1 - e * p1), s * (k * n2 - e * p2))
 
-    y = (*spec.p0.tolist(), *spec.T0.tolist())
-    states = [y]
-    speeds, curvatures = _sample_stages(spec, n, h)
-    for (s1, s2, s4), (c1, c2, c4) in zip(speeds, curvatures):
-        k1 = rhs(s1, c1, *y)
-        k2 = rhs(s2, c2, *[u + hh * v for u, v in zip(y, k1)])
-        k3 = rhs(s2, c2, *[u + hh * v for u, v in zip(y, k2)])
-        k4 = rhs(s4, c4, *[u + h * v for u, v in zip(y, k3)])
-        p0, p1, p2, t0, t1, t2 = [
-            u + h6 * (((a + 2.0 * b) + 2.0 * c) + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)
-        ]
-        q = e * _dot3(p0, p1, p2, p0, p1, p2, e)
-        if q <= 0:
-            raise DomainError("point cannot be projected onto the quadric (wrong causal type)")
-        r = math.sqrt(q)
-        p0, p1, p2 = p0 / r, p1 / r, p2 / r
-        w = e * _dot3(t0, t1, t2, p0, p1, p2, e)
-        t0, t1, t2 = t0 - w * p0, t1 - w * p1, t2 - w * p2
-        r = math.sqrt(_dot3(t0, t1, t2, t0, t1, t2, e))
-        y = (p0, p1, p2, t0 / r, t1 / r, t2 / r)
-        states.append(y)
-    return states
+def _step_propagators(spec, n, h):
+    """The RK4 step matrices R_0, ..., R_{n-1} of F' = A(x) F, on a (3, 3, n) layout.
+
+    The frame F has the rows (psi, T, N) and A = s [[0, 1, 0], [-eps, 0, k],
+    [0, -k, 0]].  RK4 on a linear system is one matrix per step:
+    R = I + h/6 (K1 + 2 K2 + 2 K3 + K4), with K1 = A(x), K2 = A(x + h/2)
+    (I + h/2 K1), K3 = A(x + h/2) (I + h/2 K2) and K4 = A(x + h) (I + h K3).
+    """
+    s, k = _sample_stages(spec, n, h)
+    zero = np.zeros(n)
+    eye = np.eye(3)[:, :, None]
+
+    def generator(j):
+        sj, skj = s[:, j], s[:, j] * k[:, j]
+        return np.array([[zero, sj, zero], [-spec.eps * sj, zero, skj], [zero, -skj, zero]])
+
+    A1, A2, A4 = generator(0), generator(1), generator(2)
+    K2 = _mul3(A2, eye + (0.5 * h) * A1)
+    K3 = _mul3(A2, eye + (0.5 * h) * K2)
+    K4 = _mul3(A4, eye + h * K3)
+    return eye + (h / 6.0) * (((A1 + 2.0 * K2) + 2.0 * K3) + K4)
+
+
+def _prefix_products(R):
+    """Inclusive prefix products R_i ... R_1 R_0 of a (3, 3, n) stack.
+
+    A doubling scan: pass s multiplies each product by the one s places
+    before it, so ceil(log2 n) array passes replace n - 1 sequential ones.
+    """
+    P = R.copy()
+    shift = 1
+    while shift < P.shape[-1]:
+        P[..., shift:] = _mul3(P[..., shift:], P[..., :-shift])
+        shift *= 2
+    return P
 
 
 def integrate_curve(spec, x_span, step):
     """Reconstruct the curve with |psi'| = speed and geodesic curvature = curvature.
 
-    Fourth-order one-step integration of psi' = s T, T' = s (k N - eps psi),
-    N = J T, with per-step projection of (psi, T) back onto the quadric and
-    its tangent plane.  x = 0 anchors the initial frame (p0, T0), so a span
-    without 0 raises ``InfeasibleParameters``, and so does a step that is
-    not positive and finite (a span too short to divide).
-
-    The march carries (psi, T) as six Python floats, since numpy's per-call
-    overhead dominates on single 3-vectors.  It performs the operations of
-    the array formulas in their order, and sums each dot product as
-    (x0 y0 + x2 eps y2) + x1 y1, the order in which ``inner``'s einsum
-    reduces a 3-vector, so every node is bitwise what the array formulas of
-    ``ambient`` give (``tests/test_curves.py`` keeps that array march as its
-    oracle).  A point that cannot be projected onto the quadric raises
-    ``DomainError``, as in ``project_to_factor``.
+    Fourth-order Runge-Kutta on the frame F = (psi, T, N), N = J T, which
+    solves the linear system psi' = s T, T' = s (k N - eps psi),
+    N' = -s k T.  Each RK4 step is then one 3x3 matrix (``_step_propagators``),
+    and the frame at node i is the prefix product R_{i-1} ... R_0 F_0
+    (``_prefix_products``), all written out elementwise, so the nodes do
+    not depend on a BLAS kernel.  psi and T are projected once, at all
+    nodes together, back onto the quadric and its tangent plane with
+    ``project_to_factor``, ``tangent_project3`` and ``norm3``.  x = 0
+    anchors the initial frame (p0, T0), so a span without 0 raises
+    ``InfeasibleParameters``, and so does a step that is not positive and
+    finite (a span too short to divide).
 
     The march runs forward from 0, then backward.  Before each direction,
     ``spec.speed`` and ``spec.curvature`` are called once, on one flat array
     of the 3n stage abscissae i h, i h + h/2 and i h + h of that direction.
     A speed that is not positive and finite, or a curvature that is not
     finite, raises ``DomainError`` naming the first such x in march order.
+    A node that cannot be projected onto the quadric raises ``DomainError``,
+    as in ``project_to_factor``.
     """
     x0, x1 = span_from_zero(x_span, "curve march")
     if not (np.isfinite(step) and step > 0):
@@ -295,8 +296,15 @@ def integrate_curve(spec, x_span, step):
     # at least one step on each side of 0 that the span reaches past
     n1 = max(1, int(np.ceil(x1 / step - 1e-12))) if x1 > 0 else 0
     n0 = max(1, int(np.ceil(-x0 / step - 1e-12))) if x0 < 0 else 0
-    fwd = np.array(_march(spec, n1, step))
-    bwd = np.array(_march(spec, n0, -step))
+    fwd = _prefix_products(_step_propagators(spec, n1, step))
+    bwd = _prefix_products(_step_propagators(spec, n0, -step))
+    # node order: x = -n0 step, ..., -step, 0, step, ..., n1 step
+    P = np.concatenate([bwd[..., ::-1], np.eye(3)[:, :, None], fwd], axis=-1)
+    F0 = np.stack([spec.p0, spec.T0, cross_eps(spec.p0, spec.T0, spec.eps)])
+    F = np.ascontiguousarray(_mul3(P, F0[:, :, None]).transpose(2, 0, 1))
+    eps = spec.eps
+    psi = project_to_factor(F[:, 0], eps)
+    T = tangent_project3(psi, F[:, 1], eps)
+    T = T / norm3(T, eps)[:, None]
     x = np.concatenate([-step * np.arange(n0, 0, -1), step * np.arange(0, n1 + 1)])
-    y = np.vstack([bwd[:0:-1], fwd])
-    return SampledCurve(spec, x, y[:, :3], y[:, 3:])
+    return SampledCurve(spec, x, psi, T)

@@ -1,6 +1,7 @@
 """Small numerical helpers shared across modules."""
 
 import csv
+import itertools
 
 import numpy as np
 
@@ -70,11 +71,13 @@ def write_columns_csv(path, columns, fmt=".12e"):
     """Write named columns, each flattened in C order, as CSV rows under a header.
 
     ``columns`` maps header names to arrays of equal size; every value is
-    written with the format spec ``fmt``.
+    written with the format spec ``fmt``.  The header goes through
+    ``csv.writer``; the rows, which hold no character it would quote, come
+    from one format template filled with the values as Python numbers, each
+    row ending in \\r\\n as csv's rows do.
     """
-    flat = [np.asarray(c).ravel() for c in columns.values()]
+    flat = [np.asarray(c).ravel().tolist() for c in columns.values()]
+    row = ",".join(["{:" + fmt + "}"] * len(flat)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in zip(*flat):
-            writer.writerow([format(v, fmt) for v in row])
+        csv.writer(fh).writerow(columns)
+        fh.write((row * len(flat[0])).format(*itertools.chain.from_iterable(zip(*flat))))

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 import pmcsurf
-from pmcsurf.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VERIFICATION, _corrupt_chart, build_chart, build_parser, main
+from pmcsurf.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    EXIT_VERIFICATION,
+    _corrupt_chart,
+    build_chart,
+    build_parser,
+    main,
+    write_obj,
+)
 from pmcsurf.diffgeo import surface_invariants
 from pmcsurf.families import TARGET_PRODUCT
 
@@ -18,6 +27,32 @@ def read_obj_vertices(path):
         if line.startswith("v "):
             verts.append([float(t) for t in line.split()[1:]])
     return np.array(verts)
+
+
+def _loop_write_obj(path, vertices, nx, ny):
+    """The OBJ writer write_obj replaced: one formatted line per vertex and per face."""
+    lines = []
+    for v in vertices:
+        lines.append(f"v {v[0]:.12e} {v[1]:.12e} {v[2]:.12e}")
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            a = i * ny + j + 1
+            b = (i + 1) * ny + j + 1
+            c = (i + 1) * ny + j + 2
+            d = i * ny + j + 2
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("nx, ny", [(7, 4), (3, 9), (2, 2)])
+def test_write_obj_bytes_match_the_loop_writer(tmp_path, nx, ny):
+    rng = np.random.default_rng(nx * ny)
+    v = rng.standard_normal((nx * ny, 3)) * 10.0 ** rng.integers(-5, 6, size=(nx * ny, 3))
+    v.flat[:7] = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324]
+    write_obj(tmp_path / "new.obj", v, nx, ny)
+    _loop_write_obj(tmp_path / "old.obj", v, nx, ny)
+    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
 
 
 def test_generate_product_writes_two_factors(tmp_path):
