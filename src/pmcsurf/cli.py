@@ -30,7 +30,6 @@ from .diffgeo import (
     abresch_rosenberg,
     conformal_data,
     curvature_bound_excess,
-    fd_chart,
     hopf_theta,
     normal_frame,
     parallelism_residual,
@@ -44,6 +43,9 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
+
+# the gate of verify's identity residuals (eq5-eq14, frame_gamma, the two-path checks) and of eta_z_law
+IDENTITY_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +257,7 @@ def _verify_product(chart, args):
     checks.append(("conformal_defect", float(np.max(inv.conformal_defect)), 1e-6))
     checks.append(("parallelism", inv.parallelism_residual, 1e-5))
     for key in sorted(inv.identity_residuals):
-        checks.append((key, inv.identity_residuals[key], args.tol))
+        checks.append((key, inv.identity_residuals[key], IDENTITY_TOL))
     checks.append(("dzbar_theta1", inv.holomorphy["dzbar_theta1_scaled"], 1e-3))
     checks.append(("dzbar_theta2", inv.holomorphy["dzbar_theta2_scaled"], 1e-3))
     checks.append(("curvature_bound", max(curvature_bound_excess(inv), 0.0), 1e-6))
@@ -276,7 +278,7 @@ def _verify_cmc(chart, args):
     checks = [
         ("conformal_defect", ar.residuals["conformal_defect"], 1e-6),
         ("H_spread", ar.residuals["H_spread"], 1e-6),
-        ("eta_z_law", ar.residuals["eta_z_law"], args.tol),
+        ("eta_z_law", ar.residuals["eta_z_law"], IDENTITY_TOL),
         ("dzbar_theta_ar", ar.residuals["dzbar_theta_ar_scaled"], 1e-3),
     ]
     expected = chart.metadata.get("theta_ar_expected")
@@ -298,36 +300,26 @@ def cmd_verify(args):
     chart = build_chart(args)
     if args.corrupt_height != 1.0:
         chart = _corrupt_chart(chart, args.corrupt_height)
-    if args.fd_step is not None:
-        chart = fd_chart(chart, args.fd_step)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = [f"family={chart.name}", f"config={_config_slug(args)}", f"grid={args.nx}x{args.ny}"]
     try:
-        if chart.target == fam.TARGET_PRODUCT:
-            checks = _verify_product(chart, args)
-        else:
-            checks = _verify_cmc(chart, args)
-    except InfeasibleParameters as exc:
-        # only the --fd-step difference stencil refuses here: a step, not a verdict
-        raise InfeasibleParameters(f"--fd-step {args.fd_step:g} is too large for this grid: {exc}", exc.clause) from exc
+        checks = (_verify_product if chart.target == fam.TARGET_PRODUCT else _verify_cmc)(chart, args)
     except DomainError as exc:
         lines.append(f"FAIL construction: {exc}")
-        path = out / f"verify_{_config_slug(args)}.txt"
-        path.write_text("\n".join(lines) + "\n")
-        print("\n".join(lines))
-        return EXIT_VERIFICATION
-    failed = []
-    for name, value, tol in checks:
-        status = "PASS" if value <= tol else "FAIL"
-        if status == "FAIL":
-            failed.append(name)
-        lines.append(f"{name} = {value:.6e}  tol = {tol:.1e}  {status}")
-    lines.append("verdict=" + ("PASS" if not failed else "FAIL: " + ", ".join(failed)))
-    path = out / f"verify_{_config_slug(args)}.txt"
-    path.write_text("\n".join(lines) + "\n")
+        code = EXIT_VERIFICATION
+    else:
+        failed = []
+        for name, value, tol in checks:
+            status = "PASS" if value <= tol else "FAIL"
+            if status == "FAIL":
+                failed.append(name)
+            lines.append(f"{name} = {value:.6e}  tol = {tol:.1e}  {status}")
+        lines.append("verdict=" + ("PASS" if not failed else "FAIL: " + ", ".join(failed)))
+        code = EXIT_VERIFICATION if failed else EXIT_OK
+    (out / f"verify_{_config_slug(args)}.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    return EXIT_OK if not failed else EXIT_VERIFICATION
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +433,7 @@ def _finite(text):
 
 
 def _positive(text):
-    """A step, a tolerance or a control's scale factor: a positive, finite number."""
+    """The --corrupt-height control's scale factor: a positive, finite number."""
     v = float(text)
     if not (np.isfinite(v) and v > 0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
@@ -481,8 +473,6 @@ def build_parser():
         if name == "generate":
             sub.add_argument("--poincare", action="store_true")
         if name == "verify":
-            sub.add_argument("--fd-step", dest="fd_step", type=_positive, default=None)
-            sub.add_argument("--tol", type=_positive, default=1e-4)
             sub.add_argument("--corrupt-height", dest="corrupt_height", type=_positive, default=1.0)
         sub.set_defaults(func=fn)
     return parser

@@ -1,8 +1,7 @@
 """Numerical verification engine: every invariant and identity a chart must satisfy.
 
 All computations happen in the chart's isothermal coordinates on a rectangular
-grid.  Derivatives of the immersion come from the 2-jet every chart carries
-(``fd_chart`` makes one of centered second-order differences of its points).
+grid.  Derivatives of the immersion come from the 2-jet every chart carries.
 The identity and parallelism residuals differentiate derived fields (u, C_j,
 the components of X_j, and H) spectrally: they sample the chart on the
 ``CHEB_N`` + 1 squared Chebyshev tensor grid of the rectangle they check (once
@@ -16,14 +15,14 @@ Htilde of the mean curvature vector is oriented so that
 form pi1*omega ^ pi2*omega, and xi = (H - i Htilde)/(sqrt(2) |H|).
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .ambient import inner, orientation_dual, product_j_pair
-from .errors import DomainError, InfeasibleParameters, VerificationError
+from .errors import DomainError, VerificationError
 from .families import TARGET_CIRCLE, TARGET_LINE, TARGET_PRODUCT, ImmersionChart
 from .utils import write_columns_csv
 
@@ -84,14 +83,14 @@ class JetSample:
         return product_j_pair(self.p, self.phi_z, self.eps, check=False)
 
 
-def _leaves_domain(domain, x, y, margin):
-    """Whether some sample, moved by +-margin along either axis, lies outside the domain."""
+def _leaves_domain(domain, x, y):
+    """Whether some sample lies outside the domain (up to a 1e-12 slack)."""
     x0, x1, y0, y1 = domain
     return bool(
-        np.any(x - margin < x0 - 1e-12)
-        or np.any(x + margin > x1 + 1e-12)
-        or np.any(y - margin < y0 - 1e-12)
-        or np.any(y + margin > y1 + 1e-12)
+        np.any(x < x0 - 1e-12)
+        or np.any(x > x1 + 1e-12)
+        or np.any(y < y0 - 1e-12)
+        or np.any(y > y1 + 1e-12)
     )
 
 
@@ -99,40 +98,9 @@ def sample_jet(chart, x, y):
     """2-jet of the chart at samples (x, y), which must lie in the chart domain up to a 1e-12 slack."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if _leaves_domain(chart.domain, x, y, 0.0):
+    if _leaves_domain(chart.domain, x, y):
         raise DomainError("samples fall outside the chart domain")
     return JetSample(chart, x, y, **chart.jet(x, y))
-
-
-def fd_chart(chart, step):
-    """The chart, with name, domain and metadata kept, whose jet differences ``chart.evaluate``.
-
-    The step must be positive and finite.  The jet makes nine ``evaluate``
-    calls: at (x, y), the four axis shifts by +-step (each shared by the first
-    and second difference along its axis) and the four diagonal shifts of the
-    mixed difference.  A stencil x +- step, y +- step that leaves the chart
-    domain (up to a 1e-12 slack) raises ``InfeasibleParameters`` (clause
-    ``"fd_step"``), the step being too large for where the samples lie.
-    """
-    d = float(step)
-    if not (np.isfinite(d) and d > 0):
-        raise DomainError(f"fd_step must be positive and finite, got {step}")
-    ev = chart.evaluate
-
-    def jet(x, y):
-        if _leaves_domain(chart.domain, x, y, d):
-            x0, x1, y0, y1 = chart.domain
-            shown = f"[{x0:.6g}, {x1:.6g}] x [{y0:.6g}, {y1:.6g}]"
-            raise InfeasibleParameters(f"the difference stencil of fd_step {d:g} leaves the chart domain {shown}",
-                                       "fd_step")
-        p = ev(x, y)
-        p_xp, p_xm = ev(x + d, y), ev(x - d, y)
-        p_yp, p_ym = ev(x, y + d), ev(x, y - d)
-        pxy = (ev(x + d, y + d) - ev(x + d, y - d) - ev(x - d, y + d) + ev(x - d, y - d)) / (4 * d**2)
-        return dict(p=p, px=(p_xp - p_xm) / (2 * d), py=(p_yp - p_ym) / (2 * d),
-                    pxx=(p_xp - 2 * p + p_xm) / d**2, pxy=pxy, pyy=(p_yp - 2 * p + p_ym) / d**2)
-
-    return replace(chart, jet=jet)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,54 @@
+"""The numeric jet: the oracle the tests hold the charts' exact jets against.
+
+``fd_chart`` wraps a chart in a jet of centered second-order differences of
+its points.  It is not part of the library: every chart answers its own exact
+2-jet, and only the tests compare that jet with differences of ``evaluate``.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+
+from pmcsurf.errors import DomainError, InfeasibleParameters
+
+
+def _stencil_leaves_domain(domain, x, y, margin):
+    """Whether some sample, moved by +-margin along either axis, lies outside the domain."""
+    x0, x1, y0, y1 = domain
+    return bool(
+        np.any(x - margin < x0 - 1e-12)
+        or np.any(x + margin > x1 + 1e-12)
+        or np.any(y - margin < y0 - 1e-12)
+        or np.any(y + margin > y1 + 1e-12)
+    )
+
+
+def fd_chart(chart, step):
+    """The chart, with name, domain and metadata kept, whose jet differences ``chart.evaluate``.
+
+    The step must be positive and finite.  The jet makes nine ``evaluate``
+    calls: at (x, y), the four axis shifts by +-step (each shared by the first
+    and second difference along its axis) and the four diagonal shifts of the
+    mixed difference.  A stencil x +- step, y +- step that leaves the chart
+    domain (up to a 1e-12 slack) raises ``InfeasibleParameters`` (clause
+    ``"fd_step"``), the step being too large for where the samples lie.
+    """
+    d = float(step)
+    if not (np.isfinite(d) and d > 0):
+        raise DomainError(f"fd_step must be positive and finite, got {step}")
+    ev = chart.evaluate
+
+    def jet(x, y):
+        if _stencil_leaves_domain(chart.domain, x, y, d):
+            x0, x1, y0, y1 = chart.domain
+            shown = f"[{x0:.6g}, {x1:.6g}] x [{y0:.6g}, {y1:.6g}]"
+            raise InfeasibleParameters(f"the difference stencil of fd_step {d:g} leaves the chart domain {shown}",
+                                       "fd_step")
+        p = ev(x, y)
+        p_xp, p_xm = ev(x + d, y), ev(x - d, y)
+        p_yp, p_ym = ev(x, y + d), ev(x, y - d)
+        pxy = (ev(x + d, y + d) - ev(x + d, y - d) - ev(x - d, y + d) + ev(x - d, y - d)) / (4 * d**2)
+        return dict(p=p, px=(p_xp - p_xm) / (2 * d), py=(p_yp - p_ym) / (2 * d),
+                    pxx=(p_xp - 2 * p + p_xm) / d**2, pxy=pxy, pyy=(p_yp - 2 * p + p_ym) / d**2)
+
+    return replace(chart, jet=jet)

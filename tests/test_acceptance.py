@@ -19,7 +19,6 @@ from pmcsurf.correspondence import (
 from pmcsurf.diffgeo import (
     abresch_rosenberg,
     curvature_bound_excess,
-    fd_chart,
     holomorphy_residual,
     hopf_coefficients,
     normal_frame,
@@ -38,6 +37,8 @@ from pmcsurf.families import (
     pmc_sinh_family,
 )
 from pmcsurf.profile import ProfileParams, closed_form
+
+from numeric_jet import fd_chart
 
 STATE = {}
 

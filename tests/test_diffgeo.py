@@ -15,7 +15,6 @@ from pmcsurf.diffgeo import (
     chebyshev,
     conformal_data,
     curvature_bound_excess,
-    fd_chart,
     holomorphy_residual,
     hopf_coefficients,
     hopf_definitional,
@@ -43,6 +42,8 @@ from pmcsurf.families import (
     product_of_curves,
 )
 from pmcsurf.profile import ProfileParams, closed_form
+
+from numeric_jet import fd_chart
 
 # charts reused across tests (construction is the expensive part)
 CHARTS = {}
