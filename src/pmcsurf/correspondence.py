@@ -241,30 +241,112 @@ def _pmc_map(F1, F2):
     return out
 
 
+def _bspline_basis(t, k, x):
+    """The knot interval l of each x in the span of the knots t, and the k + 1 B-splines of
+    degree k not zero there, B_{l-k} .. B_l, as rows of a (k + 1, len(x)) array: the Cox-de
+    Boor recursion (de Boor, *A Practical Guide to Splines*, ch. X, ``bsplvb``).  x = t[-1]
+    falls in the last interval."""
+    l = np.clip(np.searchsorted(t, x, side="right") - 1, k, len(t) - k - 2)
+    T = t[l + np.arange(1 - k, k + 1)[:, None]]  # row i holds t[l + 1 - k + i]
+    right, left = T - x, x - T
+    b = np.ones((1, len(x)))
+    for j in range(1, k + 1):
+        term = b / (T[k:k + j] - T[k - j:k])
+        nxt = np.empty((j + 1, len(x)))
+        nxt[:j] = right[k:k + j] * term
+        nxt[j] = 0.0
+        nxt[1:] += left[k - j:k] * term
+        b = nxt
+    return l, b
+
+
+def _fit(t, v):
+    """FITPACK's interpolating B-spline through the rows of v, shape (len(t), m), at the nodes t.
+
+    Degree k = min(5, len(t) - 1), knots the nodes less three at each end, k + 1
+    fold at the ends.  The collocation matrix A (A[i, j] = B_j(t_i)) is banded and
+    totally positive, so it is factored by elimination without pivoting (de Boor,
+    ch. XIII), and the rows of v are reduced by it, every row operation
+    elementwise and in a fixed order: no bit of the coefficients depends on the
+    BLAS kernel.  Returns the knots, k and the coefficients, shape (len(t), m).
+    """
+    n = len(t)
+    k = min(5, n - 1)
+    knots = np.r_[[t[0]] * (k + 1), t[3:-3], [t[-1]] * (k + 1)]
+    l, B = _bspline_basis(knots, k, t)
+    A = np.zeros((n, n))
+    for r in range(k + 1):
+        A[np.arange(n), l - k + r] = B[r]
+    i, j = np.nonzero(A)
+    lo, hi = int(np.max(i - j)), int(np.max(j - i))
+    for p in range(n):  # A = LU: the multipliers below the diagonal, U on and above it
+        rows = slice(p + 1, p + lo + 1)
+        A[rows, p] /= A[p, p]
+        A[rows, p + 1:p + hi + 1] -= A[rows, p, None] * A[p, p + 1:p + hi + 1]
+    c = np.array(v, dtype=float)
+    for p in range(n):
+        c[p + 1:p + lo + 1] -= A[p + 1:p + lo + 1, p, None] * c[p]
+    for p in range(n - 1, -1, -1):
+        for q in range(p + 1, min(n, p + hi + 1)):
+            c[p] -= A[p, q] * c[q]
+        c[p] /= A[p, p]
+    return knots, k, c
+
+
+def _diff(t, k, c):
+    """The derivative along the first axis of the tensor spline with knots t, degree k and
+    coefficients c, shape (n, n', m), on that axis: degree k - 1 on t[1:-1]."""
+    w = k / (t[k + 1:-1] - t[1:-k - 1])
+    return t[1:-1], k - 1, (c[1:] - c[:-1]) * w[:, None, None]
+
+
 def _spline(xs, ys, v):
     """One tensor B-spline interpolating every component of v, shape (nx, ny, *components), on xs x ys.
 
     Quintic on each axis, of lower degree on an axis of fewer than six nodes,
-    with FITPACK's interpolation knots: the nodes less three at each end.  The
-    fit runs along x, then along y, each pass solving for every component at
-    once.  One call of the returned ``NdBSpline`` at points of shape (..., 2)
-    gives (..., *components): the basis is computed once per point and
-    contracted with every coefficient array.
-
-    scipy is imported here, on the first spline build, so that a run that
-    builds none (chart certification) never loads it.
+    with FITPACK's interpolation knots (``_fit``).  The fit runs along x, then
+    along y, each pass solving for every component at once.  The returned
+    ``sp(points, nu=(0, 0))`` takes points of shape (..., 2) and gives the
+    (nu[0], nu[1]) derivative there, shape (..., *components), from
+    differenced coefficients; a point outside the knot span xs[0]..xs[-1],
+    ys[0]..ys[-1] raises DomainError, where it would extrapolate.  It
+    computes the Cox-de Boor basis on the distinct x and on the distinct y of
+    the points, contracts the coefficients along x, then along y, k + 1 terms
+    each summed in a fixed order, and gathers the points from the grid these
+    span: a tensor grid costs its point count, a scattered query the product
+    of its distinct x and y counts.  numpy only, with no BLAS call, so no bit
+    depends on the matrix kernel BLAS picks for the CPU.
     """
-    from scipy.interpolate import NdBSpline, make_interp_spline
+    nx, ny, comp = len(xs), len(ys), np.shape(v)[2:]
+    tx, kx, c = _fit(xs, np.reshape(v, (nx, -1)))
+    ty, ky, c = _fit(ys, c.reshape(nx, ny, -1).transpose(1, 0, 2).reshape(ny, -1))
+    c = np.ascontiguousarray(c.reshape(ny, nx, -1).transpose(1, 0, 2))
 
-    def fit(t, c, axis):
-        k = min(5, len(t) - 1)
-        knots = np.r_[[t[0]] * (k + 1), t[3:-3], [t[-1]] * (k + 1)]
-        return make_interp_spline(t, c, k=k, t=knots, axis=axis)
+    def sp(points, nu=(0, 0)):
+        P = np.asarray(points, dtype=float)
+        ux, ix = np.unique(P[..., 0], return_inverse=True)
+        uy, iy = np.unique(P[..., 1], return_inverse=True)
+        if not (xs[0] <= ux[0] and ux[-1] <= xs[-1] and ys[0] <= uy[0] and uy[-1] <= ys[-1]):
+            raise DomainError("spline queried outside its knot span")
+        t1, k1, d = tx, kx, c
+        for _ in range(nu[0]):
+            t1, k1, d = _diff(t1, k1, d)
+        t2, k2, d = ty, ky, np.swapaxes(d, 0, 1)
+        for _ in range(nu[1]):
+            t2, k2, d = _diff(t2, k2, d)
+        d = np.swapaxes(d, 0, 1)
+        lx, bx = _bspline_basis(t1, k1, ux)
+        ly, by = _bspline_basis(t2, k2, uy)
+        D = bx[0, :, None, None] * d[lx - k1]
+        for r in range(1, k1 + 1):
+            D += bx[r, :, None, None] * d[lx - k1 + r]
+        D = np.ascontiguousarray(D.transpose(1, 0, 2))  # y-major, so each term below gathers whole rows
+        E = by[0, :, None, None] * D[ly - k2]
+        for s in range(1, k2 + 1):
+            E += by[s, :, None, None] * D[ly - k2 + s]
+        return E[iy, ix].reshape(P.shape[:-1] + comp)
 
-    bx = fit(xs, v, 0)
-    by = fit(ys, bx.c, 1)
-    # make_interp_spline puts its interpolation axis first: (ny, nx, ...) back to (nx, ny, ...)
-    return NdBSpline((bx.t, by.t), np.moveaxis(by.c, 0, 1), (bx.k, by.k))
+    return sp
 
 
 def _grid_fields(data):
@@ -273,7 +355,9 @@ def _grid_fields(data):
     For node-only data (``fields`` None) the entries of ``data.grids()`` are
     stacked, a complex entry as its real and its imaginary part, into one
     ``_spline``, which each ``fields`` call evaluates once; u_x and u_y are
-    the derivatives of the spline of u.
+    the derivatives of the spline of u.  Every point set the round trip asks
+    for is a tensor grid, whose evaluation costs its point count; a point
+    outside the node rectangle raises DomainError.
     """
     if data.fields is not None:
         return data.fields
@@ -498,7 +582,8 @@ def _spline_chart(x, y, fields_by_name, eps, target, name, metadata):
     """Wrap gridded jet fields, each (nx, ny, dim), into an ImmersionChart.
 
     The six jet keys are stacked into one quintic ``_spline``, so a jet call
-    evaluates the spline once and hands out one (..., dim) slice per key.
+    evaluates the spline once and hands out one (..., dim) slice per key.  A
+    jet call outside the node rectangle raises DomainError.
     """
     xs = x[:, 0]
     ys = y[0, :]
@@ -743,7 +828,9 @@ def integrate_cmc_frenet(data, resid_tol=DATA_TOL):
     is marched independently and the loop-closure defect reported.  Returns
     the reconstructed chart, whose jet is one evaluation of a quintic tensor
     spline through the marched states and the Frenet second derivatives at
-    the nodes, and a report dictionary.
+    the nodes, and a report dictionary.  The spline is numpy code with no
+    BLAS call (``_spline``), like the march, so the chart's bits do not depend
+    on the BLAS kernel.
     """
     eps = data.eps
     nx, ny = data.x.shape

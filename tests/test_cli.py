@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -511,22 +512,29 @@ def test_malformed_number_option_is_a_usage_error(tmp_path, capsys, option, valu
 
 
 def test_certification_never_loads_scipy(tmp_path):
-    # scipy builds the correspondence's splines only; a fresh interpreter that
-    # imports the CLI and certifies a chart must not load it
+    # scipy is a test dependency only: a fresh interpreter that runs every
+    # subcommand on input it accepts, correspond's spline fits and evaluations
+    # included, must not load it
+    runs = [
+        ["verify", "--family", "product", "--a", "1", "--b", "1", "--nx", "9", "--ny", "9"],
+        ["generate", "--family", "product", "--a", "1", "--b", "1", "--nx", "9", "--ny", "9"],
+        ["correspond", *NARROW_T, "--domain=0,0.02,0,0.02"],
+    ]
     probe = (
-        "import sys\n"
+        "import json, sys\n"
         "from pmcsurf import cli\n"
-        "code = cli.main(['verify', '--family', 'product', '--a', '1', '--b', '1',"
-        " '--nx', '9', '--ny', '9', '--out', sys.argv[1]])\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-        "sys.exit(code)\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    code = cli.main(argv + ['--out', sys.argv[1]])\n"
+        "    loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "    print('probe', argv[0], code, loaded)\n"
     )
     src = str(Path(pmcsurf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], capture_output=True, text=True,
-                          env=env, timeout=300)
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path), json.dumps(runs)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("probe ")]
+    assert lines == [f"probe {argv[0]} {EXIT_OK} []" for argv in runs]
 
 
 @pytest.mark.parametrize(

@@ -619,6 +619,47 @@ def test_spline_matches_per_component_rect_bivariate_splines(nx, ny):
         assert np.max(np.abs(sp(P, nu=nu) - ref)) <= 1e-12 * np.max(np.abs(ref)), nu
 
 
+@pytest.mark.parametrize("nx, ny", [(41, 29), (5, 12)], ids=["41x29", "five-node-axis"])
+def test_spline_matches_scipy_on_a_tensor_grid(nx, ny):
+    # the round trip queries tensor grids only: the half-step grid of the nodes,
+    # ends included, against scipy's fit along x, then along y, on the same knots
+    from scipy.interpolate import NdBSpline, make_interp_spline
+
+    from pmcsurf.correspondence import _half_step_axis, _spline
+
+    xs, ys = np.linspace(-1.2, 1.0, nx), np.linspace(-0.5, 0.7, ny)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    v = np.stack([np.sin(2 * X + Y), np.exp(X * Y), X**2 * Y + 1.0], axis=-1)
+
+    def fit(t, c, axis):
+        k = min(5, len(t) - 1)
+        return make_interp_spline(t, c, k=k, t=np.r_[[t[0]] * (k + 1), t[3:-3], [t[-1]] * (k + 1)], axis=axis)
+
+    bx = fit(xs, v, 0)
+    by = fit(ys, bx.c, 1)
+    ref = NdBSpline((bx.t, by.t), np.moveaxis(by.c, 0, 1), (bx.k, by.k))
+    P = np.stack(np.meshgrid(_half_step_axis(xs), _half_step_axis(ys), indexing="ij"), axis=-1)
+    sp = _spline(xs, ys, v)
+    for nu, tol in (((0, 0), 1e-13), ((1, 0), 1e-12), ((0, 1), 1e-12)):
+        want = ref(P, nu=nu)
+        assert np.max(np.abs(sp(P, nu=nu) - want)) <= tol * np.max(np.abs(want)), nu
+
+
+def test_spline_refuses_a_query_outside_its_knot_span():
+    # a spline would extrapolate there silently; the ends themselves are in the span
+    from pmcsurf.correspondence import _spline
+
+    xs, ys = np.linspace(-1.2, 1.0, 9), np.linspace(-0.5, 0.7, 7)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    sp = _spline(xs, ys, np.sin(X) * np.cos(Y))
+    corners = np.array([[xs[0], ys[0]], [xs[-1], ys[-1]]])
+    assert np.allclose(sp(corners), np.sin(corners[:, 0]) * np.cos(corners[:, 1]), rtol=0, atol=1e-14)
+    for point in ([xs[0] - 1e-9, 0.0], [xs[-1] + 1e-9, 0.0], [0.0, ys[0] - 1e-9], [0.0, ys[-1] + 1e-9]):
+        for nu in ((0, 0), (1, 0), (0, 1)):
+            with pytest.raises(DomainError, match="knot span"):
+                sp(np.array([point, [0.0, 0.0]]), nu=nu)
+
+
 # ---------------------------------------------------------------------------
 # the Frenet march: stage operators against the blocks they are probed from
 # ---------------------------------------------------------------------------
