@@ -15,7 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ambient import cross_eps, inner, project_to_factor
+from .ambient import cross_eps, inner, metric_diag
+from .curves import _mul, _prefix_products
 from .errors import DomainError, PreconditionError, VerificationError
 from .families import TARGET_LINE, TARGET_PRODUCT, ImmersionChart
 from .diffgeo import (
@@ -42,7 +43,8 @@ PARALLELISM_GATE = 1e-4
 DATA_TOL = 1e-3
 MIXED_TOL = 1e-5  # gate on the mixed-partial residual of the eta integrands
 CONGRUENCE_TOL = 1e-3  # aligned distance below which two charts count as congruent
-_BLOCK_ROWS = 8  # rows of the half-step grid per field evaluation
+_BLOCK_ROWS = 8  # node columns per field evaluation of the column march
+_GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * (np.sqrt(15.0) / 10.0)  # three-point Gauss rule on [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +130,7 @@ def _pmc_point_fields(chart):
     Every sample set answered is memoised, keyed on the dtype, shape and bytes
     of x and y: the three records of one round trip (``pmc_to_cmc`` for
     j = 1, 2 and the ``cmc_to_pmc`` of the two) compose their ``fields`` onto
-    this one and read the same half-step grid, Simpson midpoints and
+    this one and read the same Gauss points, Simpson midpoints and
     recertification grid, so each set is evaluated once.  The memoised
     arrays are read-only: an in-place edit of a record built from them
     raises instead of corrupting a later read.
@@ -619,21 +621,21 @@ def _cmc_coefficients(eps, Hval, F):
     }
 
 
-def _cmc_rhs_blocks(S, c):
+def _cmc_rhs_blocks(S, hat, c):
     """Second derivatives and N derivatives from the CMC Frenet system.
 
-    S holds rows (Psi, Psi_x, Psi_y, N) flattened to (..., 16); c is the dict
-    of ``_cmc_coefficients`` at the evaluation points.
+    S holds rows (Psi, Psi_x, Psi_y, N) flattened to (..., 16) and hat the
+    factor point Psi-hat = (psi, 0), through which alone Psi enters; c is
+    the dict of ``_cmc_coefficients`` at the evaluation points.
     """
-    Psi, Px, Py, N = S[..., 0:4], S[..., 4:8], S[..., 8:12], S[..., 12:16]
-    Psi_hat = np.concatenate([Psi[..., :3], np.zeros_like(Psi[..., :1])], axis=-1)
+    Px, Py, N = S[..., 4:8], S[..., 8:12], S[..., 12:16]
     Psi_z = 0.5 * (Px - 1j * Py)
-    A = 2.0 * c["u_z"][..., None] * Psi_z + c["p"][..., None] * N + c["eps_eta_z2"][..., None] * Psi_hat
-    B = c["e2u_H"][..., None] * N + c["eps_eta_abs"][..., None] * Psi_hat
+    A = 2.0 * c["u_z"][..., None] * Psi_z + c["p"][..., None] * N + c["eps_eta_z2"][..., None] * hat
+    B = c["e2u_H"][..., None] * N + c["eps_eta_abs"][..., None] * hat
     Nz = (
         -c["H"][..., None] * Psi_z
         - c["p_over_e2u"][..., None] * np.conj(Psi_z)
-        + c["eps_nu_eta_z"][..., None] * Psi_hat
+        + c["eps_nu_eta_z"][..., None] * hat
     )
     Pxx = 2.0 * (A.real + B.real)
     Pyy = 2.0 * (B.real - A.real)
@@ -643,172 +645,236 @@ def _cmc_rhs_blocks(S, c):
     return Pxx, Pxy, Pyy, Nx, Ny
 
 
-def _project_cmc_state(eps, S, u_val):
-    """Restore the quadric, tangency and Gram constraints of a CMC state."""
-    ip = partial(inner, eps=eps)
-    Psi, Px, Py, N = S[..., 0:4], S[..., 4:8], S[..., 8:12], S[..., 12:16]
-    psi = project_to_factor(Psi[..., :3], eps)
-    Psi = np.concatenate([psi, Psi[..., 3:]], axis=-1)
-    Psi_hat = np.concatenate([psi, np.zeros_like(Psi[..., :1])], axis=-1)
+def _cmc_system(eps, Hval):
+    """The CMC system on the frame (Psi-hat, e1, e2, N, Psi): Gram diag(eps, 1, 1, 1), Psi affine.
 
-    def detach(V):
-        return V - (eps * ip(V, Psi_hat))[..., None] * Psi_hat
-
-    Px, Py, N = detach(Px), detach(Py), detach(N)
-    eu = np.exp(u_val)
-    e1 = Px / np.sqrt(ip(Px, Px))[..., None]
-    f2 = Py - ip(Py, e1)[..., None] * e1
-    e2 = f2 / np.sqrt(ip(f2, f2))[..., None]
-    n = N - ip(N, e1)[..., None] * e1 - ip(N, e2)[..., None] * e2
-    n = n / np.sqrt(ip(n, n))[..., None]
-    keep = np.where(ip(n, N) >= 0, 1.0, -1.0)
-    return np.concatenate([Psi, eu[..., None] * e1, eu[..., None] * e2, keep[..., None] * n], axis=-1)
-
-
-def _half_step_axis(t):
-    """Nodes t interleaved with the midpoints t_i + dt/2, formed as ``_path_integrate`` forms them."""
-    h = np.empty(2 * len(t) - 1)
-    h[::2] = t
-    h[1::2] = t[:-1] + 0.5 * (t[1] - t[0])
-    return h
-
-
-def _sample_half_step(fields, x, y):
-    """The fields on the (2nx-1) x (2ny-1) half-step grid of the node grid (x, y).
-
-    Even entries are the nodes, odd entries the midpoints; together they hold
-    every point an RK4 stage, a projection or a Simpson increment reads.  The
-    grid is evaluated in blocks of rows, which bounds the memory the
-    evaluation's intermediates take.
+    The rebuilt point takes its factor part from the Psi-hat row, which stays
+    on the quadric, and its height from the affine row.
     """
-    xh = _half_step_axis(x[:, 0])
-    yh = _half_step_axis(y[0, :])
-    blocks = [
-        fields(*np.meshgrid(xh[i:i + _BLOCK_ROWS], yh, indexing="ij"))
-        for i in range(0, len(xh), _BLOCK_ROWS)
-    ]
-    return {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
+    return _FrenetSystem(
+        4, (eps, 1.0, 1.0, 1.0), (4, 1, 2, 3), (1.0, 1.0, 1.0, 1.0), 0,
+        partial(_cmc_coefficients, eps, Hval), _cmc_rhs_blocks,
+        lambda F: np.concatenate([F[..., 0, :3], F[..., 4, 3:]], axis=-1),
+    )
 
 
 @dataclass(frozen=True)
 class _FrenetSystem:
-    """A first-order Frenet system as the grid marcher sees it.
+    """A first-order Frenet system as the frame march sees it.
 
-    The state packs (P, P_x, P_y, normal part) with P in R^dim.
-    ``coefficients(F)`` turns a dict of data fields into the dict c of the
-    system's data-only factors, on the same points; ``blocks(S, c)`` gives
-    (P_xx, P_xy, P_yy, normal_x, normal_y), the normal parts packed as in S,
-    by state arithmetic alone, linear in S and real-linear in each entry of c;
-    ``project(S, u)`` restores the constraints at conformal factor u.
+    The march carries a frame F of ``len(rows) + 1`` rows in R^dim.  Its
+    first ``len(gram)`` rows have the constant Gram matrix diag(gram) under
+    the ambient metric; a further row is affine (the CMC point Psi).  The
+    state (P, P_x, P_y, normal parts) that ``blocks`` reads packs slot k as
+    sigma[k] F[rows[k]], the P_x and P_y slots times e^u, and P-hat is the
+    row ``hat``.  ``coefficients(F)`` turns a dict of data fields into the
+    dict c of the system's data-only factors, on the same points;
+    ``blocks(S, hat, c)`` gives (P_xx, P_xy, P_yy, normal_x, normal_y), the
+    normal parts packed as in S, by state arithmetic alone, linear in
+    (S, hat) and real-linear in each entry of c; ``point(F)`` reads P from
+    frames on a (..., rows, dim) layout.
     """
 
     dim: int
+    gram: tuple
+    rows: tuple
+    sigma: tuple
+    hat: int
     coefficients: Callable
     blocks: Callable
-    project: Callable
+    point: Callable
 
 
-def _stage_operators(system, c, width):
-    """The stage operators of a march along x and along y, probed from one ``blocks`` call.
+def _state(system, F, u):
+    """The state S and P-hat that ``blocks`` reads, from frames F on a (..., rows, dim) layout at conformal factor u."""
+    eu = np.exp(u)[..., None]
+    slots = [s * F[..., r, :] for s, r in zip(system.sigma, system.rows)]
+    slots[1], slots[2] = eu * slots[1], eu * slots[2]
+    return np.concatenate(slots, axis=-1), F[..., system.hat, :]
 
-    Along either axis the state derivative is dS = M S, where
-    M = L_0 + sum_k (Re c_k) L_k' + (Im c_k) L_k''.  Returns the real
-    coefficients (1, Re c_k ..., Im c_k of the complex c_k ...) on a last
-    axis of c's grid, and per direction the constant matrices in that order.
-    These come from ``blocks`` on the identity basis of the states of that
-    width, with every c_k zero (L_0: only the P_x or P_y rows, which pass the
-    state through), then c_k = 1 and, for a complex c_k, c_k = i, each in
-    turn.  Each operator is (rows, cols, L) with L of shape (terms, nnz): the
-    matrices at the union of their nonzero positions, so that a march builds
-    M from those entries only.
-    """
+
+def _frame(system, S, hat, u):
+    """The frame of one state S with P-hat at conformal factor u: ``_state`` inverted."""
     d = system.dim
-    units = [(k, 1.0) for k in c] + [(k, 1j) for k, v in c.items() if np.iscomplexobj(v)]
-    ones = np.ones(next(iter(c.values())).shape)
-    coef = np.stack([ones, *(c[k].real if unit == 1.0 else c[k].imag for k, unit in units)], axis=-1)
-    probe = {k: np.zeros((len(units) + 1, 1), v.dtype) for k, v in c.items()}
-    for t, (k, unit) in enumerate(units, 1):
-        probe[k][t] = unit
-    basis = np.broadcast_to(np.eye(width), (len(units) + 1, width, width))
-    Pxx, Pxy, Pyy, Nx, Ny = system.blocks(basis, probe)
+    F = np.empty((len(system.rows) + 1, d))
+    for k, (s, r) in enumerate(zip(system.sigma, system.rows)):
+        F[r] = S[k * d:(k + 1) * d] / (s * np.exp(u) if k in (1, 2) else s)
+    F[system.hat] = hat
+    return F
+
+
+def _algebra_operators(system, c):
+    """The constant parts of the frame's x and y algebras, probed from one ``blocks`` call.
+
+    Along either axis the derivative of state slot k is a combination of the
+    frame rows, real-linear in the coefficients: L_0 + sum_t coef_t L_t, with
+    coef_t the real and imaginary parts of the c_k.  ``blocks`` is called on
+    the frame-coordinate basis (F the identity, u = 0) with every c_k zero
+    (L_0: the P row passes P_x or P_y through), then with c_k = 1 and, for a
+    complex c_k, c_k = i, each in turn.  Returns the coefficient units and
+    per direction (slot, col, L): row k of L[t] divided by sigma[k], at the
+    union of the nonzero positions, L of shape (terms, nnz).
+    """
+    d, k = system.dim, len(system.rows)
+    units = [(key, 1.0) for key in c] + [(key, 1j) for key, v in c.items() if np.iscomplexobj(v)]
+    probe = {key: np.zeros(len(units) + 1, v.dtype) for key, v in c.items()}
+    for t, (key, unit) in enumerate(units, 1):
+        probe[key][t] = unit
+    S, hat = _state(system, np.eye(k + 1, d), np.zeros(()))
+    S = np.broadcast_to(S, (len(units) + 1, k * d))
+    Pxx, Pxy, Pyy, Nx, Ny = system.blocks(S, np.broadcast_to(hat, (len(units) + 1, d)), probe)
     ops = []
-    for dS in (np.concatenate([basis[..., d:2 * d], Pxx, Pxy, Nx], axis=-1),
-               np.concatenate([basis[..., 2 * d:3 * d], Pxy, Pyy, Ny], axis=-1)):
-        L = dS.transpose(0, 2, 1)  # L[t, i, j]: component i of the derivative of basis state j
+    for dS in (np.concatenate([S[..., d:2 * d], Pxx, Pxy, Nx], axis=-1),
+               np.concatenate([S[..., 2 * d:3 * d], Pxy, Pyy, Ny], axis=-1)):
+        L = dS.reshape(len(units) + 1, k, d) / np.array(system.sigma)[:, None]
         L = np.concatenate([L[:1], L[1:] - L[:1]])
-        rows, cols = np.nonzero(np.any(L != 0, axis=0))
-        ops.append((rows, cols, np.ascontiguousarray(L[:, rows, cols])))
-    return coef, ops
+        slot, col = np.nonzero(np.any(L != 0, axis=0))
+        ops.append((slot, col, np.ascontiguousarray(L[:, slot, col])))
+    return units, ops
 
 
-def _march_line(system, op, S, t, coef, u):
-    """RK4 with per-step projection over the nodes t; returns the states at the nodes.
+def _algebra(system, operators, F, axis):
+    """The algebra element A_x (axis 0) or A_y (axis 1) of the frame at the points of the data dict F.
 
-    Every stage derivative is one mat-vec k = M S with the stage operator
-    op = (rows, cols, L) of ``_stage_operators``.  coef holds its coefficient
-    columns and u the conformal factor on the half-step points of t along
-    their first axis, so the step from t[i] builds M at 2i, 2i+1 and 2i+2 from
-    its nonzero entries, the midpoint M serving stages two and three.  The
-    build and the mat-vecs are einsums, with no BLAS call, so the states do
-    not depend on the BLAS kernel.
+    It is on a (rows, rows, *points) layout, with F' = A F, and lies in the
+    algebra of the frame's group: (A diag(gram)) is skew on the group rows.
+    The rows of the state slots come from the probed ``operators``, rescaled
+    by e^u where a slot holds P_x or P_y, whose e^u also moves; the P-hat
+    row is filled in by that skew-symmetry.  Built by one einsum and
+    elementwise products, with no BLAS call.
     """
-    rows, cols, L = op
-    M = np.zeros((3, *S.shape, S.shape[-1]))
-    matvec = partial(np.einsum, "...ij,...j->...i")
-    states = [S]
-    for i in range(len(t) - 1):
-        h = t[i + 1] - t[i]
-        M[..., rows, cols] = np.einsum("...k,kn->...n", coef[2 * i:2 * i + 3], L)
-        k1 = matvec(M[0], S)
-        k2 = matvec(M[1], S + 0.5 * h * k1)
-        k3 = matvec(M[1], S + 0.5 * h * k2)
-        k4 = matvec(M[2], S + h * k3)
-        S = system.project(S + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), u[2 * i + 2])
-        states.append(S)
-    return np.stack(states)
+    units, ops = operators
+    slot, col, L = ops[axis]
+    c = system.coefficients(F)
+    u = F["u"]
+    coef = np.stack([np.ones(np.shape(u)), *(c[k].real if unit == 1.0 else c[k].imag for k, unit in units)], axis=-1)
+    w, rows, g, h = len(system.rows) + 1, np.array(system.rows), np.array(system.gram), system.hat
+    moves = np.zeros(w, dtype=int)
+    moves[rows[1:3]] = 1
+    scale = np.stack([np.exp(-u), np.ones(np.shape(u)), np.exp(u)])
+    r = rows[slot]
+    A = np.zeros((w, w) + np.shape(u))
+    A[r, col] = np.moveaxis(np.einsum("...t,tn->...n", coef, L), -1, 0) * scale[moves[col] - moves[r] + 1]
+    A[rows[1:3], rows[1:3]] -= F[("ux", "uy")[axis]]
+    A[h, :len(g)] = -A[:len(g), h] * (g[h] / g).reshape((-1,) + (1,) * np.ndim(u))
+    return A
 
 
-def _march_grid(system, init, c, u, x, y):
-    """March a Frenet system over the node grid from ``init`` at its corner.
+def _commutator(X, Y):
+    return _mul(X, Y) - _mul(Y, X)
 
-    Marches the bottom row first, then all columns in parallel; the top row is
-    marched again from its left end, and its largest distance from the
-    columns' ends is the loop closure.  c holds the system's coefficients and
-    u the conformal factor on the half-step grid.  Returns the states
-    (nx, ny, width) and the loop closure.
+
+def _solve(Q, P):
+    """Q^{-1} P for stacks of square matrices on a (d, d, ...) layout.
+
+    Elimination without pivoting, every row operation elementwise on whole
+    arrays and in a fixed order, so no bit depends on a BLAS kernel; the
+    Pade denominators it serves are I + O(h) and need no pivoting.
     """
-    coef, (along_x, along_y) = _stage_operators(system, c, len(init))
-    row = _march_line(system, along_x, init, x[:, 0], coef[:, 0], u[:, 0])
-    cols = _march_line(system, along_y, row, y[0, :], coef[::2].transpose(1, 0, 2), u[::2].T)
-    states = cols.transpose(1, 0, 2)
-    top = _march_line(system, along_x, states[0, -1], x[:, -1], coef[:, -1], u[:, -1])
-    d = system.dim
-    closure = float(np.max(np.linalg.norm(top[:, :d] - states[:, -1, :d], axis=-1)))
-    return states, closure
+    Q, X = Q.copy(), P.copy()
+    d = len(Q)
+    for p in range(d - 1):
+        m = Q[p + 1:, p] / Q[p, p]
+        Q[p + 1:, p + 1:] -= m[:, None] * Q[p, p + 1:][None]
+        X[p + 1:] -= m[:, None] * X[p][None]
+    for p in range(d - 1, -1, -1):
+        for q in range(p + 1, d):
+            X[p] -= Q[p, q] * X[q]
+        X[p] /= Q[p, p]
+    return X
+
+
+def _magnus_propagators(A, h):
+    """One group element per step: sixth-order Magnus on three Gauss points, then the (3, 3) Pade map.
+
+    A is the algebra on a (d, d, ..., n, 3) layout at the Gauss points
+    ``_GAUSS`` of n steps of lengths h.  The exponent is that of Blanes,
+    Casas and Ros (BIT 40, 2000): with a1 = h A2, a2 = sqrt(15) h (A3 - A1) / 3,
+    a3 = 10 h (A3 - 2 A2 + A1) / 3, C1 = [a1, a2] and
+    C2 = -[a1, 2 a3 + C1] / 60, W = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
+    The diagonal Pade approximant r(W) = q(-W)^{-1} q(W) of exp,
+    q(W) = I + W/2 + W^2/10 + W^3/120, is sixth order, and r(-W) r(W) = I
+    puts r(W) in the group of every W of its algebra (Hairer, Lubich and
+    Wanner, *Geometric Numerical Integration*, Sec. IV.8).  Returns the
+    propagators on a (d, d, ..., n) layout.
+    """
+    A1, A2, A3 = A[..., 0], A[..., 1], A[..., 2]
+    a1 = h * A2
+    a2 = (np.sqrt(15.0) / 3.0 * h) * (A3 - A1)
+    a3 = (10.0 / 3.0 * h) * ((A3 - 2.0 * A2) + A1)
+    C1 = _commutator(a1, a2)
+    C2 = _commutator(a1, 2.0 * a3 + C1) / -60.0
+    W = (a1 + a3 / 12.0) + _commutator((C1 - 20.0 * a1) - a3, a2 + C2) / 240.0
+    W2 = _mul(W, W)
+    even = np.eye(len(W)).reshape(W.shape[:2] + (1,) * (W.ndim - 2)) + W2 / 10.0
+    odd = W / 2.0 + _mul(W2, W) / 120.0
+    return _solve(even - odd, even + odd)
+
+
+def _gauss_points(t):
+    """The three Gauss points ``_GAUSS`` of each step of the nodes t, step by step: 3 (len(t) - 1) abscissae."""
+    return (t[:-1, None] + (t[1:] - t[:-1])[:, None] * _GAUSS).ravel()
+
+
+def _march_grid(system, operators, F0, fields, x, y):
+    """March a Frenet frame over the node grid from ``F0`` at its corner.
+
+    A line's frames are the prefix products (``curves._prefix_products``)
+    of its step propagators (``_magnus_propagators``), applied to its first
+    frame; the algebra is read from ``fields`` at the Gauss points of the
+    steps.  Marches the bottom row first, then the columns from it, a block
+    of ``_BLOCK_ROWS`` columns per field evaluation; the top row is marched
+    again from its left end, and its largest point distance from the
+    columns' ends is the loop closure.  The bottom and the top row share one
+    field evaluation.  Returns the frames, shape (nx, ny, rows, dim), and the
+    loop closure.
+    """
+    xs, ys = x[:, 0], y[0, :]
+
+    def lines(X, Y, axis, t):
+        """Prefix propagators of the lines of the sample grid (X, Y), their steps along its last axis."""
+        A = _algebra(system, operators, fields(X, Y), axis)
+        return _prefix_products(_magnus_propagators(A.reshape(A.shape[:-1] + (len(t) - 1, len(_GAUSS))), np.diff(t)))
+
+    along_rows = lines(*np.meshgrid(_gauss_points(xs), ys[[0, -1]]), 0, xs)
+    frames = np.empty(F0.shape + x.shape)
+    frames[..., 0, 0] = F0
+    frames[..., 1:, 0] = _mul(along_rows[:, :, 0], F0[:, :, None])
+    yg = _gauss_points(ys)
+    for i in range(0, len(xs), _BLOCK_ROWS):
+        block = slice(i, i + _BLOCK_ROWS)
+        P = lines(*np.meshgrid(xs[block], yg, indexing="ij"), 1, ys)
+        frames[..., block, 1:] = _mul(P, frames[..., block, 0, None])
+    frames = np.moveaxis(frames, (0, 1), (-2, -1))
+    top = np.moveaxis(_mul(along_rows[:, :, 1], frames[0, -1, :, :, None]), (0, 1), (-2, -1))
+    closure = float(np.max(np.linalg.norm(system.point(top) - system.point(frames[1:, -1]), axis=-1)))
+    return frames, closure
 
 
 def _integrate_frenet(data, resid_tol, system, start, target, name, metadata):
     """Rebuild a chart from its data: the body both Frenet integrators share.
 
-    Gates the data residuals, samples ``_grid_fields(data)`` once on the
-    half-step grid and computes the system's coefficients there, marches
-    ``system`` from the state ``start(F0)`` (F0 the data at the grid corner)
-    and wraps the states, with the second derivatives the system gives at
-    the nodes, as a ``_spline_chart``.  Returns the chart, the loop closure
-    and the dense source.
+    Gates the data residuals, marches the frame of ``system`` from the frame
+    of the state ``start(F0)`` = (S, P-hat) (F0 the data at the grid
+    corner) with ``_march_grid``, reading ``_grid_fields(data)`` at the
+    Gauss points, and wraps the points, first derivatives and the second
+    derivatives the system gives at the nodes as a ``_spline_chart``.
+    Returns the chart, the loop closure and the dense source.
     """
     worst = max(v for k, v in data.residuals.items() if k != "parallelism")
     if worst > resid_tol:
         raise PreconditionError(f"data residuals too large to integrate: {worst:.2e}")
     fields = _grid_fields(data)
-    G = _sample_half_step(fields, data.x, data.y)
-    c = system.coefficients(G)
-    states, closure = _march_grid(system, start({k: v[0, 0] for k, v in G.items()}), c, G["u"], data.x, data.y)
-    Pxx, Pxy, Pyy, _, _ = system.blocks(states, {k: v[::2, ::2] for k, v in c.items()})
+    nodes = fields(data.x, data.y)
+    c = system.coefficients(nodes)
+    F0 = _frame(system, *start({k: v[0, 0] for k, v in nodes.items()}), nodes["u"][0, 0])
+    frames, closure = _march_grid(system, _algebra_operators(system, c), F0, fields, data.x, data.y)
+    S, hat = _state(system, frames, nodes["u"])
+    Pxx, Pxy, Pyy, _, _ = system.blocks(S, hat, c)
     d = system.dim
     chart = _spline_chart(
         data.x, data.y,
-        {"p": states[..., :d], "px": states[..., d:2 * d], "py": states[..., 2 * d:3 * d],
+        {"p": system.point(frames), "px": S[..., d:2 * d], "py": S[..., 2 * d:3 * d],
          "pxx": Pxx, "pxy": Pxy, "pyy": Pyy},
         data.eps, target, name, metadata,
     )
@@ -818,31 +884,37 @@ def _integrate_frenet(data, resid_tol, system, start, target, name, metadata):
 def integrate_cmc_frenet(data, resid_tol=DATA_TOL):
     """Rebuild the CMC immersion from its data by integrating the Frenet system.
 
-    The data are sampled once on the half-step grid (the nodes and the
-    midpoints between them), from ``data.fields`` or, when that is None, from
-    one quintic tensor spline of the node arrays, and the system's data-only
-    coefficients are computed there once.  The system is linear in the
-    state, so every RK4 stage is one mat-vec with the stage operator built
-    from those coefficients, and every projection reads u from the samples.
-    Marches the bottom row first, then all columns in parallel; the top row
-    is marched independently and the loop-closure defect reported.  Returns
-    the reconstructed chart, whose jet is one evaluation of a quintic tensor
-    spline through the marched states and the Frenet second derivatives at
-    the nodes, and a report dictionary.  The spline is numpy code with no
-    BLAS call (``_spline``), like the march, so the chart's bits do not depend
-    on the BLAS kernel.
+    Marches the adapted frame (Psi-hat, e1, e2, N), Psi-hat = (psi, 0) and
+    Psi_x = e^u e1, Psi_y = e^u e2, whose Gram matrix is diag(eps, 1, 1, 1),
+    with the point Psi as an affine fifth row.  Its x and y algebras come
+    from the Frenet system (``_cmc_rhs_blocks``) on the frame-coordinate
+    basis, with the data read from ``data.fields`` or, when that is None,
+    from one quintic tensor spline of the node arrays, at the three Gauss
+    points of every step.  Each node interval is one sixth-order Magnus step
+    mapped into the group by the (3, 3) Pade approximant of exp, so the
+    frame stays on its group with no projection, and each line's nodes are
+    the prefix products of its steps (``_march_grid``).  The rebuilt point
+    takes its factor part from the Psi-hat row, which stays on the quadric,
+    and its height from the affine row.  Marches the bottom row first, then
+    the columns; the top row is marched independently and the loop-closure
+    defect reported.  Returns the reconstructed chart, whose jet is one
+    evaluation of a quintic tensor spline through the marched points, the
+    first derivatives e^u e1, e^u e2 and the Frenet second derivatives at
+    the nodes, and a report dictionary.  The march and the spline are numpy
+    code with no BLAS call, so the chart's bits do not depend on the BLAS
+    kernel.
     """
     eps = data.eps
     nx, ny = data.x.shape
-    chart, closure, fields = _integrate_frenet(
-        data, resid_tol,
-        _FrenetSystem(
-            4, partial(_cmc_coefficients, eps, data.Hval), _cmc_rhs_blocks, partial(_project_cmc_state, eps)
-        ),
-        lambda F0: initial_cmc_state(
+
+    def start(F0):
+        S = initial_cmc_state(
             eps, float(F0["u"]), float(F0["nu"]), float(F0["eta_x"]), float(F0["eta_y"]), eta0=float(data.eta[0, 0])
-        ),
-        TARGET_LINE, "cmc_reconstruction", {"Hval": data.Hval},
+        )
+        return S, np.r_[S[:3], 0.0]
+
+    chart, closure, fields = _integrate_frenet(
+        data, resid_tol, _cmc_system(eps, data.Hval), start, TARGET_LINE, "cmc_reconstruction", {"Hval": data.Hval}
     )
     report = {"loop_closure": closure}
     ar = abresch_rosenberg(chart, nx=min(nx, 41), ny=min(ny, 41), shrink=0.03).require_cmc(1e-3)
@@ -884,15 +956,14 @@ def _pmc_coefficients(eps, Hval, F):
     }
 
 
-def _pmc_rhs_blocks(S, c):
+def _pmc_rhs_blocks(S, Phi_hat, c):
     """Second derivatives of Phi and first derivatives of xi from the Frenet system.
 
-    S is the packed state (Phi, Phi_x, Phi_y, Re xi, Im xi) and c the dict of
-    ``_pmc_coefficients`` at the evaluation points; xi_x and xi_y come back
-    packed as (Re, Im).
+    S is the packed state (Phi, Phi_x, Phi_y, Re xi, Im xi), Phi_hat the
+    reflection (phi, -psi) of Phi and c the dict of ``_pmc_coefficients`` at
+    the evaluation points; xi_x and xi_y come back packed as (Re, Im).
     """
     Phi, Px, Py, xi = _unpack_pmc(S)
-    Phi_hat = np.concatenate([Phi[..., :3], -Phi[..., 3:]], axis=-1)
     Phi_z = 0.5 * (Px - 1j * Py)
     xibar = np.conj(xi)
     A = (
@@ -928,6 +999,19 @@ def _pmc_rhs_blocks(S, c):
     )
 
 
+def _pmc_system(eps, Hnorm):
+    """The PMC system on the frame (Phi, Phi-hat, e1, e2, sqrt(2) Re xi, sqrt(2) Im xi).
+
+    Its Gram matrix is diag(2 eps, 2 eps, 1, 1, 1, 1); the rebuilt point is
+    the Phi row.
+    """
+    r = 1.0 / np.sqrt(2.0)
+    return _FrenetSystem(
+        6, (2.0 * eps, 2.0 * eps, 1.0, 1.0, 1.0, 1.0), (0, 2, 3, 4, 5), (1.0, 1.0, 1.0, r, r), 1,
+        partial(_pmc_coefficients, eps, Hnorm), _pmc_rhs_blocks, lambda F: F[..., 0, :],
+    )
+
+
 def _pack_pmc(Phi, Px, Py, xi):
     return np.concatenate([Phi, Px, Py, xi.real, xi.imag], axis=-1)
 
@@ -936,47 +1020,26 @@ def _unpack_pmc(S):
     return S[..., 0:6], S[..., 6:12], S[..., 12:18], S[..., 18:24] + 1j * S[..., 24:30]
 
 
-def _project_pmc_state(eps, S, u_val):
-    ip = partial(inner, eps=eps)
-    Phi, Px, Py, xi = _unpack_pmc(S)
-    phi = project_to_factor(Phi[..., :3], eps)
-    psi = project_to_factor(Phi[..., 3:], eps)
-    Phi = np.concatenate([phi, psi], axis=-1)
-    Phi_hat = np.concatenate([phi, -psi], axis=-1)
-
-    def detach(V):
-        V = V - (ip(V, Phi) / (2.0 * eps))[..., None] * Phi
-        return V - (ip(V, Phi_hat) / (2.0 * eps))[..., None] * Phi_hat
-
-    Px, Py, xi = detach(Px), detach(Py), detach(xi)
-    eu = np.exp(u_val)
-    e1 = Px / np.sqrt(ip(Px, Px))[..., None]
-    f2 = Py - ip(Py, e1)[..., None] * e1
-    e2 = f2 / np.sqrt(ip(f2, f2))[..., None]
-    xi = xi - ip(xi, e1)[..., None] * e1 - ip(xi, e2)[..., None] * e2
-    # restore <xi, xi> = 0 at first order, then <xi, conj(xi)> = 1
-    xi = xi - 0.5 * ip(xi, xi)[..., None] * np.conj(xi)
-    xi = xi / np.sqrt(np.abs(ip(xi, np.conj(xi))))[..., None]
-    return _pack_pmc(Phi, eu[..., None] * e1, eu[..., None] * e2, xi)
-
-
 def integrate_pmc_frenet(data, resid_tol=DATA_TOL):
     """Rebuild the PMC immersion from its data by integrating the Frenet system.
 
-    The data are sampled once on the half-step grid and marched as in
-    ``integrate_cmc_frenet``.
+    Marches the adapted frame (Phi, Phi-hat, e1, e2, sqrt(2) Re xi,
+    sqrt(2) Im xi), Phi-hat = (phi, -psi), whose Gram matrix is
+    diag(2 eps, 2 eps, 1, 1, 1, 1), as ``integrate_cmc_frenet`` marches its
+    frame; the rebuilt point is the Phi row.
     """
     eps = data.eps
     nx, ny = data.x.shape
-    chart, closure, fields = _integrate_frenet(
-        data, resid_tol,
-        _FrenetSystem(
-            6, partial(_pmc_coefficients, eps, data.Hnorm), _pmc_rhs_blocks, partial(_project_pmc_state, eps)
-        ),
-        lambda F0: _pack_pmc(*initial_pmc_state(
+
+    def start(F0):
+        Phi, Phi_x, Phi_y, xi = initial_pmc_state(
             eps, float(F0["u"]), float(F0["C1"]), float(F0["C2"]), complex(F0["gamma1"]), complex(F0["gamma2"])
-        )),
-        TARGET_PRODUCT, "pmc_reconstruction", {"Hnorm": data.Hnorm},
+        )
+        return _pack_pmc(Phi, Phi_x, Phi_y, xi), np.r_[Phi[:3], -Phi[3:]]
+
+    chart, closure, fields = _integrate_frenet(
+        data, resid_tol, _pmc_system(eps, data.Hnorm), start, TARGET_PRODUCT, "pmc_reconstruction",
+        {"Hnorm": data.Hnorm},
     )
     report = {"loop_closure": closure}
     Xs, Ys = chart.grid(min(nx, 33), min(ny, 33), shrink=0.03)
@@ -1006,10 +1069,16 @@ def _factor_frame_matrix(p, v, eps, reflect=False):
 
 
 def factor_isometry_from_frames(pA, vA, pB, vB, eps, reflect=False):
-    """The isometry of M2(eps) sending the frame (pA, vA) to (pB, +-vB's frame)."""
+    """The isometry of M2(eps) sending the frame (pA, vA) to (pB, +-vB's frame).
+
+    The columns (p, e, J e) of a frame matrix M are orthogonal under the
+    ambient metric G with Gram diag(eps, 1, 1), so M^{-1} = diag(eps, 1, 1) M^T G
+    and the isometry MB MA^{-1} is one product, written out elementwise
+    (``curves._mul``): no bit depends on a BLAS kernel.
+    """
     MA = _factor_frame_matrix(pA, vA, eps)
     MB = _factor_frame_matrix(pB, vB, eps, reflect=reflect)
-    return MB @ np.linalg.inv(MA)
+    return _mul(MB * np.array([eps, 1.0, 1.0]), MA.T * metric_diag(eps))
 
 
 def _aligned_factor_distance(pA, vA, pB, vB, eps, reflect):

@@ -219,14 +219,20 @@ def _sample_stages(spec, n, h):
     return s.reshape(n, 3), k.reshape(n, 3)
 
 
-def _mul3(A, B):
-    """A B for stacks of 3x3 matrices on a (3, 3, ...) layout, the stack on the trailing axes.
+def _mul(A, B):
+    """A B for stacks of matrices on a (d, d, ...) and a (d, m, ...) layout, the stack on the trailing axes.
 
-    Each entry sums A[i, j] B[j, l] over j = 0, 1, 2 in that order, with
-    three multiplies and two adds on whole arrays, so no BLAS kernel is
-    involved.
+    Each entry sums A[i, j] B[j, l] over j = 0, ..., d - 1 in that order, with
+    d multiplies and d - 1 adds on whole arrays, so no BLAS kernel is
+    involved; the products go through one scratch array and the sum
+    accumulates in place.  The curve march (d = 3) and the Frenet march of
+    ``correspondence`` (d = 5 and 6) share it.
     """
-    return (A[:, 0, None] * B[None, 0] + A[:, 1, None] * B[None, 1]) + A[:, 2, None] * B[None, 2]
+    P = A[:, 0, None] * B[None, 0]
+    term = np.empty_like(P)
+    for j in range(1, len(B)):
+        P += np.multiply(A[:, j, None], B[None, j], out=term)
+    return P
 
 
 def _step_propagators(spec, n, h):
@@ -246,22 +252,23 @@ def _step_propagators(spec, n, h):
         return np.array([[zero, sj, zero], [-spec.eps * sj, zero, skj], [zero, -skj, zero]])
 
     A1, A2, A4 = generator(0), generator(1), generator(2)
-    K2 = _mul3(A2, eye + (0.5 * h) * A1)
-    K3 = _mul3(A2, eye + (0.5 * h) * K2)
-    K4 = _mul3(A4, eye + h * K3)
+    K2 = _mul(A2, eye + (0.5 * h) * A1)
+    K3 = _mul(A2, eye + (0.5 * h) * K2)
+    K4 = _mul(A4, eye + h * K3)
     return eye + (h / 6.0) * (((A1 + 2.0 * K2) + 2.0 * K3) + K4)
 
 
 def _prefix_products(R):
-    """Inclusive prefix products R_i ... R_1 R_0 of a (3, 3, n) stack.
+    """Inclusive prefix products R_i ... R_1 R_0 along the last axis of a (d, d, ..., n) stack.
 
     A doubling scan: pass s multiplies each product by the one s places
     before it, so ceil(log2 n) array passes replace n - 1 sequential ones.
+    Leading stack axes are independent lines, scanned together.
     """
     P = R.copy()
     shift = 1
     while shift < P.shape[-1]:
-        P[..., shift:] = _mul3(P[..., shift:], P[..., :-shift])
+        P[..., shift:] = _mul(P[..., shift:], P[..., :-shift])
         shift *= 2
     return P
 
@@ -273,13 +280,14 @@ def integrate_curve(spec, x_span, step):
     solves the linear system psi' = s T, T' = s (k N - eps psi),
     N' = -s k T.  Each RK4 step is then one 3x3 matrix (``_step_propagators``),
     and the frame at node i is the prefix product R_{i-1} ... R_0 F_0
-    (``_prefix_products``), all written out elementwise, so the nodes do
-    not depend on a BLAS kernel.  psi and T are projected once, at all
-    nodes together, back onto the quadric and its tangent plane with
-    ``project_to_factor``, ``tangent_project3`` and ``norm3``.  x = 0
-    anchors the initial frame (p0, T0), so a span without 0 raises
-    ``InfeasibleParameters``, and so does a step that is not positive and
-    finite (a span too short to divide).
+    (``_prefix_products``), every product written out elementwise
+    (``_mul``), so the nodes do not depend on a BLAS kernel; the Frenet
+    march of ``correspondence`` uses the same scan.  psi and T are
+    projected once, at all nodes together, back onto the quadric and its
+    tangent plane with ``project_to_factor``, ``tangent_project3`` and
+    ``norm3``.  x = 0 anchors the initial frame (p0, T0), so a span
+    without 0 raises ``InfeasibleParameters``, and so does a step that is
+    not positive and finite (a span too short to divide).
 
     The march runs forward from 0, then backward.  Before each direction,
     ``spec.speed`` and ``spec.curvature`` are called once, on one flat array
@@ -301,7 +309,7 @@ def integrate_curve(spec, x_span, step):
     # node order: x = -n0 step, ..., -step, 0, step, ..., n1 step
     P = np.concatenate([bwd[..., ::-1], np.eye(3)[:, :, None], fwd], axis=-1)
     F0 = np.stack([spec.p0, spec.T0, cross_eps(spec.p0, spec.T0, spec.eps)])
-    F = np.ascontiguousarray(_mul3(P, F0[:, :, None]).transpose(2, 0, 1))
+    F = np.ascontiguousarray(_mul(P, F0[:, :, None]).transpose(2, 0, 1))
     eps = spec.eps
     psi = project_to_factor(F[:, 0], eps)
     T = tangent_project3(psi, F[:, 1], eps)

@@ -84,18 +84,17 @@ class JetSample:
 
 
 def _leaves_domain(domain, x, y):
-    """Whether some sample lies outside the domain (up to a 1e-12 slack)."""
+    """Whether some sample lies outside the closed domain rectangle.
+
+    No slack: a chart whose jet is a spline refuses any point past its knot
+    span, and every chart refuses the same points.
+    """
     x0, x1, y0, y1 = domain
-    return bool(
-        np.any(x < x0 - 1e-12)
-        or np.any(x > x1 + 1e-12)
-        or np.any(y < y0 - 1e-12)
-        or np.any(y > y1 + 1e-12)
-    )
+    return bool(np.any(x < x0) or np.any(x > x1) or np.any(y < y0) or np.any(y > y1))
 
 
 def sample_jet(chart, x, y):
-    """2-jet of the chart at samples (x, y), which must lie in the chart domain up to a 1e-12 slack."""
+    """2-jet of the chart at samples (x, y), which must lie in the closed chart domain."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if _leaves_domain(chart.domain, x, y):

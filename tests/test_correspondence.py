@@ -326,13 +326,15 @@ def test_complex_hopf_pair_under_correspondence():
 
 def test_loop_closure_decays_with_refinement():
     # the compatibility-residual gate is relaxed: those residuals are grid-FD
-    # consistency estimates and themselves shrink at second order
-    closes = []
+    # consistency estimates and themselves shrink at second order.  The
+    # sixth-order march closes its loops 64x better per halving of the step here
+    closes = {"cmc": [], "pmc": []}
     for n in (21, 41):
         data = prop4_data(nx=n, ny=n)
-        _, rep = integrate_cmc_frenet(pmc_to_cmc(data, 1), resid_tol=1e-2)
-        closes.append(rep["loop_closure"])
-    assert closes[1] < closes[0] / 3.5
+        closes["cmc"].append(integrate_cmc_frenet(pmc_to_cmc(data, 1), resid_tol=1e-2)[1]["loop_closure"])
+        closes["pmc"].append(integrate_pmc_frenet(data, resid_tol=1e-2)[1]["loop_closure"])
+    for name, (coarse, fine) in closes.items():
+        assert fine < coarse / 32.0, (name, coarse, fine)
 
 
 def test_initial_pmc_state_satisfies_frame_relations():
@@ -442,35 +444,34 @@ def test_data_csv_exports(tmp_path):
     assert f2.read_text().splitlines()[0] == "x,y,u,nu,p_re,p_im,eta,eta_x,eta_y"
 
 
-def test_half_step_sampler_nodes_and_midpoints():
+def test_gauss_sampler_points_and_node_only_fields(monkeypatch):
     import dataclasses
 
-    from pmcsurf.correspondence import _grid_fields, _path_integrate, _sample_half_step
+    import pmcsurf.correspondence as corr
 
+    # each step is read at the three Gauss-Legendre points of its interval
+    t = np.linspace(-1.2, 1.2, 9)
+    roots, _ = np.polynomial.legendre.leggauss(3)
+    want = (t[:-1, None] + 0.5 * (roots + 1.0) * (t[1] - t[0])).ravel()
+    assert np.max(np.abs(corr._gauss_points(t) - want)) < 1e-15
+    # the march reads its data at nodes and Gauss points only: Gauss points
+    # along x on the bottom and top rows, along y on the node columns
     data = prop4_data(33, 33)
-    G = _sample_half_step(data.fields, data.x, data.y)
-    assert G["u"].shape == (65, 65)
-    for key, arr in data.grids().items():
-        assert np.array_equal(G[key][::2, ::2], arr), key
-    # the odd entries are the points _path_integrate evaluates for its Simpson increments
+    xs, ys = data.x[:, 0], data.y[0, :]
     seen = []
-
-    def record(xs, ys):
-        seen.append((xs, ys))
-        return {"eta_x": np.zeros(np.shape(xs)), "eta_y": np.zeros(np.shape(xs))}
-
-    _path_integrate(data.x, data.y, np.zeros_like(data.u), np.zeros_like(data.u), record)
-    coords = _sample_half_step(lambda X, Y: {"x": X, "y": Y}, data.x, data.y)
-    for (xs, ys), at in zip(seen, [(slice(1, None, 2), 0), (slice(None, None, 2), slice(1, None, 2))]):
-        assert np.array_equal(coords["x"][at], xs) and np.array_equal(coords["y"][at], ys)
-        F = data.fields(xs, ys)
-        for key in data.grids():
-            assert np.array_equal(G[key][at], F[key]), key
+    source = data.fields
+    monkeypatch.setattr(data, "fields", lambda X, Y: seen.append((X, Y)) or source(X, Y))
+    integrate_pmc_frenet(data)
+    xg, yg = corr._gauss_points(xs), corr._gauss_points(ys)
+    samples = [(np.unique(X), np.unique(Y)) for X, Y in seen]
+    assert any(np.array_equal(X, xg) and np.array_equal(Y, ys[[0, -1]]) for X, Y in samples)
+    columns = [X for X, Y in samples if np.array_equal(Y, yg)]
+    assert np.array_equal(np.concatenate(columns), xs)
     # node-only data are sampled from quintic splines through the nodes
     nodes_only = dataclasses.replace(data, fields=None)
-    S = _sample_half_step(_grid_fields(nodes_only), data.x, data.y)
+    S = corr._grid_fields(nodes_only)(data.x, data.y)
     for key, arr in data.grids().items():
-        assert np.max(np.abs(S[key][::2, ::2] - arr)) < 1e-12, key
+        assert np.max(np.abs(S[key] - arr)) < 1e-12, key
     _, rep = integrate_pmc_frenet(nodes_only)
     assert rep["loop_closure"] < 0.1
 
@@ -509,10 +510,10 @@ def test_node_only_reconstruction_differentiates_the_spline_of_u():
 
 
 def test_round_trip_evaluates_the_chart_once_per_row_block(monkeypatch):
-    # every RK4 stage reads the half-step samples; evaluating the chart per
-    # stage instead takes 1,932 jet calls on this round trip.  The chart and
-    # record are the test's own: the records CACHE shares carry a fields memo
-    # that earlier tests have filled
+    # every Magnus step reads the Gauss-point samples of its line, evaluated
+    # a block of node columns at a time, not one chart evaluation per step.
+    # The chart and record are the test's own: the records CACHE shares carry
+    # a fields memo that earlier tests have filled
     chart = fresh_prop4_chart()
     data = extract_pmc_data(chart, nx=33, ny=33)
     jet = chart.jet
@@ -532,10 +533,11 @@ def test_round_trip_evaluates_the_chart_once_per_row_block(monkeypatch):
         before = len(calls)
         run()
         counts.append(len(calls) - before)
-    # one jet per block of 8 rows of the 65-row half-step grid, and one for the
-    # recertification grid of the first CMC record; the second CMC record and the
-    # assembled PMC record read the same sample sets
-    assert counts == [10, 0, 0]
+    # one jet for the Gauss points of the bottom and top rows, one per block of
+    # 8 of the 33 node columns, and one for the recertification grid of the
+    # first CMC record (the nodes were read by the extraction); the second CMC
+    # record and the assembled PMC record read the same sample sets
+    assert counts == [7, 0, 0]
 
 
 def test_memoised_fields_are_those_of_a_fresh_closure():
@@ -621,11 +623,12 @@ def test_spline_matches_per_component_rect_bivariate_splines(nx, ny):
 
 @pytest.mark.parametrize("nx, ny", [(41, 29), (5, 12)], ids=["41x29", "five-node-axis"])
 def test_spline_matches_scipy_on_a_tensor_grid(nx, ny):
-    # the round trip queries tensor grids only: the half-step grid of the nodes,
-    # ends included, against scipy's fit along x, then along y, on the same knots
+    # the round trip queries tensor grids only: the nodes and the midpoints
+    # between them, ends included, against scipy's fit along x, then along y,
+    # on the same knots
     from scipy.interpolate import NdBSpline, make_interp_spline
 
-    from pmcsurf.correspondence import _half_step_axis, _spline
+    from pmcsurf.correspondence import _spline
 
     xs, ys = np.linspace(-1.2, 1.0, nx), np.linspace(-0.5, 0.7, ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -638,7 +641,8 @@ def test_spline_matches_scipy_on_a_tensor_grid(nx, ny):
     bx = fit(xs, v, 0)
     by = fit(ys, bx.c, 1)
     ref = NdBSpline((bx.t, by.t), np.moveaxis(by.c, 0, 1), (bx.k, by.k))
-    P = np.stack(np.meshgrid(_half_step_axis(xs), _half_step_axis(ys), indexing="ij"), axis=-1)
+    xh, yh = (np.sort(np.r_[t, t[:-1] + 0.5 * np.diff(t)]) for t in (xs, ys))
+    P = np.stack(np.meshgrid(xh, yh, indexing="ij"), axis=-1)
     sp = _spline(xs, ys, v)
     for nu, tol in (((0, 0), 1e-13), ((1, 0), 1e-12), ((0, 1), 1e-12)):
         want = ref(P, nu=nu)
@@ -661,44 +665,98 @@ def test_spline_refuses_a_query_outside_its_knot_span():
 
 
 # ---------------------------------------------------------------------------
-# the Frenet march: stage operators against the blocks they are probed from
+# the Frenet march: the frame algebra and the Magnus march against oracles
 # ---------------------------------------------------------------------------
 
 
-def _blocks_march_line(system, S, t, c, u, along_x):
-    """RK4 with per-step projection, every stage one ``blocks`` call on the
-    coefficients at its point: the oracle of the stage-operator march."""
-    d = system.dim
-
-    def rhs(S, m):
-        Pxx, Pxy, Pyy, Nx, Ny = system.blocks(S, {k: v[m] for k, v in c.items()})
-        if along_x:
-            return np.concatenate([S[..., d:2 * d], Pxx, Pxy, Nx], axis=-1)
-        return np.concatenate([S[..., 2 * d:3 * d], Pxy, Pyy, Ny], axis=-1)
-
-    states = [S]
-    for i in range(len(t) - 1):
-        h = t[i + 1] - t[i]
-        k1 = rhs(S, 2 * i)
-        k2 = rhs(S + 0.5 * h * k1, 2 * i + 1)
-        k3 = rhs(S + 0.5 * h * k2, 2 * i + 1)
-        k4 = rhs(S + h * k3, 2 * i + 2)
-        S = system.project(S + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), u[2 * i + 2])
-        states.append(S)
-    return np.stack(states)
+def sn_chart():
+    if "sn" not in CACHE:
+        p = ProfileParams(+1, 2.0, 1.0, 0.0)
+        CACHE["sn"] = pmc_profile_family(p, closed_form("sn_family", p, x_span=(-1.5, 1.5)), y_span=(-1.0, 1.0))
+    return CACHE["sn"]
 
 
-def _blocks_march_grid(system, init, c, u, x, y):
-    """The row, the columns and the top row of ``_march_grid``, marched by the oracle."""
-    row = _blocks_march_line(system, init, x[:, 0], {k: v[:, 0] for k, v in c.items()}, u[:, 0], True)
-    cols = _blocks_march_line(system, row, y[0, :], {k: v[::2].T for k, v in c.items()}, u[::2].T, False)
-    states = cols.transpose(1, 0, 2)
-    top = _blocks_march_line(system, states[0, -1], x[:, -1], {k: v[:, -1] for k, v in c.items()}, u[:, -1], True)
-    d = system.dim
-    return states, float(np.max(np.linalg.norm(top[:, :d] - states[:, -1, :d], axis=-1)))
+# the sinh member (eps = -1) and the sn member (eps = +1) at 41^2, with the
+# residual gate each passes there
+MEMBERS = {"sinh": (prop4_chart, 1e-3), "sn": (sn_chart, 5e-3)}
 
 
-def _marches(monkeypatch, data):
+def _canonical_frame_algebras(name, data, points):
+    """A_x and A_y of the canonical frames at the points, by the ambient oracle.
+
+    At each point the frame that ``initial_cmc_state`` or ``initial_pmc_state``
+    builds from the data there is differentiated in ambient coordinates: the
+    slots by the Frenet blocks, the hat row as the factor part (CMC) or the
+    reflection (PMC) of P_x, P_y.  Since F G F^T = D on the group rows,
+    dF G F^T D^-1 writes dF in the frame.  Returns the system, the data at
+    the points and the oracle algebras, shape (points, 2, rows, group rows).
+    """
+    import pmcsurf.correspondence as corr
+    from pmcsurf.ambient import metric_diag
+    from pmcsurf.correspondence import initial_cmc_state
+
+    X, Y = points
+    F = data.fields(X, Y)
+    eps = data.eps
+    if name == "cmc":
+        F = corr._cmc_map(F, 1)
+        system = corr._cmc_system(eps, data.Hnorm)
+    else:
+        system = corr._pmc_system(eps, data.Hnorm)
+    c = system.coefficients(F)
+    oracles = []
+    for i in range(len(X)):
+        ci = {k: v[i] for k, v in c.items()}
+        u, ux, uy = F["u"][i], F["ux"][i], F["uy"][i]
+        e = np.exp(-u)
+        if name == "cmc":
+            S = initial_cmc_state(eps, u, F["nu"][i], F["eta_x"][i], F["eta_y"][i])
+            Psi, Px, Py, N = S[:4], S[4:8], S[8:12], S[12:]
+            hat = np.r_[Psi[:3], 0.0]
+            frame = np.stack([hat, e * Px, e * Py, N, Psi])
+            Pxx, Pxy, Pyy, Nx, Ny = corr._cmc_rhs_blocks(S, hat, ci)
+            dx = np.stack([np.r_[Px[:3], 0.0], e * (Pxx - ux * Px), e * (Pxy - ux * Py), Nx, Px])
+            dy = np.stack([np.r_[Py[:3], 0.0], e * (Pxy - uy * Px), e * (Pyy - uy * Py), Ny, Py])
+        else:
+            Phi, Px, Py, xi = initial_pmc_state(
+                eps, u, F["C1"][i], F["C2"][i], F["gamma1"][i], F["gamma2"][i]
+            )
+            hat = np.r_[Phi[:3], -Phi[3:]]
+            r = np.sqrt(2.0)
+            frame = np.stack([Phi, hat, e * Px, e * Py, r * xi.real, r * xi.imag])
+            S = np.concatenate([Phi, Px, Py, xi.real, xi.imag])
+            Pxx, Pxy, Pyy, Nx, Ny = corr._pmc_rhs_blocks(S, hat, ci)
+            dx = np.stack([Px, np.r_[Px[:3], -Px[3:]], e * (Pxx - ux * Px), e * (Pxy - ux * Py), r * Nx[:6], r * Nx[6:]])
+            dy = np.stack([Py, np.r_[Py[:3], -Py[3:]], e * (Pxy - uy * Px), e * (Pyy - uy * Py), r * Ny[:6], r * Ny[6:]])
+        k = len(system.gram)
+        inverse = (frame[:k] * metric_diag(eps, frame.shape[1])).T / np.array(system.gram)
+        oracles.append((dx @ inverse, dy @ inverse))
+    return system, F, np.array(oracles)
+
+
+def test_frame_algebra_matches_the_canonical_frame_probe():
+    # the blocks on the frame-coordinate basis, rescaled by e^u and completed by
+    # skew-symmetry, against the derivative of the canonical frames in ambient
+    # coordinates, on both members and both systems
+    import pmcsurf.correspondence as corr
+
+    rng = np.random.default_rng(3)
+    for member, (chart, _) in MEMBERS.items():
+        data = extract_pmc_data(chart(), nx=9, ny=9)
+        x0, x1, y0, y1 = chart().domain
+        points = (rng.uniform(x0 + 0.1, x1 - 0.1, 6), rng.uniform(y0 + 0.1, y1 - 0.1, 6))
+        for name in ("cmc", "pmc"):
+            system, F, oracle = _canonical_frame_algebras(name, data, points)
+            operators = corr._algebra_operators(system, system.coefficients(F))
+            for axis in (0, 1):
+                ours = np.moveaxis(corr._algebra(system, operators, F, axis), -1, 0)  # (points, rows, rows)
+                k = len(system.gram)
+                assert np.all(ours[:, :, k:] == 0.0), (member, name)
+                err = np.max(np.abs(ours[:, :, :k] - oracle[:, axis]), axis=(1, 2))
+                assert np.max(err / np.max(np.abs(oracle[:, axis]), axis=(1, 2))) < 1e-12, (member, name, axis, err)
+
+
+def _marches(monkeypatch, data, resid_tol=1e-3):
     """The arguments and results of the ``_march_grid`` calls of both integrators on data."""
     import pmcsurf.correspondence as corr
 
@@ -711,41 +769,102 @@ def _marches(monkeypatch, data):
         return out
 
     monkeypatch.setattr(corr, "_march_grid", recorded)
-    integrate_cmc_frenet(pmc_to_cmc(data, 1))
-    integrate_pmc_frenet(data)
+    integrate_cmc_frenet(pmc_to_cmc(data, 1), resid_tol=resid_tol)
+    integrate_pmc_frenet(data, resid_tol=resid_tol)
     return dict(zip(("cmc", "pmc"), seen))
 
 
-def test_stage_operator_march_matches_the_blocks_march(monkeypatch):
-    for name, (args, (states, closure)) in _marches(monkeypatch, prop4_data()).items():
-        oracle_states, oracle_closure = _blocks_march_grid(*args)
-        assert np.max(np.abs(states - oracle_states)) < 1e-10, name
-        assert abs(closure - oracle_closure) < 1e-11, name
+def test_marched_frames_stay_on_their_group(monkeypatch):
+    # no projection: every frame keeps Gram = D by the Pade map alone
+    from pmcsurf.ambient import metric_diag
+
+    for member, (chart, tol) in MEMBERS.items():
+        data = extract_pmc_data(chart(), nx=41, ny=41)
+        for name, (args, (frames, _)) in _marches(monkeypatch, data, tol).items():
+            system = args[0]
+            k = len(system.gram)
+            group = frames[..., :k, :]
+            gram = np.einsum("...id,...jd->...ij", group * metric_diag(data.eps, system.dim), group)
+            assert np.max(np.abs(gram - np.diag(system.gram))) < 1e-10, (member, name)
 
 
-def test_stage_operator_is_the_blocks_derivative(monkeypatch):
-    # M(point) S against the blocks at every half-step point, for random states
-    from pmcsurf.correspondence import _stage_operators
+def _expm_march_line(system, operators, fields, F, X, Y, axis, t):
+    """The frames of the lines of the sample grid (X, Y) from their first frames F, step by step.
 
-    rng = np.random.default_rng(7)
-    for name, (args, _) in _marches(monkeypatch, prop4_data()).items():
-        system, init, c, _, _, _ = args
-        d, width = system.dim, len(init)
-        coef, ops = _stage_operators(system, c, width)
-        S = rng.standard_normal(coef.shape[:-1] + (width,))
-        Pxx, Pxy, Pyy, Nx, Ny = system.blocks(S, c)
-        derivs = (np.concatenate([S[..., d:2 * d], Pxx, Pxy, Nx], axis=-1),
-                  np.concatenate([S[..., 2 * d:3 * d], Pxy, Pyy, Ny], axis=-1))
-        for axis, (rows, cols, L), dS in zip("xy", ops, derivs):
-            dense = np.zeros((len(L), width, width))
-            dense[:, rows, cols] = L
-            MS = np.einsum("...t,tij,...j->...i", coef, dense, S)
-            err = np.max(np.abs(MS - dS), axis=-1) / np.max(np.abs(dS), axis=-1)
-            assert np.max(err) < 1e-13, (name, axis, np.max(err))
+    The oracle of the prefix march: per step, the sixth-order Magnus exponent
+    by matrix products and scipy's expm of it, applied in a Python loop.
+    """
+    import pmcsurf.correspondence as corr
+    from scipy.linalg import expm
+
+    A = np.moveaxis(corr._algebra(system, operators, fields(X, Y), axis), (0, 1), (-2, -1))
+    out = [F]
+    for i, h in enumerate(np.diff(t)):
+        A1, A2, A3 = A[..., 3 * i, :, :], A[..., 3 * i + 1, :, :], A[..., 3 * i + 2, :, :]
+        a1, a2, a3 = h * A2, np.sqrt(15.0) * h / 3.0 * (A3 - A1), 10.0 * h / 3.0 * (A3 - 2.0 * A2 + A1)
+        C1 = a1 @ a2 - a2 @ a1
+        B = 2.0 * a3 + C1
+        C2 = -(a1 @ B - B @ a1) / 60.0
+        P, Q = -20.0 * a1 - a3 + C1, a2 + C2
+        F = expm(a1 + a3 / 12.0 + (P @ Q - Q @ P) / 240.0) @ F
+        out.append(F)
+    return np.stack(out, axis=-3)
+
+
+def test_prefix_magnus_march_matches_a_stepwise_expm_march(monkeypatch):
+    import pmcsurf.correspondence as corr
+
+    for name, (args, (frames, closure)) in _marches(monkeypatch, prop4_data()).items():
+        system, operators, F0, fields, x, y = args
+        xs, ys = x[:, 0], y[0, :]
+        def line(F, X, Y, axis, t):
+            return _expm_march_line(system, operators, fields, F, X, Y, axis, t)
+
+        row = line(F0[None], *np.meshgrid(corr._gauss_points(xs), ys[:1]), 0, xs)[0]
+        cols = line(row, *np.meshgrid(xs, corr._gauss_points(ys), indexing="ij"), 1, ys)
+        top = line(cols[None, 0, -1], *np.meshgrid(corr._gauss_points(xs), ys[-1:]), 0, xs)[0]
+        oracle_closure = np.max(np.linalg.norm(system.point(top) - system.point(cols[:, -1]), axis=-1))
+        # the Pade map and expm differ at seventh order per step: 7.0e-11 on
+        # the PMC frames here, 4.9e-12 on the CMC frames.  A closure is a
+        # distance between two marched points, so it moves by at most twice that
+        assert np.max(np.abs(frames - cols)) < 1e-10, name
+        assert abs(closure - oracle_closure) < 2e-10, name
+
+
+def test_rebuilt_pmc_chart_is_as_parallel_as_a_spline_of_the_exact_jet():
+    # the march adds no error the spline of the chart does not already make:
+    # a quintic spline through the source chart's exact jet on the same nodes,
+    # with no march, is the floor of the rebuilt chart's parallelism
+    from pmcsurf.correspondence import _spline_chart
+    from pmcsurf.diffgeo import parallelism_residual
+    from pmcsurf.families import TARGET_PRODUCT
+
+    data = prop4_data()
+    jet = sample_jet(prop4_chart(), data.x, data.y)
+    spline = _spline_chart(
+        data.x, data.y, {k: getattr(jet, k) for k in ("p", "px", "py", "pxx", "pxy", "pyy")},
+        data.eps, TARGET_PRODUCT, "exact_jet_spline", {},
+    )
+    floor = parallelism_residual(spline, *spline.grid(33, 33, shrink=0.03))
+    _, rep = integrate_pmc_frenet(data)
+    assert rep["parallelism"] <= 1.01 * floor, (rep["parallelism"], floor)
+
+
+def test_sample_jet_refuses_points_just_past_the_domain():
+    # a closed-form chart and a rebuilt chart, whose jet is a spline, refuse
+    # the same points: the domain has no slack.  The ends are accepted
+    rec, _ = integrate_cmc_frenet(pmc_to_cmc(prop4_data(), 1))
+    for chart in (prop4_chart(), rec):
+        x0, x1, y0, y1 = chart.domain
+        jet = sample_jet(chart, np.array([x0, x1]), np.array([y0, y1]))
+        assert np.all(np.isfinite(jet.p))
+        for x, y in ((x0 - 5e-13, y0), (x1 + 5e-13, y0), (x0, y0 - 5e-13), (x0, y1 + 5e-13)):
+            with pytest.raises(DomainError, match="outside the chart domain"):
+                sample_jet(chart, np.array([x]), np.array([y]))
 
 
 def test_march_calls_no_formula_per_stage(monkeypatch):
-    # the blocks are called to probe the stage operators and for the nodes'
+    # the blocks are called to probe the frame algebra and for the nodes'
     # second derivatives, a number of calls that does not grow with the grid
     import ast
     import inspect
@@ -754,9 +873,9 @@ def test_march_calls_no_formula_per_stage(monkeypatch):
 
     counts = {}
     for name in ("_cmc_rhs_blocks", "_pmc_rhs_blocks"):
-        def counted(S, c, blocks=getattr(corr, name), name=name):
+        def counted(S, hat, c, blocks=getattr(corr, name), name=name):
             counts[name] = counts.get(name, 0) + 1
-            return blocks(S, c)
+            return blocks(S, hat, c)
 
         monkeypatch.setattr(corr, name, counted)
     per_grid = []
@@ -767,8 +886,12 @@ def test_march_calls_no_formula_per_stage(monkeypatch):
         integrate_pmc_frenet(data, resid_tol=1e-2)
         per_grid.append(dict(counts))
     assert per_grid[0] == per_grid[1] == {"_cmc_rhs_blocks": 2, "_pmc_rhs_blocks": 2}
-    # and the march makes no BLAS call: no @, matmul or dot
-    for fn in (corr._march_line, corr._march_grid, corr._stage_operators):
+    # and neither the march nor the frame matching makes a BLAS call: no @,
+    # matmul, dot, tensordot or inverse
+    march = (corr._integrate_frenet, corr._march_grid, corr._algebra_operators, corr._algebra, corr._state,
+             corr._frame, corr._magnus_propagators, corr._commutator, corr._solve, corr._gauss_points,
+             corr.factor_isometry_from_frames, corr._factor_frame_matrix)
+    for fn in march:
         for node in ast.walk(ast.parse(inspect.getsource(fn))):
             assert not isinstance(node, ast.MatMult), fn.__name__
-            assert not (isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot", "tensordot")), fn.__name__
+            assert not (isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot", "tensordot", "inv")), fn.__name__
