@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ambient import cross_eps, inner, metric_diag
-from .curves import _mul, _prefix_products
+from .ambient import cross_eps, inner, metric_diag, project_to_factor, tangent_project3
+from .curves import _GAUSS, _gauss_points, _magnus_propagators, _mul, _prefix_products
 from .errors import DomainError, PreconditionError, VerificationError
 from .families import TARGET_LINE, TARGET_PRODUCT, ImmersionChart
 from .diffgeo import (
@@ -44,7 +44,6 @@ DATA_TOL = 1e-3
 MIXED_TOL = 1e-5  # gate on the mixed-partial residual of the eta integrands
 CONGRUENCE_TOL = 1e-3  # aligned distance below which two charts count as congruent
 _BLOCK_ROWS = 8  # node columns per field evaluation of the column march
-_GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * (np.sqrt(15.0) / 10.0)  # three-point Gauss rule on [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -760,74 +759,19 @@ def _algebra(system, operators, F, axis):
     return A
 
 
-def _commutator(X, Y):
-    return _mul(X, Y) - _mul(Y, X)
-
-
-def _solve(Q, P):
-    """Q^{-1} P for stacks of square matrices on a (d, d, ...) layout.
-
-    Elimination without pivoting, every row operation elementwise on whole
-    arrays and in a fixed order, so no bit depends on a BLAS kernel; the
-    Pade denominators it serves are I + O(h) and need no pivoting.
-    """
-    Q, X = Q.copy(), P.copy()
-    d = len(Q)
-    for p in range(d - 1):
-        m = Q[p + 1:, p] / Q[p, p]
-        Q[p + 1:, p + 1:] -= m[:, None] * Q[p, p + 1:][None]
-        X[p + 1:] -= m[:, None] * X[p][None]
-    for p in range(d - 1, -1, -1):
-        for q in range(p + 1, d):
-            X[p] -= Q[p, q] * X[q]
-        X[p] /= Q[p, p]
-    return X
-
-
-def _magnus_propagators(A, h):
-    """One group element per step: sixth-order Magnus on three Gauss points, then the (3, 3) Pade map.
-
-    A is the algebra on a (d, d, ..., n, 3) layout at the Gauss points
-    ``_GAUSS`` of n steps of lengths h.  The exponent is that of Blanes,
-    Casas and Ros (BIT 40, 2000): with a1 = h A2, a2 = sqrt(15) h (A3 - A1) / 3,
-    a3 = 10 h (A3 - 2 A2 + A1) / 3, C1 = [a1, a2] and
-    C2 = -[a1, 2 a3 + C1] / 60, W = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
-    The diagonal Pade approximant r(W) = q(-W)^{-1} q(W) of exp,
-    q(W) = I + W/2 + W^2/10 + W^3/120, is sixth order, and r(-W) r(W) = I
-    puts r(W) in the group of every W of its algebra (Hairer, Lubich and
-    Wanner, *Geometric Numerical Integration*, Sec. IV.8).  Returns the
-    propagators on a (d, d, ..., n) layout.
-    """
-    A1, A2, A3 = A[..., 0], A[..., 1], A[..., 2]
-    a1 = h * A2
-    a2 = (np.sqrt(15.0) / 3.0 * h) * (A3 - A1)
-    a3 = (10.0 / 3.0 * h) * ((A3 - 2.0 * A2) + A1)
-    C1 = _commutator(a1, a2)
-    C2 = _commutator(a1, 2.0 * a3 + C1) / -60.0
-    W = (a1 + a3 / 12.0) + _commutator((C1 - 20.0 * a1) - a3, a2 + C2) / 240.0
-    W2 = _mul(W, W)
-    even = np.eye(len(W)).reshape(W.shape[:2] + (1,) * (W.ndim - 2)) + W2 / 10.0
-    odd = W / 2.0 + _mul(W2, W) / 120.0
-    return _solve(even - odd, even + odd)
-
-
-def _gauss_points(t):
-    """The three Gauss points ``_GAUSS`` of each step of the nodes t, step by step: 3 (len(t) - 1) abscissae."""
-    return (t[:-1, None] + (t[1:] - t[:-1])[:, None] * _GAUSS).ravel()
-
-
 def _march_grid(system, operators, F0, fields, x, y):
     """March a Frenet frame over the node grid from ``F0`` at its corner.
 
     A line's frames are the prefix products (``curves._prefix_products``)
-    of its step propagators (``_magnus_propagators``), applied to its first
-    frame; the algebra is read from ``fields`` at the Gauss points of the
-    steps.  Marches the bottom row first, then the columns from it, a block
-    of ``_BLOCK_ROWS`` columns per field evaluation; the top row is marched
-    again from its left end, and its largest point distance from the
-    columns' ends is the loop closure.  The bottom and the top row share one
-    field evaluation.  Returns the frames, shape (nx, ny, rows, dim), and the
-    loop closure.
+    of its step propagators, applied to its first frame; the algebra is read
+    from ``fields`` at the Gauss points of the steps.  The step is the
+    engine's one group step, ``curves._magnus_propagators``, which the curve
+    march of ``curves.integrate_curve`` takes too.  Marches the bottom row
+    first, then the columns from it, a block of ``_BLOCK_ROWS`` columns per
+    field evaluation; the top row is marched again from its left end, and
+    its largest point distance from the columns' ends is the loop closure.
+    The bottom and the top row share one field evaluation.  Returns the
+    frames, shape (nx, ny, rows, dim), and the loop closure.
     """
     xs, ys = x[:, 0], y[0, :]
 
@@ -1061,6 +1005,13 @@ def integrate_pmc_frenet(data, resid_tol=DATA_TOL):
 
 
 def _factor_frame_matrix(p, v, eps, reflect=False):
+    """The frame matrix with the columns (p, e, J e), p and v first projected onto M2(eps) and T_p M2(eps).
+
+    A rebuilt chart's centre point is a spline value, off the quadric by the
+    spline's error; projected, the columns are G-orthonormal to round-off.
+    """
+    p = project_to_factor(p, eps)
+    v = tangent_project3(p, v, eps)
     e = v / np.sqrt(inner(v, v, eps))
     je = cross_eps(p, e, eps)
     if reflect:

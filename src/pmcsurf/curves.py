@@ -122,8 +122,8 @@ class CurveSpec:
 
     ``speed``, its derivative ``speed_prime`` and ``curvature`` take an array
     of abscissae and return an array of the same shape.  ``integrate_curve``
-    calls ``speed`` and ``curvature`` once per march direction, on all of its
-    RK4 stage abscissae; ``SampledCurve.jet`` reads ``speed_prime``.
+    calls ``speed`` and ``curvature`` once per march direction, on the Gauss
+    points of all of its steps; ``SampledCurve.jet`` reads ``speed_prime``.
     """
 
     eps: int
@@ -199,24 +199,7 @@ class SampledCurve:
         write_columns_csv(path, {"x": self.x, "p1": psi[:, 0], "p2": psi[:, 1], "p3": psi[:, 2]}, fmt=".16e")
 
 
-def _sample_stages(spec, n, h):
-    """Speed and curvature at i h, i h + h/2 and i h + h (row i), one call each.
-
-    These are the RK4 stage abscissae of step i: ``i h + h`` is kept apart
-    from ``(i + 1) h``, which can differ from it by one rounding.
-    """
-    xi = np.arange(n) * h
-    xs = np.stack([xi, xi + 0.5 * h, xi + h], axis=-1).ravel()
-    s = np.asarray(spec.speed(xs), dtype=float)
-    k = np.asarray(spec.curvature(xs), dtype=float)
-    bad_s = ~((s > 0) & np.isfinite(s))
-    bad = bad_s | ~np.isfinite(k)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        if bad_s[j]:
-            raise DomainError(f"speed must stay positive and finite, got {s[j]} at x={xs[j]}")
-        raise DomainError(f"curvature must stay finite, got {k[j]} at x={xs[j]}")
-    return s.reshape(n, 3), k.reshape(n, 3)
+_GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * (np.sqrt(15.0) / 10.0)  # three-point Gauss rule on [0, 1]
 
 
 def _mul(A, B):
@@ -235,27 +218,60 @@ def _mul(A, B):
     return P
 
 
-def _step_propagators(spec, n, h):
-    """The RK4 step matrices R_0, ..., R_{n-1} of F' = A(x) F, on a (3, 3, n) layout.
+def _commutator(X, Y):
+    return _mul(X, Y) - _mul(Y, X)
 
-    The frame F has the rows (psi, T, N) and A = s [[0, 1, 0], [-eps, 0, k],
-    [0, -k, 0]].  RK4 on a linear system is one matrix per step:
-    R = I + h/6 (K1 + 2 K2 + 2 K3 + K4), with K1 = A(x), K2 = A(x + h/2)
-    (I + h/2 K1), K3 = A(x + h/2) (I + h/2 K2) and K4 = A(x + h) (I + h K3).
+
+def _solve(Q, P):
+    """Q^{-1} P for stacks of square matrices on a (d, d, ...) layout.
+
+    Elimination without pivoting, every row operation elementwise on whole
+    arrays and in a fixed order, so no bit depends on a BLAS kernel; the
+    Pade denominators it serves are I + O(h) and need no pivoting.
     """
-    s, k = _sample_stages(spec, n, h)
-    zero = np.zeros(n)
-    eye = np.eye(3)[:, :, None]
+    Q, X = Q.copy(), P.copy()
+    d = len(Q)
+    for p in range(d - 1):
+        m = Q[p + 1:, p] / Q[p, p]
+        Q[p + 1:, p + 1:] -= m[:, None] * Q[p, p + 1:][None]
+        X[p + 1:] -= m[:, None] * X[p][None]
+    for p in range(d - 1, -1, -1):
+        for q in range(p + 1, d):
+            X[p] -= Q[p, q] * X[q]
+        X[p] /= Q[p, p]
+    return X
 
-    def generator(j):
-        sj, skj = s[:, j], s[:, j] * k[:, j]
-        return np.array([[zero, sj, zero], [-spec.eps * sj, zero, skj], [zero, -skj, zero]])
 
-    A1, A2, A4 = generator(0), generator(1), generator(2)
-    K2 = _mul(A2, eye + (0.5 * h) * A1)
-    K3 = _mul(A2, eye + (0.5 * h) * K2)
-    K4 = _mul(A4, eye + h * K3)
-    return eye + (h / 6.0) * (((A1 + 2.0 * K2) + 2.0 * K3) + K4)
+def _magnus_propagators(A, h):
+    """One group element per step: sixth-order Magnus on three Gauss points, then the (3, 3) Pade map.
+
+    A is the algebra on a (d, d, ..., n, 3) layout at the Gauss points
+    ``_GAUSS`` of n steps of lengths h.  The exponent is that of Blanes,
+    Casas and Ros (BIT 40, 2000): with a1 = h A2, a2 = sqrt(15) h (A3 - A1) / 3,
+    a3 = 10 h (A3 - 2 A2 + A1) / 3, C1 = [a1, a2] and
+    C2 = -[a1, 2 a3 + C1] / 60, W = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
+    The diagonal Pade approximant r(W) = q(-W)^{-1} q(W) of exp,
+    q(W) = I + W/2 + W^2/10 + W^3/120, is sixth order, and r(-W) r(W) = I
+    puts r(W) in the group of every W of its algebra (Hairer, Lubich and
+    Wanner, *Geometric Numerical Integration*, Sec. IV.8).  Returns the
+    propagators on a (d, d, ..., n) layout.
+    """
+    A1, A2, A3 = A[..., 0], A[..., 1], A[..., 2]
+    a1 = h * A2
+    a2 = (np.sqrt(15.0) / 3.0 * h) * (A3 - A1)
+    a3 = (10.0 / 3.0 * h) * ((A3 - 2.0 * A2) + A1)
+    C1 = _commutator(a1, a2)
+    C2 = _commutator(a1, 2.0 * a3 + C1) / -60.0
+    W = (a1 + a3 / 12.0) + _commutator((C1 - 20.0 * a1) - a3, a2 + C2) / 240.0
+    W2 = _mul(W, W)
+    even = np.eye(len(W)).reshape(W.shape[:2] + (1,) * (W.ndim - 2)) + W2 / 10.0
+    odd = W / 2.0 + _mul(W2, W) / 120.0
+    return _solve(even - odd, even + odd)
+
+
+def _gauss_points(t):
+    """The three Gauss points ``_GAUSS`` of each step of the nodes t, step by step: 3 (len(t) - 1) abscissae."""
+    return (t[:-1, None] + (t[1:] - t[:-1])[:, None] * _GAUSS).ravel()
 
 
 def _prefix_products(R):
@@ -273,25 +289,49 @@ def _prefix_products(R):
     return P
 
 
+def _line_propagators(spec, t):
+    """The frame's step propagators between the nodes t of one march direction, on a (3, 3, n) layout.
+
+    The frame F has the rows (psi, T, N) and F' = A F with
+    A = s [[0, 1, 0], [-eps, 0, k], [0, -k, 0]], read at the Gauss points of
+    every step with one ``spec.speed`` and one ``spec.curvature`` call.
+    """
+    xs = _gauss_points(t)
+    s = np.asarray(spec.speed(xs), dtype=float)
+    k = np.asarray(spec.curvature(xs), dtype=float)
+    bad_s = ~((s > 0) & np.isfinite(s))
+    bad = bad_s | ~np.isfinite(k)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        if bad_s[j]:
+            raise DomainError(f"speed must stay positive and finite, got {s[j]} at x={xs[j]}")
+        raise DomainError(f"curvature must stay finite, got {k[j]} at x={xs[j]}")
+    s, sk = s.reshape(-1, len(_GAUSS)), (s * k).reshape(-1, len(_GAUSS))
+    zero = np.zeros_like(s)
+    A = np.array([[zero, s, zero], [-spec.eps * s, zero, sk], [zero, -sk, zero]])
+    return _magnus_propagators(A, np.diff(t))
+
+
 def integrate_curve(spec, x_span, step):
     """Reconstruct the curve with |psi'| = speed and geodesic curvature = curvature.
 
-    Fourth-order Runge-Kutta on the frame F = (psi, T, N), N = J T, which
-    solves the linear system psi' = s T, T' = s (k N - eps psi),
-    N' = -s k T.  Each RK4 step is then one 3x3 matrix (``_step_propagators``),
-    and the frame at node i is the prefix product R_{i-1} ... R_0 F_0
-    (``_prefix_products``), every product written out elementwise
-    (``_mul``), so the nodes do not depend on a BLAS kernel; the Frenet
-    march of ``correspondence`` uses the same scan.  psi and T are
-    projected once, at all nodes together, back onto the quadric and its
-    tangent plane with ``project_to_factor``, ``tangent_project3`` and
-    ``norm3``.  x = 0 anchors the initial frame (p0, T0), so a span
-    without 0 raises ``InfeasibleParameters``, and so does a step that is
-    not positive and finite (a span too short to divide).
+    Marches the frame F = (psi, T, N), N = J T, of the linear system
+    psi' = s T, T' = s (k N - eps psi), N' = -s k T, whose Gram matrix
+    diag(eps, 1, 1) is constant.  Each step is one 3x3 group element, the
+    sixth-order Magnus step with the (3, 3) Pade map (``_magnus_propagators``,
+    the step of the Frenet march of ``correspondence``), and the frame at
+    node i is the prefix product R_{i-1} ... R_0 F_0 (``_prefix_products``),
+    every product and solve written out elementwise, so the nodes do not
+    depend on a BLAS kernel.  psi and T are projected once, at all nodes
+    together, back onto the quadric and its tangent plane with
+    ``project_to_factor``, ``tangent_project3`` and ``norm3``.  x = 0
+    anchors the initial frame (p0, T0), so a span without 0 raises
+    ``InfeasibleParameters``, and so does a step that is not positive and
+    finite (a span too short to divide).
 
     The march runs forward from 0, then backward.  Before each direction,
     ``spec.speed`` and ``spec.curvature`` are called once, on one flat array
-    of the 3n stage abscissae i h, i h + h/2 and i h + h of that direction.
+    of the 3n Gauss points of that direction's n steps (``_gauss_points``).
     A speed that is not positive and finite, or a curvature that is not
     finite, raises ``DomainError`` naming the first such x in march order.
     A node that cannot be projected onto the quadric raises ``DomainError``,
@@ -304,8 +344,9 @@ def integrate_curve(spec, x_span, step):
     # at least one step on each side of 0 that the span reaches past
     n1 = max(1, int(np.ceil(x1 / step - 1e-12))) if x1 > 0 else 0
     n0 = max(1, int(np.ceil(-x0 / step - 1e-12))) if x0 < 0 else 0
-    fwd = _prefix_products(_step_propagators(spec, n1, step))
-    bwd = _prefix_products(_step_propagators(spec, n0, -step))
+    t1, t0 = step * np.arange(n1 + 1), -step * np.arange(n0 + 1)
+    fwd = _prefix_products(_line_propagators(spec, t1))
+    bwd = _prefix_products(_line_propagators(spec, t0))
     # node order: x = -n0 step, ..., -step, 0, step, ..., n1 step
     P = np.concatenate([bwd[..., ::-1], np.eye(3)[:, :, None], fwd], axis=-1)
     F0 = np.stack([spec.p0, spec.T0, cross_eps(spec.p0, spec.T0, spec.eps)])
@@ -314,5 +355,4 @@ def integrate_curve(spec, x_span, step):
     psi = project_to_factor(F[:, 0], eps)
     T = tangent_project3(psi, F[:, 1], eps)
     T = T / norm3(T, eps)[:, None]
-    x = np.concatenate([-step * np.arange(n0, 0, -1), step * np.arange(0, n1 + 1)])
-    return SampledCurve(spec, x, psi, T)
+    return SampledCurve(spec, np.concatenate([t0[:0:-1], t1]), psi, T)

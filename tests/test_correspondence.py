@@ -417,6 +417,24 @@ def test_weak_congruence_identity_and_negative():
     assert not verdict.congruent
 
 
+def test_frame_isometry_is_exact_off_the_quadric():
+    # a rebuilt chart's centre point is a spline value, off the quadric: moved
+    # 1e-9 off it, the matched frames still give an isometry of the ambient metric
+    from pmcsurf.ambient import metric_diag, tangent_project3
+    from pmcsurf.correspondence import factor_isometry_from_frames
+
+    rng = np.random.default_rng(5)
+    for eps, pA, pB in ((-1, [0.3, -0.4, np.sqrt(1.25)], [-1.1, 0.2, np.sqrt(2.25)]),
+                        (1, [0.6, 0.0, 0.8], [0.0, -0.28, 0.96])):
+        pA, pB = np.array(pA), np.array(pB)
+        vA, vB = (tangent_project3(p, rng.standard_normal(3), eps) for p in (pA, pB))
+        pA, pB = pA * (1.0 + 1e-9), pB * (1.0 + 1e-9)
+        G = np.diag(metric_diag(eps))
+        for reflect in (False, True):
+            L = factor_isometry_from_frames(pA, vA, pB, vB, eps, reflect=reflect)
+            assert np.max(np.abs(L.T @ G @ L - G)) <= 1e-13
+
+
 def test_vanishing_hopf_chart_maps_to_leite_recorded():
     # recorded observation (not a stated identity): both CMC charts produced
     # from the vanishing-Hopf PMC chart land on the Leite-type chart
@@ -863,6 +881,23 @@ def test_sample_jet_refuses_points_just_past_the_domain():
                 sample_jet(chart, np.array([x]), np.array([y]))
 
 
+def test_both_marches_take_one_group_step():
+    # the curve march and the Frenet march share one kernel: correspondence
+    # defines none of the group step's pieces and reads the ones of curves
+    import ast
+    import inspect
+
+    import pmcsurf.correspondence as corr
+    from pmcsurf import curves
+
+    for name in ("_magnus_propagators", "_gauss_points", "_GAUSS", "_mul", "_prefix_products"):
+        assert getattr(corr, name) is getattr(curves, name), name
+    nodes = list(ast.walk(ast.parse(inspect.getsource(corr))))
+    defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
+    defined |= {t.id for node in nodes if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
+    assert not defined & {"_GAUSS", "_gauss_points", "_commutator", "_solve", "_magnus_propagators"}
+
+
 def test_march_calls_no_formula_per_stage(monkeypatch):
     # the blocks are called to probe the frame algebra and for the nodes'
     # second derivatives, a number of calls that does not grow with the grid
@@ -888,9 +923,10 @@ def test_march_calls_no_formula_per_stage(monkeypatch):
     assert per_grid[0] == per_grid[1] == {"_cmc_rhs_blocks": 2, "_pmc_rhs_blocks": 2}
     # and neither the march nor the frame matching makes a BLAS call: no @,
     # matmul, dot, tensordot or inverse
+    # (the group step comes from curves, whose whole source
+    # test_curve_march_makes_no_blas_call checks)
     march = (corr._integrate_frenet, corr._march_grid, corr._algebra_operators, corr._algebra, corr._state,
-             corr._frame, corr._magnus_propagators, corr._commutator, corr._solve, corr._gauss_points,
-             corr.factor_isometry_from_frames, corr._factor_frame_matrix)
+             corr._frame, corr.factor_isometry_from_frames, corr._factor_frame_matrix)
     for fn in march:
         for node in ast.walk(ast.parse(inspect.getsource(fn))):
             assert not isinstance(node, ast.MatMult), fn.__name__

@@ -15,9 +15,8 @@ from pmcsurf.ambient import (
 )
 from pmcsurf.curves import (
     CurveSpec,
+    _line_propagators,
     _prefix_products,
-    _sample_stages,
-    _step_propagators,
     constant_curvature_curve,
     integrate_curve,
 )
@@ -181,7 +180,7 @@ def test_frame_gram_stays_orthonormal():
         speed_prime=lambda x: -0.3 * np.sin(np.asarray(x, dtype=float)),
     )
     curve = integrate_curve(spec, x_span=(-2.0, 2.0), step=2e-3)
-    assert curve.constraint_defect() < 1e-8
+    assert curve.constraint_defect() < 1e-12
 
 
 def test_speed_positive_required():
@@ -295,9 +294,20 @@ def test_spec_validation():
 #
 # The reference below is the numpy RK4 step on (psi, T), projected after
 # every step, that integrate_curve used before it marched the frame as a
-# prefix product of step matrices.  It is the oracle: the prefix march must
+# prefix product of group steps.  It is the oracle: the prefix march must
 # agree with it at the same step, and be no less accurate against it at a
 # quarter of the step.
+
+
+def _sample_stages(spec, n, h):
+    """Speed and curvature at i h, i h + h/2 and i h + h (row i), one call each.
+
+    These are the RK4 stage abscissae of step i: ``i h + h`` is kept apart
+    from ``(i + 1) h``, which can differ from it by one rounding.
+    """
+    xi = np.arange(n) * h
+    xs = np.stack([xi, xi + 0.5 * h, xi + h], axis=-1).ravel()
+    return np.asarray(spec.speed(xs)).reshape(n, 3), np.asarray(spec.curvature(xs)).reshape(n, 3)
 
 
 def _reference_rhs(spec, s, k, y):
@@ -410,10 +420,10 @@ def test_prefix_march_matches_array_march(case):
     curve = integrate_curve(spec, x_span=x_span, step=step)
     x, psi, T = _reference_integrate(spec, x_span, step)
     assert np.array_equal(curve.x, x)
-    # the same step: the two marches differ by round-off and by where they project
+    # the same step: the two marches differ by the RK4 march's fourth-order error
     assert np.max(np.abs(curve.psi - psi)) <= 1e-10
     assert np.max(np.abs(curve.T - T)) <= 1e-10
-    # a quarter of the step: the prefix march is no less accurate than the array march
+    # a quarter of the step: the sixth-order march is no less accurate than the RK4 march
     x4, psi4, T4 = _reference_integrate(spec, x_span, step / 4.0)
     c, f = _shared_nodes(x, x4, 4)
     assert np.array_equal(x[c], x4[f])
@@ -426,11 +436,11 @@ def test_prefix_march_matches_array_march(case):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 1000, 1601])
 def test_prefix_products_match_sequential_products(n):
-    # the doubling scan against a left-multiplication loop, on the step
-    # matrices of a curve and on perturbed identities
+    # the doubling scan against a left-multiplication loop, on the group
+    # steps of a curve, forward and backward, and on perturbed identities
     stacks = [
-        _step_propagators(_random_spec(-1, 15), n, 2e-3),
-        _step_propagators(_random_spec(1, 16), n, -2e-3),
+        _line_propagators(_random_spec(-1, 15), 2e-3 * np.arange(n + 1)),
+        _line_propagators(_random_spec(1, 16), -2e-3 * np.arange(n + 1)),
         np.eye(3)[:, :, None] + 0.05 * np.random.default_rng(n).standard_normal((3, 3, n)),
     ]
     for R in stacks:
@@ -478,9 +488,10 @@ def test_span_end_next_to_zero_gets_one_step():
 # --- constant speed and curvature: the march against the closed form --------
 
 PROPERTY_STEP = 2e-3
-# Fourth order: at the worst corner of the strategy (s = 2, |k| = 3) the march
-# errs by 26.7 step^4 on x in [-1, 1]; the bound allows 64 step^4 (1.0e-9).
-PROPERTY_BOUND = 64 * PROPERTY_STEP**4
+# Sixth order: on constant data the march errs on x in [-1, 1] by at most
+# 1.4e-12 over a 7 x 13 grid of (s, k) on the strategy's box, both signs of
+# eps (worst at s = 2, k = 0, eps = -1); the bound allows 1e-11.
+PROPERTY_BOUND = 1e-11
 
 
 def test_constant_data_march_matches_closed_form():
