@@ -9,8 +9,12 @@ structure is J v = cross_eps(p, v), the signed cross product for which
 J(1,0,0) = (0,1,0) at the point p = (0,0,1) for both signatures.  All signs of
 Kaehler functions and Hopf coefficients downstream inherit this choice.
 
-All operations broadcast over leading array axes; points are rows of shape
-(..., 3) and ambient vectors rows of shape (..., 6), or (..., 4) in M2(eps) x R.
+Components lead: a point or vector of the factor is an array shaped (3, ...),
+of the product (6, ...), and of M2(eps) x R (4, ...); the trailing axes hold
+the samples, and they broadcast.  Every operation reads whole components
+(v[0], v[1], ...) and works elementwise over the samples, so its bits depend
+on the values only, not on how the operands lie in memory; on a C-ordered
+array each component is one contiguous block.
 """
 
 from functools import cache
@@ -51,12 +55,20 @@ def metric_diag(eps, dim=3):
 def inner(v, w, eps):
     """Bilinear signature-weighted product (no conjugation) on R^3, R^4 or R^6.
 
-    The weights follow the last axis of v: the factor M2(eps), the factor
-    times R, or the product M2(eps) x M2(eps).
+    The weights follow the leading axis of v: the factor M2(eps), the factor
+    times R, or the product M2(eps) x M2(eps).  The d component products are
+    summed in index order, each added or subtracted by the sign of its weight.
     """
     v = np.asarray(v)
-    g = metric_diag(eps, v.shape[-1])
-    return np.einsum("...i,...i->...", v * g, np.asarray(w))
+    w = np.asarray(w)
+    g = metric_diag(eps, v.shape[0])
+    total = v[0] * w[0]
+    for k in range(1, len(g)):
+        if g[k] > 0:
+            total += v[k] * w[k]
+        else:
+            total -= v[k] * w[k]
+    return total
 
 
 def norm3(v, eps):
@@ -70,7 +82,7 @@ def cross_eps(a, b, eps):
     cross product with the third component negated.  The components are
     written out: the same products and differences, in the same order, as
     numpy's cross, without its per-call overhead, which dominates on single
-    3-vectors.  Real and complex inputs broadcast over leading axes.  The
+    3-vectors.  Real and complex inputs broadcast over the sample axes.  The
     components are written into one array, and eps = -1 multiplies it in place
     by (1, 1, -1): a product, not a negation of the third component, because
     a complex component times 1 + 0j is not itself when its parts are signed
@@ -78,21 +90,21 @@ def cross_eps(a, b, eps):
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    c = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b, 1.0))
-    np.subtract(a1 * b2, a2 * b1, out=c[..., 0])
-    np.subtract(a2 * b0, a0 * b2, out=c[..., 1])
-    np.subtract(a0 * b1, a1 * b0, out=c[..., 2])
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    c = np.empty((3, *np.broadcast_shapes(a.shape[1:], b.shape[1:])), dtype=np.result_type(a, b, 1.0))
+    np.subtract(a1 * b2, a2 * b1, out=c[0, ...])
+    np.subtract(a2 * b0, a0 * b2, out=c[1, ...])
+    np.subtract(a0 * b1, a1 * b0, out=c[2, ...])
     if check_eps(eps) == -1:
-        np.multiply(c, metric_diag(-1), out=c)
+        np.multiply(c, metric_diag(-1).reshape((3,) + (1,) * (c.ndim - 1)), out=c)
     return c
 
 
 def tangent_project3(p, v, eps):
     """Project v onto the tangent plane of M2(eps) at p."""
     coef = inner(v, p, eps)
-    return np.asarray(v) - check_eps(eps) * coef[..., None] * np.asarray(p)
+    return np.asarray(v) - check_eps(eps) * coef * np.asarray(p)
 
 
 def factor_j(p, v, eps, check=True):
@@ -112,20 +124,17 @@ def factor_j(p, v, eps, check=True):
     return cross_eps(p, v, eps)
 
 
-def product_j_pair(P, V, eps, check=True):
+def product_j_pair(P, V, eps):
     """(J1 V, J2 V) for the product complex structures J1 = (J, J) and J2 = (J, -J).
 
-    One ``factor_j`` per factor block serves both: J2 V is J1 V with its second
-    block negated, which is exact.
+    One ``cross_eps`` per factor block serves both: J2 V is J1 V with its second
+    block negated, which is exact.  Tangency is not checked; ``factor_j`` is the
+    checked J.
     """
     P = np.asarray(P, dtype=float)
     V = np.asarray(V)
-    j1 = np.empty_like(V)
-    j1[..., :3] = factor_j(P[..., :3], V[..., :3], eps, check=check)
-    j1[..., 3:] = factor_j(P[..., 3:], V[..., 3:], eps, check=check)
-    j2 = j1.copy()
-    np.negative(j1[..., 3:], out=j2[..., 3:])
-    return j1, j2
+    first, second = cross_eps(P[:3], V[:3], eps), cross_eps(P[3:], V[3:], eps)
+    return np.concatenate([first, second]), np.concatenate([first, -second])
 
 
 def factor_constraint(p, eps):
@@ -139,7 +148,7 @@ def project_to_factor(p, eps):
     q = check_eps(eps) * inner(p, p, eps)
     if np.any(q <= 0):
         raise DomainError("point cannot be projected onto the quadric (wrong causal type)")
-    return p / np.sqrt(q)[..., None]
+    return p / np.sqrt(q)
 
 
 def orientation_dual(P, v1, v2, v3, eps):
@@ -160,15 +169,15 @@ def orientation_dual(P, v1, v2, v3, eps):
 
     def factor(sl):
         # J v_i on the block, and omega_k(v2, v3), omega_k(v1, v3), omega_k(v1, v2)
-        Jv = [cross_eps(P[..., sl], v[..., sl], eps) for v in vs]
-        return Jv, [inner(Jv[i], vs[j][..., sl], eps)[..., None] for i, j in ((1, 2), (0, 2), (0, 1))]
+        Jv = [cross_eps(P[sl], v[sl], eps) for v in vs]
+        return Jv, [inner(Jv[i], vs[j][sl], eps) for i, j in ((1, 2), (0, 2), (0, 1))]
 
     (J1, w1), (J2, w2) = factor(slice(0, 3)), factor(slice(3, 6))
 
     def block(Jv, w):
         return w[0] * Jv[0] - w[1] * Jv[1] + w[2] * Jv[2]
 
-    return np.concatenate([block(J1, w2), block(J2, w1)], axis=-1)
+    return np.concatenate([block(J1, w2), block(J2, w1)])
 
 
 def orientation_form(P, v1, v2, v3, v4, eps):

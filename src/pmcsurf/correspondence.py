@@ -1033,11 +1033,13 @@ def factor_isometry_from_frames(pA, vA, pB, vB, eps, reflect=False):
 
 
 def _aligned_factor_distance(pA, vA, pB, vB, eps, reflect):
-    """Max distance from factor block pB to pA moved by the isometry matching the centre frames."""
-    i0, j0 = pA.shape[0] // 2, pA.shape[1] // 2
-    L = factor_isometry_from_frames(pA[i0, j0], vA, pB[i0, j0], vB, eps, reflect=reflect)
-    mapped = np.einsum("ij,...j->...i", L, pA)
-    return np.max(np.linalg.norm(mapped - pB, axis=-1))
+    """Max distance from factor block pB to pA moved by the isometry matching the centre frames.
+
+    pA and pB are (3, nx, ny) blocks of a ``JetSample``'s p, components leading."""
+    i0, j0 = pA.shape[1] // 2, pA.shape[2] // 2
+    L = factor_isometry_from_frames(pA[:, i0, j0], vA, pB[:, i0, j0], vB, eps, reflect=reflect)
+    mapped = np.einsum("ij,j...->i...", L, pA)
+    return np.max(np.linalg.norm(mapped - pB, axis=0))
 
 
 def _height_alignment(hA, hB):
@@ -1084,13 +1086,13 @@ def weak_congruence_check(chartA, chartB, nx=41, ny=41):
         except DomainError:
             continue
         PB = jB.p
-        vA = jA.px[i0, j0, :3]
-        vB = jB.px[i0, j0, :3]
+        vA = jA.px[:3, i0, j0]
+        vB = jB.px[:3, i0, j0]
         if inner(vA, vA, eps) < 1e-12 or inner(vB, vB, eps) < 1e-12:
             continue
         for reflect in (False, True):
-            dist_factor = _aligned_factor_distance(PA[..., :3], vA, PB[..., :3], vB, eps, reflect)
-            s, c, dist_h = _height_alignment(PA[..., 3], PB[..., 3])
+            dist_factor = _aligned_factor_distance(PA[:3], vA, PB[:3], vB, eps, reflect)
+            s, c, dist_h = _height_alignment(PA[3], PB[3])
             dist = max(dist_factor, dist_h)
             if best is None or dist < best.distance:
                 best = CongruenceVerdict(
@@ -1113,10 +1115,10 @@ def product_alignment_distance(chartA, chartB, nx=25, ny=25):
     PA, PB = jA.p, jB.p
     i0, j0 = nx // 2, ny // 2
     # the second factor of profile charts is a curve: use its x-velocity
-    vA2, vB2 = jA.px[i0, j0, 3:], jB.px[i0, j0, 3:]
+    vA2, vB2 = jA.px[3:, i0, j0], jB.px[3:, i0, j0]
     if inner(vA2, vA2, eps) < 1e-10:
-        vA2, vB2 = jA.py[i0, j0, 3:], jB.py[i0, j0, 3:]
-    vA1, vB1 = jA.px[i0, j0, :3], jB.px[i0, j0, :3]
-    d1 = [_aligned_factor_distance(PA[..., :3], vA1, PB[..., :3], vB1, eps, r) for r in (False, True)]
-    d2 = [_aligned_factor_distance(PA[..., 3:], vA2, PB[..., 3:], vB2, eps, r) for r in (False, True)]
+        vA2, vB2 = jA.py[3:, i0, j0], jB.py[3:, i0, j0]
+    vA1, vB1 = jA.px[:3, i0, j0], jB.px[:3, i0, j0]
+    d1 = [_aligned_factor_distance(PA[:3], vA1, PB[:3], vB1, eps, r) for r in (False, True)]
+    d2 = [_aligned_factor_distance(PA[3:], vA2, PB[3:], vB2, eps, r) for r in (False, True)]
     return float(min(max(a, b) for a in d1 for b in d2))

@@ -151,6 +151,10 @@ class CurveSpec:
 class SampledCurve:
     """Dense-output curve from ``integrate_curve``: psi with its moving frame.
 
+    ``psi`` and ``T`` hold the nodes components first, shaped (3, n), as the
+    march makes them and ``ambient`` takes them; ``jet`` returns (..., 3), as
+    a chart's jet does.
+
     ``jet`` raises ``DomainError`` at any x outside the node span
     [x[0], x[-1]], beyond ``hermite_interp``'s round-off slack: the
     interpolant is not extended past the data.
@@ -164,8 +168,8 @@ class SampledCurve:
     @cached_property
     def _node_slopes(self):
         """(psi', T') at the nodes, from the Frenet equations of the curve."""
-        s = np.asarray(self.spec.speed(self.x))[:, None]
-        k = np.asarray(self.spec.curvature(self.x))[:, None]
+        s = np.asarray(self.spec.speed(self.x))
+        k = np.asarray(self.spec.curvature(self.x))
         N = cross_eps(self.psi, self.T, self.spec.eps)
         return s * self.T, s * (k * N - self.spec.eps * self.psi)
 
@@ -181,12 +185,12 @@ class SampledCurve:
         p = hermite_interp(self.x, self.psi, psi_p, x)
         q = project_to_factor(p, eps)
         t = tangent_project3(q, hermite_interp(self.x, self.T, T_p, x), eps)
-        t = t / norm3(t, eps)[..., None]
+        t = t / norm3(t, eps)
         n = cross_eps(q, t, eps)
-        s = np.asarray(self.spec.speed(x))[..., None]
-        sp = np.asarray(self.spec.speed_prime(x))[..., None]
-        k = np.asarray(self.spec.curvature(x))[..., None]
-        return p, s * t, sp * t + s * s * (k * n - eps * q)
+        s = np.asarray(self.spec.speed(x))
+        sp = np.asarray(self.spec.speed_prime(x))
+        k = np.asarray(self.spec.curvature(x))
+        return tuple(np.moveaxis(w, 0, -1) for w in (p, s * t, sp * t + s * s * (k * n - eps * q)))
 
     def constraint_defect(self):
         quad = np.max(np.abs(factor_constraint(self.psi, self.spec.eps)))
@@ -196,7 +200,7 @@ class SampledCurve:
 
     def to_csv(self, path):
         psi = self.psi
-        write_columns_csv(path, {"x": self.x, "p1": psi[:, 0], "p2": psi[:, 1], "p3": psi[:, 2]}, fmt=".16e")
+        write_columns_csv(path, {"x": self.x, "p1": psi[0], "p2": psi[1], "p3": psi[2]}, fmt=".16e")
 
 
 _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * (np.sqrt(15.0) / 10.0)  # three-point Gauss rule on [0, 1]
@@ -350,9 +354,9 @@ def integrate_curve(spec, x_span, step):
     # node order: x = -n0 step, ..., -step, 0, step, ..., n1 step
     P = np.concatenate([bwd[..., ::-1], np.eye(3)[:, :, None], fwd], axis=-1)
     F0 = np.stack([spec.p0, spec.T0, cross_eps(spec.p0, spec.T0, spec.eps)])
-    F = np.ascontiguousarray(_mul(P, F0[:, :, None]).transpose(2, 0, 1))
+    F = _mul(P, F0[:, :, None])  # (3, 3, nodes): F[0] is psi and F[1] is T, components first
     eps = spec.eps
-    psi = project_to_factor(F[:, 0], eps)
-    T = tangent_project3(psi, F[:, 1], eps)
-    T = T / norm3(T, eps)[:, None]
+    psi = project_to_factor(F[0], eps)
+    T = tangent_project3(psi, F[1], eps)
+    T = T / norm3(T, eps)
     return SampledCurve(spec, np.concatenate([t0[:0:-1], t1]), psi, T)

@@ -9,6 +9,12 @@ for both in ``surface_invariants``) and apply the differentiation matrix of
 ``chebyshev`` to field stacks there, so that the residuals measure the chart
 itself, not the differentiation.
 
+Layout: a chart's jet and the records hold vectors component last, (..., d), as
+the rest of the package does; everything in between holds them components first,
+(d, ...), as :mod:`pmcsurf.ambient` takes them.  ``sample_jet`` turns the chart's
+jet into the (d, ...) ``JetSample``, and each record moves its vector fields
+(``SurfaceInvariants.H`` and ``Htilde``, ``CmcData.N``) back once, when it is built.
+
 Sign conventions inherit from :mod:`pmcsurf.ambient`: the normal companion
 Htilde of the mean curvature vector is oriented so that
 {e1, e2, Htilde/|H|, H/|H|} is positively oriented for the product orientation
@@ -41,7 +47,8 @@ CHEB_N = 48
 
 @dataclass
 class JetSample:
-    """First and second partials of a chart on an array of samples."""
+    """First and second partials of a chart on an array of samples, components leading:
+    each of p, px, py, pxx, pxy and pyy is shaped (d, *samples)."""
 
     chart: ImmersionChart
     x: np.ndarray
@@ -59,14 +66,20 @@ class JetSample:
 
     @property
     def dim(self):
-        return self.p.shape[-1]
+        return self.p.shape[0]
 
     def ip(self, v, w):
         """Bilinear inner product of the chart's ambient (no conjugation)."""
         return inner(v, w, self.eps)
 
-    # Phi_z, Phi_zz and J_j Phi_z are built once per jet: the Frenet scalars
-    # and the definitional Hopf path both read them
+    # <Phi_x, Phi_x>, Phi_z, Phi_zz and J_j Phi_z are built once per jet: the
+    # conformal data, the Kaehler functions and H share the first, the Frenet
+    # scalars and the definitional Hopf path the others
+    @cached_property
+    def gxx(self):
+        """<Phi_x, Phi_x> = e^{2u}."""
+        return self.ip(self.px, self.px)
+
     @cached_property
     def phi_z(self):
         """Phi_z = (Phi_x - i Phi_y) / 2."""
@@ -80,7 +93,7 @@ class JetSample:
     @cached_property
     def j_phi_z(self):
         """(J_1 Phi_z, J_2 Phi_z)."""
-        return product_j_pair(self.p, self.phi_z, self.eps, check=False)
+        return product_j_pair(self.p, self.phi_z, self.eps)
 
 
 def _leaves_domain(domain, x, y):
@@ -94,12 +107,19 @@ def _leaves_domain(domain, x, y):
 
 
 def sample_jet(chart, x, y):
-    """2-jet of the chart at samples (x, y), which must lie in the closed chart domain."""
+    """2-jet of the chart at samples (x, y), which must lie in the closed chart domain.
+
+    This is where the chart's layout turns into the engine's: the chart's jet gives each
+    key as (*samples, d), and the JetSample holds it as one C-ordered (d, *samples) copy.
+    Each (*samples, d) array is dropped as soon as it is copied, so one jet is alive, not two.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if _leaves_domain(chart.domain, x, y):
         raise DomainError("samples fall outside the chart domain")
-    return JetSample(chart, x, y, **chart.jet(x, y))
+    raw = dict(chart.jet(x, y))  # popped from a copy: a chart may keep the dict it returns
+    components = {k: np.ascontiguousarray(np.moveaxis(raw.pop(k), -1, 0)) for k in list(raw)}
+    return JetSample(chart, x, y, **components)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +129,7 @@ def sample_jet(chart, x, y):
 
 def conformal_data(jet):
     """Log conformal factor u = log |px| and the conformality defect."""
-    gxx = jet.ip(jet.px, jet.px)
+    gxx = jet.gxx
     gyy = jet.ip(jet.py, jet.py)
     gxy = jet.ip(jet.px, jet.py)
     if np.any(gxx <= 0):
@@ -121,7 +141,9 @@ def conformal_data(jet):
 
 @dataclass
 class NormalFrame:
-    """Orthonormal data along a product chart: tangents, H, Htilde, xi, normal projector."""
+    """Orthonormal data along a product chart: tangents, H, Htilde, xi, normal projector.
+
+    The vectors are (6, ...), components first, as the jet's."""
 
     e1: np.ndarray
     e2: np.ndarray
@@ -137,23 +159,23 @@ def _mean_curvature(jet):
     normal plane of the surface inside T(M2 x M2), and the tangent frame e1, e2."""
     eps = jet.eps
     P = jet.p
-    Phat = np.concatenate([P[..., :3], -P[..., 3:]], axis=-1)
-    gxx = jet.ip(jet.px, jet.px)
-    e1 = jet.px / np.sqrt(gxx)[..., None]
-    f2 = jet.py - jet.ip(jet.py, e1)[..., None] * e1
+    Phat = np.concatenate([P[:3], -P[3:]])
+    gxx = jet.gxx
+    e1 = jet.px / np.sqrt(gxx)
+    f2 = jet.py - jet.ip(jet.py, e1) * e1
     n2 = jet.ip(f2, f2)
     if np.any(n2 <= 0):
         raise DomainError("degenerate tangent plane: rank of the differential drops")
-    e2 = f2 / np.sqrt(n2)[..., None]
+    e2 = f2 / np.sqrt(n2)
 
     def proj(V):
-        out = V - (jet.ip(V, P) / (2.0 * eps))[..., None] * P
-        out = out - (jet.ip(out, Phat) / (2.0 * eps))[..., None] * Phat
-        out = out - jet.ip(out, e1)[..., None] * e1
-        out = out - jet.ip(out, e2)[..., None] * e2
+        out = V - (jet.ip(V, P) / (2.0 * eps)) * P
+        out -= (jet.ip(out, Phat) / (2.0 * eps)) * Phat
+        out -= jet.ip(out, e1) * e1
+        out -= jet.ip(out, e2) * e2
         return out
 
-    return proj((jet.pxx + jet.pyy) / (2.0 * gxx)[..., None]), proj, e1, e2
+    return proj((jet.pxx + jet.pyy) / (2.0 * gxx)), proj, e1, e2
 
 
 def normal_frame(jet):
@@ -174,12 +196,12 @@ def normal_frame(jet):
         raise DomainError("minimal surface: H is (numerically) null, Htilde undefined")
     Hnorm = np.sqrt(Hsq)
 
-    n = orientation_dual(jet.p, e1, e2, H / Hnorm[..., None], jet.eps)
+    n = orientation_dual(jet.p, e1, e2, H / Hnorm, jet.eps)
     nsq = jet.ip(n, n)
     if np.any(nsq <= 0):
         raise DomainError("could not span the normal plane")
-    Htilde = -(Hnorm / np.sqrt(nsq))[..., None] * n
-    xi = (H - 1j * Htilde) / (np.sqrt(2.0) * Hnorm[..., None])
+    Htilde = -(Hnorm / np.sqrt(nsq)) * n
+    xi = (H - 1j * Htilde) / (np.sqrt(2.0) * Hnorm)
     return NormalFrame(e1=e1, e2=e2, H=H, Htilde=Htilde, Hnorm=Hnorm, xi=xi, proj=proj)
 
 
@@ -187,8 +209,8 @@ def kaehler_functions(jet):
     """Kaehler functions C_j = <J_j Phi_x, Phi_y> e^{-2u} and the factor Jacobians."""
     if jet.dim != 6:
         raise DomainError("Kaehler functions live on product charts")
-    e2u = jet.ip(jet.px, jet.px)
-    J1px, J2px = product_j_pair(jet.p, jet.px, jet.eps, check=False)
+    e2u = jet.gxx
+    J1px, J2px = product_j_pair(jet.p, jet.px, jet.eps)
     C1 = jet.ip(J1px, jet.py) / e2u
     C2 = jet.ip(J2px, jet.py) / e2u
     return C1, C2, 0.5 * (C1 + C2), 0.5 * (C1 - C2)
@@ -241,7 +263,7 @@ def ambient_curvature(jet, X, Y, Z, W):
     eps = jet.eps
     total = 0.0
     for sl in (slice(0, 3), slice(3, 6)):
-        x, y, z, w = X[..., sl], Y[..., sl], Z[..., sl], W[..., sl]
+        x, y, z, w = X[sl], Y[sl], Z[sl], W[sl]
         total = total + inner(x, w, eps) * inner(y, z, eps) - inner(x, z, eps) * inner(y, w, eps)
     return eps * total
 
@@ -300,12 +322,14 @@ def _chebyshev_grid(X, Y):
 
 
 def apply_along(D, F, axis):
-    """The matrix D applied along grid axis 0 or 1 of a field stack F of shape (n, n, *components),
-    by one ``np.einsum`` that sums in a fixed order, with no BLAS call, so its bits do not depend on
-    the matrix kernel that BLAS picks for the CPU at run time.  Axis 1 reads a copy of F with its
-    grid axes swapped: the inner loop runs along a grid line, not over the few components."""
-    G = np.ascontiguousarray(np.swapaxes(F, 0, axis))
-    return np.swapaxes(np.einsum("ij,j...->i...", D, G), 0, axis)
+    """The matrix D applied along array axis ``axis`` of a field F: grid axis 0 or 1 of a field
+    stack of shape (n, n, *components), or 1 or 2 of a vector field of shape (d, n, n).  One
+    ``np.einsum`` sums in a fixed order, with no BLAS call, so its bits do not depend on the
+    matrix kernel that BLAS picks for the CPU at run time.  It reads a copy of F with ``axis``
+    moved first (none for axis 0): the inner loop runs over the other axes, not over a few
+    components."""
+    G = np.ascontiguousarray(np.moveaxis(F, axis, 0))
+    return np.moveaxis(np.einsum("ij,j...->i...", D, G), 0, axis)
 
 
 def normalized_mismatch(lhs, rhs, terms=()):
@@ -355,7 +379,7 @@ def holomorphy_residual(theta, dx, dy):
 
 @dataclass
 class SurfaceInvariants:
-    """Per-grid-point invariants of a product chart plus residual summary."""
+    """Per-grid-point invariants of a product chart plus residual summary; H and Htilde are (nx, ny, 6)."""
 
     chart: ImmersionChart
     x: np.ndarray
@@ -400,9 +424,10 @@ class SurfaceInvariants:
 
 def _parallelism(jet, H, proj, Dx, Dy):
     """max over the jet's Chebyshev grid of max(|(H_x)^perp|, |(H_y)^perp|) / |H|, H differentiated
-    as one stack of six components per axis and projected by the jet's normal projector ``proj``."""
+    as one stack of six components per axis and projected by the jet's normal projector ``proj``.
+    H is (6, n, n), so the grid axes are 1 and 2."""
     worst = 0.0
-    for D, axis in ((Dx, 0), (Dy, 1)):
+    for D, axis in ((Dx, 1), (Dy, 2)):
         dH = proj(apply_along(D, H, axis))
         worst = np.maximum(worst, np.sqrt(np.abs(jet.ip(dH, dH))))
     return float(np.max(worst / np.sqrt(jet.ip(H, H))))
@@ -434,8 +459,8 @@ def _pointwise_block(jet, frame):
 
     eps = jet.eps
     Hn = frame.Hnorm
-    e3 = frame.Htilde / Hn[..., None]
-    e4 = frame.H / Hn[..., None]
+    e3 = frame.Htilde / Hn
+    e4 = frame.H / Hn
     return dict(
         u=u,
         conformal_defect=defect,
@@ -479,7 +504,7 @@ def surface_invariants(chart, nx=81, ny=81):
     jet = sample_jet(chart, Xc, Yc)
     frame = normal_frame(jet)
     spectral = dict(_pointwise_block(jet, frame), x=Xc, y=Yc)
-    for j, JH in enumerate(product_j_pair(jet.p, frame.Htilde, chart.eps, check=False), start=1):
+    for j, JH in enumerate(product_j_pair(jet.p, frame.Htilde, chart.eps), start=1):
         spectral[f"X{j}"] = np.stack([jet.ip(JH, jet.px), jet.ip(JH, jet.py)], axis=-1)
     parallelism = _parallelism(jet, frame.H, frame.proj, Dx, Dy)
     del jet, frame  # the record outlives neither
@@ -489,6 +514,8 @@ def surface_invariants(chart, nx=81, ny=81):
 
     kept = {f.name for f in fields(SurfaceInvariants)}
     pointwise = {k: v for k, v in record.items() if k in kept}
+    for k in ("H", "Htilde"):  # the record's vectors are (..., 6), as the chart's jet
+        pointwise[k] = np.ascontiguousarray(np.moveaxis(pointwise[k], 0, -1))
     u = pointwise["u"]
     dx = X[1, 0] - X[0, 0]
     dy = Y[0, 1] - Y[0, 0]
@@ -635,7 +662,7 @@ def torus_integrals(chart, nx=128, ny=128):
         d2 = (np.roll(f, -2, axis=axis) - np.roll(f, 2, axis=axis)) / (4 * step)
         return (4.0 * d1 - d2) / 3.0
 
-    JH_pair = product_j_pair(jet.p, frame.Htilde, chart.eps, check=False)
+    JH_pair = product_j_pair(jet.p, frame.Htilde, chart.eps)
     for j, (C, JH) in enumerate(zip((C1, C2), JH_pair), start=1):
         a1, a2 = jet.ip(JH, jet.px), jet.ip(JH, jet.py)
         Cx, Cy = pd(C, dx, 0), pd(C, dy, 1)
@@ -654,7 +681,7 @@ def torus_integrals(chart, nx=128, ny=128):
 
 @dataclass
 class CmcData:
-    """Invariants of a CMC chart in M2(eps) x R on a grid."""
+    """Invariants of a CMC chart in M2(eps) x R on a grid; N is (nx, ny, 4)."""
 
     chart: ImmersionChart
     x: np.ndarray
@@ -700,24 +727,24 @@ def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK):
 
     u, defect = conformal_data(jet)
     e2u = np.exp(2 * u)
-    P_hat = np.concatenate([jet.p[..., :3], np.zeros_like(jet.p[..., :1])], axis=-1)
+    P_hat = np.concatenate([jet.p[:3], np.zeros_like(jet.p[:1])])
 
     def proj(V):
-        out = V - (eps * jet.ip(V, P_hat))[..., None] * P_hat
-        out = out - (jet.ip(out, jet.px) / e2u)[..., None] * jet.px
-        out = out - (jet.ip(out, jet.py) / e2u)[..., None] * jet.py
+        out = V - (eps * jet.ip(V, P_hat)) * P_hat
+        out -= (jet.ip(out, jet.px) / e2u) * jet.px
+        out -= (jet.ip(out, jet.py) / e2u) * jet.py
         return out
 
-    Hvec = proj((jet.pxx + jet.pyy) / (2.0 * e2u)[..., None])
+    Hvec = proj((jet.pxx + jet.pyy) / (2.0 * e2u))
     Hsq = jet.ip(Hvec, Hvec)
     if np.any(Hsq <= 0):
         raise DomainError("mean curvature vector vanishes somewhere: not a CMC chart with H != 0")
     H_scalar = np.sqrt(Hsq)
-    N = Hvec / H_scalar[..., None]
-    nu = N[..., 3]
+    N = Hvec / H_scalar
+    nu = N[3]
 
     p = jet.ip(jet.phi_zz, N)
-    eta_z = jet.phi_z[..., 3]
+    eta_z = jet.phi_z[3]
     theta_ar = ar_theta(H_scalar, p, eta_z, eps)
 
     data = CmcData(
@@ -726,7 +753,7 @@ def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK):
         y=Y,
         u=u,
         conformal_defect=defect,
-        N=N,
+        N=np.ascontiguousarray(np.moveaxis(N, 0, -1)),
         nu=nu,
         H_scalar=H_scalar,
         p=p,

@@ -82,10 +82,10 @@ class ImmersionChart:
 
     def manifold_defect(self, x, y):
         """Max violation of the target-manifold constraints at the given samples."""
-        p = self.evaluate(x, y)
-        d1 = np.abs(factor_constraint(p[..., :3], self.eps))
+        p = np.moveaxis(self.evaluate(x, y), -1, 0)  # components first, as ambient takes them
+        d1 = np.abs(factor_constraint(p[:3], self.eps))
         if self.target == TARGET_PRODUCT:
-            d2 = np.abs(factor_constraint(p[..., 3:], self.eps))
+            d2 = np.abs(factor_constraint(p[3:], self.eps))
             return float(max(d1.max(), d2.max()))
         return float(d1.max())
 

@@ -22,8 +22,8 @@ def span_from_zero(x_span, march):
 def hermite_interp(xg, y, yp, x):
     """Cubic Hermite interpolation on a uniform grid xg.
 
-    ``y`` and ``yp`` hold node values and slopes, shaped (n,) or (n, d);
-    ``x`` may be any array.  An x outside [xg[0], xg[-1]] by more than a
+    ``y`` and ``yp`` hold node values and slopes, shaped (n,) or (d, n),
+    and the result is shaped x.shape or (d, *x.shape); ``x`` may be any array.  An x outside [xg[0], xg[-1]] by more than a
     round-off slack of 1e-9 node spacings raises ``DomainError``: the end
     cubics are not extended past the data.
     """
@@ -36,14 +36,12 @@ def hermite_interp(xg, y, yp, x):
         raise DomainError(f"interpolation outside the node span [{xg[0]:.6g}, {xg[-1]:.6g}]")
     i = np.clip(((x - xg[0]) / dx).astype(int), 0, len(xg) - 2)
     t = (x - xg[i]) / dx
-    if y.ndim == 2:
-        t = t[..., None]
     t2, t3 = t * t, t * t * t
     h00 = 2 * t3 - 3 * t2 + 1
     h10 = t3 - 2 * t2 + t
     h01 = -2 * t3 + 3 * t2
     h11 = t3 - t2
-    return h00 * y[i] + h10 * dx * yp[i] + h01 * y[i + 1] + h11 * dx * yp[i + 1]
+    return h00 * y[..., i] + h10 * dx * yp[..., i] + h01 * y[..., i + 1] + h11 * dx * yp[..., i + 1]
 
 
 class CumulativeIntegral:

@@ -48,7 +48,7 @@ def test_latitude_circle():
     t = np.linspace(0, 7, 40)
     pts = curve.jet(t)[0]
     assert np.allclose(pts[:, 2], 0.6, atol=1e-12)
-    assert np.max(np.abs(factor_constraint(pts, +1))) < 1e-12
+    assert np.max(np.abs(factor_constraint(pts.T, +1))) < 1e-12
     assert fd_curvature(curve, 0.3, +1) == pytest.approx(k, abs=1e-7)
 
 
@@ -70,7 +70,7 @@ def test_horocycle_on_null_plane():
     pts = curve.jet(t)[0]
     vals = pts[:, 0] - pts[:, 2]
     assert np.allclose(vals, vals[0], atol=1e-12)  # x1 - x3 constant
-    assert np.max(np.abs(factor_constraint(pts, -1))) < 1e-12
+    assert np.max(np.abs(factor_constraint(pts.T, -1))) < 1e-12
     assert fd_curvature(curve, 0.7, -1) == pytest.approx(1.0, abs=1e-7)
     mirrored = constant_curvature_curve(-1, -1.0)
     assert fd_curvature(mirrored, 0.7, -1) == pytest.approx(-1.0, abs=1e-7)
@@ -87,7 +87,7 @@ def test_hyperbolic_circle_and_hypercycle():
     pts = hyper.jet(t)[0]
     assert np.allclose(pts[:, 0], 0.5 / np.sqrt(0.75), atol=1e-12)  # x1 = const
     assert fd_curvature(hyper, 0.4, -1) == pytest.approx(0.5, abs=1e-7)
-    assert np.max(np.abs(factor_constraint(pts, -1))) < 1e-11
+    assert np.max(np.abs(factor_constraint(pts.T, -1))) < 1e-11
 
 
 def test_constant_speed_unit():
@@ -96,7 +96,7 @@ def test_constant_speed_unit():
         for k in rng.uniform(-2, 2, size=8):
             curve = constant_curvature_curve(eps, float(k))
             t = np.linspace(-2, 2, 17)
-            sp = norm3(curve.jet(t)[1], eps)
+            sp = norm3(curve.jet(t)[1].T, eps)
             assert np.allclose(sp, 1.0, atol=1e-11)
 
 
@@ -136,12 +136,12 @@ def test_integrate_prop4_psi_curve():
     curve = integrate_curve(spec, x_span=(-1.2, 1.2), step=1e-3)
     x = np.linspace(-1.1, 1.1, 37)
     # |psi'|^2 = 1 + 2 sinh^2 x for these parameters
-    v = curve.jet(x)[1]
+    v = curve.jet(x)[1].T
     assert np.max(np.abs(inner(v, v, -1) - (1.0 + 2.0 * np.sinh(x) ** 2))) < 1e-7
     # curvature recovered by finite differences matches the prescription
     rec = fd_curvature(curve, 0.35, -1)
     assert rec == pytest.approx(float(curvature(0.35)), abs=1e-6)
-    assert np.max(np.abs(factor_constraint(curve.jet(x)[0], -1))) < 1e-8
+    assert np.max(np.abs(factor_constraint(curve.jet(x)[0].T, -1))) < 1e-8
 
 
 def test_curvature_roundtrip_randomized():
@@ -421,8 +421,9 @@ def test_prefix_march_matches_array_march(case):
     x, psi, T = _reference_integrate(spec, x_span, step)
     assert np.array_equal(curve.x, x)
     # the same step: the two marches differ by the RK4 march's fourth-order error
-    assert np.max(np.abs(curve.psi - psi)) <= 1e-10
-    assert np.max(np.abs(curve.T - T)) <= 1e-10
+    # the curve holds its nodes components first, (3, n); the reference holds them as rows
+    assert np.max(np.abs(curve.psi.T - psi)) <= 1e-10
+    assert np.max(np.abs(curve.T.T - T)) <= 1e-10
     # a quarter of the step: the sixth-order march is no less accurate than the RK4 march
     x4, psi4, T4 = _reference_integrate(spec, x_span, step / 4.0)
     c, f = _shared_nodes(x, x4, 4)
@@ -431,7 +432,7 @@ def test_prefix_march_matches_array_march(case):
     def error(p, t):
         return max(np.max(np.abs(p[c] - psi4[f])), np.max(np.abs(t[c] - T4[f])))
 
-    assert error(curve.psi, curve.T) <= max(2.0 * error(psi, T), 1e-13)
+    assert error(curve.psi.T, curve.T.T) <= max(2.0 * error(psi, T), 1e-13)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 1000, 1601])
@@ -515,7 +516,7 @@ def test_constant_data_march_matches_closed_form():
         assert curve.constraint_defect() <= 1e-12
         # the closed form is arclength-parametrized: x covers arclength s x
         exact = constant_curvature_curve(eps, k, p0=p0, T0=T0).jet(s * curve.x)[0]
-        assert np.max(np.abs(curve.psi - exact)) <= PROPERTY_BOUND
+        assert np.max(np.abs(curve.psi.T - exact)) <= PROPERTY_BOUND
 
     check()
 

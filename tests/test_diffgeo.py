@@ -103,16 +103,16 @@ def test_normal_frame_product_formula():
     assert np.max(np.abs(frame.Hnorm**2 - 2.340278 / 4)) < 1e-6
     alpha = constant_curvature_curve(+1, ka)
     beta = constant_curvature_curve(+1, kb)
+    # the curves' jets are (..., 3), as a chart's; the frame is (6, ...), components first
     H_ref = np.concatenate(
         [
-            0.5 * ka * factor_j(*alpha.jet(X)[:2], +1, check=False),
-            0.5 * kb * factor_j(*beta.jet(Y)[:2], +1, check=False),
+            0.5 * ka * factor_j(*(np.moveaxis(w, -1, 0) for w in alpha.jet(X)[:2]), +1, check=False),
+            0.5 * kb * factor_j(*(np.moveaxis(w, -1, 0) for w in beta.jet(Y)[:2]), +1, check=False),
         ],
-        axis=-1,
     )
     assert np.max(np.abs(frame.H - H_ref)) < 1e-7
     # normality of H
-    for vec in (jet.px, jet.py, jet.p, np.concatenate([jet.p[..., :3], -jet.p[..., 3:]], axis=-1)):
+    for vec in (jet.px, jet.py, jet.p, np.concatenate([jet.p[:3], -jet.p[3:]])):
         assert np.max(np.abs(jet.ip(frame.H, vec))) < 1e-7
     # Htilde structure
     assert np.max(np.abs(jet.ip(frame.Htilde, frame.Htilde) - frame.Hnorm**2)) < 1e-7
@@ -129,18 +129,19 @@ def determinant_htilde(jet, frame):
     then signed by the orientation form so that {e1, e2, Htilde/|H|, H/|H|} is positive.
     """
     e1, e2, Hnorm = frame.e1, frame.e2, frame.Hnorm
-    h = frame.H / Hnorm[..., None]
+    h = frame.H / Hnorm
     P = jet.p
-    Phat = np.concatenate([P[..., :3], -P[..., 3:]], axis=-1)
-    A = np.stack([e1, e2, h, P, Phat], axis=-2)
+    Phat = np.concatenate([P[:3], -P[3:]])
+    # the 5x6 matrices of the five vectors at each sample, for linalg.det
+    A = np.stack([np.moveaxis(v, 0, -1) for v in (e1, e2, h, P, Phat)], axis=-2)
     cols = np.arange(6)
-    n = np.empty(A.shape[:-2] + (6,))
+    n = np.empty((6,) + A.shape[:-2])
     for i in range(6):
-        n[..., i] = (-1) ** (i + 1) * np.linalg.det(A[..., :, cols != i])
-    n = n * metric_diag(jet.eps, 6)
-    n = n / np.sqrt(jet.ip(n, n))[..., None]
+        n[i] = (-1) ** (i + 1) * np.linalg.det(A[..., :, cols != i])
+    n = n * metric_diag(jet.eps, 6).reshape((6,) + (1,) * (n.ndim - 1))
+    n = n / np.sqrt(jet.ip(n, n))
     sign = np.where(orientation_form(P, e1, e2, n, h, jet.eps) >= 0, 1.0, -1.0)
-    return sign[..., None] * Hnorm[..., None] * n
+    return sign * Hnorm * n
 
 
 def test_htilde_matches_the_determinant_path_on_the_battery():
@@ -155,8 +156,8 @@ def test_htilde_matches_the_determinant_path_on_the_battery():
         oracle = determinant_htilde(jet, frame)
         err = np.max(np.abs(frame.Htilde - oracle)) / np.max(np.abs(oracle))
         assert err < 1e-13, (ch.name, err)
-        orient = orientation_form(jet.p, frame.e1, frame.e2, frame.Htilde / frame.Hnorm[..., None],
-                                  frame.H / frame.Hnorm[..., None], jet.eps)
+        orient = orientation_form(jet.p, frame.e1, frame.e2, frame.Htilde / frame.Hnorm,
+                                  frame.H / frame.Hnorm, jet.eps)
         assert np.all(orient > 0), ch.name
 
 
@@ -317,8 +318,10 @@ def test_identity_residuals_battery():
         # record-level invariants
         assert max(np.max(inv.C1**2), np.max(inv.C2**2)) <= 1 + 1e-8, key
         jet = sample_jet(inv.chart, inv.x, inv.y)
-        assert np.max(np.abs(jet.ip(inv.Htilde, inv.Htilde) - inv.Hnorm**2)) < 1e-7, key
-        assert np.max(np.abs(jet.ip(inv.H, inv.Htilde))) < 1e-7, key
+        # the record's vectors are (..., 6), the jet's (6, ...)
+        H, Htilde = np.moveaxis(inv.H, -1, 0), np.moveaxis(inv.Htilde, -1, 0)
+        assert np.max(np.abs(jet.ip(Htilde, Htilde) - inv.Hnorm**2)) < 1e-7, key
+        assert np.max(np.abs(jet.ip(H, Htilde))) < 1e-7, key
 
 
 def test_chebyshev_differentiates_polynomials_exactly():
@@ -508,7 +511,9 @@ def test_record_is_the_pointwise_pass_of_the_requested_grid():
         assert np.array_equal(inv.x, X) and np.array_equal(inv.y, Y), ch.name
         for f in dataclasses.fields(inv):
             if f.name in block:
-                assert np.array_equal(getattr(inv, f.name), block[f.name], equal_nan=True), (ch.name, f.name)
+                # the block's vectors lead with their components; the record's end with them
+                value = np.moveaxis(block[f.name], 0, -1) if f.name in ("H", "Htilde") else block[f.name]
+                assert np.array_equal(getattr(inv, f.name), value, equal_nan=True), (ch.name, f.name)
         assert inv.parallelism_residual == parallelism_residual(ch, X, Y), ch.name
         dx, dy = X[1, 0] - X[0, 0], Y[0, 1] - Y[0, 0]
         for j in (1, 2):
@@ -545,7 +550,7 @@ def test_numeric_jet_takes_nine_evaluations():
     jet = sample_jet(fd_chart(ch, d), X, Y)
     assert len(calls) == 9
     for key, value in nine_point_jet(base.evaluate, X, Y, d).items():
-        assert np.array_equal(getattr(jet, key), value), key
+        assert np.array_equal(getattr(jet, key), np.moveaxis(value, -1, 0)), key
 
 
 def test_fd_chart_jet_is_the_nine_point_formula():
@@ -571,7 +576,7 @@ def test_fd_step_selects_the_numeric_jet_on_a_jet_chart():
     d = 1e-3
     jet = sample_jet(fd_chart(ch, d), X, Y)
     for key, value in nine_point_jet(ch.evaluate, X, Y, d).items():
-        assert np.array_equal(getattr(jet, key), value), key
+        assert np.array_equal(getattr(jet, key), np.moveaxis(value, -1, 0)), key
     assert not np.array_equal(jet.pxx, sample_jet(ch, X, Y).pxx)
 
 
@@ -715,3 +720,22 @@ def test_invariants_csv_and_summary(tmp_path):
     assert header.startswith("x,y,u,conformal_defect,C1,C2,K")
     text = inv.summary()
     assert "parallelism" in text and "eq7_j1" in text
+
+
+def test_record_bits_do_not_depend_on_the_jet_layout():
+    # sample_jet copies each key of the chart's jet into one C-ordered (d, ...) array, and
+    # the engine works elementwise from there: a jet of Fortran-ordered arrays gives the
+    # record of the same jet with C-ordered arrays, bit for bit
+    base = chart("prop4_sph")
+    fortran = dataclasses.replace(base, jet=lambda x, y: {k: np.asfortranarray(v) for k, v in base.jet(x, y).items()})
+    X, Y = base.grid(33, 33, shrink=diffgeo.SHRINK)
+    assert all(v.flags.f_contiguous and not v.flags.c_contiguous for v in fortran.jet(X, Y).values())
+    ref, got = surface_invariants(base, nx=33, ny=33), surface_invariants(fortran, nx=33, ny=33)
+    for f in dataclasses.fields(ref):
+        a, b = getattr(ref, f.name), getattr(got, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes(), f.name
+        elif isinstance(a, dict):
+            assert a == b, f.name
+        elif f.name != "chart":
+            assert a == b, f.name

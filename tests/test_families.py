@@ -277,7 +277,7 @@ def test_torus_parameters_and_closure():
     x = rng.uniform(0, ch.periods[0], size=1000)
     y = rng.uniform(0, ch.periods[1], size=1000)
     p = ch.evaluate(x, y)
-    assert np.max(np.abs(inner(p[..., :3], p[..., :3], +1) - 1.0)) < 1e-12
+    assert np.max(np.abs(inner(p[..., :3].T, p[..., :3].T, +1) - 1.0)) < 1e-12
     # seam closure in the S1 embedding
     e0 = ch.embed_circle(x, y)
     assert np.max(np.abs(e0 - ch.embed_circle(x + ch.periods[0], y))) < 1e-8
