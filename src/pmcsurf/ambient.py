@@ -11,7 +11,8 @@ Kaehler functions and Hopf coefficients downstream inherit this choice.
 
 Components lead: a point or vector of the factor is an array shaped (3, ...),
 of the product (6, ...), and of M2(eps) x R (4, ...); the trailing axes hold
-the samples, and they broadcast.  Every operation reads whole components
+the samples, and they broadcast.  This is the one layout of every vector the
+package holds, from a chart's jet and a curve's jet to the records.  Every operation reads whole components
 (v[0], v[1], ...) and works elementwise over the samples, so its bits depend
 on the values only, not on how the operands lie in memory; on a C-ordered
 array each component is one contiguous block.

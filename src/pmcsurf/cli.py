@@ -116,13 +116,11 @@ def _corrupt_chart(chart, factor):
 
     The scaling is linear, so the control's 2-jet is the parent's jet with
     every key scaled on the same components: 3: (the second factor of a
-    product, the height column of a chart into M2 x R).
+    product, the height of a chart into M2 x R).
     """
-    scale = np.ones(chart.dim)
-    scale[3:] = factor
 
     def jet(x, y):
-        return {key: v * scale for key, v in chart.jet(x, y).items()}
+        return {key: np.concatenate([v[:3], v[3:] * factor]) for key, v in chart.jet(x, y).items()}
 
     return dataclasses.replace(
         chart,
@@ -139,35 +137,35 @@ def _corrupt_chart(chart, factor):
 
 
 def write_obj(path, vertices, nx, ny):
-    """ASCII OBJ of a structured grid of vertices (nx*ny, 3), quads split in two.
+    """ASCII OBJ of a structured grid of vertices (3, nx, ny), quads split in two.
 
-    Quad (i, j) has the corners a = i ny + j + 1, b = a + ny, b + 1 and
-    a + 1 (1-based), written as the faces (a, b, b + 1) and (a, b + 1, a + 1).
-    The text comes from one format template per section, filled with
-    Python floats and ints.
+    Each vertex is one row of the file, so the components are interleaved
+    point by point.  Quad (i, j) has the corners a = i ny + j + 1, b = a + ny,
+    b + 1 and a + 1 (1-based), written as the faces (a, b, b + 1) and
+    (a, b + 1, a + 1).  The text comes from one format template per section,
+    filled with Python floats and ints.
     """
     i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
     a = (i * ny + j + 1).ravel()
     b = a + ny
     faces = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1).ravel().tolist()
-    coords = np.asarray(vertices).ravel().tolist()
+    coords = np.asarray(vertices).reshape(3, -1).T.ravel().tolist()
     text = ("v %.12e %.12e %.12e\n" * (len(coords) // 3)) % tuple(coords)
     Path(path).write_text(text + ("f %d %d %d\n" * (len(faces) // 3)) % tuple(faces))
 
 
 def _disk_projection(pts3, poincare):
-    """2D picture of a factor point: Poincare disk / stereographic projection."""
+    """2D picture of factor points (3, ...): Poincare disk / stereographic projection."""
     if not poincare:
         return pts3
-    denom = 1.0 + pts3[..., 2:3]
-    return np.concatenate([pts3[..., :2] / denom, np.zeros_like(denom)], axis=-1)
+    denom = 1.0 + pts3[2:3]
+    return np.concatenate([pts3[:2] / denom, np.zeros_like(denom)])
 
 
 def _write_cmc_obj(path, P, nx, ny):
     """OBJ of a chart into M2(eps) x R: the factor's disk picture, lifted by the height."""
-    flat = _disk_projection(P[..., :3], True)
-    mesh = np.concatenate([flat[..., :2], P[..., 3:4]], axis=-1)
-    write_obj(path, mesh.reshape(-1, 3), nx, ny)
+    flat = _disk_projection(P[:3], True)
+    write_obj(path, np.concatenate([flat[:2], P[3:4]]), nx, ny)
 
 
 def write_metadata(path, entries):
@@ -196,11 +194,11 @@ def cmd_generate(args):
     stem = chart.name.replace("(", "_").replace(")", "")
     files = []
     if chart.target == fam.TARGET_PRODUCT:
-        first = _disk_projection(P[..., :3], args.poincare and chart.eps == -1)
-        second = _disk_projection(P[..., 3:], args.poincare and chart.eps == -1)
+        first = _disk_projection(P[:3], args.poincare and chart.eps == -1)
+        second = _disk_projection(P[3:], args.poincare and chart.eps == -1)
         for tag, pts in (("factor1", first), ("factor2", second)):
             path = out / f"{stem}_{tag}.obj"
-            write_obj(path, pts.reshape(-1, 3), nx, ny)
+            write_obj(path, pts, nx, ny)
             files.append(path)
     else:
         path = out / f"{stem}.obj"
@@ -210,7 +208,7 @@ def cmd_generate(args):
             meta["circle_radius"] = f"{chart.circle_radius:.12g}"
             # the factor component closes over the fundamental domain seams
             path = out / f"{stem}_factor.obj"
-            write_obj(path, P[..., :3].reshape(-1, 3), nx, ny)
+            write_obj(path, P[:3], nx, ny)
             files.append(path)
     if chart.periods is not None:
         meta["period_x"] = f"{chart.periods[0]:.12g}"

@@ -294,58 +294,60 @@ def _fit(t, v):
     return knots, k, c
 
 
-def _diff(t, k, c):
-    """The derivative along the first axis of the tensor spline with knots t, degree k and
-    coefficients c, shape (n, n', m), on that axis: degree k - 1 on t[1:-1]."""
+def _diff(t, k, c, axis):
+    """The derivative along array axis ``axis`` of the tensor spline with knots t, degree k and
+    coefficients c on that axis: degree k - 1 on t[1:-1]."""
     w = k / (t[k + 1:-1] - t[1:-k - 1])
-    return t[1:-1], k - 1, (c[1:] - c[:-1]) * w[:, None, None]
+    return t[1:-1], k - 1, np.diff(c, axis=axis) * w.reshape((-1,) + (1,) * (c.ndim - 1 - axis))
 
 
 def _spline(xs, ys, v):
-    """One tensor B-spline interpolating every component of v, shape (nx, ny, *components), on xs x ys.
+    """One tensor B-spline interpolating every component of v, shape (*components, nx, ny), on xs x ys.
 
     Quintic on each axis, of lower degree on an axis of fewer than six nodes,
     with FITPACK's interpolation knots (``_fit``).  The fit runs along x, then
-    along y, each pass solving for every component at once.  The returned
-    ``sp(points, nu=(0, 0))`` takes points of shape (..., 2) and gives the
-    (nu[0], nu[1]) derivative there, shape (..., *components), from
-    differenced coefficients; a point outside the knot span xs[0]..xs[-1],
-    ys[0]..ys[-1] raises DomainError, where it would extrapolate.  It
-    computes the Cox-de Boor basis on the distinct x and on the distinct y of
-    the points, contracts the coefficients along x, then along y, k + 1 terms
-    each summed in a fixed order, and gathers the points from the grid these
-    span: a tensor grid costs its point count, a scattered query the product
-    of its distinct x and y counts.  numpy only, with no BLAS call, so no bit
+    along y, each pass solving for every component at once, with the nodes of
+    its axis first, as ``_fit`` takes them.  The returned ``sp(x, y, nu=(0, 0))``
+    takes samples x and y of one shape and gives the (nu[0], nu[1]) derivative
+    there, a C-ordered (*components, *x.shape) array, from differenced
+    coefficients; a point outside the knot span xs[0]..xs[-1], ys[0]..ys[-1]
+    raises DomainError, where it would extrapolate.  It computes the Cox-de
+    Boor basis on the distinct x and on the distinct y of the points,
+    contracts the coefficients along x, then along y, k + 1 terms each summed
+    in a fixed order, and gathers the points from the grid these span: a
+    tensor grid costs its point count, a scattered query the product of its
+    distinct x and y counts.  numpy only, with no BLAS call, so no bit
     depends on the matrix kernel BLAS picks for the CPU.
     """
-    nx, ny, comp = len(xs), len(ys), np.shape(v)[2:]
-    tx, kx, c = _fit(xs, np.reshape(v, (nx, -1)))
-    ty, ky, c = _fit(ys, c.reshape(nx, ny, -1).transpose(1, 0, 2).reshape(ny, -1))
-    c = np.ascontiguousarray(c.reshape(ny, nx, -1).transpose(1, 0, 2))
+    nx, ny, comp = len(xs), len(ys), np.shape(v)[:-2]
+    V = np.reshape(v, (-1, nx, ny))
+    m = len(V)
+    tx, kx, c = _fit(xs, V.transpose(1, 0, 2).reshape(nx, -1))
+    ty, ky, c = _fit(ys, c.reshape(nx, m, ny).transpose(2, 1, 0).reshape(ny, -1))
+    # the coefficients as (x, component, y): each term of the x contraction gathers whole blocks
+    c = np.ascontiguousarray(c.reshape(ny, m, nx).transpose(2, 1, 0))
 
-    def sp(points, nu=(0, 0)):
-        P = np.asarray(points, dtype=float)
-        ux, ix = np.unique(P[..., 0], return_inverse=True)
-        uy, iy = np.unique(P[..., 1], return_inverse=True)
+    def sp(x, y, nu=(0, 0)):
+        ux, ix = np.unique(np.asarray(x, dtype=float), return_inverse=True)
+        uy, iy = np.unique(np.asarray(y, dtype=float), return_inverse=True)
         if not (xs[0] <= ux[0] and ux[-1] <= xs[-1] and ys[0] <= uy[0] and uy[-1] <= ys[-1]):
             raise DomainError("spline queried outside its knot span")
         t1, k1, d = tx, kx, c
         for _ in range(nu[0]):
-            t1, k1, d = _diff(t1, k1, d)
-        t2, k2, d = ty, ky, np.swapaxes(d, 0, 1)
+            t1, k1, d = _diff(t1, k1, d, 0)
+        t2, k2 = ty, ky
         for _ in range(nu[1]):
-            t2, k2, d = _diff(t2, k2, d)
-        d = np.swapaxes(d, 0, 1)
+            t2, k2, d = _diff(t2, k2, d, 2)
         lx, bx = _bspline_basis(t1, k1, ux)
         ly, by = _bspline_basis(t2, k2, uy)
         D = bx[0, :, None, None] * d[lx - k1]
         for r in range(1, k1 + 1):
             D += bx[r, :, None, None] * d[lx - k1 + r]
-        D = np.ascontiguousarray(D.transpose(1, 0, 2))  # y-major, so each term below gathers whole rows
-        E = by[0, :, None, None] * D[ly - k2]
+        D = np.ascontiguousarray(D.transpose(1, 2, 0))  # (component, y, x): each term below gathers x rows
+        E = by[0, :, None] * np.take(D, ly - k2, axis=1)
         for s in range(1, k2 + 1):
-            E += by[s, :, None, None] * D[ly - k2 + s]
-        return E[iy, ix].reshape(P.shape[:-1] + comp)
+            E += by[s, :, None] * np.take(D, ly - k2 + s, axis=1)
+        return np.take(E.reshape(m, -1), (iy * len(ux) + ix).reshape(-1), axis=1).reshape(comp + np.shape(x))
 
     return sp
 
@@ -368,15 +370,14 @@ def _grid_fields(data):
         cplx = np.iscomplexobj(v)
         cols[k] = (len(stack), cplx)
         stack += [v.real, v.imag] if cplx else [v]
-    sp = _spline(xs, ys, np.stack(stack, axis=-1))
+    sp = _spline(xs, ys, np.stack(stack))
     sp_u = _spline(xs, ys, data.u)
 
     def fields(X, Y):
-        xi = np.stack([X, Y], axis=-1)
-        vals = sp(xi)
-        out = {k: vals[..., i] + 1j * vals[..., i + 1] if cplx else vals[..., i] for k, (i, cplx) in cols.items()}
-        out["ux"] = sp_u(xi, nu=(1, 0))
-        out["uy"] = sp_u(xi, nu=(0, 1))
+        vals = sp(X, Y)
+        out = {k: vals[i] + 1j * vals[i + 1] if cplx else vals[i] for k, (i, cplx) in cols.items()}
+        out["ux"] = sp_u(X, Y, nu=(1, 0))
+        out["uy"] = sp_u(X, Y, nu=(0, 1))
         return out
 
     return fields
@@ -580,20 +581,20 @@ def initial_pmc_state(eps, u0, C1, C2, gamma1, gamma2):
 
 
 def _spline_chart(x, y, fields_by_name, eps, target, name, metadata):
-    """Wrap gridded jet fields, each (nx, ny, dim), into an ImmersionChart.
+    """Wrap gridded jet fields, each (dim, nx, ny), into an ImmersionChart.
 
     The six jet keys are stacked into one quintic ``_spline``, so a jet call
-    evaluates the spline once and hands out one (..., dim) slice per key.  A
-    jet call outside the node rectangle raises DomainError.
+    evaluates the spline once and hands out one C-ordered (dim, ...) block per
+    key.  A jet call outside the node rectangle raises DomainError.
     """
     xs = x[:, 0]
     ys = y[0, :]
     keys = ("p", "px", "py", "pxx", "pxy", "pyy")
-    sp = _spline(xs, ys, np.stack([fields_by_name[k] for k in keys], axis=-2))
+    sp = _spline(xs, ys, np.stack([fields_by_name[k] for k in keys]))
 
     def jet(X, Y):
-        vals = sp(np.stack([X, Y], axis=-1))
-        return {key: vals[..., i, :] for i, key in enumerate(keys)}
+        vals = sp(X, Y)
+        return dict(zip(keys, vals))
 
     return ImmersionChart(
         name=name, eps=eps, target=target, domain=(xs[0], xs[-1], ys[0], ys[-1]),
@@ -623,19 +624,15 @@ def _cmc_coefficients(eps, Hval, F):
 def _cmc_rhs_blocks(S, hat, c):
     """Second derivatives and N derivatives from the CMC Frenet system.
 
-    S holds rows (Psi, Psi_x, Psi_y, N) flattened to (..., 16) and hat the
+    S holds rows (Psi, Psi_x, Psi_y, N) stacked to (16, ...) and hat the
     factor point Psi-hat = (psi, 0), through which alone Psi enters; c is
     the dict of ``_cmc_coefficients`` at the evaluation points.
     """
-    Px, Py, N = S[..., 4:8], S[..., 8:12], S[..., 12:16]
+    Px, Py, N = S[4:8], S[8:12], S[12:16]
     Psi_z = 0.5 * (Px - 1j * Py)
-    A = 2.0 * c["u_z"][..., None] * Psi_z + c["p"][..., None] * N + c["eps_eta_z2"][..., None] * hat
-    B = c["e2u_H"][..., None] * N + c["eps_eta_abs"][..., None] * hat
-    Nz = (
-        -c["H"][..., None] * Psi_z
-        - c["p_over_e2u"][..., None] * np.conj(Psi_z)
-        + c["eps_nu_eta_z"][..., None] * hat
-    )
+    A = 2.0 * c["u_z"] * Psi_z + c["p"] * N + c["eps_eta_z2"] * hat
+    B = c["e2u_H"] * N + c["eps_eta_abs"] * hat
+    Nz = -c["H"] * Psi_z - c["p_over_e2u"] * np.conj(Psi_z) + c["eps_nu_eta_z"] * hat
     Pxx = 2.0 * (A.real + B.real)
     Pyy = 2.0 * (B.real - A.real)
     Pxy = -2.0 * A.imag
@@ -653,7 +650,7 @@ def _cmc_system(eps, Hval):
     return _FrenetSystem(
         4, (eps, 1.0, 1.0, 1.0), (4, 1, 2, 3), (1.0, 1.0, 1.0, 1.0), 0,
         partial(_cmc_coefficients, eps, Hval), _cmc_rhs_blocks,
-        lambda F: np.concatenate([F[..., 0, :3], F[..., 4, 3:]], axis=-1),
+        lambda F: np.concatenate([F[0, :3], F[4, 3:]]),
     )
 
 
@@ -671,7 +668,8 @@ class _FrenetSystem:
     ``blocks(S, hat, c)`` gives (P_xx, P_xy, P_yy, normal_x, normal_y), the
     normal parts packed as in S, by state arithmetic alone, linear in
     (S, hat) and real-linear in each entry of c; ``point(F)`` reads P from
-    frames on a (..., rows, dim) layout.
+    frames on a (rows, dim, ...) layout.  S, hat and every block hold their
+    components first, as the charts' jets do.
     """
 
     dim: int
@@ -685,11 +683,11 @@ class _FrenetSystem:
 
 
 def _state(system, F, u):
-    """The state S and P-hat that ``blocks`` reads, from frames F on a (..., rows, dim) layout at conformal factor u."""
-    eu = np.exp(u)[..., None]
-    slots = [s * F[..., r, :] for s, r in zip(system.sigma, system.rows)]
+    """The state S and P-hat that ``blocks`` reads, from frames F on a (rows, dim, ...) layout at conformal factor u."""
+    eu = np.exp(u)
+    slots = [s * F[r] for s, r in zip(system.sigma, system.rows)]
     slots[1], slots[2] = eu * slots[1], eu * slots[2]
-    return np.concatenate(slots, axis=-1), F[..., system.hat, :]
+    return np.concatenate(slots), F[system.hat]
 
 
 def _frame(system, S, hat, u):
@@ -708,27 +706,26 @@ def _algebra_operators(system, c):
     Along either axis the derivative of state slot k is a combination of the
     frame rows, real-linear in the coefficients: L_0 + sum_t coef_t L_t, with
     coef_t the real and imaginary parts of the c_k.  ``blocks`` is called on
-    the frame-coordinate basis (F the identity, u = 0) with every c_k zero
-    (L_0: the P row passes P_x or P_y through), then with c_k = 1 and, for a
-    complex c_k, c_k = i, each in turn.  Returns the coefficient units and
-    per direction (slot, col, L): row k of L[t] divided by sigma[k], at the
-    union of the nonzero positions, L of shape (terms, nnz).
+    the frame-coordinate basis (F the identity, u = 0) at one probe point per
+    term: at point 0 every c_k is zero (L_0: the P row passes P_x or P_y
+    through), at point t one c_k is 1 or, for a complex c_k, i.  Returns the
+    coefficient units and per direction (slot, col, L): row k of L[t] divided
+    by sigma[k], at the union of the nonzero positions, L of shape (terms, nnz).
     """
     d, k = system.dim, len(system.rows)
     units = [(key, 1.0) for key in c] + [(key, 1j) for key, v in c.items() if np.iscomplexobj(v)]
-    probe = {key: np.zeros(len(units) + 1, v.dtype) for key, v in c.items()}
+    n = len(units) + 1
+    probe = {key: np.zeros(n, v.dtype) for key, v in c.items()}
     for t, (key, unit) in enumerate(units, 1):
         probe[key][t] = unit
-    S, hat = _state(system, np.eye(k + 1, d), np.zeros(()))
-    S = np.broadcast_to(S, (len(units) + 1, k * d))
-    Pxx, Pxy, Pyy, Nx, Ny = system.blocks(S, np.broadcast_to(hat, (len(units) + 1, d)), probe)
+    S, hat = _state(system, np.multiply.outer(np.eye(k + 1, d), np.ones(n)), np.zeros(n))
+    Pxx, Pxy, Pyy, Nx, Ny = system.blocks(S, hat, probe)
     ops = []
-    for dS in (np.concatenate([S[..., d:2 * d], Pxx, Pxy, Nx], axis=-1),
-               np.concatenate([S[..., 2 * d:3 * d], Pxy, Pyy, Ny], axis=-1)):
-        L = dS.reshape(len(units) + 1, k, d) / np.array(system.sigma)[:, None]
-        L = np.concatenate([L[:1], L[1:] - L[:1]])
-        slot, col = np.nonzero(np.any(L != 0, axis=0))
-        ops.append((slot, col, np.ascontiguousarray(L[:, slot, col])))
+    for dS in (np.concatenate([S[d:2 * d], Pxx, Pxy, Nx]), np.concatenate([S[2 * d:3 * d], Pxy, Pyy, Ny])):
+        L = dS.reshape(k, d, n) / np.array(system.sigma)[:, None, None]
+        L = np.concatenate([L[..., :1], L[..., 1:] - L[..., :1]], axis=-1)
+        slot, col = np.nonzero(np.any(L != 0, axis=-1))
+        ops.append((slot, col, np.ascontiguousarray(L[slot, col].T)))
     return units, ops
 
 
@@ -771,7 +768,7 @@ def _march_grid(system, operators, F0, fields, x, y):
     field evaluation; the top row is marched again from its left end, and
     its largest point distance from the columns' ends is the loop closure.
     The bottom and the top row share one field evaluation.  Returns the
-    frames, shape (nx, ny, rows, dim), and the loop closure.
+    frames, shape (rows, dim, nx, ny), and the loop closure.
     """
     xs, ys = x[:, 0], y[0, :]
 
@@ -789,9 +786,8 @@ def _march_grid(system, operators, F0, fields, x, y):
         block = slice(i, i + _BLOCK_ROWS)
         P = lines(*np.meshgrid(xs[block], yg, indexing="ij"), 1, ys)
         frames[..., block, 1:] = _mul(P, frames[..., block, 0, None])
-    frames = np.moveaxis(frames, (0, 1), (-2, -1))
-    top = np.moveaxis(_mul(along_rows[:, :, 1], frames[0, -1, :, :, None]), (0, 1), (-2, -1))
-    closure = float(np.max(np.linalg.norm(system.point(top) - system.point(frames[1:, -1]), axis=-1)))
+    top = _mul(along_rows[:, :, 1], frames[..., 0, -1, None])
+    closure = float(np.max(np.linalg.norm(system.point(top) - system.point(frames[..., 1:, -1]), axis=0)))
     return frames, closure
 
 
@@ -818,7 +814,7 @@ def _integrate_frenet(data, resid_tol, system, start, target, name, metadata):
     d = system.dim
     chart = _spline_chart(
         data.x, data.y,
-        {"p": system.point(frames), "px": S[..., d:2 * d], "py": S[..., 2 * d:3 * d],
+        {"p": system.point(frames), "px": S[d:2 * d], "py": S[2 * d:3 * d],
          "pxx": Pxx, "pxy": Pxy, "pyy": Pyy},
         data.eps, target, name, metadata,
     )
@@ -910,37 +906,16 @@ def _pmc_rhs_blocks(S, Phi_hat, c):
     Phi, Px, Py, xi = _unpack_pmc(S)
     Phi_z = 0.5 * (Px - 1j * Py)
     xibar = np.conj(xi)
-    A = (
-        2.0 * c["u_z"][..., None] * Phi_z
-        + c["f1"][..., None] * xi
-        + c["f2"][..., None] * xibar
-        - c["eps_g1g2"][..., None] * Phi_hat
-    )
-    B = (
-        c["e2u_H"][..., None] * (xi + xibar)
-        - c["eps_e2u"][..., None] * Phi
-        - c["eps_e2u_C1C2"][..., None] * Phi_hat
-    )
-    xi_z = (
-        -c["H"][..., None] * Phi_z
-        - c["f2_over_e2u"][..., None] * np.conj(Phi_z)
-        + c["eps_C1g2"][..., None] * Phi_hat
-    )
-    xi_zbar = (
-        -c["H"][..., None] * np.conj(Phi_z)
-        - c["f1bar_over_e2u"][..., None] * Phi_z
-        - c["eps_C2g1bar"][..., None] * Phi_hat
-    )
+    A = 2.0 * c["u_z"] * Phi_z + c["f1"] * xi + c["f2"] * xibar - c["eps_g1g2"] * Phi_hat
+    B = c["e2u_H"] * (xi + xibar) - c["eps_e2u"] * Phi - c["eps_e2u_C1C2"] * Phi_hat
+    xi_z = -c["H"] * Phi_z - c["f2_over_e2u"] * np.conj(Phi_z) + c["eps_C1g2"] * Phi_hat
+    xi_zbar = -c["H"] * np.conj(Phi_z) - c["f1bar_over_e2u"] * Phi_z - c["eps_C2g1bar"] * Phi_hat
     Pxx = 2.0 * (A.real + B.real)
     Pyy = 2.0 * (B.real - A.real)
     Pxy = -2.0 * A.imag
     xi_x = xi_z + xi_zbar
     xi_y = 1j * (xi_z - xi_zbar)
-    return (
-        Pxx, Pxy, Pyy,
-        np.concatenate([xi_x.real, xi_x.imag], axis=-1),
-        np.concatenate([xi_y.real, xi_y.imag], axis=-1),
-    )
+    return Pxx, Pxy, Pyy, np.concatenate([xi_x.real, xi_x.imag]), np.concatenate([xi_y.real, xi_y.imag])
 
 
 def _pmc_system(eps, Hnorm):
@@ -952,16 +927,16 @@ def _pmc_system(eps, Hnorm):
     r = 1.0 / np.sqrt(2.0)
     return _FrenetSystem(
         6, (2.0 * eps, 2.0 * eps, 1.0, 1.0, 1.0, 1.0), (0, 2, 3, 4, 5), (1.0, 1.0, 1.0, r, r), 1,
-        partial(_pmc_coefficients, eps, Hnorm), _pmc_rhs_blocks, lambda F: F[..., 0, :],
+        partial(_pmc_coefficients, eps, Hnorm), _pmc_rhs_blocks, lambda F: F[0],
     )
 
 
 def _pack_pmc(Phi, Px, Py, xi):
-    return np.concatenate([Phi, Px, Py, xi.real, xi.imag], axis=-1)
+    return np.concatenate([Phi, Px, Py, xi.real, xi.imag])
 
 
 def _unpack_pmc(S):
-    return S[..., 0:6], S[..., 6:12], S[..., 12:18], S[..., 18:24] + 1j * S[..., 24:30]
+    return S[0:6], S[6:12], S[12:18], S[18:24] + 1j * S[24:30]
 
 
 def integrate_pmc_frenet(data, resid_tol=DATA_TOL):

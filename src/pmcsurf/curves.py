@@ -45,9 +45,9 @@ class ConstantCurvatureCurve:
     _nu: float
 
     def jet(self, t):
-        """(point, velocity, acceleration) at the arclength parameters t."""
-        t = np.asarray(t, dtype=float)[..., None]
-        A, B, C = self._A, self._B, self._C
+        """(point, velocity, acceleration) at the arclength parameters t, each (3, *t.shape)."""
+        t = np.asarray(t, dtype=float)
+        A, B, C = (v.reshape((3,) + (1,) * t.ndim) for v in (self._A, self._B, self._C))
         if self._nu > 0:
             w = self._nu
             c, s = np.cos(w * t), np.sin(w * t)
@@ -56,8 +56,7 @@ class ConstantCurvatureCurve:
             w = -self._nu
             c, s = np.cosh(w * t), np.sinh(w * t)
             return A + B * c + C * s, w * (B * s + C * c), w * w * (B * c + C * s)
-        shape = t.shape[:-1] + (3,)
-        return A + C * t + B * (t * t / 2.0), np.broadcast_to(C, shape) + B * t, np.broadcast_to(B, shape).copy()
+        return A + C * t + B * (t * t / 2.0), C + B * t, np.broadcast_to(B, (3, *t.shape)).copy()
 
 
 def _canonical_start(eps, k):
@@ -152,8 +151,8 @@ class SampledCurve:
     """Dense-output curve from ``integrate_curve``: psi with its moving frame.
 
     ``psi`` and ``T`` hold the nodes components first, shaped (3, n), as the
-    march makes them and ``ambient`` takes them; ``jet`` returns (..., 3), as
-    a chart's jet does.
+    march makes them and ``ambient`` takes them; ``jet`` returns (3, *x.shape),
+    as a chart's jet does.
 
     ``jet`` raises ``DomainError`` at any x outside the node span
     [x[0], x[-1]], beyond ``hermite_interp``'s round-off slack: the
@@ -190,7 +189,7 @@ class SampledCurve:
         s = np.asarray(self.spec.speed(x))
         sp = np.asarray(self.spec.speed_prime(x))
         k = np.asarray(self.spec.curvature(x))
-        return tuple(np.moveaxis(w, 0, -1) for w in (p, s * t, sp * t + s * s * (k * n - eps * q)))
+        return p, s * t, sp * t + s * s * (k * n - eps * q)
 
     def constraint_defect(self):
         quad = np.max(np.abs(factor_constraint(self.psi, self.spec.eps)))

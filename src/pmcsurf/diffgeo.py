@@ -9,11 +9,11 @@ for both in ``surface_invariants``) and apply the differentiation matrix of
 ``chebyshev`` to field stacks there, so that the residuals measure the chart
 itself, not the differentiation.
 
-Layout: a chart's jet and the records hold vectors component last, (..., d), as
-the rest of the package does; everything in between holds them components first,
-(d, ...), as :mod:`pmcsurf.ambient` takes them.  ``sample_jet`` turns the chart's
-jet into the (d, ...) ``JetSample``, and each record moves its vector fields
-(``SurfaceInvariants.H`` and ``Htilde``, ``CmcData.N``) back once, when it is built.
+Layout: every vector is held components first, (d, *samples), as
+:mod:`pmcsurf.ambient` takes them: the chart's jet, the ``JetSample`` that
+``sample_jet`` wraps around it without a copy, the normal frame and the vector
+fields of the records (``SurfaceInvariants.H`` and ``Htilde``, ``CmcData.N``).
+Nothing here writes into a jet, so a chart may answer read-only arrays.
 
 Sign conventions inherit from :mod:`pmcsurf.ambient`: the normal companion
 Htilde of the mean curvature vector is oriented so that
@@ -109,17 +109,13 @@ def _leaves_domain(domain, x, y):
 def sample_jet(chart, x, y):
     """2-jet of the chart at samples (x, y), which must lie in the closed chart domain.
 
-    This is where the chart's layout turns into the engine's: the chart's jet gives each
-    key as (*samples, d), and the JetSample holds it as one C-ordered (d, *samples) copy.
-    Each (*samples, d) array is dropped as soon as it is copied, so one jet is alive, not two.
+    The JetSample holds the arrays of the chart's jet as they come, (d, *samples) each.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if _leaves_domain(chart.domain, x, y):
         raise DomainError("samples fall outside the chart domain")
-    raw = dict(chart.jet(x, y))  # popped from a copy: a chart may keep the dict it returns
-    components = {k: np.ascontiguousarray(np.moveaxis(raw.pop(k), -1, 0)) for k in list(raw)}
-    return JetSample(chart, x, y, **components)
+    return JetSample(chart, x, y, **chart.jet(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +139,20 @@ def conformal_data(jet):
 class NormalFrame:
     """Orthonormal data along a product chart: tangents, H, Htilde, xi, normal projector.
 
-    The vectors are (6, ...), components first, as the jet's."""
+    The vectors are (6, ...), components first, as the jet's.  xi is built on first read:
+    only the Frenet scalars take it."""
 
     e1: np.ndarray
     e2: np.ndarray
     H: np.ndarray
     Htilde: np.ndarray
     Hnorm: np.ndarray
-    xi: np.ndarray
     proj: Callable
+
+    @cached_property
+    def xi(self):
+        """xi = (H - i Htilde) / (sqrt(2) |H|)."""
+        return (self.H - 1j * self.Htilde) / (np.sqrt(2.0) * self.Hnorm)
 
 
 def _mean_curvature(jet):
@@ -201,8 +202,7 @@ def normal_frame(jet):
     if np.any(nsq <= 0):
         raise DomainError("could not span the normal plane")
     Htilde = -(Hnorm / np.sqrt(nsq)) * n
-    xi = (H - 1j * Htilde) / (np.sqrt(2.0) * Hnorm)
-    return NormalFrame(e1=e1, e2=e2, H=H, Htilde=Htilde, Hnorm=Hnorm, xi=xi, proj=proj)
+    return NormalFrame(e1=e1, e2=e2, H=H, Htilde=Htilde, Hnorm=Hnorm, proj=proj)
 
 
 def kaehler_functions(jet):
@@ -379,7 +379,7 @@ def holomorphy_residual(theta, dx, dy):
 
 @dataclass
 class SurfaceInvariants:
-    """Per-grid-point invariants of a product chart plus residual summary; H and Htilde are (nx, ny, 6)."""
+    """Per-grid-point invariants of a product chart plus residual summary; H and Htilde are (6, nx, ny)."""
 
     chart: ImmersionChart
     x: np.ndarray
@@ -514,8 +514,6 @@ def surface_invariants(chart, nx=81, ny=81):
 
     kept = {f.name for f in fields(SurfaceInvariants)}
     pointwise = {k: v for k, v in record.items() if k in kept}
-    for k in ("H", "Htilde"):  # the record's vectors are (..., 6), as the chart's jet
-        pointwise[k] = np.ascontiguousarray(np.moveaxis(pointwise[k], 0, -1))
     u = pointwise["u"]
     dx = X[1, 0] - X[0, 0]
     dy = Y[0, 1] - Y[0, 0]
@@ -681,7 +679,7 @@ def torus_integrals(chart, nx=128, ny=128):
 
 @dataclass
 class CmcData:
-    """Invariants of a CMC chart in M2(eps) x R on a grid; N is (nx, ny, 4)."""
+    """Invariants of a CMC chart in M2(eps) x R on a grid; N is (4, nx, ny)."""
 
     chart: ImmersionChart
     x: np.ndarray
@@ -753,7 +751,7 @@ def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK):
         y=Y,
         u=u,
         conformal_defect=defect,
-        N=np.ascontiguousarray(np.moveaxis(N, 0, -1)),
+        N=N,
         nu=nu,
         H_scalar=H_scalar,
         p=p,

@@ -10,9 +10,10 @@ solution or an integrated curve inherit the dense-output accuracy of those
 solvers, which is far below the verification tolerances.
 
 Conventions: product charts live in R^6 (two factor blocks), charts into
-M2(eps) x R in R^4 with the height as fourth coordinate.  The height of the
-torus family is the multivalued lift; ``embed_circle`` provides the
-single-valued S1 embedding.
+M2(eps) x R in R^4 with the height as fourth coordinate; every jet key is
+shaped (dim, *samples), components first, as :mod:`pmcsurf.ambient` takes
+them.  The height of the torus family is the multivalued lift;
+``embed_circle`` provides the single-valued S1 embedding.
 """
 
 from dataclasses import dataclass, field
@@ -46,8 +47,10 @@ PLANE = 1e6  # bound on |x| and |y| of every rectangle: float spacing there is 1
 class ImmersionChart:
     """A parametrized surface patch, given by its 2-jet.
 
-    jet(x, y) -> dict with keys p, px, py, pxx, pxy, pyy, each (..., dim) with
-    dim = 6 (product) or 4 (x R / x S1); the chart evaluates through the jet's ``p``.
+    jet(x, y) -> dict with keys p, px, py, pxx, pxy, pyy, each a C-ordered
+    (dim, *samples) array, components leading as :mod:`pmcsurf.ambient` takes
+    them, with dim = 6 (product) or 4 (x R / x S1); the chart evaluates through
+    the jet's ``p``.
     """
 
     name: str
@@ -68,7 +71,7 @@ class ImmersionChart:
         return 6 if self.target == TARGET_PRODUCT else 4
 
     def evaluate(self, x, y):
-        """Points (..., dim) of the chart: the ``p`` of its current jet."""
+        """Points (dim, *samples) of the chart: the ``p`` of its current jet."""
         return self.jet(x, y)["p"]
 
     def grid(self, nx, ny, shrink=0.0):
@@ -82,7 +85,7 @@ class ImmersionChart:
 
     def manifold_defect(self, x, y):
         """Max violation of the target-manifold constraints at the given samples."""
-        p = np.moveaxis(self.evaluate(x, y), -1, 0)  # components first, as ambient takes them
+        p = self.evaluate(x, y)
         d1 = np.abs(factor_constraint(p[:3], self.eps))
         if self.target == TARGET_PRODUCT:
             d2 = np.abs(factor_constraint(p[3:], self.eps))
@@ -107,8 +110,8 @@ def _jet_dict(p, px, py, pxx, pxy, pyy):
 
 
 def _product_jet(first, second):
-    """The jet of a map into a product: the two factor jets concatenated key by key."""
-    return {k: np.concatenate([first[k], second[k]], axis=-1) for k in first}
+    """The jet of a map into a product: the two factor jets stacked key by key, first factor leading."""
+    return {k: np.concatenate([first[k], second[k]]) for k in first}
 
 
 def _distinct(t):
@@ -130,7 +133,7 @@ def _curve_factor(curve, t, gather, along):
     The curve's jet is taken on the distinct coordinate values ``t`` and
     gathered onto the samples with ``gather`` (see ``_distinct``).
     """
-    p, v, a = (w[gather] for w in curve.jet(t))
+    p, v, a = (np.take(w, gather, axis=1) for w in curve.jet(t))
     zero = np.zeros_like(p)
     if along == "x":
         return _jet_dict(p, v, zero, a, zero, zero)
@@ -138,10 +141,10 @@ def _curve_factor(curve, t, gather, along):
 
 
 def _with_height(jet3, eta, eta_x, eta_y, eta_xx):
-    """Append the height column to a 3-block jet; the height is affine in y."""
+    """Append the height component to a 3-block jet; the height is affine in y."""
     zero = np.zeros_like(eta)
     height = _jet_dict(eta, eta_x, eta_y, eta_xx, zero, zero)
-    return _product_jet(jet3, {k: v[..., None] for k, v in height.items()})
+    return _product_jet(jet3, {k: v[None] for k, v in height.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +275,24 @@ def _first_factor_jet(params, h, xs, ix, ys, iy):
         cw, sw = np.cos(w * ys)[iy], np.sin(w * ys)[iy]
         hv, hp, hpp, R, Rp, Rpp = (v[ix] for v in (hv, hp, hpp, R, Rp, Rpp))
         inv = 1.0 / w
-        p = inv * np.stack([R * cw, R * sw, hv], axis=-1)
-        px = inv * np.stack([Rp * cw, Rp * sw, hp], axis=-1)
-        py = inv * np.stack([-R * w * sw, R * w * cw, np.zeros_like(hv)], axis=-1)
-        pxx = inv * np.stack([Rpp * cw, Rpp * sw, hpp], axis=-1)
-        pxy = inv * np.stack([-Rp * w * sw, Rp * w * cw, np.zeros_like(hv)], axis=-1)
-        pyy = inv * np.stack([-R * w * w * cw, -R * w * w * sw, np.zeros_like(hv)], axis=-1)
+        p = inv * np.stack([R * cw, R * sw, hv])
+        px = inv * np.stack([Rp * cw, Rp * sw, hp])
+        py = inv * np.stack([-R * w * sw, R * w * cw, np.zeros_like(hv)])
+        pxx = inv * np.stack([Rpp * cw, Rpp * sw, hpp])
+        pxy = inv * np.stack([-Rp * w * sw, Rp * w * cw, np.zeros_like(hv)])
+        pyy = inv * np.stack([-R * w * w * cw, -R * w * w * sw, np.zeros_like(hv)])
     elif a < 0:
         m = np.sqrt(-a)
         ch, sh = np.cosh(m * ys)[iy], np.sinh(m * ys)[iy]
         hv, hp, hpp, R, Rp, Rpp = (v[ix] for v in (hv, hp, hpp, R, Rp, Rpp))
         inv = 1.0 / m
         zeros = np.zeros_like(hv)
-        p = inv * np.stack([hv, R * sh, R * ch], axis=-1)
-        px = inv * np.stack([hp, Rp * sh, Rp * ch], axis=-1)
-        py = inv * np.stack([zeros, R * m * ch, R * m * sh], axis=-1)
-        pxx = inv * np.stack([hpp, Rpp * sh, Rpp * ch], axis=-1)
-        pxy = inv * np.stack([zeros, Rp * m * ch, Rp * m * sh], axis=-1)
-        pyy = inv * np.stack([zeros, R * m * m * sh, R * m * m * ch], axis=-1)
+        p = inv * np.stack([hv, R * sh, R * ch])
+        px = inv * np.stack([hp, Rp * sh, Rp * ch])
+        py = inv * np.stack([zeros, R * m * ch, R * m * sh])
+        pxx = inv * np.stack([hpp, Rpp * sh, Rpp * ch])
+        pxy = inv * np.stack([zeros, Rp * m * ch, Rp * m * sh])
+        pyy = inv * np.stack([zeros, R * m * m * sh, R * m * m * ch])
     else:
         # a = 0 (eps = -1, h > 0): phi = ((y^2-1)h/2 + 1/(2h), y h, (y^2+1)h/2 + 1/(2h))
         g = 1.0 / (2.0 * hv)
@@ -299,12 +302,12 @@ def _first_factor_jet(params, h, xs, ix, ys, iy):
         y = ys[iy]
         y2 = y * y
         zeros = np.zeros_like(hv)
-        p = np.stack([(y2 - 1) * hv / 2 + g, y * hv, (y2 + 1) * hv / 2 + g], axis=-1)
-        px = np.stack([(y2 - 1) * hp / 2 + gp, y * hp, (y2 + 1) * hp / 2 + gp], axis=-1)
-        py = np.stack([y * hv, hv, y * hv], axis=-1)
-        pxx = np.stack([(y2 - 1) * hpp / 2 + gpp, y * hpp, (y2 + 1) * hpp / 2 + gpp], axis=-1)
-        pxy = np.stack([y * hp, hp, y * hp], axis=-1)
-        pyy = np.stack([hv, zeros, hv], axis=-1)
+        p = np.stack([(y2 - 1) * hv / 2 + g, y * hv, (y2 + 1) * hv / 2 + g])
+        px = np.stack([(y2 - 1) * hp / 2 + gp, y * hp, (y2 + 1) * hp / 2 + gp])
+        py = np.stack([y * hv, hv, y * hv])
+        pxx = np.stack([(y2 - 1) * hpp / 2 + gpp, y * hpp, (y2 + 1) * hpp / 2 + gpp])
+        pxy = np.stack([y * hp, hp, y * hp])
+        pyy = np.stack([hv, zeros, hv])
     return _jet_dict(p, px, py, pxx, pxy, pyy)
 
 
@@ -323,23 +326,20 @@ def _require_profile_arclength(name, params, h):
 
     The curve starts at the model centre (0, 0, 1) at x = 0, and at arclength
     s from there its hyperboloid coordinate x3 is at most cosh s.  So the
-    arclength from 0 to each end of the span, by Simpson's rule on the solved
-    profile, must stay within GROWTH_BOUND.  ``require_profile_x_span`` is the
-    necessary half of this bound, in closed form; this one runs after the
-    solve, before the curve march.  A curve in S2 (eps = +1) has bounded
-    coordinates and is not refused.
+    arclength from 0 to each end of the span, the last node of the
+    antiderivative of the speed from 0 on the solved profile
+    (``CumulativeIntegral``), must stay within GROWTH_BOUND.  A last node
+    needs no interpolation, so a span too short to divide gives arclength 0
+    and is left to the curve march's refusal of its step.
+    ``require_profile_x_span`` is the necessary half of this bound, in closed
+    form; this one runs after the solve, before the curve march.  A curve in
+    S2 (eps = +1) has bounded coordinates and is not refused.
     """
     if params.eps == +1:
         return
-    lo, hi = span_from_zero(h.span, "curve march")
     speed = _profile_psi_speed(params, h)
-
-    def arclength(end):
-        t = np.linspace(0.0, end, 2001)
-        dt = t[1] - t[0]
-        return abs(float(np.sum((dt / 6.0) * (speed(t[:-1]) + 4.0 * speed(t[:-1] + 0.5 * dt) + speed(t[1:])))))
-
-    lengths = [arclength(lo), arclength(hi)]
+    ends = span_from_zero(h.span, "curve march")
+    lengths = [abs(float(CumulativeIntegral(speed, 0.0, end).F[-1])) for end in ends]
     _require(name, f"second-factor arclength from x = 0 <= {GROWTH_BOUND:g}", max(lengths) <= GROWTH_BOUND,
              lengths)
 
@@ -474,12 +474,12 @@ def pmc_phi0(h_abs, domain=None):
         dtan, d2tan = (sec**2)[ix], (2 * sec**2 * tn)[ix]
         sec, tn, dsec, d2sec = sec[ix], tn[ix], dsec[ix], d2sec[ix]
         first = _jet_dict(
-            p=np.stack([tn, shY * sec, chY * sec], axis=-1),
-            px=np.stack([dtan, shY * dsec, chY * dsec], axis=-1),
-            py=np.stack([zeros, chY * sec / s, shY * sec / s], axis=-1),
-            pxx=np.stack([d2tan, shY * d2sec, chY * d2sec], axis=-1),
-            pxy=np.stack([zeros, chY * dsec / s, shY * dsec / s], axis=-1),
-            pyy=np.stack([zeros, shY * sec / s**2, chY * sec / s**2], axis=-1),
+            p=np.stack([tn, shY * sec, chY * sec]),
+            px=np.stack([dtan, shY * dsec, chY * dsec]),
+            py=np.stack([zeros, chY * sec / s, shY * sec / s]),
+            pxx=np.stack([d2tan, shY * d2sec, chY * d2sec]),
+            pxy=np.stack([zeros, chY * dsec / s, shY * dsec / s]),
+            pyy=np.stack([zeros, shY * sec / s**2, chY * sec / s**2]),
         )
         return _product_jet(first, _curve_factor(psi, xs, ix, "x"))
 
@@ -592,12 +592,12 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
             Zxy = 1j * sE * Zx
             Zyy = -E * Z
             inv = 1.0 / sE
-            p = inv * np.stack([Z.real, Z.imag, hv], axis=-1)
-            px = inv * np.stack([Zx.real, Zx.imag, hp], axis=-1)
-            py = inv * np.stack([Zy.real, Zy.imag, zeros], axis=-1)
-            pxx = inv * np.stack([Zxx.real, Zxx.imag, hpp], axis=-1)
-            pxy = inv * np.stack([Zxy.real, Zxy.imag, zeros], axis=-1)
-            pyy = inv * np.stack([Zyy.real, Zyy.imag, zeros], axis=-1)
+            p = inv * np.stack([Z.real, Z.imag, hv])
+            px = inv * np.stack([Zx.real, Zx.imag, hp])
+            py = inv * np.stack([Zy.real, Zy.imag, zeros])
+            pxx = inv * np.stack([Zxx.real, Zxx.imag, hpp])
+            pxy = inv * np.stack([Zxy.real, Zxy.imag, zeros])
+            pyy = inv * np.stack([Zyy.real, Zyy.imag, zeros])
         elif E < 0:
             m = np.sqrt(-E)
             # hyperbolic analogue through exponentials: A_pm = W exp(+-m f)
@@ -610,7 +610,7 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
             inv = 1.0 / m
 
             def assemble(ap, am, dh):
-                return inv * np.stack([dh, 0.5 * (ap - am), 0.5 * (ap + am)], axis=-1)
+                return inv * np.stack([dh, 0.5 * (ap - am), 0.5 * (ap + am)])
 
             p = assemble(Apl, Ami, hv)
             px = assemble(Apl_x, Ami_x, hp)
@@ -629,12 +629,12 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
             qxx = hpp * f * f + 4 * hp * f * fx + 2 * hv * fx**2 + 2 * hv * f * fxx
             qxy = 2 * hp * f + 2 * hv * fx
             qyy = 2 * hv
-            p = np.stack([q - hv / 4 + g, hv * f, q + hv / 4 + g], axis=-1)
-            px = np.stack([qx - hp / 4 + gp, hp * f + hv * fx, qx + hp / 4 + gp], axis=-1)
-            py = np.stack([qy, hv, qy], axis=-1)
-            pxx = np.stack([qxx - hpp / 4 + gpp, hpp * f + 2 * hp * fx + hv * fxx, qxx + hpp / 4 + gpp], axis=-1)
-            pxy = np.stack([qxy, hp, qxy], axis=-1)
-            pyy = np.stack([qyy, zeros, qyy], axis=-1)
+            p = np.stack([q - hv / 4 + g, hv * f, q + hv / 4 + g])
+            px = np.stack([qx - hp / 4 + gp, hp * f + hv * fx, qx + hp / 4 + gp])
+            py = np.stack([qy, hv, qy])
+            pxx = np.stack([qxx - hpp / 4 + gpp, hpp * f + 2 * hp * fx + hv * fxx, qxx + hpp / 4 + gpp])
+            pxy = np.stack([qxy, hp, qxy])
+            pyy = np.stack([qyy, zeros, qyy])
 
         eta = sqb * (y + G(x))
         eta_x = sqb * (hv - c)
@@ -642,7 +642,7 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
         eta_xx = sqb * hp
         return _with_height(_jet_dict(p, px, py, pxx, pxy, pyy), eta, eta_x, eta_y, eta_xx)
 
-    x3 = float(np.max(jet(xr, -F(xr))["p"][..., 2]))  # on the profile curve f = 0
+    x3 = float(np.max(jet(xr, -F(xr))["p"][2]))  # on the profile curve f = 0
     _require("prop6", f"x3 <= cosh({GROWTH_BOUND:g}) on the profile curve", x3 <= np.cosh(GROWTH_BOUND), x3)
 
     theta_ar = (eps * b / 8.0) * (a + 1 - c**2 - 2j * c)
@@ -689,12 +689,12 @@ def cmc_sinh_chart(lam, domain=None):
         chy, shy = np.cosh(y), np.sinh(y)
         k = r / lam
         zeros = np.zeros_like(x)
-        p = k * np.stack([shx, chx * shy + chy / r, chx * chy + shy / r], axis=-1)
-        px = k * np.stack([chx, shx * shy, shx * chy], axis=-1)
-        py = k * np.stack([zeros, chx * chy + shy / r, chx * shy + chy / r], axis=-1)
-        pxx = k * np.stack([shx, chx * shy, chx * chy], axis=-1)
-        pxy = k * np.stack([zeros, shx * chy, shx * shy], axis=-1)
-        pyy = k * np.stack([zeros, chx * shy + chy / r, chx * chy + shy / r], axis=-1)
+        p = k * np.stack([shx, chx * shy + chy / r, chx * chy + shy / r])
+        px = k * np.stack([chx, shx * shy, shx * chy])
+        py = k * np.stack([zeros, chx * chy + shy / r, chx * shy + chy / r])
+        pxx = k * np.stack([shx, chx * shy, chx * chy])
+        pxy = k * np.stack([zeros, shx * chy, shx * shy])
+        pyy = k * np.stack([zeros, chx * shy + chy / r, chx * chy + shy / r])
         eta = (y + r * chx) / lam
         eta_x = r * shx / lam
         eta_y = np.full_like(x, 1.0 / lam)
@@ -742,12 +742,12 @@ def cmc_leite_chart(h_scalar, domain=None):
         e = 2.0 * H * H * np.exp(-y)
         zeros = np.zeros_like(x)
         inv = 1.0 / s
-        p = inv * np.stack([tn, shy * sec + e * cx, chy * sec - e * cx], axis=-1)
-        px = inv * np.stack([sec**2, shy * dsec - e * sx, chy * dsec + e * sx], axis=-1)
-        py = inv * np.stack([zeros, chy * sec - e * cx, shy * sec + e * cx], axis=-1)
-        pxx = inv * np.stack([2 * sec**2 * tn, shy * d2sec - e * cx, chy * d2sec + e * cx], axis=-1)
-        pxy = inv * np.stack([zeros, chy * dsec + e * sx, shy * dsec - e * sx], axis=-1)
-        pyy = inv * np.stack([zeros, shy * sec + e * cx, chy * sec - e * cx], axis=-1)
+        p = inv * np.stack([tn, shy * sec + e * cx, chy * sec - e * cx])
+        px = inv * np.stack([sec**2, shy * dsec - e * sx, chy * dsec + e * sx])
+        py = inv * np.stack([zeros, chy * sec - e * cx, shy * sec + e * cx])
+        pxx = inv * np.stack([2 * sec**2 * tn, shy * d2sec - e * cx, chy * d2sec + e * cx])
+        pxy = inv * np.stack([zeros, chy * dsec + e * sx, shy * dsec - e * sx])
+        pyy = inv * np.stack([zeros, shy * sec + e * cx, chy * sec - e * cx])
         eta = (2.0 * H / s) * (y - np.log(cx))
         eta_x = (2.0 * H / s) * tn
         eta_y = np.full_like(x, 2.0 * H / s)
@@ -816,7 +816,7 @@ def cmc_torus(a, b, domain=None):
         eta_y = np.full_like(x, slope)
 
         def pack(w, third, e):
-            return np.stack([w.real, w.imag, third, e], axis=-1)
+            return np.stack([w.real, w.imag, third, e])
 
         return _jet_dict(
             p=pack(W, p3, eta),
@@ -829,10 +829,8 @@ def cmc_torus(a, b, domain=None):
 
     def embed_circle(x, y):
         p = jet(x, y)["p"]
-        ang = p[..., 3] / radius
-        return np.concatenate(
-            [p[..., :3], radius * np.cos(ang)[..., None], radius * np.sin(ang)[..., None]], axis=-1
-        )
+        ang = p[3] / radius
+        return np.stack([*p[:3], radius * np.cos(ang), radius * np.sin(ang)])
 
     periods = (4.0 * Kk, 2.0 * np.pi / kappa)
     theta_ar = b * (1.0 + a) / (8.0 * a * (1.0 + b))
@@ -880,26 +878,24 @@ def geodesic_inclusion(chart):
         """The factor geodesic at heights t, its velocity and its acceleration."""
         z = np.zeros_like(t)
         if eps == +1:
-            g = np.stack([np.cos(t), np.sin(t), z], axis=-1)
-            return g, np.stack([-np.sin(t), np.cos(t), z], axis=-1), -g
-        g = np.stack([z, np.sinh(t), np.cosh(t)], axis=-1)
-        return g, np.stack([z, np.cosh(t), np.sinh(t)], axis=-1), g
+            g = np.stack([np.cos(t), np.sin(t), z])
+            return g, np.stack([-np.sin(t), np.cos(t), z]), -g
+        g = np.stack([z, np.sinh(t), np.cosh(t)])
+        return g, np.stack([z, np.cosh(t), np.sinh(t)]), g
 
     def jet(x, y):
         J = src(x, y)
-        t = J["p"][..., 3]
-        tx, ty = J["px"][..., 3], J["py"][..., 3]
-        txx, txy, tyy = J["pxx"][..., 3], J["pxy"][..., 3], J["pyy"][..., 3]
+        t, tx, ty, txx, txy, tyy = (J[k][3] for k in ("p", "px", "py", "pxx", "pxy", "pyy"))
         g, gd, gdd = geodesic(t)
         second = _jet_dict(
             p=g,
-            px=tx[..., None] * gd,
-            py=ty[..., None] * gd,
-            pxx=txx[..., None] * gd + (tx * tx)[..., None] * gdd,
-            pxy=txy[..., None] * gd + (tx * ty)[..., None] * gdd,
-            pyy=tyy[..., None] * gd + (ty * ty)[..., None] * gdd,
+            px=tx * gd,
+            py=ty * gd,
+            pxx=txx * gd + (tx * tx) * gdd,
+            pxy=txy * gd + (tx * ty) * gdd,
+            pyy=tyy * gd + (ty * ty) * gdd,
         )
-        return _product_jet({k: v[..., :3] for k, v in J.items()}, second)
+        return _product_jet({k: v[:3] for k, v in J.items()}, second)
 
     meta = dict(chart.metadata)
     meta["included_from"] = chart.name

@@ -9,6 +9,7 @@ import pytest
 
 import pmcsurf
 from pmcsurf.cli import (
+    _CHARTS,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_VERIFICATION,
@@ -51,7 +52,7 @@ def test_write_obj_bytes_match_the_loop_writer(tmp_path, nx, ny):
     rng = np.random.default_rng(nx * ny)
     v = rng.standard_normal((nx * ny, 3)) * 10.0 ** rng.integers(-5, 6, size=(nx * ny, 3))
     v.flat[:7] = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324]
-    write_obj(tmp_path / "new.obj", v, nx, ny)
+    write_obj(tmp_path / "new.obj", v.T.reshape(3, nx, ny), nx, ny)  # components first, as a chart's points
     _loop_write_obj(tmp_path / "old.obj", v, nx, ny)
     assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
 
@@ -189,19 +190,41 @@ def test_control_jet_is_the_parent_jet_with_the_block_scaled(family):
     assert set(Jc) == set(J)
     for key, v in J.items():
         # the first factor is kept; the second factor (or the height) is scaled
-        assert np.array_equal(Jc[key][..., :3], v[..., :3]), key
-        assert np.array_equal(Jc[key][..., 3:], 1.01 * v[..., 3:]), key
+        assert np.array_equal(Jc[key][:3], v[:3]), key
+        assert np.array_equal(Jc[key][3:], 1.01 * v[3:]), key
 
     def closure(x, y):
         """The control as a closure over the parent's points, as it was written before it had a jet."""
         p = parent.evaluate(x, y).copy()
         if parent.target == TARGET_PRODUCT:
-            p[..., 3:] = 1.01 * p[..., 3:]
+            p[3:] = 1.01 * p[3:]
         else:
-            p[..., 3] = 1.01 * p[..., 3]
+            p[3] = 1.01 * p[3]
         return p
 
     assert np.array_equal(control.evaluate(X, Y), closure(X, Y))
+
+
+# the families that have no chart at the CLI's default options, and options that build one
+FEASIBLE = {"T": ["--a", "0.6", "--b", "0.8"], "That": ["--a", "2", "--b", "3"], "torus": ["--a", "2", "--b", "1"]}
+
+
+@pytest.mark.parametrize("family", sorted(_CHARTS))
+def test_every_family_answers_a_components_first_jet(family):
+    # one layout: each key of a chart's jet is one C-ordered (dim, *x.shape) array, for
+    # every family, its --lift where it has one and its --corrupt-height control
+    parser = build_parser()
+    chart = build_chart(parser.parse_args(["verify", "--family", family, *FEASIBLE.get(family, [])]))
+    charts = [chart, _corrupt_chart(chart, 1.01)]
+    if chart.target != TARGET_PRODUCT:
+        lifted = build_chart(parser.parse_args(["verify", "--family", family, *FEASIBLE.get(family, []), "--lift"]))
+        charts += [lifted, _corrupt_chart(lifted, 1.01)]
+    for ch in charts:
+        X, Y = ch.grid(7, 5, shrink=0.05)
+        jet = ch.jet(X, Y)
+        assert sorted(jet) == sorted(("p", "px", "py", "pxx", "pxy", "pyy")), ch.name
+        for key, v in jet.items():
+            assert v.shape == (ch.dim, 7, 5) and v.flags.c_contiguous, (ch.name, key, v.shape)
 
 
 NARROW_T = ["--family", "T", "--a", "0.6", "--b", "0.8", "--nx", "9", "--ny", "9"]

@@ -238,8 +238,8 @@ def test_pmc_reconstruction_factorizing_geodesic_psi():
     data = extract_pmc_data(lifted_chart(), nx=25, ny=25)
     rec, _ = integrate_pmc_frenet(data)
     X, Y = rec.grid(13, 13, shrink=0.05)
-    psi = rec.evaluate(X, Y)[..., 3:]
-    M = psi.reshape(-1, 3) @ np.diag([1.0, 1.0, -1.0])
+    psi = rec.evaluate(X, Y)[3:]
+    M = psi.reshape(3, -1).T @ np.diag([1.0, 1.0, -1.0])
     sv = np.linalg.svd(M, compute_uv=False)
     assert sv[-1] / sv[0] < 1e-8  # psi stays on a geodesic <psi, A2> = 0
 
@@ -278,7 +278,7 @@ def test_flat_data_reconstructs_cylinder():
     # eta is linear and the factor image is a curve of constant curvature 2H
     X2, Y2 = rec.grid(15, 15, shrink=0.05)
     pts = rec.evaluate(X2, Y2)
-    assert np.max(np.abs(pts[..., 3] - (alpha * X2 + beta * Y2 + pts[0, 0, 3] - (alpha * X2[0, 0] + beta * Y2[0, 0])))) < 1e-6
+    assert np.max(np.abs(pts[3] - (alpha * X2 + beta * Y2 + pts[3, 0, 0] - (alpha * X2[0, 0] + beta * Y2[0, 0])))) < 1e-6
     # move along the curve direction (-beta, alpha) in the domain: factor point moves
     jet = sample_jet(rec, X2, Y2)
     vel = -beta * jet.px[:3] + alpha * jet.py[:3]
@@ -627,16 +627,16 @@ def test_spline_matches_per_component_rect_bivariate_splines(nx, ny):
 
     xs, ys = np.linspace(-1.2, 1.0, nx), np.linspace(-0.5, 0.7, ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    v = np.stack([np.sin(2 * X + Y), np.exp(X * Y), X**2 * Y + 1.0], axis=-1)
+    v = np.stack([np.sin(2 * X + Y), np.exp(X * Y), X**2 * Y + 1.0])
     sp = _spline(xs, ys, v)
-    P = np.random.default_rng(0).uniform([xs[0], ys[0]], [xs[-1], ys[-1]], (200, 2))
+    px, py = np.random.default_rng(0).uniform([xs[0], ys[0]], [xs[-1], ys[-1]], (200, 2)).T
     for nu in ((0, 0), (1, 0), (0, 1)):
         ref = np.stack([
-            RectBivariateSpline(xs, ys, v[..., i], kx=min(5, nx - 1), ky=min(5, ny - 1)).ev(
-                P[:, 0], P[:, 1], dx=nu[0], dy=nu[1])
-            for i in range(v.shape[-1])
-        ], axis=-1)
-        assert np.max(np.abs(sp(P, nu=nu) - ref)) <= 1e-12 * np.max(np.abs(ref)), nu
+            RectBivariateSpline(xs, ys, component, kx=min(5, nx - 1), ky=min(5, ny - 1)).ev(
+                px, py, dx=nu[0], dy=nu[1])
+            for component in v
+        ])
+        assert np.max(np.abs(sp(px, py, nu=nu) - ref)) <= 1e-12 * np.max(np.abs(ref)), nu
 
 
 @pytest.mark.parametrize("nx, ny", [(41, 29), (5, 12)], ids=["41x29", "five-node-axis"])
@@ -650,21 +650,22 @@ def test_spline_matches_scipy_on_a_tensor_grid(nx, ny):
 
     xs, ys = np.linspace(-1.2, 1.0, nx), np.linspace(-0.5, 0.7, ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    v = np.stack([np.sin(2 * X + Y), np.exp(X * Y), X**2 * Y + 1.0], axis=-1)
+    v = np.stack([np.sin(2 * X + Y), np.exp(X * Y), X**2 * Y + 1.0])
 
     def fit(t, c, axis):
         k = min(5, len(t) - 1)
         return make_interp_spline(t, c, k=k, t=np.r_[[t[0]] * (k + 1), t[3:-3], [t[-1]] * (k + 1)], axis=axis)
 
-    bx = fit(xs, v, 0)
-    by = fit(ys, bx.c, 1)
+    # scipy's coefficients lead with the axis fitted last: (y, x, components) after both passes
+    bx = fit(xs, v, 1)
+    by = fit(ys, bx.c, 2)
     ref = NdBSpline((bx.t, by.t), np.moveaxis(by.c, 0, 1), (bx.k, by.k))
     xh, yh = (np.sort(np.r_[t, t[:-1] + 0.5 * np.diff(t)]) for t in (xs, ys))
-    P = np.stack(np.meshgrid(xh, yh, indexing="ij"), axis=-1)
+    Xh, Yh = np.meshgrid(xh, yh, indexing="ij")
     sp = _spline(xs, ys, v)
     for nu, tol in (((0, 0), 1e-13), ((1, 0), 1e-12), ((0, 1), 1e-12)):
-        want = ref(P, nu=nu)
-        assert np.max(np.abs(sp(P, nu=nu) - want)) <= tol * np.max(np.abs(want)), nu
+        want = np.stack([ref(np.stack([Xh, Yh], axis=-1), nu=nu)[..., i] for i in range(len(v))])
+        assert np.max(np.abs(sp(Xh, Yh, nu=nu) - want)) <= tol * np.max(np.abs(want)), nu
 
 
 def test_spline_refuses_a_query_outside_its_knot_span():
@@ -674,12 +675,12 @@ def test_spline_refuses_a_query_outside_its_knot_span():
     xs, ys = np.linspace(-1.2, 1.0, 9), np.linspace(-0.5, 0.7, 7)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     sp = _spline(xs, ys, np.sin(X) * np.cos(Y))
-    corners = np.array([[xs[0], ys[0]], [xs[-1], ys[-1]]])
-    assert np.allclose(sp(corners), np.sin(corners[:, 0]) * np.cos(corners[:, 1]), rtol=0, atol=1e-14)
+    cx, cy = np.array([xs[0], xs[-1]]), np.array([ys[0], ys[-1]])
+    assert np.allclose(sp(cx, cy), np.sin(cx) * np.cos(cy), rtol=0, atol=1e-14)
     for point in ([xs[0] - 1e-9, 0.0], [xs[-1] + 1e-9, 0.0], [0.0, ys[0] - 1e-9], [0.0, ys[-1] + 1e-9]):
         for nu in ((0, 0), (1, 0), (0, 1)):
             with pytest.raises(DomainError, match="knot span"):
-                sp(np.array([point, [0.0, 0.0]]), nu=nu)
+                sp(np.array([point[0], 0.0]), np.array([point[1], 0.0]), nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -801,8 +802,8 @@ def test_marched_frames_stay_on_their_group(monkeypatch):
         for name, (args, (frames, _)) in _marches(monkeypatch, data, tol).items():
             system = args[0]
             k = len(system.gram)
-            group = frames[..., :k, :]
-            gram = np.einsum("...id,...jd->...ij", group * metric_diag(data.eps, system.dim), group)
+            group = frames[:k]  # (rows, dim, nx, ny)
+            gram = np.einsum("id...,jd...->...ij", group * metric_diag(data.eps, system.dim)[:, None, None], group)
             assert np.max(np.abs(gram - np.diag(system.gram))) < 1e-10, (member, name)
 
 
@@ -841,7 +842,9 @@ def test_prefix_magnus_march_matches_a_stepwise_expm_march(monkeypatch):
         row = line(F0[None], *np.meshgrid(corr._gauss_points(xs), ys[:1]), 0, xs)[0]
         cols = line(row, *np.meshgrid(xs, corr._gauss_points(ys), indexing="ij"), 1, ys)
         top = line(cols[None, 0, -1], *np.meshgrid(corr._gauss_points(xs), ys[-1:]), 0, xs)[0]
-        oracle_closure = np.max(np.linalg.norm(system.point(top) - system.point(cols[:, -1]), axis=-1))
+        # the oracle's frames are (..., rows, dim) matrices; the march's lead with (rows, dim)
+        cols, top = (np.moveaxis(f, (-2, -1), (0, 1)) for f in (cols, top))
+        oracle_closure = np.max(np.linalg.norm(system.point(top) - system.point(cols[..., -1]), axis=0))
         # the Pade map and expm differ at seventh order per step: 7.0e-11 on
         # the PMC frames here, 4.9e-12 on the CMC frames.  A closure is a
         # distance between two marched points, so it moves by at most twice that
@@ -860,12 +863,24 @@ def test_rebuilt_pmc_chart_is_as_parallel_as_a_spline_of_the_exact_jet():
     data = prop4_data()
     jet = sample_jet(prop4_chart(), data.x, data.y)
     spline = _spline_chart(
-        data.x, data.y, {k: np.moveaxis(getattr(jet, k), 0, -1) for k in ("p", "px", "py", "pxx", "pxy", "pyy")},
+        data.x, data.y, {k: getattr(jet, k) for k in ("p", "px", "py", "pxx", "pxy", "pyy")},
         data.eps, TARGET_PRODUCT, "exact_jet_spline", {},
     )
     floor = parallelism_residual(spline, *spline.grid(33, 33, shrink=0.03))
     _, rep = integrate_pmc_frenet(data)
     assert rep["parallelism"] <= 1.01 * floor, (rep["parallelism"], floor)
+
+
+def test_rebuilt_charts_answer_components_first_jets():
+    # a rebuilt chart's jet is one spline evaluation, handed out as one C-ordered
+    # (dim, *x.shape) block per key, as every family's jet
+    data = prop4_data()
+    for rec, _ in (integrate_cmc_frenet(pmc_to_cmc(data, 1)), integrate_pmc_frenet(data)):
+        X, Y = rec.grid(7, 5, shrink=0.05)
+        jet = rec.jet(X, Y)
+        assert sorted(jet) == sorted(("p", "px", "py", "pxx", "pxy", "pyy")), rec.name
+        for key, v in jet.items():
+            assert v.shape == (rec.dim, 7, 5) and v.flags.c_contiguous, (rec.name, key, v.shape)
 
 
 def test_sample_jet_refuses_points_just_past_the_domain():

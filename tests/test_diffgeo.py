@@ -103,11 +103,10 @@ def test_normal_frame_product_formula():
     assert np.max(np.abs(frame.Hnorm**2 - 2.340278 / 4)) < 1e-6
     alpha = constant_curvature_curve(+1, ka)
     beta = constant_curvature_curve(+1, kb)
-    # the curves' jets are (..., 3), as a chart's; the frame is (6, ...), components first
     H_ref = np.concatenate(
         [
-            0.5 * ka * factor_j(*(np.moveaxis(w, -1, 0) for w in alpha.jet(X)[:2]), +1, check=False),
-            0.5 * kb * factor_j(*(np.moveaxis(w, -1, 0) for w in beta.jet(Y)[:2]), +1, check=False),
+            0.5 * ka * factor_j(*alpha.jet(X)[:2], +1, check=False),
+            0.5 * kb * factor_j(*beta.jet(Y)[:2], +1, check=False),
         ],
     )
     assert np.max(np.abs(frame.H - H_ref)) < 1e-7
@@ -318,8 +317,7 @@ def test_identity_residuals_battery():
         # record-level invariants
         assert max(np.max(inv.C1**2), np.max(inv.C2**2)) <= 1 + 1e-8, key
         jet = sample_jet(inv.chart, inv.x, inv.y)
-        # the record's vectors are (..., 6), the jet's (6, ...)
-        H, Htilde = np.moveaxis(inv.H, -1, 0), np.moveaxis(inv.Htilde, -1, 0)
+        H, Htilde = inv.H, inv.Htilde
         assert np.max(np.abs(jet.ip(Htilde, Htilde) - inv.Hnorm**2)) < 1e-7, key
         assert np.max(np.abs(jet.ip(H, Htilde))) < 1e-7, key
 
@@ -481,7 +479,8 @@ def scaled_chart(base):
     """The chart with its second factor scaled by 1.01: its jet is the scaled jet of ``base``."""
     scale = np.array([1.0, 1.0, 1.0, 1.01, 1.01, 1.01])
     return dataclasses.replace(
-        base, name="corrupted", jet=lambda x, y: {k: v * scale for k, v in base.jet(x, y).items()}
+        base, name="corrupted",
+        jet=lambda x, y: {k: v * scale.reshape((6,) + (1,) * (v.ndim - 1)) for k, v in base.jet(x, y).items()},
     )
 
 
@@ -511,9 +510,7 @@ def test_record_is_the_pointwise_pass_of_the_requested_grid():
         assert np.array_equal(inv.x, X) and np.array_equal(inv.y, Y), ch.name
         for f in dataclasses.fields(inv):
             if f.name in block:
-                # the block's vectors lead with their components; the record's end with them
-                value = np.moveaxis(block[f.name], 0, -1) if f.name in ("H", "Htilde") else block[f.name]
-                assert np.array_equal(getattr(inv, f.name), value, equal_nan=True), (ch.name, f.name)
+                assert np.array_equal(getattr(inv, f.name), block[f.name], equal_nan=True), (ch.name, f.name)
         assert inv.parallelism_residual == parallelism_residual(ch, X, Y), ch.name
         dx, dy = X[1, 0] - X[0, 0], Y[0, 1] - Y[0, 0]
         for j in (1, 2):
@@ -550,7 +547,7 @@ def test_numeric_jet_takes_nine_evaluations():
     jet = sample_jet(fd_chart(ch, d), X, Y)
     assert len(calls) == 9
     for key, value in nine_point_jet(base.evaluate, X, Y, d).items():
-        assert np.array_equal(getattr(jet, key), np.moveaxis(value, -1, 0)), key
+        assert np.array_equal(getattr(jet, key), value), key
 
 
 def test_fd_chart_jet_is_the_nine_point_formula():
@@ -576,7 +573,7 @@ def test_fd_step_selects_the_numeric_jet_on_a_jet_chart():
     d = 1e-3
     jet = sample_jet(fd_chart(ch, d), X, Y)
     for key, value in nine_point_jet(ch.evaluate, X, Y, d).items():
-        assert np.array_equal(getattr(jet, key), np.moveaxis(value, -1, 0)), key
+        assert np.array_equal(getattr(jet, key), value), key
     assert not np.array_equal(jet.pxx, sample_jet(ch, X, Y).pxx)
 
 
@@ -638,7 +635,7 @@ def test_abresch_rosenberg_rejects_non_cmc():
     def bad_jet(x, y):
         out = {k: v.copy() for k, v in base.jet(x, y).items()}
         for v in out.values():
-            v[..., 3] *= 1.01  # scaled height: no longer CMC
+            v[3] *= 1.01  # scaled height: no longer CMC
         return out
 
     bad = ImmersionChart(
@@ -722,20 +719,43 @@ def test_invariants_csv_and_summary(tmp_path):
     assert "parallelism" in text and "eq7_j1" in text
 
 
-def test_record_bits_do_not_depend_on_the_jet_layout():
-    # sample_jet copies each key of the chart's jet into one C-ordered (d, ...) array, and
-    # the engine works elementwise from there: a jet of Fortran-ordered arrays gives the
-    # record of the same jet with C-ordered arrays, bit for bit
-    base = chart("prop4_sph")
-    fortran = dataclasses.replace(base, jet=lambda x, y: {k: np.asfortranarray(v) for k, v in base.jet(x, y).items()})
-    X, Y = base.grid(33, 33, shrink=diffgeo.SHRINK)
-    assert all(v.flags.f_contiguous and not v.flags.c_contiguous for v in fortran.jet(X, Y).values())
-    ref, got = surface_invariants(base, nx=33, ny=33), surface_invariants(fortran, nx=33, ny=33)
+def _same_record(ref, got):
+    """Two records of a dataclass hold the same values, arrays bit for bit."""
     for f in dataclasses.fields(ref):
         a, b = getattr(ref, f.name), getattr(got, f.name)
         if isinstance(a, np.ndarray):
             assert a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes(), f.name
-        elif isinstance(a, dict):
-            assert a == b, f.name
         elif f.name != "chart":
             assert a == b, f.name
+
+
+def test_record_bits_do_not_depend_on_the_jet_layout():
+    # sample_jet hands the chart's arrays to the engine as they come, and the engine works
+    # elementwise on whole components: a jet of Fortran-ordered arrays gives the record of
+    # the same jet with C-ordered arrays, bit for bit
+    base = chart("prop4_sph")
+    fortran = dataclasses.replace(base, jet=lambda x, y: {k: np.asfortranarray(v) for k, v in base.jet(x, y).items()})
+    X, Y = base.grid(33, 33, shrink=diffgeo.SHRINK)
+    assert all(v.flags.f_contiguous and not v.flags.c_contiguous for v in fortran.jet(X, Y).values())
+    _same_record(surface_invariants(base, nx=33, ny=33), surface_invariants(fortran, nx=33, ny=33))
+
+
+def test_engine_writes_into_no_jet():
+    # sample_jet hands the chart's arrays to the JetSample without a copy, so nothing
+    # downstream may write into them: on a chart whose jet answers read-only arrays the
+    # three record builders run unchanged and give the same record, bit for bit
+    def read_only(base):
+        def jet(x, y):
+            out = base.jet(x, y)
+            for v in out.values():
+                v.flags.writeable = False
+            return out
+
+        return dataclasses.replace(base, jet=jet)
+
+    product, torus, lifted = chart("prop4_hyp"), chart("torus"), chart("incl_torus")
+    X, Y = product.grid(5, 5)
+    assert not any(v.flags.writeable for v in read_only(product).jet(X, Y).values())
+    _same_record(surface_invariants(product, nx=21, ny=21), surface_invariants(read_only(product), nx=21, ny=21))
+    _same_record(abresch_rosenberg(torus, nx=21, ny=21), abresch_rosenberg(read_only(torus), nx=21, ny=21))
+    assert torus_integrals(lifted, nx=32, ny=32) == torus_integrals(read_only(lifted), nx=32, ny=32)

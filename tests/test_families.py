@@ -99,9 +99,9 @@ def test_factor_reach_is_where_the_curve_reaches_the_growth_bound(k):
     reach = _factor_reach(-1, k)
     if abs(k) > 1:
         # a circle keeps its x3; this one stays far inside the bound
-        assert reach == np.inf and np.ptp(curve.jet(np.linspace(-50, 50, 101))[0][:, 2]) < 1e-9
+        assert reach == np.inf and np.ptp(curve.jet(np.linspace(-50, 50, 101))[0][2]) < 1e-9
         return
-    x3 = curve.jet(np.array([-reach, 0.999 * reach, reach]))[0][:, 2]
+    x3 = curve.jet(np.array([-reach, 0.999 * reach, reach]))[0][2]
     assert np.allclose(x3[[0, 2]], top, rtol=1e-12) and x3[1] < top
     assert _factor_reach(+1, k) == np.inf
 
@@ -226,10 +226,10 @@ def test_prop4_isometry_invariance():
             shift = theta
         X, Y = ch.grid(9, 9, shrink=0.3)
         P = ch.evaluate(X, Y)
-        moved = np.einsum("ij,...j->...i", M, P[..., :3])
+        moved = np.einsum("ij,j...->i...", M, P[:3])
         shifted = ch.evaluate(X, Y + shift)
-        assert np.max(np.abs(moved - shifted[..., :3])) < 1e-9
-        assert np.max(np.abs(P[..., 3:] - shifted[..., 3:])) < 1e-9  # psi factor unchanged
+        assert np.max(np.abs(moved - shifted[:3])) < 1e-9
+        assert np.max(np.abs(P[3:] - shifted[3:])) < 1e-9  # psi factor unchanged
 
 
 def test_phi0_invariants():
@@ -277,7 +277,7 @@ def test_torus_parameters_and_closure():
     x = rng.uniform(0, ch.periods[0], size=1000)
     y = rng.uniform(0, ch.periods[1], size=1000)
     p = ch.evaluate(x, y)
-    assert np.max(np.abs(inner(p[..., :3].T, p[..., :3].T, +1) - 1.0)) < 1e-12
+    assert np.max(np.abs(inner(p[:3], p[:3], +1) - 1.0)) < 1e-12
     # seam closure in the S1 embedding
     e0 = ch.embed_circle(x, y)
     assert np.max(np.abs(e0 - ch.embed_circle(x + ch.periods[0], y))) < 1e-8
@@ -322,9 +322,9 @@ def test_geodesic_inclusion_basics():
     X, Y = lifted.grid(7, 7)
     p4 = flat.evaluate(X, Y)
     p6 = lifted.evaluate(X, Y)
-    assert np.allclose(p6[..., :3], p4[..., :3], atol=1e-14)  # first factor passes through
-    t = p4[..., 3]
-    assert np.allclose(p6[..., 3:], np.stack([0 * t, np.sinh(t), np.cosh(t)], axis=-1), atol=1e-12)
+    assert np.allclose(p6[:3], p4[:3], atol=1e-14)  # first factor passes through
+    t = p4[3]
+    assert np.allclose(p6[3:], np.stack([0 * t, np.sinh(t), np.cosh(t)]), atol=1e-12)
     # the lift is isometric: same conformal factor
     j4 = sample_jet(flat, X, Y)
     j6 = sample_jet(lifted, X, Y)
@@ -334,9 +334,9 @@ def test_geodesic_inclusion_basics():
 
     sphere_lift = geodesic_inclusion(get_chart("torus"))
     X, Y = sphere_lift.grid(7, 7)
-    t = get_chart("torus").evaluate(X, Y)[..., 3]
-    q = sphere_lift.evaluate(X, Y)[..., 3:]
-    assert np.allclose(q, np.stack([np.cos(t), np.sin(t), 0 * t], axis=-1), atol=1e-12)
+    t = get_chart("torus").evaluate(X, Y)[3]
+    q = sphere_lift.evaluate(X, Y)[3:]
+    assert np.allclose(q, np.stack([np.cos(t), np.sin(t), 0 * t]), atol=1e-12)
 
 
 def test_leite_chart_constant_curvature_metric():
@@ -417,15 +417,15 @@ def test_grid_jet_equals_single_point_jets(key):
     for i, j in [(0, 0), (0, 6), (8, 0), (8, 6), (3, 2), (4, 5), (7, 1)]:
         single = ch.jet(X[i, j], Y[i, j])
         for k in J:
-            assert np.array_equal(J[k][i, j], single[k]), (key, k, i, j)
+            assert np.array_equal(J[k][:, i, j], single[k]), (key, k, i, j)
 
 
 def test_signed_zero_abscissae_stay_apart():
     # distinct values are told apart by bit pattern: tan(-0.0) = -0.0
     ch = get_chart("phi0")
     J = ch.jet(np.array([0.0, -0.0, 0.0]), np.array([0.1, 0.1, -0.0]))
-    assert np.signbit(J["p"][:, 0]).tolist() == [False, True, False]
-    assert np.signbit(J["p"][:, 1]).tolist() == [False, False, True]
+    assert np.signbit(J["p"][0]).tolist() == [False, True, False]
+    assert np.signbit(J["p"][1]).tolist() == [False, False, True]
 
 
 @pytest.mark.parametrize("solved", [False, True])
