@@ -39,5 +39,8 @@ from .families import (
     product_of_curves,
 )
 from .profile import ProfileParams, ProfileSolution, check_restrictions, closed_form, solve_profile
+from .utils import keep_freed_pages
+
+keep_freed_pages()
 
 __version__ = "0.1.0"

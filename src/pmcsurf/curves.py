@@ -27,8 +27,8 @@ from .ambient import (
     project_to_factor,
     tangent_project3,
 )
-from .errors import DomainError, InfeasibleParameters, PreconditionError
-from .utils import hermite_interp, span_from_zero, write_columns_csv
+from .errors import DomainError, PreconditionError
+from .utils import hermite_interp, require_step, span_from_zero, write_columns_csv
 
 
 @dataclass(frozen=True)
@@ -341,8 +341,7 @@ def integrate_curve(spec, x_span, step):
     as in ``project_to_factor``.
     """
     x0, x1 = span_from_zero(x_span, "curve march")
-    if not (np.isfinite(step) and step > 0):
-        raise InfeasibleParameters(f"the curve march needs a positive finite step, got {step:g}", "step > 0")
+    require_step(step, "curve march")
 
     # at least one step on each side of 0 that the span reaches past
     n1 = max(1, int(np.ceil(x1 / step - 1e-12))) if x1 > 0 else 0

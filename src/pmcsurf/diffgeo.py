@@ -137,7 +137,7 @@ def conformal_data(jet):
 
 @dataclass
 class NormalFrame:
-    """Orthonormal data along a product chart: tangents, H, Htilde, xi, normal projector.
+    """Orthonormal data along a product chart: tangents, H, Htilde, |H|^2, |H|, xi, normal projector.
 
     The vectors are (6, ...), components first, as the jet's.  xi is built on first read:
     only the Frenet scalars take it."""
@@ -146,6 +146,7 @@ class NormalFrame:
     e2: np.ndarray
     H: np.ndarray
     Htilde: np.ndarray
+    Hsq: np.ndarray
     Hnorm: np.ndarray
     proj: Callable
 
@@ -202,7 +203,7 @@ def normal_frame(jet):
     if np.any(nsq <= 0):
         raise DomainError("could not span the normal plane")
     Htilde = -(Hnorm / np.sqrt(nsq)) * n
-    return NormalFrame(e1=e1, e2=e2, H=H, Htilde=Htilde, Hnorm=Hnorm, proj=proj)
+    return NormalFrame(e1=e1, e2=e2, H=H, Htilde=Htilde, Hsq=Hsq, Hnorm=Hnorm, proj=proj)
 
 
 def kaehler_functions(jet):
@@ -248,13 +249,12 @@ def hopf_definitional(jet, frame):
     with sigma the second fundamental form (normal projection of Phi_zz).
     """
     sigma_zz = frame.proj(jet.phi_zz)
-    Hsq = jet.ip(frame.H, frame.H)
     out = []
     for Jphi_z, s in zip(jet.j_phi_z, (+1, -1)):
         w = frame.H + s * 1j * frame.Htilde
         term1 = 2.0 * jet.ip(sigma_zz, w)
         pair = jet.ip(Jphi_z, w)
-        out.append(term1 + jet.eps / (4.0 * Hsq) * pair**2)
+        out.append(term1 + jet.eps / (4.0 * frame.Hsq) * pair**2)
     return tuple(out)
 
 

@@ -26,7 +26,7 @@ from .curves import CurveSpec, constant_curvature_curve, integrate_curve
 from .elliptic import complete_k, jacobi_sncndn
 from .errors import DomainError, InfeasibleParameters
 from .profile import ProfileParams, closed_form
-from .utils import CumulativeIntegral, span_from_zero
+from .utils import CumulativeIntegral, require_step, span_from_zero
 
 TARGET_PRODUCT = "product"
 TARGET_LINE = "factor_times_line"
@@ -559,6 +559,8 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
 
     F = CumulativeIntegral(f_integrand, lo, hi)
     G = CumulativeIntegral(eta_integrand, lo, hi)
+    # F and G interpolate between nodes, which a span too short to divide cannot separate
+    require_step(F.x[1] - F.x[0], "prop6 quadrature")
     sqb = np.sqrt(b)
     pad = 0.01 * (hi - lo)
     xr = np.clip(F.x, lo + pad, hi - pad)  # the rectangle's x-range on F's nodes
@@ -792,27 +794,31 @@ def cmc_torus(a, b, domain=None):
 
     def jet(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        S, C, D = jacobi_sncndn(x, kappa)
+        (xs, ix), (ys, iy) = _distinct(x), _distinct(y)
+        S, C, D = jacobi_sncndn(xs, kappa)
         Sp = C * D
         Cp = -S * D
         Dp = -kappa_sq * S * C
         Z = np.sqrt(a) * D + 1j * C
         Zp = np.sqrt(a) * Dp + 1j * Cp
         Zpp = np.sqrt(a) * (-kappa_sq * D * (C * C - S * S)) + 1j * (-C * (D * D - kappa_sq * S * S))
-        ph = np.exp(1j * kappa * y)
+        p3 = S * cb
+        p3x = Sp * cb
+        p3xx = -S * (D * D + kappa_sq * C * C) * cb
+        log_part = heta * np.log(D - kappa * C)
+        eta_x = heta * kappa * S
+        eta_xx = heta * kappa * Sp
+        Z, Zp, Zpp, p3, p3x, p3xx, log_part, eta_x, eta_xx = (
+            v[ix] for v in (Z, Zp, Zpp, p3, p3x, p3xx, log_part, eta_x, eta_xx))
+        ph = np.exp(1j * kappa * ys)[iy]
         W = Z * ph * ca
         Wx = Zp * ph * ca
         Wy = 1j * kappa * W
         Wxx = Zpp * ph * ca
         Wxy = 1j * kappa * Wx
         Wyy = -kappa_sq * W
-        p3 = S * cb
-        p3x = Sp * cb
-        p3xx = -S * (D * D + kappa_sq * C * C) * cb
         zeros = np.zeros_like(x)
-        eta = heta * np.log(D - kappa * C) + slope * y
-        eta_x = heta * kappa * S
-        eta_xx = heta * kappa * Sp
+        eta = log_part + slope * y
         eta_y = np.full_like(x, slope)
 
         def pack(w, third, e):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .elliptic import complete_k, jacobi_sncndn
 from .errors import DomainError, InfeasibleParameters
-from .utils import hermite_interp, span_from_zero, write_columns_csv
+from .utils import hermite_interp, require_step, span_from_zero, write_columns_csv
 
 DRIFT_TOL = 1e-8
 MAX_HALVINGS = 6  # step halvings ``solve_profile`` tries before it gives up
@@ -193,13 +193,13 @@ def solve_profile(params, h0=0.0, sign0=+1, x_span=(-1.0, 1.0), drift_tol=DRIFT_
     """Integrate the profile equation with h(0) = h0, sign0 the initial sign of h'.
 
     The admissibility condition eps (a - h^2) > 0 must hold at h0 and
-    p(h0) q(h0) >= 0, and the span must contain 0 (``InfeasibleParameters``
-    otherwise).  The span is truncated at the first sample violating
-    admissibility or escaping past |h| = H_MAX; the uniform step, (x1 - x0)/2000
-    at first, is halved (at most MAX_HALVINGS times) until the first-integral
-    drift |h'^2 - p(h) q(h)| stays below ``drift_tol`` relative to the
-    first-integral scale of the span (floored at 1, so the criterion is
-    absolute on order-one solutions).
+    p(h0) q(h0) >= 0, and the span must contain 0 and be long enough to divide
+    into steps (``InfeasibleParameters`` otherwise).  The span is truncated at
+    the first sample violating admissibility or escaping past |h| = H_MAX; the
+    uniform step, (x1 - x0)/2000 at first, is halved (at most MAX_HALVINGS
+    times) until the first-integral drift |h'^2 - p(h) q(h)| stays below
+    ``drift_tol`` relative to the first-integral scale of the span (floored
+    at 1, so the criterion is absolute on order-one solutions).
     """
     x0, x1 = span_from_zero(x_span, "profile march")
     pq0 = require_start(params, h0)
@@ -207,12 +207,14 @@ def solve_profile(params, h0=0.0, sign0=+1, x_span=(-1.0, 1.0), drift_tol=DRIFT_
     if pq0 == 0.0 and abs(params.pq_prime(h0)) < 1e-13:
         # double root of p q: the constant solution
         step = (x1 - x0) / 400
+        require_step(step, "profile march")
         n0 = int(round(-x0 / step))
         n1 = int(round(x1 / step))
         x = step * np.arange(-n0, n1 + 1)
         return ProfileSolution(params, x, np.full_like(x, h0), np.zeros_like(x), nonconstant=False)
 
     step = (x1 - x0) / 2000.0
+    require_step(step, "profile march")
     for _ in range(MAX_HALVINGS + 1):
         v0 = sign0 * np.sqrt(pq0)
         n1 = int(np.ceil(x1 / step - 1e-12)) if x1 > 0 else 0

@@ -1,13 +1,52 @@
 """Small numerical helpers shared across modules."""
 
 import csv
+import ctypes
 import itertools
+import os
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleParameters
 
 CUMULATIVE_NODES = 4001
+# mallopt(3) parameter numbers of glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_freed_pages():
+    """Let glibc's malloc keep freed heap pages in the process for the next large call.
+
+    By default glibc maps each array above its dynamic mmap threshold afresh and
+    returns the top of the heap to the kernel once 128 KiB lie free there, so each
+    large vectorised call faults in again the pages the previous one gave back.
+    Fixing the mmap threshold at 32 MiB and the trim threshold at 64 MiB, the
+    ceilings glibc's dynamic thresholds climb to on 64-bit, serves arrays up to
+    32 MiB from the heap and keeps their pages once freed.  Only where the
+    bytes live changes, never a value.  Off glibc, or when the process started
+    with glibc's malloc tunables set (``GLIBC_TUNABLES`` or a ``MALLOC_*_``
+    variable), nothing is done, and nothing is raised.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    if any(k == "GLIBC_TUNABLES" or (k.startswith("MALLOC_") and k.endswith("_")) for k in os.environ):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+def require_step(step, march):
+    """``InfeasibleParameters`` unless the step of ``march`` is positive and finite."""
+    if not (np.isfinite(step) and step > 0):
+        raise InfeasibleParameters(f"the {march} needs a positive finite step, got {step:g}", "step > 0")
 
 
 def span_from_zero(x_span, march):

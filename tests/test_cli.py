@@ -378,6 +378,15 @@ def test_failed_precondition_is_a_typed_exit(tmp_path, capsys):
         pytest.param(["--family", "example2"], "--domain=0,5e-324,0,1", "a positive finite step",
                      id="example2-subnormal"),
         pytest.param(["--family", "prop4"], "--domain=0,5e-324,0,1", "a positive finite step", id="prop4-subnormal"),
+        # prop6 interpolates its antiderivatives between nodes that a subnormal span cannot separate
+        pytest.param(["--family", "prop6"], "--domain=0,5e-324,0,1", "a positive finite step", id="prop6-subnormal"),
+        pytest.param(["--family", "prop6", "--eps", "1", "--a", "2", "--b", "1", "--c", "0"], "--domain=0,5e-324,0,1",
+                     "a positive finite step", id="prop6-sphere-subnormal"),
+        # a solved profile (c != 0) divides the span into 2000 steps first
+        pytest.param(["--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "0.5", "--c", "0.3"],
+                     "--domain=0,5e-324,0,1", "a positive finite step", id="prop4-solved-subnormal"),
+        pytest.param(["--family", "prop6", "--eps", "-1", "--a", "-2", "--b", "0.5", "--c", "0.3"],
+                     "--domain=0,5e-324,0,1", "a positive finite step", id="prop6-solved-subnormal"),
         # the second-factor curve has speed >= sqrt(b): refused before the profile solve and the
         # curve march, which asked for 7.28 TiB here
         pytest.param(["--family", "prop4"], "--domain=-1e9,1e9,-1,1", "|x| <= 6", id="prop4-x"),

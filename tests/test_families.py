@@ -3,6 +3,7 @@ import pytest
 
 from pmcsurf.ambient import inner
 from pmcsurf.diffgeo import normal_frame, sample_jet
+from pmcsurf.elliptic import jacobi_sncndn
 from pmcsurf.errors import DomainError, InfeasibleParameters
 from pmcsurf.families import (
     TARGET_PRODUCT,
@@ -418,6 +419,52 @@ def test_grid_jet_equals_single_point_jets(key):
         single = ch.jet(X[i, j], Y[i, j])
         for k in J:
             assert np.array_equal(J[k][:, i, j], single[k]), (key, k, i, j)
+
+
+def _torus_jet_on_every_sample(a, b, x, y):
+    """The jet of ``cmc_torus(a, b)`` with every quantity evaluated on every sample."""
+    kappa_sq = (a - b) / (a * (1.0 + b))
+    kappa = np.sqrt(kappa_sq)
+    ca, cb = 1.0 / np.sqrt(1.0 + a), 1.0 / np.sqrt(1.0 + b)
+    heta, slope = np.sqrt(b) / np.sqrt(1.0 + b), np.sqrt(b) / np.sqrt(a * (1.0 + b))
+    S, C, D = jacobi_sncndn(x, kappa)
+    Sp, Cp, Dp = C * D, -S * D, -kappa_sq * S * C
+    Z = np.sqrt(a) * D + 1j * C
+    Zp = np.sqrt(a) * Dp + 1j * Cp
+    Zpp = np.sqrt(a) * (-kappa_sq * D * (C * C - S * S)) + 1j * (-C * (D * D - kappa_sq * S * S))
+    ph = np.exp(1j * kappa * y)
+    W, Wx, Wxx = Z * ph * ca, Zp * ph * ca, Zpp * ph * ca
+    zeros = np.zeros_like(x)
+
+    def pack(w, third, e):
+        return np.stack([w.real, w.imag, third, e])
+
+    return {
+        "p": pack(W, S * cb, heta * np.log(D - kappa * C) + slope * y),
+        "px": pack(Wx, Sp * cb, heta * kappa * S),
+        "py": pack(1j * kappa * W, zeros, np.full_like(x, slope)),
+        "pxx": pack(Wxx, -S * (D * D + kappa_sq * C * C) * cb, heta * kappa * Sp),
+        "pxy": pack(1j * kappa * Wx, zeros, zeros),
+        "pyy": pack(-kappa_sq * W, zeros, zeros),
+    }
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (3.0, 0.5)])
+def test_torus_jet_gathers_its_one_variable_data_bitwise(a, b):
+    # sn, cn, dn and every x-only quantity are taken once per distinct x, exp(i kappa y) once per
+    # distinct y.  The products W = Z exp(i kappa y) are formed on the gathered grids, where numpy's
+    # complex multiply may take a fused SIMD loop that one sample alone does not, so the oracle is
+    # the jet evaluated on every sample of the same grid; the real components, the third
+    # coordinate and the height, are also the jets of their nodes alone
+    ch = cmc_torus(a, b)
+    X, Y = ch.grid(33, 29, shrink=0.05)
+    J, ref = ch.jet(X, Y), _torus_jet_on_every_sample(a, b, X, Y)
+    for k in ref:
+        assert np.array_equal(J[k], ref[k]), k
+    for i, j in [(0, 0), (0, 28), (32, 0), (32, 28), (3, 2), (17, 11), (30, 1)]:
+        single = ch.jet(X[i, j], Y[i, j])
+        for k in J:
+            assert np.array_equal(J[k][2:, i, j], single[k][2:]), (k, i, j)
 
 
 def test_signed_zero_abscissae_stay_apart():

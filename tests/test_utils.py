@@ -1,9 +1,82 @@
 import csv
+import os
+import resource
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pmcsurf.utils import write_columns_csv
+from pmcsurf import utils
+from pmcsurf.diffgeo import surface_invariants
+from pmcsurf.families import pmc_profile_family
+from pmcsurf.profile import ProfileParams, closed_form
+from pmcsurf.utils import keep_freed_pages, write_columns_csv
+
+
+def _glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _malloc_tunables():
+    return [k for k in os.environ if k == "GLIBC_TUNABLES" or (k.startswith("MALLOC_") and k.endswith("_"))]
+
+
+glibc_only = pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are glibc's")
+
+
+class _Mallopt:
+    """Stands in for libc's mallopt: records its calls instead of making them."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def _fake_libc(monkeypatch):
+    """Make ctypes.CDLL(None) answer a recording mallopt; return its list of calls."""
+    mallopt = _Mallopt()
+    monkeypatch.setattr(utils.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    return mallopt.calls
+
+
+@glibc_only
+def test_keep_freed_pages_sets_both_thresholds(monkeypatch):
+    for name in _malloc_tunables():
+        monkeypatch.delenv(name)
+    calls = _fake_libc(monkeypatch)
+    keep_freed_pages()
+    # M_MMAP_THRESHOLD = -3 at 32 MiB, M_TRIM_THRESHOLD = -1 at 64 MiB
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+@glibc_only
+@pytest.mark.parametrize("name", ["GLIBC_TUNABLES", "MALLOC_TRIM_THRESHOLD_"])
+def test_keep_freed_pages_leaves_set_tunables_alone(monkeypatch, name):
+    monkeypatch.setenv(name, "glibc.malloc.trim_threshold=131072" if name == "GLIBC_TUNABLES" else "131072")
+    calls = _fake_libc(monkeypatch)
+    keep_freed_pages()
+    assert calls == []
+
+
+@glibc_only
+@pytest.mark.skipif(bool(_malloc_tunables()), reason="glibc's malloc tunables are set, so the import kept its hands off")
+def test_repeated_invariant_calls_fault_in_few_pages():
+    # the import fixed glibc's thresholds, so a repeated large call finds its pages still mapped:
+    # glibc's dynamic defaults refault about 2,300 pages on each of these calls
+    params = ProfileParams(-1, -2.0, 1.0, 0.0)
+    chart = pmc_profile_family(params, closed_form("sinh_family", params, x_span=(-1.2, 1.2)))
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        surface_invariants(chart, 81, 81)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert faults[2] < 200, faults
 
 
 def test_write_columns_csv_bytes(tmp_path):
