@@ -37,7 +37,7 @@ from .diffgeo import (
     surface_invariants,
 )
 from .errors import DomainError, InfeasibleParameters, PreconditionError, VerificationError
-from .profile import ProfileParams, closed_form, require_feasible, require_start, solve_profile
+from .profile import ProfileParams, require_feasible, require_start, require_whole_span, solve_profile
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -53,26 +53,14 @@ IDENTITY_TOL = 1e-4
 # ---------------------------------------------------------------------------
 
 
-def _profile_solution(params, x_span):
-    """Closed-form h when the parameters sit in a known regime, RK4 otherwise."""
-    eps, a, b, c = params.eps, params.a, params.b, params.c
-    if c == 0.0 and eps == -1 and b == 1.0 and a <= -1.0:
-        return closed_form("sinh_family", params, x_span=x_span)
-    if c == 0.0 and eps == +1 and a > b:
-        return closed_form("sn_family", params, x_span=x_span)
-    if c == 0.0 and eps == -1 and a == -1.0 and b < 1.0:
-        return closed_form("tan_family", params, x_span=x_span)
-    return solve_profile(params, x_span=x_span)
-
-
 def _profile_chart(args, construct, band, require_x_span=None):
-    """prop4 or prop6 member (eps, a, b, c): its profile h solved from h(0) = 0 on the --domain x-span.
+    """prop4 or prop6 member (eps, a, b, c): its profile h from h(0) = 0 on the --domain x-span.
 
-    Every profile starts at h(0) = 0, the closed forms too.  Before any solve,
-    that start must lie in the chart's band eps (a - h^2) > ``band`` with
-    p(0) q(0) >= 0 (the parabolic branches, a = 0 of prop4 and E = a - eps b = 0
-    of prop6, never do), and the x-span must pass ``require_x_span`` where
-    the family bounds it.
+    Before the profile is solved, its start must lie in the chart's band
+    eps (a - h^2) > ``band`` with p(0) q(0) >= 0 (the parabolic branches, a = 0
+    of prop4 and E = a - eps b = 0 of prop6, never do), and the x-span must
+    pass ``require_x_span`` where the family bounds it.  A profile that
+    escapes or leaves its band inside the x-span is refused, with its reach.
     """
     params = ProfileParams(args.eps, args.a, args.b, args.c)
     require_feasible(params)
@@ -80,7 +68,8 @@ def _profile_chart(args, construct, band, require_x_span=None):
     dom = args.domain or (-1.2, 1.2, -1.0, 1.0)
     if require_x_span is not None:
         require_x_span(args.family, params, dom[:2])
-    h = _profile_solution(params, dom[:2])
+    h = solve_profile(params, 0.0, +1, dom[:2])
+    require_whole_span(args.family, h, dom[:2])
     chart = construct(params, h, y_span=dom[2:])
     chart.metadata["profile"] = h
     return chart

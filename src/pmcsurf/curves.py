@@ -2,7 +2,8 @@
 
 Constant-curvature curves are produced in closed form from the linear system
 alpha' = T, T' = k N - eps alpha (N = J T, arclength parameter), whose
-characteristic frequency is nu^2 = k^2 + eps.  The canonical representatives
+characteristic frequency is nu^2 = k^2 + eps, as one expression in the Stumpff
+functions of nu^2 t^2 for every sign of nu^2.  The canonical representatives
 land on the classical catalog sets: latitude circles x3 = const, hypercycles
 x1 = const, and the horocycle x1 - x3 = -1.
 
@@ -12,6 +13,7 @@ factor.  The curvature sign convention is k = <psi'', J psi'> / |psi'|^3 with
 the package-wide orientation of J.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -31,32 +33,59 @@ from .errors import DomainError, PreconditionError
 from .utils import hermite_interp, require_step, span_from_zero, write_columns_csv
 
 
+# the Taylor coefficients of c1 and c2 in -z, 1/(2j + 1)! and 1/(2j + 2)!, highest
+# first: past the twelfth, the terms fall below 1e-22 on |z| < 1
+_STUMPFF_SERIES = [[1.0 / math.factorial(2 * j + d) for j in range(11, -1, -1)] for d in (1, 2)]
+
+
+def _stumpff(z):
+    """The Stumpff functions c1(z) = sin(sqrt z) / sqrt z and c2(z) = (1 - cos(sqrt z)) / z.
+
+    Both are entire in z, read as sinh and cosh of sqrt(-z) for z < 0, and
+    are summed from their series on |z| < 1, where the closed forms cancel
+    (Danby, *Fundamentals of Celestial Mechanics*, 2nd ed., 6.9).
+    """
+    r = np.sqrt(np.maximum(np.abs(z), 1.0))
+    positive = z > 0.0
+    rp, rn = np.where(positive, r, 0.0), np.where(positive, 0.0, r)
+    c1 = np.where(positive, np.sin(rp), np.sinh(rn)) / r
+    c2 = np.where(positive, 1.0 - np.cos(rp), np.cosh(rn) - 1.0) / (r * r)
+    small = np.abs(z) < 1.0
+    return tuple(np.where(small, np.polyval(series, -z), c) for series, c in zip(_STUMPFF_SERIES, (c1, c2)))
+
+
 @dataclass(frozen=True)
 class ConstantCurvatureCurve:
-    """Arclength-parametrized curve of constant geodesic curvature k in M2(eps)."""
+    """Arclength-parametrized curve of constant geodesic curvature k in M2(eps).
+
+    With p0, T0 its point and unit tangent at t = 0, a0 = k N0 - eps p0 its
+    acceleration there and nu_sq = k^2 + eps, the curve solves
+    psi'' = a0 - nu_sq (psi - p0), so
+        psi(t) = p0 + t c1(nu_sq t^2) T0 + t^2 c2(nu_sq t^2) a0
+    with the Stumpff functions c1, c2 (``_stumpff``): one expression for the
+    circles (nu_sq > 0), the horocycles (nu_sq = 0) and the hypercycles
+    (nu_sq < 0), which loses no digits as nu_sq passes 0.
+    """
 
     eps: int
     k: float
     kind: str
-    # coefficients of the closed-form solution
-    _A: np.ndarray
-    _B: np.ndarray
-    _C: np.ndarray
-    _nu: float
+    p0: np.ndarray
+    T0: np.ndarray
+    a0: np.ndarray
+    nu_sq: float
 
     def jet(self, t):
         """(point, velocity, acceleration) at the arclength parameters t, each (3, *t.shape)."""
         t = np.asarray(t, dtype=float)
-        A, B, C = (v.reshape((3,) + (1,) * t.ndim) for v in (self._A, self._B, self._C))
-        if self._nu > 0:
-            w = self._nu
-            c, s = np.cos(w * t), np.sin(w * t)
-            return A + B * c + C * s, w * (-B * s + C * c), -w * w * (B * c + C * s)
-        if self._nu < 0:
-            w = -self._nu
-            c, s = np.cosh(w * t), np.sinh(w * t)
-            return A + B * c + C * s, w * (B * s + C * c), w * w * (B * c + C * s)
-        return A + C * t + B * (t * t / 2.0), C + B * t, np.broadcast_to(B, (3, *t.shape)).copy()
+        c1, c2 = _stumpff(self.nu_sq * t * t)
+        p0, T0, a0 = (v.reshape((3,) + (1,) * t.ndim) for v in (self.p0, self.T0, self.a0))
+        s1, s2 = t * c1, t * t * c2
+        return (
+            p0 + s1 * T0 + s2 * a0,
+            (1.0 - self.nu_sq * s2) * T0 + s1 * a0,
+            a0 - self.nu_sq * (s1 * T0 + s2 * a0),
+        )
 
 
 def _canonical_start(eps, k):
@@ -97,22 +126,7 @@ def constant_curvature_curve(eps, k, p0=None, T0=None):
             raise PreconditionError("p0 is not a point of M2(eps)")
         if abs(inner(p0, T0, eps)) > 1e-10 or abs(inner(T0, T0, eps) - 1.0) > 1e-10:
             raise PreconditionError("T0 must be a unit tangent vector at p0")
-    N0 = cross_eps(p0, T0, eps)
-    acc0 = k * N0 - eps * p0
-    nu_sq = k * k + eps
-    if nu_sq > 0:
-        nu = np.sqrt(nu_sq)
-        B = -acc0 / nu_sq
-        C = T0 / nu
-        A = p0 - B
-        return ConstantCurvatureCurve(eps, k, kind, A, B, C, nu)
-    if nu_sq < 0:
-        mu = np.sqrt(-nu_sq)
-        B = acc0 / (-nu_sq)
-        C = T0 / mu
-        A = p0 - B
-        return ConstantCurvatureCurve(eps, k, kind, A, B, C, -mu)
-    return ConstantCurvatureCurve(eps, k, kind, p0, acc0, T0, 0.0)
+    return ConstantCurvatureCurve(eps, k, kind, p0, T0, k * cross_eps(p0, T0, eps) - eps * p0, k * k + eps)
 
 
 @dataclass

@@ -5,9 +5,10 @@ Every constructor returns an ``ImmersionChart`` whose ``jet`` broadcasts over
 coordinate arrays and supplies the point with its first and second partials;
 the chart evaluates through the jet's ``p``, and a product chart's jet is its
 two factor jets stacked by ``_product_jet``.
-Charts backed by closed forms carry exact jets; charts backed by a profile
-solution or an integrated curve inherit the dense-output accuracy of those
-solvers, which is far below the verification tolerances.
+Charts backed by closed forms or by a profile solution (itself a closed form,
+``profile.solve_profile``) carry exact jets; a factor that is an integrated
+curve inherits the dense-output accuracy of the curve march, which is far
+below the verification tolerances.
 
 Conventions: product charts live in R^6 (two factor blocks), charts into
 M2(eps) x R in R^4 with the height as fourth coordinate; every jet key is

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -405,6 +406,13 @@ def test_failed_precondition_is_a_typed_exit(tmp_path, capsys):
                      "|x| <= 7.25433", id="prop6-x-closed-form"),
         pytest.param(["--family", "prop6", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"], "--domain=-6,6,-1,1",
                      "x3 <= cosh(6) on the profile curve", id="prop6-x-profile"),
+        # a profile that escapes inside the x-span is refused, not cut: tan(sqrt(1 - b) x) passes
+        # |h| = 1000 between two of the span's nodes
+        pytest.param(["--family", "prop4", "--eps", "-1", "--a", "-1", "--b", "0.25", "--c", "0"],
+                     "--domain=-3,3,-1,1", f"|x| <= {math.atan(1000.0) / math.sqrt(1.0 - 0.25):.6g}", id="prop4-x-tan"),
+        # this profile passes |h| = 1000 at x = 1.12349, inside the default x-span
+        pytest.param(["--family", "prop6", "--eps", "-1", "--a", "-2.9", "--b", "0.6", "--c", "0.6"],
+                     "--domain=-1.2,1.2,-1,1", "x <= 1.12349", id="prop6-x-escape"),
     ],
 )
 def test_domain_the_chart_cannot_evaluate_is_infeasible(tmp_path, capsys, family, domain, clause):

@@ -495,12 +495,36 @@ PROPERTY_STEP = 2e-3
 PROPERTY_BOUND = 1e-11
 
 
-def test_constant_data_march_matches_closed_form():
-    # the oracle is the exact propagator expm(x s A) of F' = s A F, not the closed-form
-    # curve, which loses digits near the horocycle: at s = 1, k = 0.99999, eps = -1 the
-    # closed form is off by 1.2e-11, the march by 1.7e-14 from the propagator
-    hypothesis = pytest.importorskip("hypothesis")
+@pytest.mark.parametrize("k", [0.9999999, 0.999999, 0.99999, 1.0, 1.00001, 1.0000001, -0.999999, -1.0, -1.000001])
+def test_constant_curvature_curve_is_the_exact_propagator(k):
+    # the frame F = (psi, T, N) as rows solves F' = A F, so F(t) = expm(t A) F0; from both
+    # sides of the horocycles k = +-1, where nu^2 = k^2 - 1 passes 0 (exactly 0 at k = +-1),
+    # the closed form keeps every digit
     expm = pytest.importorskip("scipy.linalg").expm
+    p0, T0 = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    t = np.linspace(-1.0, 1.0, 41)
+    A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, k], [0.0, -k, 0.0]])
+    F = expm(np.multiply.outer(t, A)) @ np.stack([p0, T0, cross_eps(p0, T0, -1)])
+    p, v, acc = constant_curvature_curve(-1, k, p0=p0, T0=T0).jet(t)
+    for got, want in ((p, F[:, 0].T), (v, F[:, 1].T), (acc, k * F[:, 2].T + F[:, 0].T)):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_stumpff_series_meets_the_closed_forms():
+    # the series on |z| < 1 and the trigonometric and hyperbolic forms past it agree at |z| = 1
+    z = np.array([-1.0 - 1e-15, -1.0, -1.0 + 1e-15, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 0.0])
+    c1, c2 = curves._stumpff(z)
+    r = np.sqrt(np.abs(z[:-1]))
+    trig1 = np.where(z[:-1] > 0, np.sin(r), np.sinh(r)) / r
+    trig2 = np.where(z[:-1] > 0, 1.0 - np.cos(r), np.cosh(r) - 1.0) / r**2
+    assert np.max(np.abs(c1[:-1] - trig1)) <= 4e-16 and np.max(np.abs(c2[:-1] - trig2)) <= 4e-16
+    assert (c1[-1], c2[-1]) == (1.0, 0.5)
+
+
+def test_constant_data_march_matches_closed_form():
+    # the oracle is the closed-form curve, at arclength s x: at s = 1, k = 0.99999, eps = -1,
+    # next to the horocycle, it is the exact propagator to 4.4e-16
+    hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
@@ -519,10 +543,7 @@ def test_constant_data_march_matches_closed_form():
         )
         curve = integrate_curve(spec, x_span=(-1.0, 1.0), step=PROPERTY_STEP)
         assert curve.constraint_defect() <= 1e-12
-        # the frame F = (psi, T, N) as rows: F(x) = expm(x s A) F0
-        A = np.array([[0.0, 1.0, 0.0], [-eps, 0.0, k], [0.0, -k, 0.0]])
-        F0 = np.stack([p0, T0, cross_eps(p0, T0, eps)])
-        exact = (expm(np.multiply.outer(s * curve.x, A)) @ F0)[:, 0].T  # psi, components first
+        exact = constant_curvature_curve(eps, k, p0=p0, T0=T0).jet(s * curve.x)[0]
         assert np.max(np.abs(curve.psi - exact)) <= PROPERTY_BOUND
 
     check()

@@ -62,6 +62,9 @@ def get_chart(key):
         params = ProfileParams(+1, 2.0, 1.0, 0.0)
         h = closed_form("sn_family", params, x_span=(-1.6, 1.6))
         ch = pmc_profile_family(params, h)
+    elif key == "prop4_solved":
+        params = ProfileParams(-1, -2.0, 0.5, 0.3)
+        ch = pmc_profile_family(params, solve_profile(params, x_span=(-1.2, 1.2)))
     elif key == "phi0":
         ch = pmc_phi0(0.25)
     elif key == "torus":
@@ -181,7 +184,10 @@ def test_prop4_constant_profile_reduces_to_products():
     params = ProfileParams(+1, 2.0, 1.0, 0.0)
     h0 = np.sqrt((params.a - params.b) / (1 + params.b))
     x = np.linspace(-1.0, 1.0, 201)
-    h = ProfileSolution(params, x, np.full_like(x, h0), np.zeros_like(x), nonconstant=False)
+    # a singular solution of the first-order equation, which no start of solve_profile gives
+    # (from h0, a simple root of pq, it gives the turning-point solution)
+    h = ProfileSolution(params, x, np.full_like(x, h0), np.zeros_like(x), nonconstant=False, truncated="",
+                        formula=lambda x: (np.full_like(x, h0), np.zeros_like(x)))
     ch = pmc_profile_family(params, h)
     X, Y = ch.grid(7, 7, shrink=0.05)
     from pmcsurf.diffgeo import kaehler_functions
@@ -203,7 +209,7 @@ def test_prop4_isometry_invariance():
     params = ProfileParams(-1, -2.0, 1.0, 0.0)
     cases.append((params, closed_form("sinh_family", params, x_span=(-1.2, 1.2))))
     params = ProfileParams(-1, 0.0, 1.0, 0.5)
-    cases.append((params, solve_profile(params, h0=1.5, x_span=(-0.25, 0.25), drift_tol=1e-10)))
+    cases.append((params, solve_profile(params, h0=1.5, x_span=(-0.25, 0.25))))
 
     for params, h in cases:
         a = params.a
@@ -408,7 +414,7 @@ def test_evaluate_reads_the_current_jet():
     assert calls == [1]
 
 
-@pytest.mark.parametrize("key", ["prop4_hyp", "prop4_sph", "phi0", "example2", "T_0.6_0.8"])
+@pytest.mark.parametrize("key", ["prop4_hyp", "prop4_sph", "prop4_solved", "phi0", "example2", "T_0.6_0.8"])
 def test_grid_jet_equals_single_point_jets(key):
     # one-variable data are evaluated once per grid line and gathered: each
     # node must carry bitwise the jet of that node alone
