@@ -21,14 +21,14 @@ from .errors import DomainError, PreconditionError, VerificationError
 from .families import TARGET_LINE, TARGET_PRODUCT, ImmersionChart
 from .diffgeo import (
     SHRINK,
+    _chebyshev_grid,
     abresch_rosenberg,
+    apply_along,
     ar_theta,
     conformal_data,
     eta_z_norm_law,
     frenet_scalars,
     gamma_norm_law,
-    grid_d,
-    grid_dz_bar,
     hopf_coefficients,
     hopf_theta,
     kaehler_functions,
@@ -164,27 +164,26 @@ def _pmc_point_fields(chart):
 
 
 def pmc_compatibility_residuals(data):
-    """Normalized residuals of the PMC integrability system on the data grids."""
-    dx = data.x[1, 0] - data.x[0, 0]
-    dy = data.y[0, 1] - data.y[0, 0]
-    e2u = np.exp(2 * data.u)
+    """Normalized residuals of the PMC integrability system: the derivative laws on the
+    Chebyshev grid of the node rectangle (``_spectral_derivatives``), the |gamma_j|^2 laws
+    on the node arrays."""
+    F, Fx, Fy = _spectral_derivatives(data, ("C1", "C2", "gamma1", "gamma2", "f1", "f2"))
+    e2u = np.exp(2 * F["u"])
     H = data.Hnorm
-    interior = (slice(1, -1), slice(1, -1))
+    nodes, e2u_nodes = data.grids(), np.exp(2 * data.u)
     out = {}
-    for j, (C, gamma, f) in ((1, (data.C1, data.gamma1, data.f1)), (2, (data.C2, data.gamma2, data.f2))):
-        g_zbar = grid_dz_bar(gamma, dx, dy)
+    for j in (1, 2):
+        C, gamma, f = F[f"C{j}"], F[f"gamma{j}"], F[f"f{j}"]
+        g_zbar = 0.5 * (Fx[f"gamma{j}"] + 1j * Fy[f"gamma{j}"])
         rhs = -1j * H * C * e2u / np.sqrt(2.0)
-        out[f"gamma{j}_zbar"] = normalized_mismatch(g_zbar[interior], rhs[interior], terms=(H * e2u[interior],))
-        f_zbar = grid_dz_bar(f, dx, dy)
+        out[f"gamma{j}_zbar"] = normalized_mismatch(g_zbar, rhs, terms=(H * e2u,))
+        f_zbar = 0.5 * (Fx[f"f{j}"] + 1j * Fy[f"f{j}"])
         rhs = 1j * data.eps * e2u * C * gamma / 4.0
-        out[f"f{j}_zbar"] = normalized_mismatch(
-            f_zbar[interior], rhs[interior], terms=((e2u * np.abs(gamma))[interior],)
-        )
-        Cx, Cy = grid_d(C, dx, dy)
-        C_z = 0.5 * (Cx - 1j * Cy)
-        rhs = 2j * np.exp(-2 * data.u) * f * np.conj(gamma) - 1j * H / np.sqrt(2.0) * gamma
-        out[f"C{j}_z"] = normalized_mismatch(C_z[interior], rhs[interior], terms=(H * np.abs(gamma)[interior],))
-        out[f"gamma{j}_norm"] = gamma_norm_law(gamma, C, e2u)
+        out[f"f{j}_zbar"] = normalized_mismatch(f_zbar, rhs, terms=(e2u * np.abs(gamma),))
+        C_z = 0.5 * (Fx[f"C{j}"] - 1j * Fy[f"C{j}"])
+        rhs = 2j * np.exp(-2 * F["u"]) * f * np.conj(gamma) - 1j * H / np.sqrt(2.0) * gamma
+        out[f"C{j}_z"] = normalized_mismatch(C_z, rhs, terms=(H * np.abs(gamma),))
+        out[f"gamma{j}_norm"] = gamma_norm_law(nodes[f"gamma{j}"], nodes[f"C{j}"], e2u_nodes)
     return out
 
 
@@ -352,35 +351,56 @@ def _spline(xs, ys, v):
     return sp
 
 
+def _real_stack(grids):
+    """A dict of arrays as one real stack on a new first axis, a complex entry as its real and
+    its imaginary part, and the map from anything indexed like that stack back to the dict."""
+    cols, stack = {}, []  # key -> (first row in the stack, complex or not)
+    for k, v in grids.items():
+        cplx = np.iscomplexobj(v)
+        cols[k] = (len(stack), cplx)
+        stack += [v.real, v.imag] if cplx else [v]
+
+    def unstack(vals):
+        return {k: vals[i] + 1j * vals[i + 1] if cplx else vals[i] for k, (i, cplx) in cols.items()}
+
+    return np.stack(stack), unstack
+
+
 def _grid_fields(data):
     """Dense evaluation of a record's data: its ``fields``, or one spline of its node arrays.
 
     For node-only data (``fields`` None) the entries of ``data.grids()`` are
-    stacked, a complex entry as its real and its imaginary part, into one
-    ``_spline``, which each ``fields`` call evaluates once; u_x and u_y are
-    the derivatives of the spline of u.  Every point set the round trip asks
-    for is a tensor grid, whose evaluation costs its point count; a point
-    outside the node rectangle raises DomainError.
+    stacked by ``_real_stack`` into one ``_spline``, which each ``fields``
+    call evaluates once; u_x and u_y are the derivatives of the spline of u.
+    Every point set the round trip asks for is a tensor grid, whose
+    evaluation costs its point count; a point outside the node rectangle
+    raises DomainError.
     """
     if data.fields is not None:
         return data.fields
     xs, ys = data.x[:, 0], data.y[0, :]
-    cols, stack = {}, []  # key -> (first column in the stack, complex or not)
-    for k, v in data.grids().items():
-        cplx = np.iscomplexobj(v)
-        cols[k] = (len(stack), cplx)
-        stack += [v.real, v.imag] if cplx else [v]
-    sp = _spline(xs, ys, np.stack(stack))
+    stack, unstack = _real_stack(data.grids())
+    sp = _spline(xs, ys, stack)
     sp_u = _spline(xs, ys, data.u)
 
     def fields(X, Y):
-        vals = sp(X, Y)
-        out = {k: vals[i] + 1j * vals[i + 1] if cplx else vals[i] for k, (i, cplx) in cols.items()}
+        out = unstack(sp(X, Y))
         out["ux"] = sp_u(X, Y, nu=(1, 0))
         out["uy"] = sp_u(X, Y, nu=(0, 1))
         return out
 
     return fields
+
+
+def _spectral_derivatives(data, keys):
+    """A record's dense data F on the Chebyshev grid of its node rectangle, ends included, and
+    the x and y derivatives Fx, Fy there of its entries ``keys``: one ``_grid_fields(data)``
+    call (a node-only record's spline, which its march reads too), whose ``keys`` are
+    differentiated as one ``_real_stack`` by ``diffgeo.chebyshev``'s matrices."""
+    X, Y, Dx, Dy = _chebyshev_grid(data.x, data.y)
+    F = _grid_fields(data)(X, Y)
+    stack, unstack = _real_stack({k: F[k] for k in keys})
+    return F, unstack(apply_along(Dx, stack, 1)), unstack(apply_along(Dy, stack, 2))
 
 
 def _path_integrate(x, y, gx, gy, fields):
@@ -405,63 +425,47 @@ def pmc_to_cmc(data, j):
 
     The node arrays are ``_cmc_map`` of ``data.grids()``, and the dense
     ``fields`` (None for node-only data) is ``_cmc_map`` composed onto
-    ``data.fields``.  eta comes from path integration of
-    eta_x = -sqrt(2) Im gamma_j, eta_y = -sqrt(2) Re gamma_j, with midpoints
-    from ``_grid_fields`` of the new record; the mixed-partial consistency
-    of these integrands is reported (and gates) as ``eta_mixed``.
+    ``data.fields``.  The new record's residuals are
+    ``cmc_compatibility_residuals``; past ``MIXED_TOL`` its ``eta_mixed``, the
+    mixed-partial consistency of eta_x = -sqrt(2) Im gamma_j and
+    eta_y = -sqrt(2) Re gamma_j, raises VerificationError.  Otherwise eta
+    comes from path integration of these integrands, with midpoints from
+    ``_grid_fields`` of the new record.
     """
     if j not in (1, 2):
         raise DomainError("j must be 1 or 2")
-    G = _cmc_map(data.grids(), j)
-    gx, gy = G["eta_x"], G["eta_y"]
-    dx = data.x[1, 0] - data.x[0, 0]
-    dy = data.y[0, 1] - data.y[0, 0]
-    cross1 = np.gradient(gx, dy, axis=1, edge_order=2)
-    cross2 = np.gradient(gy, dx, axis=0, edge_order=2)
-    mixed = normalized_mismatch(
-        cross1[1:-1, 1:-1], cross2[1:-1, 1:-1], terms=(np.abs(gx) + np.abs(gy),)
-    )
-    if mixed > MIXED_TOL:
-        raise VerificationError(
-            f"eta path integration inconsistent: mixed-partial residual {mixed:.2e}"
-        )
-
     pf = data.fields
     out = CmcFrenetData(
         eps=data.eps, Hval=data.Hnorm, x=data.x, y=data.y, eta=None,
         fields=None if pf is None else lambda xs, ys: _cmc_map(pf(xs, ys), j),
-        **G,
+        **_cmc_map(data.grids(), j),
     )
-    out.eta = _path_integrate(data.x, data.y, gx, gy, _grid_fields(out))
     out.residuals = cmc_compatibility_residuals(out)
-    out.residuals["eta_mixed"] = mixed
+    mixed = out.residuals["eta_mixed"]
+    if mixed > MIXED_TOL:
+        raise VerificationError(f"eta path integration inconsistent: mixed-partial residual {mixed:.2e}")
+    out.eta = _path_integrate(data.x, data.y, out.eta_x, out.eta_y, _grid_fields(out))
     return out
 
 
 def cmc_compatibility_residuals(data):
-    """Normalized residuals of the CMC integrability system on the data grids."""
-    dx = data.x[1, 0] - data.x[0, 0]
-    dy = data.y[0, 1] - data.y[0, 0]
-    e2u = np.exp(2 * data.u)
+    """Normalized residuals of the CMC integrability system and ``eta_mixed``, d/dy of eta_x
+    against d/dx of eta_y: the derivative laws on the Chebyshev grid of the node rectangle
+    (``_spectral_derivatives``), the |eta_z|^2 law on the node arrays."""
+    F, Fx, Fy = _spectral_derivatives(data, ("nu", "p", "eta_x", "eta_y"))
+    e2u = np.exp(2 * F["u"])
     H = data.Hval
-    eta_z = data.eta_z()
-    interior = (slice(1, -1), slice(1, -1))
+    eta_z = 0.5 * (F["eta_x"] - 1j * F["eta_y"])
     out = {}
-    p_zbar = grid_dz_bar(data.p, dx, dy)
-    out["p_zbar"] = normalized_mismatch(
-        p_zbar[interior], (data.eps * e2u / 2.0 * data.nu * eta_z)[interior], terms=(e2u[interior],)
-    )
-    nx_, ny_ = grid_d(data.nu, dx, dy)
-    nu_z = 0.5 * (nx_ - 1j * ny_)
-    rhs = -H * eta_z - 2.0 * np.exp(-2 * data.u) * data.p * np.conj(eta_z)
-    out["nu_z"] = normalized_mismatch(nu_z[interior], rhs[interior], terms=(H * np.abs(eta_z)[interior] + 1.0,))
-    ex_x, _ = grid_d(data.eta_x, dx, dy)
-    _, ey_y = grid_d(data.eta_y, dx, dy)
-    eta_lap = 0.25 * (ex_x + ey_y)
-    out["eta_zzbar"] = normalized_mismatch(
-        eta_lap[interior], (e2u / 2.0 * H * data.nu)[interior], terms=(e2u[interior] * H,)
-    )
-    out["eta_z_norm"] = eta_z_norm_law(eta_z, data.nu, e2u)
+    p_zbar = 0.5 * (Fx["p"] + 1j * Fy["p"])
+    out["p_zbar"] = normalized_mismatch(p_zbar, data.eps * e2u / 2.0 * F["nu"] * eta_z, terms=(e2u,))
+    nu_z = 0.5 * (Fx["nu"] - 1j * Fy["nu"])
+    rhs = -H * eta_z - 2.0 * np.exp(-2 * F["u"]) * F["p"] * np.conj(eta_z)
+    out["nu_z"] = normalized_mismatch(nu_z, rhs, terms=(H * np.abs(eta_z) + 1.0,))
+    eta_lap = 0.25 * (Fx["eta_x"] + Fy["eta_y"])
+    out["eta_zzbar"] = normalized_mismatch(eta_lap, e2u / 2.0 * H * F["nu"], terms=(e2u * H,))
+    out["eta_z_norm"] = eta_z_norm_law(data.eta_z(), data.nu, np.exp(2 * data.u))
+    out["eta_mixed"] = normalized_mismatch(Fy["eta_x"], Fx["eta_y"], terms=(np.abs(F["eta_x"]) + np.abs(F["eta_y"]),))
     return out
 
 
@@ -470,7 +474,7 @@ def cmc_to_pmc(data1, data2):
 
     The node arrays are ``_pmc_map`` of the two records' ``grids()``, and the
     dense ``fields`` is ``_pmc_map`` composed onto their ``fields`` (None
-    unless both have one).
+    unless both have one); its residuals are ``pmc_compatibility_residuals``.
     """
     if data1.eps != data2.eps:
         raise DomainError("signatures differ")
@@ -791,18 +795,19 @@ def _march_grid(system, operators, F0, fields, x, y):
     return frames, closure
 
 
-def _integrate_frenet(data, resid_tol, system, start, target, name, metadata):
+def _integrate_frenet(data, system, start, target, name, metadata):
     """Rebuild a chart from its data: the body both Frenet integrators share.
 
-    Gates the data residuals, marches the frame of ``system`` from the frame
-    of the state ``start(F0)`` = (S, P-hat) (F0 the data at the grid
-    corner) with ``_march_grid``, reading ``_grid_fields(data)`` at the
-    Gauss points, and wraps the points, first derivatives and the second
-    derivatives the system gives at the nodes as a ``_spline_chart``.
-    Returns the chart, the loop closure and the dense source.
+    Refuses (PreconditionError) data whose residuals but ``parallelism`` pass
+    ``DATA_TOL``, marches the frame of ``system`` from the frame of the state
+    ``start(F0)`` = (S, P-hat) (F0 the data at the grid corner) with
+    ``_march_grid``, reading ``_grid_fields(data)`` at the Gauss points, and
+    wraps the points, first derivatives and the second derivatives the
+    system gives at the nodes as a ``_spline_chart``.  Returns the chart,
+    the loop closure and the dense source.
     """
     worst = max(v for k, v in data.residuals.items() if k != "parallelism")
-    if worst > resid_tol:
+    if worst > DATA_TOL:
         raise PreconditionError(f"data residuals too large to integrate: {worst:.2e}")
     fields = _grid_fields(data)
     nodes = fields(data.x, data.y)
@@ -821,10 +826,11 @@ def _integrate_frenet(data, resid_tol, system, start, target, name, metadata):
     return chart, closure, fields
 
 
-def integrate_cmc_frenet(data, resid_tol=DATA_TOL):
+def integrate_cmc_frenet(data):
     """Rebuild the CMC immersion from its data by integrating the Frenet system.
 
-    Marches the adapted frame (Psi-hat, e1, e2, N), Psi-hat = (psi, 0) and
+    Data whose ``cmc_compatibility_residuals`` pass ``DATA_TOL`` are refused
+    with PreconditionError.  Marches the adapted frame (Psi-hat, e1, e2, N), Psi-hat = (psi, 0) and
     Psi_x = e^u e1, Psi_y = e^u e2, whose Gram matrix is diag(eps, 1, 1, 1),
     with the point Psi as an affine fifth row.  Its x and y algebras come
     from the Frenet system (``_cmc_rhs_blocks``) on the frame-coordinate
@@ -854,7 +860,7 @@ def integrate_cmc_frenet(data, resid_tol=DATA_TOL):
         return S, np.r_[S[:3], 0.0]
 
     chart, closure, fields = _integrate_frenet(
-        data, resid_tol, _cmc_system(eps, data.Hval), start, TARGET_LINE, "cmc_reconstruction", {"Hval": data.Hval}
+        data, _cmc_system(eps, data.Hval), start, TARGET_LINE, "cmc_reconstruction", {"Hval": data.Hval}
     )
     report = {"loop_closure": closure}
     ar = abresch_rosenberg(chart, nx=min(nx, 41), ny=min(ny, 41), shrink=0.03).require_cmc(1e-3)
@@ -939,13 +945,14 @@ def _unpack_pmc(S):
     return S[0:6], S[6:12], S[12:18], S[18:24] + 1j * S[24:30]
 
 
-def integrate_pmc_frenet(data, resid_tol=DATA_TOL):
+def integrate_pmc_frenet(data):
     """Rebuild the PMC immersion from its data by integrating the Frenet system.
 
     Marches the adapted frame (Phi, Phi-hat, e1, e2, sqrt(2) Re xi,
     sqrt(2) Im xi), Phi-hat = (phi, -psi), whose Gram matrix is
     diag(2 eps, 2 eps, 1, 1, 1, 1), as ``integrate_cmc_frenet`` marches its
-    frame; the rebuilt point is the Phi row.
+    frame, behind the same gate on its ``pmc_compatibility_residuals``; the
+    rebuilt point is the Phi row.
     """
     eps = data.eps
     nx, ny = data.x.shape
@@ -957,7 +964,7 @@ def integrate_pmc_frenet(data, resid_tol=DATA_TOL):
         return _pack_pmc(Phi, Phi_x, Phi_y, xi), np.r_[Phi[:3], -Phi[3:]]
 
     chart, closure, fields = _integrate_frenet(
-        data, resid_tol, _pmc_system(eps, data.Hnorm), start, TARGET_PRODUCT, "pmc_reconstruction",
+        data, _pmc_system(eps, data.Hnorm), start, TARGET_PRODUCT, "pmc_reconstruction",
         {"Hnorm": data.Hnorm},
     )
     report = {"loop_closure": closure}

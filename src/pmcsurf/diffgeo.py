@@ -273,19 +273,6 @@ def ambient_curvature(jet, X, Y, Z, W):
 # ---------------------------------------------------------------------------
 
 
-def grid_d(f, dx, dy):
-    """Centered first derivatives of a grid field (second-order edges via numpy)."""
-    fx = np.gradient(f, dx, axis=0, edge_order=2)
-    fy = np.gradient(f, dy, axis=1, edge_order=2)
-    return fx, fy
-
-
-def grid_dz_bar(f, dx, dy):
-    """d/dz-bar = (d/dx + i d/dy)/2 of a grid field."""
-    fx, fy = grid_d(f, dx, dy)
-    return 0.5 * (fx + 1j * fy)
-
-
 def grid_laplacian(f, dx, dy):
     """Five-point Laplacian; NaN on the boundary ring."""
     out = np.full_like(np.asarray(f, dtype=float), np.nan)
@@ -360,13 +347,15 @@ def eta_z_norm_law(eta_z, nu, e2u):
 def holomorphy_residual(theta, dx, dy):
     """(absolute, normalized) size of d/dz-bar of a field sampled on a grid.
 
-    The absolute value is max |d_zbar theta| over the interior; the normalized
-    one divides by max |theta| + floor.  Grids smaller than 5x5 are rejected.
+    The absolute value is max |d_zbar theta| over the interior, by centered
+    differences; the normalized one divides by max |theta| + floor.  Grids
+    smaller than 5x5 are rejected.
     """
     theta = np.asarray(theta)
     if theta.shape[0] < 5 or theta.shape[1] < 5:
         raise DomainError("holomorphy residual needs at least a 5x5 grid")
-    dzb = grid_dz_bar(theta, dx, dy)[1:-1, 1:-1]
+    dzb = 0.5 * (np.gradient(theta, dx, axis=0, edge_order=2) + 1j * np.gradient(theta, dy, axis=1, edge_order=2))
+    dzb = dzb[1:-1, 1:-1]
     absolute = float(np.max(np.abs(dzb)))
     normalized = absolute / (float(np.max(np.abs(theta))) + EPS_FLOOR)
     return absolute, normalized

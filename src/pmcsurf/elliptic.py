@@ -65,18 +65,13 @@ def jacobi_sncndn(x, kappa):
         b = bn
     n = len(a) - 1
 
-    # descend through the amplitudes
+    # descend through the amplitudes to phi_0, the amplitude of xr
     phi = (2.0**n) * a[n] * xr
-    phi_prev = phi
     for k in range(n, 0, -1):
-        phi_prev = phi
         phi = 0.5 * (phi + np.arcsin(np.clip(c[k] / a[k] * np.sin(phi), -1.0, 1.0)))
-    # phi is phi_0 and phi_prev is phi_1 in the classical recursion
     sn = np.sin(phi)
     cn = np.cos(phi)
-    dn = cn / np.cos(phi_prev - phi)
-    # the quotient degenerates to 0/0 at the quarter periods; dn is positive
-    # for a real modulus, so the defining identity takes over there
-    near = np.abs(cn) < 1e-4
-    dn = np.where(near, np.sqrt(1.0 - (kappa * np.clip(sn, -1.0, 1.0)) ** 2), dn)
+    # dn^2 = 1 - kappa^2 sn^2 written as a sum of two non-negative terms: no cancellation,
+    # and no quotient that degenerates at the quarter periods
+    dn = np.sqrt(cn * cn + (1.0 - kappa * kappa) * (sn * sn))
     return sn, cn, dn

@@ -587,20 +587,22 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
 
         if E > 0:
             sE = np.sqrt(E)
-            ang = sE * f
-            Z = W * np.exp(1j * ang)
-            Zx = (Wp + 1j * W * sE * fx) * np.exp(1j * ang)
-            Zy = 1j * sE * Z
-            Zxx = (Wpp + 2j * Wp * sE * fx + 1j * W * sE * fxx - W * E * fx**2) * np.exp(1j * ang)
-            Zxy = 1j * sE * Zx
-            Zyy = -E * Z
+            cf, sf = np.cos(sE * f), np.sin(sE * f)
+
+            def turn(re, im):
+                """(re + i im) e^{i sqrt(E) f} as a (real, imaginary) pair."""
+                return re * cf - im * sf, re * sf + im * cf
+
+            Z = (W * cf, W * sf)
+            Zx = turn(Wp, W * sE * fx)
+            Zxx = turn(Wpp - W * E * fx**2, 2.0 * Wp * sE * fx + W * sE * fxx)
             inv = 1.0 / sE
-            p = inv * np.stack([Z.real, Z.imag, hv])
-            px = inv * np.stack([Zx.real, Zx.imag, hp])
-            py = inv * np.stack([Zy.real, Zy.imag, zeros])
-            pxx = inv * np.stack([Zxx.real, Zxx.imag, hpp])
-            pxy = inv * np.stack([Zxy.real, Zxy.imag, zeros])
-            pyy = inv * np.stack([Zyy.real, Zyy.imag, zeros])
+            p = inv * np.stack([*Z, hv])
+            px = inv * np.stack([*Zx, hp])
+            py = inv * np.stack([-sE * Z[1], sE * Z[0], zeros])  # Z_y = i sqrt(E) Z
+            pxx = inv * np.stack([*Zxx, hpp])
+            pxy = inv * np.stack([-sE * Zx[1], sE * Zx[0], zeros])
+            pyy = inv * np.stack([-E * Z[0], -E * Z[1], zeros])
         elif E < 0:
             m = np.sqrt(-E)
             # hyperbolic analogue through exponentials: A_pm = W exp(+-m f)
@@ -800,38 +802,39 @@ def cmc_torus(a, b, domain=None):
         Sp = C * D
         Cp = -S * D
         Dp = -kappa_sq * S * C
-        Z = np.sqrt(a) * D + 1j * C
-        Zp = np.sqrt(a) * Dp + 1j * Cp
-        Zpp = np.sqrt(a) * (-kappa_sq * D * (C * C - S * S)) + 1j * (-C * (D * D - kappa_sq * S * S))
+        # Z = sqrt(a) D + i C and its x-derivatives, as (real, imaginary) pairs times ca
+        Z = (np.sqrt(a) * D * ca, C * ca)
+        Zp = (np.sqrt(a) * Dp * ca, Cp * ca)
+        Zpp = (np.sqrt(a) * (-kappa_sq * D * (C * C - S * S)) * ca, -C * (D * D - kappa_sq * S * S) * ca)
         p3 = S * cb
         p3x = Sp * cb
         p3xx = -S * (D * D + kappa_sq * C * C) * cb
         log_part = heta * np.log(D - kappa * C)
         eta_x = heta * kappa * S
         eta_xx = heta * kappa * Sp
-        Z, Zp, Zpp, p3, p3x, p3xx, log_part, eta_x, eta_xx = (
-            v[ix] for v in (Z, Zp, Zpp, p3, p3x, p3xx, log_part, eta_x, eta_xx))
-        ph = np.exp(1j * kappa * ys)[iy]
-        W = Z * ph * ca
-        Wx = Zp * ph * ca
-        Wy = 1j * kappa * W
-        Wxx = Zpp * ph * ca
-        Wxy = 1j * kappa * Wx
-        Wyy = -kappa_sq * W
+        Z, Zp, Zpp = ((re[ix], im[ix]) for re, im in (Z, Zp, Zpp))
+        p3, p3x, p3xx, log_part, eta_x, eta_xx = (v[ix] for v in (p3, p3x, p3xx, log_part, eta_x, eta_xx))
+        cy, sy = np.cos(kappa * ys)[iy], np.sin(kappa * ys)[iy]
         zeros = np.zeros_like(x)
         eta = log_part + slope * y
         eta_y = np.full_like(x, slope)
 
+        def turn(w):
+            """The (real, imaginary) pair w times e^{i kappa y}."""
+            return w[0] * cy - w[1] * sy, w[0] * sy + w[1] * cy
+
+        W, Wx, Wxx = turn(Z), turn(Zp), turn(Zpp)
+
         def pack(w, third, e):
-            return np.stack([w.real, w.imag, third, e])
+            return np.stack([w[0], w[1], third, e])
 
         return _jet_dict(
             p=pack(W, p3, eta),
             px=pack(Wx, p3x, eta_x),
-            py=pack(Wy, zeros, eta_y),
+            py=pack((-kappa * W[1], kappa * W[0]), zeros, eta_y),  # W_y = i kappa W
             pxx=pack(Wxx, p3xx, eta_xx),
-            pxy=pack(Wxy, zeros, zeros),
-            pyy=pack(Wyy, zeros, zeros),
+            pxy=pack((-kappa * Wx[1], kappa * Wx[0]), zeros, zeros),
+            pyy=pack((-kappa_sq * W[0], -kappa_sq * W[1]), zeros, zeros),
         )
 
     def embed_circle(x, y):

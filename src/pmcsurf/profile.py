@@ -162,8 +162,8 @@ def _pole_free(x, rate, k2, from_cn):
 
     At modulus 1, sn and cn are tanh and sech, with sech written through
     exp(-|z|), which underflows where cosh would overflow.  dn is
-    sqrt(cn^2 + (1 - k^2) sn^2), which keeps its digits at the quarter
-    periods, where ``jacobi_sncndn``'s does not.
+    sqrt(cn^2 + (1 - k^2) sn^2), with k^2 as given, which keeps its digits at
+    the quarter periods.
     """
     if rate == 0.0:
         return x * x, 2.0 * x, np.full_like(x, 2.0)

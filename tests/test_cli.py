@@ -340,11 +340,32 @@ def test_grids_below_five_points_are_rejected(tmp_path, capsys):
         assert "at least 5 points" in capsys.readouterr().err
 
 
-def test_failed_precondition_is_a_typed_exit(tmp_path, capsys):
-    # 9 x 9 is too coarse for the Frenet data: integrate_cmc_frenet refuses them
+def test_failed_precondition_is_a_typed_exit(tmp_path, capsys, monkeypatch):
+    # the data gate of integrate_cmc_frenet, held below the data's own residuals
+    import pmcsurf.correspondence as corr
+
+    monkeypatch.setattr(corr, "DATA_TOL", 1e-15)
     code = main(["correspond", "--nx", "9", "--ny", "9", "--out", str(tmp_path)])
     assert code == EXIT_VERIFICATION
     assert "error: data residuals too large to integrate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        pytest.param(["--family", "phi0", "--hnorm", "0.25"], id="phi0"),
+        pytest.param(["--family", "prop4", "--eps", "1", "--a", "2", "--b", "1", "--c", "0",
+                      "--domain=-1.4,1.4,-1,1"], id="sn"),
+        pytest.param(["--family", "torus", "--a", "2", "--b", "1", "--lift"], id="torus-lift"),
+        pytest.param(["--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "0.5", "--c", "0.3"], id="solved"),
+    ],
+)
+def test_correspond_takes_the_paper_charts_at_41(tmp_path, capsys, family):
+    # the round trip's data gate measures the integrability equations of the data,
+    # not a difference stencil's truncation error, so the paper's charts pass it at 41^2
+    # (the twin of CI's step "Correspond on the paper's charts")
+    assert main(["correspond", *family, "--nx", "41", "--ny", "41", "--out", str(tmp_path)]) == EXIT_OK
+    assert "weak_congruence=True" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize(

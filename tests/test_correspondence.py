@@ -293,18 +293,17 @@ def test_flat_data_reconstructs_cylinder():
 
 
 def test_spherical_member_roundtrip():
-    # the eps = +1 member: data consistency reports are coarser on the
-    # oscillatory profile, so the gate uses the documented tolerance knob
+    # the eps = +1 member
     p = ProfileParams(+1, 2.0, 1.0, 0.0)
     h = closed_form("sn_family", p, x_span=(-1.5, 1.5))
     ch = pmc_profile_family(p, h, y_span=(-1.0, 1.0))
     data = extract_pmc_data(ch, nx=61, ny=61)
-    rec1, rep1 = integrate_cmc_frenet(pmc_to_cmc(data, 1), resid_tol=5e-3)
-    rec2, _ = integrate_cmc_frenet(pmc_to_cmc(data, 2), resid_tol=5e-3)
+    rec1, rep1 = integrate_cmc_frenet(pmc_to_cmc(data, 1))
+    rec2, _ = integrate_cmc_frenet(pmc_to_cmc(data, 2))
     assert rep1["H_match"] < 1e-6
     verdict = weak_congruence_check(rec1, rec2, nx=17, ny=17)
     assert verdict.congruent and verdict.domain_map == "conj"
-    recP, repP = integrate_pmc_frenet(data, resid_tol=5e-3)
+    recP, repP = integrate_pmc_frenet(data)
     assert repP["parallelism"] < 1e-4
     assert product_alignment_distance(recP, ch, nx=15, ny=15) < 1e-4
 
@@ -319,20 +318,18 @@ def test_complex_hopf_pair_under_correspondence():
     data = extract_pmc_data(ch, nx=41, ny=41)
     expected = {1: 0.3125 + 0.25j, 2: 0.3125 - 0.25j}
     for j in (1, 2):
-        rec, _ = integrate_cmc_frenet(pmc_to_cmc(data, j), resid_tol=5e-3)
+        rec, _ = integrate_cmc_frenet(pmc_to_cmc(data, j))
         ar = abresch_rosenberg(rec, nx=21, ny=21, shrink=0.05)
         assert np.max(np.abs(2.0 * ar.theta_ar - expected[j])) < 1e-4
 
 
 def test_loop_closure_decays_with_refinement():
-    # the compatibility-residual gate is relaxed: those residuals are grid-FD
-    # consistency estimates and themselves shrink at second order.  The
-    # sixth-order march closes its loops 64x better per halving of the step here
+    # the sixth-order march closes its loops 64x better per halving of the step here
     closes = {"cmc": [], "pmc": []}
     for n in (21, 41):
         data = prop4_data(nx=n, ny=n)
-        closes["cmc"].append(integrate_cmc_frenet(pmc_to_cmc(data, 1), resid_tol=1e-2)[1]["loop_closure"])
-        closes["pmc"].append(integrate_pmc_frenet(data, resid_tol=1e-2)[1]["loop_closure"])
+        closes["cmc"].append(integrate_cmc_frenet(pmc_to_cmc(data, 1))[1]["loop_closure"])
+        closes["pmc"].append(integrate_pmc_frenet(data)[1]["loop_closure"])
     for name, (coarse, fine) in closes.items():
         assert fine < coarse / 32.0, (name, coarse, fine)
 
@@ -378,6 +375,28 @@ def test_integrators_refuse_bad_data():
     noisy.residuals = cmc_compatibility_residuals(noisy)
     with pytest.raises(PreconditionError):
         integrate_cmc_frenet(noisy)
+
+
+def test_integrators_refuse_bad_dense_data():
+    # the gate reads the dense data the march reads, not the node arrays alone:
+    # here the nodes are the true data and only the fields carry nu + 0.2
+    from pmcsurf.correspondence import cmc_compatibility_residuals
+
+    d1 = pmc_to_cmc(prop4_data(), 1)
+    source = d1.fields
+
+    def shifted(X, Y):
+        F = source(X, Y)
+        return {**F, "nu": F["nu"] + 0.2}
+
+    bad = CmcFrenetData(
+        eps=d1.eps, Hval=d1.Hval, x=d1.x, y=d1.y, u=d1.u, nu=d1.nu, p=d1.p, eta=d1.eta,
+        eta_x=d1.eta_x, eta_y=d1.eta_y, fields=shifted,
+    )
+    bad.residuals = cmc_compatibility_residuals(bad)
+    assert bad.residuals["p_zbar"] > 1e-2
+    with pytest.raises(PreconditionError, match="data residuals too large to integrate"):
+        integrate_cmc_frenet(bad)
 
 
 def test_cmc_reconstruction_refuses_an_h_spread_past_its_gate(monkeypatch):
@@ -444,7 +463,7 @@ def test_vanishing_hopf_chart_maps_to_leite_recorded():
     data = extract_pmc_data(phi0, nx=81, ny=81)
     leite = cmc_leite_chart(0.25, domain=(-0.88 * np.pi / 2, 0.88 * np.pi / 2, -1.6, 1.6))
     for j in (1, 2):
-        rec, _ = integrate_cmc_frenet(pmc_to_cmc(data, j), resid_tol=2e-3)
+        rec, _ = integrate_cmc_frenet(pmc_to_cmc(data, j))
         verdict = weak_congruence_check(rec, leite, nx=17, ny=17)
         print(f"\n[recorded] correspondence image j={j} vs Leite chart: "
               f"congruent={verdict.congruent} distance={verdict.distance:.3e} ({verdict.domain_map})")
@@ -695,9 +714,8 @@ def sn_chart():
     return CACHE["sn"]
 
 
-# the sinh member (eps = -1) and the sn member (eps = +1) at 41^2, with the
-# residual gate each passes there
-MEMBERS = {"sinh": (prop4_chart, 1e-3), "sn": (sn_chart, 5e-3)}
+# the sinh member (eps = -1) and the sn member (eps = +1)
+MEMBERS = {"sinh": prop4_chart, "sn": sn_chart}
 
 
 def _canonical_frame_algebras(name, data, points):
@@ -760,7 +778,7 @@ def test_frame_algebra_matches_the_canonical_frame_probe():
     import pmcsurf.correspondence as corr
 
     rng = np.random.default_rng(3)
-    for member, (chart, _) in MEMBERS.items():
+    for member, chart in MEMBERS.items():
         data = extract_pmc_data(chart(), nx=9, ny=9)
         x0, x1, y0, y1 = chart().domain
         points = (rng.uniform(x0 + 0.1, x1 - 0.1, 6), rng.uniform(y0 + 0.1, y1 - 0.1, 6))
@@ -775,7 +793,7 @@ def test_frame_algebra_matches_the_canonical_frame_probe():
                 assert np.max(err / np.max(np.abs(oracle[:, axis]), axis=(1, 2))) < 1e-12, (member, name, axis, err)
 
 
-def _marches(monkeypatch, data, resid_tol=1e-3):
+def _marches(monkeypatch, data):
     """The arguments and results of the ``_march_grid`` calls of both integrators on data."""
     import pmcsurf.correspondence as corr
 
@@ -788,8 +806,8 @@ def _marches(monkeypatch, data, resid_tol=1e-3):
         return out
 
     monkeypatch.setattr(corr, "_march_grid", recorded)
-    integrate_cmc_frenet(pmc_to_cmc(data, 1), resid_tol=resid_tol)
-    integrate_pmc_frenet(data, resid_tol=resid_tol)
+    integrate_cmc_frenet(pmc_to_cmc(data, 1))
+    integrate_pmc_frenet(data)
     return dict(zip(("cmc", "pmc"), seen))
 
 
@@ -797,9 +815,9 @@ def test_marched_frames_stay_on_their_group(monkeypatch):
     # no projection: every frame keeps Gram = D by the Pade map alone
     from pmcsurf.ambient import metric_diag
 
-    for member, (chart, tol) in MEMBERS.items():
+    for member, chart in MEMBERS.items():
         data = extract_pmc_data(chart(), nx=41, ny=41)
-        for name, (args, (frames, _)) in _marches(monkeypatch, data, tol).items():
+        for name, (args, (frames, _)) in _marches(monkeypatch, data).items():
             system = args[0]
             k = len(system.gram)
             group = frames[:k]  # (rows, dim, nx, ny)
@@ -932,8 +950,8 @@ def test_march_calls_no_formula_per_stage(monkeypatch):
     for n in (21, 41):
         counts.clear()
         data = prop4_data(n, n)
-        integrate_cmc_frenet(pmc_to_cmc(data, 1), resid_tol=1e-2)
-        integrate_pmc_frenet(data, resid_tol=1e-2)
+        integrate_cmc_frenet(pmc_to_cmc(data, 1))
+        integrate_pmc_frenet(data)
         per_grid.append(dict(counts))
     assert per_grid[0] == per_grid[1] == {"_cmc_rhs_blocks": 2, "_pmc_rhs_blocks": 2}
     # and neither the march nor the frame matching makes a BLAS call: no @,

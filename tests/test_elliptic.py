@@ -95,6 +95,19 @@ def test_jacobi_quarter_period_dn():
     assert dnK == pytest.approx(ref[2], abs=1e-10)
 
 
+@pytest.mark.parametrize("kappa_sq", [1.0 / 3.0, 8.0 / 9.0])
+def test_dn_keeps_its_digits_near_and_across_the_quarter_periods(kappa_sq):
+    # against sqrt(1 - kappa^2 sn^2) in extended precision from the same sn: on a
+    # +-2e-3 window around K, where cn passes 0, and across +-4K.  The quotient
+    # cn / cos(phi_1 - phi_0) missed it by up to 1.8e-12 relative here
+    kappa = np.sqrt(kappa_sq)
+    K = complete_k(kappa)
+    x = np.r_[np.linspace(K - 2e-3, K + 2e-3, 2001), np.linspace(-4.0 * K, 4.0 * K, 4001)]
+    sn, _, dn = jacobi_sncndn(x, kappa)
+    ref = np.sqrt(1 - np.longdouble(kappa) ** 2 * np.longdouble(sn) ** 2)
+    assert float(np.max(np.abs(dn - ref) / ref)) < 1e-14
+
+
 def test_pythagorean_identities_random():
     rng = np.random.default_rng(11)
     x = rng.uniform(-30.0, 30.0, size=10000)
