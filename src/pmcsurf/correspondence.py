@@ -1024,15 +1024,9 @@ def _aligned_factor_distance(pA, vA, pB, vB, eps, reflect):
     return np.max(np.linalg.norm(mapped - pB, axis=0))
 
 
-def _height_alignment(hA, hB):
-    """Best s in {+1, -1} and offset c with hB ~ s hA + c."""
-    best = None
-    for s in (+1.0, -1.0):
-        c = float(np.mean(hB - s * hA))
-        d = float(np.max(np.abs(s * hA + c - hB)))
-        if best is None or d < best[2]:
-            best = (s, c, d)
-    return best
+def _height_distance(hA, hB):
+    """Max |s hA + c - hB| for the better sign s in {+1, -1}, with c the mean of hB - s hA."""
+    return min(float(np.max(np.abs(s * hA + float(np.mean(hB - s * hA)) - hB))) for s in (+1.0, -1.0))
 
 
 @dataclass
@@ -1040,7 +1034,6 @@ class CongruenceVerdict:
     congruent: bool
     distance: float
     domain_map: str  # "id" or "conj"
-    details: dict = field(default_factory=dict)
 
 
 def weak_congruence_check(chartA, chartB, nx=41, ny=41):
@@ -1072,16 +1065,14 @@ def weak_congruence_check(chartA, chartB, nx=41, ny=41):
         vB = jB.px[:3, i0, j0]
         if inner(vA, vA, eps) < 1e-12 or inner(vB, vB, eps) < 1e-12:
             continue
+        dist_h = _height_distance(PA[3], PB[3])
         for reflect in (False, True):
-            dist_factor = _aligned_factor_distance(PA[:3], vA, PB[:3], vB, eps, reflect)
-            s, c, dist_h = _height_alignment(PA[3], PB[3])
-            dist = max(dist_factor, dist_h)
+            dist = max(_aligned_factor_distance(PA[:3], vA, PB[:3], vB, eps, reflect), dist_h)
             if best is None or dist < best.distance:
                 best = CongruenceVerdict(
                     congruent=bool(dist <= CONGRUENCE_TOL),
                     distance=float(dist),
                     domain_map=domain_map,
-                    details={"reflect": reflect, "height_sign": s, "height_offset": c},
                 )
     if best is None:
         return CongruenceVerdict(False, np.inf, "none")

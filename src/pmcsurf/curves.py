@@ -33,9 +33,9 @@ from .errors import DomainError, PreconditionError
 from .utils import hermite_interp, require_step, span_from_zero, write_columns_csv
 
 
-# the Taylor coefficients of c1 and c2 in -z, 1/(2j + 1)! and 1/(2j + 2)!, highest
-# first: past the twelfth, the terms fall below 1e-22 on |z| < 1
-_STUMPFF_SERIES = [[1.0 / math.factorial(2 * j + d) for j in range(11, -1, -1)] for d in (1, 2)]
+# the Taylor coefficients of c1 and c2 in -z, 1/(2j + 1)! and 1/(2j + 2)!, one row per
+# power, highest first: past the twelfth, the terms fall below 1e-22 on |z| < 1
+_STUMPFF_SERIES = np.array([[[1.0 / math.factorial(2 * j + d)] for d in (1, 2)] for j in range(11, -1, -1)])
 
 
 def _stumpff(z):
@@ -43,15 +43,31 @@ def _stumpff(z):
 
     Both are entire in z, read as sinh and cosh of sqrt(-z) for z < 0, and
     are summed from their series on |z| < 1, where the closed forms cancel
-    (Danby, *Fundamentals of Celestial Mechanics*, 2nd ed., 6.9).
+    (Danby, *Fundamentals of Celestial Mechanics*, 2nd ed., 6.9).  Each
+    element evaluates only the branch it takes.
     """
-    r = np.sqrt(np.maximum(np.abs(z), 1.0))
-    positive = z > 0.0
-    rp, rn = np.where(positive, r, 0.0), np.where(positive, 0.0, r)
-    c1 = np.where(positive, np.sin(rp), np.sinh(rn)) / r
-    c2 = np.where(positive, 1.0 - np.cos(rp), np.cosh(rn) - 1.0) / (r * r)
+    z = np.asarray(z, dtype=float)
+    c1, c2 = np.empty_like(z), np.empty_like(z)
     small = np.abs(z) < 1.0
-    return tuple(np.where(small, np.polyval(series, -z), c) for series, c in zip(_STUMPFF_SERIES, (c1, c2)))
+    w, series = -z[small], np.zeros((2, np.count_nonzero(small)))
+    for coefficients in _STUMPFF_SERIES:  # Horner's rule, both series at once
+        series = series * w + coefficients
+    c1[small], c2[small] = series
+    positive = z >= 1.0
+    r = np.sqrt(z[positive])
+    c1[positive] = np.sin(r) / r
+    c2[positive] = (1.0 - np.cos(r)) / (r * r)
+    rest = ~(small | positive)
+    r = np.sqrt(-z[rest])
+    c1[rest] = np.sinh(r) / r
+    c2[rest] = (np.cosh(r) - 1.0) / (r * r)
+    return c1, c2
+
+
+def _exp_coefficients(nu_sq, t):
+    """(S1, S2) = (t c1(nu_sq t^2), t^2 c2(nu_sq t^2)), so exp(t A) = I + S1 A + S2 A^2 whenever A^3 = -nu_sq A."""
+    c1, c2 = _stumpff(nu_sq * t * t)
+    return t * c1, t * t * c2
 
 
 @dataclass(frozen=True)
@@ -78,9 +94,8 @@ class ConstantCurvatureCurve:
     def jet(self, t):
         """(point, velocity, acceleration) at the arclength parameters t, each (3, *t.shape)."""
         t = np.asarray(t, dtype=float)
-        c1, c2 = _stumpff(self.nu_sq * t * t)
+        s1, s2 = _exp_coefficients(self.nu_sq, t)
         p0, T0, a0 = (v.reshape((3,) + (1,) * t.ndim) for v in (self.p0, self.T0, self.a0))
-        s1, s2 = t * c1, t * t * c2
         return (
             p0 + s1 * T0 + s2 * a0,
             (1.0 - self.nu_sq * s2) * T0 + s1 * a0,

@@ -4,7 +4,9 @@ and CMC charts in M2(eps) x R (or x S1).
 Every constructor returns an ``ImmersionChart`` whose ``jet`` broadcasts over
 coordinate arrays and supplies the point with its first and second partials;
 the chart evaluates through the jet's ``p``, and a product chart's jet is its
-two factor jets stacked by ``_product_jet``.
+two factor jets stacked by ``_product_jet``.  The first factor of every
+invariant family is an orbit exp(f A) beta(x) of a one-parameter isometry
+group, whose jet ``_orbit_jet`` forms from the base jet alone.
 Charts backed by closed forms or by a profile solution (itself a closed form,
 ``profile.solve_profile``) carry exact jets; a factor that is an integrated
 curve inherits the dense-output accuracy of the curve march, which is far
@@ -23,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ambient import check_eps, factor_constraint
-from .curves import CurveSpec, constant_curvature_curve, integrate_curve
+from .curves import CurveSpec, _exp_coefficients, constant_curvature_curve, integrate_curve
 from .elliptic import complete_k, jacobi_sncndn
 from .errors import DomainError, InfeasibleParameters
 from .profile import ProfileParams, closed_form
@@ -34,8 +36,8 @@ TARGET_LINE = "factor_times_line"
 TARGET_CIRCLE = "factor_times_circle"
 
 # Where the hyperboloid coordinates of a chart outgrow its metric scale by e^g,
-# its invariants keep about 2.2e-16 e^(2g) relative accuracy, which the grid
-# differences of the verification divide by their steps.  Each constructor
+# its invariants keep about 2.2e-16 e^(2g) relative accuracy, which the spectral
+# differentiation of the verification then amplifies.  Each constructor
 # refuses a rectangle past g = GROWTH_BOUND; on the rectangles tried at that
 # edge the residuals stay below a fifth of their gates on 81x81 grids.  prop4
 # and prop6 bound their x-span on the solved profile, prop4 also in closed
@@ -123,9 +125,10 @@ def _distinct(t):
     their bit patterns (so -0.0 and 0.0 stay apart), and each result is the
     same elementwise function of the same float.
     """
-    t = np.asarray(t, dtype=float)
-    bits, inverse = np.unique(t.view(np.int64), return_inverse=True)
-    return bits.view(np.float64), inverse.reshape(t.shape)
+    bits = np.asarray(t, dtype=float).view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return distinct.view(np.float64), np.searchsorted(distinct, bits)
 
 
 def _curve_factor(curve, t, gather, along):
@@ -146,6 +149,89 @@ def _with_height(jet3, eta, eta_x, eta_y, eta_xx):
     zero = np.zeros_like(eta)
     height = _jet_dict(eta, eta_x, eta_y, eta_xx, zero, zero)
     return _product_jet(jet3, {k: v[None] for k, v in height.items()})
+
+
+# ---------------------------------------------------------------------------
+# orbits of one-parameter isometry groups
+# ---------------------------------------------------------------------------
+
+# generators: the rotation about x3, the boost in the (x2, x3) plane, and the
+# parabolic translation that fixes the null direction (1, 0, 1)
+_ROTATION = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_BOOST = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+_PARABOLIC = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+
+def _sum_terms(terms):
+    """The sum of (coefficient, component) products in their order; None when every term vanishes.
+
+    A term whose coefficient or component is None vanishes by construction and
+    is skipped, so no exact zero is added (which would turn -0.0 into 0.0); a
+    coefficient 1.0 takes its component as it is.
+    """
+    total = None
+    for c, w in terms:
+        if c is None or w is None:
+            continue
+        t = w if isinstance(c, float) and c == 1.0 else c * w
+        total = t if total is None else total + t
+    return total
+
+
+def _entries(M):
+    """A constant 3x3 matrix as rows of Python floats, None for each zero entry."""
+    return [[float(m) if m != 0.0 else None for m in row] for row in M]
+
+
+def _orbit_jet(A, nu_sq, base, f, gather, drift):
+    """3-block jet of exp(f A) beta(x), the first factor of every invariant family.
+
+    ``A`` is a constant generator with A^3 = -nu_sq A, so
+    G = exp(f A) = I + S1 A + S2 A^2 with (S1, S2) from
+    ``curves._exp_coefficients``.  ``base`` holds beta, beta_x and beta_xx on
+    the samples, each a list of three components, None where a component
+    vanishes by construction.  G is formed on the orbit parameters ``f`` and
+    gathered onto the samples with ``gather`` (None when f is given on the
+    samples).  f = y + F(x): ``drift`` is (f_x, f_xx) on the samples, or None
+    where F = 0.
+
+    G commutes with A and G_y = A G, so with p = G beta, q = G beta_x and
+    r = G beta_xx the jet is p_x = q + f_x A p, p_y = A p,
+    p_xx = r + 2 f_x A q + f_xx A p + f_x^2 A^2 p, p_xy = A q + f_x A^2 p and
+    p_yy = A^2 p.  Each product is summed elementwise in column order over the
+    entries that do not vanish (``_sum_terms``), with no BLAS call, so a
+    sample's jet does not depend on its batch.
+    """
+    s1, s2 = _exp_coefficients(nu_sq, f)
+    A, A2 = _entries(A), _entries(A @ A)
+
+    def entry(i, j):
+        """G_ij on the samples; None where it vanishes, 1.0 where only the identity adds to it."""
+        g = _sum_terms([(A[i][j], s1), (A2[i][j], s2)])
+        if i == j:
+            g = 1.0 if g is None else 1.0 + g
+        return g if gather is None or g is None or isinstance(g, float) else np.take(g, gather)
+
+    G = [[entry(i, j) for j in range(3)] for i in range(3)]
+    p, q, r = ([_sum_terms(zip(row, v)) for row in G] for v in base)
+    Ap, Aq, A2p = ([_sum_terms(zip(row, v)) for row in M] for M, v in ((A, p), (A, q), (A2, p)))
+    px, pxx, pxy = q, r, Aq
+    if drift is not None:
+        fx, fxx = drift
+
+        def combine(*pairs):
+            return [_sum_terms((c, v[i]) for c, v in pairs) for i in range(3)]
+
+        px = combine((1.0, q), (fx, Ap))
+        pxx = combine((1.0, r), (2.0 * fx, Aq), (fxx, Ap), (fx * fx, A2p))
+        pxy = combine((1.0, Aq), (fx, A2p))
+    zero = np.zeros(np.shape(f) if gather is None else gather.shape)
+    return _jet_dict(*(np.stack([zero if w is None else w for w in v]) for v in (p, px, Ap, pxx, pxy, A2p)))
+
+
+def _gather_base(base, ix):
+    """The components of a base jet taken on distinct abscissae, gathered onto the samples."""
+    return [[None if w is None else w[ix] for w in row] for row in base]
 
 
 # ---------------------------------------------------------------------------
@@ -251,65 +337,26 @@ def product_of_curves(eps, k_alpha, k_beta, domain=None):
 # ---------------------------------------------------------------------------
 
 
-def _first_factor_jet(params, h, xs, ix, ys, iy):
-    """Analytic 2-jet of the first factor of the invariant PMC family.
+def _profile_orbit(eps, nu_sq, rate, h, hp, hpp):
+    """Generator A and base jet (beta, beta_x, beta_xx) of the profile families' first factor exp(f A) beta(x).
 
-    h, R and their derivatives are evaluated on the distinct abscissae ``xs``
-    and the rotation on the distinct ordinates ``ys``; the gathers ``ix`` and
-    ``iy`` carry them onto the samples, where only their products are formed.
+    With W^2 = eps (nu_sq - h^2), beta is (W, 0, h) / sqrt(nu_sq), turned by
+    the rotation sqrt(nu_sq) R_z, for nu_sq > 0; (h, 0, W) / sqrt(-nu_sq),
+    moved by the boost sqrt(-nu_sq) B, for nu_sq < 0; and
+    h (e3 - e1) / (2 rate) + rate (e1 + e3) / (2 h), moved by the parabolic
+    translation rate P, for nu_sq = 0.  The base is on the abscissae of h.
     """
-    eps, a = params.eps, params.a
-    hv = h.h_at(xs)
-    hp = h.hp_at(xs)
-    hpp = h.hpp_at(xs)
-    uc = eps * (a - hv**2)
-    ucp = -2.0 * eps * hv * hp
-    ucpp = -2.0 * eps * (hp**2 + hv * hpp)
-    if np.any(uc <= 0):
-        raise DomainError("eps (a - h^2) > 0 fails on the requested samples")
-    R = np.sqrt(uc)
-    Rp = ucp / (2.0 * R)
-    Rpp = ucpp / (2.0 * R) - ucp**2 / (4.0 * R**3)
-
-    if a > 0:
-        w = np.sqrt(a)
-        cw, sw = np.cos(w * ys)[iy], np.sin(w * ys)[iy]
-        hv, hp, hpp, R, Rp, Rpp = (v[ix] for v in (hv, hp, hpp, R, Rp, Rpp))
-        inv = 1.0 / w
-        p = inv * np.stack([R * cw, R * sw, hv])
-        px = inv * np.stack([Rp * cw, Rp * sw, hp])
-        py = inv * np.stack([-R * w * sw, R * w * cw, np.zeros_like(hv)])
-        pxx = inv * np.stack([Rpp * cw, Rpp * sw, hpp])
-        pxy = inv * np.stack([-Rp * w * sw, Rp * w * cw, np.zeros_like(hv)])
-        pyy = inv * np.stack([-R * w * w * cw, -R * w * w * sw, np.zeros_like(hv)])
-    elif a < 0:
-        m = np.sqrt(-a)
-        ch, sh = np.cosh(m * ys)[iy], np.sinh(m * ys)[iy]
-        hv, hp, hpp, R, Rp, Rpp = (v[ix] for v in (hv, hp, hpp, R, Rp, Rpp))
-        inv = 1.0 / m
-        zeros = np.zeros_like(hv)
-        p = inv * np.stack([hv, R * sh, R * ch])
-        px = inv * np.stack([hp, Rp * sh, Rp * ch])
-        py = inv * np.stack([zeros, R * m * ch, R * m * sh])
-        pxx = inv * np.stack([hpp, Rpp * sh, Rpp * ch])
-        pxy = inv * np.stack([zeros, Rp * m * ch, Rp * m * sh])
-        pyy = inv * np.stack([zeros, R * m * m * sh, R * m * m * ch])
-    else:
-        # a = 0 (eps = -1, h > 0): phi = ((y^2-1)h/2 + 1/(2h), y h, (y^2+1)h/2 + 1/(2h))
-        g = 1.0 / (2.0 * hv)
-        gp = -hp / (2.0 * hv**2)
-        gpp = (-hpp + 2.0 * hp**2 / hv) / (2.0 * hv**2)
-        hv, hp, hpp, g, gp, gpp = (v[ix] for v in (hv, hp, hpp, g, gp, gpp))
-        y = ys[iy]
-        y2 = y * y
-        zeros = np.zeros_like(hv)
-        p = np.stack([(y2 - 1) * hv / 2 + g, y * hv, (y2 + 1) * hv / 2 + g])
-        px = np.stack([(y2 - 1) * hp / 2 + gp, y * hp, (y2 + 1) * hp / 2 + gp])
-        py = np.stack([y * hv, hv, y * hv])
-        pxx = np.stack([(y2 - 1) * hpp / 2 + gpp, y * hpp, (y2 + 1) * hpp / 2 + gpp])
-        pxy = np.stack([y * hp, hp, y * hp])
-        pyy = np.stack([hv, zeros, hv])
-    return _jet_dict(p, px, py, pxx, pxy, pyy)
+    if nu_sq == 0.0:
+        u, v = 0.5 / rate, 0.5 * rate
+        g, gp, gpp = v / h, -v * hp / h**2, v * (2.0 * hp**2 / h - hpp) / h**2
+        return rate * _PARABOLIC, [[g - u * d, None, g + u * d] for d, g in ((h, g), (hp, gp), (hpp, gpp))]
+    W = np.sqrt(eps * (nu_sq - h**2))
+    Wp = -eps * h * hp / W
+    Wpp = -eps * (hp**2 + h * hpp) / W - Wp**2 / W
+    inv = 1.0 / np.sqrt(abs(nu_sq))
+    rows = ((W, h), (Wp, hp), (Wpp, hpp)) if nu_sq > 0 else ((h, W), (hp, Wp), (hpp, Wpp))
+    A = np.sqrt(abs(nu_sq)) * (_ROTATION if nu_sq > 0 else _BOOST)
+    return A, [[inv * first, None, inv * third] for first, third in rows]
 
 
 def _profile_psi_speed(params, h):
@@ -345,8 +392,14 @@ def _require_profile_arclength(name, params, h):
              lengths)
 
 
-def _profile_psi_curve(params, h):
-    """Second-factor curve of the invariant families: |psi'|^2 = b (1 + (h-c)^2)."""
+def _profile_psi_curve(params, h, x_range):
+    """Second-factor curve of the invariant families: |psi'|^2 = b (1 + (h-c)^2).
+
+    The curve is marched over the chart's x-range, extended to reach 0, in the
+    steps the profile span sets; a march overruns its range by at most one
+    step, which the chart's pad on the span (20 steps or more) keeps inside
+    the span.  A span without 0 is refused as the march refuses it.
+    """
     eps, b, c = params.eps, params.b, params.c
     speed = _profile_psi_speed(params, h)
 
@@ -359,8 +412,9 @@ def _profile_psi_curve(params, h):
     p0 = np.array([1.0, 0.0, 0.0]) if eps == +1 else np.array([0.0, 0.0, 1.0])
     T0 = np.array([0.0, 1.0, 0.0]) if eps == +1 else np.array([1.0, 0.0, 0.0])
     spec = CurveSpec(eps, speed, curvature, p0=p0, T0=T0, speed_prime=speed_prime)
-    lo, hi = h.span
-    return integrate_curve(spec, x_span=(lo, hi), step=min(1e-3, (hi - lo) / 2000.0))
+    lo, hi = span_from_zero(h.span, "curve march")
+    x_span = (min(x_range[0], 0.0), max(x_range[1], 0.0))
+    return integrate_curve(spec, x_span=x_span, step=min(1e-3, (hi - lo) / 2000.0))
 
 
 def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
@@ -370,9 +424,10 @@ def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
     functions with C1^2 = h'^2/(a - h^2)^2 and constant Hopf coefficients
     (eps b / 4)(a + 1 - c^2 + 2 (-1)^j i c).
 
-    y moves the first factor by a rotation (a > 0), a boost by sqrt(-a) y
-    (a < 0) or the parabolic translation by y that fixes the null direction
-    (1, 0, 1) (a = 0); ``_y_reach`` bounds |y| in the last two.
+    The first factor is exp(y A) beta(x) (``_profile_orbit``): y moves it by a
+    rotation (a > 0), a boost by sqrt(-a) y (a < 0) or the parabolic
+    translation by y that fixes the null direction (1, 0, 1) (a = 0);
+    ``_y_reach`` bounds |y| in the last two.
     """
     if h.params != params:
         raise DomainError("profile solution was built for different parameters")
@@ -388,15 +443,22 @@ def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
         _require(name, f"|y| <= {reach:.6g}", max(-y_span[0], y_span[1]) <= reach, y_span)
     require_profile_x_span(name, params, h.span)
     _require_profile_arclength(name, params, h)
-    psi = _profile_psi_curve(params, h)
+    lo, hi = h.span
+    pad = 0.01 * (hi - lo)
+    x_range = (lo + pad, hi - pad)
+    psi = _profile_psi_curve(params, h, x_range)
 
     def jet(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        # the profile data on the distinct abscissae, the group on the distinct ordinates
         (xs, ix), (ys, iy) = _distinct(x), _distinct(y)
-        return _product_jet(_first_factor_jet(params, h, xs, ix, ys, iy), _curve_factor(psi, xs, ix, "x"))
+        hv, hp, hpp = h.h_at(xs), h.hp_at(xs), h.hpp_at(xs)
+        if np.any(params.eps * (params.a - hv**2) <= 0):
+            raise DomainError("eps (a - h^2) > 0 fails on the requested samples")
+        A, base = _profile_orbit(params.eps, params.a, 1.0, hv, hp, hpp)
+        first = _orbit_jet(A, params.a, _gather_base(base, ix), ys, iy, None)
+        return _product_jet(first, _curve_factor(psi, xs, ix, "x"))
 
-    lo, hi = h.span
-    pad = 0.01 * (hi - lo)
     # constant Hopf pair; the j-labels follow the package orientation convention,
     # under which theta_1 carries +2ic for eps=+1 and -2ic for eps=-1
     hopf = [
@@ -408,7 +470,7 @@ def pmc_profile_family(params, h, y_span=(-1.0, 1.0), name="prop4"):
         name=name,
         eps=params.eps,
         target=TARGET_PRODUCT,
-        domain=(lo + pad, hi - pad, y_span[0], y_span[1]),
+        domain=(*x_range, y_span[0], y_span[1]),
         jet=jet,
         metadata={
             "params": params,
@@ -467,21 +529,10 @@ def pmc_phi0(h_abs, domain=None):
         (xs, ix), (ys, iy) = _distinct(x), _distinct(y)
         sec = 1.0 / np.cos(xs)
         tn = np.tan(xs)
-        Y = ys / s
-        shY, chY = np.sinh(Y)[iy], np.cosh(Y)[iy]
-        zeros = np.zeros_like(x)
         dsec = np.sin(xs) * sec**2  # d/dx sec x
         d2sec = (1.0 + np.sin(xs) ** 2) * sec**3  # d^2/dx^2 sec x
-        dtan, d2tan = (sec**2)[ix], (2 * sec**2 * tn)[ix]
-        sec, tn, dsec, d2sec = sec[ix], tn[ix], dsec[ix], d2sec[ix]
-        first = _jet_dict(
-            p=np.stack([tn, shY * sec, chY * sec]),
-            px=np.stack([dtan, shY * dsec, chY * dsec]),
-            py=np.stack([zeros, chY * sec / s, shY * sec / s]),
-            pxx=np.stack([d2tan, shY * d2sec, chY * d2sec]),
-            pxy=np.stack([zeros, chY * dsec / s, shY * dsec / s]),
-            pyy=np.stack([zeros, shY * sec / s**2, chY * sec / s**2]),
-        )
+        base = [[tn, None, sec], [sec**2, None, dsec], [2 * sec**2 * tn, None, d2sec]]
+        first = _orbit_jet(_BOOST / s, -1.0 / s**2, _gather_base(base, ix), ys, iy, None)
         return _product_jet(first, _curve_factor(psi, xs, ix, "x"))
 
     return ImmersionChart(
@@ -505,36 +556,21 @@ def pmc_phi0(h_abs, domain=None):
 # ---------------------------------------------------------------------------
 
 
-def _truncate_admissible(params, h):
-    """Largest x-interval around 0 where eps (a - h^2) > b + 1e-9 holds on h's grid."""
-    ok = params.eps * (params.a - h.h**2) > params.b + 1e-9
-    if not np.any(ok):
-        raise DomainError("eps (a - h^2) > b holds nowhere on the profile span")
-    i0 = np.searchsorted(h.x, 0.0)
-    i0 = min(max(i0, 0), len(h.x) - 1)
-    if not ok[i0]:
-        raise DomainError("eps (a - h^2) > b fails at x = 0")
-    lo = i0
-    while lo > 0 and ok[lo - 1]:
-        lo -= 1
-    hi = i0
-    while hi < len(ok) - 1 and ok[hi + 1]:
-        hi += 1
-    truncated = (lo > 0) or (hi < len(ok) - 1)
-    return float(h.x[lo]), float(h.x[hi]), truncated
-
-
 def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
     """CMC chart in M2(eps) x R built on a profile solution h.
 
     4 |H|^2 = b, conformal factor eps (a - h^2), Abresch-Rosenberg coefficient
-    (eps b / 8)(a + 1 - c^2 - 2 i c).  The x-domain is truncated to the band
-    where eps (a - h^2) > b, and the antiderivatives in the chart start at its
-    left end.
+    (eps b / 8)(a + 1 - c^2 - 2 i c).  The profile must stay in the band
+    eps (a - h^2) > b, which a solution started inside it never leaves: on
+    its edge pq(h) = -b^2 (h - c)^2 <= 0.  So a profile outside it was not
+    solved from the band, and is refused.  The antiderivatives in the chart
+    start at the left end of the span.
 
-    With f = y + F(x), the first factor moves by a rotation (E = a - eps b > 0),
-    a boost by sqrt(-E) f (E < 0) or the parabolic translation by 2 f that
-    fixes (1, 0, 1) (E = 0); ``_y_reach`` bounds |f| on the rectangle in the last two.
+    With f = y + F(x), the first factor is exp(f A) beta(x)
+    (``_profile_orbit``), beta its value on the profile curve f = 0 below,
+    moved by a rotation by sqrt(E) f (E = a - eps b > 0), a boost by
+    sqrt(-E) f (E < 0) or the parabolic translation by 2 f that fixes
+    (1, 0, 1) (E = 0); ``_y_reach`` bounds |f| on the rectangle in the last two.
 
     The x-span is bounded on the solved profile.  The profile curve is where f
     vanishes; there the first factor in H2 (eps = -1, W^2 = h^2 - E) is
@@ -549,7 +585,9 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
     E = a - eps * b
     if E < 0 and eps != -1:
         raise DomainError("the E < 0 branch requires eps = -1")
-    lo, hi, truncated = _truncate_admissible(params, h)
+    if np.any(eps * (a - h.h**2) <= b + 1e-9):
+        raise DomainError("profile solution leaves the band eps (a - h^2) > b")
+    lo, hi = h.span
 
     def f_integrand(t):
         ht = h.h_at(t)
@@ -573,79 +611,16 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
 
     def jet(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        hv, hp, hpp = h.h_at(x), h.hp_at(x), h.hpp_at(x)
-        f = y + F(x)
-        fx = f_integrand(x)
+        xs, ix = _distinct(x)
+        hv, hp, hpp = h.h_at(xs), h.hp_at(xs), h.hpp_at(xs)
+        fx = f_integrand(xs)
         # d/dx of the f-integrand
         den = eps * (E - hv**2)
         fxx = (-b * hp * den + b * (c - hv) * 2.0 * eps * hv * hp) / den**2
-        W2 = eps * (E - hv**2)
-        W = np.sqrt(W2)
-        Wp = -eps * hv * hp / W
-        Wpp = -eps * (hp**2 + hv * hpp) / W - Wp**2 / W
-        zeros = np.zeros_like(hv)
-
-        if E > 0:
-            sE = np.sqrt(E)
-            cf, sf = np.cos(sE * f), np.sin(sE * f)
-
-            def turn(re, im):
-                """(re + i im) e^{i sqrt(E) f} as a (real, imaginary) pair."""
-                return re * cf - im * sf, re * sf + im * cf
-
-            Z = (W * cf, W * sf)
-            Zx = turn(Wp, W * sE * fx)
-            Zxx = turn(Wpp - W * E * fx**2, 2.0 * Wp * sE * fx + W * sE * fxx)
-            inv = 1.0 / sE
-            p = inv * np.stack([*Z, hv])
-            px = inv * np.stack([*Zx, hp])
-            py = inv * np.stack([-sE * Z[1], sE * Z[0], zeros])  # Z_y = i sqrt(E) Z
-            pxx = inv * np.stack([*Zxx, hpp])
-            pxy = inv * np.stack([-sE * Zx[1], sE * Zx[0], zeros])
-            pyy = inv * np.stack([-E * Z[0], -E * Z[1], zeros])
-        elif E < 0:
-            m = np.sqrt(-E)
-            # hyperbolic analogue through exponentials: A_pm = W exp(+-m f)
-            Apl = W * np.exp(m * f)
-            Ami = W * np.exp(-m * f)
-            Apl_x = (Wp + W * m * fx) * np.exp(m * f)
-            Ami_x = (Wp - W * m * fx) * np.exp(-m * f)
-            Apl_xx = (Wpp + 2 * Wp * m * fx + W * m * fxx + W * m**2 * fx**2) * np.exp(m * f)
-            Ami_xx = (Wpp - 2 * Wp * m * fx - W * m * fxx + W * m**2 * fx**2) * np.exp(-m * f)
-            inv = 1.0 / m
-
-            def assemble(ap, am, dh):
-                return inv * np.stack([dh, 0.5 * (ap - am), 0.5 * (ap + am)])
-
-            p = assemble(Apl, Ami, hv)
-            px = assemble(Apl_x, Ami_x, hp)
-            py = assemble(m * Apl, -m * Ami, zeros)
-            pxx = assemble(Apl_xx, Ami_xx, hpp)
-            pxy = assemble(m * Apl_x, -m * Ami_x, zeros)
-            pyy = assemble(m**2 * Apl, m**2 * Ami, zeros)
-        else:
-            # E = 0 (eps = -1): psi = (h f^2 - h/4 + 1/h, h f, h f^2 + h/4 + 1/h)
-            g = 1.0 / hv
-            gp = -hp / hv**2
-            gpp = -hpp / hv**2 + 2 * hp**2 / hv**3
-            q = hv * f * f
-            qx = hp * f * f + 2 * hv * f * fx
-            qy = 2 * hv * f
-            qxx = hpp * f * f + 4 * hp * f * fx + 2 * hv * fx**2 + 2 * hv * f * fxx
-            qxy = 2 * hp * f + 2 * hv * fx
-            qyy = 2 * hv
-            p = np.stack([q - hv / 4 + g, hv * f, q + hv / 4 + g])
-            px = np.stack([qx - hp / 4 + gp, hp * f + hv * fx, qx + hp / 4 + gp])
-            py = np.stack([qy, hv, qy])
-            pxx = np.stack([qxx - hpp / 4 + gpp, hpp * f + 2 * hp * fx + hv * fxx, qxx + hpp / 4 + gpp])
-            pxy = np.stack([qxy, hp, qxy])
-            pyy = np.stack([qyy, zeros, qyy])
-
-        eta = sqb * (y + G(x))
-        eta_x = sqb * (hv - c)
-        eta_y = np.full_like(hv, sqb)
-        eta_xx = sqb * hp
-        return _with_height(_jet_dict(p, px, py, pxx, pxy, pyy), eta, eta_x, eta_y, eta_xx)
+        A, base = _profile_orbit(eps, E, 2.0, hv, hp, hpp)
+        first = _orbit_jet(A, E, _gather_base(base, ix), y + F(xs)[ix], None, (fx[ix], fxx[ix]))
+        eta = sqb * (y + G(xs)[ix])
+        return _with_height(first, eta, (sqb * (hv - c))[ix], np.full_like(eta, sqb), (sqb * hp)[ix])
 
     x3 = float(np.max(jet(xr, -F(xr))["p"][2]))  # on the profile curve f = 0
     _require("prop6", f"x3 <= cosh({GROWTH_BOUND:g}) on the profile curve", x3 <= np.cosh(GROWTH_BOUND), x3)
@@ -662,7 +637,6 @@ def cmc_profile_family(params, h, y_span=(-1.0, 1.0)):
             "H_sq": b / 4.0,
             "theta_ar_expected": theta_ar,
             "height_range": (sqb * (y_span[0] + G.F.min()), sqb * (y_span[1] + G.F.max())),
-            "truncated": truncated,
             "x0": lo,
         },
     )
@@ -691,20 +665,12 @@ def cmc_sinh_chart(lam, domain=None):
     def jet(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         chx, shx = np.cosh(x), np.sinh(x)
-        chy, shy = np.cosh(y), np.sinh(y)
         k = r / lam
-        zeros = np.zeros_like(x)
-        p = k * np.stack([shx, chx * shy + chy / r, chx * chy + shy / r])
-        px = k * np.stack([chx, shx * shy, shx * chy])
-        py = k * np.stack([zeros, chx * chy + shy / r, chx * shy + chy / r])
-        pxx = k * np.stack([shx, chx * shy, chx * chy])
-        pxy = k * np.stack([zeros, shx * chy, shx * shy])
-        pyy = k * np.stack([zeros, chx * shy + chy / r, chx * chy + shy / r])
+        # the boost by y of k (sinh x, 1 / r, cosh x), its group formed once per distinct y
+        base = [[k * shx, np.full_like(x, k / r), k * chx], [k * chx, None, k * shx], [k * shx, None, k * chx]]
+        first = _orbit_jet(_BOOST, -1.0, base, *_distinct(y), None)
         eta = (y + r * chx) / lam
-        eta_x = r * shx / lam
-        eta_y = np.full_like(x, 1.0 / lam)
-        eta_xx = r * chx / lam
-        return _with_height(_jet_dict(p, px, py, pxx, pxy, pyy), eta, eta_x, eta_y, eta_xx)
+        return _with_height(first, eta, r * shx / lam, np.full_like(x, 1.0 / lam), r * chx / lam)
 
     return ImmersionChart(
         name="example4",
@@ -743,21 +709,17 @@ def cmc_leite_chart(h_scalar, domain=None):
         dsec = sx * sec**2
         d2sec = (1.0 + sx**2) * sec**3
         tn = sx * sec
-        shy, chy = np.sinh(y), np.cosh(y)
-        e = 2.0 * H * H * np.exp(-y)
-        zeros = np.zeros_like(x)
+        e = 2.0 * H * H
         inv = 1.0 / s
-        p = inv * np.stack([tn, shy * sec + e * cx, chy * sec - e * cx])
-        px = inv * np.stack([sec**2, shy * dsec - e * sx, chy * dsec + e * sx])
-        py = inv * np.stack([zeros, chy * sec - e * cx, shy * sec + e * cx])
-        pxx = inv * np.stack([2 * sec**2 * tn, shy * d2sec - e * cx, chy * d2sec + e * cx])
-        pxy = inv * np.stack([zeros, chy * dsec + e * sx, shy * dsec - e * sx])
-        pyy = inv * np.stack([zeros, shy * sec + e * cx, chy * sec - e * cx])
-        eta = (2.0 * H / s) * (y - np.log(cx))
-        eta_x = (2.0 * H / s) * tn
-        eta_y = np.full_like(x, 2.0 * H / s)
-        eta_xx = (2.0 * H / s) * sec**2
-        return _with_height(_jet_dict(p, px, py, pxx, pxy, pyy), eta, eta_x, eta_y, eta_xx)
+        # the boost by y of (tan x, e cos x, sec x - e cos x) / s, its group formed once per distinct y
+        base = [
+            [inv * tn, inv * (e * cx), inv * (sec - e * cx)],
+            [inv * sec**2, inv * (-e * sx), inv * (dsec + e * sx)],
+            [inv * (2 * sec**2 * tn), inv * (-e * cx), inv * (d2sec + e * cx)],
+        ]
+        first = _orbit_jet(_BOOST, -1.0, base, *_distinct(y), None)
+        rate = 2.0 * H / s
+        return _with_height(first, rate * (y - np.log(cx)), rate * tn, np.full_like(x, rate), rate * sec**2)
 
     return ImmersionChart(
         name="example5",
@@ -802,40 +764,16 @@ def cmc_torus(a, b, domain=None):
         Sp = C * D
         Cp = -S * D
         Dp = -kappa_sq * S * C
-        # Z = sqrt(a) D + i C and its x-derivatives, as (real, imaginary) pairs times ca
-        Z = (np.sqrt(a) * D * ca, C * ca)
-        Zp = (np.sqrt(a) * Dp * ca, Cp * ca)
-        Zpp = (np.sqrt(a) * (-kappa_sq * D * (C * C - S * S)) * ca, -C * (D * D - kappa_sq * S * S) * ca)
-        p3 = S * cb
-        p3x = Sp * cb
-        p3xx = -S * (D * D + kappa_sq * C * C) * cb
-        log_part = heta * np.log(D - kappa * C)
-        eta_x = heta * kappa * S
-        eta_xx = heta * kappa * Sp
-        Z, Zp, Zpp = ((re[ix], im[ix]) for re, im in (Z, Zp, Zpp))
-        p3, p3x, p3xx, log_part, eta_x, eta_xx = (v[ix] for v in (p3, p3x, p3xx, log_part, eta_x, eta_xx))
-        cy, sy = np.cos(kappa * ys)[iy], np.sin(kappa * ys)[iy]
-        zeros = np.zeros_like(x)
-        eta = log_part + slope * y
-        eta_y = np.full_like(x, slope)
-
-        def turn(w):
-            """The (real, imaginary) pair w times e^{i kappa y}."""
-            return w[0] * cy - w[1] * sy, w[0] * sy + w[1] * cy
-
-        W, Wx, Wxx = turn(Z), turn(Zp), turn(Zpp)
-
-        def pack(w, third, e):
-            return np.stack([w[0], w[1], third, e])
-
-        return _jet_dict(
-            p=pack(W, p3, eta),
-            px=pack(Wx, p3x, eta_x),
-            py=pack((-kappa * W[1], kappa * W[0]), zeros, eta_y),  # W_y = i kappa W
-            pxx=pack(Wxx, p3xx, eta_xx),
-            pxy=pack((-kappa * Wx[1], kappa * Wx[0]), zeros, zeros),
-            pyy=pack((-kappa_sq * W[0], -kappa_sq * W[1]), zeros, zeros),
-        )
+        # the rotation by kappa y of (sqrt(a) D ca, C ca, S cb)
+        base = [
+            [np.sqrt(a) * D * ca, C * ca, S * cb],
+            [np.sqrt(a) * Dp * ca, Cp * ca, Sp * cb],
+            [np.sqrt(a) * (-kappa_sq * D * (C * C - S * S)) * ca, -C * (D * D - kappa_sq * S * S) * ca,
+             -S * (D * D + kappa_sq * C * C) * cb],
+        ]
+        first = _orbit_jet(kappa * _ROTATION, kappa_sq, _gather_base(base, ix), ys, iy, None)
+        eta = heta * np.log(D - kappa * C)[ix] + slope * y
+        return _with_height(first, eta, (heta * kappa * S)[ix], np.full_like(eta, slope), (heta * kappa * Sp)[ix])
 
     def embed_circle(x, y):
         p = jet(x, y)["p"]

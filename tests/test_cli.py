@@ -456,6 +456,24 @@ def test_second_factor_curve_is_marched_over_the_domain(tmp_path, family):
 @pytest.mark.parametrize(
     "family, domain",
     [
+        (["--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"], "--domain=-1.2345,1.2345,-1,1"),
+        (["--family", "prop4", "--eps", "-1", "--a", "-2", "--b", "1", "--c", "0"], "--domain=-1.2,1.2345,-1,1"),
+        (["--family", "example2"], "--domain=-1.2345,1.2345,-1,1"),
+    ],
+    ids=["prop4", "prop4-one-end", "example2"],
+)
+def test_x_ends_off_the_curve_step_verify(tmp_path, family, domain):
+    # the second-factor curve is marched over the rectangle's x-range, which its last
+    # step overruns by less than the 1% pad between that range and the profile span;
+    # marched over the whole span, an end off the 1e-3 step took it past the profile
+    code = main(["verify", *family, domain, "--nx", "21", "--ny", "21", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert "verdict=PASS" in next(tmp_path.glob("verify_*.txt")).read_text()
+
+
+@pytest.mark.parametrize(
+    "family, domain",
+    [
         pytest.param(["--family", "example4"], "--domain=-5.9,5.9,-0.1,0.1", id="example4"),
         pytest.param(["--family", "product", "--eps", "-1", "--a", "0.5", "--b", "2"], "--domain=-6.7,6.7,-1,1",
                      id="hypercycle"),

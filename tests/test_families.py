@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from pmcsurf.ambient import inner
 from pmcsurf.diffgeo import normal_frame, sample_jet
@@ -18,6 +19,8 @@ from pmcsurf.families import (
     pmc_profile_family,
     pmc_sinh_family,
     product_of_curves,
+    _orbit_jet,
+    _with_height,
 )
 from pmcsurf.profile import ProfileParams, ProfileSolution, closed_form, solve_profile
 
@@ -62,6 +65,12 @@ def get_chart(key):
         params = ProfileParams(+1, 2.0, 1.0, 0.0)
         h = closed_form("sn_family", params, x_span=(-1.6, 1.6))
         ch = pmc_profile_family(params, h)
+    elif key == "prop4_rot_h2":  # a > 0 in H2: the rotation about x3
+        params = ProfileParams(-1, 1.0, 0.5, 0.3)
+        ch = pmc_profile_family(params, solve_profile(params, h0=1.5, x_span=(-0.3, 0.3)))
+    elif key == "prop4_parab":  # a = 0: the parabolic translation
+        params = ProfileParams(-1, 0.0, 1.0, 0.5)
+        ch = pmc_profile_family(params, solve_profile(params, h0=1.5, x_span=(-0.25, 0.25)))
     elif key == "prop4_solved":
         params = ProfileParams(-1, -2.0, 0.5, 0.3)
         ch = pmc_profile_family(params, solve_profile(params, x_span=(-1.2, 1.2)))
@@ -79,6 +88,13 @@ def get_chart(key):
         params = ProfileParams(-1, -2.0, 1.0, 0.0)
         h = closed_form("sinh_family", params, x_span=(-1.2, 1.2))
         ch = cmc_profile_family(params, h)
+    elif key == "prop6_parab":  # E = a - eps b = 0: the parabolic translation by 2 f
+        params = ProfileParams(-1, -1.0, 1.0, 0.5)
+        ch = cmc_profile_family(params, solve_profile(params, h0=0.5, x_span=(-0.3, 0.3)))
+    elif key == "example4":
+        ch = cmc_sinh_chart(1.0)
+    elif key == "example5":  # away from the pole of sec x, where the differences of fd_jet lose their order
+        ch = cmc_leite_chart(0.25, domain=(-np.pi / 4, np.pi / 4, -1.2, 1.2))
     else:
         raise KeyError(key)
     ALL_CHARTS[key] = ch
@@ -126,7 +142,11 @@ def test_product_manifold_and_flatness():
         assert np.allclose(gxx, 1.0, atol=1e-10)  # unit-speed curves: u = 0
 
 
-@pytest.mark.parametrize("key", ["prop4_hyp", "prop4_sph", "phi0", "torus", "prop6_hyp"])
+@pytest.mark.parametrize(
+    "key",
+    ["prop4_hyp", "prop4_sph", "prop4_rot_h2", "prop4_parab", "phi0", "torus", "prop6_hyp", "prop6_sph",
+     "prop6_parab", "example4", "example5"],
+)
 def test_analytic_jets_match_fd(key):
     # numeric jets converge at second order to the analytic ones
     ch = get_chart(key)
@@ -205,44 +225,45 @@ def test_prop4_constant_profile_reduces_to_products():
     assert np.allclose(chart_Hsq(ch), params.b / 4.0, atol=1e-9)
 
 
-def test_prop4_isometry_invariance():
-    # the one-parameter isometry group I(theta) x Id matches shifting y by
-    # theta / sqrt(|a|) (theta itself for a = 0)
-    theta = 0.3
-    cases = []
-    params = ProfileParams(+1, 2.0, 1.0, 0.0)
-    cases.append((params, closed_form("sn_family", params, x_span=(-1.2, 1.2))))
-    params = ProfileParams(-1, -2.0, 1.0, 0.0)
-    cases.append((params, closed_form("sinh_family", params, x_span=(-1.2, 1.2))))
-    params = ProfileParams(-1, 0.0, 1.0, 0.5)
-    cases.append((params, solve_profile(params, h0=1.5, x_span=(-0.25, 0.25))))
+R_Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # rotation about x3
+BOOST = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # boost in the (x2, x3) plane
+PARABOLIC = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # fixes (1, 0, 1)
+S_PHI0 = np.sqrt(1.0 - 4.0 * 0.25**2)
 
-    for params, h in cases:
-        a = params.a
-        ch = pmc_profile_family(params, h, y_span=(-1.0, 1.0))
-        if a > 0:
-            w = np.sqrt(a)
-            M = np.array([[np.cos(theta), -np.sin(theta), 0], [np.sin(theta), np.cos(theta), 0], [0, 0, 1]])
-            shift = theta / w
-        elif a < 0:
-            w = np.sqrt(-a)
-            M = np.array([[1, 0, 0], [0, np.cosh(theta), np.sinh(theta)], [0, np.sinh(theta), np.cosh(theta)]])
-            shift = theta / w
-        else:
-            M = np.array(
-                [
-                    [1 - theta**2 / 2, theta, theta**2 / 2],
-                    [-theta, 1, theta],
-                    [-theta**2 / 2, theta, 1 + theta**2 / 2],
-                ]
-            )
-            shift = theta
-        X, Y = ch.grid(9, 9, shrink=0.3)
-        P = ch.evaluate(X, Y)
-        moved = np.einsum("ij,j...->i...", M, P[:3])
-        shifted = ch.evaluate(X, Y + shift)
-        assert np.max(np.abs(moved - shifted[:3])) < 1e-9
-        assert np.max(np.abs(P[3:] - shifted[3:])) < 1e-9  # psi factor unchanged
+
+# the generator A of each member's orbit, written out from its parameters, and
+# the rise of the height per unit of y (None for a product chart)
+ORBITS = {
+    # product charts: y moves the first factor by exp(y A) and leaves the second
+    "prop4_sph": (np.sqrt(2.0) * R_Z, None),  # sqrt(a) R_z, a = 2
+    "prop4_rot_h2": (R_Z, None),  # a = 1
+    "prop4_hyp": (np.sqrt(2.0) * BOOST, None),  # sqrt(-a) B, a = -2
+    "prop4_parab": (PARABOLIC, None),  # a = 0
+    "phi0": (BOOST / S_PHI0, None),
+    # charts into M2 x R: y also raises the height
+    "prop6_sph": (R_Z, 1.0),  # E = a - eps b = 1; the height rises by sqrt(b) = 1
+    "prop6_hyp": (BOOST, 1.0),  # E = -1
+    "prop6_parab": (2.0 * PARABOLIC, 1.0),  # E = 0
+    "example4": (BOOST, 1.0),  # 1 / lam
+    "example5": (BOOST, 2.0 * 0.25 / S_PHI0),  # 2 H / s
+    "torus": (0.5 * R_Z, 0.5),  # kappa R_z, kappa^2 = 1/4; slope sqrt(b / (a (1 + b))) = 1/2
+}
+
+
+@pytest.mark.parametrize("key", list(ORBITS))
+def test_isometry_invariance(key):
+    # shifting y by t moves the chart by the one-parameter group: p(x, y + t) = (exp(t A) + id) p(x, y)
+    A, rise = ORBITS[key]
+    t = 0.3
+    ch = get_chart(key)
+    X, Y = ch.grid(9, 9, shrink=0.3)
+    P, shifted = ch.evaluate(X, Y), ch.evaluate(X, Y + t)
+    moved = np.einsum("ij,j...->i...", expm(t * A), P[:3])
+    assert np.max(np.abs(moved - shifted[:3])) < 1e-9
+    if rise is None:
+        assert np.max(np.abs(P[3:] - shifted[3:])) < 1e-9  # the second factor is unchanged
+    else:
+        assert np.max(np.abs(P[3] + rise * t - shifted[3])) < 1e-9
 
 
 def test_phi0_invariants():
@@ -318,6 +339,12 @@ def test_cmc_profile_truncates_to_admissible_band():
     X, Y = ch.grid(15, 7)
     factor = params.eps * (params.a - h.h_at(X) ** 2)
     assert np.min(factor) > params.b  # inside the admissible band
+    # a solution never leaves the band, so a hand-made profile that does is refused
+    x = np.linspace(-1.0, 1.0, 201)
+    out = ProfileSolution(params, x, 1.2 * x, np.full_like(x, 1.2), nonconstant=True, truncated="",
+                          formula=lambda x: (1.2 * x, np.full_like(x, 1.2)))
+    with pytest.raises(DomainError, match="band"):
+        cmc_profile_family(params, out)
 
 
 def test_cmc_profile_matches_metric():
@@ -421,14 +448,14 @@ def test_evaluate_reads_the_current_jet():
 
 
 @pytest.mark.parametrize(
-    "key", ["prop4_hyp", "prop4_sph", "prop4_solved", "phi0", "example2", "T_0.6_0.8", "torus", "torus_lift", "prop6_sph"]
+    "key",
+    ["prop4_hyp", "prop4_sph", "prop4_rot_h2", "prop4_parab", "prop4_solved", "phi0", "example2", "T_0.6_0.8",
+     "torus", "torus_lift", "prop6_sph", "prop6_parab", "example4", "example5"],
 )
 def test_grid_jet_equals_single_point_jets(key):
     # one-variable data are evaluated once per grid line and gathered: each
-    # node must carry bitwise the jet of that node alone.  The torus and the
-    # E > 0 branch of prop6 turn their first factor by e^{i angle} in real
-    # arithmetic: numpy's complex multiply may take a fused SIMD loop on a grid
-    # that it does not take on one sample
+    # node must carry bitwise the jet of that node alone.  The orbit exp(f A)
+    # of the first factor is summed elementwise, with no BLAS call
     ch = pmc_sinh_family(1.0) if key == "example2" else get_chart(key)
     X, Y = ch.grid(9, 7, shrink=0.05)
     J = ch.jet(X, Y)
@@ -439,31 +466,22 @@ def test_grid_jet_equals_single_point_jets(key):
 
 
 def _torus_jet_on_every_sample(a, b, x, y):
-    """The jet of ``cmc_torus(a, b)`` with every quantity evaluated on every sample."""
+    """The jet of ``cmc_torus(a, b)`` with every quantity evaluated on every sample: the orbit formula, ungathered."""
     kappa_sq = (a - b) / (a * (1.0 + b))
     kappa = np.sqrt(kappa_sq)
     ca, cb = 1.0 / np.sqrt(1.0 + a), 1.0 / np.sqrt(1.0 + b)
     heta, slope = np.sqrt(b) / np.sqrt(1.0 + b), np.sqrt(b) / np.sqrt(a * (1.0 + b))
     S, C, D = jacobi_sncndn(x, kappa)
     Sp, Cp, Dp = C * D, -S * D, -kappa_sq * S * C
-    Z = (np.sqrt(a) * D * ca, C * ca)
-    Zp = (np.sqrt(a) * Dp * ca, Cp * ca)
-    Zpp = (np.sqrt(a) * (-kappa_sq * D * (C * C - S * S)) * ca, -C * (D * D - kappa_sq * S * S) * ca)
-    cy, sy = np.cos(kappa * y), np.sin(kappa * y)
-    W, Wx, Wxx = ((w[0] * cy - w[1] * sy, w[0] * sy + w[1] * cy) for w in (Z, Zp, Zpp))
-    zeros = np.zeros_like(x)
-
-    def pack(w, third, e):
-        return np.stack([w[0], w[1], third, e])
-
-    return {
-        "p": pack(W, S * cb, heta * np.log(D - kappa * C) + slope * y),
-        "px": pack(Wx, Sp * cb, heta * kappa * S),
-        "py": pack((-kappa * W[1], kappa * W[0]), zeros, np.full_like(x, slope)),
-        "pxx": pack(Wxx, -S * (D * D + kappa_sq * C * C) * cb, heta * kappa * Sp),
-        "pxy": pack((-kappa * Wx[1], kappa * Wx[0]), zeros, zeros),
-        "pyy": pack((-kappa_sq * W[0], -kappa_sq * W[1]), zeros, zeros),
-    }
+    base = [
+        [np.sqrt(a) * D * ca, C * ca, S * cb],
+        [np.sqrt(a) * Dp * ca, Cp * ca, Sp * cb],
+        [np.sqrt(a) * (-kappa_sq * D * (C * C - S * S)) * ca, -C * (D * D - kappa_sq * S * S) * ca,
+         -S * (D * D + kappa_sq * C * C) * cb],
+    ]
+    first = _orbit_jet(kappa * R_Z, kappa_sq, base, y, None, None)
+    eta = heta * np.log(D - kappa * C) + slope * y
+    return _with_height(first, eta, heta * kappa * S, np.full_like(x, slope), heta * kappa * Sp)
 
 
 @pytest.mark.parametrize("a, b", [(2.0, 1.0), (3.0, 0.5)])
