@@ -404,10 +404,10 @@ def _add_chart_options(sub):
 
 
 def _grid_size(text):
-    """Points per grid axis: the holomorphy residual's stencil needs five."""
+    """Points per grid axis: two, the ends of the rectangle whose Chebyshev grid is differentiated."""
     n = int(text)
-    if n < 5:
-        raise argparse.ArgumentTypeError(f"a grid needs at least 5 points per axis, got {n}")
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"a grid needs at least 2 points per axis, got {n}")
     return n
 
 

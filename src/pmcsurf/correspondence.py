@@ -22,9 +22,11 @@ from .families import TARGET_LINE, TARGET_PRODUCT, ImmersionChart
 from .diffgeo import (
     SHRINK,
     _chebyshev_grid,
+    _parallelism,
+    _real_stack,
     abresch_rosenberg,
-    apply_along,
     ar_theta,
+    chebyshev_derivatives,
     conformal_data,
     eta_z_norm_law,
     frenet_scalars,
@@ -123,42 +125,48 @@ class CmcFrenetData:
 # ---------------------------------------------------------------------------
 
 
-def _pmc_point_fields(chart):
+def _sample_key(x, y):
+    """The key of a sample set: the dtype, shape and bytes of x and y."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.dtype.str, x.shape, x.tobytes(), y.dtype.str, y.shape, y.tobytes())
+
+
+def _frenet_fields(jet, frame):
+    """The pointwise Frenet data of a PMC chart on one jet and its normal frame, read-only."""
+    u, _ = conformal_data(jet)
+    C1, C2, _, _ = kaehler_functions(jet)
+    gamma1, gamma2, f1, f2 = frenet_scalars(jet, frame)
+    e2u = np.exp(2 * u)
+    ux = jet.ip(jet.pxx, jet.px) / e2u
+    uy = jet.ip(jet.pxy, jet.px) / e2u
+    out = {
+        "u": u, "ux": ux, "uy": uy, "C1": C1, "C2": C2,
+        "gamma1": gamma1, "gamma2": gamma2, "f1": f1, "f2": f2,
+        "Hnorm": frame.Hnorm,
+    }
+    for v in out.values():
+        if isinstance(v, np.ndarray):  # scalar samples give immutable numpy scalars
+            v.flags.writeable = False
+    return out
+
+
+def _pmc_point_fields(chart, memo):
     """Dense pointwise Frenet data of a PMC chart.
 
-    Every sample set answered is memoised, keyed on the dtype, shape and bytes
-    of x and y: the three records of one round trip (``pmc_to_cmc`` for
-    j = 1, 2 and the ``cmc_to_pmc`` of the two) compose their ``fields`` onto
-    this one and read the same Gauss points, Simpson midpoints and
-    recertification grid, so each set is evaluated once.  The memoised
-    arrays are read-only: an in-place edit of a record built from them
-    raises instead of corrupting a later read.
+    Every sample set answered is memoised in ``memo`` by ``_sample_key``: the
+    three records of one round trip (``pmc_to_cmc`` for j = 1, 2 and the
+    ``cmc_to_pmc`` of the two) compose their ``fields`` onto this one and read
+    the same Gauss points, Simpson midpoints and recertification grid, so each
+    set is evaluated once.  The memoised arrays are read-only: an in-place edit
+    of a record built from them raises instead of corrupting a later read.
     """
-    memo = {}
 
     def fields(x, y):
-        x, y = np.asarray(x), np.asarray(y)
-        key = (x.dtype.str, x.shape, x.tobytes(), y.dtype.str, y.shape, y.tobytes())
-        if key in memo:
-            return memo[key]
-        jet = sample_jet(chart, x, y)
-        u, _ = conformal_data(jet)
-        frame = normal_frame(jet)
-        C1, C2, _, _ = kaehler_functions(jet)
-        gamma1, gamma2, f1, f2 = frenet_scalars(jet, frame)
-        e2u = np.exp(2 * u)
-        ux = jet.ip(jet.pxx, jet.px) / e2u
-        uy = jet.ip(jet.pxy, jet.px) / e2u
-        out = {
-            "u": u, "ux": ux, "uy": uy, "C1": C1, "C2": C2,
-            "gamma1": gamma1, "gamma2": gamma2, "f1": f1, "f2": f2,
-            "Hnorm": frame.Hnorm,
-        }
-        for v in out.values():
-            if isinstance(v, np.ndarray):  # scalar samples give immutable numpy scalars
-                v.flags.writeable = False
-        memo[key] = out
-        return out
+        key = _sample_key(x, y)
+        if key not in memo:
+            jet = sample_jet(chart, x, y)
+            memo[key] = _frenet_fields(jet, normal_frame(jet))
+        return memo[key]
 
     return fields
 
@@ -192,12 +200,17 @@ def extract_pmc_data(chart, nx=81, ny=81):
     if chart.target != TARGET_PRODUCT:
         raise DomainError("extract_pmc_data expects a product chart")
     X, Y = chart.grid(nx, ny, shrink=SHRINK)
-    resid = parallelism_residual(chart, X, Y)
+    # the parallelism gate, as parallelism_residual takes it; its jet then gives the Frenet
+    # data on the Chebyshev grid, which the compatibility residuals read
+    Xc, Yc, Dx, Dy = _chebyshev_grid(X, Y)
+    jet = sample_jet(chart, Xc, Yc)
+    frame = normal_frame(jet)
+    resid = _parallelism(jet, frame.H, frame.proj, Dx, Dy)
     if resid > PARALLELISM_GATE:
         raise PreconditionError(
             f"chart is not PMC: parallelism residual {resid:.2e} > {PARALLELISM_GATE:.1e}"
         )
-    fields = _pmc_point_fields(chart)
+    fields = _pmc_point_fields(chart, {_sample_key(Xc, Yc): _frenet_fields(jet, frame)})
     F = fields(X, Y)
     Hgrid = F["Hnorm"]
     data = PmcFrenetData(
@@ -351,21 +364,6 @@ def _spline(xs, ys, v):
     return sp
 
 
-def _real_stack(grids):
-    """A dict of arrays as one real stack on a new first axis, a complex entry as its real and
-    its imaginary part, and the map from anything indexed like that stack back to the dict."""
-    cols, stack = {}, []  # key -> (first row in the stack, complex or not)
-    for k, v in grids.items():
-        cplx = np.iscomplexobj(v)
-        cols[k] = (len(stack), cplx)
-        stack += [v.real, v.imag] if cplx else [v]
-
-    def unstack(vals):
-        return {k: vals[i] + 1j * vals[i + 1] if cplx else vals[i] for k, (i, cplx) in cols.items()}
-
-    return np.stack(stack), unstack
-
-
 def _grid_fields(data):
     """Dense evaluation of a record's data: its ``fields``, or one spline of its node arrays.
 
@@ -394,13 +392,11 @@ def _grid_fields(data):
 
 def _spectral_derivatives(data, keys):
     """A record's dense data F on the Chebyshev grid of its node rectangle, ends included, and
-    the x and y derivatives Fx, Fy there of its entries ``keys``: one ``_grid_fields(data)``
-    call (a node-only record's spline, which its march reads too), whose ``keys`` are
-    differentiated as one ``_real_stack`` by ``diffgeo.chebyshev``'s matrices."""
+    the ``chebyshev_derivatives`` Fx, Fy there of its entries ``keys``: one ``_grid_fields(data)``
+    call (a node-only record's spline, which its march reads too)."""
     X, Y, Dx, Dy = _chebyshev_grid(data.x, data.y)
     F = _grid_fields(data)(X, Y)
-    stack, unstack = _real_stack({k: F[k] for k in keys})
-    return F, unstack(apply_along(Dx, stack, 1)), unstack(apply_along(Dy, stack, 2))
+    return (F, *chebyshev_derivatives({k: F[k] for k in keys}, Dx, Dy))
 
 
 def _path_integrate(x, y, gx, gy, fields):

@@ -2,12 +2,14 @@
 
 All computations happen in the chart's isothermal coordinates on a rectangular
 grid.  Derivatives of the immersion come from the 2-jet every chart carries.
-The identity and parallelism residuals differentiate derived fields (u, C_j,
-the components of X_j, and H) spectrally: they sample the chart on the
-``CHEB_N`` + 1 squared Chebyshev tensor grid of the rectangle they check (once
-for both in ``surface_invariants``) and apply the differentiation matrix of
-``chebyshev`` to field stacks there, so that the residuals measure the chart
-itself, not the differentiation.
+Every derivative of a derived field (u, C_j, the components of X_j, H, the
+Hopf coefficients theta_j and theta_AR) is spectral: the chart is sampled on
+the ``CHEB_N`` + 1 squared Chebyshev tensor grid of the rectangle it is checked
+on, and ``chebyshev_derivatives`` applies the differentiation matrices of
+``chebyshev`` to the fields there, so that the residuals measure the chart
+itself, not the differentiation.  The identity, parallelism and holomorphy
+residuals and the Gauss curvature K come from that pass; the record's K on
+the requested grid is the Chebyshev interpolant of the spectral K.
 
 Layout: every vector is held components first, (d, *samples), as
 :mod:`pmcsurf.ambient` takes them: the chart's jet, the ``JetSample`` that
@@ -35,7 +37,7 @@ from .utils import write_columns_csv
 EPS_FLOOR = 1e-12
 MIN_HNORM = 1e-10  # below this |H| the surface counts as minimal and Htilde is undefined
 SHRINK = 0.02  # margin fraction cut from each side of the chart rectangle before sampling
-# degree of the Chebyshev grid the identity and parallelism residuals differentiate on: the
+# degree of the Chebyshev grid every residual that takes a derivative differentiates on: the
 # charts are analytic, so 48 resolves their derivatives to about N^4 eps_mach, the round-off floor
 CHEB_N = 48
 
@@ -273,15 +275,6 @@ def ambient_curvature(jet, X, Y, Z, W):
 # ---------------------------------------------------------------------------
 
 
-def grid_laplacian(f, dx, dy):
-    """Five-point Laplacian; NaN on the boundary ring."""
-    out = np.full_like(np.asarray(f, dtype=float), np.nan)
-    out[1:-1, 1:-1] = (f[2:, 1:-1] - 2 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / dx**2 + (
-        f[1:-1, 2:] - 2 * f[1:-1, 1:-1] + f[1:-1, :-2]
-    ) / dy**2
-    return out
-
-
 def chebyshev(a, b):
     """The ``CHEB_N`` + 1 Chebyshev-Lobatto points of [a, b], ascending, and their
     differentiation matrix D (Trefethen, *Spectral Methods in MATLAB*, ch. 6, ``cheb.m``).
@@ -309,14 +302,51 @@ def _chebyshev_grid(X, Y):
 
 
 def apply_along(D, F, axis):
-    """The matrix D applied along array axis ``axis`` of a field F: grid axis 0 or 1 of a field
-    stack of shape (n, n, *components), or 1 or 2 of a vector field of shape (d, n, n).  One
+    """The matrix D applied along array axis ``axis`` of a field F: grid axis 0 or 1 of an (n, n)
+    field, or one of the last two axes of a stack (k, n, n) or (k, d, n, n) of fields.  One
     ``np.einsum`` sums in a fixed order, with no BLAS call, so its bits do not depend on the
     matrix kernel that BLAS picks for the CPU at run time.  It reads a copy of F with ``axis``
     moved first (none for axis 0): the inner loop runs over the other axes, not over a few
     components."""
     G = np.ascontiguousarray(np.moveaxis(F, axis, 0))
     return np.moveaxis(np.einsum("ij,j...->i...", D, G), 0, axis)
+
+
+def _real_stack(grids):
+    """A dict of arrays as one real stack on a new first axis, a complex entry as its real and
+    its imaginary part, and the map from anything indexed like that stack back to the dict."""
+    cols, stack = {}, []  # key -> (first row in the stack, complex or not)
+    for k, v in grids.items():
+        cplx = np.iscomplexobj(v)
+        cols[k] = (len(stack), cplx)
+        stack += [v.real, v.imag] if cplx else [v]
+
+    def unstack(vals):
+        return {k: vals[i] + 1j * vals[i + 1] if cplx else vals[i] for k, (i, cplx) in cols.items()}
+
+    return np.stack(stack), unstack
+
+
+def chebyshev_derivatives(fields, Dx, Dy):
+    """The derivatives (Fx, Fy) of a dict of fields, (n, n) or (d, n, n), on a ``chebyshev``
+    tensor grid: one ``_real_stack`` and one ``apply_along`` per axis, by the grid's matrices
+    Dx, Dy, or by their squares ``apply_along(Dx, Dx, 0)`` for second derivatives."""
+    stack, unstack = _real_stack(fields)
+    return unstack(apply_along(Dx, stack, stack.ndim - 2)), unstack(apply_along(Dy, stack, stack.ndim - 1))
+
+
+def chebyshev_interpolation(xs, t):
+    """The matrix taking values at the ``chebyshev`` points xs to their interpolant at t, by the
+    barycentric formula (Berrut and Trefethen, SIAM Review 46, 2004) with the Chebyshev-Lobatto
+    weights (-1)^k, halved at the ends; a t equal to a point takes that point's value."""
+    k = np.arange(len(xs))
+    w = np.where((k == 0) | (k == len(xs) - 1), 0.5, 1.0) * (-1.0) ** k
+    d = t[:, None] - xs[None, :]
+    hit = d == 0
+    W = w / np.where(hit, 1.0, d)
+    on_point = hit.any(axis=1)
+    W[on_point] = hit[on_point]
+    return W / W.sum(axis=1, keepdims=True)
 
 
 def normalized_mismatch(lhs, rhs, terms=()):
@@ -344,21 +374,20 @@ def eta_z_norm_law(eta_z, nu, e2u):
     return normalized_mismatch(np.abs(eta_z) ** 2, e2u / 4.0 * (1 - nu**2), terms=(e2u / 4.0,))
 
 
-def holomorphy_residual(theta, dx, dy):
-    """(absolute, normalized) size of d/dz-bar of a field sampled on a grid.
-
-    The absolute value is max |d_zbar theta| over the interior, by centered
-    differences; the normalized one divides by max |theta| + floor.  Grids
-    smaller than 5x5 are rejected.
-    """
-    theta = np.asarray(theta)
-    if theta.shape[0] < 5 or theta.shape[1] < 5:
-        raise DomainError("holomorphy residual needs at least a 5x5 grid")
-    dzb = 0.5 * (np.gradient(theta, dx, axis=0, edge_order=2) + 1j * np.gradient(theta, dy, axis=1, edge_order=2))
-    dzb = dzb[1:-1, 1:-1]
-    absolute = float(np.max(np.abs(dzb)))
-    normalized = absolute / (float(np.max(np.abs(theta))) + EPS_FLOOR)
-    return absolute, normalized
+def dzbar_residuals(thetas, ingredients, Dx, Dy):
+    """Holomorphy residuals of a dict of complex fields on a ``chebyshev`` grid, d/dz-bar taken
+    at every point by ``chebyshev_derivatives``.  For field k: dzbar_k_abs, max |d_zbar k|;
+    dzbar_k_norm, that over max |k| + floor; dzbar_k_scaled, that over max |k| +
+    ingredients[k] + floor, the size of k's summands, so that k = 0 stays testable."""
+    Fx, Fy = chebyshev_derivatives(thetas, Dx, Dy)
+    out = {}
+    for k, theta in thetas.items():
+        absolute = float(np.max(np.abs(0.5 * (Fx[k] + 1j * Fy[k]))))
+        size = float(np.max(np.abs(theta)))
+        out[f"dzbar_{k}_abs"] = absolute
+        out[f"dzbar_{k}_norm"] = absolute / (size + EPS_FLOOR)
+        out[f"dzbar_{k}_scaled"] = absolute / (size + ingredients[k] + EPS_FLOOR)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +406,7 @@ class SurfaceInvariants:
     conformal_defect: np.ndarray
     C1: np.ndarray
     C2: np.ndarray
-    K: np.ndarray  # NaN on the boundary ring
+    K: np.ndarray  # the Chebyshev interpolant of the spectral K
     Kbar: np.ndarray
     Kbar_perp: np.ndarray
     H: np.ndarray
@@ -414,10 +443,10 @@ class SurfaceInvariants:
 def _parallelism(jet, H, proj, Dx, Dy):
     """max over the jet's Chebyshev grid of max(|(H_x)^perp|, |(H_y)^perp|) / |H|, H differentiated
     as one stack of six components per axis and projected by the jet's normal projector ``proj``.
-    H is (6, n, n), so the grid axes are 1 and 2."""
+    H is (6, n, n)."""
     worst = 0.0
-    for D, axis in ((Dx, 1), (Dy, 2)):
-        dH = proj(apply_along(D, H, axis))
+    for dH in chebyshev_derivatives({"H": H}, Dx, Dy):
+        dH = proj(dH["H"])
         worst = np.maximum(worst, np.sqrt(np.abs(jet.ip(dH, dH))))
     return float(np.max(worst / np.sqrt(jet.ip(H, H))))
 
@@ -476,13 +505,13 @@ def _pointwise_block(jet, frame):
 def surface_invariants(chart, nx=81, ny=81):
     """Compute the full invariant record of a product chart on an nx x ny grid.
 
-    The chart is sampled twice, and ``_pointwise_block`` runs on each jet.  The first
-    pass is the requested grid: the record, with K and the holomorphy residuals computed
-    on it.  The second is the ``CHEB_N`` + 1 squared Chebyshev tensor grid of the same
-    rectangle, where ``identity_residuals`` differentiates the derived fields and X1, X2
-    spectrally, and the parallelism residual that pass's H, as ``parallelism_residual``
-    of the rectangle would.  The pointwise identities (``_pointwise_residuals``) take the
-    larger of their values on the two passes, so every sample the record holds is checked too.
+    The chart is sampled twice, and ``_pointwise_block`` runs on each jet: on the requested
+    grid, which gives the record, and on the ``CHEB_N`` + 1 squared Chebyshev tensor grid of
+    the same rectangle, where every derivative is taken (``identity_residuals``,
+    ``dzbar_residuals`` of theta_j, and the parallelism residual of that pass's H, as
+    ``parallelism_residual`` of the rectangle gives it).  The record's K is the Chebyshev
+    interpolant of that pass's K.  The pointwise identities (``_pointwise_residuals``) take
+    the larger of their values on the two passes, so every sample of the record is checked.
     """
     if chart.target != TARGET_PRODUCT:
         raise DomainError("surface_invariants expects a product chart; see abresch_rosenberg")
@@ -492,40 +521,30 @@ def surface_invariants(chart, nx=81, ny=81):
     Xc, Yc, Dx, Dy = _chebyshev_grid(X, Y)
     jet = sample_jet(chart, Xc, Yc)
     frame = normal_frame(jet)
-    spectral = dict(_pointwise_block(jet, frame), x=Xc, y=Yc)
+    spectral = _pointwise_block(jet, frame)
     for j, JH in enumerate(product_j_pair(jet.p, frame.Htilde, chart.eps), start=1):
-        spectral[f"X{j}"] = np.stack([jet.ip(JH, jet.px), jet.ip(JH, jet.py)], axis=-1)
+        spectral[f"X{j}_x"], spectral[f"X{j}_y"] = jet.ip(JH, jet.px), jet.ip(JH, jet.py)
     parallelism = _parallelism(jet, frame.H, frame.proj, Dx, Dy)
     del jet, frame  # the record outlives neither
-    residuals = identity_residuals(spectral, chart.eps)
+    residuals, K = identity_residuals(spectral, chart.eps, Dx, Dy)
     for key, value in _pointwise_residuals(record).items():
         residuals[key] = max(residuals[key], value)
+    # the Hopf ingredients 2 sqrt(2) |H| |f_j| + |gamma_j|^2 / 2 scale the dzbar residuals
+    ingredients = {f"theta{j}": float(np.max(2 * np.sqrt(2) * spectral["Hnorm"] * np.abs(spectral[f"f{j}"])
+                                             + 0.5 * np.abs(spectral[f"gamma{j}"]) ** 2)) for j in (1, 2)}
 
     kept = {f.name for f in fields(SurfaceInvariants)}
-    pointwise = {k: v for k, v in record.items() if k in kept}
-    u = pointwise["u"]
-    dx = X[1, 0] - X[0, 0]
-    dy = Y[0, 1] - Y[0, 0]
-    inv = SurfaceInvariants(
+    Lx, Ly = chebyshev_interpolation(Xc[:, 0], X[:, 0]), chebyshev_interpolation(Yc[0], Y[0])
+    return SurfaceInvariants(
         chart=chart,
         x=X,
         y=Y,
-        K=-np.exp(-2 * u) * grid_laplacian(u, dx, dy),
+        K=apply_along(Ly, apply_along(Lx, K, 0), 1),
         parallelism_residual=parallelism,
         identity_residuals=residuals,
-        **pointwise,
+        holomorphy=dzbar_residuals({k: spectral[k] for k in ingredients}, ingredients, Dx, Dy),
+        **{k: v for k, v in record.items() if k in kept},
     )
-    for j in (1, 2):
-        theta, f_j, gamma_j = pointwise[f"theta{j}"], pointwise[f"f{j}"], pointwise[f"gamma{j}"]
-        absolute, normalized = holomorphy_residual(theta, dx, dy)
-        inv.holomorphy[f"dzbar_theta{j}_abs"] = absolute
-        inv.holomorphy[f"dzbar_theta{j}_norm"] = normalized
-        # scale by the Hopf ingredients so identically-zero theta stays testable
-        ingredient = float(np.max(2 * np.sqrt(2) * inv.Hnorm * np.abs(f_j) + 0.5 * np.abs(gamma_j) ** 2))
-        inv.holomorphy[f"dzbar_theta{j}_scaled"] = absolute / (
-            float(np.max(np.abs(theta))) + ingredient + EPS_FLOOR
-        )
-    return inv
 
 
 def _pointwise_residuals(fields):
@@ -533,8 +552,10 @@ def _pointwise_residuals(fields):
     frame_gamma (|gamma_j|^2 law) and the two-path checks kbar_paths and hopf_paths."""
     e2u = np.exp(2 * fields["u"])
     out = {f"frame_gamma{j}": gamma_norm_law(fields[f"gamma{j}"], fields[f"C{j}"], e2u) for j in (1, 2)}
-    # joint curvature scale keeps the Kbar_perp check meaningful when it is 0 = 0
-    kbar_terms = (fields["Kbar"], fields["Kbar_direct"], fields["Kbar_perp"], fields["Kbar_perp_direct"])
+    # the factors have sectional curvature eps, so 1 is the natural scale of the ambient
+    # curvature R(e1, e2, e2, e1): where Kbar = Kbar_perp = 0 (the flat example-1 charts)
+    # the round-off of the two paths is measured against 1, not divided by EPS_FLOOR
+    kbar_terms = (fields["Kbar"], fields["Kbar_direct"], fields["Kbar_perp"], fields["Kbar_perp_direct"], 1.0)
     out["kbar_paths"] = max(
         normalized_mismatch(fields["Kbar"], fields["Kbar_direct"], terms=kbar_terms),
         normalized_mismatch(fields["Kbar_perp"], fields["Kbar_perp_direct"], terms=kbar_terms),
@@ -551,31 +572,30 @@ def _pointwise_residuals(fields):
     return out
 
 
-def identity_residuals(fields, eps):
-    """Normalized residuals of the scalar identities of a product chart into M2(eps) x M2(eps).
+def identity_residuals(fields, eps, Dx, Dy):
+    """Normalized residuals of the scalar identities of a product chart into M2(eps) x M2(eps),
+    and the Gauss curvature K = -e^{-2u} (u_xx + u_yy) at every point.
 
-    ``fields`` is the field dict of ``surface_invariants``' Chebyshev pass: x, y, the
-    fields of ``_pointwise_block`` and X1, X2, which hold (<X_j, Phi_x>, <X_j, Phi_y>)
-    on the last axis, X_j being the tangential part of J_j Htilde, on the tensor grid
-    of ``chebyshev``.  The stack (u, C1, C2, X1, X2) is differentiated, at every point,
-    boundary included, in four contractions: Dx, Dy, and Dxx, Dyy on u and C_j.  Keys:
+    ``fields`` is the field dict of ``surface_invariants``' Chebyshev pass, whose
+    differentiation matrices are Dx and Dy: the fields of ``_pointwise_block`` and X1_x,
+    X1_y, X2_x, X2_y, which hold <X_j, Phi_x> and <X_j, Phi_y>, X_j being the tangential
+    part of J_j Htilde.  ``chebyshev_derivatives`` differentiates u, C_j and the X_j
+    components once along each axis, and u and C_j twice, at every point.  Keys:
     eq5 (|f_j|^2 law), eq6 (gradient law), eq7 (Laplacian law), eq12 (div X_j), eq14
     (gradient-X law), plus those of ``_pointwise_residuals``.
     """
     u = fields["u"]
-    _, _, Dx, Dy = _chebyshev_grid(fields["x"], fields["y"])
-    Dxx, Dyy = apply_along(Dx, Dx, 0), apply_along(Dy, Dy, 0)
-    S = np.concatenate([np.stack([u, fields["C1"], fields["C2"]], axis=-1), fields["X1"], fields["X2"]], axis=-1)
-    Sx, Sy = apply_along(Dx, S, 0), apply_along(Dy, S, 1)
-    lap = apply_along(Dxx, S[..., :3], 0) + apply_along(Dyy, S[..., :3], 1)
+    Fx, Fy = chebyshev_derivatives({k: fields[k] for k in ("u", "C1", "C2", "X1_x", "X1_y", "X2_x", "X2_y")}, Dx, Dy)
+    Dxx, Dyy = apply_along(Dx, Dx, 0), apply_along(Dy, Dy, 0)  # D @ D, summed without BLAS
+    Fxx, Fyy = chebyshev_derivatives({k: fields[k] for k in ("u", "C1", "C2")}, Dxx, Dyy)
 
     e2u = np.exp(2 * u)
     Hsq = fields["Hnorm"] ** 2
-    K = -np.exp(-2 * u) * lap[..., 0]
+    K = -np.exp(-2 * u) * (Fxx["u"] + Fyy["u"])
     out = _pointwise_residuals(fields)
 
     for j in (1, 2):
-        C, f, theta, Xj = (fields[f"{k}{j}"] for k in ("C", "f", "theta", "X"))
+        C, f, theta = (fields[f"{k}{j}"] for k in ("C", "f", "theta"))
         sgn = (-1.0) ** j
         # eq5: |f_j|^2 = e^{4u}/8 (|H|^2 - K + eps C_j^2)
         out[f"eq5_j{j}"] = normalized_mismatch(
@@ -584,7 +604,7 @@ def identity_residuals(fields, eps):
             terms=(e2u**2 / 8.0 * (Hsq + np.abs(K) + C**2),),
         )
         # gradients of C_j
-        Cx, Cy = Sx[..., j], Sy[..., j]
+        Cx, Cy = Fx[f"C{j}"], Fy[f"C{j}"]
         grad_sq = np.exp(-2 * u) * (Cx**2 + Cy**2)
         # eq6
         lhs6 = grad_sq + 4.0 * eps * np.exp(-4 * u) * np.abs(theta) ** 2
@@ -592,20 +612,19 @@ def identity_residuals(fields, eps):
         scale6 = np.abs(1 - C**2 + 4 * eps * Hsq) * ((1 - C**2) / 4.0 + Hsq + C**2 + np.abs(K))
         out[f"eq6_j{j}"] = normalized_mismatch(lhs6, rhs6, terms=(scale6,))
         # eq7: Laplacian of C_j
-        lapC = np.exp(-2 * u) * lap[..., j]
+        lapC = np.exp(-2 * u) * (Fxx[f"C{j}"] + Fyy[f"C{j}"])
         rhs7 = -C * (4 * Hsq - 2 * K + eps * (1 + C**2))
         scale7 = np.abs(C) * (4 * Hsq + 2 * np.abs(K) + 1 + C**2) + Hsq
         out[f"eq7_j{j}"] = normalized_mismatch(lapC, rhs7, terms=(scale7,))
-        a1, a2 = Xj[..., 0], Xj[..., 1]
         # eq12: div X_j = (-1)^{j+1} 2 C_j |H|^2
-        div = np.exp(-2 * u) * (Sx[..., 2 * j + 1] + Sy[..., 2 * j + 2])
+        div = np.exp(-2 * u) * (Fx[f"X{j}_x"] + Fy[f"X{j}_y"])
         out[f"eq12_j{j}"] = normalized_mismatch(div, (-sgn) * 2.0 * C * Hsq, terms=(2.0 * Hsq,))
         # eq14: |grad C_j|^2 = (1 - C_j^2)(eps C_j^2 - K) + (-1)^j 2 <grad C_j, X_j>
-        pair = np.exp(-2 * u) * (a1 * Cx + a2 * Cy)
+        pair = np.exp(-2 * u) * (fields[f"X{j}_x"] * Cx + fields[f"X{j}_y"] * Cy)
         rhs14 = (1 - C**2) * (eps * C**2 - K) + sgn * 2.0 * pair
         scale14 = (1 - C**2) * (C**2 + np.abs(K)) + 2.0 * np.abs(pair) + Hsq
         out[f"eq14_j{j}"] = normalized_mismatch(grad_sq, rhs14, terms=(scale14,))
-    return out
+    return out, K
 
 
 # ---------------------------------------------------------------------------
@@ -696,22 +715,10 @@ def ar_theta(h_scalar, p, eta_z, eps):
     return h_scalar * p - 0.5 * eps * eta_z**2
 
 
-def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK):
-    """Abresch-Rosenberg data theta_AR = H p - (eps/2) eta_z^2 of a CMC chart.
-
-    The unit normal N is aligned with the mean curvature vector, so the scalar
-    mean curvature is positive.  The spread of |H| is measured, as
-    ``residuals["H_spread"]``, and not gated: each caller gates it at its own
-    tolerance with ``CmcData.require_cmc``.  Raises where H vanishes.
-    """
-    if chart.target not in (TARGET_LINE, TARGET_CIRCLE):
-        raise DomainError("abresch_rosenberg expects a chart into M2(eps) x R")
-    X, Y = chart.grid(nx, ny, shrink=shrink)
-    dx = X[1, 0] - X[0, 0]
-    dy = Y[0, 1] - Y[0, 0]
-    jet = sample_jet(chart, X, Y)
-    eps = chart.eps
-
+def _cmc_pointwise(jet):
+    """The pointwise fields of ``CmcData`` on one jet: u, the conformal defect, the unit normal N
+    along H, nu = N_4, the scalar H, p = <Phi_zz, N>, eta_z and theta_AR; raises where H = 0."""
+    eps = jet.eps
     u, defect = conformal_data(jet)
     e2u = np.exp(2 * u)
     P_hat = np.concatenate([jet.p[:3], np.zeros_like(jet.p[:1])])
@@ -728,44 +735,41 @@ def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK):
         raise DomainError("mean curvature vector vanishes somewhere: not a CMC chart with H != 0")
     H_scalar = np.sqrt(Hsq)
     N = Hvec / H_scalar
-    nu = N[3]
-
     p = jet.ip(jet.phi_zz, N)
     eta_z = jet.phi_z[3]
-    theta_ar = ar_theta(H_scalar, p, eta_z, eps)
+    return dict(u=u, conformal_defect=defect, N=N, nu=N[3], H_scalar=H_scalar, p=p, eta_z=eta_z,
+                theta_ar=ar_theta(H_scalar, p, eta_z, eps))
 
-    data = CmcData(
-        chart=chart,
-        x=X,
-        y=Y,
-        u=u,
-        conformal_defect=defect,
-        N=N,
-        nu=nu,
-        H_scalar=H_scalar,
-        p=p,
-        eta_z=eta_z,
-        theta_ar=theta_ar,
-    )
-    absolute, normalized = holomorphy_residual(theta_ar, dx, dy)
-    ingredient = float(np.max(H_scalar * np.abs(p) + 0.5 * np.abs(eta_z) ** 2))
+
+def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK):
+    """Abresch-Rosenberg data theta_AR = H p - (eps/2) eta_z^2 of a CMC chart.
+
+    The unit normal N is aligned with the mean curvature vector, so the scalar
+    mean curvature is positive.  ``_cmc_pointwise`` runs on the requested grid, which
+    gives the record and its pointwise residuals, and on the Chebyshev grid of the same
+    rectangle, where ``dzbar_residuals`` differentiates theta_AR.  The spread of |H| is
+    measured, as ``residuals["H_spread"]``, and not gated: each caller gates it at its
+    own tolerance with ``CmcData.require_cmc``.  Raises where H vanishes.
+    """
+    if chart.target not in (TARGET_LINE, TARGET_CIRCLE):
+        raise DomainError("abresch_rosenberg expects a chart into M2(eps) x R")
+    X, Y = chart.grid(nx, ny, shrink=shrink)
+    data = CmcData(chart=chart, x=X, y=Y, **_cmc_pointwise(sample_jet(chart, X, Y)))
+    Xc, Yc, Dx, Dy = _chebyshev_grid(X, Y)
+    spectral = _cmc_pointwise(sample_jet(chart, Xc, Yc))
+    # the ingredients H |p| + |eta_z|^2 / 2 of theta_AR scale its dzbar residual
+    ingredient = float(np.max(spectral["H_scalar"] * np.abs(spectral["p"]) + 0.5 * np.abs(spectral["eta_z"]) ** 2))
     data.residuals = {
-        "eta_z_law": eta_z_norm_law(eta_z, nu, e2u),
-        "H_spread": float(np.max(H_scalar) - np.min(H_scalar)),
-        "dzbar_theta_ar_abs": absolute,
-        "dzbar_theta_ar_norm": normalized,
-        "dzbar_theta_ar_scaled": absolute / (float(np.max(np.abs(theta_ar))) + ingredient + EPS_FLOOR),
-        "conformal_defect": float(np.max(defect)),
+        "eta_z_law": eta_z_norm_law(data.eta_z, data.nu, np.exp(2 * data.u)),
+        "H_spread": float(np.max(data.H_scalar) - np.min(data.H_scalar)),
+        **dzbar_residuals({"theta_ar": spectral["theta_ar"]}, {"theta_ar": ingredient}, Dx, Dy),
+        "conformal_defect": float(np.max(data.conformal_defect)),
     }
     return data
 
 
 def curvature_bound_excess(inv):
-    """Violation of the curvature bound K <= |H|^2 + (1 if eps=+1 else 0).
-
-    Returns the largest positive excess over the interior grid (0 when the
-    bound holds).
-    """
+    """Violation of the curvature bound K <= |H|^2 + (1 if eps=+1 else 0): the largest
+    K - bound over the record's grid, negative when the bound holds everywhere."""
     bound = inv.Hnorm**2 + (1.0 if inv.chart.eps == +1 else 0.0)
-    excess = inv.K - bound
-    return float(np.nanmax(excess))
+    return float(np.max(inv.K - bound))

@@ -113,8 +113,8 @@ def _jet_dict(p, px, py, pxx, pxy, pyy):
 
 
 def _product_jet(first, second):
-    """The jet of a map into a product: the two factor jets stacked key by key, first factor leading."""
-    return {k: np.concatenate([first[k], second[k]]) for k in first}
+    """The jet of a map into a product: the factors' components (arrays or lists) stacked in one copy."""
+    return {k: np.stack([*first[k], *second[k]]) for k in first}
 
 
 def _distinct(t):
@@ -147,8 +147,7 @@ def _curve_factor(curve, t, gather, along):
 def _with_height(jet3, eta, eta_x, eta_y, eta_xx):
     """Append the height component to a 3-block jet; the height is affine in y."""
     zero = np.zeros_like(eta)
-    height = _jet_dict(eta, eta_x, eta_y, eta_xx, zero, zero)
-    return _product_jet(jet3, {k: v[None] for k, v in height.items()})
+    return _product_jet(jet3, {k: [v] for k, v in _jet_dict(eta, eta_x, eta_y, eta_xx, zero, zero).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +183,7 @@ def _entries(M):
 
 
 def _orbit_jet(A, nu_sq, base, f, gather, drift):
-    """3-block jet of exp(f A) beta(x), the first factor of every invariant family.
+    """3-block jet of exp(f A) beta(x), each key a list of components: every invariant family's first factor.
 
     ``A`` is a constant generator with A^3 = -nu_sq A, so
     G = exp(f A) = I + S1 A + S2 A^2 with (S1, S2) from
@@ -226,7 +225,7 @@ def _orbit_jet(A, nu_sq, base, f, gather, drift):
         pxx = combine((1.0, r), (2.0 * fx, Aq), (fxx, Ap), (fx * fx, A2p))
         pxy = combine((1.0, Aq), (fx, A2p))
     zero = np.zeros(np.shape(f) if gather is None else gather.shape)
-    return _jet_dict(*(np.stack([zero if w is None else w for w in v]) for v in (p, px, Ap, pxx, pxy, A2p)))
+    return _jet_dict(*([zero if w is None else w for w in v] for v in (p, px, Ap, pxx, pxy, A2p)))
 
 
 def _gather_base(base, ix):

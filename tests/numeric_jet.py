@@ -3,6 +3,9 @@
 ``fd_chart`` wraps a chart in a jet of centered second-order differences of
 its points.  It is not part of the library: every chart answers its own exact
 2-jet, and only the tests compare that jet with differences of ``evaluate``.
+``holomorphy_residual`` is the same stencil for d/dz-bar of a field on a
+uniform grid; the library differentiates spectrally, and the tests keep the
+stencil to read the second-order decay of numeric jets.
 """
 
 from dataclasses import replace
@@ -52,3 +55,18 @@ def fd_chart(chart, step):
                     pxx=(p_xp - 2 * p + p_xm) / d**2, pxy=pxy, pyy=(p_yp - 2 * p + p_ym) / d**2)
 
     return replace(chart, jet=jet)
+
+
+def holomorphy_residual(theta, dx, dy):
+    """(absolute, normalized) size of d/dz-bar of a field sampled on a uniform grid.
+
+    The absolute value is max |d_zbar theta| over the interior, by centered
+    differences (``np.gradient``, second order at the edges); the normalized
+    one divides by max |theta| + 1e-12.  Grids smaller than 5x5 are rejected.
+    """
+    theta = np.asarray(theta)
+    if theta.shape[0] < 5 or theta.shape[1] < 5:
+        raise DomainError("holomorphy residual needs at least a 5x5 grid")
+    dzb = 0.5 * (np.gradient(theta, dx, axis=0, edge_order=2) + 1j * np.gradient(theta, dy, axis=1, edge_order=2))
+    absolute = float(np.max(np.abs(dzb[1:-1, 1:-1])))
+    return absolute, absolute / (float(np.max(np.abs(theta))) + 1e-12)

@@ -19,7 +19,6 @@ from pmcsurf.correspondence import (
 from pmcsurf.diffgeo import (
     abresch_rosenberg,
     curvature_bound_excess,
-    holomorphy_residual,
     hopf_coefficients,
     normal_frame,
     sample_jet,
@@ -38,7 +37,7 @@ from pmcsurf.families import (
 )
 from pmcsurf.profile import ProfileParams, closed_form
 
-from numeric_jet import fd_chart
+from numeric_jet import fd_chart, holomorphy_residual
 
 STATE = {}
 

@@ -332,12 +332,20 @@ def test_report_battery(tmp_path):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_grids_below_five_points_are_rejected(tmp_path, capsys):
+def test_grids_below_two_points_are_rejected(tmp_path, capsys):
     for command in ("verify", "generate"):
         with pytest.raises(SystemExit) as exc:
             main([command, "--family", "T", "--a", "0.6", "--b", "0.8", "--nx", "1", "--out", str(tmp_path)])
         assert exc.value.code == 2
-        assert "at least 5 points" in capsys.readouterr().err
+        assert "at least 2 points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", [["T", "--a", "0.6", "--b", "0.8"], ["prop4"], ["example4"]])
+def test_verify_passes_on_grids_of_two_to_four_points(tmp_path, family, n):
+    # every derivative is taken on the Chebyshev grid of the rectangle, so a grid needs
+    # only its two ends per axis
+    assert main(["verify", "--family", *family, "--nx", str(n), "--ny", str(n), "--out", str(tmp_path)]) == EXIT_OK
 
 
 def test_failed_precondition_is_a_typed_exit(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ from pmcsurf.correspondence import (
     weak_congruence_check,
 )
 from pmcsurf.ambient import cross_eps, inner, norm3
-from pmcsurf.diffgeo import abresch_rosenberg, sample_jet
+from pmcsurf.diffgeo import abresch_rosenberg, parallelism_residual, sample_jet
 from pmcsurf.errors import DomainError, PreconditionError, VerificationError
 from pmcsurf.families import (
     ImmersionChart,
@@ -97,21 +97,41 @@ def test_extract_refuses_non_pmc():
 
 
 def test_extract_checks_parallelism_on_the_sampled_rectangle(monkeypatch):
-    # parallelism_residual reads only the corners of its grid, so those must be
-    # the sampled rectangle's; at 50 nodes a stride of nx // 16 = 3 would end
-    # at index 48 and leave out its last row and column
+    # the parallelism gate's Chebyshev grid is built from the corners of the grid it
+    # is given, so those must be the sampled rectangle's; at 50 nodes a stride of
+    # nx // 16 = 3 would end at index 48 and leave out its last row and column.  The
+    # compatibility residuals read the same grid
     import pmcsurf.correspondence as corr
 
-    residual = corr.parallelism_residual
+    grid = corr._chebyshev_grid
     corners = []
 
-    def recorded(chart, X, Y):
+    def recorded(X, Y):
         corners.append((X[0, 0], X[-1, 0], Y[0, 0], Y[0, -1]))
-        return residual(chart, X, Y)
+        return grid(X, Y)
 
-    monkeypatch.setattr(corr, "parallelism_residual", recorded)
+    monkeypatch.setattr(corr, "_chebyshev_grid", recorded)
     data = extract_pmc_data(prop4_chart(), nx=50, ny=50)
-    assert corners == [(data.x[0, 0], data.x[-1, 0], data.y[0, 0], data.y[0, -1])]
+    assert corners == [(data.x[0, 0], data.x[-1, 0], data.y[0, 0], data.y[0, -1])] * 2
+    assert data.residuals["parallelism"] == parallelism_residual(prop4_chart(), data.x, data.y)
+
+
+def test_extract_samples_the_chebyshev_grid_once(monkeypatch):
+    # the parallelism gate's jet gives the Frenet data that the data gate reads on the
+    # Chebyshev grid: one jet there and one on the nodes
+    from pmcsurf.diffgeo import CHEB_N
+
+    chart = fresh_prop4_chart()
+    jet = chart.jet
+    sizes = []
+
+    def counted(x, y):
+        sizes.append(np.size(x))
+        return jet(x, y)
+
+    monkeypatch.setattr(chart, "jet", counted)
+    extract_pmc_data(chart, nx=33, ny=33)
+    assert sorted(sizes) == [33 * 33, (CHEB_N + 1) ** 2]
 
 
 def test_pmc_to_cmc_eta_matches_family_display():
@@ -599,7 +619,7 @@ def test_memoised_fields_are_those_of_a_fresh_closure():
     distinct = {(x.tobytes(), y.tobytes()) for x, y, _ in answered}
     assert len(distinct) < len(answered)
     for x, y, out in answered:
-        fresh = _pmc_point_fields(chart)(x, y)
+        fresh = _pmc_point_fields(chart, {})(x, y)
         assert out.keys() == fresh.keys()
         for key, arr in fresh.items():
             assert np.array_equal(out[key], arr) and out[key].dtype == arr.dtype, key

@@ -1,12 +1,13 @@
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pmcsurf import diffgeo
 from pmcsurf.ambient import factor_j, metric_diag, orientation_form
-from pmcsurf.cli import BATTERY, build_chart, build_parser
+from pmcsurf.cli import BATTERY, _verify_product, build_chart, build_parser
 from pmcsurf.curves import CurveSpec, constant_curvature_curve, integrate_curve
 from pmcsurf.diffgeo import (
     _pointwise_block,
@@ -15,7 +16,6 @@ from pmcsurf.diffgeo import (
     chebyshev,
     conformal_data,
     curvature_bound_excess,
-    holomorphy_residual,
     hopf_coefficients,
     hopf_definitional,
     kaehler_functions,
@@ -34,6 +34,7 @@ from pmcsurf.families import (
     cmc_profile_family,
     cmc_sinh_chart,
     cmc_torus,
+    example1_chart,
     geodesic_inclusion,
     pmc_phi0,
     pmc_profile_family,
@@ -43,7 +44,8 @@ from pmcsurf.families import (
 )
 from pmcsurf.profile import ProfileParams, closed_form
 
-from numeric_jet import fd_chart
+from conformal_chart import conformal_chart, exp_map
+from numeric_jet import fd_chart, holomorphy_residual
 
 # charts reused across tests (construction is the expensive part)
 CHARTS = {}
@@ -262,6 +264,83 @@ def test_holomorphy_residual_witnesses():
     assert absolute < 1e-12
     with pytest.raises(DomainError):
         holomorphy_residual(np.zeros((4, 4)), 0.1, 0.1)
+
+
+def test_spectral_dzbar_witnesses():
+    # on the Chebyshev grid d/dz-bar is exact to round-off for analytic fields: a holomorphic
+    # polynomial or exponential reads 0 relative to its size, and z-bar reads its derivative 1
+    x, Dx = chebyshev(-1.0, 0.6)
+    y, Dy = chebyshev(-0.4, 0.9)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    z = X + 1j * Y
+    fields = {"poly": z**3 - 2j * z + 0.3, "exp": np.exp(z), "zbar": np.conj(z), "const": np.full_like(z, 0.7j)}
+    ones = {k: 0.0 for k in fields}
+    res = diffgeo.dzbar_residuals(fields, ones, Dx, Dy)
+    for k in ("poly", "exp", "const"):
+        assert res[f"dzbar_{k}_norm"] < 1e-12, (k, res[f"dzbar_{k}_norm"])
+    assert res["dzbar_zbar_abs"] == pytest.approx(1.0, abs=1e-12)
+    # the scaled key divides by the field and its ingredients
+    scaled = diffgeo.dzbar_residuals({"zbar": fields["zbar"]}, {"zbar": 2.0}, Dx, Dy)["dzbar_zbar_scaled"]
+    assert scaled == pytest.approx(res["dzbar_zbar_abs"] / (np.max(np.abs(fields["zbar"])) + 2.0 + diffgeo.EPS_FLOOR))
+
+
+def test_chebyshev_interpolation_is_exact_on_polynomials():
+    # the barycentric interpolant reproduces a polynomial of degree CHEB_N anywhere in the
+    # interval, and a target on a Chebyshev point takes that point's value exactly
+    x, _ = chebyshev(-0.3, 1.7)
+    t = np.concatenate([np.linspace(-0.3, 1.7, 37), x[[5, 24]]])
+    poly = np.polynomial.Polynomial(np.random.default_rng(3).normal(size=diffgeo.CHEB_N + 1), domain=(-0.3, 1.7))
+    L = diffgeo.chebyshev_interpolation(x, t)
+    assert np.max(np.abs(L @ poly(x) - poly(t))) < 1e-12 * np.max(np.abs(poly(x)))
+    assert np.array_equal(L[-2:], np.eye(len(x))[[5, 24]])
+
+
+def test_record_curvature_is_the_spectral_K():
+    # the record's K is the Chebyshev interpolant of the spectral K: no NaN ring, and
+    # example2's closed form K = -lam^2 / ((1 + lam^2) cosh^4(lam x)) at every point
+    inv = small_inv("example2", nx=81, ny=41)
+    assert not np.any(np.isnan(inv.K))
+    assert np.max(np.abs(inv.K + 1.0 / (2.0 * np.cosh(inv.x) ** 4))) < 1e-9
+    for n in (2, 5):
+        inv = small_inv("example2", nx=n, ny=n)
+        assert np.max(np.abs(inv.K + 1.0 / (2.0 * np.cosh(inv.x) ** 4))) < 1e-9, n
+
+
+def _reparametrised(name, k):
+    """An example-1 chart composed with z = (e^{kw} - 1)/k on [-0.5, 0.5]^2; T on a rectangle
+    centred at 0 that holds the image."""
+    kw = {"T": dict(a=0.6, ahat=0.8, domain=(-1.5, 1.5, -1.5, 1.5)), "Chat": dict(a=np.sqrt(2.0)), "Ptilde": {}}[name]
+    return conformal_chart(example1_chart(name, **kw), exp_map(k), (-0.5, 0.5, -0.5, 0.5))
+
+
+@pytest.mark.parametrize("name, k", [("T", 1.0), ("Chat", 1.0), ("Ptilde", 1.0), ("T", 1.5), ("T", 2.0)])
+def test_reparametrised_example1_charts_verify(name, k):
+    # a conformal reparametrisation is the same surface: verify passes it at 41^2, though its
+    # Hopf differentials vary in both variables and Kbar = 0 at every point
+    ch = _reparametrised(name, k)
+    failed = [(check, value) for check, value, tol in _verify_product(ch, SimpleNamespace(nx=41, ny=41)) if value > tol]
+    assert not failed, failed
+
+
+def test_reparametrised_chart_follows_the_transformation_laws():
+    # u goes to u(g) + log|g'|, C_j and |H| stay, theta_j goes to theta_j(g) g'^2
+    k = 1.5
+    g, dg, _ = exp_map(k)
+    parent = example1_chart("T", a=0.6, ahat=0.8, domain=(-1.5, 1.5, -1.5, 1.5))
+    ch = conformal_chart(parent, exp_map(k), (-0.5, 0.5, -0.5, 0.5))
+    S, T = ch.grid(9, 9)
+    w = S + 1j * T
+    z = g(w)
+    new, old = (_pointwise_block(jet, normal_frame(jet))
+                for jet in (sample_jet(ch, S, T), sample_jet(parent, z.real, z.imag)))
+    assert np.max(np.abs(new["u"] - old["u"] - np.log(np.abs(dg(w))))) < 1e-13
+    for key in ("C1", "C2", "Hnorm"):
+        assert np.max(np.abs(new[key] - old[key])) < 1e-13, key
+    for key in ("theta1", "theta2"):
+        assert np.max(np.abs(new[key] - old[key] * dg(w) ** 2)) < 1e-12, key
+    assert np.ptp(np.abs(new["theta1"])) > 0.1  # two-variable data
+    with pytest.raises(DomainError):
+        conformal_chart(parent, exp_map(k), (-1.0, 1.0, -1.0, 1.0))
 
 
 def test_holomorphy_decay_numeric_jets():
@@ -512,11 +591,17 @@ def test_record_is_the_pointwise_pass_of_the_requested_grid():
             if f.name in block:
                 assert np.array_equal(getattr(inv, f.name), block[f.name], equal_nan=True), (ch.name, f.name)
         assert inv.parallelism_residual == parallelism_residual(ch, X, Y), ch.name
-        dx, dy = X[1, 0] - X[0, 0], Y[0, 1] - Y[0, 0]
+        # the holomorphy residuals are those of the Chebyshev pass of the same rectangle,
+        # its theta_j differentiated here as complex fields, at every point
+        Xc, Yc, Dx, Dy = diffgeo._chebyshev_grid(X, Y)
+        jet = sample_jet(ch, Xc, Yc)
+        cheb = _pointwise_block(jet, normal_frame(jet))
         for j in (1, 2):
-            absolute, normalized = holomorphy_residual(block[f"theta{j}"], dx, dy)
-            assert inv.holomorphy[f"dzbar_theta{j}_abs"] == absolute, ch.name
-            assert inv.holomorphy[f"dzbar_theta{j}_norm"] == normalized, ch.name
+            theta = cheb[f"theta{j}"]
+            absolute = float(np.max(np.abs(0.5 * (apply_along(Dx, theta, 0) + 1j * apply_along(Dy, theta, 1)))))
+            assert inv.holomorphy[f"dzbar_theta{j}_abs"] == pytest.approx(absolute, rel=1e-12, abs=1e-300), ch.name
+            normalized = absolute / (float(np.max(np.abs(theta))) + diffgeo.EPS_FLOOR)
+            assert inv.holomorphy[f"dzbar_theta{j}_norm"] == pytest.approx(normalized, rel=1e-12, abs=1e-300), ch.name
 
 
 def nine_point_jet(ev, X, Y, d):
