@@ -28,6 +28,7 @@ from .correspondence import (
 from .diffgeo import (
     SHRINK,
     abresch_rosenberg,
+    cmc_record,
     conformal_data,
     curvature_bound_excess,
     hopf_theta,
@@ -330,7 +331,7 @@ def cmd_correspond(args):
         rec, rep = integrate_cmc_frenet(dj)
         recs.append(rec)
         dj.to_csv(out / f"cmc_data_j{j}.csv")
-        ar = abresch_rosenberg(rec, nx=min(args.nx, 41), ny=min(args.ny, 41), shrink=0.04).require_cmc(1e-3)
+        ar = cmc_record(rec, min(args.nx, 41), min(args.ny, 41), 0.04).require_cmc(1e-3)
         X, Y = rec.grid(args.nx, args.ny, shrink=0.02)
         _write_cmc_obj(out / f"cmc_chart_j{j}.obj", rec.evaluate(X, Y), args.nx, args.ny)
         report.append(f"reconstruction_{j}_H={float(np.mean(ar.H_scalar)):.12g}")

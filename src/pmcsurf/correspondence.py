@@ -24,9 +24,9 @@ from .diffgeo import (
     _chebyshev_grid,
     _parallelism,
     _real_stack,
-    abresch_rosenberg,
     ar_theta,
     chebyshev_derivatives,
+    cmc_record,
     conformal_data,
     eta_z_norm_law,
     frenet_scalars,
@@ -45,7 +45,7 @@ PARALLELISM_GATE = 1e-4
 DATA_TOL = 1e-3
 MIXED_TOL = 1e-5  # gate on the mixed-partial residual of the eta integrands
 CONGRUENCE_TOL = 1e-3  # aligned distance below which two charts count as congruent
-_BLOCK_ROWS = 8  # node columns per field evaluation of the column march
+_PASS_POINTS = 6000  # Gauss points per field evaluation of the column march: 41 columns at 41x41, 25 at 81x81
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +750,8 @@ def _algebra(system, operators, F, axis):
     scale = np.stack([np.exp(-u), np.ones(np.shape(u)), np.exp(u)])
     r = rows[slot]
     A = np.zeros((w, w) + np.shape(u))
-    A[r, col] = np.moveaxis(np.einsum("...t,tn->...n", coef, L), -1, 0) * scale[moves[col] - moves[r] + 1]
+    E = np.moveaxis(np.einsum("...t,tn->...n", coef, L), -1, 0)
+    A[r, col] = np.multiply(E, scale[moves[col] - moves[r] + 1], out=E)
     A[rows[1:3], rows[1:3]] -= F[("ux", "uy")[axis]]
     A[h, :len(g)] = -A[:len(g), h] * (g[h] / g).reshape((-1,) + (1,) * np.ndim(u))
     return A
@@ -759,16 +760,15 @@ def _algebra(system, operators, F, axis):
 def _march_grid(system, operators, F0, fields, x, y):
     """March a Frenet frame over the node grid from ``F0`` at its corner.
 
-    A line's frames are the prefix products (``curves._prefix_products``)
-    of its step propagators, applied to its first frame; the algebra is read
-    from ``fields`` at the Gauss points of the steps.  The step is the
-    engine's one group step, ``curves._magnus_propagators``, which the curve
-    march of ``curves.integrate_curve`` takes too.  Marches the bottom row
-    first, then the columns from it, a block of ``_BLOCK_ROWS`` columns per
-    field evaluation; the top row is marched again from its left end, and
-    its largest point distance from the columns' ends is the loop closure.
-    The bottom and the top row share one field evaluation.  Returns the
-    frames, shape (rows, dim, nx, ny), and the loop closure.
+    A line's frames are the prefix products (``curves._prefix_products``) of
+    its steps, ``curves._magnus_propagators`` as in the curve march, applied
+    to its first frame; the algebra is read from ``fields`` at the Gauss
+    points of the steps.  Marches the bottom row, then the columns from it,
+    as many per field evaluation as keep its Gauss points within
+    ``_PASS_POINTS`` (at least one; the frames do not depend on the grouping);
+    the top row is marched again from its left end, sharing the bottom row's
+    field evaluation, and its largest point distance from the columns' ends
+    is the loop closure.  Returns the frames, (rows, dim, nx, ny), and it.
     """
     xs, ys = x[:, 0], y[0, :]
 
@@ -782,8 +782,9 @@ def _march_grid(system, operators, F0, fields, x, y):
     frames[..., 0, 0] = F0
     frames[..., 1:, 0] = _mul(along_rows[:, :, 0], F0[:, :, None])
     yg = _gauss_points(ys)
-    for i in range(0, len(xs), _BLOCK_ROWS):
-        block = slice(i, i + _BLOCK_ROWS)
+    width = max(1, _PASS_POINTS // len(yg))
+    for i in range(0, len(xs), width):
+        block = slice(i, i + width)
         P = lines(*np.meshgrid(xs[block], yg, indexing="ij"), 1, ys)
         frames[..., block, 1:] = _mul(P, frames[..., block, 0, None])
     top = _mul(along_rows[:, :, 1], frames[..., 0, -1, None])
@@ -831,20 +832,15 @@ def integrate_cmc_frenet(data):
     with the point Psi as an affine fifth row.  Its x and y algebras come
     from the Frenet system (``_cmc_rhs_blocks``) on the frame-coordinate
     basis, with the data read from ``data.fields`` or, when that is None,
-    from one quintic tensor spline of the node arrays, at the three Gauss
-    points of every step.  Each node interval is one sixth-order Magnus step
-    mapped into the group by the (3, 3) Pade approximant of exp, so the
-    frame stays on its group with no projection, and each line's nodes are
-    the prefix products of its steps (``_march_grid``).  The rebuilt point
-    takes its factor part from the Psi-hat row, which stays on the quadric,
-    and its height from the affine row.  Marches the bottom row first, then
-    the columns; the top row is marched independently and the loop-closure
-    defect reported.  Returns the reconstructed chart, whose jet is one
-    evaluation of a quintic tensor spline through the marched points, the
-    first derivatives e^u e1, e^u e2 and the Frenet second derivatives at
-    the nodes, and a report dictionary.  The march and the spline are numpy
-    code with no BLAS call, so the chart's bits do not depend on the BLAS
-    kernel.
+    from one quintic tensor spline of the node arrays (``_march_grid``).
+    The Pade map keeps the frame on its group with no projection.  The
+    rebuilt point takes its factor part from the Psi-hat row, which stays on
+    the quadric, and its height from the affine row.  Returns the rebuilt
+    chart, one quintic tensor spline through the marched points, e^u e1,
+    e^u e2 and the Frenet second derivatives at the nodes, and a report of
+    the loop closure and of H and theta_AR on ``cmc_record`` of the chart.
+    No step makes a BLAS call, so the chart's bits do not depend on the
+    BLAS kernel.
     """
     eps = data.eps
     nx, ny = data.x.shape
@@ -859,7 +855,7 @@ def integrate_cmc_frenet(data):
         data, _cmc_system(eps, data.Hval), start, TARGET_LINE, "cmc_reconstruction", {"Hval": data.Hval}
     )
     report = {"loop_closure": closure}
-    ar = abresch_rosenberg(chart, nx=min(nx, 41), ny=min(ny, 41), shrink=0.03).require_cmc(1e-3)
+    ar = cmc_record(chart, min(nx, 41), min(ny, 41), 0.03).require_cmc(1e-3)
     report["H_match"] = float(np.max(np.abs(ar.H_scalar - data.Hval)))
     xg, yg = ar.x, ar.y
     Fa = fields(xg, yg)
@@ -1002,12 +998,13 @@ def factor_isometry_from_frames(pA, vA, pB, vB, eps, reflect=False):
 
     The columns (p, e, J e) of a frame matrix M are orthogonal under the
     ambient metric G with Gram diag(eps, 1, 1), so M^{-1} = diag(eps, 1, 1) M^T G
-    and the isometry MB MA^{-1} is one product, written out elementwise
-    (``curves._mul``): no bit depends on a BLAS kernel.
+    and the isometry MB MA^{-1} is one ``curves._mul``, with no BLAS call.  Its
+    operands are made C-ordered (MA^T G is not), as the einsum's summation
+    order follows their layout.
     """
     MA = _factor_frame_matrix(pA, vA, eps)
     MB = _factor_frame_matrix(pB, vB, eps, reflect=reflect)
-    return _mul(MB * np.array([eps, 1.0, 1.0]), MA.T * metric_diag(eps))
+    return _mul(np.ascontiguousarray(MB * np.array([eps, 1.0, 1.0])), np.ascontiguousarray(MA.T * metric_diag(eps)))
 
 
 def _aligned_factor_distance(pA, vA, pB, vB, eps, reflect):

@@ -237,31 +237,26 @@ _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * (np.sqrt(15.0) / 10.0)  # three-poin
 def _mul(A, B):
     """A B for stacks of matrices on a (d, d, ...) and a (d, m, ...) layout, the stack on the trailing axes.
 
-    Each entry sums A[i, j] B[j, l] over j = 0, ..., d - 1 in that order, with
-    d multiplies and d - 1 adds on whole arrays, so no BLAS kernel is
-    involved; the products go through one scratch array and the sum
-    accumulates in place.  The curve march (d = 3) and the Frenet march of
+    One ``np.einsum`` with no path optimization, so no BLAS kernel: on C-ordered operands each entry
+    sums A[i, j] B[j, l] over j = 0, ..., d - 1 in order, from +0.0 (the order follows the operands'
+    layout, so single matrices come C-ordered).  The curve march (d = 3) and the Frenet march of
     ``correspondence`` (d = 5 and 6) share it.
     """
-    P = A[:, 0, None] * B[None, 0]
-    term = np.empty_like(P)
-    for j in range(1, len(B)):
-        P += np.multiply(A[:, j, None], B[None, j], out=term)
-    return P
+    return np.einsum("ij...,jk...->ik...", A, B)
 
 
 def _commutator(X, Y):
-    return _mul(X, Y) - _mul(Y, X)
+    C = _mul(X, Y)
+    return np.subtract(C, _mul(Y, X), out=C)
 
 
-def _solve(Q, P):
-    """Q^{-1} P for stacks of square matrices on a (d, d, ...) layout.
+def _solve(Q, X):
+    """Q^{-1} X for stacks of square matrices on a (d, d, ...) layout, eliminating in place on Q and X.
 
     Elimination without pivoting, every row operation elementwise on whole
     arrays and in a fixed order, so no bit depends on a BLAS kernel; the
     Pade denominators it serves are I + O(h) and need no pivoting.
     """
-    Q, X = Q.copy(), P.copy()
     d = len(Q)
     for p in range(d - 1):
         m = Q[p + 1:, p] / Q[p, p]
@@ -286,19 +281,24 @@ def _magnus_propagators(A, h):
     q(W) = I + W/2 + W^2/10 + W^3/120, is sixth order, and r(-W) r(W) = I
     puts r(W) in the group of every W of its algebra (Hairer, Lubich and
     Wanner, *Geometric Numerical Integration*, Sec. IV.8).  Returns the
-    propagators on a (d, d, ..., n) layout.
+    propagators on a (d, d, ..., n) layout.  The stages reuse their stacks in
+    place and swap only commuting operands, so every bit is the formulas'.
     """
     A1, A2, A3 = A[..., 0], A[..., 1], A[..., 2]
     a1 = h * A2
-    a2 = (np.sqrt(15.0) / 3.0 * h) * (A3 - A1)
-    a3 = (10.0 / 3.0 * h) * ((A3 - 2.0 * A2) + A1)
+    a2 = (A3 - A1) * (np.sqrt(15.0) / 3.0 * h)
+    a3 = ((A3 - 2.0 * A2) + A1) * (10.0 / 3.0 * h)
     C1 = _commutator(a1, a2)
-    C2 = _commutator(a1, 2.0 * a3 + C1) / -60.0
-    W = (a1 + a3 / 12.0) + _commutator((C1 - 20.0 * a1) - a3, a2 + C2) / 240.0
+    a2 += _commutator(a1, 2.0 * a3 + C1) / -60.0  # a2 + C2
+    C1 -= 20.0 * a1
+    C1 -= a3
+    W = _commutator(C1, a2) / 240.0 + (a1 + a3 / 12.0)
+    del a1, a2, a3, C1  # the Pade stage reuses their memory
     W2 = _mul(W, W)
-    even = np.eye(len(W)).reshape(W.shape[:2] + (1,) * (W.ndim - 2)) + W2 / 10.0
-    odd = W / 2.0 + _mul(W2, W) / 120.0
-    return _solve(even - odd, even + odd)
+    odd = _mul(W2, W) / 120.0 + W / 2.0
+    W2 /= 10.0
+    W2 += np.eye(len(W)).reshape(W.shape[:2] + (1,) * (W.ndim - 2))  # the even part
+    return _solve(W2 - odd, np.add(W2, odd, out=W2))
 
 
 def _gauss_points(t):
@@ -349,17 +349,16 @@ def integrate_curve(spec, x_span, step):
 
     Marches the frame F = (psi, T, N), N = J T, of the linear system
     psi' = s T, T' = s (k N - eps psi), N' = -s k T, whose Gram matrix
-    diag(eps, 1, 1) is constant.  Each step is one 3x3 group element, the
-    sixth-order Magnus step with the (3, 3) Pade map (``_magnus_propagators``,
-    the step of the Frenet march of ``correspondence``), and the frame at
-    node i is the prefix product R_{i-1} ... R_0 F_0 (``_prefix_products``),
-    every product and solve written out elementwise, so the nodes do not
-    depend on a BLAS kernel.  psi and T are projected once, at all nodes
-    together, back onto the quadric and its tangent plane with
-    ``project_to_factor``, ``tangent_project3`` and ``norm3``.  x = 0
-    anchors the initial frame (p0, T0), so a span without 0 raises
-    ``InfeasibleParameters``, and so does a step that is not positive and
-    finite (a span too short to divide).
+    diag(eps, 1, 1) is constant.  Each step is one 3x3 group element,
+    ``_magnus_propagators`` as in the Frenet march of ``correspondence``, and
+    the frame at node i is the prefix product R_{i-1} ... R_0 F_0
+    (``_prefix_products``); every product is one einsum (``_mul``) and every
+    solve elementwise, so the nodes do not depend on a BLAS kernel.  psi and
+    T are projected once, at all nodes together, back onto the quadric and
+    its tangent plane with ``project_to_factor``, ``tangent_project3`` and
+    ``norm3``.  x = 0 anchors the initial frame (p0, T0), so a span without
+    0 raises ``InfeasibleParameters``, and so does a step that is not
+    positive and finite (a span too short to divide).
 
     The march runs forward from 0, then backward.  Before each direction,
     ``spec.speed`` and ``spec.curvature`` are called once, on one flat array

@@ -609,7 +609,8 @@ def identity_residuals(fields, eps, Dx, Dy):
         # eq6
         lhs6 = grad_sq + 4.0 * eps * np.exp(-4 * u) * np.abs(theta) ** 2
         rhs6 = (1 - C**2 + 4 * eps * Hsq) * (eps * (1 - C**2) / 4.0 + Hsq + eps * C**2 - K)
-        scale6 = np.abs(1 - C**2 + 4 * eps * Hsq) * ((1 - C**2) / 4.0 + Hsq + C**2 + np.abs(K))
+        # the sizes of the terms, not of their sum, which is 0 where eps = -1 and 1 - C^2 = 4|H|^2
+        scale6 = (np.abs(1 - C**2) + 4 * Hsq) * ((1 - C**2) / 4.0 + Hsq + C**2 + np.abs(K))
         out[f"eq6_j{j}"] = normalized_mismatch(lhs6, rhs6, terms=(scale6,))
         # eq7: Laplacian of C_j
         lapC = np.exp(-2 * u) * (Fxx[f"C{j}"] + Fyy[f"C{j}"])
@@ -741,30 +742,32 @@ def _cmc_pointwise(jet):
                 theta_ar=ar_theta(H_scalar, p, eta_z, eps))
 
 
-def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK):
-    """Abresch-Rosenberg data theta_AR = H p - (eps/2) eta_z^2 of a CMC chart.
-
-    The unit normal N is aligned with the mean curvature vector, so the scalar
-    mean curvature is positive.  ``_cmc_pointwise`` runs on the requested grid, which
-    gives the record and its pointwise residuals, and on the Chebyshev grid of the same
-    rectangle, where ``dzbar_residuals`` differentiates theta_AR.  The spread of |H| is
-    measured, as ``residuals["H_spread"]``, and not gated: each caller gates it at its
-    own tolerance with ``CmcData.require_cmc``.  Raises where H vanishes.
-    """
+def cmc_record(chart, nx, ny, shrink):
+    """The record of ``abresch_rosenberg`` without its Chebyshev pass: ``_cmc_pointwise`` on the requested
+    grid, with the pointwise residuals eta_z_law, conformal_defect and H_spread, which is measured, not gated:
+    each caller gates it with ``CmcData.require_cmc``.  Raises where H vanishes."""
     if chart.target not in (TARGET_LINE, TARGET_CIRCLE):
         raise DomainError("abresch_rosenberg expects a chart into M2(eps) x R")
     X, Y = chart.grid(nx, ny, shrink=shrink)
     data = CmcData(chart=chart, x=X, y=Y, **_cmc_pointwise(sample_jet(chart, X, Y)))
-    Xc, Yc, Dx, Dy = _chebyshev_grid(X, Y)
-    spectral = _cmc_pointwise(sample_jet(chart, Xc, Yc))
-    # the ingredients H |p| + |eta_z|^2 / 2 of theta_AR scale its dzbar residual
-    ingredient = float(np.max(spectral["H_scalar"] * np.abs(spectral["p"]) + 0.5 * np.abs(spectral["eta_z"]) ** 2))
     data.residuals = {
         "eta_z_law": eta_z_norm_law(data.eta_z, data.nu, np.exp(2 * data.u)),
         "H_spread": float(np.max(data.H_scalar) - np.min(data.H_scalar)),
-        **dzbar_residuals({"theta_ar": spectral["theta_ar"]}, {"theta_ar": ingredient}, Dx, Dy),
         "conformal_defect": float(np.max(data.conformal_defect)),
     }
+    return data
+
+
+def abresch_rosenberg(chart, nx=81, ny=81, shrink=SHRINK):
+    """Abresch-Rosenberg data theta_AR = H p - (eps/2) eta_z^2 of a CMC chart: ``cmc_record``, whose unit normal
+    N is along the mean curvature vector (so the scalar mean curvature is positive), and d/dz-bar of theta_AR by
+    ``dzbar_residuals`` on a second ``_cmc_pointwise`` pass, on the Chebyshev grid of the same rectangle."""
+    data = cmc_record(chart, nx, ny, shrink)
+    Xc, Yc, Dx, Dy = _chebyshev_grid(data.x, data.y)
+    spectral = _cmc_pointwise(sample_jet(chart, Xc, Yc))
+    # the ingredients H |p| + |eta_z|^2 / 2 of theta_AR scale its dzbar residual
+    ingredient = float(np.max(spectral["H_scalar"] * np.abs(spectral["p"]) + 0.5 * np.abs(spectral["eta_z"]) ** 2))
+    data.residuals.update(dzbar_residuals({"theta_ar": spectral["theta_ar"]}, {"theta_ar": ingredient}, Dx, Dy))
     return data
 
 

@@ -253,25 +253,24 @@ def test_control_on_a_narrow_rectangle_writes_a_report(tmp_path):
 
 
 def test_generate_and_correspond_gate_the_h_spread_they_read(tmp_path, monkeypatch, capsys):
-    # abresch_rosenberg measures the |H| spread; generate gates it at 1e-6 (the
-    # side-car's invariants_error) and correspond at 1e-3, on each reconstruction
+    # abresch_rosenberg and cmc_record measure the |H| spread; generate gates it
+    # at 1e-6 (the side-car's invariants_error) and correspond, on each
+    # reconstruction's cmc_record, at 1e-3
     import pmcsurf.cli as cli
 
-    measure = cli.abresch_rosenberg
-
-    def spread(value):
-        def measured(chart, **kw):
-            ar = measure(chart, **kw)
+    def spread(measure, value):
+        def measured(*args, **kw):
+            ar = measure(*args, **kw)
             ar.residuals["H_spread"] = value
             return ar
 
         return measured
 
-    monkeypatch.setattr(cli, "abresch_rosenberg", spread(2e-6))
+    monkeypatch.setattr(cli, "abresch_rosenberg", spread(cli.abresch_rosenberg, 2e-6))
     assert main(["generate", "--family", "example4", "--nx", "9", "--ny", "9", "--out", str(tmp_path)]) == EXIT_OK
     meta = next(tmp_path.glob("*_metadata.txt")).read_text().splitlines()
     assert "invariants_error=|H| varies by 2.000e-06 > 1.0e-06: chart is not CMC" in meta
-    monkeypatch.setattr(cli, "abresch_rosenberg", spread(2e-3))
+    monkeypatch.setattr(cli, "cmc_record", spread(cli.cmc_record, 2e-3))
     code = main(["correspond", *NARROW_T, "--domain=0,0.02,0,0.02", "--out", str(tmp_path)])
     assert code == EXIT_VERIFICATION
     assert "error: |H| varies by 2.000e-03 > 1.0e-03: chart is not CMC" in capsys.readouterr().err

@@ -420,17 +420,17 @@ def test_integrators_refuse_bad_dense_data():
 
 
 def test_cmc_reconstruction_refuses_an_h_spread_past_its_gate(monkeypatch):
-    # abresch_rosenberg measures the spread of |H|; integrate_cmc_frenet gates it at 1e-3
+    # cmc_record measures the spread of |H|; integrate_cmc_frenet gates it at 1e-3
     import pmcsurf.correspondence as corr
 
-    measure = corr.abresch_rosenberg
+    measure = corr.cmc_record
 
-    def spread(chart, **kw):
-        ar = measure(chart, **kw)
+    def spread(*args):
+        ar = measure(*args)
         ar.residuals["H_spread"] = 2e-3
         return ar
 
-    monkeypatch.setattr(corr, "abresch_rosenberg", spread)
+    monkeypatch.setattr(corr, "cmc_record", spread)
     with pytest.raises(VerificationError, match=r"^\|H\| varies by 2\.000e-03 > 1\.0e-03: chart is not CMC$"):
         integrate_cmc_frenet(pmc_to_cmc(prop4_data(), 1))
 
@@ -590,11 +590,12 @@ def test_round_trip_evaluates_the_chart_once_per_row_block(monkeypatch):
         before = len(calls)
         run()
         counts.append(len(calls) - before)
-    # one jet for the Gauss points of the bottom and top rows, one per block of
-    # 8 of the 33 node columns, and one for the recertification grid of the
-    # first CMC record (the nodes were read by the extraction); the second CMC
-    # record and the assembled PMC record read the same sample sets
-    assert counts == [7, 0, 0]
+    # one jet for the Gauss points of the bottom and top rows, one for all 33
+    # node columns (3168 Gauss points, within the march's point budget), and
+    # one for the recertification grid of the first CMC record (the nodes were
+    # read by the extraction); the second CMC record and the assembled PMC
+    # record read the same sample sets
+    assert counts == [3, 0, 0]
 
 
 def test_memoised_fields_are_those_of_a_fresh_closure():
@@ -829,6 +830,20 @@ def _marches(monkeypatch, data):
     integrate_cmc_frenet(pmc_to_cmc(data, 1))
     integrate_pmc_frenet(data)
     return dict(zip(("cmc", "pmc"), seen))
+
+
+def test_column_passes_leave_the_frames_bitwise(monkeypatch):
+    # the column march reads its fields a point budget at a time: one column
+    # per pass, every column in one pass and the default grouping give the
+    # same frames and loop closure, bit for bit
+    import pmcsurf.correspondence as corr
+
+    march = corr._march_grid
+    for name, (args, (frames, closure)) in _marches(monkeypatch, prop4_data(41, 29)).items():
+        for budget in (1, 10**9):
+            monkeypatch.setattr(corr, "_PASS_POINTS", budget)
+            f, c = march(*args)
+            assert np.array_equal(f, frames) and c == closure, (name, budget)
 
 
 def test_marched_frames_stay_on_their_group(monkeypatch):

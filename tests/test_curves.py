@@ -457,14 +457,84 @@ def test_prefix_products_match_sequential_products(n):
 
 def test_curve_march_makes_no_blas_call():
     # the nodes' bits do not depend on the BLAS kernel: no @, matmul, dot,
-    # tensordot, einsum or linalg anywhere in the module
+    # tensordot or linalg anywhere in the module, and no einsum path
+    # optimization, which may hand a contraction to tensordot
     import ast
     import inspect
 
-    banned = ("matmul", "dot", "tensordot", "einsum", "linalg")
+    banned = ("matmul", "dot", "tensordot", "linalg")
     for node in ast.walk(ast.parse(inspect.getsource(curves))):
         assert not isinstance(node, ast.MatMult)
         assert getattr(node, "attr", None) not in banned and getattr(node, "id", None) not in banned
+        assert not (isinstance(node, ast.keyword) and node.arg == "optimize")
+
+
+def _elementwise_mul(A, B):
+    """A B written out elementwise, the oracle of ``curves._mul``: A[:, j] B[j] summed over j = 0, ..., d - 1 in order."""
+    P = A[:, 0, None] * B[None, 0]
+    term = np.empty_like(P)
+    for j in range(1, len(B)):
+        P += np.multiply(A[:, j, None], B[None, j], out=term)
+    return P
+
+
+def _mul_operands(d):
+    """(A, B) pairs on every layout the marches hand ``curves._mul``, for d x d stacks."""
+    rng = np.random.default_rng(d)
+    frames = rng.standard_normal((d, d - 1, 9, 11))  # (rows, dim, nx, ny), as the Frenet march's frames
+    P = rng.standard_normal((d, d, 3, 9))
+    pairs = [
+        (rng.standard_normal((d, d, 4, 10)), rng.standard_normal((d, d, 4, 10))),  # C-ordered stacks
+        (rng.standard_normal((d, d, 5, 10)), frames[..., 2:7, 0, None]),  # a block of columns' first frames
+        (rng.standard_normal((d, d, 10)), frames[..., 0, 0, None]),  # a row's first frame
+        (rng.standard_normal((d, d, 1)), rng.standard_normal((d, d, 1))),  # N = 1 step
+        (rng.standard_normal((d, d, 2)), rng.standard_normal((d, d, 2))),  # N = 2 steps
+        (rng.standard_normal((d, d, 3, 1)), rng.standard_normal((d, d, 3, 1))),  # N = 1 step on three lines
+        (rng.standard_normal((d, d)), rng.standard_normal((d, d))),  # C-ordered single matrices
+    ]
+    # the prefix scan's views: each product by the one shift places before it
+    pairs += [(P[..., shift:], P[..., :-shift]) for shift in (1, 2, 4, 8)]
+    return pairs
+
+
+@pytest.mark.parametrize("d", [3, 5, 6])
+def test_group_product_is_the_elementwise_sum_bit_for_bit(d):
+    # einsum sums each entry over j in order, as the elementwise oracle does;
+    # it starts each sum from +0.0, so an all-zero sum may lose a -0.0, which
+    # array_equal does not tell from +0.0
+    for A, B in _mul_operands(d):
+        assert np.array_equal(curves._mul(A, B), _elementwise_mul(A, B)), (A.shape, B.shape, B.strides)
+
+
+def _reference_magnus(A, h):
+    """The Magnus step and Pade map of ``curves._magnus_propagators`` out of place, on the elementwise product."""
+
+    def commutator(X, Y):
+        return _elementwise_mul(X, Y) - _elementwise_mul(Y, X)
+
+    A1, A2, A3 = A[..., 0], A[..., 1], A[..., 2]
+    a1 = h * A2
+    a2 = (np.sqrt(15.0) / 3.0 * h) * (A3 - A1)
+    a3 = (10.0 / 3.0 * h) * ((A3 - 2.0 * A2) + A1)
+    C1 = commutator(a1, a2)
+    C2 = commutator(a1, 2.0 * a3 + C1) / -60.0
+    W = (a1 + a3 / 12.0) + commutator((C1 - 20.0 * a1) - a3, a2 + C2) / 240.0
+    W2 = _elementwise_mul(W, W)
+    even = np.eye(len(W)).reshape(W.shape[:2] + (1,) * (W.ndim - 2)) + W2 / 10.0
+    odd = W / 2.0 + _elementwise_mul(W2, W) / 120.0
+    return curves._solve(even - odd, even + odd)
+
+
+@pytest.mark.parametrize("d", [3, 5, 6])
+def test_in_place_magnus_step_keeps_the_bits_of_its_formulas(d):
+    # the in-place stages reorder only commuting operands, so the step is
+    # bitwise the out-of-place formulas; on one and on many steps, and on a
+    # stack with a line axis ahead of the steps, as the Frenet march hands it
+    rng = np.random.default_rng(10 + d)
+    for shape in ((1,), (2,), (40,), (7, 40)):
+        A = rng.standard_normal((d, d) + shape + (3,))
+        h = 0.05 * (1.0 + rng.random(shape[-1]))
+        assert np.array_equal(curves._magnus_propagators(A, h), _reference_magnus(A, h)), shape
 
 
 def test_sampled_curve_refuses_points_outside_its_span():
