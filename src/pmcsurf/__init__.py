@@ -15,10 +15,13 @@ from .correspondence import (
 )
 from .curves import CurveSpec, constant_curvature_curve, integrate_curve
 from .diffgeo import (
+    Check,
     CmcData,
     JetSample,
     SurfaceInvariants,
     abresch_rosenberg,
+    certify_cmc,
+    certify_product,
     sample_jet,
     surface_invariants,
     torus_integrals,

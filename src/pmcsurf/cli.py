@@ -20,22 +20,23 @@ import numpy as np
 
 from . import families as fam
 from .correspondence import (
+    REBUILT_CMC_TOL,
     extract_pmc_data,
     integrate_cmc_frenet,
     pmc_to_cmc,
     weak_congruence_check,
 )
 from .diffgeo import (
+    H_SPREAD_TOL,
     SHRINK,
-    abresch_rosenberg,
+    certify_cmc,
+    certify_product,
     cmc_record,
     conformal_data,
-    curvature_bound_excess,
     hopf_theta,
     normal_frame,
     parallelism_residual,
     sample_jet,
-    surface_invariants,
 )
 from .errors import DomainError, InfeasibleParameters, PreconditionError, VerificationError
 from .profile import ProfileParams, require_feasible, require_start, require_whole_span, solve_profile
@@ -44,9 +45,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
-
-# the gate of verify's identity residuals (eq5-eq14, frame_gamma, the two-path checks) and of eta_z_law
-IDENTITY_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +213,7 @@ def cmd_generate(args):
             meta["max_conformal_defect"] = f"{float(np.max(defect)):.3e}"
             meta["parallelism_residual"] = f"{parallelism_residual(chart, Xs, Ys):.3e}"
         else:
-            ar = abresch_rosenberg(chart, nx=min(nx, 41), ny=min(ny, 41)).require_cmc(1e-6)
+            ar = cmc_record(chart, min(nx, 41), min(ny, 41), SHRINK).require_cmc(H_SPREAD_TOL)
             meta["H"] = f"{float(np.mean(ar.H_scalar)):.12g}"
             meta["theta_ar_mean_re"] = f"{float(np.mean(ar.theta_ar.real)):.12g}"
             meta["theta_ar_mean_im"] = f"{float(np.mean(ar.theta_ar.imag)):.12g}"
@@ -239,44 +237,6 @@ def cmd_generate(args):
 # ---------------------------------------------------------------------------
 
 
-def _verify_product(chart, args):
-    checks = []
-    inv = surface_invariants(chart, nx=args.nx, ny=args.ny)
-    checks.append(("conformal_defect", float(np.max(inv.conformal_defect)), 1e-6))
-    checks.append(("parallelism", inv.parallelism_residual, 1e-5))
-    for key in sorted(inv.identity_residuals):
-        checks.append((key, inv.identity_residuals[key], IDENTITY_TOL))
-    checks.append(("dzbar_theta1", inv.holomorphy["dzbar_theta1_scaled"], 1e-3))
-    checks.append(("dzbar_theta2", inv.holomorphy["dzbar_theta2_scaled"], 1e-3))
-    checks.append(("curvature_bound", max(curvature_bound_excess(inv), 0.0), 1e-6))
-    expected = chart.metadata.get("hopf_expected")
-    if expected is not None:
-        # compare as an unordered pair: the labels are orientation-gauge
-        distance = min(
-            max(float(np.max(np.abs(inv.theta1 - e1))), float(np.max(np.abs(inv.theta2 - e2))))
-            for e1, e2 in (expected, expected[::-1])
-        )
-        tol = 1e-7 if expected[0] == 0 and expected[1] == 0 else 1e-5
-        checks.append(("hopf_values", distance, tol))
-    return checks
-
-
-def _verify_cmc(chart, args):
-    ar = abresch_rosenberg(chart, nx=args.nx, ny=args.ny)
-    checks = [
-        ("conformal_defect", ar.residuals["conformal_defect"], 1e-6),
-        ("H_spread", ar.residuals["H_spread"], 1e-6),
-        ("eta_z_law", ar.residuals["eta_z_law"], IDENTITY_TOL),
-        ("dzbar_theta_ar", ar.residuals["dzbar_theta_ar_scaled"], 1e-3),
-    ]
-    expected = chart.metadata.get("theta_ar_expected")
-    if expected is not None:
-        checks.append(
-            ("theta_ar_value", float(np.max(np.abs(ar.theta_ar - expected))), 1e-4)
-        )
-    return checks
-
-
 def _config_slug(args):
     bits = [args.family] + [f"{key}{getattr(args, key):g}" for key in ("eps", "a", "b", "c", "lam", "hnorm")]
     if args.lift:
@@ -292,17 +252,13 @@ def cmd_verify(args):
     out.mkdir(parents=True, exist_ok=True)
     lines = [f"family={chart.name}", f"config={_config_slug(args)}", f"grid={args.nx}x{args.ny}"]
     try:
-        checks = (_verify_product if chart.target == fam.TARGET_PRODUCT else _verify_cmc)(chart, args)
+        checks = (certify_product if chart.target == fam.TARGET_PRODUCT else certify_cmc)(chart, args.nx, args.ny)
     except DomainError as exc:
         lines.append(f"FAIL construction: {exc}")
         code = EXIT_VERIFICATION
     else:
-        failed = []
-        for name, value, tol in checks:
-            status = "PASS" if value <= tol else "FAIL"
-            if status == "FAIL":
-                failed.append(name)
-            lines.append(f"{name} = {value:.6e}  tol = {tol:.1e}  {status}")
+        failed = [c.name for c in checks if c.status == "FAIL"]
+        lines += [f"{c.name} = {c.value:.6e}  tol = {c.tol:.1e}  {c.status}" for c in checks]
         lines.append("verdict=" + ("PASS" if not failed else "FAIL: " + ", ".join(failed)))
         code = EXIT_VERIFICATION if failed else EXIT_OK
     (out / f"verify_{_config_slug(args)}.txt").write_text("\n".join(lines) + "\n")
@@ -331,7 +287,7 @@ def cmd_correspond(args):
         rec, rep = integrate_cmc_frenet(dj)
         recs.append(rec)
         dj.to_csv(out / f"cmc_data_j{j}.csv")
-        ar = cmc_record(rec, min(args.nx, 41), min(args.ny, 41), 0.04).require_cmc(1e-3)
+        ar = cmc_record(rec, min(args.nx, 41), min(args.ny, 41), 0.04).require_cmc(REBUILT_CMC_TOL)
         X, Y = rec.grid(args.nx, args.ny, shrink=0.02)
         _write_cmc_obj(out / f"cmc_chart_j{j}.obj", rec.evaluate(X, Y), args.nx, args.ny)
         report.append(f"reconstruction_{j}_H={float(np.mean(ar.H_scalar)):.12g}")

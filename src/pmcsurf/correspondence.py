@@ -43,6 +43,7 @@ from .utils import write_columns_csv
 
 PARALLELISM_GATE = 1e-4
 DATA_TOL = 1e-3
+REBUILT_CMC_TOL = 1e-3  # the |H| spread of a rebuilt CMC chart, and its |H| off the data's
 MIXED_TOL = 1e-5  # gate on the mixed-partial residual of the eta integrands
 CONGRUENCE_TOL = 1e-3  # aligned distance below which two charts count as congruent
 _PASS_POINTS = 6000  # Gauss points per field evaluation of the column march: 41 columns at 41x41, 25 at 81x81
@@ -77,14 +78,6 @@ class PmcFrenetData:
     def grids(self):
         return {"u": self.u, "C1": self.C1, "C2": self.C2, "gamma1": self.gamma1, "gamma2": self.gamma2,
                 "f1": self.f1, "f2": self.f2}
-
-    def to_csv(self, path):
-        write_columns_csv(path, {
-            "x": self.x, "y": self.y, "u": self.u, "C1": self.C1, "C2": self.C2,
-            "gamma1_re": self.gamma1.real, "gamma1_im": self.gamma1.imag,
-            "gamma2_re": self.gamma2.real, "gamma2_im": self.gamma2.imag,
-            "f1_re": self.f1.real, "f1_im": self.f1.imag, "f2_re": self.f2.real, "f2_im": self.f2.imag,
-        })
 
 
 @dataclass
@@ -855,14 +848,14 @@ def integrate_cmc_frenet(data):
         data, _cmc_system(eps, data.Hval), start, TARGET_LINE, "cmc_reconstruction", {"Hval": data.Hval}
     )
     report = {"loop_closure": closure}
-    ar = cmc_record(chart, min(nx, 41), min(ny, 41), 0.03).require_cmc(1e-3)
+    ar = cmc_record(chart, min(nx, 41), min(ny, 41), 0.03).require_cmc(REBUILT_CMC_TOL)
     report["H_match"] = float(np.max(np.abs(ar.H_scalar - data.Hval)))
     xg, yg = ar.x, ar.y
     Fa = fields(xg, yg)
     eta_z = 0.5 * (Fa["eta_x"] - 1j * Fa["eta_y"])
     report["theta_ar_match"] = float(np.max(np.abs(ar.theta_ar - ar_theta(data.Hval, Fa["p"], eta_z, eps))))
     report["conformal_defect"] = float(np.max(ar.conformal_defect))
-    if report["H_match"] > 1e-3:
+    if report["H_match"] > REBUILT_CMC_TOL:
         raise VerificationError(f"reconstruction failed: |H| off by {report['H_match']:.2e}")
     return chart, report
 

@@ -30,7 +30,7 @@ from .ambient import (
     tangent_project3,
 )
 from .errors import DomainError, PreconditionError
-from .utils import hermite_interp, require_step, span_from_zero, write_columns_csv
+from .utils import hermite_interp, require_step, span_from_zero
 
 
 # the Taylor coefficients of c1 and c2 in -z, 1/(2j + 1)! and 1/(2j + 2)!, one row per
@@ -225,10 +225,6 @@ class SampledCurve:
         tang = np.max(np.abs(inner(self.psi, self.T, self.spec.eps)))
         unit = np.max(np.abs(inner(self.T, self.T, self.spec.eps) - 1.0))
         return float(max(quad, tang, unit))
-
-    def to_csv(self, path):
-        psi = self.psi
-        write_columns_csv(path, {"x": self.x, "p1": psi[0], "p2": psi[1], "p3": psi[2]}, fmt=".16e")
 
 
 _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * (np.sqrt(15.0) / 10.0)  # three-point Gauss rule on [0, 1]

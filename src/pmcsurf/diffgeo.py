@@ -32,7 +32,6 @@ import numpy as np
 from .ambient import inner, orientation_dual, product_j_pair
 from .errors import DomainError, VerificationError
 from .families import TARGET_CIRCLE, TARGET_LINE, TARGET_PRODUCT, ImmersionChart
-from .utils import write_columns_csv
 
 EPS_FLOOR = 1e-12
 MIN_HNORM = 1e-10  # below this |H| the surface counts as minimal and Htilde is undefined
@@ -422,23 +421,6 @@ class SurfaceInvariants:
     identity_residuals: dict = field(default_factory=dict)
     holomorphy: dict = field(default_factory=dict)
 
-    def summary(self):
-        lines = [f"family {self.chart.name}: grid {self.u.shape[0]}x{self.u.shape[1]}"]
-        lines.append(f"  conformal defect      {np.max(self.conformal_defect):.3e}")
-        lines.append(f"  parallelism residual  {self.parallelism_residual:.3e}")
-        for key in sorted(self.identity_residuals):
-            lines.append(f"  {key:22s}{self.identity_residuals[key]:.3e}")
-        for key in sorted(self.holomorphy):
-            lines.append(f"  {key:22s}{self.holomorphy[key]:.3e}")
-        return "\n".join(lines)
-
-    def to_csv(self, path):
-        columns = {k: getattr(self, k) for k in ("x", "y", "u", "conformal_defect", "C1", "C2", "K", "Kbar",
-                                                 "Kbar_perp", "Hnorm")}
-        for k in ("gamma1", "gamma2", "f1", "f2", "theta1", "theta2"):
-            columns[f"{k}_re"], columns[f"{k}_im"] = getattr(self, k).real, getattr(self, k).imag
-        write_columns_csv(path, columns)
-
 
 def _parallelism(jet, H, proj, Dx, Dy):
     """max over the jet's Chebyshev grid of max(|(H_x)^perp|, |(H_y)^perp|) / |H|, H differentiated
@@ -776,3 +758,73 @@ def curvature_bound_excess(inv):
     K - bound over the record's grid, negative when the bound holds everywhere."""
     bound = inv.Hnorm**2 + (1.0 if inv.chart.eps == +1 else 0.0)
     return float(np.max(inv.K - bound))
+
+
+# each verify gate's tolerance, written once, and the test whose bound it is (the gate's Check.source)
+CRITERION_02 = "tests/test_acceptance.py::test_criterion_02_invariant_family_certification"
+CONFORMAL_TOL = 1e-6
+PARALLELISM_TOL = 1e-5
+HOPF_VALUE_TOL = 1e-5  # theta_j against the constant a family's metadata gives
+HOPF_ZERO_TOL, CRITERION_04 = 1e-7, "tests/test_acceptance.py::test_criterion_04_vanishing_hopf_chart"
+THETA_AR_VALUE_TOL, CRITERION_06 = 1e-4, "tests/test_acceptance.py::test_criterion_06_correspondence_roundtrip"
+HOLOMORPHY_TOL, CRITERION_07 = 1e-3, "tests/test_acceptance.py::test_criterion_07_holomorphy_decay"
+CURVATURE_BOUND_TOL, CRITERION_08 = 1e-6, "tests/test_acceptance.py::test_criterion_08_curvature_bounds"
+IDENTITY_TOL, IDENTITY_TEST = 1e-4, "tests/test_diffgeo.py::test_identity_residuals_battery"
+H_SPREAD_TOL, CMC_TEST = 1e-6, "tests/test_diffgeo.py::test_abresch_rosenberg_rejects_non_cmc"
+
+
+@dataclass(frozen=True)
+class Check:
+    """One gate: a measured value, its tolerance and the test that sets it; PASS exactly when value <= tol."""
+
+    name: str
+    value: float
+    tol: float
+    source: str
+
+    @property
+    def margin(self):
+        return self.value / self.tol
+
+    @property
+    def status(self):
+        return "PASS" if self.value <= self.tol else "FAIL"
+
+
+def certify_product(chart, nx, ny):
+    """The checks ``verify`` makes of a product chart, on ``surface_invariants`` at nx x ny, in its order."""
+    inv = surface_invariants(chart, nx=nx, ny=ny)
+    checks = [
+        Check("conformal_defect", float(np.max(inv.conformal_defect)), CONFORMAL_TOL, CRITERION_02),
+        Check("parallelism", inv.parallelism_residual, PARALLELISM_TOL, CRITERION_02),
+    ]
+    checks += [Check(k, inv.identity_residuals[k], IDENTITY_TOL, IDENTITY_TEST) for k in sorted(inv.identity_residuals)]
+    checks += [Check(f"dzbar_theta{j}", inv.holomorphy[f"dzbar_theta{j}_scaled"], HOLOMORPHY_TOL, CRITERION_07)
+               for j in (1, 2)]
+    checks.append(Check("curvature_bound", max(curvature_bound_excess(inv), 0.0), CURVATURE_BOUND_TOL, CRITERION_08))
+    expected = chart.metadata.get("hopf_expected")
+    if expected is not None:
+        # compare as an unordered pair: the labels are orientation-gauge
+        distance = min(
+            max(float(np.max(np.abs(inv.theta1 - e1))), float(np.max(np.abs(inv.theta2 - e2))))
+            for e1, e2 in (expected, expected[::-1])
+        )
+        tol, source = (HOPF_ZERO_TOL, CRITERION_04) if not any(expected) else (HOPF_VALUE_TOL, CRITERION_02)
+        checks.append(Check("hopf_values", distance, tol, source))
+    return checks
+
+
+def certify_cmc(chart, nx, ny):
+    """The checks ``verify`` makes of a chart into M2(eps) x R, on ``abresch_rosenberg`` at nx x ny, in its order."""
+    ar = abresch_rosenberg(chart, nx=nx, ny=ny)
+    checks = [
+        Check("conformal_defect", ar.residuals["conformal_defect"], CONFORMAL_TOL, CRITERION_02),
+        Check("H_spread", ar.residuals["H_spread"], H_SPREAD_TOL, CMC_TEST),
+        Check("eta_z_law", ar.residuals["eta_z_law"], IDENTITY_TOL, IDENTITY_TEST),
+        Check("dzbar_theta_ar", ar.residuals["dzbar_theta_ar_scaled"], HOLOMORPHY_TOL, CRITERION_07),
+    ]
+    expected = chart.metadata.get("theta_ar_expected")
+    if expected is not None:
+        checks.append(Check("theta_ar_value", float(np.max(np.abs(ar.theta_ar - expected))), THETA_AR_VALUE_TOL,
+                            CRITERION_06))
+    return checks

@@ -121,6 +121,33 @@ def test_generate_sidecar_reads_the_invariant_record(tmp_path, family):
     assert meta["parallelism_residual"] == f"{inv.parallelism_residual:.3e}"
 
 
+def test_generate_samples_no_chebyshev_grid_on_a_cmc_chart(tmp_path, monkeypatch):
+    # the CMC side-car reads H and theta_AR on the requested-grid record alone, so
+    # generate takes no Chebyshev pass: no jet call on a (CHEB_N + 1)^2 grid
+    from pmcsurf import diffgeo
+    from pmcsurf import families as fam
+
+    shapes = []
+    build = fam.cmc_sinh_chart
+
+    def recorded(*args, **kw):
+        chart = build(*args, **kw)
+        jet = chart.jet
+
+        def sampled(x, y):
+            shapes.append(np.shape(x))
+            return jet(x, y)
+
+        chart.jet = sampled
+        return chart
+
+    monkeypatch.setattr(fam, "cmc_sinh_chart", recorded)
+    assert main(["generate", "--family", "example4", "--out", str(tmp_path)]) == EXIT_OK
+    assert (41, 41) in shapes and (diffgeo.CHEB_N + 1,) * 2 not in shapes, shapes
+    meta = (tmp_path / "example4_metadata.txt").read_text()
+    assert "theta_ar_mean_re=" in meta and "invariants_error" not in meta
+
+
 def test_generate_poincare_projection(tmp_path):
     code = main(["generate", "--family", "Ptilde", "--poincare",
                  "--nx", "9", "--ny", "9", "--out", str(tmp_path)])
@@ -253,12 +280,14 @@ def test_control_on_a_narrow_rectangle_writes_a_report(tmp_path):
 
 
 def test_generate_and_correspond_gate_the_h_spread_they_read(tmp_path, monkeypatch, capsys):
-    # abresch_rosenberg and cmc_record measure the |H| spread; generate gates it
-    # at 1e-6 (the side-car's invariants_error) and correspond, on each
-    # reconstruction's cmc_record, at 1e-3
+    # cmc_record measures the |H| spread; generate gates it at diffgeo.H_SPREAD_TOL
+    # (the side-car's invariants_error) and correspond, on each reconstruction's
+    # record, at correspondence.REBUILT_CMC_TOL
     import pmcsurf.cli as cli
 
-    def spread(measure, value):
+    def spread(value):
+        measure = cli.cmc_record
+
         def measured(*args, **kw):
             ar = measure(*args, **kw)
             ar.residuals["H_spread"] = value
@@ -266,11 +295,12 @@ def test_generate_and_correspond_gate_the_h_spread_they_read(tmp_path, monkeypat
 
         return measured
 
-    monkeypatch.setattr(cli, "abresch_rosenberg", spread(cli.abresch_rosenberg, 2e-6))
+    monkeypatch.setattr(cli, "cmc_record", spread(2e-6))
     assert main(["generate", "--family", "example4", "--nx", "9", "--ny", "9", "--out", str(tmp_path)]) == EXIT_OK
     meta = next(tmp_path.glob("*_metadata.txt")).read_text().splitlines()
     assert "invariants_error=|H| varies by 2.000e-06 > 1.0e-06: chart is not CMC" in meta
-    monkeypatch.setattr(cli, "cmc_record", spread(cli.cmc_record, 2e-3))
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "cmc_record", spread(2e-3))
     code = main(["correspond", *NARROW_T, "--domain=0,0.02,0,0.02", "--out", str(tmp_path)])
     assert code == EXIT_VERIFICATION
     assert "error: |H| varies by 2.000e-03 > 1.0e-03: chart is not CMC" in capsys.readouterr().err
@@ -694,7 +724,7 @@ def test_correspond_exits_one_when_the_reconstructions_are_not_congruent(tmp_pat
         ["correspond", "--poincare"],
         ["verify", "--poincare"],
         # verify samples each chart's own jet and gates its identity residuals at
-        # the fixed IDENTITY_TOL: no option picks another jet or loosens that gate
+        # the fixed diffgeo.IDENTITY_TOL: no option picks another jet or loosens that gate
         ["verify", "--fd-step", "1e-3"],
         ["verify", "--tol", "1"],
         ["report", "--family", "T"],

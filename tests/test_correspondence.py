@@ -491,11 +491,8 @@ def test_vanishing_hopf_chart_maps_to_leite_recorded():
 
 
 def test_data_csv_exports(tmp_path):
-    data = prop4_data(nx=21, ny=21)
-    f1 = tmp_path / "pmc.csv"
-    data.to_csv(f1)
-    assert f1.read_text().splitlines()[0].startswith("x,y,u,C1,C2,gamma1_re")
-    d1 = pmc_to_cmc(data, 1)
+    # correspond writes each CMC record as cmc_data_j*.csv
+    d1 = pmc_to_cmc(prop4_data(nx=21, ny=21), 1)
     f2 = tmp_path / "cmc.csv"
     d1.to_csv(f2)
     assert f2.read_text().splitlines()[0] == "x,y,u,nu,p_re,p_im,eta,eta_x,eta_y"

@@ -261,26 +261,6 @@ def test_integrate_curve_samples_speed_and_curvature_once_per_direction():
     assert calls["speed"] <= 2 and calls["curvature"] <= 2
 
 
-def test_curve_csv_export(tmp_path):
-    curve = integrate_curve(
-        CurveSpec(
-            +1,
-            speed=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            curvature=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            p0=np.array([1.0, 0.0, 0.0]),
-            T0=np.array([0.0, 1.0, 0.0]),
-            speed_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        ),
-        x_span=(0.0, 1.0),
-        step=0.01,
-    )
-    out = tmp_path / "curve.csv"
-    curve.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "x,p1,p2,p3"
-    assert len(lines) == len(curve.x) + 1
-
-
 def test_spec_validation():
     ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
     zeros = lambda x: np.zeros_like(np.asarray(x, dtype=float))

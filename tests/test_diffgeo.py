@@ -1,18 +1,21 @@
 import dataclasses
 import tracemalloc
-from types import SimpleNamespace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pmcsurf import diffgeo
 from pmcsurf.ambient import factor_j, metric_diag, orientation_form
-from pmcsurf.cli import BATTERY, _verify_product, build_chart, build_parser
+from pmcsurf.cli import BATTERY, build_chart, build_parser
 from pmcsurf.curves import CurveSpec, constant_curvature_curve, integrate_curve
 from pmcsurf.diffgeo import (
+    Check,
     _pointwise_block,
     abresch_rosenberg,
     apply_along,
+    certify_cmc,
+    certify_product,
     chebyshev,
     conformal_data,
     curvature_bound_excess,
@@ -318,7 +321,7 @@ def test_reparametrised_example1_charts_verify(name, k):
     # a conformal reparametrisation is the same surface: verify passes it at 41^2, though its
     # Hopf differentials vary in both variables and Kbar = 0 at every point
     ch = _reparametrised(name, k)
-    failed = [(check, value) for check, value, tol in _verify_product(ch, SimpleNamespace(nx=41, ny=41)) if value > tol]
+    failed = [(c.name, c.value) for c in certify_product(ch, 41, 41) if c.status == "FAIL"]
     assert not failed, failed
 
 
@@ -794,14 +797,25 @@ def test_normalized_mismatch_scales():
     assert normalized_mismatch(a, b, terms=(np.ones((4, 4)),)) < 1e-14
 
 
-def test_invariants_csv_and_summary(tmp_path):
-    inv = small_inv("prop4_hyp")
-    out = tmp_path / "inv.csv"
-    inv.to_csv(out)
-    header = out.read_text().splitlines()[0]
-    assert header.startswith("x,y,u,conformal_defect,C1,C2,K")
-    text = inv.summary()
-    assert "parallelism" in text and "eq7_j1" in text
+def test_check_status_and_margin():
+    # PASS exactly when value <= tol, so a value at its tolerance passes and NaN fails
+    assert Check("at", 1e-4, 1e-4, "s").status == "PASS"
+    assert Check("past", np.nextafter(1e-4, 1.0), 1e-4, "s").status == "FAIL"
+    assert Check("nan", float("nan"), 1e-4, "s").status == "FAIL"
+    assert Check("half", 0.5e-6, 1e-6, "s").margin == 0.5e-6 / 1e-6
+    assert np.isnan(Check("nan", float("nan"), 1e-4, "s").margin)
+
+
+def test_every_gate_names_its_source():
+    # a gate's tolerance is the bound of a test that exists: Check.source names its file and function.
+    # the prop4 member carries nonzero Hopf values, phi0 vanishing ones and example4 a theta_AR value
+    root = Path(__file__).resolve().parent.parent
+    checks = certify_product(chart("prop4_hyp"), 9, 9) + certify_product(chart("phi0"), 9, 9)
+    checks += certify_cmc(cmc_sinh_chart(1.0), 9, 9)
+    assert {c.name for c in checks} >= {"hopf_values", "theta_ar_value", "eq5_j1", "curvature_bound", "H_spread"}
+    for c in checks:
+        path, function = c.source.split("::")
+        assert path.startswith("tests/") and f"\ndef {function}(" in (root / path).read_text(), (c.name, c.source)
 
 
 def _same_record(ref, got):
